@@ -125,13 +125,8 @@ class BSplineBasis:
                 f"derivative order {deriv} exceeds spline degree {self.degree}"
             )
         x = _check_points(points, self.domain)
-        out = np.empty((x.size, self.rank))
-        coef = np.zeros(self.rank)
-        for j in range(self.rank):
-            coef[j] = 1.0
-            out[:, j] = BSpline(self.knots, coef, self.degree, extrapolate=False)(x, nu=deriv)
-            coef[j] = 0.0
-        return out
+        # one spline with the identity as coefficients evaluates every basis function
+        return BSpline(self.knots, np.eye(self.rank), self.degree, extrapolate=False)(x, nu=deriv)
 
     def to_dict(self) -> dict:
         return {

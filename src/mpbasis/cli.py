@@ -33,23 +33,6 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
 
 
-_thread_limiter = None
-
-
-def _limit_threads(n: int | None) -> None:
-    global _thread_limiter
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        # keep the limiter alive: dropping it would restore the old limits
-        _thread_limiter = threadpoolctl.threadpool_limits(n)
-    except ImportError:  # pragma: no cover
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mpbasis",
         description="Marginal product basis representations for gridded functional data",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS thread count")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a model to a tensor of observations")
@@ -332,7 +314,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -19,6 +19,7 @@ from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
 
 from .errors import NumericalError
 from .model import MPBModel
+from .tensors import cp_to_tensor
 
 __all__ = [
     "FPCAResult",
@@ -195,10 +196,7 @@ class EigenfunctionModel:
 
     def evaluate_grid(self, grids: Sequence[np.ndarray]) -> np.ndarray:
         """Tensor-grid evaluation, shape ``(len(g_1), ..., len(g_D), K_keep)``."""
-        xis = self.model.marginal_values(grids)
-        letters = "abcdefgh"[: self.model.n_dims]
-        spec = ",".join(c + "z" for c in letters) + ",zj->" + letters + "j"
-        return np.einsum(spec, *xis, self.s, optimize=True)
+        return cp_to_tensor(self.model.marginal_values(grids) + [self.s.T])
 
 
 def eigenfunction_model(model: MPBModel, result: FPCAResult) -> EigenfunctionModel:

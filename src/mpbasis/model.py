@@ -123,10 +123,7 @@ class MPBModel:
         Returns a ``(len(g_1), ..., len(g_D), N)`` array. When a stored mean
         is present the grids must match the mean grid exactly.
         """
-        xis = self.marginal_values(grids)
-        letters = "abcdefgh"[: self.n_dims]
-        spec = ",".join(c + "z" for c in letters) + ",nz->" + letters + "n"
-        out = np.einsum(spec, *xis, self.subject_coefs, optimize=True)
+        out = cp_to_tensor(self.marginal_values(grids) + [self.subject_coefs])
         if self.mean_values is not None:
             if not _grids_equal([np.asarray(g, dtype=float) for g in grids], self.mean_grids):
                 raise ValueError(

@@ -147,7 +147,8 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Both matrices are diagonalized with symmetric eigendecompositions, so the
     solve reduces to elementwise division by sums of eigenvalue pairs. With
     ``m`` positive definite and ``p`` positive semidefinite every denominator
-    is positive.
+    is positive. :func:`fit` runs the same solve with the eigendecomposition
+    of each penalty taken once per fit.
     """
     m = np.asarray(m, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -156,8 +157,13 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"right-hand side shape {q.shape} does not match ({p.shape[0]}, {m.shape[0]})"
         )
+    return _sylvester_eig(m, eigh(p), q)
+
+
+def _sylvester_eig(m: np.ndarray, p_eig, q: np.ndarray) -> np.ndarray:
+    """:func:`sylvester_solve` with ``p`` given as its eigenpair ``(beta, pm)``."""
+    beta, pm = p_eig
     alpha, qm = eigh(m)
-    beta, pm = eigh(p)
     den = beta[:, None] + alpha[None, :]
     scale = max(abs(alpha).max(initial=0.0), abs(beta).max(initial=0.0), 1e-300)
     if np.min(np.abs(den)) <= 1e-14 * scale:
@@ -233,19 +239,22 @@ def update_factor(
     """Exact conditional minimizer for the grid-mode-``d`` factor matrix.
 
     Solves ``X (W'W + mu I) + lambda_d T_d X = G_(d) W + mu X_old`` where the
-    Gram is assembled through the Hadamard identity and ``G_(d) W`` through a
-    mode-wise contraction; the Khatri-Rao product ``W`` is never formed.
+    Gram is assembled through the Hadamard identity and ``G_(d) W`` through
+    :func:`mttkrp`; ``W`` is the Khatri-Rao product of the other factors.
     """
-    n_dims = g_hat.ndim - 1
-    lam = config.marginal_weights(n_dims)[d]
-    mu = config.proximal_mu
-    others = [state.c_tilde[j] for j in range(n_dims) if j != d] + [state.b]
+    lam = config.marginal_weights(g_hat.ndim - 1)[d]
+    return _update_factor(g_hat, state, d, eigh(lam * t_d), config.proximal_mu)
+
+
+def _update_factor(g_hat, state: SolverState, d: int, penalty_eig, mu: float) -> np.ndarray:
+    """:func:`update_factor` with ``lambda_d T_d`` given as its eigenpair."""
+    others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
     gram = gram_of_khatri_rao(others)
     rhs = mttkrp(g_hat, others, d)
     m = gram + mu * np.eye(gram.shape[0])
     if mu > 0:
         rhs = rhs + mu * state.c_tilde[d]
-    return sylvester_solve(m, lam * t_d, rhs)
+    return _sylvester_eig(m, penalty_eig, rhs)
 
 
 def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) -> np.ndarray:
@@ -419,7 +428,7 @@ def fit(
             raise ValueError(
                 f"penalty matrix {d} has shape {t.shape}, expected square of size {g_hat.shape[d]}"
             )
-    config.marginal_weights(n_dims)
+    lam_marg = config.marginal_weights(n_dims)
     m_total = int(np.prod(g_hat.shape[:-1]))
     if config.rank > m_total:
         warnings.warn(
@@ -444,6 +453,8 @@ def fit(
 
     trace = [objective(g_hat, state, t_mats, config)]
     f_prev = trace[0]
+    # the penalties are constant over the fit: diagonalize each one once
+    penalty_eigs = [eigh(lam * t) for lam, t in zip(lam_marg, t_mats)]
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
     f_floor = 1e-12 * float(np.sum(g_hat**2))
@@ -451,7 +462,9 @@ def fit(
     it = 0
     for it in range(1, config.max_outer_iters + 1):
         for d in range(n_dims):
-            state.c_tilde[d] = update_factor(g_hat, state, d, t_mats[d], config)
+            state.c_tilde[d] = _update_factor(
+                g_hat, state, d, penalty_eigs[d], config.proximal_mu
+            )
             if not np.all(np.isfinite(state.c_tilde[d])):
                 raise NumericalError(f"factor update for mode {d} produced non-finite values")
         if config.coef_penalty == "ridge" or config.lambda_coef == 0.0:

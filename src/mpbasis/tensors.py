@@ -17,7 +17,6 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from string import ascii_lowercase
 from typing import Sequence
 
 import numpy as np
@@ -127,8 +126,11 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
 
     ``mats`` holds one factor per tensor mode except ``mode``, in ascending
     mode order. The result equals
-    ``unfold(tensor, mode) @ khatri_rao(mats reversed)`` but is contracted
-    mode by mode so the Khatri-Rao product is never formed.
+    ``unfold(tensor, mode) @ khatri_rao(mats reversed)``; it is computed as one
+    matrix product of the C-order unfolding (remaining modes in ascending
+    order, the last varying fastest) with ``khatri_rao(mats)``. For the first
+    and the last mode of a C-contiguous tensor that unfolding is a view, so
+    the tensor is not copied.
     """
     t = np.asarray(tensor)
     _check_mode(t, mode)
@@ -141,18 +143,24 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
             raise ValueError(
                 f"factor for mode {d} has shape {m.shape}, expected ({t.shape[d]}, K)"
             )
-    letters = ascii_lowercase[: t.ndim]
-    inputs = [letters] + [letters[d] + "z" for d in other]
-    out = letters[mode] + "z"
-    return np.einsum(",".join(inputs) + "->" + out, t, *mats, optimize=True)
+    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1) @ khatri_rao(mats)
 
 
 def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Materialize the sum of rank-1 outer products defined by factor columns."""
+    """Materialize the sum of rank-1 outer products defined by factor columns.
+
+    Computed as one matrix product of the first or the last factor with the
+    Khatri-Rao product of the others, leaving out whichever of the two has
+    more rows; both products are the C-order tensor up to a reshape.
+    """
     _check_factor_columns(factors)
-    letters = ascii_lowercase[: len(factors)]
-    spec = ",".join(c + "z" for c in letters) + "->" + letters
-    return np.einsum(spec, *factors, optimize=True)
+    first, last = np.asarray(factors[0]), np.asarray(factors[-1])
+    shape = tuple(np.shape(f)[0] for f in factors)
+    if len(factors) == 1:
+        return first.sum(axis=1)
+    if first.shape[0] >= last.shape[0]:
+        return (first @ khatri_rao(factors[1:]).T).reshape(shape)
+    return (khatri_rao(factors[:-1]) @ last.T).reshape(shape)
 
 
 def cp_norm_sq(factors: Sequence[np.ndarray]) -> float:

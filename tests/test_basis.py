@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from mpbasis.basis import (
     BSplineBasis,
@@ -56,6 +57,33 @@ def test_fourier_derivative_matches_central_differences():
     h = 1e-6
     fd = (basis.evaluate(x + h) - basis.evaluate(x - h)) / (2 * h)
     assert np.abs(basis.evaluate(x, 1) - fd).max() < 1e-4
+
+
+def bspline_columns_one_by_one(basis, x, deriv):
+    """Reference evaluation: one spline per basis function, unit coefficients."""
+    out = np.empty((x.size, basis.rank))
+    for j in range(basis.rank):
+        coef = np.zeros(basis.rank)
+        coef[j] = 1.0
+        out[:, j] = BSpline(basis.knots, coef, basis.degree, extrapolate=False)(x, nu=deriv)
+    return out
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        BSplineBasis((0.0, 1.0), 12),
+        BSplineBasis((-1.0, 2.0), 9, degree=2),
+        BSplineBasis((0.0, 1.0), 5, degree=4),
+    ],
+)
+def test_bspline_evaluate_matches_per_function_loop(basis):
+    rng = np.random.default_rng(1)
+    a, b = basis.domain
+    x = np.concatenate([[a, b], np.unique(basis.knots), rng.uniform(a, b, size=400)])
+    for deriv in range(basis.degree + 1):
+        ref = bspline_columns_one_by_one(basis, x, deriv)
+        assert np.array_equal(basis.evaluate(x, deriv), ref)
 
 
 def test_evaluate_outside_domain_raises():

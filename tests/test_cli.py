@@ -218,3 +218,12 @@ def test_grid_size_mismatch_exits_2(tmp_path, rank1_tensor, capsys):
     code = main(["fit", "--config", cfg_path, "--tensor", str(rank1_tensor), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "grid 0" in capsys.readouterr().err
+
+
+def test_threads_flag_is_rejected(rank1_tensor, capsys):
+    # BLAS reads its thread count when numpy loads it, so a flag parsed later
+    # cannot set it; the count is set through OPENBLAS_NUM_THREADS instead
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "info", str(rank1_tensor)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

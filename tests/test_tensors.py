@@ -1,5 +1,7 @@
 """Tensor kernels against explicit-loop oracles and algebraic round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,94 @@ def test_mttkrp_shape_errors():
         T.mttkrp(t, [], 0)
     with pytest.raises(ValueError, match="expected"):
         T.mttkrp(t, [np.zeros((5, 2))], 0)
+
+
+def outer(vectors):
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v)
+    return out
+
+
+def cp_by_outer_products(factors):
+    """Oracle: explicit sum over components of the outer product of columns."""
+    return sum(outer([f[:, j] for f in factors]) for j in range(factors[0].shape[1]))
+
+
+def mttkrp_by_outer_products(t, mats, mode):
+    """Oracle: column j contracts ``t`` with the rank-1 tensor of column j."""
+    out = np.empty((t.shape[mode], mats[0].shape[1]))
+    for j in range(out.shape[1]):
+        w = outer([m[:, j] for m in mats])
+        out[:, j] = np.tensordot(np.moveaxis(t, mode, 0), w, axes=t.ndim - 1)
+    return out
+
+
+def assert_rel(got, ref, tol=1e-12):
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)
+
+
+KERNEL_SHAPES = [(4, 3), (3, 4, 2), (3, 1, 4, 2), (2, 3, 1, 2, 3), (5, 2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_mttkrp_every_mode_matches_references(shape, k):
+    rng = np.random.default_rng(14)
+    t = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, k)) for n in shape]
+    for d in range(t.ndim):
+        others = [m for j, m in enumerate(mats) if j != d]
+        got = T.mttkrp(t, others, d)
+        assert_rel(got, T.unfold(t, d) @ T.khatri_rao(others[::-1]))
+        assert_rel(got, mttkrp_by_outer_products(t, others, d))
+
+
+def test_mttkrp_non_contiguous_inputs():
+    rng = np.random.default_rng(15)
+    t = rng.standard_normal((4, 2, 3, 5)).transpose(2, 0, 3, 1)  # shape (3, 4, 5, 2)
+    assert not t.flags.c_contiguous
+    mats = [rng.standard_normal((3, n)).T for n in t.shape]  # Fortran-ordered views
+    for d in range(t.ndim):
+        others = [m for j, m in enumerate(mats) if j != d]
+        got = T.mttkrp(t, others, d)
+        assert_rel(got, T.unfold(t, d) @ T.khatri_rao(others[::-1]))
+        assert_rel(got, mttkrp_by_outer_products(t, others, d))
+        assert_rel(got, T.mttkrp(np.ascontiguousarray(t), others, d))
+
+
+@pytest.mark.parametrize("mode", [0, 2])
+def test_mttkrp_first_and_last_mode_do_not_copy_the_tensor(mode):
+    rng = np.random.default_rng(16)
+    t = rng.standard_normal((60, 50, 40))
+    others = [rng.standard_normal((n, 3)) for d, n in enumerate(t.shape) if d != mode]
+    tracemalloc.start()
+    try:
+        T.mttkrp(t, others, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes // 4
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", [(5,)] + KERNEL_SHAPES)
+def test_cp_to_tensor_matches_references(shape, k):
+    rng = np.random.default_rng(17)
+    factors = [rng.standard_normal((n, k)) for n in shape]
+    got = T.cp_to_tensor(factors)
+    assert got.flags.c_contiguous
+    assert_rel(got, cp_by_outer_products(factors))
+    unfolded = factors[0] @ T.khatri_rao(factors[1:][::-1]).T if len(shape) > 1 else None
+    if unfolded is not None:
+        assert_rel(got, T.fold(unfolded, 0, shape))
+
+
+def test_cp_to_tensor_non_contiguous_factors():
+    rng = np.random.default_rng(18)
+    factors = [rng.standard_normal((3, n)).T for n in (4, 1, 5, 2)]
+    assert_rel(T.cp_to_tensor(factors), cp_by_outer_products(factors))
 
 
 def test_frobenius_norm_preserved_by_unfolding():
