@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, fpca, selection, sim
+from . import fileio, fpca, reduction, selection, sim
 from .config import load_run_config, load_sim_config
 from .errors import NumericalError
 from .pipeline import fit_mpb
@@ -44,11 +44,6 @@ def cmd_fit(args) -> int:
     if args.seed is not None:
         cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
     y = fileio.read_tensor(args.tensor)
-    if y.ndim != cfg.n_dims + 1:
-        raise ValueError(
-            f"tensor has {y.ndim} modes but the config describes {cfg.n_dims} dimensions "
-            "plus subjects"
-        )
     grids = cfg.build_grids(y.shape[:-1])
     model, state, report = fit_mpb(
         y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, center=cfg.center
@@ -109,18 +104,7 @@ def cmd_select(args) -> int:
         k_grid = cfg.selection.get("rank_grid")
         if not k_grid:
             raise ValueError("config is missing selection.rank_grid")
-        from . import basis as basis_mod
-        from . import reduction
-
-        phis = [b.evaluate(g) for b, g in zip(cfg.bases, grids)]
-        facs = [reduction.factorize(phi, dim=d) for d, phi in enumerate(phis)]
-        t_mats = [
-            reduction.penalty_transform(
-                fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order))
-            )
-            for fac, b, order in zip(facs, cfg.bases, cfg.penalty_orders)
-        ]
-        g_hat = reduction.compress(y, facs)
+        _, t_mats, g_hat = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
         report = selection.sweep_global_rank(
             g_hat,
             t_mats,

@@ -9,7 +9,7 @@ from typing import Sequence
 import jsonschema
 import numpy as np
 
-from .basis import BSplineBasis, FourierBasis
+from .basis import basis_from_dict
 from .sim import Gp2dSimConfig, ProductSimConfig
 from .solver import SolverConfig
 
@@ -212,16 +212,14 @@ class RunConfig:
         for ranks in cands:
             if len(ranks) != self.n_dims:
                 raise ValueError("each rank candidate needs one entry per dimension")
+            # custom knots do not fit another rank: reset them to equispaced
             out.append(
-                [_rebuild_with_rank(b, r) for b, r in zip(self.bases, ranks)]
+                [
+                    basis_from_dict({**b.to_dict(), "rank": r, "knots": None})
+                    for b, r in zip(self.bases, ranks)
+                ]
             )
         return out
-
-
-def _rebuild_with_rank(basis, rank: int):
-    if isinstance(basis, BSplineBasis):
-        return BSplineBasis(basis.domain, rank, basis.degree)
-    return FourierBasis(basis.domain, rank, basis.period)
 
 
 def _build_bases(cfg: dict) -> list:
@@ -231,16 +229,7 @@ def _build_bases(cfg: dict) -> list:
         raise ValueError(
             f"config lists {len(domains)} domains but {len(specs)} bases"
         )
-    out = []
-    for dom, spec in zip(domains, specs):
-        a, b = float(dom[0]), float(dom[1])
-        if spec["kind"] == "bspline":
-            out.append(
-                BSplineBasis((a, b), spec["rank"], spec.get("degree", 3), spec.get("knots"))
-            )
-        else:
-            out.append(FourierBasis((a, b), spec["rank"], spec.get("period")))
-    return out
+    return [basis_from_dict({**spec, "domain": dom}) for dom, spec in zip(domains, specs)]
 
 
 def parse_run_config(cfg: dict) -> RunConfig:

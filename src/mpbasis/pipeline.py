@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import reduction, solver
 from .model import MPBModel
 from .solver import SolverConfig, SolverState
@@ -57,10 +56,9 @@ def fit_mpb(
 ) -> tuple[MPBModel, SolverState, FitReport]:
     """Fit a marginal product basis representation to gridded observations.
 
-    Evaluates each basis on its grid, compresses the data tensor through the
-    thin SVDs of the evaluation matrices, transports the roughness penalties,
-    runs the block-coordinate solver and maps the solution back to basis
-    coefficients.
+    Reduces the data with :func:`reduction.prepare` (evaluate each basis,
+    factorize, transport the roughness penalties, compress), runs the
+    block-coordinate solver and maps the solution back to basis coefficients.
 
     Parameters
     ----------
@@ -94,13 +92,7 @@ def fit_mpb(
         mean_values = y.mean(axis=-1)
         mean_grids = grids
         y = y - mean_values[..., None]
-    phis = [b.evaluate(g) for b, g in zip(bases, grids)]
-    facs = [reduction.factorize(phi, dim=d) for d, phi in enumerate(phis)]
-    t_mats = []
-    for d, (b, fac) in enumerate(zip(bases, facs)):
-        r = basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order=penalty_orders[d]))
-        t_mats.append(reduction.penalty_transform(fac, r))
-    g_hat = reduction.compress(y, facs)
+    facs, t_mats, g_hat = reduction.prepare(y, grids, bases, penalty_orders)
     state = solver.fit(g_hat, t_mats, config)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(facs, state.c_tilde)]
     model = MPBModel(

@@ -4,7 +4,8 @@ A data tensor observed on a grid is compressed mode by mode with the left
 singular vectors of each evaluation matrix ``Phi_d = U_d diag(s_d) V_d'``.
 Least-squares fitting in the compressed coordinates is equivalent to fitting
 in the original ones, and roughness penalties transport through the same
-factorization (``penalty_transform``).
+factorization (``penalty_transform``). ``prepare`` runs the whole reduction:
+evaluate, factorize, transport, compress.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import basis as basis_mod
 from .errors import NumericalError
 from .tensors import mode_multiply
 
 __all__ = [
     "MarginalFactorization",
+    "prepare",
     "factorize",
     "compress",
     "decompress",
@@ -110,6 +113,26 @@ def penalty_transform(fac: MarginalFactorization, r: np.ndarray) -> np.ndarray:
         raise ValueError(f"penalty matrix shape {r.shape} does not match rank {fac.m}")
     t = (fac.vt @ r @ fac.vt.T) / np.outer(fac.s, fac.s)
     return 0.5 * (t + t.T)
+
+
+def prepare(
+    y: np.ndarray,
+    grids: Sequence[np.ndarray],
+    bases: Sequence,
+    penalty_orders: Sequence[int],
+) -> tuple[list[MarginalFactorization], list[np.ndarray], np.ndarray]:
+    """Reduce gridded data to the compressed problem the solver fits.
+
+    Evaluates each basis on its grid, factorizes the evaluation matrices,
+    transports the order-``penalty_orders[d]`` roughness penalty of each basis
+    and compresses ``y``. Returns ``(facs, t_mats, g_hat)``.
+    """
+    facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
+    t_mats = [
+        penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order)))
+        for fac, b, order in zip(facs, bases, penalty_orders)
+    ]
+    return facs, t_mats, compress(y, facs)
 
 
 def back_transform(fac: MarginalFactorization, c_tilde: np.ndarray) -> np.ndarray:

@@ -187,23 +187,17 @@ def _penalty_value(state: SolverState, t_mats, lam_marg, config: SolverConfig) -
     return val
 
 
-def _residual_sq(g_hat, factors, materialize=None) -> float:
+def _residual_sq(g_hat, factors) -> float:
     """Squared Frobenius norm of ``g_hat`` minus the CP tensor of ``factors``.
 
     The difference is formed explicitly, never through the expanded square
     ``|g|^2 - 2<g, X> + |X|^2``, whose cancellation near an exact fit leaves
-    only square-root-of-epsilon accuracy. ``materialize=False`` builds the
-    reconstruction over subject chunks of at most :data:`MATERIALIZE_LIMIT`
-    entries; ``None`` does so only above that limit.
+    only square-root-of-epsilon accuracy. The reconstruction is built over
+    subject chunks of at most :data:`MATERIALIZE_LIMIT` entries (at least one
+    subject), which is one chunk whenever the whole tensor fits the limit.
     """
     n_subj = g_hat.shape[-1]
-    if materialize is None:
-        materialize = g_hat.size <= MATERIALIZE_LIMIT
-    if materialize:
-        step = n_subj
-    else:
-        step = MATERIALIZE_LIMIT // max(1, math.prod(g_hat.shape[:-1]))
-    step = max(step, 1)
+    step = max(1, MATERIALIZE_LIMIT // max(1, math.prod(g_hat.shape[:-1])))
     grid_factors, b = list(factors[:-1]), factors[-1]
     total = 0.0
     for lo in range(0, n_subj, step):
@@ -217,12 +211,11 @@ def objective(
     state: SolverState,
     t_mats: Sequence[np.ndarray],
     config: SolverConfig,
-    materialize: bool | None = None,
 ) -> float:
     """Penalized least-squares objective at the current state."""
     g_hat = np.asarray(g_hat, dtype=float)
     lam_marg = config.marginal_weights(g_hat.ndim - 1)
-    val = _residual_sq(g_hat, state.factors(), materialize)
+    val = _residual_sq(g_hat, state.factors())
     val += _penalty_value(state, t_mats, lam_marg, config)
     if not math.isfinite(val):
         raise NumericalError("objective is not finite; factor matrices diverged")

@@ -25,13 +25,10 @@ __all__ = [
     "unfold",
     "fold",
     "mode_multiply",
-    "multi_mode_multiply",
     "khatri_rao",
     "gram_of_khatri_rao",
     "mttkrp",
     "cp_to_tensor",
-    "cp_norm_sq",
-    "cp_inner",
 ]
 
 
@@ -72,20 +69,6 @@ def mode_multiply(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarr
             f"matrix of shape {m.shape} does not match mode {mode} of size {t.shape[mode]}"
         )
     return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
-
-
-def multi_mode_multiply(
-    tensor: np.ndarray,
-    matrices: Sequence[np.ndarray],
-    modes: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Apply :func:`mode_multiply` for several (matrix, mode) pairs in order."""
-    if modes is None:
-        modes = range(len(matrices))
-    out = np.asarray(tensor)
-    for m, d in zip(matrices, modes):
-        out = mode_multiply(out, m, d)
-    return out
 
 
 def _check_factor_columns(mats: Sequence[np.ndarray]) -> int:
@@ -161,17 +144,3 @@ def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     if first.shape[0] >= last.shape[0]:
         return (first @ khatri_rao(factors[1:]).T).reshape(shape)
     return (khatri_rao(factors[:-1]) @ last.T).reshape(shape)
-
-
-def cp_norm_sq(factors: Sequence[np.ndarray]) -> float:
-    """Squared Frobenius norm of the represented tensor, via Gram identities."""
-    return float(np.sum(gram_of_khatri_rao(factors)))
-
-
-def cp_inner(tensor: np.ndarray, factors: Sequence[np.ndarray]) -> float:
-    """Frobenius inner product of a dense tensor with a CP-format tensor."""
-    t = np.asarray(tensor)
-    if len(factors) != t.ndim:
-        raise ValueError(f"expected {t.ndim} factors, got {len(factors)}")
-    last = t.ndim - 1
-    return float(np.sum(mttkrp(t, list(factors[:last]), last) * factors[last]))

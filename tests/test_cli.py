@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from mpbasis import fileio
+from mpbasis import basis as basis_mod
+from mpbasis import fileio, reduction, selection
 from mpbasis.cli import main
 from mpbasis.sim import ProductSimConfig, generate_product_sample
+from mpbasis.solver import SolverConfig
 
 
 def write_json(path, payload):
@@ -167,6 +169,38 @@ def test_select_marginal_rank_row_count(tmp_path, rank1_tensor):
     assert len(rows) == 4
 
 
+def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_tensor):
+    cfg = base_config(rank=1, lambda_coef=1e-10, max_outer_iters=30)
+    cfg["selection"] = {"rank_grid": [1, 2, 3], "rank_threshold": 0.05}
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sel"
+    code = main(
+        ["select", "--config", cfg_path, "--tensor", str(rank1_tensor), "--out", str(out),
+         "--mode", "global-rank"]
+    )
+    assert code == 0
+    with open(out / "selection_global_rank.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["rank", "criterion", "chosen"]
+    # the reference reduction spelled out step by step
+    y = fileio.read_tensor(rank1_tensor)
+    bases = [basis_mod.FourierBasis((0.0, 1.0), 7)] * 2
+    grids = [np.linspace(0.0, 1.0, 20)] * 2
+    facs = [reduction.factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
+    t_mats = [
+        reduction.penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(2)))
+        for fac, b in zip(facs, bases)
+    ]
+    g_hat = reduction.compress(y, facs)
+    ref = selection.sweep_global_rank(
+        g_hat, t_mats, SolverConfig(**cfg["solver"], seed=3), [1, 2, 3], threshold=0.05
+    )
+    assert [int(r[0]) for r in rows[1:]] == [r.params["rank"] for r in ref.records]
+    for row, rec in zip(rows[1:], ref.records):
+        assert float(row[1]) == pytest.approx(rec.criterion, rel=1e-12)
+        assert int(row[2]) == int(rec.chosen)
+
+
 def test_simulate_noise_free_truth_equals_noisy(tmp_path):
     sim_cfg = {
         "design": "product",
@@ -218,6 +252,16 @@ def test_grid_size_mismatch_exits_2(tmp_path, rank1_tensor, capsys):
     code = main(["fit", "--config", cfg_path, "--tensor", str(rank1_tensor), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "grid 0" in capsys.readouterr().err
+
+
+def test_fit_tensor_with_extra_mode_exits_2(tmp_path, rank1_tensor, capsys):
+    y = fileio.read_tensor(rank1_tensor)
+    extra = tmp_path / "extra.mpbt"
+    fileio.write_tensor(extra, y[..., None])
+    cfg_path = write_json(tmp_path / "cfg.json", base_config())
+    code = main(["fit", "--config", cfg_path, "--tensor", str(extra), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "tensor has 3 grid modes, config has 2" in capsys.readouterr().err
 
 
 def test_threads_flag_is_rejected(rank1_tensor, capsys):

@@ -1,0 +1,58 @@
+"""Run configurations: bases built from their JSON specs."""
+
+import numpy as np
+import pytest
+
+from mpbasis.basis import BSplineBasis, FourierBasis
+from mpbasis.config import parse_run_config
+
+KNOTS = [0.0, 0.0, 0.0, 0.3, 0.5, 1.4, 2.0, 2.0, 2.0]
+
+
+def custom_config():
+    return {
+        "domains": [[0.0, 2.0], [-1.0, 1.0]],
+        "bases": [
+            {"kind": "bspline", "rank": 6, "degree": 2, "knots": KNOTS},
+            {"kind": "fourier", "rank": 5, "period": 3.0},
+        ],
+        "solver": {"rank": 1},
+        "selection": {"marginal_rank_candidates": [[4, 3], [8, 7]]},
+    }
+
+
+def test_bases_match_explicit_constructors():
+    cfg = parse_run_config(custom_config())
+    expected = [
+        BSplineBasis((0.0, 2.0), 6, degree=2, knots=KNOTS),
+        FourierBasis((-1.0, 1.0), 5, period=3.0),
+    ]
+    assert [b.to_dict() for b in cfg.bases] == [b.to_dict() for b in expected]
+
+
+def test_default_bspline_degree_and_fourier_period():
+    raw = custom_config()
+    raw["bases"] = [{"kind": "bspline", "rank": 6}, {"kind": "fourier", "rank": 5}]
+    cfg = parse_run_config(raw)
+    assert cfg.bases[0].degree == 3
+    assert np.array_equal(cfg.bases[0].knots, BSplineBasis((0.0, 2.0), 6).knots)
+    assert cfg.bases[1].period == 2.0
+
+
+def test_candidate_bases_change_only_the_rank():
+    # custom knots reset to equispaced; degree and period are kept
+    cands = parse_run_config(custom_config()).candidate_bases()
+    expected = [
+        [BSplineBasis((0.0, 2.0), 4, degree=2), FourierBasis((-1.0, 1.0), 3, period=3.0)],
+        [BSplineBasis((0.0, 2.0), 8, degree=2), FourierBasis((-1.0, 1.0), 7, period=3.0)],
+    ]
+    assert [[b.to_dict() for b in c] for c in cands] == [
+        [b.to_dict() for b in c] for c in expected
+    ]
+
+
+def test_domain_and_basis_counts_must_match():
+    raw = custom_config()
+    raw["domains"] = raw["domains"][:1]
+    with pytest.raises(ValueError, match="1 domains but 2 bases"):
+        parse_run_config(raw)

@@ -13,6 +13,7 @@ from mpbasis.reduction import (
     factorize,
     forward_transform,
     penalty_transform,
+    prepare,
 )
 
 
@@ -53,7 +54,7 @@ def test_compress_recovers_core_on_the_range():
     rng = np.random.default_rng(1)
     facs = [factorize(rng.standard_normal((n, m))) for n, m in [(12, 4), (10, 3)]]
     x = rng.standard_normal((4, 3, 5))
-    y = T.multi_mode_multiply(x, [f.u for f in facs], [0, 1])
+    y = T.mode_multiply(T.mode_multiply(x, facs[0].u, 0), facs[1].u, 1)
     assert np.abs(compress(y, facs) - x).max() < 1e-12
 
 
@@ -184,3 +185,29 @@ def test_penalty_equivalence_against_dense_quadrature():
     d2 = basis.evaluate(x, 2) @ c
     rhs = float(np.trapezoid((d2**2).sum(axis=1), x))
     assert abs(lhs - rhs) < 1e-6 * abs(rhs)
+
+
+def test_prepare_matches_explicit_steps():
+    # evaluate, factorize, transport each penalty at its own order, compress
+    rng = np.random.default_rng(9)
+    bases = [BSplineBasis((0.0, 2.0), 7, degree=3), FourierBasis((-1.0, 1.0), 5)]
+    grids = [np.linspace(0.0, 2.0, 15), np.linspace(-1.0, 1.0, 12)]
+    orders = [2, 1]
+    y = rng.standard_normal((15, 12, 4))
+    facs, t_mats, g_hat = prepare(y, grids, bases, orders)
+    ref_facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
+    for fac, ref in zip(facs, ref_facs):
+        assert np.array_equal(fac.u, ref.u) and np.array_equal(fac.s, ref.s)
+        assert np.array_equal(fac.vt, ref.vt)
+    for d, (b, fac) in enumerate(zip(bases, ref_facs)):
+        ref_t = penalty_transform(fac, penalty_matrix(b, PenaltyOperator(orders[d])))
+        assert np.array_equal(t_mats[d], ref_t)
+    assert np.array_equal(g_hat, compress(y, ref_facs))
+
+
+def test_prepare_names_rank_deficient_dimension():
+    # no grid point of dimension 1 reaches the support of the last splines
+    bases = [FourierBasis((0.0, 1.0), 3), BSplineBasis((0.0, 1.0), 7)]
+    grids = [np.linspace(0.0, 1.0, 10), np.linspace(0.0, 0.2, 10)]
+    with pytest.raises(NumericalError, match="dimension 1"):
+        prepare(np.ones((10, 10, 2)), grids, bases, [2, 2])

@@ -316,17 +316,6 @@ def test_objective_perfect_fit_is_zero():
     assert objective(g, state, t_mats, cfg) <= 1e-10 * np.sum(g**2)
 
 
-def test_objective_fast_route_matches_materialized():
-    rng = np.random.default_rng(18)
-    g = rng.standard_normal((5, 4, 6))
-    state = make_state(rng, (5, 4), 6, 3)
-    cfg = SolverConfig(rank=3, lambda_marginal=0.2, lambda_coef=0.1)
-    t_mats = [psd(rng, 5), psd(rng, 4)]
-    fast = objective(g, state, t_mats, cfg, materialize=False)
-    slow = objective(g, state, t_mats, cfg, materialize=True)
-    assert abs(fast - slow) < 1e-9 * slow
-
-
 def _cp_by_outer_products(factors):
     # term-by-term reconstruction: equal to the solver's up to roundoff
     out = 0.0
@@ -351,20 +340,20 @@ def test_objective_chunked_route_accurate_for_in_span_data(monkeypatch, scale):
         state = make_state(rng, (6, 5), 4, 3)
         state.b *= scale
         g = _cp_by_outer_products(state.factors())
-        res = np.sqrt(objective(g, state, t_mats, cfg, materialize=False))
+        res = np.sqrt(objective(g, state, t_mats, cfg))
         assert res <= 1e-8 * np.linalg.norm(g), f"seed {seed}"
 
 
 def test_objective_chunked_route_matches_materialized(monkeypatch):
     # chunks of 2, 2 and 1 subjects add up to the one-shot residual
-    monkeypatch.setattr(solver_mod, "MATERIALIZE_LIMIT", 2 * 5 * 4)
     rng = np.random.default_rng(20)
     g = rng.standard_normal((5, 4, 5))
     state = make_state(rng, (5, 4), 5, 3)
     cfg = SolverConfig(rank=3, lambda_marginal=0.2, lambda_coef=0.1)
     t_mats = [psd(rng, 5), psd(rng, 4)]
+    whole = objective(g, state, t_mats, cfg)
+    monkeypatch.setattr(solver_mod, "MATERIALIZE_LIMIT", 2 * 5 * 4)
     chunked = objective(g, state, t_mats, cfg)
-    whole = objective(g, state, t_mats, cfg, materialize=True)
     assert abs(chunked - whole) < 1e-12 * whole
 
 

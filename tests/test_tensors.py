@@ -294,15 +294,6 @@ def test_frobenius_norm_preserved_by_unfolding():
         assert np.isclose(np.linalg.norm(T.unfold(t, d)), ref, rtol=1e-15, atol=0)
 
 
-def test_cp_norm_and_inner_match_materialized():
-    rng = np.random.default_rng(13)
-    factors = [rng.standard_normal((n, 3)) for n in (4, 5, 6)]
-    dense = T.cp_to_tensor(factors)
-    t = rng.standard_normal(dense.shape)
-    assert np.isclose(T.cp_norm_sq(factors), np.sum(dense**2), rtol=1e-12)
-    assert np.isclose(T.cp_inner(t, factors), np.sum(t * dense), rtol=1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
