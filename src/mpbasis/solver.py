@@ -134,11 +134,15 @@ class SolverState:
 
 
 def soft_threshold(x: np.ndarray, kappa: float) -> np.ndarray:
-    """Elementwise ``sign(x) * max(|x| - kappa, 0)``."""
+    """Elementwise ``sign(x) * max(|x| - kappa, 0)``.
+
+    Computed as ``x - clip(x, -kappa, kappa)``, the form the ADMM loop of
+    :func:`update_b_admm` uses; the two agree except for the sign of zeros.
+    """
     if kappa < 0:
         raise ValueError("threshold must be >= 0")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
+    return x - x.clip(-kappa, kappa)
 
 
 def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -278,7 +282,21 @@ def update_b_admm(
     coefficient step is elementwise soft thresholding with level
     ``lambda_coef / (2 gamma)``, the auxiliary step is a ridge solve, and the
     scaled dual accumulates the constraint violation. Stops when the primal
-    and dual residuals drop below ``sqrt(N K)`` times the tolerances.
+    and dual residuals drop below ``sqrt(N K)`` times the tolerances. The
+    tolerances are absolute, so on data whose residuals stay far above them
+    every call runs to ``admm_max_iters``.
+
+    The ridge solve uses ``M = (W'W + gamma I)^-1``, formed once per call from
+    its Cholesky factor, so each iteration is a K x K product on N x K arrays.
+    At the default ``gamma = norm(W'W, 'fro') / K`` the spectrum of
+    ``W'W + gamma I`` lies in ``[gamma, (K + 1) gamma]``: its condition number
+    is at most ``K + 1`` and the explicit inverse is as accurate as the
+    triangular solves. A much smaller ``config.gamma`` makes the system
+    ill-conditioned, and the iterates then carry errors of order cond * eps.
+
+    When the last iterate raises the subject-block objective above its value
+    at ``state.b`` (an inexact exit), the previous block is returned instead:
+    ``(state.b, state.b.T, state.a_star)``, with the ADMM's own ``converged``.
 
     Returns ``(b, z, a_star, converged, n_iters)``; the inputs in ``state``
     serve as warm starts and are not mutated.
@@ -287,22 +305,42 @@ def update_b_admm(
     k = state.rank
     n_subj = state.b.shape[0]
     gram = gram_of_khatri_rao(state.c_tilde)
-    wty = mttkrp(g_hat, state.c_tilde, n_dims).T  # K x N, equals W' G_(D+1)'
+    rhs = mttkrp(g_hat, state.c_tilde, n_dims)  # N x K, equals (W'G_(D+1)')'
+    if not np.all(np.isfinite(rhs)):
+        raise NumericalError("coefficient ADMM: W'G (subject-mode MTTKRP) is not finite")
     gamma = config.gamma if config.gamma is not None else float(np.linalg.norm(gram)) / k
     gamma = max(gamma, 1e-12)
-    chol = cho_factor(gram + gamma * np.eye(k))
+    try:
+        chol = cho_factor(gram + gamma * np.eye(k))
+    except (LinAlgError, ValueError) as exc:
+        raise NumericalError(
+            f"coefficient ADMM: Cholesky factorization of W'W + gamma I failed "
+            f"(gamma {gamma:.3e})"
+        ) from exc
+    inv = cho_solve(chol, np.eye(k))
+    base = cho_solve(chol, rhs.T).T
+    gamma_m = gamma * inv
     kappa = config.lambda_coef / (2.0 * gamma)
     scale = math.sqrt(n_subj * k)
-    b, z, a = state.b, state.z, state.a_star
+    # the split variable is kept as N x K (the transpose of the returned z)
+    b, zt, a = state.b, np.ascontiguousarray(state.z.T), state.a_star
     converged = False
     it = 0
     for it in range(1, config.admm_max_iters + 1):
-        b = soft_threshold(z.T - a, kappa)
-        z_prev = z
-        z = cho_solve(chol, wty + gamma * (b + a).T)
-        a = a + b - z.T
-        r_primal = float(np.linalg.norm(b - z.T))
-        r_dual = gamma * float(np.linalg.norm(z - z_prev))
+        v = zt - a
+        b = v - v.clip(-kappa, kappa)
+        zt_prev = zt
+        zt = base + (b + a) @ gamma_m
+        r = b - zt
+        a = a + r
+        dz = zt - zt_prev
+        r_primal = math.sqrt(np.vdot(r, r))
+        r_dual = gamma * math.sqrt(np.vdot(dz, dz))
+        if not math.isfinite(r_primal + r_dual):
+            raise NumericalError(
+                f"coefficient ADMM: residuals not finite at iteration {it} "
+                f"(primal {r_primal:.2e}, dual {r_dual:.2e})"
+            )
         if r_primal <= config.admm_tol_primal * scale and r_dual <= config.admm_tol_dual * scale:
             converged = True
             break
@@ -312,7 +350,11 @@ def update_b_admm(
             f"(primal {r_primal:.2e}, dual {r_dual:.2e}); returning last iterate",
             RuntimeWarning,
         )
-    return b, z, a, converged, it
+    before = _b_conditional_value(gram, rhs, state.b, config)
+    if _b_conditional_value(gram, rhs, b, config) > before + 1e-12 * max(1.0, abs(before)):
+        # inexact ADMM exit made things worse: keep the previous block
+        return state.b, state.b.T.copy(), state.a_star, converged, it
+    return b, zt.T, a, converged, it
 
 
 def _b_conditional_value(gram, rhs, b, config: SolverConfig) -> float:
@@ -464,17 +506,8 @@ def fit(
             state.b = update_b_ridge(g_hat, state, config)
             state.z = state.b.T.copy()
         else:
-            gram = gram_of_khatri_rao(state.c_tilde)
-            rhs = mttkrp(g_hat, state.c_tilde, n_dims)
-            before = _b_conditional_value(gram, rhs, state.b, config)
-            b_new, z_new, a_new, ok, _ = update_b_admm(g_hat, state, config)
-            after = _b_conditional_value(gram, rhs, b_new, config)
-            if after <= before + 1e-12 * max(1.0, abs(before)):
-                state.b, state.z, state.a_star = b_new, z_new, a_new
-                state.admm_converged = state.admm_converged and ok
-            else:
-                # inexact ADMM exit made things worse: keep the previous block
-                state.z = state.b.T.copy()
+            state.b, state.z, state.a_star, ok, _ = update_b_admm(g_hat, state, config)
+            state.admm_converged = state.admm_converged and ok
         if not np.all(np.isfinite(state.b)):
             raise NumericalError("subject-coefficient update produced non-finite values")
         f_new = objective(g_hat, state, t_mats, config)

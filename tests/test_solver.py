@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
@@ -108,6 +109,20 @@ def test_soft_threshold_minimizes_scalar_prox():
                 kappa * abs(ref) + 0.5 * (ref - v) ** 2 + 1e-12
             )
 
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e-300, 0.7, 1.0, 1e300, np.inf])
+def test_soft_threshold_matches_sign_formula(kappa):
+    mags = np.concatenate([10.0 ** np.arange(-300, 301, 5), [5e-324, 1.0, 1e308]])
+    x = np.concatenate([
+        mags, -mags, [0.0, -0.0, kappa, -kappa, np.inf, -np.inf, np.nan],
+        np.nextafter(kappa, [np.inf, 0.0]), -np.nextafter(kappa, [np.inf, 0.0]),
+    ])
+    with np.errstate(invalid="ignore"):  # inf - inf at kappa = inf, in both forms
+        ref = np.sign(x) * np.maximum(np.abs(x) - kappa, 0.0)
+        got = soft_threshold(x, kappa)
+    # assert_array_equal counts NaNs in the same place as equal and 0.0 == -0.0
+    np.testing.assert_array_equal(got, ref)
 
 # -------------------------------------------------------------- factor update
 
@@ -294,6 +309,109 @@ def test_update_b_admm_full_shrinkage():
     b, _, _, _, _ = update_b_admm(g, state, cfg)
     assert np.array_equal(b, np.zeros_like(b))
 
+
+
+def reference_update_b_admm(g, state, config):
+    """The coefficient ADMM with a ``cho_solve`` of the K x N right-hand side
+    on every iteration, followed by the monotone safeguard ``fit`` applied."""
+    k = state.rank
+    gram = T.gram_of_khatri_rao(state.c_tilde)
+    rhs = T.mttkrp(g, state.c_tilde, g.ndim - 1)
+    gamma = config.gamma if config.gamma is not None else np.linalg.norm(gram) / k
+    gamma = max(gamma, 1e-12)
+    chol = cho_factor(gram + gamma * np.eye(k))
+    kappa = config.lambda_coef / (2.0 * gamma)
+    scale = np.sqrt(state.b.size)
+    b, z, a = state.b, state.z, state.a_star
+    converged = False
+    for it in range(1, config.admm_max_iters + 1):
+        b = np.sign(z.T - a) * np.maximum(np.abs(z.T - a) - kappa, 0.0)
+        z_prev = z
+        z = cho_solve(chol, rhs.T + gamma * (b + a).T)
+        a = a + b - z.T
+        r_primal = np.linalg.norm(b - z.T)
+        r_dual = gamma * np.linalg.norm(z - z_prev)
+        if r_primal <= config.admm_tol_primal * scale and r_dual <= config.admm_tol_dual * scale:
+            converged = True
+            break
+    before = solver_mod._b_conditional_value(gram, rhs, state.b, config)
+    after = solver_mod._b_conditional_value(gram, rhs, b, config)
+    if after > before + 1e-12 * max(1.0, abs(before)):
+        b, z, a = state.b, state.b.T.copy(), state.a_star
+    return b, z, a, converged, it
+
+
+def admm_case(name):
+    """(g_hat, state, config) for one equivalence case of the coefficient ADMM."""
+    rng = np.random.default_rng(16)
+    dims = (6, 5)
+    if name == "warm":
+        # a fitted state plus 10 ADMM iterations, so the dual a_star is nonzero
+        # and the compared call starts away from the fixed point
+        g = rank_k_tensor(rng, dims, 8, 3) + 0.05 * rng.standard_normal(dims + (8,))
+        cfg = SolverConfig(rank=3, lambda_coef=0.05, coef_penalty="lasso", max_outer_iters=5)
+        fitted = fit(g, [np.zeros((m, m)) for m in dims], cfg)
+        short = SolverConfig(rank=3, lambda_coef=0.05, coef_penalty="lasso", admm_max_iters=10)
+        b, z, a, converged, _ = reference_update_b_admm(g, fitted, short)
+        assert not converged and np.abs(a).max() > 0
+        return g, SolverState(c_tilde=fitted.c_tilde, b=b, z=z, a_star=a), cfg
+    n_subj, k = {"k1": (8, 1), "n1": (1, 3), "small_gamma": (8, 3)}[name]
+    g = rng.standard_normal(dims + (n_subj,))
+    state = make_state(rng, dims, n_subj, k)
+    gamma = None
+    if name == "small_gamma":
+        # equal columns make W'W singular: cond(W'W + gamma I) is about 1e11
+        for c in state.c_tilde:
+            c[:, 1] = c[:, 0]
+        gamma = 1e-11 * np.linalg.eigvalsh(T.gram_of_khatri_rao(state.c_tilde))[-1]
+    lam = 0.5 if gamma is None else 0.5 * gamma
+    return g, state, SolverConfig(rank=k, lambda_coef=lam, coef_penalty="lasso", gamma=gamma)
+
+
+@pytest.mark.parametrize("name", ["warm", "k1", "n1", "small_gamma"])
+def test_update_b_admm_matches_per_iteration_cho_solve(name):
+    g, state, cfg = admm_case(name)
+    k = state.rank
+    gram = T.gram_of_khatri_rao(state.c_tilde)
+    gamma = cfg.gamma if cfg.gamma is not None else np.linalg.norm(gram) / k
+    cond = np.linalg.cond(gram + gamma * np.eye(k))
+    if name == "small_gamma":
+        assert 1e10 < cond < 1e12
+        # At this conditioning the iterates move by up to 70 cond * eps when
+        # one addition of the reference loop is merely reassociated (20 seeds).
+        tol = 100 * cond * np.finfo(float).eps
+    else:
+        assert cond <= k + 1
+        tol = 1e-12
+    ref = reference_update_b_admm(g, state, cfg)
+    got = update_b_admm(g, state, cfg)
+    for x, y in zip(got[:3], ref[:3]):
+        assert np.linalg.norm(x - y) <= tol * np.linalg.norm(y)
+    assert got[3:] == ref[3:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, quantity",
+    [("g_hat", "W'G"), ("a_star", "residuals"), ("c_tilde", "Cholesky")],
+)
+def test_update_b_admm_non_finite_raises_numerical_error(corrupt, quantity):
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal((6, 5, 4))
+    state = make_state(rng, (6, 5), 4, 2)
+    cfg = SolverConfig(rank=2, lambda_coef=0.1, coef_penalty="lasso")
+    if corrupt == "g_hat":
+        g[2, 3, 1] = np.nan
+    elif corrupt == "a_star":
+        state.a_star[1, 0] = np.nan
+    else:
+        # one grid mode with entries whose Gram overflows while W'G stays finite
+        g = rng.standard_normal((6, 4))
+        state = make_state(rng, (6,), 4, 2)
+        state.c_tilde[0] *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match=quantity
+    ):
+        update_b_admm(g, state, cfg)
 
 # ----------------------------------------------------------------- objective
 
