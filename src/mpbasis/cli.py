@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
             f"{model.n_subjects} subjects, Gram eigenvalue range "
             f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]"
         )
-        if eigs[0] <= 1e-10 * max(eigs[-1], 1e-300):
+        if eigs[0] <= fpca.GRAM_RANK_TOL * max(eigs[-1], 1e-300):
             print(
                 "warning: product basis functions are numerically dependent; "
                 "downstream eigen solves will reduce to the independent subspace",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import jsonschema
@@ -276,40 +276,30 @@ def load_sim_config(path) -> tuple[str, int, object]:
     _validate(cfg, _SIM_SCHEMA, "simulation config")
     design = cfg["design"]
     reps = int(cfg.get("replications", 1))
-    seed = int(cfg.get("seed", 0))
+    # only the keys the JSON gives: every other field keeps its dataclass default
+    cls = ProductSimConfig if design == "product" else Gp2dSimConfig
+    given = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+    grid = given.get("grid_size")
     if design == "product":
-        grid = cfg.get("grid_size", 30)
         if isinstance(grid, list):
             if len(set(grid)) != 1:
                 raise ValueError("product design uses one shared grid size per dimension")
-            grid = grid[0]
-        sim_cfg = ProductSimConfig(
-            n_dims=int(cfg.get("n_dims", 3)),
-            marginal_rank=int(cfg.get("marginal_rank", 11)),
-            true_rank=int(cfg.get("true_rank", 10)),
-            coef_sd=float(cfg.get("coef_sd", 0.3)),
-            decay=float(cfg.get("decay", 0.7)),
-            noise_var=float(cfg.get("noise_var", 0.5)),
-            grid_size=int(grid),
-            n_subjects=int(cfg.get("n_subjects", 5)),
-            seed=seed,
-            redraw_coefs=bool(cfg.get("redraw_coefs", False)),
-        )
+            given["grid_size"] = grid[0]
     else:
-        ranks = cfg.get("ranks", [10, 8])
-        if len(ranks) != 2:
+        if len(given.get("ranks", (0, 0))) != 2:
             raise ValueError("gp2d design needs exactly two spline ranks")
-        grid = cfg.get("grid_size", [200, 200])
-        if isinstance(grid, int):
-            grid = [grid, grid]
-        if len(grid) != 2:
+        if grid is not None and not isinstance(grid, list):
+            given["grid_size"] = [grid, grid]
+        if len(given.get("grid_size", (0, 0))) != 2:
             raise ValueError("gp2d design needs a 2-d grid size")
-        sim_cfg = Gp2dSimConfig(
-            ranks=(int(ranks[0]), int(ranks[1])),
-            decay=float(cfg.get("decay", 0.7)),
-            grid_size=(int(grid[0]), int(grid[1])),
-            n_train=int(cfg.get("n_train", 100)),
-            n_test=int(cfg.get("n_test", 50)),
-            seed=seed,
+    # the schema's integers include integral floats such as 5.0: cast every
+    # value to its field's type, and the gp2d lists to tuples of int
+    defaults = {f.name: f.default for f in fields(cls)}
+    for name, value in given.items():
+        default = defaults[name]
+        given[name] = (
+            tuple(int(v) for v in value)
+            if isinstance(default, tuple)
+            else type(default)(value)
         )
-    return design, reps, sim_cfg
+    return design, reps, cls(**given)

@@ -9,22 +9,17 @@ marginal quantities alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import basis as basis_mod
 from .errors import NumericalError
+from .solver import residual_sq, solve_normal
 from .tensors import cp_to_tensor, gram_of_khatri_rao, mttkrp
 
 __all__ = ["MPBModel"]
-
-#: Grid values reconstructed at once when :meth:`MPBModel.project` forms
-#: residuals (4 MiB of float64); whole subjects are never split.
-_PROJECT_CHUNK_ENTRIES = 1 << 19
 
 
 def _grids_equal(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
@@ -193,12 +188,10 @@ class MPBModel:
         ``coefs`` is ``N x K`` (or ``(K,)`` for a single observation) in the
         discrete inner product of the evaluated basis.
 
-        Each residual norm is computed directly as ``|y - W c|`` over the
-        grid, so it is accurate to a small multiple of machine epsilon times
-        ``|y|`` for that subject, also when ``y`` lies in the span. The
-        reconstruction ``W c`` is built a few subjects at a time, so each
-        temporary holds at most 2**19 grid values (4 MiB) or one subject's
-        grid, whichever is larger.
+        Each residual norm is ``sqrt`` of :func:`solver.residual_sq`, which
+        forms ``y - W c`` directly over subject chunks, so it is accurate to a
+        small multiple of machine epsilon times ``|y|`` for that subject, also
+        when ``y`` lies in the span.
         """
         y = np.asarray(y_new, dtype=float)
         single = y.ndim == self.n_dims
@@ -210,27 +203,14 @@ class MPBModel:
             raise ValueError(f"data shape {y.shape[:-1]} does not match grids {expect}")
         gram = gram_of_khatri_rao(xis)
         rhs = mttkrp(y, xis, self.n_dims)  # N x K
-        try:
-            chol = cho_factor(gram)
-            diag = np.diag(chol[0])
-            if diag.min() <= 1e-7 * diag.max():
-                raise LinAlgError("effectively singular")
-        except LinAlgError as exc:
-            raise NumericalError(
-                "evaluated product basis is numerically dependent on this grid; "
-                "projection is not unique"
-            ) from exc
-        coefs = cho_solve(chol, rhs.T).T
-        # the residual is formed directly as y - W c: the expanded square
-        # |y|^2 - 2 c'W'y + c'W'Wc cancels to roundoff of size eps |y|^2 when
-        # y is near the span, which leaves only sqrt(eps) relative accuracy
-        n_grid = math.prod(expect)
-        step = max(1, _PROJECT_CHUNK_ENTRIES // n_grid)
-        resid = np.empty(y.shape[-1])
-        for lo in range(0, y.shape[-1], step):
-            r = y[..., lo : lo + step] - cp_to_tensor(xis + [coefs[lo : lo + step]])
-            r = r.reshape(n_grid, -1)
-            resid[lo : lo + step] = np.sqrt(np.einsum("ij,ij->j", r, r))
+        coefs = solve_normal(
+            gram,
+            rhs,
+            0.0,
+            "evaluated product basis is numerically dependent on this grid; "
+            "projection is not unique",
+        )
+        resid = np.sqrt(residual_sq(y, xis + [coefs]))
         if single:
             return coefs[0], resid[0]
         return coefs, resid

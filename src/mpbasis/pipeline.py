@@ -42,8 +42,8 @@ def compressed_residual_ratio(g_hat: np.ndarray, state: SolverState) -> float:
     g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    res = solver._residual_sq(np.asarray(g_hat, dtype=float), state.factors())
-    return res / g_norm_sq
+    res = solver.residual_sq(np.asarray(g_hat, dtype=float), state.factors())
+    return float(res.sum()) / g_norm_sq
 
 
 def fit_mpb(

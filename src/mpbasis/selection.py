@@ -27,7 +27,6 @@ __all__ = [
     "SelectionReport",
     "marginal_rank_criterion",
     "select_marginal_rank",
-    "global_rank_criterion",
     "sweep_global_rank",
     "cv_lambda_grid",
 ]
@@ -119,38 +118,31 @@ def select_marginal_rank(
     return SelectionReport(kind="marginal_variance", records=records)
 
 
-def global_rank_criterion(g_hat: np.ndarray, state: SolverState) -> float:
-    """Normalized residual of a fitted decomposition in compressed space."""
-    return compressed_residual_ratio(g_hat, state)
-
-
 def sweep_global_rank(
     g_hat: np.ndarray,
     t_mats: Sequence[np.ndarray],
     config: SolverConfig,
     k_grid: Sequence[int],
     threshold: float = 0.05,
-    warm_start: bool = True,
-    return_states: bool = False,
-):
+) -> SelectionReport:
     """Fit a grid of ranks and report the normalized residual per rank.
 
-    With ``warm_start`` each fit at a larger rank starts from the previous
-    solution padded with fresh random grid-mode columns and zero coefficient
-    columns, which makes the criterion nonincreasing along the grid. The
-    chosen rank is the smallest meeting the threshold (largest otherwise).
+    The criterion is :func:`pipeline.compressed_residual_ratio`. Each fit at a
+    larger rank is warm-started from the previous solution padded with fresh
+    random grid-mode columns and zero coefficient columns, which makes the
+    criterion nonincreasing along the grid. The chosen rank is the smallest
+    meeting the threshold (largest otherwise).
     """
     k_grid = [int(k) for k in k_grid]
     if sorted(k_grid) != k_grid or len(set(k_grid)) != len(k_grid):
         raise ValueError("rank grid must be strictly increasing")
     rng = np.random.default_rng(config.seed)
     records = []
-    states = []
     prev: SolverState | None = None
     for k in k_grid:
         cfg = replace(config, rank=k)
         init = None
-        if warm_start and prev is not None:
+        if prev is not None:
             extra = k - prev.rank
             c_tilde = []
             for c in prev.c_tilde:
@@ -161,9 +153,8 @@ def sweep_global_rank(
             init = SolverState(c_tilde=c_tilde, b=b, z=b.T.copy(), a_star=np.zeros_like(b))
         state = solver.fit(g_hat, t_mats, cfg, initial_state=init)
         prev = state
-        states.append(state)
         records.append(
-            SelectionRecord(params={"rank": k}, criterion=global_rank_criterion(g_hat, state))
+            SelectionRecord(params={"rank": k}, criterion=compressed_residual_ratio(g_hat, state))
         )
     chosen = next((i for i, r in enumerate(records) if r.criterion <= threshold), None)
     if chosen is None:
@@ -173,10 +164,7 @@ def sweep_global_rank(
             RuntimeWarning,
         )
     records[chosen].chosen = True
-    report = SelectionReport(kind="normalized_residual", records=records)
-    if return_states:
-        return report, states
-    return report
+    return SelectionReport(kind="normalized_residual", records=records)
 
 
 def _fold_assignment(n_subjects: int, n_folds: int, seed: int) -> np.ndarray:

@@ -25,6 +25,8 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "objective",
+    "residual_sq",
+    "solve_normal",
     "sylvester_solve",
     "soft_threshold",
     "update_factor",
@@ -33,11 +35,15 @@ __all__ = [
     "fit",
 ]
 
-#: Up to this many tensor entries the residual materializes the whole rank-K
-#: reconstruction at once. Above it the reconstruction is built over chunks of
-#: the subject mode holding at most this many entries (at least one subject),
-#: and the residual is still formed directly as data minus reconstruction.
-MATERIALIZE_LIMIT = 4_000_000
+#: Tensor entries reconstructed at once by :func:`residual_sq` (4 MiB of
+#: float64); the subject mode is split into chunks of at most this many
+#: entries, and whole subjects are never split.
+CHUNK_ENTRIES = 1 << 19
+
+#: A Cholesky factor of a normal matrix whose smallest diagonal entry is at or
+#: below this multiple of its largest counts as singular in
+#: :func:`solve_normal`.
+CHOL_DIAG_RATIO_TOL = 1e-7
 
 
 @dataclass
@@ -83,8 +89,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        for name in ("rank", "max_outer_iters", "admm_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.coef_penalty not in ("ridge", "lasso"):
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
         if self.init not in ("random", "hosvd"):
@@ -191,23 +198,51 @@ def _penalty_value(state: SolverState, t_mats, lam_marg, config: SolverConfig) -
     return val
 
 
-def _residual_sq(g_hat, factors) -> float:
-    """Squared Frobenius norm of ``g_hat`` minus the CP tensor of ``factors``.
+def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Squared residual norm of each subject: ``|y_i - X_i|^2`` per subject.
 
-    The difference is formed explicitly, never through the expanded square
-    ``|g|^2 - 2<g, X> + |X|^2``, whose cancellation near an exact fit leaves
+    ``X`` is the CP tensor of ``factors`` (grid-mode factors, then the N x K
+    subject coefficients) and the subject mode of ``y`` is last. The
+    difference is formed explicitly, never through the expanded square
+    ``|y|^2 - 2<y, X> + |X|^2``, whose cancellation near an exact fit leaves
     only square-root-of-epsilon accuracy. The reconstruction is built over
-    subject chunks of at most :data:`MATERIALIZE_LIMIT` entries (at least one
-    subject), which is one chunk whenever the whole tensor fits the limit.
+    subject chunks of at most :data:`CHUNK_ENTRIES` entries (at least one
+    subject).
     """
-    n_subj = g_hat.shape[-1]
-    step = max(1, MATERIALIZE_LIMIT // max(1, math.prod(g_hat.shape[:-1])))
     grid_factors, b = list(factors[:-1]), factors[-1]
-    total = 0.0
-    for lo in range(0, n_subj, step):
-        r = g_hat[..., lo : lo + step] - cp_to_tensor(grid_factors + [b[lo : lo + step]])
-        total += float(np.sum(r**2))
-    return total
+    n_grid = math.prod(y.shape[:-1])
+    step = max(1, CHUNK_ENTRIES // max(1, n_grid))
+    out = np.empty(y.shape[-1])
+    for lo in range(0, y.shape[-1], step):
+        r = y[..., lo : lo + step] - cp_to_tensor(grid_factors + [b[lo : lo + step]])
+        r = r.reshape(n_grid, -1)
+        out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
+    return out
+
+
+def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> np.ndarray:
+    """Rows ``c`` solving ``c (gram + shift I) = rhs`` for an N x K ``rhs``.
+
+    The shifted K x K normal matrix is factored once by Cholesky. It counts
+    as singular when the factorization fails or when its smallest diagonal
+    entry is at or below :data:`CHOL_DIAG_RATIO_TOL` times its largest; then
+    :class:`NumericalError` is raised, led by ``what`` and stating the
+    measured ratio and the threshold.
+    """
+    a = gram + shift * np.eye(gram.shape[0])
+    try:
+        chol = cho_factor(a)
+    except LinAlgError as exc:
+        raise NumericalError(
+            f"{what} (Cholesky factorization failed: the matrix is not positive definite)"
+        ) from exc
+    diag = np.diag(chol[0])
+    if diag.min() <= CHOL_DIAG_RATIO_TOL * diag.max():
+        raise NumericalError(
+            f"{what} (Cholesky diagonal ratio {diag.min() / diag.max():.3e} "
+            f"is at or below the threshold {CHOL_DIAG_RATIO_TOL:g})"
+        )
+    return cho_solve(chol, rhs.T).T
 
 
 def objective(
@@ -219,7 +254,7 @@ def objective(
     """Penalized least-squares objective at the current state."""
     g_hat = np.asarray(g_hat, dtype=float)
     lam_marg = config.marginal_weights(g_hat.ndim - 1)
-    val = _residual_sq(g_hat, state.factors())
+    val = float(residual_sq(g_hat, state.factors()).sum())
     val += _penalty_value(state, t_mats, lam_marg, config)
     if not math.isfinite(val):
         raise NumericalError("objective is not finite; factor matrices diverged")
@@ -259,18 +294,13 @@ def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) 
     n_dims = g_hat.ndim - 1
     gram = gram_of_khatri_rao(state.c_tilde)
     rhs = mttkrp(g_hat, state.c_tilde, n_dims)  # N x K, equals G_(D+1) W
-    a = gram + config.lambda_coef * np.eye(gram.shape[0])
-    try:
-        chol = cho_factor(a)
-        diag = np.diag(chol[0])
-        if diag.min() <= 1e-7 * diag.max():
-            raise LinAlgError("effectively singular")
-    except LinAlgError as exc:
-        raise NumericalError(
-            "singular normal matrix in the coefficient update; "
-            "increase lambda_coef or reduce the rank"
-        ) from exc
-    return cho_solve(chol, rhs.T).T
+    return solve_normal(
+        gram,
+        rhs,
+        config.lambda_coef,
+        "singular normal matrix in the coefficient update; "
+        "increase lambda_coef or reduce the rank",
+    )
 
 
 def update_b_admm(
@@ -504,7 +534,6 @@ def fit(
                 raise NumericalError(f"factor update for mode {d} produced non-finite values")
         if config.coef_penalty == "ridge" or config.lambda_coef == 0.0:
             state.b = update_b_ridge(g_hat, state, config)
-            state.z = state.b.T.copy()
         else:
             state.b, state.z, state.a_star, ok, _ = update_b_admm(g_hat, state, config)
             state.admm_converged = state.admm_converged and ok

@@ -1,10 +1,13 @@
-"""Run configurations: bases built from their JSON specs."""
+"""Run and simulation configurations loaded from JSON."""
+
+import json
 
 import numpy as np
 import pytest
 
 from mpbasis.basis import BSplineBasis, FourierBasis
-from mpbasis.config import parse_run_config
+from mpbasis.config import load_sim_config, parse_run_config
+from mpbasis.sim import Gp2dSimConfig, ProductSimConfig
 
 KNOTS = [0.0, 0.0, 0.0, 0.3, 0.5, 1.4, 2.0, 2.0, 2.0]
 
@@ -56,3 +59,23 @@ def test_domain_and_basis_counts_must_match():
     raw["domains"] = raw["domains"][:1]
     with pytest.raises(ValueError, match="1 domains but 2 bases"):
         parse_run_config(raw)
+
+
+@pytest.mark.parametrize(
+    "design, cls", [("product", ProductSimConfig), ("gp2d", Gp2dSimConfig)]
+)
+def test_sim_config_defaults_are_the_dataclass_defaults(tmp_path, design, cls):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"design": design, "seed": 9}))
+    got_design, reps, sim_cfg = load_sim_config(path)
+    assert (got_design, reps) == (design, 1)
+    assert sim_cfg == cls(seed=9)
+
+
+def test_sim_config_integral_floats_are_cast_to_field_types(tmp_path):
+    # JSON Schema counts 40.0 as an integer, so it passes validation
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"design": "gp2d", "grid_size": 40.0, "n_test": 3.0}))
+    _, _, sim_cfg = load_sim_config(path)
+    assert sim_cfg == Gp2dSimConfig(grid_size=(40, 40), n_test=3)
+    assert isinstance(sim_cfg.n_test, int) and isinstance(sim_cfg.grid_size[0], int)

@@ -6,13 +6,13 @@ import pytest
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis
 from mpbasis.model import MPBModel
+from mpbasis.pipeline import compressed_residual_ratio
 from mpbasis.reduction import compress, decompress, factorize
 from mpbasis.selection import (
     SelectionRecord,
     SelectionReport,
     _fold_assignment,
     cv_lambda_grid,
-    global_rank_criterion,
     marginal_rank_criterion,
     select_marginal_rank,
     sweep_global_rank,
@@ -106,14 +106,14 @@ def test_global_rank_criterion_cases():
     b = rng.standard_normal((3, 2))
     state = SolverState(c_tilde=c, b=b, z=b.T.copy(), a_star=np.zeros_like(b))
     g = T.cp_to_tensor(state.factors())
-    assert global_rank_criterion(g, state) <= 1e-12
+    assert compressed_residual_ratio(g, state) <= 1e-12
     zero_state = SolverState(
         c_tilde=c, b=np.zeros((3, 2)), z=np.zeros((2, 3)), a_star=np.zeros((3, 2))
     )
-    assert global_rank_criterion(g, zero_state) == pytest.approx(1.0, rel=1e-12)
+    assert compressed_residual_ratio(g, zero_state) == pytest.approx(1.0, rel=1e-12)
     other = rng.standard_normal(g.shape)
     ref = np.sum((other - T.cp_to_tensor(state.factors())) ** 2) / np.sum(other**2)
-    assert global_rank_criterion(other, state) == pytest.approx(ref, rel=1e-9)
+    assert compressed_residual_ratio(other, state) == pytest.approx(ref, rel=1e-9)
 
 
 def test_sweep_global_rank_monotone_with_warm_start():

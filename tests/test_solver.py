@@ -12,7 +12,9 @@ from mpbasis.solver import (
     SolverState,
     fit,
     objective,
+    residual_sq,
     soft_threshold,
+    solve_normal,
     sylvester_solve,
     update_b_admm,
     update_b_ridge,
@@ -450,7 +452,7 @@ def test_objective_chunked_route_accurate_for_in_span_data(monkeypatch, scale):
     # an exact fit leaves a residual of roundoff size eps |g|; the expanded
     # square |g|^2 - 2<g, X> + |X|^2 would leave sqrt(eps) |g| of it.
     # The limit is lowered so the route builds two subjects per chunk.
-    monkeypatch.setattr(solver_mod, "MATERIALIZE_LIMIT", 60)
+    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", 60)
     cfg = SolverConfig(rank=3)
     t_mats = [np.zeros((6, 6)), np.zeros((5, 5))]
     for seed in range(20):
@@ -470,9 +472,41 @@ def test_objective_chunked_route_matches_materialized(monkeypatch):
     cfg = SolverConfig(rank=3, lambda_marginal=0.2, lambda_coef=0.1)
     t_mats = [psd(rng, 5), psd(rng, 4)]
     whole = objective(g, state, t_mats, cfg)
-    monkeypatch.setattr(solver_mod, "MATERIALIZE_LIMIT", 2 * 5 * 4)
+    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", 2 * 5 * 4)
     chunked = objective(g, state, t_mats, cfg)
     assert abs(chunked - whole) < 1e-12 * whole
+
+
+@pytest.mark.parametrize("per_chunk", range(1, 8))
+def test_residual_sq_any_chunk_size_matches_explicit_difference(monkeypatch, per_chunk):
+    rng = np.random.default_rng(24)
+    factors = [rng.standard_normal((m, 3)) for m in (6, 4, 7)]
+    y = rng.standard_normal((6, 4, 7))
+    diff = y - T.cp_to_tensor(factors)
+    expected = [np.linalg.norm(diff[..., i]) ** 2 for i in range(7)]
+    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", per_chunk * 6 * 4)
+    got = residual_sq(y, factors)
+    assert got.shape == (7,)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_solve_normal_message_states_ratio_and_threshold():
+    rng = np.random.default_rng(25)
+    # Cholesky factor with diagonal (2, 1, 3e-8): a diagonal ratio of 1.5e-8
+    r = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3e-8]])
+    gram = r.T @ r
+    diag = np.diag(cho_factor(gram)[0])
+    ratio = diag.min() / diag.max()
+    assert 0.0 < ratio <= solver_mod.CHOL_DIAG_RATIO_TOL
+    with pytest.raises(NumericalError) as info:
+        solve_normal(gram, rng.standard_normal((2, 3)), 0.0, "test system")
+    msg = str(info.value)
+    assert msg.startswith("test system")
+    assert f"{ratio:.3e}" in msg and "1e-07" in msg
+    # a shift that restores a healthy ratio gives the shifted solve
+    rhs = rng.standard_normal((2, 3))
+    got = solve_normal(gram, rhs, 1.0, "test system")
+    assert np.allclose(got, np.linalg.solve(gram + np.eye(3), rhs.T).T, rtol=1e-12)
 
 
 def test_objective_non_finite_raises():
@@ -521,6 +555,13 @@ def test_fit_noiseless_rank_three_separated_weights():
 def test_fit_rank_zero_rejected():
     with pytest.raises(ValueError, match="rank"):
         SolverConfig(rank=0)
+
+
+@pytest.mark.parametrize("field", ["max_outer_iters", "admm_max_iters"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_iteration_caps_below_one_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        SolverConfig(rank=2, **{field: value})
 
 
 def test_fit_zero_tensor_gives_zero_model():
