@@ -120,13 +120,17 @@ class MPBModel:
         """
         out = cp_to_tensor(self.marginal_values(grids) + [self.subject_coefs])
         if self.mean_values is not None:
-            if not _grids_equal([np.asarray(g, dtype=float) for g in grids], self.mean_grids):
-                raise ValueError(
-                    "a gridded mean is stored but the evaluation grid differs from "
-                    "the mean grid; evaluate the mean separately instead"
-                )
-            out = out + self.mean_values[..., None]
+            out = out + self._mean_on(grids)[..., None]
         return out
+
+    def _mean_on(self, grids: Sequence[np.ndarray]) -> np.ndarray:
+        """The stored gridded mean; ``grids`` must equal the mean grid exactly."""
+        if not _grids_equal([np.asarray(g, dtype=float) for g in grids], self.mean_grids):
+            raise ValueError(
+                "a gridded mean is stored but the evaluation grid differs from "
+                "the mean grid; evaluate the mean separately instead"
+            )
+        return self.mean_values
 
     def gram_zeta(self) -> np.ndarray:
         """K x K matrix of pairwise inner products of the product functions.
@@ -188,6 +192,12 @@ class MPBModel:
         ``coefs`` is ``N x K`` (or ``(K,)`` for a single observation) in the
         discrete inner product of the evaluated basis.
 
+        A model fitted with a centered sample stores its gridded mean; then
+        the grids must equal the mean grid exactly (as in
+        :meth:`evaluate_subjects`) and the mean is subtracted from every
+        observation first, so projecting the training data reproduces
+        ``subject_coefs`` (up to the solver's coefficient penalty).
+
         Each residual norm is ``sqrt`` of :func:`solver.residual_sq`, which
         forms ``y - W c`` directly over subject chunks, so it is accurate to a
         small multiple of machine epsilon times ``|y|`` for that subject, also
@@ -201,6 +211,8 @@ class MPBModel:
         expect = tuple(x.shape[0] for x in xis)
         if y.shape[:-1] != expect:
             raise ValueError(f"data shape {y.shape[:-1]} does not match grids {expect}")
+        if self.mean_values is not None:
+            y = y - self._mean_on(grids)[..., None]
         gram = gram_of_khatri_rao(xis)
         rhs = mttkrp(y, xis, self.n_dims)  # N x K
         coefs = solve_normal(

@@ -6,6 +6,18 @@ penalty), and the subject-coefficient block solves either a closed-form ridge
 problem or, for the lasso penalty, an ADMM splitting with soft thresholding.
 A small proximal term keeps every subproblem strongly convex, which makes the
 objective trace nonincreasing.
+
+:func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
+and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
+compressed tensor are cut once, at :func:`tensors.half_split`, and the tensor
+is used only as its ``prod(left) x prod(right)`` matrix view. One matrix
+product per half and sweep contracts that view with the Khatri-Rao product of
+the other half's current factors; every block of the half takes its MTTKRP
+from that small partial through :func:`tensors.partial_mttkrp`. Each block's
+Gram is the Hadamard product of per-factor Grams, which are refreshed once,
+after their factor is updated. :func:`update_factor`, :func:`update_b_ridge`
+and :func:`update_b_admm` are the same block steps on their own, from the full
+tensor.
 """
 
 from __future__ import annotations
@@ -13,13 +25,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import NumericalError
-from .tensors import cp_to_tensor, gram_of_khatri_rao, mttkrp, unfold
+from .tensors import (
+    cp_to_tensor,
+    gram_of_khatri_rao,
+    half_split,
+    khatri_rao,
+    mttkrp,
+    partial_mttkrp,
+    unfold,
+)
 
 __all__ = [
     "SolverConfig",
@@ -44,6 +65,10 @@ CHUNK_ENTRIES = 1 << 19
 #: below this multiple of its largest counts as singular in
 #: :func:`solve_normal`.
 CHOL_DIAG_RATIO_TOL = 1e-7
+
+_RIDGE_SINGULAR = (
+    "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
+)
 
 
 @dataclass
@@ -185,16 +210,21 @@ def _sylvester_eig(m: np.ndarray, p_eig, q: np.ndarray) -> np.ndarray:
     return pm @ ((pm.T @ q @ qm) / den) @ qm.T
 
 
-def _penalty_value(state: SolverState, t_mats, lam_marg, config: SolverConfig) -> float:
-    val = 0.0
-    for c, t, lam in zip(state.c_tilde, t_mats, lam_marg):
+def _objective_value(
+    data_sq: float, c_tilde, b: np.ndarray, t_mats, lam_marg, config: SolverConfig
+) -> float:
+    """Data term ``data_sq`` plus the penalties of ``c_tilde`` and ``b``."""
+    val = data_sq
+    for c, t, lam in zip(c_tilde, t_mats, lam_marg):
         if lam > 0:
             val += lam * float(np.sum(c * (t @ c)))
     if config.lambda_coef > 0:
         if config.coef_penalty == "ridge":
-            val += config.lambda_coef * float(np.sum(state.b**2))
+            val += config.lambda_coef * float(np.sum(b**2))
         else:
-            val += config.lambda_coef * float(np.sum(np.abs(state.b)))
+            val += config.lambda_coef * float(np.sum(np.abs(b)))
+    if not math.isfinite(val):
+        raise NumericalError("objective is not finite; factor matrices diverged")
     return val
 
 
@@ -208,6 +238,10 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     only square-root-of-epsilon accuracy. The reconstruction is built over
     subject chunks of at most :data:`CHUNK_ENTRIES` entries (at least one
     subject).
+
+    A matrix view of a tensor with the Khatri-Rao products of its two halves
+    as ``factors`` has the same total, summed per column; :func:`fit` takes
+    its objective that way.
     """
     grid_factors, b = list(factors[:-1]), factors[-1]
     n_grid = math.prod(y.shape[:-1])
@@ -254,11 +288,8 @@ def objective(
     """Penalized least-squares objective at the current state."""
     g_hat = np.asarray(g_hat, dtype=float)
     lam_marg = config.marginal_weights(g_hat.ndim - 1)
-    val = float(residual_sq(g_hat, state.factors()).sum())
-    val += _penalty_value(state, t_mats, lam_marg, config)
-    if not math.isfinite(val):
-        raise NumericalError("objective is not finite; factor matrices diverged")
-    return val
+    data_sq = float(residual_sq(g_hat, state.factors()).sum())
+    return _objective_value(data_sq, state.c_tilde, state.b, t_mats, lam_marg, config)
 
 
 def update_factor(
@@ -275,17 +306,21 @@ def update_factor(
     :func:`mttkrp`; ``W`` is the Khatri-Rao product of the other factors.
     """
     lam = config.marginal_weights(g_hat.ndim - 1)[d]
-    return _update_factor(g_hat, state, d, eigh(lam * t_d), config.proximal_mu)
-
-
-def _update_factor(g_hat, state: SolverState, d: int, penalty_eig, mu: float) -> np.ndarray:
-    """:func:`update_factor` with ``lambda_d T_d`` given as its eigenpair."""
     others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
-    gram = gram_of_khatri_rao(others)
-    rhs = mttkrp(g_hat, others, d)
+    return _factor_step(
+        gram_of_khatri_rao(others),
+        mttkrp(g_hat, others, d),
+        state.c_tilde[d],
+        eigh(lam * t_d),
+        config.proximal_mu,
+    )
+
+
+def _factor_step(gram, rhs, old: np.ndarray, penalty_eig, mu: float) -> np.ndarray:
+    """Factor update from its Gram and MTTKRP, ``lambda_d T_d`` as its eigenpair."""
     m = gram + mu * np.eye(gram.shape[0])
     if mu > 0:
-        rhs = rhs + mu * state.c_tilde[d]
+        rhs = rhs + mu * old
     return _sylvester_eig(m, penalty_eig, rhs)
 
 
@@ -294,13 +329,7 @@ def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) 
     n_dims = g_hat.ndim - 1
     gram = gram_of_khatri_rao(state.c_tilde)
     rhs = mttkrp(g_hat, state.c_tilde, n_dims)  # N x K, equals G_(D+1) W
-    return solve_normal(
-        gram,
-        rhs,
-        config.lambda_coef,
-        "singular normal matrix in the coefficient update; "
-        "increase lambda_coef or reduce the rank",
-    )
+    return solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
 
 
 def update_b_admm(
@@ -472,6 +501,13 @@ def fit(
     normalized (see :func:`_gauge_normalize`); the objective trace refers to
     the pre-normalization iterates, whose represented tensor is identical.
 
+    A sweep reads ``g_hat`` three times, each as its matrix view split at
+    :func:`tensors.half_split`: one product with the right half's Khatri-Rao
+    product serves every left-half block, one with the left half's serves the
+    right-half blocks (the subject coefficients among them), and the
+    objective's residual is formed against both. The lasso block runs
+    :func:`update_b_admm`, which forms its own Gram and MTTKRP.
+
     Parameters
     ----------
     g_hat : ndarray
@@ -516,30 +552,58 @@ def fit(
     else:
         state = _initialize(g_hat, config)
 
-    trace = [objective(g_hat, state, t_mats, config)]
+    factors = state.factors()
+    n_modes = n_dims + 1
+    split = half_split(g_hat.shape)
+    left_shape, right_shape = g_hat.shape[:split], g_hat.shape[split:]
+    g_mat = g_hat.reshape(math.prod(left_shape), -1)
+    grams = [f.T @ f for f in factors]
+    kr_left, kr_right = khatri_rao(factors[:split]), khatri_rao(factors[split:])
+
+    def sweep_objective() -> float:
+        data_sq = float(residual_sq(g_mat, [kr_left, kr_right]).sum())
+        return _objective_value(data_sq, factors[:n_dims], factors[-1], t_mats, lam_marg, config)
+
+    trace = [sweep_objective()]
     f_prev = trace[0]
     # the penalties are constant over the fit: diagonalize each one once
     penalty_eigs = [eigh(lam * t) for lam, t in zip(lam_marg, t_mats)]
+    mu = config.proximal_mu
+    lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
     f_floor = 1e-12 * float(np.sum(g_hat**2))
     state.admm_converged = True
     it = 0
     for it in range(1, config.max_outer_iters + 1):
-        for d in range(n_dims):
-            state.c_tilde[d] = _update_factor(
-                g_hat, state, d, penalty_eigs[d], config.proximal_mu
-            )
-            if not np.all(np.isfinite(state.c_tilde[d])):
-                raise NumericalError(f"factor update for mode {d} produced non-finite values")
-        if config.coef_penalty == "ridge" or config.lambda_coef == 0.0:
-            state.b = update_b_ridge(g_hat, state, config)
-        else:
-            state.b, state.z, state.a_star, ok, _ = update_b_admm(g_hat, state, config)
-            state.admm_converged = state.admm_converged and ok
-        if not np.all(np.isfinite(state.b)):
-            raise NumericalError("subject-coefficient update produced non-finite values")
-        f_new = objective(g_hat, state, t_mats, config)
+        for d in range(n_modes):
+            # one contraction per half serves every block of that half
+            if d == 0:
+                partial = (g_mat @ kr_right).reshape(left_shape + (-1,))
+                lo, hi = 0, split
+            elif d == split:
+                kr_left = khatri_rao(factors[:split])
+                partial = (g_mat.T @ kr_left).reshape(right_shape + (-1,))
+                lo, hi = split, n_modes
+            if d == n_dims and lasso:
+                state.c_tilde, state.b = factors[:n_dims], factors[-1]
+                new, state.z, state.a_star, ok, _ = update_b_admm(g_hat, state, config)
+                state.admm_converged = state.admm_converged and ok
+            else:
+                gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
+                rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
+                if d < n_dims:
+                    new = _factor_step(gram, rhs, factors[d], penalty_eigs[d], mu)
+                else:
+                    new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
+            if not np.all(np.isfinite(new)):
+                if d < n_dims:
+                    raise NumericalError(f"factor update for mode {d} produced non-finite values")
+                raise NumericalError("subject-coefficient update produced non-finite values")
+            factors[d] = new
+            grams[d] = new.T @ new
+        kr_right = khatri_rao(factors[split:])
+        f_new = sweep_objective()
         trace.append(f_new)
         rel = abs(f_prev - f_new) / max(f_prev, f_floor, 1e-300)
         f_prev = f_new
@@ -547,6 +611,7 @@ def fit(
             state.converged = True
             break
 
+    state.c_tilde, state.b = factors[:n_dims], factors[-1]
     state.iters = it
     state.objective_trace = np.asarray(trace)
     _gauge_normalize(state)

@@ -17,6 +17,7 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
     "mode_multiply",
     "khatri_rao",
     "gram_of_khatri_rao",
+    "half_split",
+    "partial_mttkrp",
     "mttkrp",
     "cp_to_tensor",
 ]
@@ -104,16 +107,67 @@ def gram_of_khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def half_split(shape: Sequence[int]) -> int:
+    """Split point ``s`` of a tensor's modes into ``[0, s)`` and ``[s, P)``.
+
+    Returns the ``s`` in ``1 .. P-1`` that minimizes ``prod(shape[:s]) +
+    prod(shape[s:])`` (the first one on ties): the two halves then give the
+    smallest Khatri-Rao products and partials. A C-contiguous tensor is a
+    ``prod(shape[:s]) x prod(shape[s:])`` matrix without a copy.
+    """
+    shape = tuple(int(n) for n in shape)
+    if len(shape) < 2:
+        raise ValueError(f"need at least two modes to split, got shape {shape}")
+    sizes = [math.prod(shape[:s]) + math.prod(shape[s:]) for s in range(1, len(shape))]
+    return 1 + sizes.index(min(sizes))
+
+
+def partial_mttkrp(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
+    """MTTKRP along ``mode`` of a tensor already contracted over its other half.
+
+    ``partial`` has shape ``(n_0, ..., n_{m-1}, K)``: the modes of one half
+    of a tensor, and the component axis left by contracting the other half
+    with its Khatri-Rao product (one GEMM, as in :func:`mttkrp`). ``mats``
+    holds one factor per half mode except ``mode``, in ascending mode order.
+    Returns the ``n_mode x K`` matrix whose column ``k`` contracts
+    ``partial[..., k]`` with column ``k`` of every factor in ``mats``: the
+    modes after ``mode`` first, then those before it, each side with its
+    Khatri-Rao product. The temporaries are at most the size of ``partial``
+    divided by the sizes of the modes after ``mode``.
+    """
+    p = np.asarray(partial)
+    shape = p.shape[:-1]
+    k = p.shape[-1]
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for a {len(shape)}-mode partial")
+    if len(mats) != len(shape) - 1:
+        raise ValueError(f"expected {len(shape) - 1} factors, got {len(mats)}")
+    for d, m in zip([d for d in range(len(shape)) if d != mode], mats):
+        if np.ndim(m) != 2 or np.shape(m) != (shape[d], k):
+            raise ValueError(
+                f"factor for mode {d} has shape {np.shape(m)}, expected ({shape[d]}, {k})"
+            )
+    p = p.reshape(math.prod(shape[:mode]), shape[mode], -1, k)
+    if mode < len(shape) - 1:
+        p = np.einsum("bnak,ak->bnk", p, khatri_rao(mats[mode:]))
+    else:
+        p = p[:, :, 0, :]
+    if mode > 0:
+        return np.einsum("bnk,bk->nk", p, khatri_rao(mats[:mode]))
+    return p[0]
+
+
 def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """Matricized tensor times Khatri-Rao product along ``mode``.
 
     ``mats`` holds one factor per tensor mode except ``mode``, in ascending
     mode order. The result equals
-    ``unfold(tensor, mode) @ khatri_rao(mats reversed)``; it is computed as one
-    matrix product of the C-order unfolding (remaining modes in ascending
-    order, the last varying fastest) with ``khatri_rao(mats)``. For the first
-    and the last mode of a C-contiguous tensor that unfolding is a view, so
-    the tensor is not copied.
+    ``unfold(tensor, mode) @ khatri_rao(mats reversed)``. The modes are cut
+    at :func:`half_split`; one matrix product contracts the half without
+    ``mode`` with the Khatri-Rao product of its factors, and
+    :func:`partial_mttkrp` contracts the rest of the half with ``mode``. The
+    ``prod(left) x prod(right)`` view of a C-contiguous tensor is not a copy,
+    and no Khatri-Rao product of more than one half is formed.
     """
     t = np.asarray(tensor)
     _check_mode(t, mode)
@@ -126,7 +180,14 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
             raise ValueError(
                 f"factor for mode {d} has shape {m.shape}, expected ({t.shape[d]}, K)"
             )
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1) @ khatri_rao(mats)
+    _check_factor_columns(mats)
+    s = half_split(t.shape)
+    t_mat = t.reshape(math.prod(t.shape[:s]), -1)
+    if mode < s:
+        partial = t_mat @ khatri_rao(mats[s - 1 :])
+        return partial_mttkrp(partial.reshape(t.shape[:s] + (-1,)), mats[: s - 1], mode)
+    partial = t_mat.T @ khatri_rao(mats[:s])
+    return partial_mttkrp(partial.reshape(t.shape[s:] + (-1,)), mats[s:], mode - s)
 
 
 def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -411,6 +411,32 @@ def test_fit_with_centering_stores_and_uses_mean():
     assert np.linalg.norm(recon - y) < 1e-6 * np.linalg.norm(y)
 
 
+def test_project_centered_model_reproduces_subject_coefs():
+    # the fitted coefficients are the least-squares ones for the final
+    # factors (lambda_coef = 0), so projecting the training data gives them
+    # back once the stored mean is taken off; a +3 offset makes a missed
+    # mean obvious
+    rng = np.random.default_rng(24)
+    grids = [np.linspace(0, 1, 16), np.linspace(0, 1, 13)]
+    bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 5)]
+    truth = random_model(rng, ranks=(6, 5), k=2, n_subj=5)
+    truth.bases = bases
+    y = truth.evaluate_subjects(grids) + 0.05 * rng.standard_normal((16, 13, 5)) + 3.0
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=60)
+    model, _, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
+    coefs, resid = model.project(y, grids)
+    scale = np.abs(model.subject_coefs).max()
+    assert np.abs(coefs - model.subject_coefs).max() <= 1e-10 * scale
+    fitted = model.evaluate_subjects(grids)
+    for i in range(5):
+        assert resid[i] == pytest.approx(np.linalg.norm(y[..., i] - fitted[..., i]), rel=1e-8)
+    one, one_resid = model.project(y[..., 3], grids)
+    assert np.abs(one - model.subject_coefs[3]).max() <= 1e-10 * scale
+    assert one_resid == pytest.approx(resid[3], rel=1e-12)
+    with pytest.raises(ValueError, match="mean grid"):
+        model.project(y, [grids[0] * 0.5, grids[1]])
+
+
 def test_model_validation():
     basis = BSplineBasis((0.0, 1.0), 6)
     with pytest.raises(ValueError, match="per basis"):

@@ -1,5 +1,7 @@
 """Solver blocks against independent oracles, then full descent behavior."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -751,3 +753,82 @@ def test_fit_matches_per_call_eigendecomposition_sweep(monkeypatch, coef_penalty
     got = fit(g, t_mats, cfg).objective_trace
     assert got.shape == (31,)
     assert np.max(np.abs(got - ref) / ref) <= 1e-10
+
+
+# ------------------------------------- dimension-tree sweep, per-mode reference
+
+
+def kr_mttkrp(t, mats, mode):
+    """Reference mttkrp: the unfolding times the Khatri-Rao product of all
+    the other factors, one matrix product."""
+    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1) @ T.khatri_rao(mats)
+
+
+def per_mode_fit(g, t_mats, config, n_sweeps, monkeypatch, initial_state=None):
+    """Gauge-normalized state after a sweep with one MTTKRP per block.
+
+    Every block forms its Gram with ``gram_of_khatri_rao`` and its MTTKRP
+    with :func:`kr_mttkrp` on the whole tensor; ``update_b_admm`` runs with
+    the same kernel for the whole run.
+    """
+    monkeypatch.setattr(solver_mod, "mttkrp", kr_mttkrp)
+    n_dims = g.ndim - 1
+    lam = config.marginal_weights(n_dims)
+    mu = config.proximal_mu
+    if initial_state is None:
+        state = solver_mod._initialize(g, config)
+    else:
+        state = copy.deepcopy(initial_state)
+    trace = [objective(g, state, t_mats, config)]
+    for _ in range(n_sweeps):
+        for d in range(n_dims):
+            others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
+            gram = T.gram_of_khatri_rao(others)
+            rhs = kr_mttkrp(g, others, d) + mu * state.c_tilde[d]
+            m = gram + mu * np.eye(config.rank)
+            state.c_tilde[d] = sylvester_solve(m, lam[d] * t_mats[d], rhs)
+        if config.coef_penalty == "ridge":
+            gram = T.gram_of_khatri_rao(state.c_tilde)
+            rhs = kr_mttkrp(g, state.c_tilde, n_dims)
+            state.b = solve_normal(gram, rhs, config.lambda_coef, "ridge")
+        else:
+            state.b, state.z, state.a_star, _, _ = update_b_admm(g, state, config)
+        trace.append(objective(g, state, t_mats, config))
+    monkeypatch.undo()
+    state.objective_trace = np.asarray(trace)
+    solver_mod._gauge_normalize(state)
+    return state
+
+
+TREE_CASES = [
+    # (grid dims, subjects, K, warm start)
+    ((7,), 6, 3, False),
+    ((7, 6), 9, 3, False),
+    ((5, 4, 3), 6, 1, False),
+    ((4, 1, 3, 5), 5, 2, False),
+    ((3, 2, 3, 2, 3), 4, 2, False),
+    ((6, 5), 7, 3, True),
+]
+
+
+@pytest.mark.parametrize("coef_penalty", ["ridge", "lasso"])
+def test_fit_matches_per_mode_mttkrp_sweep(monkeypatch, coef_penalty):
+    for dims, n_subj, k, warm in TREE_CASES:
+        rng = np.random.default_rng(31)
+        g = rank_k_tensor(rng, dims, n_subj, k) + 0.1 * rng.standard_normal(dims + (n_subj,))
+        t_mats = [psd(rng, m) for m in dims]
+        cfg = SolverConfig(
+            rank=k, lambda_marginal=0.002, lambda_coef=0.02, coef_penalty=coef_penalty,
+            max_outer_iters=30, outer_tol=1e-300, seed=12,
+        )
+        start = None
+        if warm:
+            start = fit(g, t_mats, SolverConfig(rank=k, max_outer_iters=5, seed=3))
+        got = fit(g, t_mats, cfg, initial_state=start)
+        ref = per_mode_fit(g, t_mats, cfg, 30, monkeypatch, initial_state=start)
+        case = f"dims {dims}, K={k}, warm={warm}"
+        assert got.objective_trace.shape == (31,), case
+        rel = np.abs(got.objective_trace - ref.objective_trace) / ref.objective_trace
+        assert rel.max() <= 1e-10, case
+        for a, b in zip(got.factors(), ref.factors()):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), case

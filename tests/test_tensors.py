@@ -266,6 +266,69 @@ def test_mttkrp_first_and_last_mode_do_not_copy_the_tensor(mode):
     assert peak < t.nbytes // 4
 
 
+def test_mttkrp_peak_below_half_the_grid_khatri_rao_product():
+    # the subject-mode MTTKRP of a projection: a 200 x 200 grid, 50 subjects,
+    # K=30; the Khatri-Rao product of both grid factors alone is 9.6 MB
+    rng = np.random.default_rng(19)
+    t = rng.standard_normal((200, 200, 50))
+    grid_factors = [rng.standard_normal((200, 30)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        T.mttkrp(t, grid_factors, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (200 * 200 * 30 * 8) // 2
+
+
+@pytest.mark.parametrize(
+    "shape, split",
+    [((15, 15, 15, 5), 2), ((10, 8, 100), 2), ((200, 200, 50), 1), ((4, 3), 1),
+     ((3, 1, 4, 2), 1), ((1, 5), 1), ((5, 1), 1)],
+)
+def test_half_split_minimizes_the_two_half_sizes(shape, split):
+    assert T.half_split(shape) == split
+
+
+def test_half_split_needs_two_modes():
+    with pytest.raises(ValueError, match="two modes"):
+        T.half_split((7,))
+
+
+PARTIAL_SHAPES = [(4, 3), (3, 4, 2), (3, 1, 4, 2), (2, 3, 1, 2, 3), (2, 3, 2, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", PARTIAL_SHAPES)
+def test_partial_mttkrp_matches_mttkrp_at_every_split(shape, k):
+    rng = np.random.default_rng(20)
+    t = rng.standard_normal(shape)
+    mats = [rng.standard_normal((n, k)) for n in shape]
+    for s in range(1, t.ndim):
+        t_mat = t.reshape(int(np.prod(shape[:s])), -1)
+        halves = [
+            (range(0, s), (t_mat @ T.khatri_rao(mats[s:])).reshape(shape[:s] + (k,))),
+            (range(s, t.ndim), (t_mat.T @ T.khatri_rao(mats[:s])).reshape(shape[s:] + (k,))),
+        ]
+        for modes, partial in halves:
+            for d in modes:
+                rest = [mats[j] for j in modes if j != d]
+                got = T.partial_mttkrp(partial, rest, d - modes[0])
+                others = [m for j, m in enumerate(mats) if j != d]
+                assert_rel(got, T.mttkrp(t, others, d))
+                assert_rel(got, mttkrp_by_outer_products(t, others, d))
+
+
+def test_partial_mttkrp_shape_errors():
+    partial = np.zeros((3, 4, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        T.partial_mttkrp(partial, [np.zeros((3, 2))], 2)
+    with pytest.raises(ValueError, match="expected 1 factors"):
+        T.partial_mttkrp(partial, [], 0)
+    with pytest.raises(ValueError, match=r"expected \(4, 2\)"):
+        T.partial_mttkrp(partial, [np.zeros((3, 2))], 0)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("shape", [(5,)] + KERNEL_SHAPES)
 def test_cp_to_tensor_matches_references(shape, k):
