@@ -93,6 +93,8 @@ def cmd_select(args) -> int:
     y = fileio.read_tensor(args.tensor)
     grids = cfg.build_grids(y.shape[:-1])
     out = _outdir(args)
+    if cfg.center and args.mode != "cv":  # cv centers each training fold
+        y = y - y.mean(axis=-1, keepdims=True)
     if args.mode == "marginal-rank":
         report = selection.select_marginal_rank(
             y,
@@ -128,6 +130,7 @@ def cmd_select(args) -> int:
             lam_grid,
             n_folds=cfg.selection.get("n_folds", 5),
             seed=cfg.seed,
+            center=cfg.center,
         )
     path = out / f"selection_{args.mode.replace('-', '_')}.csv"
     report.write_csv(path)

@@ -186,6 +186,7 @@ def cv_lambda_grid(
     n_folds: int,
     seed: int = 0,
     fold_labels: np.ndarray | None = None,
+    center: bool = False,
 ) -> SelectionReport:
     """Choose (marginal, coefficient) penalty weights by cross validation.
 
@@ -194,7 +195,8 @@ def cv_lambda_grid(
     the model is fitted on the training subjects and the held-out subjects
     are projected onto the fitted product basis; the criterion is the mean
     squared residual per tensor entry, averaged over held-out subjects and
-    folds. Ties go to the larger weights.
+    folds. Ties go to the larger weights. With ``center``, each training
+    fold's mean is removed from it and from the held-out subjects.
     """
     y = np.asarray(y, dtype=float)
     n_subjects = y.shape[-1]
@@ -220,7 +222,7 @@ def cv_lambda_grid(
             cfg = replace(
                 config, lambda_marginal=float(lam_f), lambda_coef=float(lam_c)
             )
-            model, _, _ = fit_mpb(train, grids, bases, penalty_orders, cfg)
+            model, _, _ = fit_mpb(train, grids, bases, penalty_orders, cfg, center=center)
             _, resid = model.project(held, grids)
             errors.append(float(np.mean(resid**2)) / n_entries)
         err = float(np.mean(errors))

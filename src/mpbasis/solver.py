@@ -7,6 +7,12 @@ problem or, for the lasso penalty, an ADMM splitting with soft thresholding.
 A small proximal term keeps every subproblem strongly convex, which makes the
 objective trace nonincreasing.
 
+:func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
+``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
+tensor's grid modes and the start factors are rotated by ``P_d'`` once, and
+each factor step divides by ``beta_d`` plus the eigenvalues of its Gram. The
+K x K eigendecompositions and Cholesky solves call LAPACK directly.
+
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
 and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
 compressed tensor are cut once, at :func:`tensors.half_split`, and the tensor
@@ -25,11 +31,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
 from .errors import NumericalError
 from .tensors import (
@@ -37,6 +43,7 @@ from .tensors import (
     gram_of_khatri_rao,
     half_split,
     khatri_rao,
+    mode_multiply,
     mttkrp,
     partial_mttkrp,
     unfold,
@@ -65,6 +72,11 @@ CHUNK_ENTRIES = 1 << 19
 #: below this multiple of its largest counts as singular in
 #: :func:`solve_normal`.
 CHOL_DIAG_RATIO_TOL = 1e-7
+
+#: LAPACK routines bound once: the symmetric eigensolver (QR iteration) and
+#: the Cholesky factorization and solve. The wrappers check neither finiteness
+#: nor symmetry; their callers check finiteness.
+_SYEV, _POTRF, _POTRS = lapack.dsyev, lapack.dpotrf, lapack.dpotrs
 
 _RIDGE_SINGULAR = (
     "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
@@ -183,23 +195,41 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Both matrices are diagonalized with symmetric eigendecompositions, so the
     solve reduces to elementwise division by sums of eigenvalue pairs. With
     ``m`` positive definite and ``p`` positive semidefinite every denominator
-    is positive. :func:`fit` runs the same solve with the eigendecomposition
-    of each penalty taken once per fit.
+    is positive. :func:`fit` runs the same solve in the eigenbasis of each
+    penalty, taken once per fit.
     """
-    m = np.asarray(m, dtype=float)
-    p = np.asarray(p, dtype=float)
+    m = np.array(m, dtype=float)
+    p = np.array(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if q.shape != (p.shape[0], m.shape[0]):
         raise ValueError(
             f"right-hand side shape {q.shape} does not match ({p.shape[0]}, {m.shape[0]})"
         )
-    return _sylvester_eig(m, eigh(p), q)
+    beta, pm = _eig_sym(p, "Sylvester matrix p")
+    return pm @ _sylvester_eig(m, beta, pm.T @ q, "Sylvester matrix m")
 
 
-def _sylvester_eig(m: np.ndarray, p_eig, q: np.ndarray) -> np.ndarray:
-    """:func:`sylvester_solve` with ``p`` given as its eigenpair ``(beta, pm)``."""
-    beta, pm = p_eig
-    alpha, qm = eigh(m)
+@lru_cache(maxsize=None)
+def _syev_lwork(n: int) -> int:
+    """Workspace size of :data:`_SYEV` for a matrix of order ``n``."""
+    return int(lapack.dsyev_lwork(n)[0])
+
+
+def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the symmetric float ``a`` (named ``what``),
+    which is overwritten; a non-finite ``a`` raises :class:`NumericalError`."""
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} is not finite")
+    # a.T is the same symmetric matrix in Fortran order: LAPACK works in place
+    w, v, info = _SYEV(a.T, lwork=_syev_lwork(a.shape[0]), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"eigendecomposition of {what} failed (LAPACK dsyev info {info})")
+    return w, v
+
+
+def _sylvester_eig(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
+    """Solve ``X m + diag(beta) X = q``; ``m`` (named ``what``) is overwritten."""
+    alpha, qm = _eig_sym(m, what)
     den = beta[:, None] + alpha[None, :]
     scale = max(abs(alpha).max(initial=0.0), abs(beta).max(initial=0.0), 1e-300)
     if np.min(np.abs(den)) <= 1e-14 * scale:
@@ -207,17 +237,12 @@ def _sylvester_eig(m: np.ndarray, p_eig, q: np.ndarray) -> np.ndarray:
             "Sylvester spectra overlap (near-zero eigenvalue sum); "
             "raise proximal_mu to shift the factor Gram away from singularity"
         )
-    return pm @ ((pm.T @ q @ qm) / den) @ qm.T
+    return ((q @ qm) / den) @ qm.T
 
 
-def _objective_value(
-    data_sq: float, c_tilde, b: np.ndarray, t_mats, lam_marg, config: SolverConfig
-) -> float:
-    """Data term ``data_sq`` plus the penalties of ``c_tilde`` and ``b``."""
-    val = data_sq
-    for c, t, lam in zip(c_tilde, t_mats, lam_marg):
-        if lam > 0:
-            val += lam * float(np.sum(c * (t @ c)))
+def _objective_value(data_sq: float, marginal: float, b: np.ndarray, config: SolverConfig) -> float:
+    """Data term ``data_sq`` plus the marginal penalties and that of ``b``."""
+    val = data_sq + marginal
     if config.lambda_coef > 0:
         if config.coef_penalty == "ridge":
             val += config.lambda_coef * float(np.sum(b**2))
@@ -261,22 +286,27 @@ def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> 
     as singular when the factorization fails or when its smallest diagonal
     entry is at or below :data:`CHOL_DIAG_RATIO_TOL` times its largest; then
     :class:`NumericalError` is raised, led by ``what`` and stating the
-    measured ratio and the threshold.
+    measured ratio and the threshold, as does a non-finite ``gram`` or ``rhs``.
     """
     a = gram + shift * np.eye(gram.shape[0])
-    try:
-        chol = cho_factor(a)
-    except LinAlgError as exc:
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise NumericalError(f"{what} (the normal matrix or right-hand side is not finite)")
+    chol, info = _POTRF(a.T, overwrite_a=1)  # a.T: the same matrix, Fortran order
+    if info != 0:
         raise NumericalError(
-            f"{what} (Cholesky factorization failed: the matrix is not positive definite)"
-        ) from exc
-    diag = np.diag(chol[0])
+            f"{what} (Cholesky factorization failed, LAPACK dpotrf info {info}: "
+            "the matrix is not positive definite)"
+        )
+    diag = np.diag(chol)
     if diag.min() <= CHOL_DIAG_RATIO_TOL * diag.max():
         raise NumericalError(
             f"{what} (Cholesky diagonal ratio {diag.min() / diag.max():.3e} "
             f"is at or below the threshold {CHOL_DIAG_RATIO_TOL:g})"
         )
-    return cho_solve(chol, rhs.T).T
+    x, info = _POTRS(chol, rhs.T)
+    if info != 0:
+        raise NumericalError(f"{what} (Cholesky solve failed, LAPACK dpotrs info {info})")
+    return x.T
 
 
 def objective(
@@ -289,7 +319,9 @@ def objective(
     g_hat = np.asarray(g_hat, dtype=float)
     lam_marg = config.marginal_weights(g_hat.ndim - 1)
     data_sq = float(residual_sq(g_hat, state.factors()).sum())
-    return _objective_value(data_sq, state.c_tilde, state.b, t_mats, lam_marg, config)
+    terms = zip(state.c_tilde, t_mats, lam_marg)
+    pen = sum(lam * float(np.sum(c * (t @ c))) for c, t, lam in terms if lam > 0)
+    return _objective_value(data_sq, pen, state.b, config)
 
 
 def update_factor(
@@ -307,21 +339,9 @@ def update_factor(
     """
     lam = config.marginal_weights(g_hat.ndim - 1)[d]
     others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
-    return _factor_step(
-        gram_of_khatri_rao(others),
-        mttkrp(g_hat, others, d),
-        state.c_tilde[d],
-        eigh(lam * t_d),
-        config.proximal_mu,
-    )
-
-
-def _factor_step(gram, rhs, old: np.ndarray, penalty_eig, mu: float) -> np.ndarray:
-    """Factor update from its Gram and MTTKRP, ``lambda_d T_d`` as its eigenpair."""
-    m = gram + mu * np.eye(gram.shape[0])
-    if mu > 0:
-        rhs = rhs + mu * old
-    return _sylvester_eig(m, penalty_eig, rhs)
+    rhs = mttkrp(g_hat, others, d) + config.proximal_mu * state.c_tilde[d]
+    m = gram_of_khatri_rao(others) + config.proximal_mu * np.eye(config.rank)
+    return sylvester_solve(m, lam * t_d, rhs)
 
 
 def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) -> np.ndarray:
@@ -508,6 +528,12 @@ def fit(
     objective's residual is formed against both. The lasso block runs
     :func:`update_b_admm`, which forms its own Gram and MTTKRP.
 
+    The sweep runs in the eigenbasis of every penalty (see the module
+    docstring): a factor step is ``X = ((Q V) / (beta_d + alpha)) V'`` with
+    ``(alpha, V)`` the eigenpairs of its Gram, the penalty is
+    ``sum_i beta_d[i] |x_i|^2`` over the rows of ``X``, and the factors are
+    rotated back before the gauge is fixed.
+
     Parameters
     ----------
     g_hat : ndarray
@@ -539,7 +565,7 @@ def fit(
         )
     if initial_state is not None:
         state = SolverState(
-            c_tilde=[c.copy() for c in initial_state.c_tilde],
+            c_tilde=list(initial_state.c_tilde),
             b=initial_state.b.copy(),
             z=initial_state.z.copy(),
             a_star=initial_state.a_star.copy(),
@@ -552,23 +578,31 @@ def fit(
     else:
         state = _initialize(g_hat, config)
 
-    factors = state.factors()
+    # the penalties are constant over the fit: work in their eigenbases
+    eigs = [_eig_sym(lam_marg[d] * t, f"penalty matrix {d}") for d, t in enumerate(t_mats)]
+    betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
+    g_rot = g_hat
+    for d, p in enumerate(rots):
+        g_rot = mode_multiply(g_rot, p.T, d)
+    g_rot = np.ascontiguousarray(g_rot)
+    factors = [p.T @ c for p, c in zip(rots, state.c_tilde)] + [state.b]
     n_modes = n_dims + 1
     split = half_split(g_hat.shape)
     left_shape, right_shape = g_hat.shape[:split], g_hat.shape[split:]
-    g_mat = g_hat.reshape(math.prod(left_shape), -1)
+    g_mat = g_rot.reshape(math.prod(left_shape), -1)
     grams = [f.T @ f for f in factors]
     kr_left, kr_right = khatri_rao(factors[:split]), khatri_rao(factors[split:])
 
     def sweep_objective() -> float:
         data_sq = float(residual_sq(g_mat, [kr_left, kr_right]).sum())
-        return _objective_value(data_sq, factors[:n_dims], factors[-1], t_mats, lam_marg, config)
+        rows_sq = (np.einsum("ik,ik->i", c, c) for c in factors[:n_dims])
+        pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
+        return _objective_value(data_sq, pen, factors[-1], config)
 
     trace = [sweep_objective()]
     f_prev = trace[0]
-    # the penalties are constant over the fit: diagonalize each one once
-    penalty_eigs = [eigh(lam * t) for lam, t in zip(lam_marg, t_mats)]
     mu = config.proximal_mu
+    mu_eye = mu * np.eye(config.rank)
     lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
@@ -587,13 +621,14 @@ def fit(
                 lo, hi = split, n_modes
             if d == n_dims and lasso:
                 state.c_tilde, state.b = factors[:n_dims], factors[-1]
-                new, state.z, state.a_star, ok, _ = update_b_admm(g_hat, state, config)
+                new, state.z, state.a_star, ok, _ = update_b_admm(g_rot, state, config)
                 state.admm_converged = state.admm_converged and ok
             else:
                 gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
                 rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    new = _factor_step(gram, rhs, factors[d], penalty_eigs[d], mu)
+                    what = f"factor Gram W'W + mu I of mode {d}"
+                    new = _sylvester_eig(gram + mu_eye, betas[d], rhs + mu * factors[d], what)
                 else:
                     new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
             if not np.all(np.isfinite(new)):
@@ -611,7 +646,7 @@ def fit(
             state.converged = True
             break
 
-    state.c_tilde, state.b = factors[:n_dims], factors[-1]
+    state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]
     state.iters = it
     state.objective_trace = np.asarray(trace)
     _gauge_normalize(state)

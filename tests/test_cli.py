@@ -201,6 +201,29 @@ def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_
         assert int(row[2]) == int(rec.chosen)
 
 
+@pytest.mark.parametrize("mode", ["marginal-rank", "global-rank", "cv"])
+def test_select_honours_center(tmp_path, rank1_tensor, mode):
+    offset = tmp_path / "offset.mpbt"
+    fileio.write_tensor(offset, fileio.read_tensor(rank1_tensor) + 3.0)
+    csv_text = {}
+    for center in (False, True):
+        cfg = base_config(rank=1, lambda_coef=1e-10, max_outer_iters=30)
+        cfg["center"] = center
+        cfg["selection"] = {
+            "marginal_rank_candidates": [[3, 3], [5, 5]],
+            "marginal_rank_threshold": 0.0,
+            "rank_grid": [1, 2],
+            "lambda_grid": [[1e-9, 1e-9]],
+            "n_folds": 2,
+        }
+        cfg_path = write_json(tmp_path / f"cfg_{center}.json", cfg)
+        out = tmp_path / f"sel_{center}"
+        argv = ["select", "--config", cfg_path, "--tensor", str(offset), "--out", str(out)]
+        assert main(argv + ["--mode", mode]) == 0
+        csv_text[center] = (out / f"selection_{mode.replace('-', '_')}.csv").read_text()
+    assert csv_text[True] != csv_text[False]
+
+
 def test_simulate_noise_free_truth_equals_noisy(tmp_path):
     sim_cfg = {
         "design": "product",

@@ -217,6 +217,24 @@ def test_cv_winner_invariant_to_grid_order():
     assert r1.chosen.params == r2.chosen.params
 
 
+def test_cv_centered_criteria_invariant_to_an_offset():
+    # centering removes each training fold's mean, so a constant offset of
+    # the data changes no criterion; without centering it does
+    rng = np.random.default_rng(13)
+    grids, bases, y = cv_setup(rng, 6)
+    y = y + 0.05 * rng.standard_normal(y.shape)
+    cfg = SolverConfig(rank=2, seed=4, max_outer_iters=60)
+    grid = [(1e-10, 1e-10), (1e-3, 1e-3)]
+
+    def crit(data, center):
+        report = cv_lambda_grid(data, grids, bases, [2, 2], cfg, grid, n_folds=3, seed=5, center=center)
+        return np.array([r.criterion for r in report.records])
+
+    ref = crit(y, True)
+    assert np.max(np.abs(crit(y + 3.0, True) - ref) / ref) <= 1e-9
+    assert np.min(np.abs(crit(y + 3.0, False) - ref) / ref) > 1e-3
+
+
 def test_cv_validates_folds():
     rng = np.random.default_rng(11)
     grids, bases, y = cv_setup(rng, 4)

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_sylvester
 
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
@@ -85,6 +85,32 @@ def test_sylvester_residual_on_random_instances():
         res = np.linalg.norm(x @ m + p @ x - q)
         bound = 1e-9 * (np.linalg.norm(q) + np.linalg.norm(x) * np.linalg.norm(m))
         assert res <= bound
+
+
+@pytest.mark.parametrize("p_kind", ["psd", "zero"])
+@pytest.mark.parametrize("k", [1, 3, 25, 30])
+def test_sylvester_solve_matches_scipy_solve_sylvester(k, p_kind):
+    rng = np.random.default_rng(40 + k)
+    n = 12
+    m = spd(rng, k, shift=0.1)
+    p = psd(rng, n, rank=7) if p_kind == "psd" else np.zeros((n, n))
+    q = rng.standard_normal((n, k))
+    inputs = [m.copy(), p.copy(), q.copy()]
+    ref = solve_sylvester(p, m, q)  # Bartels-Stewart on p X + X m = q
+    x = sylvester_solve(m, p, q)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the LAPACK kernels work in place on copies, never on the arguments
+    for before, after in zip(inputs, [m, p, q]):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("bad", ["m", "p"])
+def test_sylvester_solve_non_finite_matrix_raises_numerical_error(bad):
+    rng = np.random.default_rng(41)
+    m, p, q = spd(rng, 3), psd(rng, 4), rng.standard_normal((4, 3))
+    (m if bad == "m" else p)[0, 1] = np.inf
+    with pytest.raises(NumericalError, match=f"Sylvester matrix {bad} is not finite"):
+        sylvester_solve(m, p, q)
 
 
 # ------------------------------------------------------------- soft threshold
@@ -511,6 +537,47 @@ def test_solve_normal_message_states_ratio_and_threshold():
     assert np.allclose(got, np.linalg.solve(gram + np.eye(3), rhs.T).T, rtol=1e-12)
 
 
+@pytest.mark.parametrize("k, n, shift", [(1, 4, 0.0), (3, 7, 0.5), (25, 40, 0.0), (30, 5, 1e-3)])
+def test_solve_normal_matches_numpy_solve(k, n, shift):
+    rng = np.random.default_rng(26 + k)
+    w = rng.standard_normal((3 * k + 5, k))
+    gram, rhs = w.T @ w, rng.standard_normal((n, k))
+    inputs = [gram.copy(), rhs.copy()]
+    got = solve_normal(gram, rhs, shift, "test system")
+    ref = np.linalg.solve(gram + shift * np.eye(k), rhs.T).T
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+    for before, after in zip(inputs, [gram, rhs]):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("bad", ["gram", "rhs"])
+def test_solve_normal_non_finite_raises_numerical_error(bad):
+    rng = np.random.default_rng(27)
+    gram, rhs = spd(rng, 3), rng.standard_normal((2, 3))
+    if bad == "gram":
+        gram[0, 1] = gram[1, 0] = np.inf
+    else:
+        rhs[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="not finite") as info:
+        solve_normal(gram, rhs, 0.0, "test system")
+    assert str(info.value).startswith("test system")
+
+
+def test_fit_factor_gram_overflow_raises_numerical_error():
+    # finite factors whose Gram overflows: the represented tensor stays finite
+    # because the coefficients are tiny, so the objective does not catch it
+    rng = np.random.default_rng(28)
+    g = rng.standard_normal((6, 5, 4))
+    start = make_state(rng, (6, 5), 4, 2)
+    start.c_tilde[0] *= 1e160
+    start.b *= 1e-160
+    cfg = SolverConfig(rank=2, max_outer_iters=3)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"), pytest.raises(
+        NumericalError, match="Gram .* of mode 1 is not finite"
+    ):
+        fit(g, [np.zeros((6, 6)), np.zeros((5, 5))], cfg, initial_state=start)
+
+
 def test_objective_non_finite_raises():
     rng = np.random.default_rng(19)
     g = rng.standard_normal((4, 3, 2))
@@ -828,6 +895,37 @@ def test_fit_matches_per_mode_mttkrp_sweep(monkeypatch, coef_penalty):
         ref = per_mode_fit(g, t_mats, cfg, 30, monkeypatch, initial_state=start)
         case = f"dims {dims}, K={k}, warm={warm}"
         assert got.objective_trace.shape == (31,), case
+        rel = np.abs(got.objective_trace - ref.objective_trace) / ref.objective_trace
+        assert rel.max() <= 1e-10, case
+        for a, b in zip(got.factors(), ref.factors()):
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), case
+
+
+def spread_penalty(rng, n, low, high):
+    """Symmetric n x n matrix with eigenvalues log-spaced over [low, high]."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (q * np.logspace(np.log10(low), np.log10(high), n)) @ q.T
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("coef_penalty", ["ridge", "lasso"])
+def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(monkeypatch, coef_penalty, warm):
+    # lambda_d T_d has eigenvalues over 12 decades, so the penalty eigenbasis
+    # is far from the identity and every rotation of the sweep is exercised
+    for dims, n_subj, k in [((11, 6), 7, 3), ((5, 4, 3), 6, 2)]:
+        rng = np.random.default_rng(32)
+        g = rank_k_tensor(rng, dims, n_subj, k) + 0.1 * rng.standard_normal(dims + (n_subj,))
+        t_mats = [spread_penalty(rng, m, 1e-8, 1e4) for m in dims]
+        cfg = SolverConfig(
+            rank=k, lambda_marginal=1.0, lambda_coef=0.02, coef_penalty=coef_penalty,
+            max_outer_iters=30, outer_tol=1e-300, seed=13,
+        )
+        start = None
+        if warm:
+            start = fit(g, t_mats, SolverConfig(rank=k, max_outer_iters=5, seed=4))
+        got = fit(g, t_mats, cfg, initial_state=start)
+        ref = per_mode_fit(g, t_mats, cfg, 30, monkeypatch, initial_state=start)
+        case = f"dims {dims}, K={k}"
         rel = np.abs(got.objective_trace - ref.objective_trace) / ref.objective_trace
         assert rel.max() <= 1e-10, case
         for a, b in zip(got.factors(), ref.factors()):
