@@ -59,11 +59,8 @@ _SOLVER_SCHEMA = {
         "coef_penalty": {"enum": ["ridge", "lasso"]},
         "max_outer_iters": {"type": "integer", "minimum": 1},
         "outer_tol": {"type": "number", "exclusiveMinimum": 0},
-        "admm_tol_primal": {"type": "number", "exclusiveMinimum": 0},
-        "admm_tol_dual": {"type": "number", "exclusiveMinimum": 0},
         "admm_max_iters": {"type": "integer", "minimum": 1},
         "proximal_mu": {"type": "number", "minimum": 0},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
         "init": {"enum": ["random", "hosvd"]},
     },
     "required": ["rank"],

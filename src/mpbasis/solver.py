@@ -3,8 +3,9 @@
 Block coordinate descent over the factor matrices: each grid-mode factor
 solves a Sylvester equation (least squares plus a quadratic roughness
 penalty), and the subject-coefficient block solves either a closed-form ridge
-problem or, for the lasso penalty, an ADMM splitting with soft thresholding.
-A small proximal term keeps every subproblem strongly convex, which makes the
+problem or, for the lasso penalty, N small lasso problems exactly, by an
+active-set method that certifies each row by its KKT conditions. A small
+proximal term keeps every subproblem strongly convex, which makes the
 objective trace nonincreasing.
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
@@ -31,11 +32,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .tensors import (
@@ -73,6 +74,10 @@ CHUNK_ENTRIES = 1 << 19
 #: :func:`solve_normal`.
 CHOL_DIAG_RATIO_TOL = 1e-7
 
+#: Primal-dual active-set passes of :func:`update_b_admm` after its first
+#: solve on the warm-start pattern; rows left over run feature-sign search.
+_PDAS_PASSES = 6
+
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) and
 #: the Cholesky factorization and solve. The wrappers check neither finiteness
 #: nor symmetry; their callers check finiteness.
@@ -99,12 +104,12 @@ class SolverConfig:
         Squared Frobenius or elementwise l1 penalty on the coefficients.
     max_outer_iters, outer_tol
         Sweep cap and relative objective-change stopping rule.
-    admm_tol_primal, admm_tol_dual, admm_max_iters
-        Inner ADMM stopping controls (tolerances are scaled by sqrt(N*K)).
+    admm_max_iters : int
+        Cap on the active-set steps of each row of the lasso coefficient
+        block (see :func:`update_b_admm`).
     proximal_mu : float
-        Strong-convexity shift added to each factor update.
-    gamma : float or None
-        ADMM penalty weight; ``None`` selects ``norm(W'W, 'fro') / K``.
+        Strong-convexity shift added to each factor update and to the lasso
+        coefficient block.
     init : {"random", "hosvd"}
         Random unit-norm columns, or leading singular vectors per unfolding.
     seed : int
@@ -117,11 +122,8 @@ class SolverConfig:
     coef_penalty: str = "ridge"
     max_outer_iters: int = 200
     outer_tol: float = 1e-8
-    admm_tol_primal: float = 1e-6
-    admm_tol_dual: float = 1e-6
     admm_max_iters: int = 500
     proximal_mu: float = 1e-8
-    gamma: float | None = None
     init: str = "random"
     seed: int = 0
 
@@ -135,13 +137,10 @@ class SolverConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.lambda_coef < 0:
             raise ValueError("lambda_coef must be >= 0")
-        for name in ("outer_tol", "admm_tol_primal", "admm_tol_dual"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.outer_tol <= 0:
+            raise ValueError("outer_tol must be > 0")
         if self.proximal_mu < 0:
             raise ValueError("proximal_mu must be >= 0")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0 when given")
 
     def marginal_weights(self, n_dims: int) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(self.lambda_marginal, dtype=float))
@@ -158,7 +157,10 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Factor matrices and bookkeeping for one decomposition."""
+    """Factor matrices and bookkeeping for one decomposition.
+
+    ``z`` mirrors ``b'`` and ``a_star`` is zero; no solver step reads either.
+    """
 
     c_tilde: list[np.ndarray]
     b: np.ndarray
@@ -180,8 +182,8 @@ class SolverState:
 def soft_threshold(x: np.ndarray, kappa: float) -> np.ndarray:
     """Elementwise ``sign(x) * max(|x| - kappa, 0)``.
 
-    Computed as ``x - clip(x, -kappa, kappa)``, the form the ADMM loop of
-    :func:`update_b_admm` uses; the two agree except for the sign of zeros.
+    Computed as ``x - clip(x, -kappa, kappa)``; the two agree except for the
+    sign of zeros.
     """
     if kappa < 0:
         raise ValueError("threshold must be >= 0")
@@ -279,18 +281,16 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> np.ndarray:
-    """Rows ``c`` solving ``c (gram + shift I) = rhs`` for an N x K ``rhs``.
+def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
+    """Cholesky factor of the symmetric float ``a``, which is overwritten.
 
-    The shifted K x K normal matrix is factored once by Cholesky. It counts
-    as singular when the factorization fails or when its smallest diagonal
-    entry is at or below :data:`CHOL_DIAG_RATIO_TOL` times its largest; then
-    :class:`NumericalError` is raised, led by ``what`` and stating the
-    measured ratio and the threshold, as does a non-finite ``gram`` or ``rhs``.
+    ``a`` counts as singular when the factorization fails or when the factor's
+    smallest diagonal entry is at or below :data:`CHOL_DIAG_RATIO_TOL` times
+    its largest; then, or when ``a`` is not finite, :class:`NumericalError` is
+    raised, led by ``what`` and stating the measured ratio and the threshold.
     """
-    a = gram + shift * np.eye(gram.shape[0])
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-        raise NumericalError(f"{what} (the normal matrix or right-hand side is not finite)")
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{what} (the matrix is not finite)")
     chol, info = _POTRF(a.T, overwrite_a=1)  # a.T: the same matrix, Fortran order
     if info != 0:
         raise NumericalError(
@@ -303,6 +303,19 @@ def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> 
             f"{what} (Cholesky diagonal ratio {diag.min() / diag.max():.3e} "
             f"is at or below the threshold {CHOL_DIAG_RATIO_TOL:g})"
         )
+    return chol
+
+
+def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> np.ndarray:
+    """Rows ``c`` solving ``c (gram + shift I) = rhs`` for an N x K ``rhs``.
+
+    The shifted K x K normal matrix is factored once by :func:`_cholesky`,
+    which raises :class:`NumericalError`, led by ``what``, when it is singular
+    or not finite; a non-finite ``rhs`` raises it too.
+    """
+    if not np.isfinite(rhs).all():
+        raise NumericalError(f"{what} (the right-hand side is not finite)")
+    chol = _cholesky(gram + shift * np.eye(gram.shape[0]), what)
     x, info = _POTRS(chol, rhs.T)
     if info != 0:
         raise NumericalError(f"{what} (Cholesky solve failed, LAPACK dpotrs info {info})")
@@ -355,95 +368,142 @@ def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) 
 def update_b_admm(
     g_hat: np.ndarray, state: SolverState, config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int]:
-    """ADMM solve of the lasso-penalized subject-coefficient block.
+    """Exact active-set solve of the lasso-penalized subject-coefficient block.
 
-    Splits on an auxiliary variable equal to the transposed coefficients; the
-    coefficient step is elementwise soft thresholding with level
-    ``lambda_coef / (2 gamma)``, the auxiliary step is a ridge solve, and the
-    scaled dual accumulates the constraint violation. Stops when the primal
-    and dual residuals drop below ``sqrt(N K)`` times the tolerances. The
-    tolerances are absolute, so on data whose residuals stay far above them
-    every call runs to ``admm_max_iters``.
+    Each row ``b`` of the block minimizes ``b'A b / 2 - c'b + tau |b|_1`` with
+    ``A = W'W + mu I``, ``c = W'G + mu b_old``, ``mu = proximal_mu`` and
+    ``tau = lambda_coef / 2``: N lasso problems sharing one K x K matrix, which
+    is factored once with the guarded Cholesky of :func:`solve_normal`. On a
+    sign pattern ``s`` (a signed active set) a row is one Cholesky solve of its
+    active rows and columns, ``A_SS b_S = c_S - tau s_S``. The row is certified
+    optimal when its KKT conditions hold at rounding-level slack: with
+    ``g = A b - c``, ``g_j = -tau s_j`` and ``s_j b_j > 0`` where ``s_j != 0``,
+    and ``|g_j| <= tau`` elsewhere.
 
-    The ridge solve uses ``M = (W'W + gamma I)^-1``, formed once per call from
-    its Cholesky factor, so each iteration is a K x K product on N x K arrays.
-    At the default ``gamma = norm(W'W, 'fro') / K`` the spectrum of
-    ``W'W + gamma I`` lies in ``[gamma, (K + 1) gamma]``: its condition number
-    is at most ``K + 1`` and the explicit inverse is as accurate as the
-    triangular solves. A much smaller ``config.gamma`` makes the system
-    ill-conditioned, and the iterates then carry errors of order cond * eps.
+    Every row is first solved on the sign pattern of ``state.b``, rows with
+    equal active sets in one solve. Uncertified rows get up to
+    :data:`_PDAS_PASSES` primal-dual active-set passes: the next pattern is
+    that of the soft-thresholded coordinate step ``b_j - g_j / A_jj``, except
+    that an entry whose sign flips a second time is dropped, which breaks
+    two-cycles. Rows still uncertified run feature-sign search (Lee, Battle,
+    Raina and Ng, NIPS 2007) from whichever of ``state.b`` and their last
+    pass has the lower value; it lowers the row objective at every step and
+    ends in finitely many. ``config.admm_max_iters`` caps the steps (pattern
+    solves) of each row; a row at the cap keeps its iterate, whose value is no
+    higher than at ``state.b``, and a warning is issued.
 
-    When the last iterate raises the subject-block objective above its value
-    at ``state.b`` (an inexact exit), the previous block is returned instead:
-    ``(state.b, state.b.T, state.a_star)``, with the ADMM's own ``converged``.
-
-    Returns ``(b, z, a_star, converged, n_iters)``; the inputs in ``state``
-    serve as warm starts and are not mutated.
+    Returns ``(b, z, a_star, converged, n_iters)``: ``z = b'``, ``a_star`` is
+    zero, ``converged`` says that every row was certified and ``n_iters`` is
+    the most steps any row took. ``state`` is not mutated.
     """
-    n_dims = g_hat.ndim - 1
-    k = state.rank
-    n_subj = state.b.shape[0]
     gram = gram_of_khatri_rao(state.c_tilde)
-    rhs = mttkrp(g_hat, state.c_tilde, n_dims)  # N x K, equals (W'G_(D+1)')'
-    if not np.all(np.isfinite(rhs)):
-        raise NumericalError("coefficient ADMM: W'G (subject-mode MTTKRP) is not finite")
-    gamma = config.gamma if config.gamma is not None else float(np.linalg.norm(gram)) / k
-    gamma = max(gamma, 1e-12)
-    try:
-        chol = cho_factor(gram + gamma * np.eye(k))
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalError(
-            f"coefficient ADMM: Cholesky factorization of W'W + gamma I failed "
-            f"(gamma {gamma:.3e})"
-        ) from exc
-    inv = cho_solve(chol, np.eye(k))
-    base = cho_solve(chol, rhs.T).T
-    gamma_m = gamma * inv
-    kappa = config.lambda_coef / (2.0 * gamma)
-    scale = math.sqrt(n_subj * k)
-    # the split variable is kept as N x K (the transpose of the returned z)
-    b, zt, a = state.b, np.ascontiguousarray(state.z.T), state.a_star
-    converged = False
-    it = 0
-    for it in range(1, config.admm_max_iters + 1):
-        v = zt - a
-        b = v - v.clip(-kappa, kappa)
-        zt_prev = zt
-        zt = base + (b + a) @ gamma_m
-        r = b - zt
-        a = a + r
-        dz = zt - zt_prev
-        r_primal = math.sqrt(np.vdot(r, r))
-        r_dual = gamma * math.sqrt(np.vdot(dz, dz))
-        if not math.isfinite(r_primal + r_dual):
-            raise NumericalError(
-                f"coefficient ADMM: residuals not finite at iteration {it} "
-                f"(primal {r_primal:.2e}, dual {r_dual:.2e})"
-            )
-        if r_primal <= config.admm_tol_primal * scale and r_dual <= config.admm_tol_dual * scale:
-            converged = True
+    rhs = mttkrp(g_hat, state.c_tilde, g_hat.ndim - 1)  # N x K, equals (W'G_(D+1)')'
+    for name, v in (("W'G (subject-mode MTTKRP)", rhs), ("the warm-start b", state.b)):
+        if not np.isfinite(v).all():
+            raise NumericalError(f"coefficient lasso block: {name} is not finite")
+    what = "coefficient lasso block: Cholesky factorization of W'W + mu I"
+    a = gram + config.proximal_mu * np.eye(state.rank)
+    chol = _cholesky(a.copy(), what)
+    c, tau = rhs + config.proximal_mu * state.b, config.lambda_coef / 2.0
+    solve = partial(_solve_on_patterns, a, chol, what=what)
+    b, sign = np.zeros_like(c), np.sign(state.b)
+    flipped = np.zeros(c.shape, dtype=bool)
+    steps = np.zeros(c.shape[0], dtype=int)
+    todo = np.arange(c.shape[0])
+    for _ in range(min(1 + _PDAS_PASSES, config.admm_max_iters)):
+        s = sign[todo]
+        b[todo] = solve(c[todo] - tau * s, s != 0)
+        steps[todo] += 1
+        bad, g = _lasso_kkt(a, c[todo], tau, b[todo], s)
+        new = np.sign(soft_threshold(b[todo] * np.diag(a) - g, tau))
+        flip = new * s < 0
+        new[flip & flipped[todo]] = 0.0
+        flipped[todo] |= flip
+        keep = bad.any(axis=1)
+        todo = todo[keep]
+        sign[todo] = new[keep]
+        if not todo.size:
             break
+    converged = True
+    for i in todo:
+        x, b_i = b[i], state.b[i]
+        if _b_conditional_value(a, c[i], b_i, config) <= _b_conditional_value(a, c[i], x, config):
+            x = b_i
+        cap = config.admm_max_iters - steps[i]
+        b[i], n, ok = _feature_sign(a, c[i], tau, x, solve, config, cap)
+        steps[i] += n
+        converged &= ok
     if not converged:
         warnings.warn(
-            f"coefficient ADMM hit {config.admm_max_iters} iterations "
-            f"(primal {r_primal:.2e}, dual {r_dual:.2e}); returning last iterate",
+            f"coefficient ADMM hit {config.admm_max_iters} active-set steps per row before "
+            "every lasso row was certified optimal; returning the best iterates",
             RuntimeWarning,
         )
-    before = _b_conditional_value(gram, rhs, state.b, config)
-    if _b_conditional_value(gram, rhs, b, config) > before + 1e-12 * max(1.0, abs(before)):
-        # inexact ADMM exit made things worse: keep the previous block
-        return state.b, state.b.T.copy(), state.a_star, converged, it
-    return b, zt.T, a, converged, it
+    return b, b.T.copy(), np.zeros_like(b), converged, int(steps.max(initial=0))
+
+
+def _solve_on_patterns(a, chol, r, act, what: str) -> np.ndarray:
+    """Rows ``x`` with ``A_SS x_S = r_S`` on each row's active set ``S`` (the
+    boolean row of ``act``) and zero elsewhere; rows sharing ``S`` share one
+    solve. ``chol`` is the Cholesky factor of ``a``, used for full rows; the
+    other sets are factored by :func:`_cholesky` (named ``what``)."""
+    x = np.zeros_like(r)
+    groups: dict[bytes, list[int]] = {}
+    for i, key in enumerate(map(bytes, act)):
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
+        s = np.flatnonzero(act[rows[0]])
+        if s.size:
+            f = chol if s.size == a.shape[0] else _cholesky(a[np.ix_(s, s)], what)
+            x[np.ix_(rows, s)] = _POTRS(f, r[np.ix_(rows, s)].T)[0].T
+    return x
+
+
+def _lasso_kkt(a, c, tau, x, sign) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the rows ``x`` (on sign patterns ``sign``) that break the
+    lasso KKT conditions, and the gradient ``x A - c``. The slack is a few
+    rounding errors of the gradient, ``4 K eps (|x| |A| + |c| + tau)``."""
+    g = x @ a - c
+    slack = 4 * a.shape[0] * np.finfo(float).eps * (np.abs(x) @ np.abs(a) + np.abs(c) + tau)
+    on = sign != 0
+    bad_on = (np.abs(g + tau * sign) > slack) | (sign * x <= 0)
+    return np.where(on, bad_on, np.abs(g) > tau + slack), g
+
+
+def _feature_sign(a, c, tau, x, solve, config, max_steps) -> tuple[np.ndarray, int, bool]:
+    """Feature-sign search for one row from ``x``: ``(x, steps, certified)``;
+    ``solve`` is :func:`_solve_on_patterns` bound to ``a`` and its factor.
+
+    When the row is optimal on its active set, the inactive entry of largest
+    gradient joins it; then the row moves towards its solve on the active set
+    and stops at the endpoint or at a sign change, whichever has the lowest
+    value (:func:`_b_conditional_value`). An entry reaching zero leaves.
+    """
+    x = x.copy()
+    for step in range(max_steps + 1):
+        sign = np.sign(x)
+        bad, g = (v[0] for v in _lasso_kkt(a, c[None], tau, x[None], sign[None]))
+        if not bad.any() or step == max_steps:
+            return x, step, not bad.any()
+        if not bad[sign != 0].any():
+            j = np.argmax(np.where(bad, np.abs(g), 0.0))
+            sign[j] = -np.sign(g[j])
+        s = np.flatnonzero(sign)
+        d = solve((c - tau * sign)[None], (sign != 0)[None])[0][s] - x[s]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = -x[s] / d
+        ts = np.append(cross[(cross > 0) & (cross < 1)], 1.0)
+        a_s = a[np.ix_(s, s)]
+        t = min(ts, key=lambda t: _b_conditional_value(a_s, c[s], x[s] + t * d, config))
+        x[s] += t * d
+        x[s[cross == t]] = 0.0
+    return x, max_steps, False
 
 
 def _b_conditional_value(gram, rhs, b, config: SolverConfig) -> float:
-    """Subject-block objective up to a constant: data term plus penalty."""
+    """Lasso subject-block objective up to a constant: data term plus penalty."""
     val = float(np.sum(b * (b @ gram))) - 2.0 * float(np.sum(b * rhs))
-    if config.coef_penalty == "ridge":
-        val += config.lambda_coef * float(np.sum(b**2))
-    else:
-        val += config.lambda_coef * float(np.sum(np.abs(b)))
-    return val
+    return val + config.lambda_coef * float(np.sum(np.abs(b)))
 
 
 def _initialize(g_hat: np.ndarray, config: SolverConfig) -> SolverState:
@@ -481,7 +541,8 @@ def _gauge_normalize(state: SolverState) -> None:
     every grid-mode column is rescaled to unit norm with the magnitude pushed
     into the subject coefficients, and signs are flipped so the largest-
     magnitude entry of each first-mode column is positive. The represented
-    tensor is unchanged.
+    tensor is unchanged. ``z`` is reset to ``b'`` and ``a_star`` to zero, the
+    values :func:`update_b_admm` returns; the lasso block keeps no dual.
     """
     norms = [np.linalg.norm(c, axis=0) for c in state.c_tilde]
     weights = np.linalg.norm(state.b, axis=0) * np.prod(norms, axis=0)
@@ -501,7 +562,6 @@ def _gauge_normalize(state: SolverState) -> None:
     signs[signs == 0] = 1.0
     state.c_tilde[0] = lead * signs
     state.b *= signs
-    # the split variable tracks the coefficients; the stale dual is restarted
     state.z = state.b.T.copy()
     state.a_star = np.zeros_like(state.b)
 

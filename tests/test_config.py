@@ -54,6 +54,15 @@ def test_candidate_bases_change_only_the_rank():
     ]
 
 
+@pytest.mark.parametrize("key", ["gamma", "admm_tol_primal", "admm_tol_dual"])
+def test_removed_admm_solver_keys_rejected(key):
+    # the lasso block is solved exactly, so the ADMM weight and tolerances are gone
+    raw = custom_config()
+    raw["solver"][key] = 1e-6
+    with pytest.raises(ValueError, match=f"'{key}' was unexpected"):
+        parse_run_config(raw)
+
+
 def test_domain_and_basis_counts_must_match():
     raw = custom_config()
     raw["domains"] = raw["domains"][:1]

@@ -1,10 +1,12 @@
 """Solver blocks against independent oracles, then full descent behavior."""
 
 import copy
+import itertools
+import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_sylvester
+from scipy.linalg import cho_factor, solve_sylvester
 
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
@@ -295,8 +297,6 @@ def test_update_b_admm_penalty_free_matches_ridge_path():
         rank=k,
         lambda_coef=0.0,
         coef_penalty="lasso",
-        admm_tol_primal=1e-10,
-        admm_tol_dual=1e-10,
         admm_max_iters=20_000,
     )
     b, z, a, ok, _ = update_b_admm(g, state, cfg)
@@ -315,16 +315,13 @@ def test_update_b_admm_matches_coordinate_descent_oracle():
         rank=k,
         lambda_coef=lam,
         coef_penalty="lasso",
-        admm_tol_primal=1e-10,
-        admm_tol_dual=1e-10,
         admm_max_iters=50_000,
     )
     b, z, a, ok, it = update_b_admm(g, state, cfg)
     assert ok
-    scale = np.sqrt(n_subj * k)
-    assert np.linalg.norm(b - z.T) <= cfg.admm_tol_primal * scale
     w = T.khatri_rao([state.c_tilde[1], state.c_tilde[0]])
     gmat = T.unfold(g, 2)
+    assert kkt_violation(w, gmat, state.b, b, cfg) <= KKT_TOL
     for i in range(n_subj):
         ref = lasso_coordinate_descent(w, gmat[i], lam)
         assert np.abs(b[i] - ref).max() < 1e-5
@@ -341,88 +338,108 @@ def test_update_b_admm_full_shrinkage():
 
 
 
-def reference_update_b_admm(g, state, config):
-    """The coefficient ADMM with a ``cho_solve`` of the K x N right-hand side
-    on every iteration, followed by the monotone safeguard ``fit`` applied."""
-    k = state.rank
-    gram = T.gram_of_khatri_rao(state.c_tilde)
-    rhs = T.mttkrp(g, state.c_tilde, g.ndim - 1)
-    gamma = config.gamma if config.gamma is not None else np.linalg.norm(gram) / k
-    gamma = max(gamma, 1e-12)
-    chol = cho_factor(gram + gamma * np.eye(k))
-    kappa = config.lambda_coef / (2.0 * gamma)
-    scale = np.sqrt(state.b.size)
-    b, z, a = state.b, state.z, state.a_star
-    converged = False
-    for it in range(1, config.admm_max_iters + 1):
-        b = np.sign(z.T - a) * np.maximum(np.abs(z.T - a) - kappa, 0.0)
-        z_prev = z
-        z = cho_solve(chol, rhs.T + gamma * (b + a).T)
-        a = a + b - z.T
-        r_primal = np.linalg.norm(b - z.T)
-        r_dual = gamma * np.linalg.norm(z - z_prev)
-        if r_primal <= config.admm_tol_primal * scale and r_dual <= config.admm_tol_dual * scale:
-            converged = True
-            break
-    before = solver_mod._b_conditional_value(gram, rhs, state.b, config)
-    after = solver_mod._b_conditional_value(gram, rhs, b, config)
-    if after > before + 1e-12 * max(1.0, abs(before)):
-        b, z, a = state.b, state.b.T.copy(), state.a_star
-    return b, z, a, converged, it
+def lasso_block(w, gmat, b_old, config):
+    """``(A, C, tau)`` of the proximal lasso block, formed from the Khatri-Rao
+    product ``w`` and the subject unfolding ``gmat``: every row minimizes
+    ``b'A b / 2 - c'b + tau |b|_1``."""
+    mu = config.proximal_mu
+    a = w.T @ w + mu * np.eye(w.shape[1])
+    return a, gmat @ w + mu * b_old, config.lambda_coef / 2.0
+
+
+def kkt_violation(w, gmat, b_old, b, config):
+    """Largest breach of the lasso KKT conditions at ``b``, relative to the
+    rounding scale ``|b||A| + |c| + tau`` of the gradient ``g = b A - c``:
+    ``g_j = -tau sign(b_j)`` where ``b_j != 0`` and ``|g_j| <= tau`` elsewhere."""
+    a, c, tau = lasso_block(w, gmat, b_old, config)
+    g = b @ a - c
+    breach = np.where(b != 0, np.abs(g + tau * np.sign(b)), np.maximum(np.abs(g) - tau, 0.0))
+    return float(np.max(breach / (np.abs(b) @ np.abs(a) + np.abs(c) + tau)))
+
+
+#: Largest relative KKT breach accepted: a few hundred rounding errors.
+KKT_TOL = 1e-13
+
+
+def block_values(w, gmat, b_old, b, config):
+    """Row values ``b'A b / 2 - c'b + tau |b|_1`` of the proximal lasso block."""
+    a, c, tau = lasso_block(w, gmat, b_old, config)
+    quad = 0.5 * np.einsum("ij,ij->i", b @ a, b)
+    return quad - np.einsum("ij,ij->i", c, b) + tau * np.abs(b).sum(1)
+
+
+def enumerated_lasso(w, gmat, b_old, config):
+    """Exact lasso block by enumeration of sign patterns (small K): each
+    pattern's stationary point is kept when its signs agree with the pattern,
+    and the kept point of lowest value is the minimizer."""
+    a, c, tau = lasso_block(w, gmat, b_old, config)
+    k = a.shape[0]
+    out = np.zeros_like(c)
+    for i in range(c.shape[0]):
+        best, best_val = np.zeros(k), 0.0
+        for signs in itertools.product((-1.0, 0.0, 1.0), repeat=k):
+            s = np.flatnonzero(signs)
+            if not s.size:
+                continue
+            x = np.zeros(k)
+            x[s] = np.linalg.solve(a[np.ix_(s, s)], c[i, s] - tau * np.asarray(signs)[s])
+            if np.all(np.sign(x[s]) == np.asarray(signs)[s]):
+                val = 0.5 * x @ a @ x - c[i] @ x + tau * np.abs(x).sum()
+                if val < best_val:
+                    best, best_val = x, val
+        out[i] = best
+    return out
+
+
+def grid_design(state):
+    """Khatri-Rao product of the grid factors, first mode fastest."""
+    return T.khatri_rao(state.c_tilde[::-1])
 
 
 def admm_case(name):
-    """(g_hat, state, config) for one equivalence case of the coefficient ADMM."""
+    """(g_hat, state, config) for one case of the lasso coefficient block."""
     rng = np.random.default_rng(16)
     dims = (6, 5)
     if name == "warm":
-        # a fitted state plus 10 ADMM iterations, so the dual a_star is nonzero
-        # and the compared call starts away from the fixed point
+        # a fitted state: the compared call starts near its solution
         g = rank_k_tensor(rng, dims, 8, 3) + 0.05 * rng.standard_normal(dims + (8,))
         cfg = SolverConfig(rank=3, lambda_coef=0.05, coef_penalty="lasso", max_outer_iters=5)
-        fitted = fit(g, [np.zeros((m, m)) for m in dims], cfg)
-        short = SolverConfig(rank=3, lambda_coef=0.05, coef_penalty="lasso", admm_max_iters=10)
-        b, z, a, converged, _ = reference_update_b_admm(g, fitted, short)
-        assert not converged and np.abs(a).max() > 0
-        return g, SolverState(c_tilde=fitted.c_tilde, b=b, z=z, a_star=a), cfg
-    n_subj, k = {"k1": (8, 1), "n1": (1, 3), "small_gamma": (8, 3)}[name]
+        return g, fit(g, [np.zeros((m, m)) for m in dims], cfg), cfg
+    n_subj, k = {"k1": (8, 1), "n1": (1, 3), "singular": (8, 3)}[name]
     g = rng.standard_normal(dims + (n_subj,))
     state = make_state(rng, dims, n_subj, k)
-    gamma = None
-    if name == "small_gamma":
-        # equal columns make W'W singular: cond(W'W + gamma I) is about 1e11
+    mu = SolverConfig.proximal_mu
+    if name == "singular":
+        # nearly equal columns make W'W numerically singular, unshifted
         for c in state.c_tilde:
             c[:, 1] = c[:, 0]
-        gamma = 1e-11 * np.linalg.eigvalsh(T.gram_of_khatri_rao(state.c_tilde))[-1]
-    lam = 0.5 if gamma is None else 0.5 * gamma
-    return g, state, SolverConfig(rank=k, lambda_coef=lam, coef_penalty="lasso", gamma=gamma)
+        state.c_tilde[0][:, 1] += 3e-8 * rng.standard_normal(dims[0])
+        mu = 0.0
+    return g, state, SolverConfig(rank=k, lambda_coef=0.5, coef_penalty="lasso", proximal_mu=mu)
 
 
-@pytest.mark.parametrize("name", ["warm", "k1", "n1", "small_gamma"])
+@pytest.mark.parametrize("name", ["warm", "k1", "n1", "singular"])
 def test_update_b_admm_matches_per_iteration_cho_solve(name):
     g, state, cfg = admm_case(name)
-    k = state.rank
-    gram = T.gram_of_khatri_rao(state.c_tilde)
-    gamma = cfg.gamma if cfg.gamma is not None else np.linalg.norm(gram) / k
-    cond = np.linalg.cond(gram + gamma * np.eye(k))
-    if name == "small_gamma":
-        assert 1e10 < cond < 1e12
-        # At this conditioning the iterates move by up to 70 cond * eps when
-        # one addition of the reference loop is merely reassociated (20 seeds).
-        tol = 100 * cond * np.finfo(float).eps
-    else:
-        assert cond <= k + 1
-        tol = 1e-12
-    ref = reference_update_b_admm(g, state, cfg)
+    w, gmat = grid_design(state), T.unfold(g, g.ndim - 1)
+    if name == "singular":
+        with pytest.raises(NumericalError, match="lasso block") as info:
+            update_b_admm(g, state, cfg)
+        msg = str(info.value)
+        ratio = re.search(r"diagonal ratio (\S+) is at or below the threshold 1e-07", msg)
+        assert ratio and 0.0 < float(ratio.group(1)) <= solver_mod.CHOL_DIAG_RATIO_TOL
+        return
+    b = enumerated_lasso(w, gmat, state.b, cfg)
+    ref = (b, b.T, np.zeros_like(b), True)
     got = update_b_admm(g, state, cfg)
     for x, y in zip(got[:3], ref[:3]):
-        assert np.linalg.norm(x - y) <= tol * np.linalg.norm(y)
-    assert got[3:] == ref[3:]
+        assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+    assert got[3:4] == ref[3:]
 
 
 @pytest.mark.parametrize(
     "corrupt, quantity",
-    [("g_hat", "W'G"), ("a_star", "residuals"), ("c_tilde", "Cholesky")],
+    [("g_hat", "W'G"), ("b", "warm-start"), ("c_tilde", "Cholesky")],
 )
 def test_update_b_admm_non_finite_raises_numerical_error(corrupt, quantity):
     rng = np.random.default_rng(17)
@@ -431,8 +448,8 @@ def test_update_b_admm_non_finite_raises_numerical_error(corrupt, quantity):
     cfg = SolverConfig(rank=2, lambda_coef=0.1, coef_penalty="lasso")
     if corrupt == "g_hat":
         g[2, 3, 1] = np.nan
-    elif corrupt == "a_star":
-        state.a_star[1, 0] = np.nan
+    elif corrupt == "b":
+        state.b[1, 0] = np.nan
     else:
         # one grid mode with entries whose Gram overflows while W'G stays finite
         g = rng.standard_normal((6, 4))
@@ -442,6 +459,94 @@ def test_update_b_admm_non_finite_raises_numerical_error(corrupt, quantity):
         NumericalError, match=quantity
     ):
         update_b_admm(g, state, cfg)
+
+
+def ill_conditioned_case(rng, n_subj=30, k=4):
+    """One grid mode whose factor has singular values 1 to 10^-3.5, so W'W
+    has condition number 1e7, and noisy data from dense coefficients."""
+    u = np.linalg.qr(rng.standard_normal((40, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    c = (u * np.logspace(0.0, -3.5, k)) @ v.T
+    b_true = rng.standard_normal((n_subj, k))
+    g = c @ b_true.T + 1e-3 * rng.standard_normal((40, n_subj))
+    state = make_state(rng, (40,), n_subj, k)
+    state.c_tilde = [c]
+    return g, state
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 0.5])
+def test_update_b_admm_exact_on_ill_conditioned_gram(lam):
+    rng = np.random.default_rng(40)
+    g, state = ill_conditioned_case(rng)
+    w = state.c_tilde[0]
+    assert np.linalg.cond(w.T @ w) >= 1e6
+    cfg = SolverConfig(rank=4, lambda_coef=lam, coef_penalty="lasso")
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    if lam == 0.5:
+        assert np.mean(ref == 0) >= 0.2
+    b, z, a_star, ok, n_iters = update_b_admm(g, state, cfg)
+    assert ok and 1 <= n_iters <= cfg.admm_max_iters
+    assert np.array_equal(z, b.T) and not a_star.any()
+    f_got = block_values(w, g.T, state.b, b, cfg).sum()
+    f_ref = block_values(w, g.T, state.b, ref, cfg).sum()
+    assert abs(f_got - f_ref) <= 1e-10 * abs(f_ref)
+    assert np.array_equal(b == 0, ref == 0)
+    assert kkt_violation(w, g.T, state.b, b, cfg) <= KKT_TOL
+
+
+def test_update_b_admm_wrong_sign_warm_start_converges():
+    rng = np.random.default_rng(41)
+    g, state = ill_conditioned_case(rng)
+    w = state.c_tilde[0]
+    cfg = SolverConfig(rank=4, lambda_coef=1e-2, coef_penalty="lasso")
+    # the solution with every sign reversed, and every zero made nonzero
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    state.b = np.where(ref == 0, 1.0, -ref)
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    b, _, _, ok, _ = update_b_admm(g, state, cfg)
+    assert ok
+    assert np.array_equal(b == 0, ref == 0)
+    assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert kkt_violation(w, g.T, state.b, b, cfg) <= KKT_TOL
+
+
+@pytest.mark.parametrize("lam", [1e-2, 0.5])
+def test_update_b_admm_feature_sign_search_alone_is_exact(monkeypatch, lam):
+    # no active-set passes: every row the warm-start pattern leaves
+    # uncertified is finished by feature-sign search
+    monkeypatch.setattr(solver_mod, "_PDAS_PASSES", 0)
+    rng = np.random.default_rng(43)
+    g, state = ill_conditioned_case(rng)
+    w = state.c_tilde[0]
+    cfg = SolverConfig(rank=4, lambda_coef=lam, coef_penalty="lasso")
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    b, _, _, ok, n_iters = update_b_admm(g, state, cfg)
+    assert ok and n_iters > 2
+    assert np.array_equal(b == 0, ref == 0)
+    f_got = block_values(w, g.T, state.b, b, cfg).sum()
+    f_ref = block_values(w, g.T, state.b, ref, cfg).sum()
+    assert abs(f_got - f_ref) <= 1e-10 * abs(f_ref)
+    assert kkt_violation(w, g.T, state.b, b, cfg) <= KKT_TOL
+
+
+def test_update_b_admm_step_cap_warns_and_does_not_raise_the_block():
+    rng = np.random.default_rng(42)
+    g, state = ill_conditioned_case(rng)
+    w = state.c_tilde[0]
+    cfg = SolverConfig(rank=4, lambda_coef=1e-2, coef_penalty="lasso", admm_max_iters=1)
+    # the first half starts on its solution's sign pattern, the rest on the reverse
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    half = ref.shape[0] // 2
+    state.b = np.vstack([ref[:half], 0.5 - ref[half:]])
+    ref = enumerated_lasso(w, g.T, state.b, cfg)
+    with pytest.warns(RuntimeWarning, match="coefficient ADMM hit 1 "):
+        b, _, _, ok, n_iters = update_b_admm(g, state, cfg)
+    assert not ok and n_iters == 1
+    before = block_values(w, g.T, state.b, state.b, cfg)
+    after = block_values(w, g.T, state.b, b, cfg)
+    assert np.all(after <= before)
+    assert np.linalg.norm(b[:half] - ref[:half]) <= 1e-10 * np.linalg.norm(ref[:half])
+
 
 # ----------------------------------------------------------------- objective
 
