@@ -59,7 +59,6 @@ _SOLVER_SCHEMA = {
         "coef_penalty": {"enum": ["ridge", "lasso"]},
         "max_outer_iters": {"type": "integer", "minimum": 1},
         "outer_tol": {"type": "number", "exclusiveMinimum": 0},
-        "admm_max_iters": {"type": "integer", "minimum": 1},
         "proximal_mu": {"type": "number", "minimum": 0},
         "init": {"enum": ["random", "hosvd"]},
     },

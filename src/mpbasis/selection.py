@@ -150,7 +150,7 @@ def sweep_global_rank(
                 pad /= np.linalg.norm(pad, axis=0)
                 c_tilde.append(np.hstack([c, pad]))
             b = np.hstack([prev.b, np.zeros((prev.b.shape[0], extra))])
-            init = SolverState(c_tilde=c_tilde, b=b, z=b.T.copy(), a_star=np.zeros_like(b))
+            init = SolverState(c_tilde=c_tilde, b=b)
         state = solver.fit(g_hat, t_mats, cfg, initial_state=init)
         prev = state
         records.append(

@@ -22,9 +22,9 @@ product per half and sweep contracts that view with the Khatri-Rao product of
 the other half's current factors; every block of the half takes its MTTKRP
 from that small partial through :func:`tensors.partial_mttkrp`. Each block's
 Gram is the Hadamard product of per-factor Grams, which are refreshed once,
-after their factor is updated. :func:`update_factor`, :func:`update_b_ridge`
-and :func:`update_b_admm` are the same block steps on their own, from the full
-tensor.
+after their factor is updated; the lasso step :func:`update_b_admm` takes
+both from the sweep. :func:`update_factor` and :func:`update_b_ridge` are the
+grid and ridge block steps on their own, from the full tensor.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ CHOL_DIAG_RATIO_TOL = 1e-7
 #: solve on the warm-start pattern; rows left over run feature-sign search.
 _PDAS_PASSES = 6
 
+#: Cap on the active-set steps (pattern solves) of each row of the lasso
+#: coefficient block in :func:`update_b_admm`.
+_LASSO_MAX_STEPS = 500
+
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) and
 #: the Cholesky factorization and solve. The wrappers check neither finiteness
 #: nor symmetry; their callers check finiteness.
@@ -104,9 +108,6 @@ class SolverConfig:
         Squared Frobenius or elementwise l1 penalty on the coefficients.
     max_outer_iters, outer_tol
         Sweep cap and relative objective-change stopping rule.
-    admm_max_iters : int
-        Cap on the active-set steps of each row of the lasso coefficient
-        block (see :func:`update_b_admm`).
     proximal_mu : float
         Strong-convexity shift added to each factor update and to the lasso
         coefficient block.
@@ -122,15 +123,17 @@ class SolverConfig:
     coef_penalty: str = "ridge"
     max_outer_iters: int = 200
     outer_tol: float = 1e-8
-    admm_max_iters: int = 500
     proximal_mu: float = 1e-8
     init: str = "random"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rank", "max_outer_iters", "admm_max_iters"):
+        for name in ("rank", "max_outer_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lambda_coef", "outer_tol", "proximal_mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.coef_penalty not in ("ridge", "lasso"):
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
         if self.init not in ("random", "hosvd"):
@@ -150,6 +153,8 @@ class SolverConfig:
             raise ValueError(
                 f"lambda_marginal has {lam.size} entries, expected {n_dims}"
             )
+        if not np.isfinite(lam).all():
+            raise ValueError(f"lambda_marginal must be finite, got {self.lambda_marginal}")
         if np.any(lam < 0):
             raise ValueError("marginal penalty weights must be >= 0")
         return lam
@@ -157,15 +162,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Factor matrices and bookkeeping for one decomposition.
-
-    ``z`` mirrors ``b'`` and ``a_star`` is zero; no solver step reads either.
-    """
+    """Factor matrices and bookkeeping for one decomposition: the grid-mode
+    factors ``c_tilde`` and the N x K subject coefficients ``b``."""
 
     c_tilde: list[np.ndarray]
     b: np.ndarray
-    z: np.ndarray
-    a_star: np.ndarray
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = False
     iters: int = 0
@@ -366,12 +367,15 @@ def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) 
 
 
 def update_b_admm(
-    g_hat: np.ndarray, state: SolverState, config: SolverConfig
+    gram: np.ndarray, rhs: np.ndarray, b_old: np.ndarray, config: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int]:
     """Exact active-set solve of the lasso-penalized subject-coefficient block.
 
-    Each row ``b`` of the block minimizes ``b'A b / 2 - c'b + tau |b|_1`` with
-    ``A = W'W + mu I``, ``c = W'G + mu b_old``, ``mu = proximal_mu`` and
+    ``gram`` is ``W'W`` (K x K), ``W`` the Khatri-Rao product of the grid
+    factors, ``rhs`` the subject-mode MTTKRP ``(W'G)'`` (N x K) and ``b_old``
+    the warm start. Each row ``b`` of the block minimizes
+    ``b'A b / 2 - c'b + tau |b|_1`` with ``A = W'W + mu I``,
+    ``c = W'G + mu b_old``, ``mu = proximal_mu`` and
     ``tau = lambda_coef / 2``: N lasso problems sharing one K x K matrix, which
     is factored once with the guarded Cholesky of :func:`solve_normal`. On a
     sign pattern ``s`` (a signed active set) a row is one Cholesky solve of its
@@ -380,37 +384,35 @@ def update_b_admm(
     ``g = A b - c``, ``g_j = -tau s_j`` and ``s_j b_j > 0`` where ``s_j != 0``,
     and ``|g_j| <= tau`` elsewhere.
 
-    Every row is first solved on the sign pattern of ``state.b``, rows with
+    Every row is first solved on the sign pattern of ``b_old``, rows with
     equal active sets in one solve. Uncertified rows get up to
     :data:`_PDAS_PASSES` primal-dual active-set passes: the next pattern is
     that of the soft-thresholded coordinate step ``b_j - g_j / A_jj``, except
     that an entry whose sign flips a second time is dropped, which breaks
     two-cycles. Rows still uncertified run feature-sign search (Lee, Battle,
-    Raina and Ng, NIPS 2007) from whichever of ``state.b`` and their last
+    Raina and Ng, NIPS 2007) from whichever of ``b_old`` and their last
     pass has the lower value; it lowers the row objective at every step and
-    ends in finitely many. ``config.admm_max_iters`` caps the steps (pattern
+    ends in finitely many. :data:`_LASSO_MAX_STEPS` caps the steps (pattern
     solves) of each row; a row at the cap keeps its iterate, whose value is no
-    higher than at ``state.b``, and a warning is issued.
+    higher than at ``b_old``, and a warning is issued.
 
     Returns ``(b, z, a_star, converged, n_iters)``: ``z = b'``, ``a_star`` is
     zero, ``converged`` says that every row was certified and ``n_iters`` is
-    the most steps any row took. ``state`` is not mutated.
+    the most steps any row took. No argument is mutated.
     """
-    gram = gram_of_khatri_rao(state.c_tilde)
-    rhs = mttkrp(g_hat, state.c_tilde, g_hat.ndim - 1)  # N x K, equals (W'G_(D+1)')'
-    for name, v in (("W'G (subject-mode MTTKRP)", rhs), ("the warm-start b", state.b)):
+    for name, v in (("W'G (subject-mode MTTKRP)", rhs), ("the warm-start b", b_old)):
         if not np.isfinite(v).all():
             raise NumericalError(f"coefficient lasso block: {name} is not finite")
     what = "coefficient lasso block: Cholesky factorization of W'W + mu I"
-    a = gram + config.proximal_mu * np.eye(state.rank)
+    a = gram + config.proximal_mu * np.eye(gram.shape[0])
     chol = _cholesky(a.copy(), what)
-    c, tau = rhs + config.proximal_mu * state.b, config.lambda_coef / 2.0
+    c, tau = rhs + config.proximal_mu * b_old, config.lambda_coef / 2.0
     solve = partial(_solve_on_patterns, a, chol, what=what)
-    b, sign = np.zeros_like(c), np.sign(state.b)
+    b, sign = np.zeros_like(c), np.sign(b_old)
     flipped = np.zeros(c.shape, dtype=bool)
     steps = np.zeros(c.shape[0], dtype=int)
     todo = np.arange(c.shape[0])
-    for _ in range(min(1 + _PDAS_PASSES, config.admm_max_iters)):
+    for _ in range(min(1 + _PDAS_PASSES, _LASSO_MAX_STEPS)):
         s = sign[todo]
         b[todo] = solve(c[todo] - tau * s, s != 0)
         steps[todo] += 1
@@ -426,16 +428,16 @@ def update_b_admm(
             break
     converged = True
     for i in todo:
-        x, b_i = b[i], state.b[i]
+        x, b_i = b[i], b_old[i]
         if _b_conditional_value(a, c[i], b_i, config) <= _b_conditional_value(a, c[i], x, config):
             x = b_i
-        cap = config.admm_max_iters - steps[i]
+        cap = _LASSO_MAX_STEPS - steps[i]
         b[i], n, ok = _feature_sign(a, c[i], tau, x, solve, config, cap)
         steps[i] += n
         converged &= ok
     if not converged:
         warnings.warn(
-            f"coefficient ADMM hit {config.admm_max_iters} active-set steps per row before "
+            f"coefficient ADMM hit {_LASSO_MAX_STEPS} active-set steps per row before "
             "every lasso row was certified optimal; returning the best iterates",
             RuntimeWarning,
         )
@@ -525,13 +527,7 @@ def _initialize(g_hat: np.ndarray, config: SolverConfig) -> SolverState:
         else:
             f = random_unit(n)
         factors.append(np.ascontiguousarray(f))
-    b = factors[-1]
-    return SolverState(
-        c_tilde=factors[:-1],
-        b=b,
-        z=b.T.copy(),
-        a_star=np.zeros_like(b),
-    )
+    return SolverState(c_tilde=factors[:-1], b=factors[-1])
 
 
 def _gauge_normalize(state: SolverState) -> None:
@@ -541,8 +537,7 @@ def _gauge_normalize(state: SolverState) -> None:
     every grid-mode column is rescaled to unit norm with the magnitude pushed
     into the subject coefficients, and signs are flipped so the largest-
     magnitude entry of each first-mode column is positive. The represented
-    tensor is unchanged. ``z`` is reset to ``b'`` and ``a_star`` to zero, the
-    values :func:`update_b_admm` returns; the lasso block keeps no dual.
+    tensor is unchanged.
     """
     norms = [np.linalg.norm(c, axis=0) for c in state.c_tilde]
     weights = np.linalg.norm(state.b, axis=0) * np.prod(norms, axis=0)
@@ -562,8 +557,6 @@ def _gauge_normalize(state: SolverState) -> None:
     signs[signs == 0] = 1.0
     state.c_tilde[0] = lead * signs
     state.b *= signs
-    state.z = state.b.T.copy()
-    state.a_star = np.zeros_like(state.b)
 
 
 def fit(
@@ -585,8 +578,9 @@ def fit(
     :func:`tensors.half_split`: one product with the right half's Khatri-Rao
     product serves every left-half block, one with the left half's serves the
     right-half blocks (the subject coefficients among them), and the
-    objective's residual is formed against both. The lasso block runs
-    :func:`update_b_admm`, which forms its own Gram and MTTKRP.
+    objective's residual is formed against both. The subject block takes its
+    Gram and MTTKRP from that path on both penalties, so a ridge and a lasso
+    sweep alike read ``g_hat`` three times; only the solve differs.
 
     The sweep runs in the eigenbasis of every penalty (see the module
     docstring): a factor step is ``X = ((Q V) / (beta_d + alpha)) V'`` with
@@ -602,7 +596,8 @@ def fit(
         Transported penalty matrices, one per grid mode.
     config : SolverConfig
     initial_state : SolverState, optional
-        Warm start; factor shapes must match. Overrides ``config.init``.
+        Warm start; the number of grid factors and every factor shape must
+        match. Overrides ``config.init``.
     """
     g_hat = np.ascontiguousarray(np.asarray(g_hat, dtype=float))
     n_dims = g_hat.ndim - 1
@@ -624,12 +619,11 @@ def fit(
             RuntimeWarning,
         )
     if initial_state is not None:
-        state = SolverState(
-            c_tilde=list(initial_state.c_tilde),
-            b=initial_state.b.copy(),
-            z=initial_state.z.copy(),
-            a_star=initial_state.a_star.copy(),
-        )
+        state = SolverState(c_tilde=list(initial_state.c_tilde), b=initial_state.b.copy())
+        if len(state.c_tilde) != n_dims:
+            raise ValueError(
+                f"warm start has {len(state.c_tilde)} grid factors, expected {n_dims}"
+            )
         for d in range(n_dims):
             if state.c_tilde[d].shape != (g_hat.shape[d], config.rank):
                 raise ValueError("warm-start factor shapes do not match the tensor and rank")
@@ -679,18 +673,16 @@ def fit(
                 kr_left = khatri_rao(factors[:split])
                 partial = (g_mat.T @ kr_left).reshape(right_shape + (-1,))
                 lo, hi = split, n_modes
-            if d == n_dims and lasso:
-                state.c_tilde, state.b = factors[:n_dims], factors[-1]
-                new, state.z, state.a_star, ok, _ = update_b_admm(g_rot, state, config)
+            gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
+            rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
+            if d < n_dims:
+                what = f"factor Gram W'W + mu I of mode {d}"
+                new = _sylvester_eig(gram + mu_eye, betas[d], rhs + mu * factors[d], what)
+            elif lasso:
+                new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                 state.admm_converged = state.admm_converged and ok
             else:
-                gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
-                rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
-                if d < n_dims:
-                    what = f"factor Gram W'W + mu I of mode {d}"
-                    new = _sylvester_eig(gram + mu_eye, betas[d], rhs + mu * factors[d], what)
-                else:
-                    new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
+                new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
             if not np.all(np.isfinite(new)):
                 if d < n_dims:
                     raise NumericalError(f"factor update for mode {d} produced non-finite values")

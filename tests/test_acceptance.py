@@ -38,7 +38,6 @@ from mpbasis.sim import (
 )
 from mpbasis.solver import (
     SolverConfig,
-    SolverState,
     fit,
     sylvester_solve,
     update_b_admm,
@@ -246,11 +245,9 @@ def test_criterion_07_admm_lasso_oracle():
         g = rng.standard_normal((*dims, n_subj))
         c_tilde = [rng.standard_normal((m, k)) for m in dims]
         b0 = rng.standard_normal((n_subj, k))
-        state = SolverState(c_tilde=c_tilde, b=b0, z=b0.T.copy(), a_star=np.zeros_like(b0))
-        cfg = SolverConfig(
-            rank=k, lambda_coef=lam, coef_penalty="lasso", admm_max_iters=100_000,
-        )
-        b, z, _, converged, _ = update_b_admm(g, state, cfg)
+        cfg = SolverConfig(rank=k, lambda_coef=lam, coef_penalty="lasso")
+        gram, rhs = T.gram_of_khatri_rao(c_tilde), T.mttkrp(g, c_tilde, 2)
+        b, z, _, converged, _ = update_b_admm(gram, rhs, b0, cfg)
         assert converged
         w = T.khatri_rao([c_tilde[1], c_tilde[0]])
         gmat = T.unfold(g, 2)

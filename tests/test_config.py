@@ -54,13 +54,28 @@ def test_candidate_bases_change_only_the_rank():
     ]
 
 
-@pytest.mark.parametrize("key", ["gamma", "admm_tol_primal", "admm_tol_dual"])
+@pytest.mark.parametrize("key", ["gamma", "admm_tol_primal", "admm_tol_dual", "admm_max_iters"])
 def test_removed_admm_solver_keys_rejected(key):
-    # the lasso block is solved exactly, so the ADMM weight and tolerances are gone
+    # the lasso block is solved exactly, so the ADMM weight and tolerances are
+    # gone, and its step cap is a constant
     raw = custom_config()
     raw["solver"][key] = 1e-6
     with pytest.raises(ValueError, match=f"'{key}' was unexpected"):
         parse_run_config(raw)
+
+
+def test_non_finite_solver_setting_rejected():
+    # JSON NaN passes the schema's minimum; SolverConfig rejects it
+    raw = custom_config()
+    raw["solver"] = json.loads('{"rank": 1, "outer_tol": NaN}')
+    with pytest.raises(ValueError, match="outer_tol must be finite"):
+        parse_run_config(raw)
+
+
+def test_hosvd_init_reaches_solver_config():
+    raw = custom_config()
+    raw["solver"]["init"] = "hosvd"
+    assert parse_run_config(raw).solver.init == "hosvd"
 
 
 def test_domain_and_basis_counts_must_match():

@@ -104,12 +104,10 @@ def test_global_rank_criterion_cases():
 
     c = [rng.standard_normal((5, 2)), rng.standard_normal((4, 2))]
     b = rng.standard_normal((3, 2))
-    state = SolverState(c_tilde=c, b=b, z=b.T.copy(), a_star=np.zeros_like(b))
+    state = SolverState(c_tilde=c, b=b)
     g = T.cp_to_tensor(state.factors())
     assert compressed_residual_ratio(g, state) <= 1e-12
-    zero_state = SolverState(
-        c_tilde=c, b=np.zeros((3, 2)), z=np.zeros((2, 3)), a_star=np.zeros((3, 2))
-    )
+    zero_state = SolverState(c_tilde=c, b=np.zeros((3, 2)))
     assert compressed_residual_ratio(g, zero_state) == pytest.approx(1.0, rel=1e-12)
     other = rng.standard_normal(g.shape)
     ref = np.sum((other - T.cp_to_tensor(state.factors())) ** 2) / np.sum(other**2)

@@ -29,7 +29,15 @@ from mpbasis.solver import (
 def make_state(rng, dims, n_subj, k, zero_b=False):
     c_tilde = [rng.standard_normal((m, k)) for m in dims]
     b = np.zeros((n_subj, k)) if zero_b else rng.standard_normal((n_subj, k))
-    return SolverState(c_tilde=c_tilde, b=b, z=b.T.copy(), a_star=np.zeros_like(b))
+    return SolverState(c_tilde=c_tilde, b=b)
+
+
+def lasso_step(g, state, config):
+    """:func:`update_b_admm` on the subject block of ``g`` at ``state``, with
+    its Gram and MTTKRP formed from the grid factors on the whole tensor."""
+    gram = T.gram_of_khatri_rao(state.c_tilde)
+    rhs = T.mttkrp(g, state.c_tilde, g.ndim - 1)
+    return update_b_admm(gram, rhs, state.b, config)
 
 
 def spd(rng, n, shift=1.0):
@@ -297,9 +305,8 @@ def test_update_b_admm_penalty_free_matches_ridge_path():
         rank=k,
         lambda_coef=0.0,
         coef_penalty="lasso",
-        admm_max_iters=20_000,
     )
-    b, z, a, ok, _ = update_b_admm(g, state, cfg)
+    b, z, a, ok, _ = lasso_step(g, state, cfg)
     assert ok
     ref = update_b_ridge(g, state, SolverConfig(rank=k, lambda_coef=0.0))
     assert np.abs(b - ref).max() < 1e-6
@@ -315,9 +322,8 @@ def test_update_b_admm_matches_coordinate_descent_oracle():
         rank=k,
         lambda_coef=lam,
         coef_penalty="lasso",
-        admm_max_iters=50_000,
     )
-    b, z, a, ok, it = update_b_admm(g, state, cfg)
+    b, z, a, ok, it = lasso_step(g, state, cfg)
     assert ok
     w = T.khatri_rao([state.c_tilde[1], state.c_tilde[0]])
     gmat = T.unfold(g, 2)
@@ -333,7 +339,7 @@ def test_update_b_admm_full_shrinkage():
     g = rng.standard_normal((*dims, n_subj))
     state = make_state(rng, dims, n_subj, k)
     cfg = SolverConfig(rank=k, lambda_coef=1e10, coef_penalty="lasso")
-    b, _, _, _, _ = update_b_admm(g, state, cfg)
+    b, _, _, _, _ = lasso_step(g, state, cfg)
     assert np.array_equal(b, np.zeros_like(b))
 
 
@@ -424,14 +430,14 @@ def test_update_b_admm_matches_per_iteration_cho_solve(name):
     w, gmat = grid_design(state), T.unfold(g, g.ndim - 1)
     if name == "singular":
         with pytest.raises(NumericalError, match="lasso block") as info:
-            update_b_admm(g, state, cfg)
+            lasso_step(g, state, cfg)
         msg = str(info.value)
         ratio = re.search(r"diagonal ratio (\S+) is at or below the threshold 1e-07", msg)
         assert ratio and 0.0 < float(ratio.group(1)) <= solver_mod.CHOL_DIAG_RATIO_TOL
         return
     b = enumerated_lasso(w, gmat, state.b, cfg)
     ref = (b, b.T, np.zeros_like(b), True)
-    got = update_b_admm(g, state, cfg)
+    got = lasso_step(g, state, cfg)
     for x, y in zip(got[:3], ref[:3]):
         assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
     assert got[3:4] == ref[3:]
@@ -458,7 +464,7 @@ def test_update_b_admm_non_finite_raises_numerical_error(corrupt, quantity):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericalError, match=quantity
     ):
-        update_b_admm(g, state, cfg)
+        lasso_step(g, state, cfg)
 
 
 def ill_conditioned_case(rng, n_subj=30, k=4):
@@ -484,8 +490,8 @@ def test_update_b_admm_exact_on_ill_conditioned_gram(lam):
     ref = enumerated_lasso(w, g.T, state.b, cfg)
     if lam == 0.5:
         assert np.mean(ref == 0) >= 0.2
-    b, z, a_star, ok, n_iters = update_b_admm(g, state, cfg)
-    assert ok and 1 <= n_iters <= cfg.admm_max_iters
+    b, z, a_star, ok, n_iters = lasso_step(g, state, cfg)
+    assert ok and 1 <= n_iters <= solver_mod._LASSO_MAX_STEPS
     assert np.array_equal(z, b.T) and not a_star.any()
     f_got = block_values(w, g.T, state.b, b, cfg).sum()
     f_ref = block_values(w, g.T, state.b, ref, cfg).sum()
@@ -503,7 +509,7 @@ def test_update_b_admm_wrong_sign_warm_start_converges():
     ref = enumerated_lasso(w, g.T, state.b, cfg)
     state.b = np.where(ref == 0, 1.0, -ref)
     ref = enumerated_lasso(w, g.T, state.b, cfg)
-    b, _, _, ok, _ = update_b_admm(g, state, cfg)
+    b, _, _, ok, _ = lasso_step(g, state, cfg)
     assert ok
     assert np.array_equal(b == 0, ref == 0)
     assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -520,7 +526,7 @@ def test_update_b_admm_feature_sign_search_alone_is_exact(monkeypatch, lam):
     w = state.c_tilde[0]
     cfg = SolverConfig(rank=4, lambda_coef=lam, coef_penalty="lasso")
     ref = enumerated_lasso(w, g.T, state.b, cfg)
-    b, _, _, ok, n_iters = update_b_admm(g, state, cfg)
+    b, _, _, ok, n_iters = lasso_step(g, state, cfg)
     assert ok and n_iters > 2
     assert np.array_equal(b == 0, ref == 0)
     f_got = block_values(w, g.T, state.b, b, cfg).sum()
@@ -529,18 +535,19 @@ def test_update_b_admm_feature_sign_search_alone_is_exact(monkeypatch, lam):
     assert kkt_violation(w, g.T, state.b, b, cfg) <= KKT_TOL
 
 
-def test_update_b_admm_step_cap_warns_and_does_not_raise_the_block():
+def test_update_b_admm_step_cap_warns_and_does_not_raise_the_block(monkeypatch):
+    monkeypatch.setattr(solver_mod, "_LASSO_MAX_STEPS", 1)
     rng = np.random.default_rng(42)
     g, state = ill_conditioned_case(rng)
     w = state.c_tilde[0]
-    cfg = SolverConfig(rank=4, lambda_coef=1e-2, coef_penalty="lasso", admm_max_iters=1)
+    cfg = SolverConfig(rank=4, lambda_coef=1e-2, coef_penalty="lasso")
     # the first half starts on its solution's sign pattern, the rest on the reverse
     ref = enumerated_lasso(w, g.T, state.b, cfg)
     half = ref.shape[0] // 2
     state.b = np.vstack([ref[:half], 0.5 - ref[half:]])
     ref = enumerated_lasso(w, g.T, state.b, cfg)
     with pytest.warns(RuntimeWarning, match="coefficient ADMM hit 1 "):
-        b, _, _, ok, n_iters = update_b_admm(g, state, cfg)
+        b, _, _, ok, n_iters = lasso_step(g, state, cfg)
     assert not ok and n_iters == 1
     before = block_values(w, g.T, state.b, state.b, cfg)
     after = block_values(w, g.T, state.b, b, cfg)
@@ -731,11 +738,80 @@ def test_fit_rank_zero_rejected():
         SolverConfig(rank=0)
 
 
-@pytest.mark.parametrize("field", ["max_outer_iters", "admm_max_iters"])
+@pytest.mark.parametrize("field", ["max_outer_iters"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_iteration_caps_below_one_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be >= 1"):
         SolverConfig(rank=2, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["outer_tol", "lambda_coef", "proximal_mu", "lambda_marginal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_settings_rejected(field, value):
+    # NaN passes every sign check; outer_tol=NaN would run a fit to its cap
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolverConfig(rank=2, **{field: value}).marginal_weights(2)
+
+
+@pytest.mark.parametrize("n_grid", [1, 3])
+def test_warm_start_with_wrong_grid_factor_count_rejected(n_grid):
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal((4, 3, 5))
+    start = make_state(rng, (4, 3, 2)[:n_grid], 5, 2)
+    with pytest.raises(ValueError, match=f"warm start has {n_grid} grid factors, expected 2"):
+        fit(g, [np.zeros((4, 4)), np.zeros((3, 3))], SolverConfig(rank=2), initial_state=start)
+
+
+def test_lasso_fit_takes_gram_and_mttkrp_from_the_sweep(monkeypatch):
+    # the lasso block uses the sweep's cached Grams and half-tensor partial,
+    # never a Gram or MTTKRP of its own
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep formed a Gram or MTTKRP of its own")
+
+    monkeypatch.setattr(solver_mod, "mttkrp", forbidden)
+    monkeypatch.setattr(solver_mod, "gram_of_khatri_rao", forbidden)
+    rng = np.random.default_rng(18)
+    g = rng.standard_normal((5, 4, 6))
+    cfg = SolverConfig(
+        rank=2, lambda_marginal=0.05, lambda_coef=0.2, coef_penalty="lasso",
+        max_outer_iters=10, seed=4,
+    )
+    state = fit(g, [psd(rng, 5), psd(rng, 4)], cfg)
+    assert state.iters == 10 and state.admm_converged
+    assert np.all(np.diff(state.objective_trace) <= 1e-10)
+
+
+def test_hosvd_start_is_leading_singular_vectors_and_ignores_seed():
+    rng = np.random.default_rng(33)
+    g = rng.standard_normal((6, 5, 4, 7))
+    t_mats = [psd(rng, m) for m in (6, 5, 4)]
+    cfg = SolverConfig(rank=3, lambda_marginal=0.01, init="hosvd", max_outer_iters=20)
+    for d, f in enumerate(solver_mod._initialize(g, cfg).factors()):
+        # oracle: the top eigenvectors of the unfolding's Gram, up to sign
+        unf = np.moveaxis(g, d, 0).reshape(g.shape[d], -1)
+        vecs = np.linalg.eigh(unf @ unf.T)[1][:, ::-1][:, :3]
+        assert f.shape == (g.shape[d], 3)
+        assert np.abs(f.T @ f - np.eye(3)).max() < 1e-12
+        assert np.abs(np.abs(f.T @ vecs) - np.eye(3)).max() < 1e-10
+    s0 = fit(g, t_mats, cfg)
+    s5 = fit(g, t_mats, SolverConfig(**{**vars(cfg), "seed": 5}))
+    for a, b in zip(s0.factors(), s5.factors()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(s0.objective_trace, s5.objective_trace)
+
+
+def test_hosvd_start_with_rank_above_a_mode_size():
+    # K = 4 exceeds the first mode's size 3: that mode's start is padded with
+    # random unit columns
+    rng = np.random.default_rng(34)
+    dims, n_subj, k = (3, 6, 5), 7, 4
+    g = rng.standard_normal(dims + (n_subj,))
+    cfg = SolverConfig(
+        rank=k, lambda_marginal=0.05, lambda_coef=0.01, init="hosvd", max_outer_iters=40,
+    )
+    state = fit(g, [psd(rng, m) for m in dims], cfg)
+    assert [f.shape for f in state.factors()] == [(m, k) for m in dims + (n_subj,)]
+    assert np.all(np.diff(state.objective_trace) <= 1e-10)
 
 
 def test_fit_zero_tensor_gives_zero_model():
@@ -811,8 +887,6 @@ def test_objective_invariant_under_permutation_regauge():
     permuted = SolverState(
         c_tilde=[c[:, perm] for c in state.c_tilde],
         b=state.b[:, perm],
-        z=state.z[perm, :],
-        a_star=state.a_star[:, perm],
     )
     assert objective(g, permuted, t_mats, cfg) == pytest.approx(f0, rel=1e-12)
 
@@ -822,8 +896,6 @@ def test_objective_invariant_under_permutation_regauge():
     regauged = SolverState(
         c_tilde=[state.c_tilde[0] * scales, state.c_tilde[1].copy()],
         b=state.b / scales,
-        z=(state.b / scales).T.copy(),
-        a_star=np.zeros_like(state.b),
     )
     assert objective(g, regauged, t_mats, cfg0) == pytest.approx(f0, rel=1e-10)
 
@@ -895,17 +967,14 @@ def reference_trace(g, t_mats, config, n_sweeps, monkeypatch):
             state.c_tilde[d] = sylvester_solve(m, lam[d] * t_mats[d], rhs)
         if config.coef_penalty == "ridge":
             state.b = update_b_ridge(g, state, config)
-            state.z = state.b.T.copy()
         else:
             gram = T.gram_of_khatri_rao(state.c_tilde)
             rhs = einsum_mttkrp(g, state.c_tilde, n_dims)
             before = solver_mod._b_conditional_value(gram, rhs, state.b, config)
-            b_new, z_new, a_new, _, _ = update_b_admm(g, state, config)
+            b_new = update_b_admm(gram, rhs, state.b, config)[0]
             after = solver_mod._b_conditional_value(gram, rhs, b_new, config)
             if after <= before + 1e-12 * max(1.0, abs(before)):
-                state.b, state.z, state.a_star = b_new, z_new, a_new
-            else:
-                state.z = state.b.T.copy()
+                state.b = b_new
         trace.append(objective(g, state, t_mats, config))
     monkeypatch.undo()
     return np.asarray(trace)
@@ -936,14 +1005,13 @@ def kr_mttkrp(t, mats, mode):
     return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1) @ T.khatri_rao(mats)
 
 
-def per_mode_fit(g, t_mats, config, n_sweeps, monkeypatch, initial_state=None):
+def per_mode_fit(g, t_mats, config, n_sweeps, initial_state=None):
     """Gauge-normalized state after a sweep with one MTTKRP per block.
 
     Every block forms its Gram with ``gram_of_khatri_rao`` and its MTTKRP
-    with :func:`kr_mttkrp` on the whole tensor; ``update_b_admm`` runs with
-    the same kernel for the whole run.
+    with :func:`kr_mttkrp` on the whole tensor; the lasso block hands both to
+    ``update_b_admm``.
     """
-    monkeypatch.setattr(solver_mod, "mttkrp", kr_mttkrp)
     n_dims = g.ndim - 1
     lam = config.marginal_weights(n_dims)
     mu = config.proximal_mu
@@ -959,14 +1027,13 @@ def per_mode_fit(g, t_mats, config, n_sweeps, monkeypatch, initial_state=None):
             rhs = kr_mttkrp(g, others, d) + mu * state.c_tilde[d]
             m = gram + mu * np.eye(config.rank)
             state.c_tilde[d] = sylvester_solve(m, lam[d] * t_mats[d], rhs)
+        gram = T.gram_of_khatri_rao(state.c_tilde)
+        rhs = kr_mttkrp(g, state.c_tilde, n_dims)
         if config.coef_penalty == "ridge":
-            gram = T.gram_of_khatri_rao(state.c_tilde)
-            rhs = kr_mttkrp(g, state.c_tilde, n_dims)
             state.b = solve_normal(gram, rhs, config.lambda_coef, "ridge")
         else:
-            state.b, state.z, state.a_star, _, _ = update_b_admm(g, state, config)
+            state.b = update_b_admm(gram, rhs, state.b, config)[0]
         trace.append(objective(g, state, t_mats, config))
-    monkeypatch.undo()
     state.objective_trace = np.asarray(trace)
     solver_mod._gauge_normalize(state)
     return state
@@ -984,7 +1051,7 @@ TREE_CASES = [
 
 
 @pytest.mark.parametrize("coef_penalty", ["ridge", "lasso"])
-def test_fit_matches_per_mode_mttkrp_sweep(monkeypatch, coef_penalty):
+def test_fit_matches_per_mode_mttkrp_sweep(coef_penalty):
     for dims, n_subj, k, warm in TREE_CASES:
         rng = np.random.default_rng(31)
         g = rank_k_tensor(rng, dims, n_subj, k) + 0.1 * rng.standard_normal(dims + (n_subj,))
@@ -997,7 +1064,7 @@ def test_fit_matches_per_mode_mttkrp_sweep(monkeypatch, coef_penalty):
         if warm:
             start = fit(g, t_mats, SolverConfig(rank=k, max_outer_iters=5, seed=3))
         got = fit(g, t_mats, cfg, initial_state=start)
-        ref = per_mode_fit(g, t_mats, cfg, 30, monkeypatch, initial_state=start)
+        ref = per_mode_fit(g, t_mats, cfg, 30, initial_state=start)
         case = f"dims {dims}, K={k}, warm={warm}"
         assert got.objective_trace.shape == (31,), case
         rel = np.abs(got.objective_trace - ref.objective_trace) / ref.objective_trace
@@ -1014,7 +1081,7 @@ def spread_penalty(rng, n, low, high):
 
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("coef_penalty", ["ridge", "lasso"])
-def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(monkeypatch, coef_penalty, warm):
+def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(coef_penalty, warm):
     # lambda_d T_d has eigenvalues over 12 decades, so the penalty eigenbasis
     # is far from the identity and every rotation of the sweep is exercised
     for dims, n_subj, k in [((11, 6), 7, 3), ((5, 4, 3), 6, 2)]:
@@ -1029,7 +1096,7 @@ def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(monkeypatch, coef
         if warm:
             start = fit(g, t_mats, SolverConfig(rank=k, max_outer_iters=5, seed=4))
         got = fit(g, t_mats, cfg, initial_state=start)
-        ref = per_mode_fit(g, t_mats, cfg, 30, monkeypatch, initial_state=start)
+        ref = per_mode_fit(g, t_mats, cfg, 30, initial_state=start)
         case = f"dims {dims}, K={k}"
         rel = np.abs(got.objective_trace - ref.objective_trace) / ref.objective_trace
         assert rel.max() <= 1e-10, case
