@@ -106,10 +106,10 @@ def cmd_select(args) -> int:
         k_grid = cfg.selection.get("rank_grid")
         if not k_grid:
             raise ValueError("config is missing selection.rank_grid")
-        _, t_mats, g_hat = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
+        prepared = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
         report = selection.sweep_global_rank(
-            g_hat,
-            t_mats,
+            prepared.g_hat,
+            prepared.t_mats,
             cfg.solver,
             k_grid,
             threshold=cfg.selection.get("rank_threshold", 0.05),

@@ -15,9 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from . import basis as basis_mod
+from . import reduction
 from .errors import NumericalError
-from .solver import residual_sq, solve_normal
-from .tensors import cp_to_tensor, gram_of_khatri_rao, mttkrp
+from .tensors import cp_to_tensor
+
+# not called here: perfbench/tracer.py wraps these names on this module
+from .tensors import gram_of_khatri_rao, mttkrp  # noqa: F401
 
 __all__ = ["MPBModel"]
 
@@ -198,31 +201,44 @@ class MPBModel:
         observation first, so projecting the training data reproduces
         ``subject_coefs`` (up to the solver's coefficient penalty).
 
-        Each residual norm is ``sqrt`` of :func:`solver.residual_sq`, which
-        forms ``y - W c`` directly over subject chunks, so it is accurate to a
-        small multiple of machine epsilon times ``|y|`` for that subject, also
-        when ``y`` lies in the span.
+        The projection runs in compressed coordinates. With the thin SVD
+        ``Phi_d = U_d S_d V_d'`` of each basis evaluated on its grid (no rank
+        guard: a grid coarser than the basis rank works), the evaluated
+        product functions are ``(kron U_d) khatri_rao(U_d' xi_d)``, ``xi_d``
+        the evaluated marginal functions. The coefficients are the QR
+        least-squares solution of :func:`reduction.lstsq_compressed` against
+        the small ``prod(m_d) x K`` matrix, so the conditioning of the
+        evaluated basis is not squared. Each residual norm is the in-span
+        residual plus the out-of-span energy of
+        :func:`reduction.out_of_span_sq`, both formed directly, so it is
+        accurate to a small multiple of machine epsilon times ``|y|`` for that
+        subject, also when ``y`` lies in the span.
         """
         y = np.asarray(y_new, dtype=float)
         single = y.ndim == self.n_dims
         if single:
             y = y[..., None]
-        xis = self.marginal_values(grids)
-        expect = tuple(x.shape[0] for x in xis)
+        if len(grids) != self.n_dims:
+            raise ValueError(f"expected {self.n_dims} grids, got {len(grids)}")
+        phis = [b.evaluate(np.asarray(g, dtype=float)) for b, g in zip(self.bases, grids)]
+        expect = tuple(phi.shape[0] for phi in phis)
         if y.shape[:-1] != expect:
             raise ValueError(f"data shape {y.shape[:-1]} does not match grids {expect}")
         if self.mean_values is not None:
             y = y - self._mean_on(grids)[..., None]
-        gram = gram_of_khatri_rao(xis)
-        rhs = mttkrp(y, xis, self.n_dims)  # N x K
-        coefs = solve_normal(
-            gram,
-            rhs,
-            0.0,
+        facs = [
+            reduction.MarginalFactorization(*np.linalg.svd(phi, full_matrices=False))
+            for phi in phis
+        ]
+        g = reduction.compress(y, facs)
+        coefs, resid_sq = reduction.lstsq_compressed(
+            g,
+            [f.u.T @ (phi @ c) for f, phi, c in zip(facs, phis, self.coefs)],
+            reduction.out_of_span_sq(y, facs, g),
             "evaluated product basis is numerically dependent on this grid; "
             "projection is not unique",
         )
-        resid = np.sqrt(residual_sq(y, xis + [coefs]))
+        resid = np.sqrt(resid_sq)
         if single:
             return coefs[0], resid[0]
         return coefs, resid

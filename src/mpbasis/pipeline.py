@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ def compressed_residual_ratio(g_hat: np.ndarray, state: SolverState) -> float:
 
 
 def fit_mpb(
-    y: np.ndarray,
+    y: np.ndarray | reduction.PreparedProblem,
     grids: Sequence[np.ndarray],
     bases: Sequence,
     penalty_orders: Sequence[int],
@@ -56,14 +56,19 @@ def fit_mpb(
 ) -> tuple[MPBModel, SolverState, FitReport]:
     """Fit a marginal product basis representation to gridded observations.
 
-    Reduces the data with :func:`reduction.prepare` (evaluate each basis,
-    factorize, transport the roughness penalties, compress), runs the
-    block-coordinate solver and maps the solution back to basis coefficients.
+    Reduces the data with :func:`reduction.prepare` (check the inputs,
+    evaluate each basis, factorize, transport the roughness penalties,
+    compress), runs the block-coordinate solver and maps the solution back to
+    basis coefficients. Given a :class:`reduction.PreparedProblem` instead of
+    the grid tensor, it fits that problem as it is and skips the reduction,
+    which lets cross validation reduce a sample once and fit slices of it.
 
     Parameters
     ----------
-    y : ndarray
-        Observations of shape ``(n_1, ..., n_D, N)`` with subjects last.
+    y : ndarray or reduction.PreparedProblem
+        Observations of shape ``(n_1, ..., n_D, N)`` with subjects last, or
+        a problem prepared from ``grids``, ``bases`` and ``penalty_orders``
+        (the same basis objects); anything else raises ``ValueError``.
     grids : sequence of 1-d arrays
         Marginal grid points, lengths matching the leading dims of ``y``.
     bases : sequence of marginal bases
@@ -72,29 +77,31 @@ def fit_mpb(
     config : SolverConfig
     center : bool
         Subtract the gridded sample mean before fitting and store it on the
-        model.
+        model. Compression is linear, so the compressed tensor is centered
+        instead of the grid tensor. Needs the grid tensor: a prepared problem
+        with ``center`` raises ``ValueError``.
     """
-    y = np.asarray(y, dtype=float)
-    n_dims = len(bases)
-    if y.ndim != n_dims + 1:
-        raise ValueError(f"data tensor has {y.ndim} modes, expected {n_dims + 1}")
-    if len(grids) != n_dims or len(penalty_orders) != n_dims:
-        raise ValueError("need one grid and one penalty order per dimension")
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    for d, g in enumerate(grids):
-        if g.ndim != 1 or g.size != y.shape[d]:
-            raise ValueError(
-                f"grid {d} has {g.size} points but the tensor mode has size {y.shape[d]}"
-            )
     start = time.perf_counter()
     mean_grids = mean_values = None
-    if center:
-        mean_values = y.mean(axis=-1)
-        mean_grids = grids
-        y = y - mean_values[..., None]
-    facs, t_mats, g_hat = reduction.prepare(y, grids, bases, penalty_orders)
-    state = solver.fit(g_hat, t_mats, config)
-    coefs = [reduction.back_transform(fac, c) for fac, c in zip(facs, state.c_tilde)]
+    if isinstance(y, reduction.PreparedProblem):
+        if center:
+            raise ValueError(
+                "center needs the grid tensor to store its mean; "
+                "center the prepared problem's compressed tensor instead"
+            )
+        y.check_source(grids, bases, penalty_orders)
+        prepared = y
+    else:
+        y = np.asarray(y, dtype=float)
+        prepared = reduction.prepare(y, grids, bases, penalty_orders)
+        if center:
+            mean_values = y.mean(axis=-1)
+            mean_grids = list(prepared.grids)
+            g_hat = prepared.g_hat
+            prepared = replace(prepared, g_hat=g_hat - g_hat.mean(axis=-1, keepdims=True))
+    g_hat = prepared.g_hat
+    state = solver.fit(g_hat, prepared.t_mats, config)
+    coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]
     model = MPBModel(
         bases=list(bases),
         coefs=coefs,

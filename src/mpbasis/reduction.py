@@ -5,23 +5,36 @@ singular vectors of each evaluation matrix ``Phi_d = U_d diag(s_d) V_d'``.
 Least-squares fitting in the compressed coordinates is equivalent to fitting
 in the original ones, and roughness penalties transport through the same
 factorization (``penalty_transform``). ``prepare`` runs the whole reduction:
-evaluate, factorize, transport, compress.
+evaluate, factorize, transport, compress, and returns it as a
+:class:`PreparedProblem`.
+
+Because compression is linear per subject, a subset of subjects is a slice of
+the compressed tensor, and the residual of any fit whose grid-mode factors
+lie in the span of the ``U_d`` splits exactly into an in-span part, computed
+in compressed coordinates by :func:`lstsq_compressed`, and the out-of-span
+energy of :func:`out_of_span_sq`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import basis as basis_mod
+from . import solver
 from .errors import NumericalError
-from .tensors import mode_multiply
+from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
     "MarginalFactorization",
+    "PreparedProblem",
     "prepare",
+    "out_of_span_sq",
+    "lstsq_compressed",
     "factorize",
     "compress",
     "decompress",
@@ -32,6 +45,12 @@ __all__ = [
 
 #: Hard error below this relative smallest singular value.
 RANK_TOL = 1e-10
+
+#: :func:`lstsq_compressed` counts its least-squares matrix as rank deficient
+#: when the smallest diagonal entry of its R factor is at or below this
+#: multiple of the largest. The Cholesky factor of the normal matrix has the
+#: same diagonal, so this is the threshold ``solver.solve_normal`` applies.
+QR_DIAG_RATIO_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -115,24 +134,158 @@ def penalty_transform(fac: MarginalFactorization, r: np.ndarray) -> np.ndarray:
     return 0.5 * (t + t.T)
 
 
+@dataclass(frozen=True)
+class PreparedProblem:
+    """A sample reduced to the compressed problem the solver fits.
+
+    Holds the factorization of each evaluation matrix (``facs``), the
+    transported penalties (``t_mats``) and the compressed tensor ``g_hat``
+    with the subject mode last, together with the grids, bases and penalty
+    orders it was prepared from, so that a fit can check it is given the
+    same ones.
+    """
+
+    facs: tuple[MarginalFactorization, ...]
+    t_mats: tuple[np.ndarray, ...]
+    g_hat: np.ndarray
+    grids: tuple[np.ndarray, ...]
+    bases: tuple
+    penalty_orders: tuple[int, ...]
+
+    def subjects(self, index) -> PreparedProblem:
+        """The same problem for the subjects ``index`` selects (a boolean
+        mask or integer indices along the subject mode). Compression is
+        linear per subject, so this equals preparing those subjects alone."""
+        return replace(self, g_hat=self.g_hat[..., index])
+
+    def check_source(
+        self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]
+    ) -> None:
+        """Raise ``ValueError`` unless the problem was prepared from these
+        grids (equal points), bases (the same objects) and penalty orders."""
+        same = (
+            len(grids) == len(self.grids)
+            and all(np.array_equal(np.asarray(g, dtype=float), h) for g, h in zip(grids, self.grids))
+            and len(bases) == len(self.bases)
+            and all(b is c for b, c in zip(bases, self.bases))
+            and tuple(int(o) for o in penalty_orders) == self.penalty_orders
+        )
+        if not same:
+            raise ValueError(
+                "the prepared problem was made from other grids, bases or penalty orders"
+            )
+
+
 def prepare(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
     bases: Sequence,
     penalty_orders: Sequence[int],
-) -> tuple[list[MarginalFactorization], list[np.ndarray], np.ndarray]:
+) -> PreparedProblem:
     """Reduce gridded data to the compressed problem the solver fits.
 
-    Evaluates each basis on its grid, factorizes the evaluation matrices,
+    Checks the inputs (one grid and one penalty order per basis, one grid
+    mode per basis plus the subject mode, each grid as long as its mode),
+    evaluates each basis on its grid, factorizes the evaluation matrices,
     transports the order-``penalty_orders[d]`` roughness penalty of each basis
-    and compresses ``y``. Returns ``(facs, t_mats, g_hat)``.
+    and compresses ``y``.
     """
+    y = np.asarray(y, dtype=float)
+    n_dims = len(bases)
+    if y.ndim != n_dims + 1:
+        raise ValueError(f"data tensor has {y.ndim} modes, expected {n_dims + 1}")
+    if len(grids) != n_dims or len(penalty_orders) != n_dims:
+        raise ValueError("need one grid and one penalty order per dimension")
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    for d, g in enumerate(grids):
+        if g.ndim != 1 or g.size != y.shape[d]:
+            raise ValueError(
+                f"grid {d} has {g.size} points but the tensor mode has size {y.shape[d]}"
+            )
     facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     t_mats = [
         penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order)))
         for fac, b, order in zip(facs, bases, penalty_orders)
     ]
-    return facs, t_mats, compress(y, facs)
+    return PreparedProblem(
+        facs=tuple(facs),
+        t_mats=tuple(t_mats),
+        g_hat=compress(y, facs),
+        grids=tuple(grids),
+        bases=tuple(bases),
+        penalty_orders=tuple(int(o) for o in penalty_orders),
+    )
+
+
+def out_of_span_sq(
+    y: np.ndarray,
+    facs: Sequence[MarginalFactorization],
+    g_hat: np.ndarray,
+    offset: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared norm of each subject's part outside the span of the ``U_d``.
+
+    Returns ``|y_i - decompress(g_hat_i) - offset|^2`` per subject, where
+    ``g_hat = compress(y, facs)`` and ``offset`` (grid-shaped, zero when not
+    given) is subtracted from every subject. The difference is formed
+    directly over subject chunks of at most ``solver.CHUNK_ENTRIES`` entries
+    (at least one subject), never as ``|y_i|^2 - |g_hat_i|^2``, whose
+    cancellation near an in-span subject leaves only square-root-of-epsilon
+    accuracy.
+    """
+    n_grid = math.prod(y.shape[:-1])
+    step = max(1, solver.CHUNK_ENTRIES // max(1, n_grid))
+    out = np.empty(y.shape[-1])
+    for lo in range(0, y.shape[-1], step):
+        r = y[..., lo : lo + step] - decompress(g_hat[..., lo : lo + step], facs)
+        if offset is not None:
+            r -= offset[..., None]
+        r = r.reshape(n_grid, -1)
+        out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
+    return out
+
+
+def lstsq_compressed(
+    g: np.ndarray, mats: Sequence[np.ndarray], out_sq: np.ndarray, what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares subject coefficients in compressed coordinates.
+
+    ``g`` is a compressed tensor ``(m_1, ..., m_D, N)`` and ``mats`` holds
+    the ``m_d x K`` compressed marginal functions, so the product functions
+    are the columns of ``A = khatri_rao(mats)``. Solves
+    ``min |g_i - A c_i|`` for every subject by one QR factorization of the
+    small ``prod(m_d) x K`` matrix ``A``, without forming ``A'A``. Returns
+    ``(coefs, resid_sq)``: the ``N x K`` coefficients and each subject's
+    squared residual, the in-span residual ``g_i - A c_i`` formed directly
+    plus the out-of-span energy ``out_sq`` (see :func:`out_of_span_sq`).
+
+    Raises
+    ------
+    NumericalError
+        Led by ``what``, when ``A`` has fewer rows than columns or the
+        smallest diagonal entry of its R factor is at or below
+        :data:`QR_DIAG_RATIO_TOL` times the largest, or when ``A`` or ``g``
+        is not finite.
+    """
+    a = khatri_rao(mats)
+    g_mat = g.reshape(a.shape[0], -1)
+    if not (np.isfinite(a).all() and np.isfinite(g_mat).all()):
+        raise NumericalError(f"{what} (the least-squares problem is not finite)")
+    if a.shape[0] < a.shape[1]:
+        raise NumericalError(
+            f"{what} ({a.shape[1]} product functions in {a.shape[0]} compressed coordinates)"
+        )
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= QR_DIAG_RATIO_TOL * diag.max():
+        ratio = diag.min() / diag.max() if diag.max() > 0 else 0.0
+        raise NumericalError(
+            f"{what} (QR diagonal ratio {ratio:.3e} is at or below the threshold "
+            f"{QR_DIAG_RATIO_TOL:g})"
+        )
+    x = solve_triangular(r, q.T @ g_mat)
+    resid = g_mat - a @ x
+    return x.T, np.einsum("ij,ij->j", resid, resid) + out_sq
 
 
 def back_transform(fac: MarginalFactorization, c_tilde: np.ndarray) -> np.ndarray:

@@ -196,9 +196,19 @@ def cv_lambda_grid(
     are projected onto the fitted product basis; the criterion is the mean
     squared residual per tensor entry, averaged over held-out subjects and
     folds. Ties go to the larger weights. With ``center``, each training
-    fold's mean is removed from it and from the held-out subjects.
+    fold's mean is removed from it and from its held-out subjects.
+
+    The sample is reduced once, by :func:`reduction.prepare`: compression is
+    linear per subject, so each fold's training problem is a slice of the
+    compressed tensor, fitted by :func:`fit_mpb` without a second reduction.
+    Each subject's residual outside the span of the compression is formed
+    once (:func:`reduction.out_of_span_sq`), and every cell projects its
+    held-out subjects in compressed coordinates by the QR least-squares
+    solve of :func:`reduction.lstsq_compressed`, as
+    :meth:`MPBModel.project` does on the grid.
     """
     y = np.asarray(y, dtype=float)
+    prepared = reduction.prepare(y, grids, bases, penalty_orders)
     n_subjects = y.shape[-1]
     if not 2 <= n_folds <= n_subjects:
         raise ValueError(f"n_folds must lie in [2, {n_subjects}]")
@@ -210,21 +220,44 @@ def cv_lambda_grid(
             raise ValueError("fold_labels must assign every fold to at least one subject")
     else:
         labels = _fold_assignment(n_subjects, n_folds, seed)
+    folds = []  # (training problem, held-out compressed tensor, out-of-span energies)
+    if not center:
+        out_sq = reduction.out_of_span_sq(y, prepared.facs, prepared.g_hat)
+    for fold in range(n_folds):
+        in_train = labels != fold
+        train = prepared.subjects(in_train)
+        held_g = prepared.g_hat[..., ~in_train]
+        if center:
+            mean_g = train.g_hat.mean(axis=-1, keepdims=True)
+            train = replace(train, g_hat=train.g_hat - mean_g)
+            held_g = held_g - mean_g
+            # the training mean's part outside the span, taken off every
+            # held-out subject's
+            mean_y = y @ (in_train / in_train.sum())
+            offset = mean_y - reduction.decompress(mean_g[..., 0], prepared.facs)
+            held_sq = reduction.out_of_span_sq(
+                y[..., ~in_train], prepared.facs, prepared.g_hat[..., ~in_train], offset
+            )
+        else:
+            held_sq = out_sq[~in_train]
+        folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))
     records = []
     best = None
     best_params = None
     for lam_f, lam_c in lambda_grid:
+        cfg = replace(config, lambda_marginal=float(lam_f), lambda_coef=float(lam_c))
         errors = []
-        for fold in range(n_folds):
-            train = y[..., labels != fold]
-            held = y[..., labels == fold]
-            cfg = replace(
-                config, lambda_marginal=float(lam_f), lambda_coef=float(lam_c)
+        for train, held_g, held_sq in folds:
+            _, state, _ = fit_mpb(train, grids, bases, penalty_orders, cfg)
+            _, resid_sq = reduction.lstsq_compressed(
+                held_g,
+                state.c_tilde,
+                held_sq,
+                "fitted product basis is numerically dependent; "
+                "held-out projection is not unique",
             )
-            model, _, _ = fit_mpb(train, grids, bases, penalty_orders, cfg, center=center)
-            _, resid = model.project(held, grids)
-            errors.append(float(np.mean(resid**2)) / n_entries)
+            errors.append(float(np.mean(resid_sq)) / n_entries)
         err = float(np.mean(errors))
         records.append(
             SelectionRecord(params={"lambda_marginal": lam_f, "lambda_coef": lam_c}, criterion=err)

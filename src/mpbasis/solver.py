@@ -64,9 +64,10 @@ __all__ = [
     "fit",
 ]
 
-#: Tensor entries reconstructed at once by :func:`residual_sq` (4 MiB of
-#: float64); the subject mode is split into chunks of at most this many
-#: entries, and whole subjects are never split.
+#: Tensor entries reconstructed at once by :func:`residual_sq` and
+#: ``reduction.out_of_span_sq`` (4 MiB of float64); the subject mode is split
+#: into chunks of at most this many entries, and whole subjects are never
+#: split.
 CHUNK_ENTRIES = 1 << 19
 
 #: A Cholesky factor of a normal matrix whose smallest diagonal entry is at or

@@ -365,6 +365,44 @@ def test_project_residual_matches_dense_lstsq():
         assert resid[i] == pytest.approx(np.sqrt(res_sq[0]), rel=1e-9)
 
 
+def test_project_matches_lstsq_on_gp2d_test_set():
+    # criterion-2 settings, replication 0: cond(W'W) is near 7e8 here, so a
+    # normal-equation solve lands about 1e-8 from the least-squares solution
+    from mpbasis.sim import Gp2dSimConfig, generate_gp2d_sample
+
+    cfg = Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=50, seed=42)
+    s = generate_gp2d_sample(cfg, replication=0)
+    fit_cfg = SolverConfig(
+        rank=30, lambda_marginal=1e-10, lambda_coef=1e-10, max_outer_iters=300,
+        outer_tol=1e-10, seed=0,
+    )
+    model, _, _ = fit_mpb(s.train, s.grids, s.bases, [2, 2], fit_cfg)
+    coefs, resid = model.project(s.test, s.grids)
+    z = T.khatri_rao(model.marginal_values(s.grids))  # C-order grid rows
+    y = s.test.reshape(z.shape[0], -1)
+    ref = np.linalg.lstsq(z, y, rcond=None)[0]
+    assert np.abs(coefs - ref.T).max() <= 1e-12 * np.abs(ref).max()
+    ref_resid = np.linalg.norm(y - z @ ref, axis=0)
+    assert np.max(np.abs(resid - ref_resid) / ref_resid) <= 1e-10
+
+
+def test_project_on_a_grid_coarser_than_the_basis_ranks():
+    # 5 x 4 grid points for 8 x 6 basis functions: the evaluation matrices
+    # are wide, and projection needs only the K = 3 product functions to be
+    # independent on the grid
+    rng = np.random.default_rng(25)
+    model = random_model(rng, ranks=(8, 6), k=3, n_subj=1)
+    grids = [np.linspace(0, 1, 5), np.linspace(0, 1, 4)]
+    y = rng.standard_normal((5, 4, 3))
+    coefs, resid = model.project(y, grids)
+    z = T.khatri_rao(model.marginal_values(grids))
+    flat = y.reshape(20, 3)
+    ref = np.linalg.lstsq(z, flat, rcond=None)[0]
+    assert np.abs(coefs - ref.T).max() <= 1e-12 * np.abs(ref).max()
+    ref_resid = np.linalg.norm(flat - z @ ref, axis=0)
+    assert np.allclose(resid, ref_resid, rtol=1e-10, atol=0)
+
+
 # ------------------------------------------------------------------ invariants
 
 

@@ -6,15 +6,21 @@ import pytest
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, PenaltyOperator, penalty_matrix
 from mpbasis.errors import NumericalError
+from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import (
+    QR_DIAG_RATIO_TOL,
     back_transform,
     compress,
     decompress,
     factorize,
     forward_transform,
+    lstsq_compressed,
+    out_of_span_sq,
     penalty_transform,
     prepare,
 )
+from mpbasis.selection import cv_lambda_grid
+from mpbasis.solver import SolverConfig
 
 
 def test_factorize_identity():
@@ -194,7 +200,8 @@ def test_prepare_matches_explicit_steps():
     grids = [np.linspace(0.0, 2.0, 15), np.linspace(-1.0, 1.0, 12)]
     orders = [2, 1]
     y = rng.standard_normal((15, 12, 4))
-    facs, t_mats, g_hat = prepare(y, grids, bases, orders)
+    prepared = prepare(y, grids, bases, orders)
+    facs, t_mats, g_hat = prepared.facs, prepared.t_mats, prepared.g_hat
     ref_facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     for fac, ref in zip(facs, ref_facs):
         assert np.array_equal(fac.u, ref.u) and np.array_equal(fac.s, ref.s)
@@ -211,3 +218,157 @@ def test_prepare_names_rank_deficient_dimension():
     grids = [np.linspace(0.0, 1.0, 10), np.linspace(0.0, 0.2, 10)]
     with pytest.raises(NumericalError, match="dimension 1"):
         prepare(np.ones((10, 10, 2)), grids, bases, [2, 2])
+
+
+# ------------------------------------------------- checks and prepared problems
+
+
+def small_problem(rng, n_subj=6):
+    bases = [BSplineBasis((0.0, 1.0), 6), FourierBasis((0.0, 1.0), 5)]
+    grids = [np.linspace(0.0, 1.0, 14), np.linspace(0.0, 1.0, 11)]
+    return bases, grids, rng.standard_normal((14, 11, n_subj))
+
+
+def _prepare(y, grids, bases, orders):
+    prepare(y, grids, bases, orders)
+
+
+def _fit(y, grids, bases, orders):
+    fit_mpb(y, grids, bases, orders, SolverConfig(rank=2, seed=0, max_outer_iters=5))
+
+
+def _cv(y, grids, bases, orders):
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=5)
+    cv_lambda_grid(y, grids, bases, orders, cfg, [(1e-6, 1e-6)], n_folds=2)
+
+
+@pytest.mark.parametrize("entry", [_prepare, _fit, _cv], ids=["prepare", "fit_mpb", "cv"])
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("modes", "data tensor has 4 modes, expected 3"),
+        ("orders", "one grid and one penalty order per dimension"),
+        ("grids", "one grid and one penalty order per dimension"),
+        ("length", "grid 1 has 10 points but the tensor mode has size 11"),
+    ],
+)
+def test_input_checks_shared_by_every_entry_point(entry, case, match):
+    # `select --mode global-rank` calls prepare itself, so it shares them too
+    bases, grids, y = small_problem(np.random.default_rng(30))
+    orders = [2, 2]
+    if case == "modes":
+        y = y[..., None]
+    elif case == "orders":
+        orders = [2]  # two bases, one penalty order
+    elif case == "grids":
+        grids = grids[:1]
+    else:
+        grids = [grids[0], grids[1][:10]]
+    with pytest.raises(ValueError, match=match):
+        entry(y, grids, bases, orders)
+
+
+def test_prepared_subjects_equal_preparing_them_alone():
+    bases, grids, y = small_problem(np.random.default_rng(31))
+    full = prepare(y, grids, bases, [2, 2])
+    pick = np.array([True, False, True, True, False, True])
+    part = full.subjects(pick)
+    alone = prepare(y[..., pick], grids, bases, [2, 2])
+    assert part.facs is full.facs and part.t_mats is full.t_mats
+    scale = np.abs(alone.g_hat).max()
+    assert np.abs(part.g_hat - alone.g_hat).max() <= 1e-14 * scale
+    assert np.array_equal(full.subjects([4, 1]).g_hat, full.g_hat[..., [4, 1]])
+
+
+def test_fit_mpb_accepts_a_prepared_problem():
+    bases, grids, y = small_problem(np.random.default_rng(32))
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20)
+    prepared = prepare(y, grids, bases, [2, 1])
+    model, state, report = fit_mpb(prepared, grids, bases, [2, 1], cfg)
+    ref_model, ref_state, ref_report = fit_mpb(y, grids, bases, [2, 1], cfg)
+    for a, b in zip(model.coefs + [model.subject_coefs], ref_model.coefs + [ref_model.subject_coefs]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(state.objective_trace, ref_state.objective_trace)
+    assert report.residual_ratio == ref_report.residual_ratio
+    with pytest.raises(ValueError, match="center"):
+        fit_mpb(prepared, grids, bases, [2, 1], cfg, center=True)
+    other_bases = [BSplineBasis((0.0, 1.0), 6), bases[1]]  # equal, but not the same object
+    for g, b, o in [
+        ([grids[0] * 0.5, grids[1]], bases, [2, 1]),
+        (grids, other_bases, [2, 1]),
+        (grids, bases, [2, 2]),
+        (grids[:1], bases, [2, 1]),
+    ]:
+        with pytest.raises(ValueError, match="prepared problem was made from other"):
+            fit_mpb(prepared, g, b, o, cfg)
+
+
+def test_fit_mpb_centers_the_compressed_tensor():
+    # centering the compressed tensor equals compressing the centered data
+    bases, grids, y = small_problem(np.random.default_rng(33))
+    y = y + 3.0
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20)
+    model, state, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
+    mean = y.mean(axis=-1)
+    assert np.array_equal(model.mean_values, mean)
+    _, ref, _ = fit_mpb(y - mean[..., None], grids, bases, [2, 2], cfg)
+    scale = np.abs(ref.b).max()
+    assert np.abs(state.b - ref.b).max() <= 1e-9 * scale
+    assert np.allclose(state.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("chunk", [None, 2 * 14 * 11])
+def test_out_of_span_sq_is_the_direct_residual(monkeypatch, chunk):
+    from mpbasis import solver as solver_mod
+
+    if chunk is not None:  # chunks of 2, 2 and 1 subjects
+        monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", chunk)
+    bases, grids, y = small_problem(np.random.default_rng(34), n_subj=5)
+    facs = prepare(y, grids, bases, [2, 2]).facs
+    g = compress(y, facs)
+    offset = np.random.default_rng(35).standard_normal(y.shape[:-1])
+    for off in (None, offset):
+        got = out_of_span_sq(y, facs, g, off)
+        r = y - decompress(g, facs) - (0.0 if off is None else off[..., None])
+        ref = np.sum(r**2, axis=(0, 1))
+        assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+
+def test_out_of_span_sq_of_in_span_data_is_roundoff():
+    # y - decompress(g) is formed directly: no cancellation of |y|^2 - |g|^2
+    rng = np.random.default_rng(36)
+    bases, grids, _ = small_problem(rng)
+    facs = prepare(np.zeros((14, 11, 1)), grids, bases, [2, 2]).facs
+    y = decompress(1e6 * rng.standard_normal((6, 5, 3)), facs)
+    got = out_of_span_sq(y, facs, compress(y, facs))
+    assert np.sqrt(got).max() <= 1e-13 * np.linalg.norm(y)
+
+
+def test_lstsq_compressed_matches_numpy_lstsq():
+    rng = np.random.default_rng(37)
+    mats = [rng.standard_normal((6, 3)), rng.standard_normal((5, 3))]
+    g = rng.standard_normal((6, 5, 4))
+    out_sq = rng.uniform(size=4)
+    coefs, resid_sq = lstsq_compressed(g, mats, out_sq, "unused")
+    a = T.khatri_rao(mats)
+    ref, res, *_ = np.linalg.lstsq(a, g.reshape(30, 4), rcond=None)
+    assert np.abs(coefs - ref.T).max() <= 1e-12 * np.abs(ref).max()
+    assert np.allclose(resid_sq, res + out_sq, rtol=1e-12, atol=0)
+
+
+def test_lstsq_compressed_guards_the_r_diagonal():
+    rng = np.random.default_rng(38)
+    mats = [rng.standard_normal((6, 3)), rng.standard_normal((5, 3))]
+    for m in mats:
+        m[:, 2] = m[:, 1]
+    with pytest.raises(NumericalError, match="basis is dependent") as info:
+        lstsq_compressed(np.zeros((6, 5, 2)), mats, np.zeros(2), "basis is dependent")
+    msg = str(info.value)
+    assert "QR diagonal ratio" in msg and f"threshold {QR_DIAG_RATIO_TOL:g}" in msg
+    with pytest.raises(NumericalError, match="4 product functions in 3"):
+        lstsq_compressed(np.zeros((3, 1)), [rng.standard_normal((3, 4))], np.zeros(1), "wide")
+    bad = np.zeros((6, 5, 2))
+    bad[0, 0, 1] = np.nan
+    with pytest.raises(NumericalError, match="not finite"):
+        lstsq_compressed(bad, [rng.standard_normal((6, 2)), rng.standard_normal((5, 2))],
+                         np.zeros(2), "nan")

@@ -258,3 +258,84 @@ def test_report_csv_round_trip(tmp_path):
     assert len(lines) == 3
     assert lines[2].endswith(",1")
     assert report.chosen.criterion == 0.25
+
+
+def test_cv_reduces_once_and_projects_in_compressed_coordinates(monkeypatch):
+    # one compression per sweep, one fit per cell, and no grid-sized
+    # projection: neither MPBModel.project nor an MTTKRP runs
+    from mpbasis import model as model_mod
+    from mpbasis import reduction, selection, solver, tensors
+
+    calls = {"compress": 0, "fit_mpb": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid-sized projection during cross validation")
+
+    monkeypatch.setattr(reduction, "compress", counted("compress", reduction.compress))
+    monkeypatch.setattr(selection, "fit_mpb", counted("fit_mpb", selection.fit_mpb))
+    monkeypatch.setattr(model_mod.MPBModel, "project", forbidden)
+    for owner in (tensors, solver, model_mod):
+        monkeypatch.setattr(owner, "mttkrp", forbidden)
+    rng = np.random.default_rng(14)
+    grids, bases, y = cv_setup(rng, 6)
+    cfg = SolverConfig(rank=2, seed=4, max_outer_iters=10, coef_penalty="lasso")
+    grid = [(1e-10, 1e-4), (1e-3, 1e-3)]
+    for center in (False, True):
+        calls.update(compress=0, fit_mpb=0)
+        cv_lambda_grid(y, grids, bases, [2, 2], cfg, grid, n_folds=3, seed=5, center=center)
+        assert calls == {"compress": 1, "fit_mpb": 6}
+
+
+def grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center):
+    """Per-cell CV criteria the direct way: fit each training slice of the
+    grid tensor, then least squares of the held-out subjects on the
+    evaluated basis by numpy's lstsq."""
+    from dataclasses import replace
+
+    from mpbasis.pipeline import fit_mpb
+
+    n_folds = labels.max() + 1
+    n_grid = int(np.prod(y.shape[:-1]))
+    out = []
+    for lam_f, lam_c in lam_grid:
+        c = replace(cfg, lambda_marginal=lam_f, lambda_coef=lam_c)
+        errors = []
+        for fold in range(n_folds):
+            train, held = y[..., labels != fold], y[..., labels == fold]
+            model, _, _ = fit_mpb(train, grids, bases, [2, 2], c, center=center)
+            if center:
+                held = held - train.mean(axis=-1)[..., None]
+            z = T.khatri_rao(model.marginal_values(grids))  # C-order grid rows
+            held = held.reshape(n_grid, -1)
+            coefs = np.linalg.lstsq(z, held, rcond=None)[0]
+            resid = held - z @ coefs
+            errors.append(np.mean(np.sum(resid**2, axis=0)) / n_grid)
+        out.append(np.mean(errors))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+@pytest.mark.parametrize("penalty", ["ridge", "lasso"])
+def test_cv_criteria_match_grid_reference(monkeypatch, penalty, center):
+    from mpbasis import solver
+
+    monkeypatch.setattr(solver, "CHUNK_ENTRIES", 2 * 20 * 18)  # chunks of 2 subjects
+    rng = np.random.default_rng(15)
+    grids, bases, y = cv_setup(rng, 7)
+    y = y + 0.05 * rng.standard_normal(y.shape) + 3.0
+    cfg = SolverConfig(rank=2, seed=4, max_outer_iters=40, coef_penalty=penalty)
+    lam_grid = [(1e-10, 1e-6), (1e-3, 1e-2)]
+    labels = _fold_assignment(7, 3, seed=2)
+    report = cv_lambda_grid(
+        y, grids, bases, [2, 2], cfg, lam_grid, n_folds=3, fold_labels=labels, center=center
+    )
+    got = np.array([r.criterion for r in report.records])
+    ref = grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-10
