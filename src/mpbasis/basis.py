@@ -204,8 +204,14 @@ MarginalBasis = Union[BSplineBasis, FourierBasis]
 
 
 def basis_from_dict(spec: dict) -> MarginalBasis:
-    """Rebuild a basis from its :meth:`to_dict` representation."""
+    """Rebuild a basis from its :meth:`to_dict` representation; ``ValueError``
+    names a missing ``domain`` or ``rank``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"basis specification is not an object: {spec!r}")
     kind = spec.get("kind")
+    missing = [key for key in ("domain", "rank") if key not in spec]
+    if kind in ("bspline", "fourier") and missing:
+        raise ValueError(f"{kind} basis specification has no field {missing[0]!r}")
     if kind == "bspline":
         return BSplineBasis(
             spec["domain"], spec["rank"], spec.get("degree", 3), spec.get("knots")

@@ -116,10 +116,41 @@ def _read_envelope(path, magic: bytes, what: str) -> tuple[dict, BinaryIO]:
             raise ValueError(f"unsupported {what} format version {version}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = json.loads(_read_exact(fh, hlen, "header"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{what} header is not a JSON object")
         return header, fh
     except Exception:
         fh.close()
         raise
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_shape(v) -> bool:
+    return isinstance(v, list) and all(_is_count(n) for n in v)
+
+
+_FIELD_KINDS = {
+    "count": _is_count,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "shape": _is_shape,
+    "list of shapes": lambda v: isinstance(v, list) and all(_is_shape(s) for s in v),
+    "list": lambda v: isinstance(v, list),
+}
+
+
+def _field(header: dict, name: str, what: str, kind: str = "count"):
+    """``header[name]`` if it is a ``kind`` of :data:`_FIELD_KINDS` (a count
+    is an integer >= 0, a shape a list of counts); otherwise ``ValueError``
+    naming the missing or mistyped field."""
+    if not isinstance(header, dict) or name not in header:
+        raise ValueError(f"{what} header has no field {name!r}")
+    value = header[name]
+    if not _FIELD_KINDS[kind](value):
+        raise ValueError(f"{what} header field {name!r} is not a {kind}: {value!r}")
+    return value
 
 
 def write_model(path, model: MPBModel) -> None:
@@ -144,17 +175,18 @@ def write_model(path, model: MPBModel) -> None:
 def read_model(path) -> MPBModel:
     header, fh = _read_envelope(path, MODEL_MAGIC, "model")
     with fh:
-        bases = [basis_from_dict(spec) for spec in header["bases"]]
-        k = int(header["rank"])
-        n = int(header["n_subjects"])
+        bases = [basis_from_dict(spec) for spec in _field(header, "bases", "model", "list")]
+        k = _field(header, "rank", "model")
+        n = _field(header, "n_subjects", "model")
         coefs = [
             _read_payload(fh, tuple(shape), f"coefficients {d}")
-            for d, shape in enumerate(header["coef_shapes"])
+            for d, shape in enumerate(_field(header, "coef_shapes", "model", "list of shapes"))
         ]
         subject_coefs = _read_payload(fh, (n, k), "subject coefficients")
         mean_grids = mean_values = None
-        if header.get("mean") is not None:
-            shape = tuple(header["mean"]["shape"])
+        mean = header.get("mean")
+        if mean is not None:
+            shape = tuple(_field(mean, "shape", "model mean", "shape"))
             mean_grids = [_read_payload(fh, (s,), "mean grid") for s in shape]
             mean_values = _read_payload(fh, shape, "mean values")
         if fh.read(1):
@@ -187,16 +219,17 @@ def write_eigen(path, result: FPCAResult) -> None:
 def read_eigen(path) -> FPCAResult:
     header, fh = _read_envelope(path, EIGEN_MAGIC, "eigen")
     with fh:
-        k = int(header["rank"])
-        kk = int(header["n_components"])
-        n = int(header["n_subjects"])
+        k = _field(header, "rank", "eigen")
+        kk = _field(header, "n_components", "eigen")
+        n = _field(header, "n_subjects", "eigen")
         s = _read_payload(fh, (k, kk), "eigenvector coordinates")
         nu = _read_payload(fh, (kk,), "eigenvalues")
         sc = _read_payload(fh, (n, kk), "scores")
         var = _read_payload(fh, (kk,), "variance fractions")
         if fh.read(1):
             raise ValueError("trailing bytes after eigen payload")
-    return FPCAResult(s=s, nu=nu, scores=sc, lam=float(header["lambda"]), var_explained=var)
+    lam = float(_field(header, "lambda", "eigen", "number"))
+    return FPCAResult(s=s, nu=nu, scores=sc, lam=lam, var_explained=var)
 
 
 def peek_kind(path) -> str:

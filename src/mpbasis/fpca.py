@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericalError
 from .model import MPBModel
@@ -92,9 +92,9 @@ def solve_fpca(
 ) -> FPCAResult:
     """Solve the penalized eigenproblem in product-basis coordinates.
 
-    The pencil ``J Sigma J s = nu (J + lam R) s`` is solved by reducing with
-    a Cholesky factor of the penalized Gram and a symmetric eigendecomposition,
-    then mapping back; each eigenvector is rescaled so ``s' J s = 1``.
+    The pencil ``J Sigma J s = nu (J + lam R) s`` is solved by one call of
+    ``scipy.linalg.eigh(a, b)``; each eigenvector is rescaled so
+    ``s' J s = 1``.
 
     Numerically dependent product functions (overcomplete fits drive some
     components onto the same span) make the Gram singular; those directions
@@ -132,20 +132,17 @@ def solve_fpca(
         raise ValueError(f"number of components must lie in [1, {n_red}]")
     lhs = j_red + lam * r_red
     lhs = 0.5 * (lhs + lhs.T)
+    sig_red = w.T @ sigma_b @ w
+    mid = j_red @ sig_red @ j_red
+    mid = 0.5 * (mid + mid.T)
     try:
-        chol = cholesky(lhs, lower=True)
+        nu, vecs = eigh(mid, lhs)
     except LinAlgError as exc:
         eigs = np.linalg.eigvalsh(lhs)
         raise NumericalError(
             "penalized Gram matrix is not positive definite "
             f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}])"
         ) from exc
-    sig_red = w.T @ sigma_b @ w
-    mid = j_red @ sig_red @ j_red
-    mid = 0.5 * (mid + mid.T)
-    reduced = solve_triangular(chol, solve_triangular(chol, mid, lower=True).T, lower=True)
-    reduced = 0.5 * (reduced + reduced.T)
-    nu, vecs = eigh(reduced)
     nu, vecs = nu[::-1], vecs[:, ::-1]
     if nu.min(initial=0.0) < -EIG_FLOOR:
         raise NumericalError(
@@ -153,7 +150,7 @@ def solve_fpca(
             "covariance or penalty inputs are inconsistent"
         )
     nu = np.maximum(nu, 0.0)
-    s = w @ solve_triangular(chol.T, vecs, lower=False)
+    s = w @ vecs
     norms = np.sqrt(np.einsum("ij,ij->j", s, j_zeta @ s))
     s = s / norms
     signs = np.sign(s[np.argmax(np.abs(s), axis=0), np.arange(n_red)])

@@ -9,7 +9,9 @@ marginal quantities alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -149,35 +151,25 @@ class MPBModel:
     def laplacian_penalty_zeta(self) -> np.ndarray:
         """K x K matrix of inner products of Laplacians of the product functions.
 
-        Assembled from marginal Gram, second-derivative penalty, and cross
-        matrices. The same-dimension terms use the penalty forms; the mixed
-        terms pair a cross form with a transposed cross form, which is what
-        integration by parts of the mixed partials yields when boundary terms
-        do not vanish. The result is symmetric PSD up to roundoff.
+        Sums, over ordered dimension pairs ``(d, a)``, the Hadamard product of
+        one marginal form per dimension: the second-derivative penalty form
+        at ``d`` when ``d == a``, else the transposed cross form at ``d`` and
+        the cross form at ``a`` (not penalty forms: integration by parts of
+        the mixed partials leaves boundary terms that need not vanish), and
+        the Gram form elsewhere. The result is symmetric PSD up to roundoff.
         """
         op2 = basis_mod.PenaltyOperator(order=2)
         j_forms = [c.T @ basis_mod.gram_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
         r_forms = [
             c.T @ basis_mod.penalty_matrix(b, op2) @ c for b, c in zip(self.bases, self.coefs)
         ]
-        e_mats = [basis_mod.cross_matrix(b) for b in self.bases]
-        e_forms = [c.T @ e @ c for c, e in zip(self.coefs, e_mats)]
+        e_forms = [c.T @ basis_mod.cross_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
         out = np.zeros((self.rank, self.rank))
-        for d in range(self.n_dims):
-            term = r_forms[d].copy()
-            for b in range(self.n_dims):
-                if b != d:
-                    term *= j_forms[b]
-            out += term
-        for d in range(self.n_dims):
-            for a in range(self.n_dims):
-                if a == d:
-                    continue
-                term = e_forms[d].T * e_forms[a]
-                for b in range(self.n_dims):
-                    if b != d and b != a:
-                        term *= j_forms[b]
-                out += term
+        for d, a in itertools.product(range(self.n_dims), repeat=2):
+            out += reduce(np.multiply, [
+                r if b == d == a else e.T if b == d else e if b == a else j
+                for b, (j, r, e) in enumerate(zip(j_forms, r_forms, e_forms))
+            ])
         asym = np.linalg.norm(out - out.T)
         if asym > 1e-8 * max(np.linalg.norm(out), 1e-300):
             raise NumericalError(
@@ -204,8 +196,9 @@ class MPBModel:
         The projection runs in compressed coordinates. With the thin SVD
         ``Phi_d = U_d S_d V_d'`` of each basis evaluated on its grid (no rank
         guard: a grid coarser than the basis rank works), the evaluated
-        product functions are ``(kron U_d) khatri_rao(U_d' xi_d)``, ``xi_d``
-        the evaluated marginal functions. The coefficients are the QR
+        product functions are ``(kron U_d) khatri_rao(S_d V_d' c_d)``, with
+        ``c_d`` the coefficient matrices (:func:`reduction.forward_transform`).
+        The coefficients are the QR
         least-squares solution of :func:`reduction.lstsq_compressed` against
         the small ``prod(m_d) x K`` matrix, so the conditioning of the
         evaluated basis is not squared. Each residual norm is the in-span
@@ -233,7 +226,7 @@ class MPBModel:
         g = reduction.compress(y, facs)
         coefs, resid_sq = reduction.lstsq_compressed(
             g,
-            [f.u.T @ (phi @ c) for f, phi, c in zip(facs, phis, self.coefs)],
+            [reduction.forward_transform(f, c) for f, c in zip(facs, self.coefs)],
             reduction.out_of_span_sq(y, facs, g),
             "evaluated product basis is numerically dependent on this grid; "
             "projection is not unique",

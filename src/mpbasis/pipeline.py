@@ -22,7 +22,7 @@ class FitReport:
     objective_trace: np.ndarray
     iters: int
     converged: bool
-    admm_converged: bool
+    lasso_certified: bool
     residual_ratio: float
     elapsed_seconds: float
 
@@ -31,7 +31,7 @@ class FitReport:
             "objective_trace": [float(v) for v in self.objective_trace],
             "iters": int(self.iters),
             "converged": bool(self.converged),
-            "admm_converged": bool(self.admm_converged),
+            "lasso_certified": bool(self.lasso_certified),
             "residual_ratio": float(self.residual_ratio),
             "elapsed_seconds": float(self.elapsed_seconds),
         }
@@ -113,7 +113,7 @@ def fit_mpb(
         objective_trace=state.objective_trace,
         iters=state.iters,
         converged=state.converged,
-        admm_converged=state.admm_converged,
+        lasso_certified=state.lasso_certified,
         residual_ratio=compressed_residual_ratio(g_hat, state),
         elapsed_seconds=time.perf_counter() - start,
     )

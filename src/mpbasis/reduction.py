@@ -32,6 +32,7 @@ from .tensors import khatri_rao, mode_multiply
 __all__ = [
     "MarginalFactorization",
     "PreparedProblem",
+    "check_inputs",
     "prepare",
     "out_of_span_sq",
     "lstsq_compressed",
@@ -176,6 +177,34 @@ class PreparedProblem:
             )
 
 
+def check_inputs(
+    y: np.ndarray,
+    grids: Sequence[np.ndarray],
+    bases: Sequence,
+    penalty_orders: Sequence[int] | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Check gridded data against its grids, bases and penalty orders.
+
+    Requires one grid mode per basis plus the subject mode, one grid (and,
+    when ``penalty_orders`` is given, one penalty order) per basis, and each
+    grid one-dimensional and as long as its mode. Returns ``y`` and the grids
+    as float arrays; raises ``ValueError`` naming the first mismatch.
+    """
+    y = np.asarray(y, dtype=float)
+    n_dims = len(bases)
+    if y.ndim != n_dims + 1:
+        raise ValueError(f"data tensor has {y.ndim} modes, expected {n_dims + 1}")
+    if len(grids) != n_dims or (penalty_orders is not None and len(penalty_orders) != n_dims):
+        raise ValueError("need one grid and one penalty order per dimension")
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    for d, g in enumerate(grids):
+        if g.ndim != 1 or g.size != y.shape[d]:
+            raise ValueError(
+                f"grid {d} has {g.size} points but the tensor mode has size {y.shape[d]}"
+            )
+    return y, grids
+
+
 def prepare(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
@@ -184,24 +213,12 @@ def prepare(
 ) -> PreparedProblem:
     """Reduce gridded data to the compressed problem the solver fits.
 
-    Checks the inputs (one grid and one penalty order per basis, one grid
-    mode per basis plus the subject mode, each grid as long as its mode),
-    evaluates each basis on its grid, factorizes the evaluation matrices,
-    transports the order-``penalty_orders[d]`` roughness penalty of each basis
-    and compresses ``y``.
+    Checks the inputs (:func:`check_inputs`), evaluates each basis on its
+    grid, factorizes the evaluation matrices, transports the
+    order-``penalty_orders[d]`` roughness penalty of each basis and
+    compresses ``y``.
     """
-    y = np.asarray(y, dtype=float)
-    n_dims = len(bases)
-    if y.ndim != n_dims + 1:
-        raise ValueError(f"data tensor has {y.ndim} modes, expected {n_dims + 1}")
-    if len(grids) != n_dims or len(penalty_orders) != n_dims:
-        raise ValueError("need one grid and one penalty order per dimension")
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    for d, g in enumerate(grids):
-        if g.ndim != 1 or g.size != y.shape[d]:
-            raise ValueError(
-                f"grid {d} has {g.size} points but the tensor mode has size {y.shape[d]}"
-            )
+    y, grids = check_inputs(y, grids, bases, penalty_orders)
     facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     t_mats = [
         penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order)))
@@ -218,28 +235,22 @@ def prepare(
 
 
 def out_of_span_sq(
-    y: np.ndarray,
-    facs: Sequence[MarginalFactorization],
-    g_hat: np.ndarray,
-    offset: np.ndarray | None = None,
+    y: np.ndarray, facs: Sequence[MarginalFactorization], g_hat: np.ndarray
 ) -> np.ndarray:
     """Squared norm of each subject's part outside the span of the ``U_d``.
 
-    Returns ``|y_i - decompress(g_hat_i) - offset|^2`` per subject, where
-    ``g_hat = compress(y, facs)`` and ``offset`` (grid-shaped, zero when not
-    given) is subtracted from every subject. The difference is formed
-    directly over subject chunks of at most ``solver.CHUNK_ENTRIES`` entries
-    (at least one subject), never as ``|y_i|^2 - |g_hat_i|^2``, whose
-    cancellation near an in-span subject leaves only square-root-of-epsilon
-    accuracy.
+    Returns ``|y_i - decompress(g_hat_i)|^2`` per subject, where ``g_hat =
+    compress(y, facs)``; to center, subtract the mean from a copy of ``y``
+    and from ``g_hat`` first. The difference is formed directly over subject
+    chunks of at most ``solver.CHUNK_ENTRIES`` entries (at least one
+    subject), never as ``|y_i|^2 - |g_hat_i|^2``, whose cancellation near an
+    in-span subject leaves only square-root-of-epsilon accuracy.
     """
     n_grid = math.prod(y.shape[:-1])
     step = max(1, solver.CHUNK_ENTRIES // max(1, n_grid))
     out = np.empty(y.shape[-1])
     for lo in range(0, y.shape[-1], step):
         r = y[..., lo : lo + step] - decompress(g_hat[..., lo : lo + step], facs)
-        if offset is not None:
-            r -= offset[..., None]
         r = r.reshape(n_grid, -1)
         out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
     return out
@@ -297,8 +308,10 @@ def back_transform(fac: MarginalFactorization, c_tilde: np.ndarray) -> np.ndarra
 
 
 def forward_transform(fac: MarginalFactorization, c: np.ndarray) -> np.ndarray:
-    """Basis coefficients to compressed coefficients: ``diag(s) V' c``."""
+    """Basis coefficients to compressed coefficients: ``diag(s) V' c``, which
+    is ``U' (Phi c)``. ``c`` has one row per column of ``vt`` (the basis rank,
+    which exceeds ``m`` on a grid coarser than the basis)."""
     c = np.asarray(c, dtype=float)
-    if c.shape[0] != fac.m:
-        raise ValueError(f"coefficients have {c.shape[0]} rows, expected {fac.m}")
+    if c.shape[0] != fac.vt.shape[1]:
+        raise ValueError(f"coefficients have {c.shape[0]} rows, expected {fac.vt.shape[1]}")
     return fac.s[:, None] * (fac.vt @ c)

@@ -71,12 +71,13 @@ def marginal_rank_criterion(
     the data, a number in [0, 1] that grows toward 1 as the basis ranks
     approach the grid sizes.
     """
-    y = np.asarray(y, dtype=float)
+    y, grids = reduction.check_inputs(y, grids, bases)
     y_norm_sq = float(np.sum(y**2))
     if y_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    phis = [b.evaluate(np.asarray(g, dtype=float)) for b, g in zip(bases, grids)]
-    facs = [reduction.factorize(phi, dim=d) for d, phi in enumerate(phis)]
+    facs = [
+        reduction.factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))
+    ]
     g_hat = reduction.compress(y, facs)
     ratio = float(np.sum(g_hat**2)) / y_norm_sq
     return min(ratio, 1.0)
@@ -202,13 +203,13 @@ def cv_lambda_grid(
     linear per subject, so each fold's training problem is a slice of the
     compressed tensor, fitted by :func:`fit_mpb` without a second reduction.
     Each subject's residual outside the span of the compression is formed
-    once (:func:`reduction.out_of_span_sq`), and every cell projects its
+    once (:func:`reduction.out_of_span_sq`), after a centered fold takes its
+    training mean off its copy of the held-out data, as
+    :meth:`MPBModel.project` does with its input. Every cell projects the
     held-out subjects in compressed coordinates by the QR least-squares
-    solve of :func:`reduction.lstsq_compressed`, as
-    :meth:`MPBModel.project` does on the grid.
+    solve of :func:`reduction.lstsq_compressed`.
     """
-    y = np.asarray(y, dtype=float)
-    prepared = reduction.prepare(y, grids, bases, penalty_orders)
+    y, grids = reduction.check_inputs(y, grids, bases, penalty_orders)
     n_subjects = y.shape[-1]
     if not 2 <= n_folds <= n_subjects:
         raise ValueError(f"n_folds must lie in [2, {n_subjects}]")
@@ -220,31 +221,22 @@ def cv_lambda_grid(
             raise ValueError("fold_labels must assign every fold to at least one subject")
     else:
         labels = _fold_assignment(n_subjects, n_folds, seed)
+    prepared = reduction.prepare(y, grids, bases, penalty_orders)
     folds = []  # (training problem, held-out compressed tensor, out-of-span energies)
-    if not center:
-        out_sq = reduction.out_of_span_sq(y, prepared.facs, prepared.g_hat)
     for fold in range(n_folds):
         in_train = labels != fold
         train = prepared.subjects(in_train)
+        held_y = y[..., ~in_train]  # a copy, which centering changes in place
         held_g = prepared.g_hat[..., ~in_train]
         if center:
             mean_g = train.g_hat.mean(axis=-1, keepdims=True)
             train = replace(train, g_hat=train.g_hat - mean_g)
-            held_g = held_g - mean_g
-            # the training mean's part outside the span, taken off every
-            # held-out subject's
-            mean_y = y @ (in_train / in_train.sum())
-            offset = mean_y - reduction.decompress(mean_g[..., 0], prepared.facs)
-            held_sq = reduction.out_of_span_sq(
-                y[..., ~in_train], prepared.facs, prepared.g_hat[..., ~in_train], offset
-            )
-        else:
-            held_sq = out_sq[~in_train]
+            held_g -= mean_g
+            held_y -= (y @ (in_train / in_train.sum()))[..., None]
+        held_sq = reduction.out_of_span_sq(held_y, prepared.facs, held_g)
         folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))
     records = []
-    best = None
-    best_params = None
     for lam_f, lam_c in lambda_grid:
         cfg = replace(config, lambda_marginal=float(lam_f), lambda_coef=float(lam_c))
         errors = []
@@ -262,10 +254,7 @@ def cv_lambda_grid(
         records.append(
             SelectionRecord(params={"lambda_marginal": lam_f, "lambda_coef": lam_c}, criterion=err)
         )
-        key = (lam_f, lam_c)
-        if best is None or err < best or (err == best and key > best_params):
-            best = err
-            best_params = key
-            chosen_idx = len(records) - 1
-    records[chosen_idx].chosen = True
+    # the smallest criterion wins; ties go to the larger weights
+    keys = [(r.criterion, -lam_f, -lam_c) for r, (lam_f, lam_c) in zip(records, lambda_grid)]
+    records[keys.index(min(keys))].chosen = True
     return SelectionReport(kind="cv_error", records=records)

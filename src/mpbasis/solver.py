@@ -171,7 +171,7 @@ class SolverState:
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
     converged: bool = False
     iters: int = 0
-    admm_converged: bool = True
+    lasso_certified: bool = True
 
     @property
     def rank(self) -> int:
@@ -662,7 +662,7 @@ def fit(
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
     f_floor = 1e-12 * float(np.sum(g_hat**2))
-    state.admm_converged = True
+    state.lasso_certified = True
     it = 0
     for it in range(1, config.max_outer_iters + 1):
         for d in range(n_modes):
@@ -681,7 +681,7 @@ def fit(
                 new = _sylvester_eig(gram + mu_eye, betas[d], rhs + mu * factors[d], what)
             elif lasso:
                 new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
-                state.admm_converged = state.admm_converged and ok
+                state.lasso_certified = state.lasso_certified and ok
             else:
                 new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
             if not np.all(np.isfinite(new)):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from mpbasis import basis as basis_mod
 from mpbasis import fileio, reduction, selection
 from mpbasis.cli import main
+from mpbasis.fpca import FPCAResult
+from mpbasis.model import MPBModel
 from mpbasis.sim import ProductSimConfig, generate_product_sample
 from mpbasis.solver import SolverConfig
 
@@ -256,6 +259,61 @@ def test_info_reports_kind(tmp_path, rank1_tensor, capsys):
     assert main(["info", str(rank1_tensor)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"kind": "tensor", "dims": [20, 20, 4]}
+
+
+def test_info_reports_model_and_eigen_headers(tmp_path, capsys):
+    bases = [basis_mod.BSplineBasis((0.0, 1.0), 6), basis_mod.FourierBasis((0.0, 2.0), 5)]
+    rng = np.random.default_rng(6)
+    model = MPBModel(
+        bases=bases,
+        coefs=[rng.standard_normal((6, 3)), rng.standard_normal((5, 3))],
+        subject_coefs=rng.standard_normal((4, 3)),
+    )
+    fileio.write_model(tmp_path / "m.mpbm", model)
+    result = FPCAResult(
+        s=rng.standard_normal((3, 2)), nu=np.array([2.0, 1.0]), scores=np.ones((4, 2)),
+        lam=0.5, var_explained=np.array([0.6, 0.9]),
+    )
+    fileio.write_eigen(tmp_path / "e.mpbe", result)
+    assert main(["info", str(tmp_path / "m.mpbm")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "kind": "model", "rank": 3, "n_subjects": 4, "centered": False,
+        "bases": [b.to_dict() for b in bases],
+    }
+    assert main(["info", str(tmp_path / "e.mpbe")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "kind": "eigen", "rank": 3, "n_components": 2, "lambda": 0.5,
+    }
+
+
+def test_info_on_a_model_header_without_rank_exits_2(tmp_path, capsys):
+    model = MPBModel(
+        bases=[basis_mod.FourierBasis((0.0, 1.0), 3)], coefs=[np.ones((3, 1))],
+        subject_coefs=np.ones((2, 1)),
+    )
+    path = tmp_path / "m.mpbm"
+    fileio.write_model(path, model)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + hlen])
+    del header["rank"]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    assert main(["info", str(path)]) == 2
+    assert "model header has no field 'rank'" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, rank1_tensor, capsys):
+    # no grid point of dimension 1 reaches the support of the last splines,
+    # so its evaluation matrix is rank deficient
+    cfg = base_config()
+    cfg["bases"] = [{"kind": "fourier", "rank": 7}, {"kind": "bspline", "rank": 7}]
+    cfg["grids"] = [{"equispaced": 20}, {"points": np.linspace(0.0, 0.2, 20).tolist()}]
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    code = main(["fit", "--config", cfg_path, "--tensor", str(rank1_tensor), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "dimension 1 is rank deficient" in err
 
 
 def test_verify_tensor_and_model(tmp_path, rank1_tensor, capsys):

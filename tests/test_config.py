@@ -78,6 +78,18 @@ def test_hosvd_init_reaches_solver_config():
     assert parse_run_config(raw).solver.init == "hosvd"
 
 
+def test_explicit_grid_points_are_used_and_checked():
+    raw = custom_config()
+    pts = [0.0, 0.1, 0.5, 1.7, 2.0]
+    raw["grids"] = [{"points": pts}, {"equispaced": 4}]
+    cfg = parse_run_config(raw)
+    grids = cfg.build_grids((5, 4))
+    assert np.array_equal(grids[0], pts)
+    assert np.array_equal(grids[1], np.linspace(-1.0, 1.0, 4))
+    with pytest.raises(ValueError, match="grid 0: config lists 5 points, tensor has 6"):
+        cfg.build_grids((6, 4))
+
+
 def test_domain_and_basis_counts_must_match():
     raw = custom_config()
     raw["domains"] = raw["domains"][:1]

@@ -1,5 +1,6 @@
 """Binary formats: lossless round trips and strict header validation."""
 
+import json
 import struct
 
 import numpy as np
@@ -181,3 +182,59 @@ def test_peek_kind(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"ABCD1234")
     with pytest.raises(ValueError, match="bad magic"):
         peek_kind(tmp_path / "x.bin")
+
+
+def rewrite_header(path, edit):
+    """Rewrite the JSON header of a model or eigen file through ``edit``."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen]))).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+
+
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _drop_domain(h):
+    return {**h, "bases": [{k: v for k, v in b.items() if k != "domain"} for b in h["bases"]]}
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_drop("rank"), "model header has no field 'rank'"),
+        (lambda h: [h], "model header is not a JSON object"),
+        (_drop_domain, "bspline basis specification has no field 'domain'"),
+        (lambda h: {**h, "n_subjects": "4"}, "model header field 'n_subjects' is not a count"),
+        (lambda h: {**h, "coef_shapes": [[6, 3], [5, -3]]}, "'coef_shapes' is not a list of shapes"),
+    ],
+    ids=["no_rank", "list", "no_domain", "string_count", "negative_shape"],
+)
+def test_model_header_errors_name_the_field(tmp_path, edit, match):
+    path = tmp_path / "m.mpbm"
+    write_model(path, make_model(np.random.default_rng(5), with_mean=True))
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=match):
+        read_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_drop("n_components"), "eigen header has no field 'n_components'"),
+        (lambda h: [h], "eigen header is not a JSON object"),
+        (lambda h: {**h, "lambda": None}, "eigen header field 'lambda' is not a number"),
+    ],
+    ids=["no_components", "list", "null_lambda"],
+)
+def test_eigen_header_errors_name_the_field(tmp_path, edit, match):
+    result = FPCAResult(
+        s=np.eye(3)[:, :2], nu=np.ones(2), scores=np.ones((4, 2)), lam=0.0,
+        var_explained=np.ones(2),
+    )
+    path = tmp_path / "e.mpbe"
+    write_eigen(path, result)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=match):
+        read_eigen(path)

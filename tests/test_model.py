@@ -262,6 +262,40 @@ def test_laplacian_penalty_single_dimension_reduces_to_quadratic_form():
     assert np.allclose(r, expect, rtol=1e-12)
 
 
+def test_laplacian_penalty_three_dimensions_matches_tensor_grid_quadrature():
+    # <Lap zeta_i, Lap zeta_j> on a 3-d tensor grid whose quadrature is exact
+    # for these integrands: 4-point Gauss-Legendre per spline knot span
+    # (products of cubics) and the periodic trapezoid rule for the Fourier
+    # dimensions. The mixed terms need the Gram form of the third dimension.
+    rng = np.random.default_rng(15)
+    bases = [BSplineBasis((0.0, 1.0), 7), FourierBasis((0.0, 1.0), 5),
+             FourierBasis((0.0, 1.0), 3)]
+    model = MPBModel(
+        bases=bases,
+        coefs=[rng.standard_normal((b.rank, 3)) for b in bases],
+        subject_coefs=rng.standard_normal((2, 3)),
+    )
+    ref_x, ref_w = np.polynomial.legendre.leggauss(4)
+    bp = bases[0].breakpoints
+    half, mid = 0.5 * np.diff(bp), 0.5 * (bp[1:] + bp[:-1])
+    nodes = [(mid[:, None] + half[:, None] * ref_x).ravel()]
+    weights = [(half[:, None] * ref_w).ravel()]
+    for n in (16, 16):
+        nodes.append(np.arange(n) / n)
+        weights.append(np.full(n, 1.0 / n))
+    vals = [b.evaluate(x) @ c for b, c, x in zip(bases, model.coefs, nodes)]
+    dd = [b.evaluate(x, deriv=2) @ c for b, c, x in zip(bases, model.coefs, nodes)]
+    lap = (
+        np.einsum("ik,jk,lk->ijlk", dd[0], vals[1], vals[2])
+        + np.einsum("ik,jk,lk->ijlk", vals[0], dd[1], vals[2])
+        + np.einsum("ik,jk,lk->ijlk", vals[0], vals[1], dd[2])
+    )
+    w = np.einsum("i,j,l->ijl", *weights)
+    ref = np.einsum("ijlk,ijl,ijlm->km", lap, w, lap)
+    r = model.laplacian_penalty_zeta()
+    assert np.abs(r - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 def test_laplacian_penalty_is_symmetric_psd():
     rng = np.random.default_rng(14)
     model = random_model(rng, ranks=(9, 7), k=4)

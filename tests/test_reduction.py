@@ -9,6 +9,7 @@ from mpbasis.errors import NumericalError
 from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import (
     QR_DIAG_RATIO_TOL,
+    MarginalFactorization,
     back_transform,
     compress,
     decompress,
@@ -19,7 +20,7 @@ from mpbasis.reduction import (
     penalty_transform,
     prepare,
 )
-from mpbasis.selection import cv_lambda_grid
+from mpbasis.selection import cv_lambda_grid, marginal_rank_criterion
 from mpbasis.solver import SolverConfig
 
 
@@ -136,6 +137,20 @@ def test_back_transform_round_trip():
     assert np.abs(back_transform(fac, forward_transform(fac, c)) - c).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(15, 5), (5, 8)], ids=["tall", "coarser_grid"])
+def test_forward_transform_equals_compressed_evaluation(shape):
+    # diag(s) V' c = U'(Phi c), also for a grid with fewer points than the
+    # basis rank, where V' has more columns than there are singular values
+    rng = np.random.default_rng(39)
+    phi = rng.standard_normal(shape)
+    fac = MarginalFactorization(*np.linalg.svd(phi, full_matrices=False))
+    c = rng.standard_normal((shape[1], 3))
+    ref = fac.u.T @ (phi @ c)
+    assert np.abs(forward_transform(fac, c) - ref).max() <= 1e-13 * np.abs(ref).max()
+    with pytest.raises(ValueError, match=f"expected {shape[1]}"):
+        forward_transform(fac, c[:-1])
+
+
 def test_back_transform_orthonormal_phi():
     rng = np.random.default_rng(10)
     q = np.linalg.qr(rng.standard_normal((12, 4)))[0]
@@ -242,17 +257,32 @@ def _cv(y, grids, bases, orders):
     cv_lambda_grid(y, grids, bases, orders, cfg, [(1e-6, 1e-6)], n_folds=2)
 
 
-@pytest.mark.parametrize("entry", [_prepare, _fit, _cv], ids=["prepare", "fit_mpb", "cv"])
+def _marginal(y, grids, bases, orders):
+    marginal_rank_criterion(y, bases, grids)
+
+
+_CHECK_CASES = [
+    ("modes", "data tensor has 4 modes, expected 3"),
+    ("orders", "one grid and one penalty order per dimension"),
+    ("grids", "one grid and one penalty order per dimension"),
+    ("length", "grid 1 has 10 points but the tensor mode has size 11"),
+]
+_ENTRIES = [
+    (_prepare, "prepare"), (_fit, "fit_mpb"), (_cv, "cv"), (_marginal, "marginal_rank")
+]
+
+
 @pytest.mark.parametrize(
-    "case, match",
+    "case, match, entry",
     [
-        ("modes", "data tensor has 4 modes, expected 3"),
-        ("orders", "one grid and one penalty order per dimension"),
-        ("grids", "one grid and one penalty order per dimension"),
-        ("length", "grid 1 has 10 points but the tensor mode has size 11"),
+        pytest.param(case, match, entry, id=f"{case}-{match}-{name}")
+        for case, match in _CHECK_CASES
+        for entry, name in _ENTRIES
+        # the marginal-rank criterion takes no penalty orders
+        if not (entry is _marginal and case == "orders")
     ],
 )
-def test_input_checks_shared_by_every_entry_point(entry, case, match):
+def test_input_checks_shared_by_every_entry_point(case, match, entry):
     # `select --mode global-rank` calls prepare itself, so it shares them too
     bases, grids, y = small_problem(np.random.default_rng(30))
     orders = [2, 2]
@@ -325,11 +355,17 @@ def test_out_of_span_sq_is_the_direct_residual(monkeypatch, chunk):
         monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", chunk)
     bases, grids, y = small_problem(np.random.default_rng(34), n_subj=5)
     facs = prepare(y, grids, bases, [2, 2]).facs
+    y = y + 3.0
     g = compress(y, facs)
-    offset = np.random.default_rng(35).standard_normal(y.shape[:-1])
-    for off in (None, offset):
-        got = out_of_span_sq(y, facs, g, off)
-        r = y - decompress(g, facs) - (0.0 if off is None else off[..., None])
+    for centered in (False, True):
+        # a centered CV fold: the training mean (subjects 0-2) comes off a
+        # copy of the data and off its compressed tensor
+        y_c, g_c = y.copy(), g.copy()
+        if centered:
+            y_c -= y[..., :3].mean(axis=-1, keepdims=True)
+            g_c -= g[..., :3].mean(axis=-1, keepdims=True)
+        got = out_of_span_sq(y_c, facs, g_c)
+        r = y_c - decompress(compress(y_c, facs), facs)
         ref = np.sum(r**2, axis=(0, 1))
         assert np.allclose(got, ref, rtol=1e-13, atol=0)
 

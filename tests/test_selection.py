@@ -54,6 +54,14 @@ def test_marginal_criterion_matches_projection_oracle():
     assert got == pytest.approx(ref, rel=1e-10)
 
 
+def test_marginal_criterion_checks_one_grid_per_basis():
+    grids = [np.linspace(0, 1, 15), np.linspace(0, 1, 14), np.linspace(0, 1, 13)]
+    bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 7)]
+    y = np.random.default_rng(2).standard_normal((15, 14, 5))
+    with pytest.raises(ValueError, match="one grid and one penalty order per dimension"):
+        marginal_rank_criterion(y, bases, grids)
+
+
 def test_marginal_criterion_zero_norm_raises():
     with pytest.raises(ValueError, match="zero norm"):
         marginal_rank_criterion(
@@ -241,6 +249,29 @@ def test_cv_validates_folds():
         cv_lambda_grid(y, grids, bases, [2, 2], cfg, [(0, 0)], n_folds=5)
     with pytest.raises(ValueError, match="empty"):
         cv_lambda_grid(y, grids, bases, [2, 2], cfg, [], n_folds=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"n_folds": 5}, "n_folds"),
+        ({"n_folds": 1}, "n_folds"),
+        ({"n_folds": 2, "fold_labels": [0, 0, 0, 0]}, "fold_labels"),
+        ({"n_folds": 2, "lambda_grid": []}, "empty"),
+    ],
+    ids=["too_many_folds", "one_fold", "fold_labels", "empty_grid"],
+)
+def test_cv_checks_folds_before_reducing(monkeypatch, kwargs, match):
+    from mpbasis import reduction
+
+    def forbidden(*args, **kw):
+        raise AssertionError("the sample was reduced before the fold settings were checked")
+
+    monkeypatch.setattr(reduction, "prepare", forbidden)
+    grids, bases, y = cv_setup(np.random.default_rng(12), 4)
+    kwargs = {"lambda_grid": [(0, 0)], **kwargs}
+    with pytest.raises(ValueError, match=match):
+        cv_lambda_grid(y, grids, bases, [2, 2], SolverConfig(rank=1, seed=0), **kwargs)
 
 
 def test_report_csv_round_trip(tmp_path):

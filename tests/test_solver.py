@@ -777,7 +777,7 @@ def test_lasso_fit_takes_gram_and_mttkrp_from_the_sweep(monkeypatch):
         max_outer_iters=10, seed=4,
     )
     state = fit(g, [psd(rng, 5), psd(rng, 4)], cfg)
-    assert state.iters == 10 and state.admm_converged
+    assert state.iters == 10 and state.lasso_certified
     assert np.all(np.diff(state.objective_trace) <= 1e-10)
 
 
