@@ -18,6 +18,7 @@ derivative order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -203,15 +204,33 @@ class FourierBasis:
 MarginalBasis = Union[BSplineBasis, FourierBasis]
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_interval(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v
+    )
+
+
 def basis_from_dict(spec: dict) -> MarginalBasis:
     """Rebuild a basis from its :meth:`to_dict` representation; ``ValueError``
-    names a missing ``domain`` or ``rank``."""
+    names a missing ``domain`` or ``rank``, or one of the wrong type."""
     if not isinstance(spec, dict):
         raise ValueError(f"basis specification is not an object: {spec!r}")
     kind = spec.get("kind")
-    missing = [key for key in ("domain", "rank") if key not in spec]
-    if kind in ("bspline", "fourier") and missing:
-        raise ValueError(f"{kind} basis specification has no field {missing[0]!r}")
+    if kind in ("bspline", "fourier"):
+        for key, what, ok in (
+            ("domain", "a list of two numbers", _is_interval),
+            ("rank", "an integer", _is_integer),
+        ):
+            if key not in spec:
+                raise ValueError(f"{kind} basis specification has no field {key!r}")
+            if not ok(spec[key]):
+                raise ValueError(
+                    f"{kind} basis specification field {key!r} is not {what}: {spec[key]!r}"
+                )
     if kind == "bspline":
         return BSplineBasis(
             spec["domain"], spec["rank"], spec.get("degree", 3), spec.get("knots")

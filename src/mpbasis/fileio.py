@@ -12,6 +12,8 @@ through its reader.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -55,8 +57,12 @@ def _write_payload(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def _read_payload(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    data = _read_exact(fh, 8 * count, what)
+    """The float64 array of ``shape`` at the file position; a declared size
+    beyond the bytes left in the file is refused before anything is read."""
+    size = 8 * math.prod(shape)
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated file while reading {what}")
+    data = _read_exact(fh, size, what)
     arr = np.frombuffer(data, dtype="<f8").astype(float).reshape(shape)
     return _check_finite(arr, what)
 

@@ -17,7 +17,6 @@ energy of :func:`out_of_span_sq`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -25,9 +24,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import basis as basis_mod
-from . import solver
 from .errors import NumericalError
-from .tensors import khatri_rao, mode_multiply
+from .tensors import chunked_residual_sq, khatri_rao, mode_multiply
 
 __all__ = [
     "MarginalFactorization",
@@ -50,7 +48,7 @@ RANK_TOL = 1e-10
 #: :func:`lstsq_compressed` counts its least-squares matrix as rank deficient
 #: when the smallest diagonal entry of its R factor is at or below this
 #: multiple of the largest. The Cholesky factor of the normal matrix has the
-#: same diagonal, so this is the threshold ``solver.solve_normal`` applies.
+#: same diagonal, so this is the threshold the solver's ridge step applies.
 QR_DIAG_RATIO_TOL = 1e-7
 
 
@@ -242,18 +240,11 @@ def out_of_span_sq(
     Returns ``|y_i - decompress(g_hat_i)|^2`` per subject, where ``g_hat =
     compress(y, facs)``; to center, subtract the mean from a copy of ``y``
     and from ``g_hat`` first. The difference is formed directly over subject
-    chunks of at most ``solver.CHUNK_ENTRIES`` entries (at least one
-    subject), never as ``|y_i|^2 - |g_hat_i|^2``, whose cancellation near an
-    in-span subject leaves only square-root-of-epsilon accuracy.
+    chunks by :func:`tensors.chunked_residual_sq`, never as ``|y_i|^2 -
+    |g_hat_i|^2``, whose cancellation near an in-span subject leaves only
+    square-root-of-epsilon accuracy.
     """
-    n_grid = math.prod(y.shape[:-1])
-    step = max(1, solver.CHUNK_ENTRIES // max(1, n_grid))
-    out = np.empty(y.shape[-1])
-    for lo in range(0, y.shape[-1], step):
-        r = y[..., lo : lo + step] - decompress(g_hat[..., lo : lo + step], facs)
-        r = r.reshape(n_grid, -1)
-        out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
-    return out
+    return chunked_residual_sq(y, lambda s: decompress(g_hat[..., s], facs))
 
 
 def lstsq_compressed(

@@ -22,9 +22,9 @@ product per half and sweep contracts that view with the Khatri-Rao product of
 the other half's current factors; every block of the half takes its MTTKRP
 from that small partial through :func:`tensors.partial_mttkrp`. Each block's
 Gram is the Hadamard product of per-factor Grams, which are refreshed once,
-after their factor is updated; the lasso step :func:`update_b_admm` takes
-both from the sweep. :func:`update_factor` and :func:`update_b_ridge` are the
-grid and ridge block steps on their own, from the full tensor.
+after their factor is updated. The sweep's three block steps,
+:func:`update_factor`, :func:`update_b_ridge` and :func:`update_b_admm`,
+each take that Gram and MTTKRP from the sweep and only solve.
 """
 
 from __future__ import annotations
@@ -40,22 +40,23 @@ from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .tensors import (
+    chunked_residual_sq,
     cp_to_tensor,
-    gram_of_khatri_rao,
     half_split,
     khatri_rao,
     mode_multiply,
-    mttkrp,
     partial_mttkrp,
     unfold,
 )
+
+# not called here: perfbench/tracer.py wraps these names on this module
+from .tensors import gram_of_khatri_rao, mttkrp  # noqa: F401
 
 __all__ = [
     "SolverConfig",
     "SolverState",
     "objective",
     "residual_sq",
-    "solve_normal",
     "sylvester_solve",
     "soft_threshold",
     "update_factor",
@@ -64,15 +65,8 @@ __all__ = [
     "fit",
 ]
 
-#: Tensor entries reconstructed at once by :func:`residual_sq` and
-#: ``reduction.out_of_span_sq`` (4 MiB of float64); the subject mode is split
-#: into chunks of at most this many entries, and whole subjects are never
-#: split.
-CHUNK_ENTRIES = 1 << 19
-
 #: A Cholesky factor of a normal matrix whose smallest diagonal entry is at or
-#: below this multiple of its largest counts as singular in
-#: :func:`solve_normal`.
+#: below this multiple of its largest counts as singular in :func:`_cholesky`.
 CHOL_DIAG_RATIO_TOL = 1e-7
 
 #: Primal-dual active-set passes of :func:`update_b_admm` after its first
@@ -199,8 +193,8 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Both matrices are diagonalized with symmetric eigendecompositions, so the
     solve reduces to elementwise division by sums of eigenvalue pairs. With
     ``m`` positive definite and ``p`` positive semidefinite every denominator
-    is positive. :func:`fit` runs the same solve in the eigenbasis of each
-    penalty, taken once per fit.
+    is positive. :func:`update_factor` runs the same solve in the eigenbasis
+    of each penalty, which :func:`fit` takes once per fit.
     """
     m = np.array(m, dtype=float)
     p = np.array(p, dtype=float)
@@ -262,24 +256,21 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
     ``X`` is the CP tensor of ``factors`` (grid-mode factors, then the N x K
     subject coefficients) and the subject mode of ``y`` is last. The
-    difference is formed explicitly, never through the expanded square
-    ``|y|^2 - 2<y, X> + |X|^2``, whose cancellation near an exact fit leaves
-    only square-root-of-epsilon accuracy. The reconstruction is built over
-    subject chunks of at most :data:`CHUNK_ENTRIES` entries (at least one
-    subject).
+    difference is formed explicitly, over subject chunks, by
+    :func:`tensors.chunked_residual_sq`.
 
     A matrix view of a tensor with the Khatri-Rao products of its two halves
     as ``factors`` has the same total, summed per column; :func:`fit` takes
     its objective that way.
     """
     grid_factors, b = list(factors[:-1]), factors[-1]
-    n_grid = math.prod(y.shape[:-1])
-    step = max(1, CHUNK_ENTRIES // max(1, n_grid))
-    out = np.empty(y.shape[-1])
-    for lo in range(0, y.shape[-1], step):
-        r = y[..., lo : lo + step] - cp_to_tensor(grid_factors + [b[lo : lo + step]])
-        r = r.reshape(n_grid, -1)
-        out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
+    return chunked_residual_sq(y, lambda s: cp_to_tensor(grid_factors + [b[s]]))
+
+
+def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:
+    """A copy of the square ``gram`` with ``shift`` added to its diagonal."""
+    out = np.array(gram, dtype=float)
+    out.flat[:: out.shape[0] + 1] += shift
     return out
 
 
@@ -308,22 +299,6 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     return chol
 
 
-def solve_normal(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> np.ndarray:
-    """Rows ``c`` solving ``c (gram + shift I) = rhs`` for an N x K ``rhs``.
-
-    The shifted K x K normal matrix is factored once by :func:`_cholesky`,
-    which raises :class:`NumericalError`, led by ``what``, when it is singular
-    or not finite; a non-finite ``rhs`` raises it too.
-    """
-    if not np.isfinite(rhs).all():
-        raise NumericalError(f"{what} (the right-hand side is not finite)")
-    chol = _cholesky(gram + shift * np.eye(gram.shape[0]), what)
-    x, info = _POTRS(chol, rhs.T)
-    if info != 0:
-        raise NumericalError(f"{what} (Cholesky solve failed, LAPACK dpotrs info {info})")
-    return x.T
-
-
 def objective(
     g_hat: np.ndarray,
     state: SolverState,
@@ -340,31 +315,30 @@ def objective(
 
 
 def update_factor(
-    g_hat: np.ndarray,
-    state: SolverState,
-    d: int,
-    t_d: np.ndarray,
-    config: SolverConfig,
+    gram: np.ndarray, rhs: np.ndarray, x_old: np.ndarray, beta: np.ndarray, mu: float, mode: int
 ) -> np.ndarray:
-    """Exact conditional minimizer for the grid-mode-``d`` factor matrix.
-
-    Solves ``X (W'W + mu I) + lambda_d T_d X = G_(d) W + mu X_old`` where the
-    Gram is assembled through the Hadamard identity and ``G_(d) W`` through
-    :func:`mttkrp`; ``W`` is the Khatri-Rao product of the other factors.
-    """
-    lam = config.marginal_weights(g_hat.ndim - 1)[d]
-    others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
-    rhs = mttkrp(g_hat, others, d) + config.proximal_mu * state.c_tilde[d]
-    m = gram_of_khatri_rao(others) + config.proximal_mu * np.eye(config.rank)
-    return sylvester_solve(m, lam * t_d, rhs)
+    """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
+    = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
+    mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
+    factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor.
+    No argument is mutated."""
+    what = f"factor Gram W'W + mu I of mode {mode}"
+    return _sylvester_eig(_shifted(gram, mu), beta, rhs + mu * x_old, what)
 
 
-def update_b_ridge(g_hat: np.ndarray, state: SolverState, config: SolverConfig) -> np.ndarray:
-    """Closed-form ridge update of the subject coefficients."""
-    n_dims = g_hat.ndim - 1
-    gram = gram_of_khatri_rao(state.c_tilde)
-    rhs = mttkrp(g_hat, state.c_tilde, n_dims)  # N x K, equals G_(D+1) W
-    return solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
+def update_b_ridge(gram: np.ndarray, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Ridge step of the subject coefficients: the rows ``b`` solving ``b (W'W +
+    lambda_coef I) = rhs`` for ``gram = W'W`` (``W`` the Khatri-Rao product of
+    the grid factors) and the N x K MTTKRP ``rhs = (W'G)'``, by one guarded
+    :func:`_cholesky`; a singular or non-finite system raises
+    :class:`NumericalError`. No argument is mutated."""
+    if not np.isfinite(rhs).all():
+        raise NumericalError(f"{_RIDGE_SINGULAR} (the right-hand side is not finite)")
+    chol = _cholesky(_shifted(gram, config.lambda_coef), _RIDGE_SINGULAR)
+    x, info = _POTRS(chol, rhs.T)
+    if info != 0:
+        raise NumericalError(f"{_RIDGE_SINGULAR} (Cholesky solve failed, LAPACK dpotrs info {info})")
+    return x.T
 
 
 def update_b_admm(
@@ -378,7 +352,7 @@ def update_b_admm(
     ``b'A b / 2 - c'b + tau |b|_1`` with ``A = W'W + mu I``,
     ``c = W'G + mu b_old``, ``mu = proximal_mu`` and
     ``tau = lambda_coef / 2``: N lasso problems sharing one K x K matrix, which
-    is factored once with the guarded Cholesky of :func:`solve_normal`. On a
+    is factored once with the guarded :func:`_cholesky`. On a
     sign pattern ``s`` (a signed active set) a row is one Cholesky solve of its
     active rows and columns, ``A_SS b_S = c_S - tau s_S``. The row is certified
     optimal when its KKT conditions hold at rounding-level slack: with
@@ -405,7 +379,7 @@ def update_b_admm(
         if not np.isfinite(v).all():
             raise NumericalError(f"coefficient lasso block: {name} is not finite")
     what = "coefficient lasso block: Cholesky factorization of W'W + mu I"
-    a = gram + config.proximal_mu * np.eye(gram.shape[0])
+    a = _shifted(gram, config.proximal_mu)
     chol = _cholesky(a.copy(), what)
     c, tau = rhs + config.proximal_mu * b_old, config.lambda_coef / 2.0
     solve = partial(_solve_on_patterns, a, chol, what=what)
@@ -656,8 +630,6 @@ def fit(
 
     trace = [sweep_objective()]
     f_prev = trace[0]
-    mu = config.proximal_mu
-    mu_eye = mu * np.eye(config.rank)
     lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
@@ -677,13 +649,12 @@ def fit(
             gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
             rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
             if d < n_dims:
-                what = f"factor Gram W'W + mu I of mode {d}"
-                new = _sylvester_eig(gram + mu_eye, betas[d], rhs + mu * factors[d], what)
+                new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
             elif lasso:
                 new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                 state.lasso_certified = state.lasso_certified and ok
             else:
-                new = solve_normal(gram, rhs, config.lambda_coef, _RIDGE_SINGULAR)
+                new = update_b_ridge(gram, rhs, config)
             if not np.all(np.isfinite(new)):
                 if d < n_dims:
                     raise NumericalError(f"factor update for mode {d} produced non-finite values")

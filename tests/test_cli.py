@@ -303,6 +303,32 @@ def test_info_on_a_model_header_without_rank_exits_2(tmp_path, capsys):
     assert "model header has no field 'rank'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["model", "tensor"])
+def test_info_on_a_mistyped_header_exits_2(tmp_path, capsys, kind):
+    # a basis rank given as a string, or a tensor dimension of 2**61 whose
+    # payload would be 2**64 bytes: both are input errors, not tracebacks
+    if kind == "model":
+        model = MPBModel(
+            bases=[basis_mod.FourierBasis((0.0, 1.0), 3)], coefs=[np.ones((3, 1))],
+            subject_coefs=np.ones((2, 1)),
+        )
+        path = tmp_path / "m.mpbm"
+        fileio.write_model(path, model)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[5:9])
+        header = json.loads(raw[9 : 9 + hlen])
+        header["bases"][0]["rank"] = "3"
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+        message = "fourier basis specification field 'rank' is not an integer: '3'"
+    else:
+        path = tmp_path / "t.mpbt"
+        path.write_bytes(b"MPBT" + struct.pack("<BBQ", 1, 1, 2**61) + bytes(16))
+        message = "truncated file while reading tensor payload"
+    assert main(["info", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path, rank1_tensor, capsys):
     # no grid point of dimension 1 reaches the support of the last splines,
     # so its evaluation matrix is rank deficient

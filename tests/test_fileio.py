@@ -60,6 +60,23 @@ def test_tensor_truncated_payload(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("kind", ["tensor", "model"])
+def test_declared_payload_beyond_the_file_is_refused_before_reading(tmp_path, kind):
+    # a dimension of 2**61 declares at least 2**64 payload bytes; the size is
+    # checked against the bytes left in the file, never handed to read()
+    if kind == "tensor":
+        path = tmp_path / "t.mpbt"
+        path.write_bytes(b"MPBT" + struct.pack("<BBQ", 1, 1, 2**61) + bytes(16))
+        with pytest.raises(ValueError, match="truncated file while reading tensor payload"):
+            read_tensor(path)
+    else:
+        path = tmp_path / "m.mpbm"
+        write_model(path, make_model(np.random.default_rng(5)))
+        rewrite_header(path, lambda h: {**h, "coef_shapes": [[2**61, 3], [5, 3]]})
+        with pytest.raises(ValueError, match="truncated file while reading coefficients 0"):
+            read_model(path)
+
+
 def test_tensor_trailing_bytes(tmp_path):
     arr = np.ones(3)
     path = tmp_path / "t.mpbt"
@@ -200,6 +217,10 @@ def _drop_domain(h):
     return {**h, "bases": [{k: v for k, v in b.items() if k != "domain"} for b in h["bases"]]}
 
 
+def _set_basis_field(key, value):
+    return lambda h: {**h, "bases": [{**h["bases"][0], key: value}, *h["bases"][1:]]}
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -208,8 +229,16 @@ def _drop_domain(h):
         (_drop_domain, "bspline basis specification has no field 'domain'"),
         (lambda h: {**h, "n_subjects": "4"}, "model header field 'n_subjects' is not a count"),
         (lambda h: {**h, "coef_shapes": [[6, 3], [5, -3]]}, "'coef_shapes' is not a list of shapes"),
+        (_set_basis_field("domain", 5), "field 'domain' is not a list of two numbers: 5"),
+        (_set_basis_field("rank", None), "field 'rank' is not an integer: None"),
+        (_set_basis_field("rank", "7"), "field 'rank' is not an integer: '7'"),
+        (_set_basis_field("domain", [0, 1, 2]), "field 'domain' is not a list of two numbers"),
+        (_set_basis_field("rank", True), "bspline basis specification field 'rank' is not an"),
     ],
-    ids=["no_rank", "list", "no_domain", "string_count", "negative_shape"],
+    ids=[
+        "no_rank", "list", "no_domain", "string_count", "negative_shape",
+        "number_domain", "null_rank", "string_rank", "three_value_domain", "bool_rank",
+    ],
 )
 def test_model_header_errors_name_the_field(tmp_path, edit, match):
     path = tmp_path / "m.mpbm"

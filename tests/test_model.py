@@ -346,9 +346,7 @@ def test_project_scales_with_out_of_span_data(scale):
 def test_project_residuals_over_subject_chunks(monkeypatch):
     # residuals are formed a few subjects at a time; with chunks of 2, 2 and
     # 1 subjects every subject must still get its own residual
-    from mpbasis import solver as solver_mod
-
-    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", 2 * 12 * 10)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 12 * 10)
     rng = np.random.default_rng(23)
     model = random_model(rng, k=3, n_subj=1)
     grids = [np.linspace(0, 1, 12), np.linspace(0, 1, 10)]

@@ -349,10 +349,8 @@ def test_fit_mpb_centers_the_compressed_tensor():
 
 @pytest.mark.parametrize("chunk", [None, 2 * 14 * 11])
 def test_out_of_span_sq_is_the_direct_residual(monkeypatch, chunk):
-    from mpbasis import solver as solver_mod
-
     if chunk is not None:  # chunks of 2, 2 and 1 subjects
-        monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk)
     bases, grids, y = small_problem(np.random.default_rng(34), n_subj=5)
     facs = prepare(y, grids, bases, [2, 2]).facs
     y = y + 3.0

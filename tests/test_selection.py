@@ -355,9 +355,7 @@ def grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center):
 @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
 @pytest.mark.parametrize("penalty", ["ridge", "lasso"])
 def test_cv_criteria_match_grid_reference(monkeypatch, penalty, center):
-    from mpbasis import solver
-
-    monkeypatch.setattr(solver, "CHUNK_ENTRIES", 2 * 20 * 18)  # chunks of 2 subjects
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 20 * 18)  # chunks of 2 subjects
     rng = np.random.default_rng(15)
     grids, bases, y = cv_setup(rng, 7)
     y = y + 0.05 * rng.standard_normal(y.shape) + 3.0

@@ -18,7 +18,6 @@ from mpbasis.solver import (
     objective,
     residual_sq,
     soft_threshold,
-    solve_normal,
     sylvester_solve,
     update_b_admm,
     update_b_ridge,
@@ -30,6 +29,25 @@ def make_state(rng, dims, n_subj, k, zero_b=False):
     c_tilde = [rng.standard_normal((m, k)) for m in dims]
     b = np.zeros((n_subj, k)) if zero_b else rng.standard_normal((n_subj, k))
     return SolverState(c_tilde=c_tilde, b=b)
+
+
+def factor_step(g, state, d, t_d, config, mttkrp=T.mttkrp):
+    """Full-tensor grid step: :func:`update_factor` on mode ``d`` of ``g`` at
+    ``state``, with its Gram and MTTKRP formed from the other factors on the
+    whole tensor, in the eigenbasis of ``lambda_d T_d`` (decomposed again on
+    every call, by the eigensolver :func:`fit` uses once), and rotated back."""
+    lam = config.marginal_weights(g.ndim - 1)[d]
+    beta, p = solver_mod._eig_sym(lam * t_d, "penalty matrix")
+    others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
+    gram, rhs = T.gram_of_khatri_rao(others), p.T @ mttkrp(g, others, d)
+    return p @ update_factor(gram, rhs, p.T @ state.c_tilde[d], beta, config.proximal_mu, d)
+
+
+def ridge_step(g, state, config, mttkrp=T.mttkrp):
+    """Full-tensor ridge step: :func:`update_b_ridge` on the subject block of
+    ``g`` at ``state``, with its Gram and MTTKRP formed on the whole tensor."""
+    gram = T.gram_of_khatri_rao(state.c_tilde)
+    return update_b_ridge(gram, mttkrp(g, state.c_tilde, g.ndim - 1), config)
 
 
 def lasso_step(g, state, config):
@@ -174,7 +192,7 @@ def test_update_factor_unpenalized_matches_least_squares():
     state = make_state(rng, dims, n_subj, k)
     cfg = SolverConfig(rank=k, lambda_marginal=0.0, proximal_mu=0.0)
     t_d = np.zeros((6, 6))
-    got = update_factor(g, state, 0, t_d, cfg)
+    got = factor_step(g, state, 0, t_d, cfg)
     w = T.khatri_rao([state.b, state.c_tilde[1]])
     ref = T.unfold(g, 0) @ w @ np.linalg.inv(w.T @ w)
     assert np.abs(got - ref).max() < 1e-9
@@ -187,7 +205,7 @@ def test_update_factor_penalty_dominated_limit():
     state = make_state(rng, dims, n_subj, k)
     cfg = SolverConfig(rank=k, lambda_marginal=1e12, proximal_mu=0.0)
     t_d = spd(rng, 5)
-    got = update_factor(g, state, 0, t_d, cfg)
+    got = factor_step(g, state, 0, t_d, cfg)
     assert np.linalg.norm(got) < 1e-6
 
 
@@ -204,26 +222,46 @@ def test_update_factor_never_increases_conditional_objective():
         )
         d = int(rng.integers(0, 2))
         before = objective(g, state, t_mats, cfg)
-        state.c_tilde[d] = update_factor(g, state, d, t_mats[d], cfg)
+        state.c_tilde[d] = factor_step(g, state, d, t_mats[d], cfg)
         after = objective(g, state, t_mats, cfg)
         assert after <= before + 1e-10
 
 
-def test_update_factor_satisfies_gradient_equation():
+@pytest.mark.parametrize("mu", [1e-8, 0.5])
+def test_update_factor_satisfies_gradient_equation(mu):
+    # at mu = 0.5 the proximal pull towards the old factor is far above the
+    # tolerance, so a step that drops it fails
     rng = np.random.default_rng(8)
     dims, n_subj, k = (6, 4), 5, 3
     g = rng.standard_normal((*dims, n_subj))
     state = make_state(rng, dims, n_subj, k)
-    lam, mu = 0.3, 1e-8
+    lam = 0.3
     cfg = SolverConfig(rank=k, lambda_marginal=lam, proximal_mu=mu)
     t_d = psd(rng, 6)
     old = state.c_tilde[0].copy()
-    x = update_factor(g, state, 0, t_d, cfg)
+    x = factor_step(g, state, 0, t_d, cfg)
     others = [state.c_tilde[1], state.b]
     gram = T.gram_of_khatri_rao(others)
     rhs = T.mttkrp(g, others, 0) + mu * old
     res = x @ (gram + mu * np.eye(k)) + lam * t_d @ x - rhs
     assert np.linalg.norm(res) < 1e-8 * max(np.linalg.norm(rhs), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_update_factor_matches_kronecker_oracle_in_eigenbasis(k):
+    # X (M + mu I) + diag(beta) X = Q + mu X_old, vectorized row-major
+    rng = np.random.default_rng(44 + k)
+    n, mu = 7, 0.25
+    gram, beta = psd(rng, k), np.abs(rng.standard_normal(n))
+    q, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    inputs = [gram.copy(), q.copy(), x_old.copy(), beta.copy()]
+    x = update_factor(gram, q, x_old, beta, mu, 2)
+    a = np.kron(np.eye(n), (gram + mu * np.eye(k)).T) + np.kron(np.diag(beta), np.eye(k))
+    ref = np.linalg.solve(a, (q + mu * x_old).reshape(-1)).reshape(n, k)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the Gram may be one of the sweep's cached per-factor Grams: never mutated
+    for before, after in zip(inputs, [gram, q, x_old, beta]):
+        assert np.array_equal(before, after)
 
 
 # ------------------------------------------------------------- subject update
@@ -244,7 +282,7 @@ def test_update_b_ridge_orthonormal_design():
     if np.abs(gram - np.eye(k)).max() > 1e-12:
         pytest.skip("random draw did not give orthonormal Khatri-Rao columns")
     cfg = SolverConfig(rank=k, lambda_coef=0.0)
-    got = update_b_ridge(g, state, cfg)
+    got = ridge_step(g, state, cfg)
     ref = T.unfold(g, 2) @ T.khatri_rao([state.c_tilde[1], state.c_tilde[0]])
     assert np.abs(got - ref).max() < 1e-10
 
@@ -256,7 +294,7 @@ def test_update_b_ridge_matches_dense_oracle():
     state = make_state(rng, dims, n_subj, k)
     lam = 0.37
     cfg = SolverConfig(rank=k, lambda_coef=lam)
-    got = update_b_ridge(g, state, cfg)
+    got = ridge_step(g, state, cfg)
     w = T.khatri_rao([state.c_tilde[1], state.c_tilde[0]])
     ref = np.linalg.solve(w.T @ w + lam * np.eye(k), w.T @ T.unfold(g, 2).T).T
     assert np.abs(got - ref).max() < 1e-9
@@ -268,7 +306,7 @@ def test_update_b_ridge_shrinks_to_zero():
     g = rng.standard_normal((*dims, n_subj))
     state = make_state(rng, dims, n_subj, k)
     cfg = SolverConfig(rank=k, lambda_coef=1e12)
-    assert np.linalg.norm(update_b_ridge(g, state, cfg)) < 1e-8
+    assert np.linalg.norm(ridge_step(g, state, cfg)) < 1e-8
 
 
 def test_update_b_ridge_singular_raises():
@@ -280,7 +318,7 @@ def test_update_b_ridge_singular_raises():
     state.c_tilde[1][:, 1] = state.c_tilde[1][:, 0]
     cfg = SolverConfig(rank=k, lambda_coef=0.0)
     with pytest.raises(NumericalError, match="singular"):
-        update_b_ridge(g, state, cfg)
+        ridge_step(g, state, cfg)
 
 
 def lasso_coordinate_descent(w, y, lam, iters=3000):
@@ -308,7 +346,7 @@ def test_update_b_admm_penalty_free_matches_ridge_path():
     )
     b, z, a, ok, _ = lasso_step(g, state, cfg)
     assert ok
-    ref = update_b_ridge(g, state, SolverConfig(rank=k, lambda_coef=0.0))
+    ref = ridge_step(g, state, SolverConfig(rank=k, lambda_coef=0.0))
     assert np.abs(b - ref).max() < 1e-6
 
 
@@ -592,7 +630,7 @@ def test_objective_chunked_route_accurate_for_in_span_data(monkeypatch, scale):
     # an exact fit leaves a residual of roundoff size eps |g|; the expanded
     # square |g|^2 - 2<g, X> + |X|^2 would leave sqrt(eps) |g| of it.
     # The limit is lowered so the route builds two subjects per chunk.
-    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", 60)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 60)
     cfg = SolverConfig(rank=3)
     t_mats = [np.zeros((6, 6)), np.zeros((5, 5))]
     for seed in range(20):
@@ -612,7 +650,7 @@ def test_objective_chunked_route_matches_materialized(monkeypatch):
     cfg = SolverConfig(rank=3, lambda_marginal=0.2, lambda_coef=0.1)
     t_mats = [psd(rng, 5), psd(rng, 4)]
     whole = objective(g, state, t_mats, cfg)
-    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", 2 * 5 * 4)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 5 * 4)
     chunked = objective(g, state, t_mats, cfg)
     assert abs(chunked - whole) < 1e-12 * whole
 
@@ -624,13 +662,13 @@ def test_residual_sq_any_chunk_size_matches_explicit_difference(monkeypatch, per
     y = rng.standard_normal((6, 4, 7))
     diff = y - T.cp_to_tensor(factors)
     expected = [np.linalg.norm(diff[..., i]) ** 2 for i in range(7)]
-    monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", per_chunk * 6 * 4)
+    monkeypatch.setattr(T, "CHUNK_ENTRIES", per_chunk * 6 * 4)
     got = residual_sq(y, factors)
     assert got.shape == (7,)
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
-def test_solve_normal_message_states_ratio_and_threshold():
+def test_update_b_ridge_message_states_ratio_and_threshold():
     rng = np.random.default_rng(25)
     # Cholesky factor with diagonal (2, 1, 3e-8): a diagonal ratio of 1.5e-8
     r = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3e-8]])
@@ -639,23 +677,23 @@ def test_solve_normal_message_states_ratio_and_threshold():
     ratio = diag.min() / diag.max()
     assert 0.0 < ratio <= solver_mod.CHOL_DIAG_RATIO_TOL
     with pytest.raises(NumericalError) as info:
-        solve_normal(gram, rng.standard_normal((2, 3)), 0.0, "test system")
+        update_b_ridge(gram, rng.standard_normal((2, 3)), SolverConfig(rank=3))
     msg = str(info.value)
-    assert msg.startswith("test system")
+    assert msg.startswith("singular normal matrix in the coefficient update")
     assert f"{ratio:.3e}" in msg and "1e-07" in msg
-    # a shift that restores a healthy ratio gives the shifted solve
+    # a ridge weight that restores a healthy ratio gives the shifted solve
     rhs = rng.standard_normal((2, 3))
-    got = solve_normal(gram, rhs, 1.0, "test system")
+    got = update_b_ridge(gram, rhs, SolverConfig(rank=3, lambda_coef=1.0))
     assert np.allclose(got, np.linalg.solve(gram + np.eye(3), rhs.T).T, rtol=1e-12)
 
 
 @pytest.mark.parametrize("k, n, shift", [(1, 4, 0.0), (3, 7, 0.5), (25, 40, 0.0), (30, 5, 1e-3)])
-def test_solve_normal_matches_numpy_solve(k, n, shift):
+def test_update_b_ridge_matches_numpy_solve(k, n, shift):
     rng = np.random.default_rng(26 + k)
     w = rng.standard_normal((3 * k + 5, k))
     gram, rhs = w.T @ w, rng.standard_normal((n, k))
     inputs = [gram.copy(), rhs.copy()]
-    got = solve_normal(gram, rhs, shift, "test system")
+    got = update_b_ridge(gram, rhs, SolverConfig(rank=k, lambda_coef=shift))
     ref = np.linalg.solve(gram + shift * np.eye(k), rhs.T).T
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
     for before, after in zip(inputs, [gram, rhs]):
@@ -663,7 +701,7 @@ def test_solve_normal_matches_numpy_solve(k, n, shift):
 
 
 @pytest.mark.parametrize("bad", ["gram", "rhs"])
-def test_solve_normal_non_finite_raises_numerical_error(bad):
+def test_update_b_ridge_non_finite_raises_numerical_error(bad):
     rng = np.random.default_rng(27)
     gram, rhs = spd(rng, 3), rng.standard_normal((2, 3))
     if bad == "gram":
@@ -671,8 +709,8 @@ def test_solve_normal_non_finite_raises_numerical_error(bad):
     else:
         rhs[1, 2] = np.nan
     with pytest.raises(NumericalError, match="not finite") as info:
-        solve_normal(gram, rhs, 0.0, "test system")
-    assert str(info.value).startswith("test system")
+        update_b_ridge(gram, rhs, SolverConfig(rank=3))
+    assert str(info.value).startswith("singular normal matrix in the coefficient update")
 
 
 def test_fit_factor_gram_overflow_raises_numerical_error():
@@ -779,6 +817,41 @@ def test_lasso_fit_takes_gram_and_mttkrp_from_the_sweep(monkeypatch):
     state = fit(g, [psd(rng, 5), psd(rng, 4)], cfg)
     assert state.iters == 10 and state.lasso_certified
     assert np.all(np.diff(state.objective_trace) <= 1e-10)
+
+
+@pytest.mark.parametrize("coef_penalty", ["ridge", "lasso"])
+def test_fit_runs_one_library_step_per_block_and_sweep(monkeypatch, coef_penalty):
+    # the sweep's blocks are update_factor per grid mode, in ascending order,
+    # then update_b_ridge or update_b_admm, each looked up on the module and
+    # handed the sweep's Gram and MTTKRP, never a full-tensor one
+    calls = []
+
+    def counted(name):
+        func = getattr(solver_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[5] if name == "update_factor" else name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep formed a Gram or MTTKRP of its own")
+
+    for name in ("update_factor", "update_b_ridge", "update_b_admm"):
+        monkeypatch.setattr(solver_mod, name, counted(name))
+    monkeypatch.setattr(solver_mod, "mttkrp", forbidden)
+    monkeypatch.setattr(solver_mod, "gram_of_khatri_rao", forbidden)
+    rng = np.random.default_rng(35)
+    dims = (5, 4, 3)
+    g = rng.standard_normal(dims + (6,))
+    cfg = SolverConfig(
+        rank=2, lambda_marginal=0.05, lambda_coef=0.1, coef_penalty=coef_penalty,
+        max_outer_iters=7, outer_tol=1e-300, seed=2,
+    )
+    state = fit(g, [psd(rng, m) for m in dims], cfg)
+    assert state.iters == 7
+    assert calls == [0, 1, 2, f"update_b_{'ridge' if coef_penalty == 'ridge' else 'admm'}"] * 7
 
 
 def test_hosvd_start_is_leading_singular_vectors_and_ignores_seed():
@@ -947,26 +1020,20 @@ def einsum_cp_to_tensor(factors):
 def reference_trace(g, t_mats, config, n_sweeps, monkeypatch):
     """Objective trace of a reference sweep with no per-fit hoisting.
 
-    Every factor update runs einsum ``mttkrp`` and then ``sylvester_solve``,
-    which eigendecomposes ``lambda_d T_d`` again on every call; the solver's
-    tensor kernels are swapped for the einsum ones for the whole run.
+    Every block step forms its MTTKRP with einsum on the whole tensor, and
+    every factor step (:func:`factor_step`) eigendecomposes ``lambda_d T_d``
+    again on every call; the objective's reconstruction is the einsum one for
+    the whole run.
     """
-    monkeypatch.setattr(solver_mod, "mttkrp", einsum_mttkrp)
     monkeypatch.setattr(solver_mod, "cp_to_tensor", einsum_cp_to_tensor)
     n_dims = g.ndim - 1
-    lam = config.marginal_weights(n_dims)
-    mu = config.proximal_mu
     state = solver_mod._initialize(g, config)
     trace = [objective(g, state, t_mats, config)]
     for _ in range(n_sweeps):
         for d in range(n_dims):
-            others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
-            gram = T.gram_of_khatri_rao(others)
-            rhs = einsum_mttkrp(g, others, d) + mu * state.c_tilde[d]
-            m = gram + mu * np.eye(config.rank)
-            state.c_tilde[d] = sylvester_solve(m, lam[d] * t_mats[d], rhs)
+            state.c_tilde[d] = factor_step(g, state, d, t_mats[d], config, einsum_mttkrp)
         if config.coef_penalty == "ridge":
-            state.b = update_b_ridge(g, state, config)
+            state.b = ridge_step(g, state, config, einsum_mttkrp)
         else:
             gram = T.gram_of_khatri_rao(state.c_tilde)
             rhs = einsum_mttkrp(g, state.c_tilde, n_dims)
@@ -1009,12 +1076,10 @@ def per_mode_fit(g, t_mats, config, n_sweeps, initial_state=None):
     """Gauge-normalized state after a sweep with one MTTKRP per block.
 
     Every block forms its Gram with ``gram_of_khatri_rao`` and its MTTKRP
-    with :func:`kr_mttkrp` on the whole tensor; the lasso block hands both to
-    ``update_b_admm``.
+    with :func:`kr_mttkrp` on the whole tensor and hands both to its library
+    step; each factor step runs in a penalty eigenbasis of its own.
     """
     n_dims = g.ndim - 1
-    lam = config.marginal_weights(n_dims)
-    mu = config.proximal_mu
     if initial_state is None:
         state = solver_mod._initialize(g, config)
     else:
@@ -1022,17 +1087,12 @@ def per_mode_fit(g, t_mats, config, n_sweeps, initial_state=None):
     trace = [objective(g, state, t_mats, config)]
     for _ in range(n_sweeps):
         for d in range(n_dims):
-            others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
-            gram = T.gram_of_khatri_rao(others)
-            rhs = kr_mttkrp(g, others, d) + mu * state.c_tilde[d]
-            m = gram + mu * np.eye(config.rank)
-            state.c_tilde[d] = sylvester_solve(m, lam[d] * t_mats[d], rhs)
-        gram = T.gram_of_khatri_rao(state.c_tilde)
-        rhs = kr_mttkrp(g, state.c_tilde, n_dims)
+            state.c_tilde[d] = factor_step(g, state, d, t_mats[d], config, kr_mttkrp)
         if config.coef_penalty == "ridge":
-            state.b = solve_normal(gram, rhs, config.lambda_coef, "ridge")
+            state.b = ridge_step(g, state, config, kr_mttkrp)
         else:
-            state.b = update_b_admm(gram, rhs, state.b, config)[0]
+            gram = T.gram_of_khatri_rao(state.c_tilde)
+            state.b = update_b_admm(gram, kr_mttkrp(g, state.c_tilde, n_dims), state.b, config)[0]
         trace.append(objective(g, state, t_mats, config))
     state.objective_trace = np.asarray(trace)
     solver_mod._gauge_normalize(state)
