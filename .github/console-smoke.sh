@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Runs the installed `mpbasis` console script on a tiny product design:
+# simulate -> fit -> fpca -> verify -> info. This passes a simulation config,
+# a run config, and model and eigen headers through the entry point, and
+# checks that importing the CLI does not import jsonschema.
+set -euo pipefail
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+python -c 'import sys, mpbasis.cli; assert "jsonschema" not in sys.modules, "jsonschema imported"'
+cat > sim.json <<'JSON'
+{"design": "product", "replications": 1, "seed": 1, "n_dims": 2, "marginal_rank": 5,
+ "true_rank": 2, "grid_size": 12, "n_subjects": 6}
+JSON
+cat > run.json <<'JSON'
+{"domains": [[0.0, 1.0], [0.0, 1.0]],
+ "bases": [{"kind": "fourier", "rank": 5}, {"kind": "bspline", "rank": 6, "degree": 3}],
+ "grids": [{"equispaced": 12}, {"equispaced": 12.0}],
+ "solver": {"rank": 2.0, "lambda_coef": 1e-8, "max_outer_iters": 30.0},
+ "seed": 1, "center": true}
+JSON
+mpbasis simulate --config sim.json --out data
+mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
+mpbasis fpca --model fit/model.mpbm --out fpca
+mpbasis verify data/noisy_000.mpbt
+mpbasis verify fit/model.mpbm
+mpbasis verify fpca/eigen.mpbe --model fit/model.mpbm
+mpbasis info fit/model.mpbm
+mpbasis info fpca/eigen.mpbe
+echo "console script ok"

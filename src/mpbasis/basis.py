@@ -18,12 +18,13 @@ derivative order.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.interpolate import BSpline
+
+from .jsonspec import INTEGER, INTERVAL, NUMBER, check_tagged, list_of
 
 __all__ = [
     "PenaltyOperator",
@@ -204,40 +205,20 @@ class FourierBasis:
 MarginalBasis = Union[BSplineBasis, FourierBasis]
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_interval(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(
-        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v
-    )
+_SPEC_KEYS = {"domain": INTERVAL, "rank": INTEGER}
+_BASIS_KEYS = {
+    "bspline": {**_SPEC_KEYS, "degree": INTEGER, "knots": list_of(NUMBER, "a list of numbers")},
+    "fourier": {**_SPEC_KEYS, "period": NUMBER},
+}
 
 
 def basis_from_dict(spec: dict) -> MarginalBasis:
     """Rebuild a basis from its :meth:`to_dict` representation; ``ValueError``
-    names a missing ``domain`` or ``rank``, or one of the wrong type."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"basis specification is not an object: {spec!r}")
-    kind = spec.get("kind")
-    if kind in ("bspline", "fourier"):
-        for key, what, ok in (
-            ("domain", "a list of two numbers", _is_interval),
-            ("rank", "an integer", _is_integer),
-        ):
-            if key not in spec:
-                raise ValueError(f"{kind} basis specification has no field {key!r}")
-            if not ok(spec[key]):
-                raise ValueError(
-                    f"{kind} basis specification field {key!r} is not {what}: {spec[key]!r}"
-                )
-    if kind == "bspline":
-        return BSplineBasis(
-            spec["domain"], spec["rank"], spec.get("degree", 3), spec.get("knots")
-        )
-    if kind == "fourier":
-        return FourierBasis(spec["domain"], spec["rank"], spec.get("period"))
-    raise ValueError(f"unknown basis kind {kind!r}")
+    names a missing, unknown or mistyped key (the constructors check ranges)."""
+    s = check_tagged(spec, "basis specification", "kind", _BASIS_KEYS, ("domain", "rank"))
+    if s["kind"] == "bspline":
+        return BSplineBasis(s["domain"], s["rank"], s.get("degree", 3), s.get("knots"))
+    return FourierBasis(s["domain"], s["rank"], s.get("period"))
 
 
 def _gauss_nodes(basis: MarginalBasis, npoints: int) -> tuple[np.ndarray, np.ndarray]:

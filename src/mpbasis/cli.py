@@ -85,6 +85,12 @@ def cmd_fpca(args) -> int:
     return 0
 
 
+def _given(settings: dict, **keys) -> dict:
+    """Keyword arguments from the config keys that ``settings`` holds; an
+    absent key leaves the argument's default in :mod:`selection`."""
+    return {arg: settings[key] for arg, key in keys.items() if key in settings}
+
+
 def cmd_select(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
@@ -95,42 +101,32 @@ def cmd_select(args) -> int:
     out = _outdir(args)
     if cfg.center and args.mode != "cv":  # cv centers each training fold
         y = y - y.mean(axis=-1, keepdims=True)
+    sel = cfg.selection
     if args.mode == "marginal-rank":
         report = selection.select_marginal_rank(
-            y,
-            grids,
-            cfg.candidate_bases(),
-            threshold=cfg.selection.get("marginal_rank_threshold", 0.90),
+            y, grids, cfg.candidate_bases(), **_given(sel, threshold="marginal_rank_threshold")
         )
     elif args.mode == "global-rank":
-        k_grid = cfg.selection.get("rank_grid")
-        if not k_grid:
+        if "rank_grid" not in sel:
             raise ValueError("config is missing selection.rank_grid")
         prepared = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
         report = selection.sweep_global_rank(
             prepared.g_hat,
             prepared.t_mats,
             cfg.solver,
-            k_grid,
-            threshold=cfg.selection.get("rank_threshold", 0.05),
+            sel["rank_grid"],
+            **_given(sel, threshold="rank_threshold"),
         )
     else:  # cv
-        lam_grid = cfg.selection.get("lambda_grid")
-        if lam_grid is None:
-            exps = np.linspace(-10, -2, 5)
-            lam_grid = [(10.0**a, 10.0**b) for a in exps for b in exps]
-        else:
-            lam_grid = [tuple(pair) for pair in lam_grid]
         report = selection.cv_lambda_grid(
             y,
             grids,
             cfg.bases,
             cfg.penalty_orders,
             cfg.solver,
-            lam_grid,
-            n_folds=cfg.selection.get("n_folds", 5),
             seed=cfg.seed,
             center=cfg.center,
+            **_given(sel, lambda_grid="lambda_grid", n_folds="n_folds"),
         )
     path = out / f"selection_{args.mode.replace('-', '_')}.csv"
     report.write_csv(path)
@@ -157,7 +153,8 @@ def cmd_simulate(args) -> int:
         for r in range(reps):
             sample = sim.generate_gp2d_sample(sim_cfg, replication=r)
             fileio.write_tensor(out / f"train_{r:03d}.mpbt", sample.train)
-            fileio.write_tensor(out / f"test_{r:03d}.mpbt", sample.test)
+            if sim_cfg.n_test:
+                fileio.write_tensor(out / f"test_{r:03d}.mpbt", sample.test)
             rows.append((r, 0.0))
         fileio.write_tensor(out / "eigen_coefs.mpbt", sample.eigen_coefs)
         fileio.write_tensor(out / "eigen_values.mpbt", sample.eigen_values)

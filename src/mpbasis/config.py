@@ -1,163 +1,74 @@
-"""JSON run configurations: schema validation and construction of domain objects."""
+"""JSON run and simulation configurations: key tables for :mod:`jsonspec`
+and construction of domain objects."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
-import jsonschema
 import numpy as np
 
-from .basis import basis_from_dict
+from .basis import PenaltyOperator, basis_from_dict
+from .jsonspec import (
+    BOOLEAN, INTEGER, INTERVAL, NUMBER, OBJECT, STRING, Kind,
+    check, check_tagged, either, integer, list_of, number, obj,
+)
 from .sim import Gp2dSimConfig, ProductSimConfig
 from .solver import SolverConfig
 
 __all__ = ["RunConfig", "load_run_config", "load_sim_config"]
 
-_BASIS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["bspline", "fourier"]},
-        "rank": {"type": "integer", "minimum": 1},
-        "degree": {"type": "integer", "minimum": 1},
-        "knots": {"type": "array", "items": {"type": "number"}},
-        "period": {"type": "number", "exclusiveMinimum": 0},
+_GRID_KEYS = {"equispaced": integer(2), "points": list_of(NUMBER, "a nonempty list of numbers", 1)}
+
+
+def _grid(value, where: str) -> dict:
+    spec = check(value, where, _GRID_KEYS)
+    if len(spec) != 1:
+        raise ValueError(f"{where} needs exactly one of 'equispaced' and 'points'")
+    return spec
+
+
+# ranges that SolverConfig, the basis classes, PenaltyOperator and the
+# simulation configs check are left to them: the tables check those keys'
+# types, and the ranges that nothing else checks
+_SOLVER_KEYS = {
+    "rank": INTEGER, "max_outer_iters": INTEGER, "coef_penalty": STRING, "init": STRING,
+    "lambda_coef": NUMBER, "outer_tol": NUMBER, "proximal_mu": NUMBER,
+    "lambda_marginal": either(NUMBER, list_of(NUMBER, "a list of numbers")),
+}
+_RANKS = list_of(integer(1), "a nonempty list of integers >= 1", 1)
+_SELECTION_KEYS = {
+    "marginal_rank_candidates": list_of(_RANKS, "a nonempty list of rank lists", 1),
+    "marginal_rank_threshold": number(0, 1), "rank_threshold": number(0), "rank_grid": _RANKS,
+    "lambda_grid": list_of(
+        list_of(number(0), "a pair of numbers >= 0", 2, 2), "a nonempty list of weight pairs", 1
+    ),
+    "n_folds": integer(2),
+}
+_RUN_KEYS = {
+    "domains": list_of(INTERVAL, "a nonempty list of intervals", 1),
+    "bases": list_of(OBJECT, "a list of basis specifications"),
+    "penalty_orders": list_of(INTEGER, "a list of integers"),
+    "grids": list_of(Kind("a grid", _grid), "a list of grids"),
+    "solver": obj(_SOLVER_KEYS, ("rank",)), "selection": obj(_SELECTION_KEYS),
+    "seed": integer(0), "center": BOOLEAN,
+}
+
+# one key table per design: a key of the other design is refused, not dropped
+_SIM_COMMON = {"replications": integer(1), "seed": integer(0), "decay": NUMBER}
+_SIM_KEYS = {
+    "product": {
+        **_SIM_COMMON, "n_dims": INTEGER, "marginal_rank": INTEGER, "true_rank": INTEGER,
+        "coef_sd": NUMBER, "noise_var": NUMBER, "n_subjects": INTEGER, "redraw_coefs": BOOLEAN,
+        "grid_size": either(integer(2), list_of(integer(2), "a list of integers >= 2", 1)),
     },
-    "required": ["kind", "rank"],
-    "additionalProperties": False,
-}
-
-_GRID_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"equispaced": {"type": "integer", "minimum": 2}},
-            "required": ["equispaced"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"points": {"type": "array", "items": {"type": "number"}, "minItems": 1}},
-            "required": ["points"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_SOLVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "rank": {"type": "integer", "minimum": 1},
-        "lambda_marginal": {
-            "oneOf": [
-                {"type": "number", "minimum": 0},
-                {"type": "array", "items": {"type": "number", "minimum": 0}},
-            ]
-        },
-        "lambda_coef": {"type": "number", "minimum": 0},
-        "coef_penalty": {"enum": ["ridge", "lasso"]},
-        "max_outer_iters": {"type": "integer", "minimum": 1},
-        "outer_tol": {"type": "number", "exclusiveMinimum": 0},
-        "proximal_mu": {"type": "number", "minimum": 0},
-        "init": {"enum": ["random", "hosvd"]},
+    "gp2d": {
+        **_SIM_COMMON, "ranks": list_of(INTEGER, "a list of two integers", 2, 2),
+        "n_train": INTEGER, "n_test": INTEGER,
+        "grid_size": either(integer(2), list_of(integer(2), "a list of two integers >= 2", 2, 2)),
     },
-    "required": ["rank"],
-    "additionalProperties": False,
 }
-
-_SELECTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "marginal_rank_candidates": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "minItems": 1,
-        },
-        "marginal_rank_threshold": {"type": "number", "minimum": 0, "maximum": 1},
-        "rank_grid": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "rank_threshold": {"type": "number", "minimum": 0},
-        "lambda_grid": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "minItems": 1,
-        },
-        "n_folds": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
-
-RUN_CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "domains": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "minItems": 1,
-        },
-        "bases": {"type": "array", "items": _BASIS_SCHEMA, "minItems": 1},
-        "penalty_orders": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "grids": {"type": "array", "items": _GRID_SCHEMA},
-        "solver": _SOLVER_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "center": {"type": "boolean"},
-        "selection": _SELECTION_SCHEMA,
-    },
-    "required": ["domains", "bases", "solver"],
-    "additionalProperties": False,
-}
-
-_SIM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "design": {"enum": ["product", "gp2d"]},
-        "replications": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        # product design
-        "n_dims": {"type": "integer", "minimum": 1},
-        "marginal_rank": {"type": "integer", "minimum": 1},
-        "true_rank": {"type": "integer", "minimum": 1},
-        "coef_sd": {"type": "number", "exclusiveMinimum": 0},
-        "decay": {"type": "number", "exclusiveMinimum": 0},
-        "noise_var": {"type": "number", "minimum": 0},
-        "grid_size": {
-            "oneOf": [
-                {"type": "integer", "minimum": 2},
-                {"type": "array", "items": {"type": "integer", "minimum": 2}},
-            ]
-        },
-        "n_subjects": {"type": "integer", "minimum": 1},
-        "redraw_coefs": {"type": "boolean"},
-        # gp2d design
-        "ranks": {"type": "array", "items": {"type": "integer", "minimum": 4}},
-        "n_train": {"type": "integer", "minimum": 1},
-        "n_test": {"type": "integer", "minimum": 0},
-    },
-    "required": ["design"],
-    "additionalProperties": False,
-}
-
-
-def _validate(instance: dict, schema: dict, what: str) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ValueError(f"invalid {what}: {where}: {err.message}")
 
 
 @dataclass
@@ -208,29 +119,21 @@ class RunConfig:
         for ranks in cands:
             if len(ranks) != self.n_dims:
                 raise ValueError("each rank candidate needs one entry per dimension")
-            # custom knots do not fit another rank: reset them to equispaced
-            out.append(
-                [
-                    basis_from_dict({**b.to_dict(), "rank": r, "knots": None})
-                    for b, r in zip(self.bases, ranks)
-                ]
-            )
+            # custom knots do not fit another rank: drop them for equispaced ones
+            specs = [{k: v for k, v in b.to_dict().items() if k != "knots"} for b in self.bases]
+            out.append([basis_from_dict({**spec, "rank": r}) for spec, r in zip(specs, ranks)])
         return out
 
 
-def _build_bases(cfg: dict) -> list:
-    domains = cfg["domains"]
-    specs = cfg["bases"]
+def parse_run_config(raw: dict) -> RunConfig:
+    cfg = check(raw, "run config", _RUN_KEYS, ("domains", "bases", "solver"))
+    domains, specs = cfg["domains"], cfg["bases"]
     if len(specs) != len(domains):
-        raise ValueError(
-            f"config lists {len(domains)} domains but {len(specs)} bases"
-        )
-    return [basis_from_dict({**spec, "domain": dom}) for dom, spec in zip(domains, specs)]
-
-
-def parse_run_config(cfg: dict) -> RunConfig:
-    _validate(cfg, RUN_CONFIG_SCHEMA, "run config")
-    bases = _build_bases(cfg)
+        raise ValueError(f"config lists {len(domains)} domains but {len(specs)} bases")
+    for d, spec in enumerate(specs):
+        if "domain" in spec:
+            raise ValueError(f"run config bases[{d}]: 'domain' was unexpected")
+    bases = [basis_from_dict({**spec, "domain": dom}) for dom, spec in zip(domains, specs)]
     n_dims = len(bases)
     orders = cfg.get("penalty_orders", [2] * n_dims)
     if len(orders) != n_dims:
@@ -238,64 +141,44 @@ def parse_run_config(cfg: dict) -> RunConfig:
     grid_specs = cfg.get("grids")
     if grid_specs is not None and len(grid_specs) != n_dims:
         raise ValueError("grids needs one entry per dimension")
-    seed = int(cfg.get("seed", 0))
-    s = dict(cfg["solver"])
-    s.setdefault("seed", seed)
-    solver_cfg = SolverConfig(**s)
+    seed = cfg.get("seed", 0)
     return RunConfig(
         bases=bases,
-        penalty_orders=[int(o) for o in orders],
+        penalty_orders=[PenaltyOperator(o).order for o in orders],
         grid_specs=grid_specs,
-        solver=solver_cfg,
+        solver=SolverConfig(**{"seed": seed, **cfg["solver"]}),
         seed=seed,
-        center=bool(cfg.get("center", False)),
+        center=cfg.get("center", False),
         selection=cfg.get("selection", {}),
     )
 
 
-def load_run_config(path) -> RunConfig:
+def _load_json(path):
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from exc
-    return parse_run_config(cfg)
+
+
+def load_run_config(path) -> RunConfig:
+    return parse_run_config(_load_json(path))
 
 
 def load_sim_config(path) -> tuple[str, int, object]:
     """Parse a simulation config; returns (design, replications, config)."""
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config is not valid JSON: {exc}") from exc
-    _validate(cfg, _SIM_SCHEMA, "simulation config")
-    design = cfg["design"]
-    reps = int(cfg.get("replications", 1))
+    given = check_tagged(_load_json(path), "simulation config", "design", _SIM_KEYS)
+    design, reps = given.pop("design"), given.pop("replications", 1)
     # only the keys the JSON gives: every other field keeps its dataclass default
-    cls = ProductSimConfig if design == "product" else Gp2dSimConfig
-    given = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
     grid = given.get("grid_size")
-    if design == "product":
-        if isinstance(grid, list):
-            if len(set(grid)) != 1:
-                raise ValueError("product design uses one shared grid size per dimension")
-            given["grid_size"] = grid[0]
-    else:
-        if len(given.get("ranks", (0, 0))) != 2:
-            raise ValueError("gp2d design needs exactly two spline ranks")
-        if grid is not None and not isinstance(grid, list):
+    if design == "gp2d":
+        if isinstance(grid, int):
             given["grid_size"] = [grid, grid]
-        if len(given.get("grid_size", (0, 0))) != 2:
-            raise ValueError("gp2d design needs a 2-d grid size")
-    # the schema's integers include integral floats such as 5.0: cast every
-    # value to its field's type, and the gp2d lists to tuples of int
-    defaults = {f.name: f.default for f in fields(cls)}
-    for name, value in given.items():
-        default = defaults[name]
-        given[name] = (
-            tuple(int(v) for v in value)
-            if isinstance(default, tuple)
-            else type(default)(value)
+        return design, reps, Gp2dSimConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
         )
-    return design, reps, cls(**given)
+    if isinstance(grid, list):
+        if len(set(grid)) != 1:
+            raise ValueError("product design uses one shared grid size per dimension")
+        given["grid_size"] = grid[0]
+    return design, reps, ProductSimConfig(**given)

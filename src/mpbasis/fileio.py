@@ -21,6 +21,7 @@ import numpy as np
 
 from .basis import basis_from_dict
 from .fpca import FPCAResult
+from .jsonspec import COUNT, NULL, NUMBER, STRING, Kind, check, either, list_of, obj
 from .model import MPBModel
 
 __all__ = [
@@ -72,6 +73,8 @@ def write_tensor(path, array: np.ndarray) -> None:
     arr = np.asarray(array, dtype=float)
     if arr.ndim < 1:
         raise ValueError("tensor must have at least one mode")
+    if 0 in arr.shape:  # the reader refuses a zero-length mode
+        raise ValueError(f"invalid dimensions {arr.shape}")
     _check_finite(arr, "tensor payload")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
@@ -111,7 +114,9 @@ def _write_envelope(path, magic: bytes, header: dict, payloads: list[np.ndarray]
             _write_payload(fh, arr)
 
 
-def _read_envelope(path, magic: bytes, what: str) -> tuple[dict, BinaryIO]:
+def _read_envelope(path, magic: bytes, what: str, keys: tuple) -> tuple[dict, BinaryIO]:
+    """The header, checked against ``keys`` (key table, required keys), and
+    the open file positioned at the first payload."""
     fh = open(path, "rb")
     try:
         got = _read_exact(fh, 4, "magic")
@@ -122,41 +127,23 @@ def _read_envelope(path, magic: bytes, what: str) -> tuple[dict, BinaryIO]:
             raise ValueError(f"unsupported {what} format version {version}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = json.loads(_read_exact(fh, hlen, "header"))
-        if not isinstance(header, dict):
-            raise ValueError(f"{what} header is not a JSON object")
-        return header, fh
+        return check(header, f"{what} header", *keys), fh
     except Exception:
         fh.close()
         raise
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-def _is_shape(v) -> bool:
-    return isinstance(v, list) and all(_is_count(n) for n in v)
-
-
-_FIELD_KINDS = {
-    "count": _is_count,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "shape": _is_shape,
-    "list of shapes": lambda v: isinstance(v, list) and all(_is_shape(s) for s in v),
-    "list": lambda v: isinstance(v, list),
-}
-
-
-def _field(header: dict, name: str, what: str, kind: str = "count"):
-    """``header[name]`` if it is a ``kind`` of :data:`_FIELD_KINDS` (a count
-    is an integer >= 0, a shape a list of counts); otherwise ``ValueError``
-    naming the missing or mistyped field."""
-    if not isinstance(header, dict) or name not in header:
-        raise ValueError(f"{what} header has no field {name!r}")
-    value = header[name]
-    if not _FIELD_KINDS[kind](value):
-        raise ValueError(f"{what} header field {name!r} is not a {kind}: {value!r}")
-    return value
+_SHAPE = list_of(COUNT, "a shape")
+_BASIS = Kind("a basis specification", lambda v, _: basis_from_dict(v))
+# each header's key table and required keys
+_MODEL_HEADER = {
+    "kind": STRING, "bases": list_of(_BASIS, "a list of basis specifications"),
+    "rank": COUNT, "n_subjects": COUNT, "coef_shapes": list_of(_SHAPE, "a list of shapes"),
+    "mean": either(NULL, obj({"shape": _SHAPE}, ("shape",))),
+}, ("bases", "rank", "n_subjects", "coef_shapes")
+_EIGEN_HEADER = {
+    "kind": STRING, "rank": COUNT, "n_components": COUNT, "n_subjects": COUNT, "lambda": NUMBER,
+}, ("rank", "n_components", "n_subjects", "lambda")
 
 
 def write_model(path, model: MPBModel) -> None:
@@ -179,26 +166,23 @@ def write_model(path, model: MPBModel) -> None:
 
 
 def read_model(path) -> MPBModel:
-    header, fh = _read_envelope(path, MODEL_MAGIC, "model")
+    header, fh = _read_envelope(path, MODEL_MAGIC, "model", _MODEL_HEADER)
     with fh:
-        bases = [basis_from_dict(spec) for spec in _field(header, "bases", "model", "list")]
-        k = _field(header, "rank", "model")
-        n = _field(header, "n_subjects", "model")
+        k, n = header["rank"], header["n_subjects"]
         coefs = [
             _read_payload(fh, tuple(shape), f"coefficients {d}")
-            for d, shape in enumerate(_field(header, "coef_shapes", "model", "list of shapes"))
+            for d, shape in enumerate(header["coef_shapes"])
         ]
         subject_coefs = _read_payload(fh, (n, k), "subject coefficients")
         mean_grids = mean_values = None
-        mean = header.get("mean")
-        if mean is not None:
-            shape = tuple(_field(mean, "shape", "model mean", "shape"))
+        if header.get("mean") is not None:
+            shape = tuple(header["mean"]["shape"])
             mean_grids = [_read_payload(fh, (s,), "mean grid") for s in shape]
             mean_values = _read_payload(fh, shape, "mean values")
         if fh.read(1):
             raise ValueError("trailing bytes after model payload")
     return MPBModel(
-        bases=bases,
+        bases=header["bases"],
         coefs=coefs,
         subject_coefs=subject_coefs,
         mean_grids=mean_grids,
@@ -223,18 +207,16 @@ def write_eigen(path, result: FPCAResult) -> None:
 
 
 def read_eigen(path) -> FPCAResult:
-    header, fh = _read_envelope(path, EIGEN_MAGIC, "eigen")
+    header, fh = _read_envelope(path, EIGEN_MAGIC, "eigen", _EIGEN_HEADER)
     with fh:
-        k = _field(header, "rank", "eigen")
-        kk = _field(header, "n_components", "eigen")
-        n = _field(header, "n_subjects", "eigen")
+        k, kk, n = header["rank"], header["n_components"], header["n_subjects"]
         s = _read_payload(fh, (k, kk), "eigenvector coordinates")
         nu = _read_payload(fh, (kk,), "eigenvalues")
         sc = _read_payload(fh, (n, kk), "scores")
         var = _read_payload(fh, (kk,), "variance fractions")
         if fh.read(1):
             raise ValueError("trailing bytes after eigen payload")
-    lam = float(_field(header, "lambda", "eigen", "number"))
+    lam = float(header["lambda"])
     return FPCAResult(s=s, nu=nu, scores=sc, lam=lam, var_explained=var)
 
 

@@ -76,6 +76,10 @@ class MPBModel:
         if self.mean_values is not None:
             self.mean_grids = [np.asarray(g, dtype=float) for g in self.mean_grids]
             self.mean_values = np.asarray(self.mean_values, dtype=float)
+            if len(self.mean_grids) != len(self.bases):
+                raise ValueError(
+                    f"{len(self.mean_grids)} mean grids for {len(self.bases)} dimensions"
+                )
             expect = tuple(len(g) for g in self.mean_grids)
             if self.mean_values.shape != expect:
                 raise ValueError(

@@ -177,14 +177,21 @@ def _fold_assignment(n_subjects: int, n_folds: int, seed: int) -> np.ndarray:
     return labels
 
 
+#: The (marginal, coefficient) weights :func:`cv_lambda_grid` tries by
+#: default: every pair of 10^-10, 10^-8, ..., 10^-2.
+DEFAULT_LAMBDA_GRID = tuple(
+    (10.0**a, 10.0**b) for a in np.linspace(-10, -2, 5) for b in np.linspace(-10, -2, 5)
+)
+
+
 def cv_lambda_grid(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
     bases: Sequence,
     penalty_orders: Sequence[int],
     config: SolverConfig,
-    lambda_grid: Sequence[tuple[float, float]],
-    n_folds: int,
+    lambda_grid: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_GRID,
+    n_folds: int = 5,
     seed: int = 0,
     fold_labels: np.ndarray | None = None,
     center: bool = False,

@@ -139,6 +139,11 @@ class SolverConfig:
             raise ValueError("outer_tol must be > 0")
         if self.proximal_mu < 0:
             raise ValueError("proximal_mu must be >= 0")
+        lam = np.asarray(self.lambda_marginal, dtype=float)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"lambda_marginal must be finite, got {self.lambda_marginal}")
+        if np.any(lam < 0):
+            raise ValueError("marginal penalty weights must be >= 0")
 
     def marginal_weights(self, n_dims: int) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(self.lambda_marginal, dtype=float))
@@ -148,10 +153,6 @@ class SolverConfig:
             raise ValueError(
                 f"lambda_marginal has {lam.size} entries, expected {n_dims}"
             )
-        if not np.isfinite(lam).all():
-            raise ValueError(f"lambda_marginal must be finite, got {self.lambda_marginal}")
-        if np.any(lam < 0):
-            raise ValueError("marginal penalty weights must be >= 0")
         return lam
 
 

@@ -227,6 +227,65 @@ def test_select_honours_center(tmp_path, rank1_tensor, mode):
     assert csv_text[True] != csv_text[False]
 
 
+def test_integral_float_settings_reach_the_solver_as_ints(tmp_path, rank1_tensor):
+    # JSON numbers such as 2.0 are integers; fit and select used to pass them
+    # on as floats and die with a TypeError
+    cfg = base_config(rank=2.0, lambda_coef=1e-10, max_outer_iters=5.0)
+    cfg["selection"] = {"lambda_grid": [[1e-9, 1e-9]], "n_folds": 3.0}
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    common = ["--config", cfg_path, "--tensor", str(rank1_tensor)]
+    assert main(["fit", *common, "--out", str(tmp_path / "fit")]) in (0, 4)
+    assert main(["select", *common, "--out", str(tmp_path / "sel"), "--mode", "cv"]) == 0
+
+
+def test_simulate_refuses_a_key_of_the_other_design(tmp_path, capsys):
+    # the gp2d design is noise-free: a noise_var used to be dropped silently
+    cfg_path = write_json(tmp_path / "sim.json", {"design": "gp2d", "noise_var": 0.5})
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "'noise_var' was unexpected" in capsys.readouterr().err
+
+
+def test_every_file_simulate_writes_verifies(tmp_path):
+    # with n_test 0 there is no test tensor to write
+    sim_cfg = {
+        "design": "gp2d", "replications": 2, "ranks": [4, 5], "grid_size": [10, 12],
+        "n_train": 3, "n_test": 0,
+    }
+    cfg_path = write_json(tmp_path / "sim.json", sim_cfg)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.glob("*.mpbt"))
+    assert written == ["eigen_coefs.mpbt", "eigen_values.mpbt", "train_000.mpbt", "train_001.mpbt"]
+    for name in written:
+        assert main(["verify", str(out / name)]) == 0
+
+
+def test_select_cv_defaults_live_in_selection(tmp_path):
+    # a config without lambda_grid and n_folds gets cv_lambda_grid's defaults:
+    # the 5 x 5 grid of powers 10^-10, 10^-8, ..., 10^-2 and 5 folds
+    cfg = ProductSimConfig(
+        n_dims=2, marginal_rank=5, true_rank=1, grid_size=8, n_subjects=6, seed=4
+    )
+    tensor = tmp_path / "y.mpbt"
+    fileio.write_tensor(tensor, generate_product_sample(cfg).noisy)
+    run = base_config(max_outer_iters=2)
+    run["bases"] = [{"kind": "fourier", "rank": 5}] * 2
+    cfg_path = write_json(tmp_path / "cfg.json", run)
+    out = tmp_path / "sel"
+    argv = ["select", "--config", cfg_path, "--tensor", str(tensor), "--out", str(out)]
+    assert main(argv + ["--mode", "cv"]) == 0
+    y = fileio.read_tensor(tensor)
+    grids = [np.linspace(0.0, 1.0, 8)] * 2
+    bases = [basis_mod.FourierBasis((0.0, 1.0), 5)] * 2
+    exps = np.linspace(-10, -2, 5)
+    expected = selection.cv_lambda_grid(
+        y, grids, bases, [2, 2], SolverConfig(rank=1, max_outer_iters=2, seed=3),
+        [(10.0**a, 10.0**b) for a in exps for b in exps], n_folds=5, seed=3,
+    )
+    expected.write_csv(tmp_path / "expected.csv")
+    assert (out / "selection_cv.csv").read_text() == (tmp_path / "expected.csv").read_text()
+
+
 def test_simulate_noise_free_truth_equals_noisy(tmp_path):
     sim_cfg = {
         "design": "product",

@@ -1,6 +1,10 @@
 """Run and simulation configurations loaded from JSON."""
 
+import functools
 import json
+import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +69,8 @@ def test_removed_admm_solver_keys_rejected(key):
 
 
 def test_non_finite_solver_setting_rejected():
-    # JSON NaN passes the schema's minimum; SolverConfig rejects it
+    # the config checker checks only the type of a solver setting; SolverConfig
+    # rejects JSON NaN and names the setting
     raw = custom_config()
     raw["solver"] = json.loads('{"rank": 1, "outer_tol": NaN}')
     with pytest.raises(ValueError, match="outer_tol must be finite"):
@@ -109,9 +114,258 @@ def test_sim_config_defaults_are_the_dataclass_defaults(tmp_path, design, cls):
 
 
 def test_sim_config_integral_floats_are_cast_to_field_types(tmp_path):
-    # JSON Schema counts 40.0 as an integer, so it passes validation
+    # 40.0 is an integral number, so it counts as an integer
     path = tmp_path / "sim.json"
     path.write_text(json.dumps({"design": "gp2d", "grid_size": 40.0, "n_test": 3.0}))
     _, _, sim_cfg = load_sim_config(path)
     assert sim_cfg == Gp2dSimConfig(grid_size=(40, 40), n_test=3)
     assert isinstance(sim_cfg.n_test, int) and isinstance(sim_cfg.grid_size[0], int)
+
+
+# --- the checker's contract: mutated configs -------------------------------
+
+
+def full_run_config():
+    """A run config that sets every key."""
+    return {
+        "domains": [[0.0, 2.0], [-1.0, 1.0]],
+        "bases": [
+            {"kind": "bspline", "rank": 6, "degree": 2, "knots": KNOTS},
+            {"kind": "fourier", "rank": 5, "period": 3.0},
+        ],
+        "penalty_orders": [2, 1],
+        "grids": [{"points": [0.0, 0.5, 2.0]}, {"equispaced": 4}],
+        "solver": {
+            "rank": 2, "lambda_marginal": [0.1, 0.2], "lambda_coef": 0.01,
+            "coef_penalty": "ridge", "max_outer_iters": 5, "outer_tol": 1e-6,
+            "proximal_mu": 1e-8, "init": "random",
+        },
+        "seed": 3,
+        "center": True,
+        "selection": {
+            "marginal_rank_candidates": [[4, 3], [8, 7]],
+            "marginal_rank_threshold": 0.9,
+            "rank_grid": [1, 2],
+            "rank_threshold": 0.05,
+            "lambda_grid": [[1e-6, 1e-6], [0, 1e-3]],
+            "n_folds": 3,
+        },
+    }
+
+
+BASE_CONFIGS = {
+    "run": full_run_config,
+    "product": lambda: {
+        "design": "product", "replications": 2, "seed": 1, "n_dims": 2,
+        "marginal_rank": 5, "true_rank": 3, "coef_sd": 0.3, "decay": 0.7,
+        "noise_var": 0.5, "grid_size": 12, "n_subjects": 4, "redraw_coefs": False,
+    },
+    "gp2d": lambda: {
+        "design": "gp2d", "replications": 1, "seed": 2, "ranks": [6, 5],
+        "decay": 0.7, "grid_size": [10, 12], "n_train": 4, "n_test": 2,
+    },
+}
+
+
+class _Drop:
+    def __repr__(self):
+        return "DROP"
+
+
+DROP = _Drop()  # a row value that deletes the key
+
+
+def mutated(base, path, value):
+    doc = BASE_CONFIGS[base]()
+    if not path:
+        return value
+    *head, last = path
+    target = functools.reduce(operator.getitem, head, doc)
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def parse(doc, tmp_path):
+    """Parse ``doc`` as the loaders do: a run config, or a simulation config
+    read from a file."""
+    if isinstance(doc, dict) and "design" in doc:
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(doc))
+        return load_sim_config(path)
+    return parse_run_config(doc)
+
+
+def rows(base, path, *values):
+    return [(base, path, v) for v in values]
+
+
+NAN = float("nan")
+INF = float("inf")
+
+# refused by the JSON Schema checker and still refused; the one row that
+# changed, a basis rank of 6.0, is test_integral_basis_rank_is_an_integer
+REJECTED = [
+    # run config: the document and its required keys
+    *rows("run", (), [], "config", None, 3),
+    *rows("run", ("mystery",), 1, None),
+    *rows("run", ("domains",), DROP, [], "x", [[0.0, 1.0]], [[0.0], [0.0, 1.0]]),
+    *rows("run", ("domains", 0), [0.0, 1.0, 2.0], ["a", 1.0], [True, 1.0], [None, 1.0], [2.0, 0.0]),
+    *rows("run", ("bases",), DROP, [], "x", {}, [1, 2]),
+    # basis specifications
+    *rows("run", ("bases", 0), "bspline", None),
+    *rows("run", ("bases", 0, "kind"), DROP, "spline", 3, None),
+    *rows("run", ("bases", 0, "rank"), DROP, 0, -1, 2, "6", 6.5, True, None),
+    *rows("run", ("bases", 0, "degree"), 0, "2", 2.5, None, False),
+    *rows("run", ("bases", 0, "knots"), "x", None, [0.0, 2.0], ["a"] * 9, KNOTS[::-1]),
+    *rows("run", ("bases", 0, "mystery"), 1),
+    *rows("run", ("bases", 0, "domain"), [0.0, 2.0]),
+    *rows("run", ("bases", 1, "rank"), 4, 0, "5", 5.5),
+    *rows("run", ("bases", 1, "period"), 0, -1.0, "x", None),
+    # penalty orders and grids
+    *rows("run", ("penalty_orders",), "x", [2], [2, 1, 1], 2),
+    *rows("run", ("penalty_orders", 0), 0, -1, "2", 1.5, True, None),
+    *rows("run", ("grids",), "x", [{"equispaced": 4}], {}),
+    *rows("run", ("grids", 0), 1, {}, {"mystery": 3}, {"equispaced": 3, "points": [0.0, 1.0, 2.0]}),
+    *rows("run", ("grids", 1, "equispaced"), 1, 0, 2.5, "4", True, None),
+    *rows("run", ("grids", 0, "points"), [], "x", ["a"], None, [0.0, True]),
+    # solver
+    *rows("run", ("solver",), DROP, "x", [], {}),
+    *rows("run", ("solver", "rank"), DROP, 0, -1, "2", 2.5, True, None),
+    *rows("run", ("solver", "lambda_marginal"), -1.0, "x", [0.1, -0.2], [0.1, "x"], None, True),
+    *rows("run", ("solver", "lambda_coef"), -1.0, "x", None, INF),
+    *rows("run", ("solver", "coef_penalty"), "elastic", 3, None),
+    *rows("run", ("solver", "max_outer_iters"), 0, -1, 2.5, "5"),
+    *rows("run", ("solver", "outer_tol"), 0, -1.0, "x", NAN, INF),
+    *rows("run", ("solver", "proximal_mu"), -1.0, "x", NAN),
+    *rows("run", ("solver", "init"), "svd", 1),
+    *rows("run", ("solver", "seed"), 1),
+    *rows("run", ("solver", "gamma"), 1.0),
+    # seed and center
+    *rows("run", ("seed",), -1, "3", 2.5, True, None),
+    *rows("run", ("center",), 1, "true", None),
+    # selection
+    *rows("run", ("selection",), "x", [], {"folds": 3}),
+    *rows(
+        "run", ("selection", "marginal_rank_candidates"),
+        [], "x", [[0, 3]], [["a", 3]], [[4.5, 3]], [4, 3],
+    ),
+    *rows("run", ("selection", "marginal_rank_threshold"), 1.5, -0.1, "x", None),
+    *rows("run", ("selection", "rank_grid"), [], [0], "x", [1.5], [True]),
+    *rows("run", ("selection", "rank_threshold"), -1.0, "x"),
+    *rows(
+        "run", ("selection", "lambda_grid"),
+        [], [[1e-6]], [[1e-6, 1e-6, 1e-6]], [[-1.0, 0.0]], [["a", 0.0]], "x", [1e-6, 1e-6],
+    ),
+    *rows("run", ("selection", "n_folds"), 1, 0, 2.5, "3", True),
+    # simulation configs, both designs
+    *rows("product", (), [], "x"),
+    *rows("product", ("design",), DROP, "other", 3, None),
+    *rows("product", ("mystery",), 1),
+    *rows("product", ("replications",), 0, -1, "2", 1.5, True),
+    *rows("product", ("seed",), -1, "1", 0.5),
+    *rows("product", ("n_dims",), 0, "2", 2.5),
+    *rows("product", ("marginal_rank",), 4, 0, "5"),
+    *rows("product", ("true_rank",), 0, "3"),
+    *rows("product", ("coef_sd",), 0, -1.0, "x"),
+    *rows("product", ("decay",), 0, -0.5, None),
+    *rows("product", ("noise_var",), -1.0, "x"),
+    *rows("product", ("grid_size",), 1, 0, [12, 13], "12", [], 12.5, [1, 1]),
+    *rows("product", ("n_subjects",), 0, "4"),
+    *rows("product", ("redraw_coefs",), 1, "yes", None),
+    *rows("gp2d", ("ranks",), [3, 5], [6], [6, 5, 4], "x", [6, 5.5], 6),
+    *rows("gp2d", ("decay",), 0, "x"),
+    *rows("gp2d", ("grid_size",), 1, [10], [10, 1], [10, 12, 14], "10"),
+    *rows("gp2d", ("n_train",), 0, "4"),
+    *rows("gp2d", ("n_test",), -1, 1.5, "2"),
+    *rows("gp2d", ("mystery",), 1),
+]
+
+# accepted by the JSON Schema checker and refused now: a key of the other
+# basis kind or simulation design was dropped silently, and NaN passed the
+# schema's range checks
+NEWLY_REJECTED = [
+    *rows("run", ("bases", 1, "degree"), 3),
+    *rows("run", ("bases", 1, "knots"), KNOTS),
+    *rows("run", ("bases", 0, "period"), 2.0),
+    *rows("run", ("solver", "lambda_marginal"), NAN, [0.1, NAN]),
+    *rows("run", ("selection", "marginal_rank_threshold"), NAN),
+    *rows("run", ("selection", "rank_threshold"), NAN),
+    *rows("run", ("selection", "lambda_grid"), [[NAN, 0.0]]),
+    *rows("product", ("ranks",), [6, 5]),
+    *rows("product", ("n_train",), 4),
+    *rows("product", ("n_test",), 2),
+    *rows("gp2d", ("noise_var",), 0.5),
+    *rows("gp2d", ("n_dims",), 2),
+    *rows("gp2d", ("coef_sd",), 0.3),
+    *rows("gp2d", ("redraw_coefs",), True),
+]
+
+
+def _row_id(row):
+    base, path, value = row
+    return f"{base}:{'.'.join(map(str, path)) or 'document'}={value!r}"
+
+
+@pytest.mark.parametrize("row", REJECTED, ids=[_row_id(r) for r in REJECTED])
+def test_mutated_config_rejected(tmp_path, row):
+    with pytest.raises(ValueError):
+        parse(mutated(*row), tmp_path)
+
+
+@pytest.mark.parametrize("row", NEWLY_REJECTED, ids=[_row_id(r) for r in NEWLY_REJECTED])
+def test_newly_rejected_config_names_the_key(tmp_path, row):
+    with pytest.raises(ValueError, match=row[1][-1]):
+        parse(mutated(*row), tmp_path)
+
+
+def test_integral_basis_rank_is_an_integer():
+    raw = full_run_config()
+    raw["bases"][0]["rank"] = 6.0
+    rank = parse_run_config(raw).bases[0].rank
+    assert rank == 6 and isinstance(rank, int)
+
+
+def test_integral_numbers_become_ints():
+    raw = full_run_config()
+    raw["solver"].update(rank=2.0, max_outer_iters=5.0)
+    raw["selection"].update(n_folds=3.0, rank_grid=[1.0, 2.0])
+    raw["grids"][1]["equispaced"] = 4.0
+    raw["penalty_orders"] = [2.0, 1.0]
+    raw["seed"] = 3.0
+    cfg = parse_run_config(raw)
+    ints = [
+        cfg.solver.rank, cfg.solver.max_outer_iters, cfg.selection["n_folds"],
+        *cfg.selection["rank_grid"], cfg.grid_specs[1]["equispaced"], *cfg.penalty_orders,
+        cfg.seed, cfg.solver.seed,
+    ]
+    assert ints == [2, 5, 3, 1, 2, 4, 2, 1, 3, 3]
+    assert all(type(v) is int for v in ints)
+
+
+@pytest.mark.parametrize("base", list(BASE_CONFIGS))
+def test_unmutated_configs_parse(tmp_path, base):
+    parse(BASE_CONFIGS[base](), tmp_path)
+
+
+README_JSON = re.findall(
+    r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S
+)
+
+
+def test_readme_documents_a_run_config_and_both_simulation_designs():
+    designs = [json.loads(block).get("design") for block in README_JSON]
+    assert designs == [None, "product", "gp2d"]
+
+
+def test_readme_simulation_blocks_show_the_defaults(tmp_path):
+    for block in README_JSON[1:]:
+        _, reps, sim_cfg = parse(json.loads(block), tmp_path)
+        assert reps == 1 and sim_cfg == type(sim_cfg)()
+
+
+@pytest.mark.parametrize("block", README_JSON)
+def test_readme_json_blocks_parse(tmp_path, block):
+    parse(json.loads(block), tmp_path)

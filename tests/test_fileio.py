@@ -98,6 +98,14 @@ def test_tensor_rejects_non_finite(tmp_path):
         read_tensor(path)
 
 
+def test_tensor_with_a_zero_length_mode_is_refused_on_write(tmp_path):
+    # read_tensor refuses such a file, so write_tensor does not write one
+    path = tmp_path / "t.mpbt"
+    with pytest.raises(ValueError, match=r"invalid dimensions \(10, 12, 0\)"):
+        write_tensor(path, np.ones((10, 12, 0)))
+    assert not path.exists()
+
+
 def test_tensor_bad_version(tmp_path):
     arr = np.ones(2)
     path = tmp_path / "t.mpbt"

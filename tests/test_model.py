@@ -145,6 +145,16 @@ def test_evaluate_subjects_mean_grid_mismatch_raises():
         model.evaluate_subjects(other)
 
 
+def test_mean_needs_one_grid_per_dimension():
+    # a 1-d mean on a 2-d model would fail every later evaluate_subjects or
+    # project call with a grid-mismatch message
+    rng = np.random.default_rng(7)
+    model = random_model(rng, ranks=(5, 5), k=1, n_subj=2)
+    grid = np.linspace(0, 1, 9)
+    with pytest.raises(ValueError, match="1 mean grids for 2 dimensions"):
+        MPBModel(model.bases, model.coefs, model.subject_coefs, [grid], np.zeros(9))
+
+
 def test_evaluate_subjects_rank_one_outer_product():
     rng = np.random.default_rng(7)
     model = random_model(rng, k=1, n_subj=1)
