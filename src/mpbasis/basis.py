@@ -62,6 +62,13 @@ def _check_points(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     return np.clip(x, a, b)
 
 
+def _check_domain(domain) -> tuple[float, float]:
+    a, b = float(domain[0]), float(domain[1])
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"domain must satisfy a < b with finite endpoints, got [{a}, {b}]")
+    return a, b
+
+
 class BSplineBasis:
     """Clamped B-spline basis of a given rank on ``[a, b]``.
 
@@ -82,9 +89,7 @@ class BSplineBasis:
     kind = "bspline"
 
     def __init__(self, domain, rank, degree=3, knots=None):
-        a, b = float(domain[0]), float(domain[1])
-        if not a < b:
-            raise ValueError(f"domain must satisfy a < b, got [{a}, {b}]")
+        a, b = _check_domain(domain)
         rank = int(rank)
         degree = int(degree)
         if degree < 1:
@@ -100,7 +105,7 @@ class BSplineBasis:
                 raise ValueError(
                     f"knot vector must have length rank + degree + 1 = {rank + degree + 1}"
                 )
-            if np.any(np.diff(knots) < 0):
+            if not np.all(np.diff(knots) >= 0):  # also refuses NaN and infinite knots
                 raise ValueError("knot vector must be nondecreasing")
             if not (np.all(knots[: degree + 1] == a) and np.all(knots[-degree - 1 :] == b)):
                 raise ValueError("knot vector must be clamped to the domain endpoints")
@@ -152,15 +157,13 @@ class FourierBasis:
     kind = "fourier"
 
     def __init__(self, domain, rank, period=None):
-        a, b = float(domain[0]), float(domain[1])
-        if not a < b:
-            raise ValueError(f"domain must satisfy a < b, got [{a}, {b}]")
+        a, b = _check_domain(domain)
         rank = int(rank)
         if rank < 1 or rank % 2 == 0:
             raise ValueError(f"fourier rank must be a positive odd integer, got {rank}")
         period = float(period) if period is not None else b - a
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0 < period < np.inf:
+            raise ValueError(f"period must be finite and positive, got {period}")
         self.domain = (a, b)
         self.rank = rank
         self.period = period

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericalError
 from .model import MPBModel
-from .tensors import cp_to_tensor
 
 __all__ = [
     "FPCAResult",
@@ -28,7 +26,6 @@ __all__ = [
     "scores",
     "eigenfunction_model",
     "run_fpca",
-    "EigenfunctionModel",
 ]
 
 #: Generalized eigenvalues in [-EIG_FLOOR, 0] are clamped to zero; anything
@@ -108,8 +105,10 @@ def solve_fpca(
     r_zeta = np.asarray(r_zeta, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
     k = j_zeta.shape[0]
-    if lam < 0:
-        raise ValueError("smoothing weight must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"smoothing weight must be finite and >= 0, got {lam}")
+    if not 0 < var_threshold <= 1:
+        raise ValueError(f"var_threshold must lie in (0, 1], got {var_threshold}")
     d, q = eigh(0.5 * (j_zeta + j_zeta.T))
     if d[0] < -1e-8 * max(d[-1], 1e-300):
         raise NumericalError(
@@ -180,26 +179,12 @@ def scores(model: MPBModel, result: FPCAResult, j_zeta: np.ndarray | None = None
     return model.subject_coefs @ (j_zeta @ result.s)
 
 
-@dataclass
-class EigenfunctionModel:
-    """Evaluator for the estimated eigenfunctions over the product basis."""
-
-    model: MPBModel
-    s: np.ndarray
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """``n_points x K_keep`` values of the eigenfunctions."""
-        return self.model.evaluate_basis(points) @ self.s
-
-    def evaluate_grid(self, grids: Sequence[np.ndarray]) -> np.ndarray:
-        """Tensor-grid evaluation, shape ``(len(g_1), ..., len(g_D), K_keep)``."""
-        return cp_to_tensor(self.model.marginal_values(grids) + [self.s.T])
-
-
-def eigenfunction_model(model: MPBModel, result: FPCAResult) -> EigenfunctionModel:
+def eigenfunction_model(model: MPBModel, result: FPCAResult) -> MPBModel:
+    """The eigenfunctions as an :class:`MPBModel`, one "subject" per component;
+    at scattered points they are ``model.evaluate_basis(points) @ result.s``."""
     if result.s.shape[0] != model.rank:
         raise ValueError("eigenvector coordinates do not match the model rank")
-    return EigenfunctionModel(model=model, s=result.s)
+    return MPBModel(bases=model.bases, coefs=model.coefs, subject_coefs=result.s.T)
 
 
 def run_fpca(

@@ -98,12 +98,12 @@ class MPBModel:
     def n_subjects(self) -> int:
         return self.subject_coefs.shape[0]
 
-    def marginal_values(self, grids: Sequence[np.ndarray], deriv: int = 0) -> list[np.ndarray]:
+    def marginal_values(self, grids: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per-dimension evaluations of the K marginal functions on grids."""
         if len(grids) != self.n_dims:
             raise ValueError(f"expected {self.n_dims} grids, got {len(grids)}")
         return [
-            b.evaluate(np.asarray(g, dtype=float), deriv) @ c
+            b.evaluate(np.asarray(g, dtype=float)) @ c
             for b, c, g in zip(self.bases, self.coefs, grids)
         ]
 

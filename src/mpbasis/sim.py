@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 
+def _check_sign(cfg, name: str, zero_ok: bool = False) -> None:
+    """The field ``name`` must be finite and > 0 (>= 0 if ``zero_ok``)."""
+    v = getattr(cfg, name)
+    if not (np.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ProductSimConfig:
     """Settings for the separable-product design on the unit cube.
@@ -62,8 +69,9 @@ class ProductSimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.marginal_rank % 2 == 0:
             raise ValueError("marginal_rank must be odd for the Fourier system")
-        if self.coef_sd <= 0 or self.decay <= 0 or self.noise_var < 0:
-            raise ValueError("coef_sd and decay must be > 0, noise_var >= 0")
+        _check_sign(self, "coef_sd")
+        _check_sign(self, "decay")
+        _check_sign(self, "noise_var", zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,7 @@ class Gp2dSimConfig:
             raise ValueError("grid sizes must be >= 2")
         if self.n_train < 1 or self.n_test < 0:
             raise ValueError("need n_train >= 1 and n_test >= 0")
-        if self.decay <= 0:
-            raise ValueError("decay must be > 0")
+        _check_sign(self, "decay")
 
 
 @dataclass
@@ -189,19 +196,21 @@ def generate_gp2d_sample(cfg: Gp2dSimConfig, replication: int = 0) -> Gp2dSample
     bases, coefs, _ = gp2d_eigensystem(cfg)
     m1, m2 = cfg.ranks
     grids = [np.linspace(0.0, 1.0, g) for g in cfg.grid_size]
-    phi1 = bases[0].evaluate(grids[0])
-    phi2 = bases[1].evaluate(grids[1])
-    # tensor basis values, row-major pairing to match the Kronecker Gram
-    tensor_vals = np.einsum("ia,jb->ijab", phi1, phi2).reshape(
-        cfg.grid_size[0] * cfg.grid_size[1], m1 * m2
-    )
-    psi_vals = tensor_vals @ coefs  # grid points x (m1*m2) eigenfunctions
+    phi1, phi2 = (b.evaluate(g) for b, g in zip(bases, grids))
     rho = np.exp(-cfg.decay * np.arange(1, m1 * m2 + 1))
     rng = _replication_rng(cfg.seed, replication)
     train_scores = rng.standard_normal((cfg.n_train, m1 * m2)) * np.sqrt(rho)
     test_scores = rng.standard_normal((cfg.n_test, m1 * m2)) * np.sqrt(rho)
-    train = (psi_vals @ train_scores.T).reshape(*cfg.grid_size, cfg.n_train)
-    test = (psi_vals @ test_scores.T).reshape(*cfg.grid_size, cfg.n_test)
+
+    def fields(scores: np.ndarray) -> np.ndarray:
+        # m1 x m2 x N core over the tensor basis (row-major pairing, as in the
+        # Kronecker Gram), contracted one spline system at a time
+        n = scores.shape[0]
+        core = (coefs @ scores.T).reshape(m1, m2, n)
+        half = (phi2 @ core).reshape(m1, -1)  # m1 x (n2 * N)
+        return (phi1 @ half).reshape(*cfg.grid_size, n)
+
+    train, test = fields(train_scores), fields(test_scores)
     return Gp2dSample(
         train=train,
         test=test,

@@ -249,6 +249,12 @@ def test_bspline_constructor_validation():
         BSplineBasis((0.0, 1.0), 5, degree=2, knots=[0, 0, 0, 0.7, 0.3, 1, 1, 1])
     with pytest.raises(ValueError, match="clamped"):
         BSplineBasis((0.0, 1.0), 5, degree=2, knots=[0, 0, 0.1, 0.3, 0.7, 1, 1, 1])
+    for domain in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite endpoints"):
+            BSplineBasis(domain, 6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            BSplineBasis((0.0, 1.0), 5, degree=2, knots=[0, 0, 0, bad, 0.5, 1, 1, 1])
 
 
 def test_fourier_constructor_validation():
@@ -256,6 +262,11 @@ def test_fourier_constructor_validation():
         FourierBasis((0.0, 1.0), 4)
     with pytest.raises(ValueError, match="period"):
         FourierBasis((0.0, 1.0), 3, period=-1.0)
+    for period in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="period must be finite"):
+            FourierBasis((0.0, 1.0), 3, period=period)
+    with pytest.raises(ValueError, match="finite endpoints"):
+        FourierBasis((0.0, np.inf), 3)
 
 
 def test_custom_knots_round_trip():

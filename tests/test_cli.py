@@ -388,6 +388,65 @@ def test_info_on_a_mistyped_header_exits_2(tmp_path, capsys, kind):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "basis, key, value, message",
+    [
+        (basis_mod.FourierBasis((0.0, 1.0), 3), "domain", [0.0, float("inf")], "finite endpoints"),
+        (basis_mod.BSplineBasis((0.0, 1.0), 4), "domain", [float("-inf"), 1.0], "finite endpoints"),
+        (basis_mod.FourierBasis((0.0, 1.0), 3), "period", float("nan"), "period must be finite"),
+    ],
+)
+def test_info_on_a_non_finite_basis_header_exits_2(tmp_path, capsys, basis, key, value, message):
+    # JSON headers may hold NaN and Infinity; the basis constructors refuse them
+    model = MPBModel(
+        bases=[basis], coefs=[np.ones((basis.rank, 1))], subject_coefs=np.ones((2, 1))
+    )
+    path = tmp_path / "m.mpbm"
+    fileio.write_model(path, model)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    header = json.loads(raw[9 : 9 + hlen])
+    header["bases"][0][key] = value
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    assert main(["info", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design", ["product", "gp2d"])
+def test_simulate_refuses_a_nan_decay_before_writing(tmp_path, capsys, design):
+    # the data used to be generated first, and the tensor writer then refused
+    # them without naming a setting, leaving an empty output directory
+    cfg_path = write_json(tmp_path / "sim.json", {"design": design, "decay": float("nan")})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "decay must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--smoothing", "nan", "smoothing weight"),
+        ("--smoothing", "inf", "smoothing weight"),
+        ("--var-threshold", "nan", "var_threshold"),
+        ("--var-threshold", "-1", "var_threshold"),
+    ],
+)
+def test_fpca_refuses_an_out_of_range_setting(tmp_path, capsys, flag, value, message):
+    rng = np.random.default_rng(2)
+    model = MPBModel(
+        bases=[basis_mod.FourierBasis((0.0, 1.0), 5)], coefs=[rng.standard_normal((5, 2))],
+        subject_coefs=rng.standard_normal((6, 2)),
+    )
+    fileio.write_model(tmp_path / "m.mpbm", model)
+    out = tmp_path / "fpca"
+    argv = ["fpca", "--model", str(tmp_path / "m.mpbm"), "--out", str(out), flag, value]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, rank1_tensor, capsys):
     # no grid point of dimension 1 reaches the support of the last splines,
     # so its evaluation matrix is rank deficient

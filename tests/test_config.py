@@ -304,6 +304,20 @@ NEWLY_REJECTED = [
 ]
 
 
+# accepted before the constructors checked finiteness: NaN fails every range
+# comparison, and an infinite domain endpoint, period or setting passed them
+NON_FINITE_REJECTED = [
+    (("run", ("domains", 0), [0.0, INF]), "finite endpoints"),
+    (("run", ("domains", 1), [-INF, 1.0]), "finite endpoints"),
+    (("run", ("bases", 1, "period"), NAN), "period must be finite"),
+    (("run", ("bases", 1, "period"), INF), "period must be finite"),
+    (("run", ("bases", 0, "knots"), [*KNOTS[:3], NAN, *KNOTS[4:]]), "nondecreasing"),
+    *[((base, (key,), v), key) for base, key in (
+        ("product", "coef_sd"), ("product", "decay"), ("product", "noise_var"), ("gp2d", "decay"),
+    ) for v in (NAN, INF)],
+]
+
+
 def _row_id(row):
     base, path, value = row
     return f"{base}:{'.'.join(map(str, path)) or 'document'}={value!r}"
@@ -318,6 +332,14 @@ def test_mutated_config_rejected(tmp_path, row):
 @pytest.mark.parametrize("row", NEWLY_REJECTED, ids=[_row_id(r) for r in NEWLY_REJECTED])
 def test_newly_rejected_config_names_the_key(tmp_path, row):
     with pytest.raises(ValueError, match=row[1][-1]):
+        parse(mutated(*row), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "row, match", NON_FINITE_REJECTED, ids=[_row_id(r) for r, _ in NON_FINITE_REJECTED]
+)
+def test_non_finite_config_value_rejected(tmp_path, row, match):
+    with pytest.raises(ValueError, match=match):
         parse(mutated(*row), tmp_path)
 
 

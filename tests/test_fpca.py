@@ -14,6 +14,7 @@ from mpbasis.fpca import (
     solve_fpca,
 )
 from mpbasis.model import MPBModel
+from mpbasis.tensors import cp_to_tensor
 
 
 def spd(rng, n, shift=1e-3):
@@ -123,6 +124,25 @@ def test_component_count_by_variance_threshold():
     assert np.allclose(res.var_explained, [0.6, 0.9, 0.99], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "setting, value, match",
+    [
+        ("lam", float("nan"), "smoothing weight"),
+        ("lam", float("inf"), "smoothing weight"),
+        ("lam", -1.0, "smoothing weight"),
+        ("var_threshold", float("nan"), "var_threshold"),
+        ("var_threshold", -1.0, "var_threshold"),
+        ("var_threshold", 0.0, "var_threshold"),
+        ("var_threshold", 1.5, "var_threshold"),
+    ],
+)
+def test_solve_fpca_refuses_an_out_of_range_setting(setting, value, match):
+    # NaN and infinity used to reach scipy, or choose a component count silently
+    args = {"lam": 0.0, "var_threshold": 0.99, setting: value}
+    with pytest.raises(ValueError, match=match):
+        solve_fpca(np.eye(3), np.zeros((3, 3)), np.eye(3), **args)
+
+
 def test_indefinite_penalized_gram_raises():
     # an invalid (indefinite) penalty matrix breaks the penalized Gram
     with pytest.raises(NumericalError, match="not positive definite"):
@@ -149,10 +169,14 @@ def test_eigenfunction_first_axis():
     from mpbasis.fpca import FPCAResult
 
     res = FPCAResult(s=s, nu=np.ones(1), scores=None, lam=0.0, var_explained=np.ones(1))
-    ef = eigenfunction_model(model, res)
     pts = rng.uniform(0, 1, size=(30, 2))
     zeta = model.evaluate_basis(pts)
-    assert np.allclose(ef.evaluate(pts)[:, 0], zeta[:, 0] / np.sqrt(j[0, 0]), rtol=1e-12)
+    assert np.allclose((zeta @ res.s)[:, 0], zeta[:, 0] / np.sqrt(j[0, 0]), rtol=1e-12)
+    grids = [np.linspace(0, 1, 5), np.linspace(0, 1, 4)]
+    on_grid = eigenfunction_model(model, res).evaluate_subjects(grids)[..., 0]
+    xis = model.marginal_values(grids)
+    expect = np.outer(xis[0][:, 0], xis[1][:, 0]) / np.sqrt(j[0, 0])
+    assert np.allclose(on_grid, expect, rtol=1e-12)
 
 
 def test_eigenfunctions_normalized_and_orthogonal_in_function_space():
@@ -171,13 +195,17 @@ def test_eigenfunction_grid_evaluation_is_linear_combination():
     rng = np.random.default_rng(8)
     model = random_model(rng, k=3)
     res = run_fpca(model, lam=0.0, k_keep=2)
-    ef = eigenfunction_model(model, res)
     grids = [np.linspace(0, 1, 9), np.linspace(0, 1, 7)]
-    got = ef.evaluate_grid(grids)
+    # a stored mean belongs to the subjects, not to the eigenfunctions
+    model.mean_grids, model.mean_values = grids, np.ones((9, 7))
+    got = eigenfunction_model(model, res).evaluate_subjects(grids)
     xis = model.marginal_values(grids)
+    assert np.array_equal(got, cp_to_tensor(xis + [res.s.T]))
     zeta = np.einsum("ik,jk->ijk", xis[0], xis[1])
     expect = np.einsum("ijk,kl->ijl", zeta, res.s)
     assert np.allclose(got, expect, rtol=1e-12)
+    with pytest.raises(ValueError, match="model rank"):
+        eigenfunction_model(random_model(rng, k=4), res)
 
 
 # ----------------------------------------------------------------------- scores
@@ -197,7 +225,7 @@ def test_scores_match_grid_quadrature():
     res = run_fpca(model, lam=0.0, k_keep=2)
     grids = [np.linspace(0, 1, 1601), np.linspace(0, 1, 1601)]
     fields = model.evaluate_subjects(grids)
-    psi = eigenfunction_model(model, res).evaluate_grid(grids)
+    psi = eigenfunction_model(model, res).evaluate_subjects(grids)
     got = res.scores
     for i in range(3):
         for jj in range(2):
@@ -249,8 +277,8 @@ def test_fpca_outputs_invariant_under_model_regauge():
     res1 = run_fpca(regauged, lam=1e-3, k_keep=3)
     assert np.abs(res1.nu - res0.nu).max() < 1e-8 * max(res0.nu.max(), 1.0)
     pts = rng.uniform(0, 1, size=(40, 2))
-    f0 = eigenfunction_model(model, res0).evaluate(pts)
-    f1 = eigenfunction_model(regauged, res1).evaluate(pts)
+    f0 = model.evaluate_basis(pts) @ res0.s
+    f1 = regauged.evaluate_basis(pts) @ res1.s
     assert np.abs(np.abs(f1) - np.abs(f0)).max() < 1e-6
     assert np.abs(res1.scores - res0.scores).max() < 1e-6
 

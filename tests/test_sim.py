@@ -1,5 +1,7 @@
 """Synthetic data generators: moments, reproducibility, metric arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,34 @@ def test_gp2d_eigenfunctions_orthonormal_on_fine_grid():
     weights = np.outer(w, w).reshape(-1)
     gram = psi.T @ (weights[:, None] * psi)
     assert np.abs(gram - np.eye(30)).max() < 1e-3
+
+
+def dense_gp2d_fields(sample, scores):
+    """Reference: every field through the grid points x (m1*m2) matrix of
+    tensor-product basis values, row-major pairing."""
+    phi1, phi2 = (b.evaluate(g) for b, g in zip(sample.bases, sample.grids))
+    tensor_vals = np.einsum("ia,jb->ijab", phi1, phi2).reshape(len(phi1) * len(phi2), -1)
+    psi = tensor_vals @ sample.eigen_coefs
+    return (psi @ scores.T).reshape(len(phi1), len(phi2), -1)
+
+
+def test_gp2d_fields_contract_one_spline_basis_at_a_time():
+    # the gp2d benchmark configuration: the tensor basis values on the grid
+    # alone would take 25.6 MB next to 48 MB of fields
+    cfg = Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=50, seed=42)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sample = generate_gp2d_sample(cfg, replication=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (sample.train.nbytes + sample.test.nbytes)
+    for got, scores in ((sample.train, sample.train_scores), (sample.test, sample.test_scores)):
+        assert got.flags.c_contiguous
+        ref = dense_gp2d_fields(sample, scores)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_gp2d_score_variances_match_decay():
