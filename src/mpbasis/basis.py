@@ -14,6 +14,11 @@ All three are computed by composite Gauss-Legendre quadrature, per knot span
 for B-splines (exact for the piecewise-polynomial integrands) and over 4*rank
 uniform panels for Fourier. One quadrature path serves every matrix kind and
 derivative order.
+
+B-splines are evaluated by the de Boor-Cox recursion (de Boor, J. Approx.
+Theory 6, 1972; Cox, IMA J. Appl. Math. 10, 1972), vectorized over points and
+written operation for operation as scipy's ``_deBoor_D``, so the values are
+bit-identical to ``scipy.interpolate.BSpline`` without importing it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .jsonspec import INTEGER, INTERVAL, NUMBER, check_tagged, list_of
 
@@ -52,6 +56,9 @@ class PenaltyOperator:
 
 def _check_points(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"non-finite evaluation points: {np.unique(bad).tolist()}")
     a, b = domain
     slack = _DOMAIN_SLACK * max(1.0, abs(a), abs(b))
     if x.size and (x.min() < a - slack or x.max() > b + slack):
@@ -67,6 +74,34 @@ def _check_domain(domain) -> tuple[float, float]:
     if not -np.inf < a < b < np.inf:
         raise ValueError(f"domain must satisfy a < b with finite endpoints, got [{a}, {b}]")
     return a, b
+
+
+def _de_boor(t: np.ndarray, k: int, x: np.ndarray, nu: int) -> np.ndarray:
+    """``len(x) x (len(t) - k - 1)`` matrix of the order-``nu`` derivatives of
+    the degree-``k`` B-splines on knots ``t`` at points ``x`` in ``[t[k], t[-k-1]]``.
+
+    No knot may repeat more than ``k + 1`` times, so every point's span
+    ``[t[ell], t[ell + 1])`` (the last span for the right end) is nondegenerate
+    and no divisor ``t[ell + q] - t[ell + q - j]`` is zero.
+    """
+    n = t.size - k - 1
+    ell = np.clip(np.searchsorted(t, x, "right") - 1, k, n - 1)  # t[ell] <= x < t[ell + 1]
+    win = t[np.arange(1 - k, k + 1)[:, None] + ell]  # rows t[ell - k + 1], ..., t[ell + k]
+    h = np.ones((1, x.size))
+    for j in range(1, k + 1):
+        tb, ta = win[k : k + j], win[k - j : k]  # t[ell + q], t[ell + q - j] for q = 1..j
+        values = j <= k - nu  # else one of the last nu levels, which differentiate
+        w = (h if values else j * h) / (tb - ta)
+        h = np.zeros((j + 1, x.size))
+        if values:
+            h[1:] = w * (x - ta)
+            h[:j] += w * (tb - x)
+        else:
+            h[1:] = w
+            h[:j] -= w
+    out = np.zeros((x.size, n))
+    out[np.arange(x.size), ell + np.arange(-k, 1)[:, None]] = h
+    return out
 
 
 class BSplineBasis:
@@ -109,6 +144,8 @@ class BSplineBasis:
                 raise ValueError("knot vector must be nondecreasing")
             if not (np.all(knots[: degree + 1] == a) and np.all(knots[-degree - 1 :] == b)):
                 raise ValueError("knot vector must be clamped to the domain endpoints")
+        if np.any(knots[degree + 1 :] == knots[: -degree - 1]):  # a basis function would vanish
+            raise ValueError(f"knot multiplicity must not exceed degree + 1 = {degree + 1}")
         self.domain = (a, b)
         self.rank = rank
         self.degree = degree
@@ -131,9 +168,7 @@ class BSplineBasis:
             raise ValueError(
                 f"derivative order {deriv} exceeds spline degree {self.degree}"
             )
-        x = _check_points(points, self.domain)
-        # one spline with the identity as coefficients evaluates every basis function
-        return BSpline(self.knots, np.eye(self.rank), self.degree, extrapolate=False)(x, nu=deriv)
+        return _de_boor(self.knots, self.degree, _check_points(points, self.domain), deriv)
 
     def to_dict(self) -> dict:
         return {

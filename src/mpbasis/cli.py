@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     pen = result.s.T @ (j + result.lam * r) @ result.s
     ortho_dev = np.abs(pen - np.diag(np.diag(pen))).max()
     print(f"normalization deviation {norm_dev:.3e}, orthogonality deviation {ortho_dev:.3e}")
-    if norm_dev > 1e-8 or ortho_dev > 1e-8:
+    if not (norm_dev <= 1e-8 and ortho_dev <= 1e-8):  # NaN fails too
         raise NumericalError("eigen constraints violated beyond 1e-8")
     print("eigen ok")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import basis_from_dict
 from .fpca import FPCAResult
-from .jsonspec import COUNT, NULL, NUMBER, STRING, Kind, check, either, list_of, obj
+from .jsonspec import COUNT, FINITE, NULL, STRING, Kind, check, either, list_of, obj
 from .model import MPBModel
 
 __all__ = [
@@ -142,7 +142,7 @@ _MODEL_HEADER = {
     "mean": either(NULL, obj({"shape": _SHAPE}, ("shape",))),
 }, ("bases", "rank", "n_subjects", "coef_shapes")
 _EIGEN_HEADER = {
-    "kind": STRING, "rank": COUNT, "n_components": COUNT, "n_subjects": COUNT, "lambda": NUMBER,
+    "kind": STRING, "rank": COUNT, "n_components": COUNT, "n_subjects": COUNT, "lambda": FINITE,
 }, ("rank", "n_components", "n_subjects", "lambda")
 
 

@@ -109,5 +109,6 @@ BOOLEAN = _is("a boolean", lambda v: isinstance(v, bool))
 NULL = _is("null", lambda v: v is None)
 OBJECT = _is("a JSON object", lambda v: isinstance(v, dict))
 INTEGER, NUMBER = integer(), number()
+FINITE = _is("a number that is finite", lambda v: _real(v) and math.isfinite(v))
 COUNT = integer(0)._replace(what="a count")
 INTERVAL = list_of(NUMBER, "a list of two numbers", 2, 2)

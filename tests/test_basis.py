@@ -1,5 +1,9 @@
 """Basis systems against closed forms, finite differences and dense quadrature."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
@@ -84,6 +88,53 @@ def test_bspline_evaluate_matches_per_function_loop(basis):
     for deriv in range(basis.degree + 1):
         ref = bspline_columns_one_by_one(basis, x, deriv)
         assert np.array_equal(basis.evaluate(x, deriv), ref)
+
+
+def knot_vectors(k):
+    """Uniform knots, then interior knots of every multiplicity up to k + 1."""
+    yield BSplineBasis((-1.0, 2.0), k + 7, degree=k).knots
+    for m in range(2, k + 2):
+        interior = [-0.6, *[0.3] * m, 0.5, 1.4]
+        yield np.array([-1.0] * (k + 1) + interior + [2.0] * (k + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_bspline_evaluate_is_bit_identical_to_scipy(k):
+    # the kernel copies scipy's de Boor recursion operation by operation
+    rng = np.random.default_rng(k)
+    nodes = np.polynomial.legendre.leggauss(k + 2)[0]
+    for knots in knot_vectors(k):
+        basis = BSplineBasis((-1.0, 2.0), knots.size - k - 1, degree=k, knots=knots)
+        for x in (
+            np.array([-1.0]), np.array([2.0]), np.unique(knots), np.linspace(-1.0, 2.0, 201),
+            rng.uniform(-1.0, 2.0, 300), 0.5 + 1.5 * nodes, np.empty(0),
+        ):
+            for nu in range(k + 1):
+                ref = BSpline(knots, np.eye(basis.rank), k, extrapolate=False)(x, nu=nu)
+                got = basis.evaluate(x, nu)
+                assert got.shape == ref.shape == (x.size, basis.rank)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    code = (
+        "import sys, mpbasis; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in ("
+        "['scipy', 'interpolate'], ['scipy', 'sparse'], ['scipy', 'optimize'], "
+        "['scipy', 'spatial'], ['scipy', 'special'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_evaluate_refuses_non_finite_points():
+    # NaN fails every comparison, so the domain check alone would let it through
+    for basis in (BSplineBasis((0.0, 1.0), 6), FourierBasis((0.0, 1.0), 3)):
+        for bad in ([np.nan], [0.5, np.inf], [-np.inf, 0.2, np.nan]):
+            with pytest.raises(ValueError, match="non-finite evaluation points"):
+                basis.evaluate(bad)
 
 
 def test_evaluate_outside_domain_raises():
@@ -255,6 +306,11 @@ def test_bspline_constructor_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="nondecreasing"):
             BSplineBasis((0.0, 1.0), 5, degree=2, knots=[0, 0, 0, bad, 0.5, 1, 1, 1])
+    # a knot of multiplicity degree + 2 leaves a basis function that vanishes
+    for knots in ([0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1], [0, 0, 0, 0, 0.5, 0.6, 0.7, 1, 1, 1]):
+        with pytest.raises(ValueError, match="multiplicity"):
+            BSplineBasis((0.0, 1.0), 7, degree=2, knots=knots)
+    BSplineBasis((0.0, 1.0), 6, degree=2, knots=[0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1])
 
 
 def test_fourier_constructor_validation():

@@ -10,7 +10,7 @@ import pytest
 from mpbasis import basis as basis_mod
 from mpbasis import fileio, reduction, selection
 from mpbasis.cli import main
-from mpbasis.fpca import FPCAResult
+from mpbasis.fpca import FPCAResult, run_fpca
 from mpbasis.model import MPBModel
 from mpbasis.sim import ProductSimConfig, generate_product_sample
 from mpbasis.solver import SolverConfig
@@ -29,6 +29,14 @@ def base_config(n_dims=2, rank=1, **solver_extra):
         "solver": {"rank": rank, "lambda_marginal": 0.0, "lambda_coef": 0.0, **solver_extra},
         "seed": 3,
     }
+
+
+def rewrite_header(path, edit):
+    """Rewrite the JSON header of a model or eigen file in place."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[5:9])
+    blob = json.dumps(edit(json.loads(raw[9 : 9 + hlen]))).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
 
 
 @pytest.fixture()
@@ -352,12 +360,7 @@ def test_info_on_a_model_header_without_rank_exits_2(tmp_path, capsys):
     )
     path = tmp_path / "m.mpbm"
     fileio.write_model(path, model)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[5:9])
-    header = json.loads(raw[9 : 9 + hlen])
-    del header["rank"]
-    blob = json.dumps(header).encode()
-    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    rewrite_header(path, lambda h: {k: v for k, v in h.items() if k != "rank"})
     assert main(["info", str(path)]) == 2
     assert "model header has no field 'rank'" in capsys.readouterr().err
 
@@ -373,12 +376,7 @@ def test_info_on_a_mistyped_header_exits_2(tmp_path, capsys, kind):
         )
         path = tmp_path / "m.mpbm"
         fileio.write_model(path, model)
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[5:9])
-        header = json.loads(raw[9 : 9 + hlen])
-        header["bases"][0]["rank"] = "3"
-        blob = json.dumps(header).encode()
-        path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+        rewrite_header(path, lambda h: {**h, "bases": [{**h["bases"][0], "rank": "3"}]})
         message = "fourier basis specification field 'rank' is not an integer: '3'"
     else:
         path = tmp_path / "t.mpbt"
@@ -403,14 +401,30 @@ def test_info_on_a_non_finite_basis_header_exits_2(tmp_path, capsys, basis, key,
     )
     path = tmp_path / "m.mpbm"
     fileio.write_model(path, model)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[5:9])
-    header = json.loads(raw[9 : 9 + hlen])
-    header["bases"][0][key] = value
-    blob = json.dumps(header).encode()
-    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    rewrite_header(path, lambda h: {**h, "bases": [{**h["bases"][0], key: value}]})
     assert main(["info", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_a_non_finite_eigen_lambda(tmp_path, capsys):
+    # JSON headers may hold NaN and Infinity; a non-finite lambda would make
+    # the deviations NaN, which every "> 1e-8" test lets pass
+    rng = np.random.default_rng(8)
+    model = MPBModel(
+        bases=[basis_mod.FourierBasis((0.0, 1.0), 5), basis_mod.BSplineBasis((0.0, 1.0), 6)],
+        coefs=[rng.standard_normal((5, 3)), rng.standard_normal((6, 3))],
+        subject_coefs=rng.standard_normal((8, 3)),
+    )
+    fileio.write_model(tmp_path / "m.mpbm", model)
+    fileio.write_eigen(tmp_path / "e.mpbe", run_fpca(model, 0.1, k_keep=2))
+    argv = ["verify", str(tmp_path / "e.mpbe"), "--model", str(tmp_path / "m.mpbm")]
+    assert main(argv) == 0
+    for value in (float("nan"), float("inf")):
+        rewrite_header(tmp_path / "e.mpbe", lambda h: {**h, "lambda": value})
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "eigen header field 'lambda' is not a number that is finite" in err
 
 
 @pytest.mark.parametrize("design", ["product", "gp2d"])

@@ -235,6 +235,17 @@ def test_prepare_names_rank_deficient_dimension():
         prepare(np.ones((10, 10, 2)), grids, bases, [2, 2])
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_fit_refuses_a_non_finite_grid_point(dim):
+    # refused by the basis evaluation, before the SVD fails on a NaN row
+    bases = [BSplineBasis((0.0, 1.0), 6), FourierBasis((0.0, 1.0), 5)]
+    grids = [np.linspace(0.0, 1.0, 14), np.linspace(0.0, 1.0, 11)]
+    grids[dim][3] = np.nan
+    y = np.random.default_rng(39).standard_normal((14, 11, 4))
+    with pytest.raises(ValueError, match=r"non-finite evaluation points: \[nan\]"):
+        fit_mpb(y, grids, bases, [2, 2], SolverConfig(rank=2))
+
+
 # ------------------------------------------------- checks and prepared problems
 
 

@@ -124,14 +124,15 @@ def test_gp2d_score_variances_match_decay():
     assert np.abs(var / expect - 1.0).max() < 0.1
 
 
-def test_gp2d_zero_scores_give_zero_field():
-    cfg = Gp2dSimConfig(ranks=(6, 5), grid_size=(30, 30), n_train=2, n_test=1, seed=8)
+def test_gp2d_fields_give_back_their_scores():
+    # least squares of the generated fields on the eigenfunctions' grid values
+    # returns the drawn scores: each field is the scores' combination of them
+    cfg = Gp2dSimConfig(ranks=(6, 5), grid_size=(30, 30), n_train=4, n_test=2, seed=8)
     sample = generate_gp2d_sample(cfg)
-    phi1 = sample.bases[0].evaluate(sample.grids[0])
-    phi2 = sample.bases[1].evaluate(sample.grids[1])
-    tensor_vals = np.einsum("ia,jb->ijab", phi1, phi2).reshape(-1, 30)
-    field = (tensor_vals @ sample.eigen_coefs @ np.zeros(30)).reshape(30, 30)
-    assert np.abs(field).max() == 0.0
+    psi = dense_gp2d_fields(sample, np.eye(30)).reshape(900, 30)
+    for got, scores in ((sample.train, sample.train_scores), (sample.test, sample.test_scores)):
+        fit = np.linalg.lstsq(psi, got.reshape(900, -1), rcond=None)[0]
+        assert np.abs(fit.T - scores).max() <= 1e-12 * np.abs(scores).max()
 
 
 def test_mise_zero_for_identical_fields():
