@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the installed `mpbasis` console script on a tiny product design:
-# simulate -> fit -> fpca -> select (marginal-rank, cv) -> verify -> info.
+# simulate -> fit -> fpca -> select (marginal-rank, global-rank, cv) -> verify -> info.
 # This passes a simulation config, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema.
@@ -20,14 +20,16 @@ cat > run.json <<'JSON'
  "solver": {"rank": 2.0, "lambda_coef": 1e-8, "max_outer_iters": 30.0},
  "seed": 1, "center": true,
  "selection": {"marginal_rank_candidates": [[3, 4], [5, 6]], "marginal_rank_threshold": 0.2,
-               "lambda_grid": [[1e-8, 1e-8], [1e-4, 1e-4]], "n_folds": 2}}
+               "rank_grid": [1, 2, 3], "lambda_grid": [[1e-8, 1e-8], [1e-4, 1e-4]], "n_folds": 2}}
 JSON
 mpbasis simulate --config sim.json --out data
 mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
 mpbasis fpca --model fit/model.mpbm --out fpca
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode marginal-rank
+mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode global-rank
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode cv
-test -s sel/selection_marginal_rank.csv && test -s sel/selection_cv.csv
+test -s sel/selection_marginal_rank.csv && test -s sel/selection_global_rank.csv
+test -s sel/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm
 mpbasis verify fpca/eigen.mpbe --model fit/model.mpbm

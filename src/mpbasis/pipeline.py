@@ -23,7 +23,7 @@ class FitReport:
     iters: int
     converged: bool
     lasso_certified: bool
-    residual_ratio: float
+    residual_ratio: float  # |g_hat - X|^2 / |g_hat|^2: SolverState.residual_sq over |g_hat|^2
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
@@ -35,15 +35,6 @@ class FitReport:
             "residual_ratio": float(self.residual_ratio),
             "elapsed_seconds": float(self.elapsed_seconds),
         }
-
-
-def compressed_residual_ratio(g_hat: np.ndarray, state: SolverState) -> float:
-    """Squared relative residual of the decomposition in compressed space."""
-    g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
-    if g_norm_sq == 0.0:
-        raise ValueError("data tensor has zero norm")
-    res = solver.residual_sq(np.asarray(g_hat, dtype=float), state.factors())
-    return float(res.sum()) / g_norm_sq
 
 
 def fit_mpb(
@@ -62,6 +53,7 @@ def fit_mpb(
     basis coefficients. Given a :class:`reduction.PreparedProblem` instead of
     the grid tensor, it fits that problem as it is and skips the reduction,
     which lets cross validation reduce a sample once and fit slices of it.
+    A compressed tensor of zero norm raises ``ValueError`` before the fit.
 
     Parameters
     ----------
@@ -99,8 +91,10 @@ def fit_mpb(
             mean_grids = list(prepared.grids)
             g_hat = prepared.g_hat
             prepared = replace(prepared, g_hat=g_hat - g_hat.mean(axis=-1, keepdims=True))
-    g_hat = prepared.g_hat
-    state = solver.fit(g_hat, prepared.t_mats, config)
+    g_norm_sq = float(np.sum(prepared.g_hat**2))
+    if g_norm_sq == 0.0:
+        raise ValueError("data tensor has zero norm")
+    state = solver.fit(prepared.g_hat, prepared.t_mats, config)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]
     model = MPBModel(
         bases=list(bases),
@@ -114,7 +108,7 @@ def fit_mpb(
         iters=state.iters,
         converged=state.converged,
         lasso_certified=state.lasso_certified,
-        residual_ratio=compressed_residual_ratio(g_hat, state),
+        residual_ratio=state.residual_sq / g_norm_sq,
         elapsed_seconds=time.perf_counter() - start,
     )
     return model, state, report

@@ -94,7 +94,8 @@ def factorize(phi: np.ndarray, dim: int | None = None) -> MarginalFactorization:
 
 
 def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:
-    """Contract ``U_d'`` against each grid mode; the subject mode is untouched."""
+    """Contract ``U_d'`` against each grid mode; the subject mode is untouched.
+    Data with a NaN or inf, which reaches the result, raises ``ValueError``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != len(facs) + 1:
         raise ValueError(
@@ -106,8 +107,11 @@ def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray
                 f"mode {d} has size {y.shape[d]} but the factorization expects {f.n}"
             )
     out = y
-    for d, f in enumerate(facs):
-        out = mode_multiply(out, f.u.T, d)
+    with np.errstate(invalid="ignore"):  # inf - inf: refused below
+        for d, f in enumerate(facs):
+            out = mode_multiply(out, f.u.T, d)
+    if not np.isfinite(out).all():
+        raise ValueError("data tensor has non-finite values (NaN or inf)")
     return out
 
 

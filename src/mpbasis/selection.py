@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import reduction, solver
-from .pipeline import compressed_residual_ratio, fit_mpb
+from .pipeline import fit_mpb
 from .solver import SolverConfig, SolverState
 
 __all__ = [
@@ -128,15 +128,21 @@ def sweep_global_rank(
 ) -> SelectionReport:
     """Fit a grid of ranks and report the normalized residual per rank.
 
-    The criterion is :func:`pipeline.compressed_residual_ratio`. Each fit at a
-    larger rank is warm-started from the previous solution padded with fresh
-    random grid-mode columns and zero coefficient columns, which makes the
-    criterion nonincreasing along the grid. The chosen rank is the smallest
-    meeting the threshold (largest otherwise).
+    The criterion is the fit's ``SolverState.residual_sq`` over ``|g_hat|^2``,
+    as ``FitReport.residual_ratio``. Each fit at a larger rank is warm-started
+    from the previous solution padded with fresh random grid-mode columns and
+    zero coefficient columns, which makes the criterion nonincreasing along
+    the grid. The chosen rank is the smallest meeting the threshold (largest
+    otherwise). An empty grid or a zero ``g_hat`` raises ``ValueError``.
     """
     k_grid = [int(k) for k in k_grid]
+    if not k_grid:
+        raise ValueError("rank grid is empty")
     if sorted(k_grid) != k_grid or len(set(k_grid)) != len(k_grid):
         raise ValueError("rank grid must be strictly increasing")
+    g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
+    if g_norm_sq == 0.0:
+        raise ValueError("data tensor has zero norm")
     rng = np.random.default_rng(config.seed)
     records = []
     prev: SolverState | None = None
@@ -154,9 +160,7 @@ def sweep_global_rank(
             init = SolverState(c_tilde=c_tilde, b=b)
         state = solver.fit(g_hat, t_mats, cfg, initial_state=init)
         prev = state
-        records.append(
-            SelectionRecord(params={"rank": k}, criterion=compressed_residual_ratio(g_hat, state))
-        )
+        records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
     chosen = next((i for i, r in enumerate(records) if r.criterion <= threshold), None)
     if chosen is None:
         chosen = len(records) - 1

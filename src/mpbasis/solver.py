@@ -167,6 +167,7 @@ class SolverState:
     converged: bool = False
     iters: int = 0
     lasso_certified: bool = True
+    residual_sq: float = math.nan  # from fit: |g_hat - X|^2, its last objective's data term
 
     @property
     def rank(self) -> int:
@@ -550,13 +551,13 @@ def fit(
     normalized (see :func:`_gauge_normalize`); the objective trace refers to
     the pre-normalization iterates, whose represented tensor is identical.
 
-    A sweep reads ``g_hat`` three times, each as its matrix view split at
-    :func:`tensors.half_split`: one product with the right half's Khatri-Rao
-    product serves every left-half block, one with the left half's serves the
-    right-half blocks (the subject coefficients among them), and the
-    objective's residual is formed against both. The subject block takes its
-    Gram and MTTKRP from that path on both penalties, so a ridge and a lasso
-    sweep alike read ``g_hat`` three times; only the solve differs.
+    A sweep loops over the two halves of the modes cut at
+    :func:`tensors.half_split` and reads ``g_hat`` three times, as its matrix
+    view: each half contracts it once with the other half's Khatri-Rao
+    product for all its blocks (the subject coefficients are on the right),
+    and the objective's residual is formed against both; its sum is kept as
+    ``state.residual_sq``. The subject block takes its Gram and MTTKRP from
+    that path on both penalties; only the ridge and lasso solves differ.
 
     The sweep runs in the eigenbasis of every penalty (see the module
     docstring): a factor step is ``X = ((Q V) / (beta_d + alpha)) V'`` with
@@ -616,21 +617,21 @@ def fit(
         g_rot = mode_multiply(g_rot, p.T, d)
     g_rot = np.ascontiguousarray(g_rot)
     factors = [p.T @ c for p, c in zip(rots, state.c_tilde)] + [state.b]
-    n_modes = n_dims + 1
     split = half_split(g_hat.shape)
-    left_shape, right_shape = g_hat.shape[:split], g_hat.shape[split:]
-    g_mat = g_rot.reshape(math.prod(left_shape), -1)
+    halves = ((0, split), (split, n_dims + 1))
+    g_mat = g_rot.reshape(math.prod(g_hat.shape[:split]), -1)
+    views = (g_mat, g_mat.T)  # the rows of views[h] run over the modes of half h
     grams = [f.T @ f for f in factors]
-    kr_left, kr_right = khatri_rao(factors[:split]), khatri_rao(factors[split:])
+    krs = [khatri_rao(factors[lo:hi]) for lo, hi in halves]
 
-    def sweep_objective() -> float:
-        data_sq = float(residual_sq(g_mat, [kr_left, kr_right]).sum())
+    def sweep_objective() -> tuple[float, float]:
+        data_sq = float(residual_sq(g_mat, krs).sum())
         rows_sq = (np.einsum("ik,ik->i", c, c) for c in factors[:n_dims])
         pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
-        return _objective_value(data_sq, pen, factors[-1], config)
+        return data_sq, _objective_value(data_sq, pen, factors[-1], config)
 
-    trace = [sweep_objective()]
-    f_prev = trace[0]
+    state.residual_sq, f = sweep_objective()
+    trace = [f]
     lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
@@ -638,36 +639,28 @@ def fit(
     state.lasso_certified = True
     it = 0
     for it in range(1, config.max_outer_iters + 1):
-        for d in range(n_modes):
-            # one contraction per half serves every block of that half
-            if d == 0:
-                partial = (g_mat @ kr_right).reshape(left_shape + (-1,))
-                lo, hi = 0, split
-            elif d == split:
-                kr_left = khatri_rao(factors[:split])
-                partial = (g_mat.T @ kr_left).reshape(right_shape + (-1,))
-                lo, hi = split, n_modes
-            gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
-            rhs = partial_mttkrp(partial, factors[lo:d] + factors[d + 1 : hi], d - lo)
-            if d < n_dims:
-                new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
-            elif lasso:
-                new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
-                state.lasso_certified = state.lasso_certified and ok
-            else:
-                new = update_b_ridge(gram, rhs, config)
-            if not np.all(np.isfinite(new)):
+        for h, (lo, hi) in enumerate(halves):
+            # one contraction with the other half serves every block of this one
+            part = (views[h] @ krs[1 - h]).reshape(g_hat.shape[lo:hi] + (-1,))
+            for d in range(lo, hi):
+                gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
+                rhs = partial_mttkrp(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    raise NumericalError(f"factor update for mode {d} produced non-finite values")
-                raise NumericalError("subject-coefficient update produced non-finite values")
-            factors[d] = new
-            grams[d] = new.T @ new
-        kr_right = khatri_rao(factors[split:])
-        f_new = sweep_objective()
-        trace.append(f_new)
-        rel = abs(f_prev - f_new) / max(f_prev, f_floor, 1e-300)
-        f_prev = f_new
-        if rel < config.outer_tol:
+                    new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
+                elif lasso:
+                    new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
+                    state.lasso_certified = state.lasso_certified and ok
+                else:
+                    new = update_b_ridge(gram, rhs, config)
+                if not np.all(np.isfinite(new)):
+                    what = "subject-coefficient" if d == n_dims else f"mode-{d} factor"
+                    raise NumericalError(f"{what} update produced non-finite values")
+                factors[d] = new
+                grams[d] = new.T @ new
+            krs[h] = khatri_rao(factors[lo:hi])
+        state.residual_sq, f = sweep_objective()
+        trace.append(f)
+        if abs(trace[-2] - f) / max(trace[-2], f_floor, 1e-300) < config.outer_tol:
             state.converged = True
             break
 

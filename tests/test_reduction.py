@@ -6,6 +6,7 @@ import pytest
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, PenaltyOperator, penalty_matrix
 from mpbasis.errors import NumericalError
+from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import (
     QR_DIAG_RATIO_TOL,
@@ -307,6 +308,22 @@ def test_input_checks_shared_by_every_entry_point(case, match, entry):
         grids = [grids[0], grids[1][:10]]
     with pytest.raises(ValueError, match=match):
         entry(y, grids, bases, orders)
+
+
+def _project(y, grids, bases, orders):
+    rng = np.random.default_rng(34)
+    coefs = [rng.standard_normal((b.rank, 2)) for b in bases]
+    MPBModel(bases=bases, coefs=coefs, subject_coefs=np.ones((1, 2))).project(y, grids)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [_fit, _cv, _marginal, _project])
+def test_non_finite_data_is_refused_naming_the_data_tensor(entry, bad):
+    # checked on the compressed tensor, which every NaN or inf reaches
+    bases, grids, y = small_problem(np.random.default_rng(35))
+    y[7, 4, 2] = bad
+    with pytest.raises(ValueError, match="data tensor has non-finite values"):
+        entry(y, grids, bases, [2, 2])
 
 
 def test_prepared_subjects_equal_preparing_them_alone():

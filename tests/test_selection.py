@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from mpbasis import solver
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis
 from mpbasis.model import MPBModel
-from mpbasis.pipeline import compressed_residual_ratio
-from mpbasis.reduction import compress, decompress, factorize
+from mpbasis.pipeline import fit_mpb
+from mpbasis.reduction import compress, decompress, factorize, prepare
 from mpbasis.selection import (
     SelectionRecord,
     SelectionReport,
@@ -106,20 +107,90 @@ def test_select_marginal_rank_stops_at_containing_rank():
     assert max(below) < 1.0 - 1e-9
 
 
-def test_global_rank_criterion_cases():
-    rng = np.random.default_rng(5)
-    from mpbasis.solver import SolverState
+def small_problem(rng):
+    bases = [BSplineBasis((0.0, 1.0), 6), FourierBasis((0.0, 1.0), 5)]
+    grids = [np.linspace(0.0, 1.0, 14), np.linspace(0.0, 1.0, 11)]
+    return bases, grids, rng.standard_normal((14, 11, 6))
 
-    c = [rng.standard_normal((5, 2)), rng.standard_normal((4, 2))]
-    b = rng.standard_normal((3, 2))
-    state = SolverState(c_tilde=c, b=b)
-    g = T.cp_to_tensor(state.factors())
-    assert compressed_residual_ratio(g, state) <= 1e-12
-    zero_state = SolverState(c_tilde=c, b=np.zeros((3, 2)))
-    assert compressed_residual_ratio(g, zero_state) == pytest.approx(1.0, rel=1e-12)
-    other = rng.standard_normal(g.shape)
-    ref = np.sum((other - T.cp_to_tensor(state.factors())) ** 2) / np.sum(other**2)
-    assert compressed_residual_ratio(other, state) == pytest.approx(ref, rel=1e-9)
+
+def record_fits(monkeypatch, calls=()):
+    """Wrap ``solver.fit``: returns the list of ``(len(calls) at its start,
+    returned state)`` of every fit."""
+    fits, fit = [], solver.fit
+
+    def recording_fit(*args, **kwargs):
+        start = len(calls)
+        state = fit(*args, **kwargs)
+        fits.append((start, state))
+        return state
+
+    monkeypatch.setattr(solver, "fit", recording_fit)
+    return fits
+
+
+def refuse_fits(*args, **kwargs):
+    raise AssertionError("solver.fit was called")
+
+
+def test_global_rank_criterion_cases(monkeypatch):
+    # the fit keeps |g - X|^2 of the decomposition X it returns, on a cold and
+    # a warm start, and the fit report and the rank sweep read it
+    bases, grids, y = small_problem(np.random.default_rng(5))
+    prepared = prepare(y, grids, bases, [2, 2])
+    g = prepared.g_hat
+
+    def direct_sq(state):
+        return np.sum((g - T.cp_to_tensor(state.factors())) ** 2)
+
+    fits = record_fits(monkeypatch)
+    for penalty in ("ridge", "lasso"):
+        cfg = SolverConfig(rank=2, lambda_coef=1e-3, coef_penalty=penalty, max_outer_iters=15)
+        cold = solver.fit(g, prepared.t_mats, cfg)
+        warm = solver.fit(g, prepared.t_mats, cfg, initial_state=cold)
+        for state in (cold, warm):
+            assert state.residual_sq == pytest.approx(direct_sq(state), rel=1e-12)
+        _, state, report = fit_mpb(prepared, grids, bases, [2, 2], cfg)
+        assert report.residual_ratio == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
+        del fits[:]
+        with pytest.warns(RuntimeWarning, match="no rank reached"):
+            sweep = sweep_global_rank(g, prepared.t_mats, cfg, [1, 2, 3], threshold=0.0)
+        assert len(fits) == 3  # the ranks after the first start warm
+        for record, (_, state) in zip(sweep.records, fits):
+            assert record.criterion == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
+
+
+def test_residual_is_formed_once_per_objective(monkeypatch):
+    # one residual per sweep plus the starting objective; none after a fit
+    bases, grids, y = small_problem(np.random.default_rng(8))
+    prepared = prepare(y, grids, bases, [2, 2])
+    cfg = SolverConfig(rank=2, lambda_coef=1e-6, max_outer_iters=7)
+    calls, residual_sq = [], solver.residual_sq
+    monkeypatch.setattr(solver, "residual_sq", lambda *a: calls.append(1) or residual_sq(*a))
+    _, state, _ = fit_mpb(prepared, grids, bases, [2, 2], cfg)
+    assert len(calls) == state.iters + 1
+    del calls[:]
+    fits = record_fits(monkeypatch, calls)
+    sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [1, 2, 3], threshold=1.0)
+    starts = [start for start, _ in fits] + [len(calls)]
+    assert np.diff(starts).tolist() == [state.iters + 1 for _, state in fits]
+
+
+def test_zero_data_is_refused_before_fitting(monkeypatch):
+    bases, grids, y = small_problem(np.random.default_rng(9))
+    prepared = prepare(np.zeros_like(y), grids, bases, [2, 2])
+    monkeypatch.setattr(solver, "fit", refuse_fits)
+    cfg = SolverConfig(rank=2)
+    with pytest.raises(ValueError, match="zero norm"):
+        fit_mpb(prepared, grids, bases, [2, 2], cfg)
+    with pytest.raises(ValueError, match="zero norm"):
+        sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [1, 2])
+
+
+def test_sweep_global_rank_refuses_an_empty_grid(monkeypatch):
+    monkeypatch.setattr(solver, "fit", refuse_fits)
+    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    with pytest.raises(ValueError, match="rank grid is empty"):
+        sweep_global_rank(g, [np.eye(4), np.eye(3)], SolverConfig(rank=1), [])
 
 
 def test_sweep_global_rank_monotone_with_warm_start():

@@ -55,10 +55,20 @@ def test_marginal_coefs_fixed_across_replications():
     for c0, c1 in zip(s0.model.coefs, s1.model.coefs):
         assert np.array_equal(c0, c1)
     assert not np.array_equal(s0.model.subject_coefs, s1.model.subject_coefs)
-    redraw = ProductSimConfig(grid_size=5, n_subjects=2, seed=4, redraw_coefs=True)
-    r0 = generate_product_sample(redraw, replication=0)
-    r1 = generate_product_sample(redraw, replication=1)
-    assert not np.array_equal(r0.model.coefs[0], r1.model.coefs[0])
+
+
+def test_redraw_coefs_redraws_only_the_marginal_coefficients():
+    def replications(redraw_coefs):
+        cfg = ProductSimConfig(grid_size=5, n_subjects=2, seed=4, redraw_coefs=redraw_coefs)
+        return [generate_product_sample(cfg, replication=r) for r in (0, 1)]
+
+    fixed, redraw = replications(False), replications(True)
+    for c0, c1 in zip(redraw[0].model.coefs, redraw[1].model.coefs):
+        assert not np.any(c0 == c1)
+    for c0, c1 in zip(fixed[0].model.coefs, fixed[1].model.coefs):
+        assert np.array_equal(c0, c1)
+    for s in fixed + redraw:
+        assert np.array_equal(s.sigma_a, fixed[0].sigma_a)
 
 
 def test_generation_is_reproducible():
