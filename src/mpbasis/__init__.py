@@ -6,7 +6,7 @@ decomposition of a compressed data tensor, and performs fast penalized FPCA
 on the resulting continuous representations.
 """
 
-from .basis import BSplineBasis, FourierBasis, PenaltyOperator
+from .basis import BSplineBasis, FourierBasis
 from .errors import NumericalError
 from .fpca import FPCAResult, run_fpca
 from .model import MPBModel
@@ -16,7 +16,6 @@ from .solver import SolverConfig, SolverState
 __all__ = [
     "BSplineBasis",
     "FourierBasis",
-    "PenaltyOperator",
     "NumericalError",
     "FPCAResult",
     "run_fpca",

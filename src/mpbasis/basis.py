@@ -23,7 +23,6 @@ bit-identical to ``scipy.interpolate.BSpline`` without importing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .jsonspec import INTEGER, INTERVAL, NUMBER, check_tagged, list_of
 
 __all__ = [
-    "PenaltyOperator",
     "BSplineBasis",
     "FourierBasis",
     "MarginalBasis",
@@ -41,17 +39,6 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class PenaltyOperator:
-    """Pure derivative operator ``d^order / dx^order`` defining a roughness penalty."""
-
-    order: int = 2
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"penalty order must be >= 1, got {self.order}")
 
 
 def _check_points(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
@@ -286,14 +273,16 @@ def gram_matrix(basis: MarginalBasis) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def penalty_matrix(basis: MarginalBasis, op: PenaltyOperator) -> np.ndarray:
-    """PSD matrix of inner products of ``op`` applied to the basis functions."""
-    if op.order > basis.max_derivative:
+def penalty_matrix(basis: MarginalBasis, order: int) -> np.ndarray:
+    """PSD matrix of inner products of the basis functions' ``order``-th derivatives."""
+    if order < 1:
+        raise ValueError(f"penalty order must be >= 1, got {order}")
+    if order > basis.max_derivative:
         raise ValueError(
-            f"penalty order {op.order} is too high for this basis "
+            f"penalty order {order} is too high for this basis "
             f"(max derivative {basis.max_derivative}); the penalty would vanish"
         )
-    r = _integral_matrix(basis, op.order, op.order)
+    r = _integral_matrix(basis, order, order)
     return 0.5 * (r + r.T)
 
 

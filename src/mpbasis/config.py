@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import PenaltyOperator, basis_from_dict
+from .basis import basis_from_dict
 from .jsonspec import (
     BOOLEAN, INTEGER, INTERVAL, NUMBER, OBJECT, STRING, Kind,
     check, check_tagged, either, integer, list_of, number, obj,
@@ -29,9 +29,9 @@ def _grid(value, where: str) -> dict:
     return spec
 
 
-# ranges that SolverConfig, the basis classes, PenaltyOperator and the
-# simulation configs check are left to them: the tables check those keys'
-# types, and the ranges that nothing else checks
+# ranges that SolverConfig, the basis classes and the simulation configs check
+# are left to them: the tables check those keys' types, the ranges that nothing
+# else checks, and penalty orders >= 1, which penalty_matrix checks only at fit time
 _SOLVER_KEYS = {
     "rank": INTEGER, "max_outer_iters": INTEGER, "coef_penalty": STRING, "init": STRING,
     "lambda_coef": NUMBER, "outer_tol": NUMBER, "proximal_mu": NUMBER,
@@ -49,7 +49,7 @@ _SELECTION_KEYS = {
 _RUN_KEYS = {
     "domains": list_of(INTERVAL, "a nonempty list of intervals", 1),
     "bases": list_of(OBJECT, "a list of basis specifications"),
-    "penalty_orders": list_of(INTEGER, "a list of integers"),
+    "penalty_orders": list_of(integer(1), "a list of integers >= 1"),
     "grids": list_of(Kind("a grid", _grid), "a list of grids"),
     "solver": obj(_SOLVER_KEYS, ("rank",)), "selection": obj(_SELECTION_KEYS),
     "seed": integer(0), "center": BOOLEAN,
@@ -144,7 +144,7 @@ def parse_run_config(raw: dict) -> RunConfig:
     seed = cfg.get("seed", 0)
     return RunConfig(
         bases=bases,
-        penalty_orders=[PenaltyOperator(o).order for o in orders],
+        penalty_orders=orders,
         grid_specs=grid_specs,
         solver=SolverConfig(**{"seed": seed, **cfg["solver"]}),
         seed=seed,

@@ -48,7 +48,8 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    # a NaN reaches both extremes and an inf one of them: no mask as large as arr
+    if not (math.isfinite(arr.min(initial=0.0)) and math.isfinite(arr.max(initial=0.0))):
         raise ValueError(f"non-finite values in {what}")
     return arr
 
@@ -58,14 +59,15 @@ def _write_payload(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def _read_payload(fh: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The float64 array of ``shape`` at the file position; a declared size
-    beyond the bytes left in the file is refused before anything is read."""
+    """The float64 array of ``shape`` at the file position, read straight into
+    it; a declared size beyond the bytes left is refused before any read."""
     size = 8 * math.prod(shape)
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"truncated file while reading {what}")
-    data = _read_exact(fh, size, what)
-    arr = np.frombuffer(data, dtype="<f8").astype(float).reshape(shape)
-    return _check_finite(arr, what)
+    arr = np.empty(shape, dtype="<f8")
+    if fh.readinto(memoryview(arr).cast("B")) != size:
+        raise ValueError(f"truncated file while reading {what}")
+    return _check_finite(arr.astype(float, copy=False), what)
 
 
 def write_tensor(path, array: np.ndarray) -> None:

@@ -162,10 +162,9 @@ class MPBModel:
         the mixed partials leaves boundary terms that need not vanish), and
         the Gram form elsewhere. The result is symmetric PSD up to roundoff.
         """
-        op2 = basis_mod.PenaltyOperator(order=2)
         j_forms = [c.T @ basis_mod.gram_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
         r_forms = [
-            c.T @ basis_mod.penalty_matrix(b, op2) @ c for b, c in zip(self.bases, self.coefs)
+            c.T @ basis_mod.penalty_matrix(b, 2) @ c for b, c in zip(self.bases, self.coefs)
         ]
         e_forms = [c.T @ basis_mod.cross_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
         out = np.zeros((self.rank, self.rank))

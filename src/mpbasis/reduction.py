@@ -223,7 +223,7 @@ def prepare(
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     t_mats = [
-        penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(order)))
+        penalty_transform(fac, basis_mod.penalty_matrix(b, order))
         for fac, b, order in zip(facs, bases, penalty_orders)
     ]
     return PreparedProblem(

@@ -4,9 +4,12 @@ Block coordinate descent over the factor matrices: each grid-mode factor
 solves a Sylvester equation (least squares plus a quadratic roughness
 penalty), and the subject-coefficient block solves either a closed-form ridge
 problem or, for the lasso penalty, N small lasso problems exactly, by an
-active-set method that certifies each row by its KKT conditions. A small
-proximal term keeps every subproblem strongly convex, which makes the
-objective trace nonincreasing.
+active-set method that certifies each row by its KKT conditions. Each step
+minimizes the objective over its block, plus ``proximal_mu`` times the squared
+step where it carries that term, so the objective trace is nonincreasing. The
+grid-mode factor steps and the lasso block carry it, which makes them strongly
+convex; the ridge block is shifted by ``lambda_coef`` only, so it is plain
+least squares at ``lambda_coef = 0`` (ROADMAP item 3 adds the shift there).
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
@@ -232,10 +235,12 @@ def _sylvester_eig(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) ->
     alpha, qm = _eig_sym(m, what)
     den = beta[:, None] + alpha[None, :]
     scale = max(abs(alpha).max(initial=0.0), abs(beta).max(initial=0.0), 1e-300)
-    if np.min(np.abs(den)) <= 1e-14 * scale:
+    gap = np.abs(den).min()
+    if gap <= 1e-14 * scale:
         raise NumericalError(
-            "Sylvester spectra overlap (near-zero eigenvalue sum); "
-            "raise proximal_mu to shift the factor Gram away from singularity"
+            f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
+            f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
+            "proximal_mu to shift the factor Gram away from singularity"
         )
     return ((q @ qm) / den) @ qm.T
 
@@ -544,26 +549,21 @@ def fit(
 ) -> SolverState:
     """Run block coordinate descent to convergence.
 
-    Each sweep updates the grid-mode factors in ascending mode order and the
-    subject coefficients last, then records the objective. Iteration stops
-    when the relative objective change falls below ``config.outer_tol`` or
-    after ``config.max_outer_iters`` sweeps. The returned state is gauge
-    normalized (see :func:`_gauge_normalize`); the objective trace refers to
+    The setup rotates ``g_hat`` and the start into every penalty's eigenbasis
+    (see the module docstring) and cuts the modes at :func:`tensors.half_split`.
+    A sweep updates the grid-mode factors in ascending mode order and the
+    subject coefficients last, one half at a time: the half contracts the
+    matrix view of ``g_hat`` once with the other half's Khatri-Rao product, and
+    each of its blocks takes its Gram and MTTKRP from that partial. A factor
+    step is ``X = ((Q V) / (beta_d + alpha)) V'`` with ``(alpha, V)`` the
+    eigenpairs of its Gram; the subject block's ridge and lasso solves differ.
+
+    The loop only sweeps, records the objective (the third read of ``g_hat``,
+    whose data term is kept as ``state.residual_sq``) and stops when its
+    relative change falls below ``config.outer_tol`` or after
+    ``config.max_outer_iters`` sweeps. The finish rotates the factors back and
+    fixes the gauge (:func:`_gauge_normalize`); the objective trace refers to
     the pre-normalization iterates, whose represented tensor is identical.
-
-    A sweep loops over the two halves of the modes cut at
-    :func:`tensors.half_split` and reads ``g_hat`` three times, as its matrix
-    view: each half contracts it once with the other half's Khatri-Rao
-    product for all its blocks (the subject coefficients are on the right),
-    and the objective's residual is formed against both; its sum is kept as
-    ``state.residual_sq``. The subject block takes its Gram and MTTKRP from
-    that path on both penalties; only the ridge and lasso solves differ.
-
-    The sweep runs in the eigenbasis of every penalty (see the module
-    docstring): a factor step is ``X = ((Q V) / (beta_d + alpha)) V'`` with
-    ``(alpha, V)`` the eigenpairs of its Gram, the penalty is
-    ``sum_i beta_d[i] |x_i|^2`` over the rows of ``X``, and the factors are
-    rotated back before the gauge is fixed.
 
     Parameters
     ----------
@@ -630,15 +630,11 @@ def fit(
         pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
         return data_sq, _objective_value(data_sq, pen, factors[-1], config)
 
-    state.residual_sq, f = sweep_objective()
-    trace = [f]
     lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
-    # objective changes below 1e-12 of the data energy are numerical noise,
-    # so the relative-change denominator is floored at that scale
-    f_floor = 1e-12 * float(np.sum(g_hat**2))
-    state.lasso_certified = True
-    it = 0
-    for it in range(1, config.max_outer_iters + 1):
+
+    def sweep() -> bool:
+        """One sweep over both halves; False when a lasso block was left uncertified."""
+        certified = True
         for h, (lo, hi) in enumerate(halves):
             # one contraction with the other half serves every block of this one
             part = (views[h] @ krs[1 - h]).reshape(g_hat.shape[lo:hi] + (-1,))
@@ -649,7 +645,7 @@ def fit(
                     new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
                 elif lasso:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
-                    state.lasso_certified = state.lasso_certified and ok
+                    certified = certified and ok
                 else:
                     new = update_b_ridge(gram, rhs, config)
                 if not np.all(np.isfinite(new)):
@@ -658,6 +654,16 @@ def fit(
                 factors[d] = new
                 grams[d] = new.T @ new
             krs[h] = khatri_rao(factors[lo:hi])
+        return certified
+
+    # objective changes below 1e-12 of the data energy are numerical noise,
+    # so the relative-change denominator is floored at that scale
+    f_floor = 1e-12 * float(np.sum(g_hat**2))
+    state.residual_sq, f = sweep_objective()
+    trace = [f]
+    it = 0
+    for it in range(1, config.max_outer_iters + 1):
+        state.lasso_certified &= sweep()
         state.residual_sq, f = sweep_objective()
         trace.append(f)
         if abs(trace[-2] - f) / max(trace[-2], f_floor, 1e-300) < config.outer_tol:

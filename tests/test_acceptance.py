@@ -13,7 +13,6 @@ from mpbasis import tensors as T
 from mpbasis.basis import (
     BSplineBasis,
     FourierBasis,
-    PenaltyOperator,
     gram_matrix,
     penalty_matrix,
 )
@@ -183,7 +182,7 @@ def test_criterion_05_penalty_identity():
     for basis in [BSplineBasis((0.0, 1.0), 9), FourierBasis((0.0, 1.0), 7)]:
         grid = np.linspace(0, 1, 40)
         fac = factorize(basis.evaluate(grid))
-        r = penalty_matrix(basis, PenaltyOperator(2))
+        r = penalty_matrix(basis, 2)
         t_mat = penalty_transform(fac, r)
         for lam in (0.3, 1.7):
             c = rng.standard_normal((basis.rank, 3))

@@ -11,7 +11,6 @@ from scipy.interpolate import BSpline
 from mpbasis.basis import (
     BSplineBasis,
     FourierBasis,
-    PenaltyOperator,
     cross_matrix,
     gram_matrix,
     penalty_matrix,
@@ -187,7 +186,7 @@ def test_constant_basis_gram():
 
 def test_bspline_penalty_annihilates_affine():
     basis = BSplineBasis((0.0, 1.0), 10)
-    r = penalty_matrix(basis, PenaltyOperator(2))
+    r = penalty_matrix(basis, 2)
     # Greville abscissae give the coefficient vector reproducing f(x) = x
     p = basis.degree
     t = basis.knots
@@ -198,14 +197,14 @@ def test_bspline_penalty_annihilates_affine():
 
 def test_fourier_penalty_closed_form():
     basis = FourierBasis((0.0, 1.0), 5)
-    r = penalty_matrix(basis, PenaltyOperator(2))
+    r = penalty_matrix(basis, 2)
     expect = np.diag([0.0, (2 * np.pi) ** 4, (2 * np.pi) ** 4, (4 * np.pi) ** 4, (4 * np.pi) ** 4])
     assert np.abs(r - expect).max() < 1e-8 * expect.max()
 
 
 def test_penalty_matches_quadrature_oracle():
     basis = BSplineBasis((0.0, 1.0), 9)
-    r = penalty_matrix(basis, PenaltyOperator(2))
+    r = penalty_matrix(basis, 2)
     ref = trapezoid_matrix(basis, 2, 2)
     assert np.abs(r - ref).max() < 1e-8 * np.abs(ref).max()
 
@@ -213,12 +212,14 @@ def test_penalty_matches_quadrature_oracle():
 def test_penalty_order_too_high_raises():
     basis = BSplineBasis((0.0, 1.0), 6, degree=2)
     with pytest.raises(ValueError, match="too high"):
-        penalty_matrix(basis, PenaltyOperator(3))
+        penalty_matrix(basis, 3)
 
 
 def test_penalty_operator_validation():
-    with pytest.raises(ValueError, match=">= 1"):
-        PenaltyOperator(0)
+    basis = BSplineBasis((0.0, 1.0), 6, degree=2)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=f"penalty order must be >= 1, got {order}"):
+            penalty_matrix(basis, order)
 
 
 # ---------------------------------------------------------------- cross matrix
@@ -268,7 +269,7 @@ def test_integral_matrices_against_dense_trapezoid(basis):
     # keep the oracle integrand continuous: order < degree for splines
     order = 2 if isinstance(basis, FourierBasis) else basis.degree - 1
     assert (
-        relf(penalty_matrix(basis, PenaltyOperator(order)), trapezoid_matrix(basis, order, order))
+        relf(penalty_matrix(basis, order), trapezoid_matrix(basis, order, order))
         < 1e-7
     )
     if basis.max_derivative >= 2 and (isinstance(basis, FourierBasis) or basis.degree >= 3):
@@ -283,7 +284,7 @@ def test_integral_matrices_against_dense_trapezoid(basis):
 def test_gram_pd_and_penalty_psd(basis):
     g = gram_matrix(basis)
     assert np.linalg.eigvalsh(g)[0] > 1e-12
-    r = penalty_matrix(basis, PenaltyOperator(2))
+    r = penalty_matrix(basis, 2)
     assert np.array_equal(r, r.T)
     assert np.linalg.eigvalsh(r)[0] > -1e-10
 

@@ -199,7 +199,7 @@ def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_
     grids = [np.linspace(0.0, 1.0, 20)] * 2
     facs = [reduction.factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     t_mats = [
-        reduction.penalty_transform(fac, basis_mod.penalty_matrix(b, basis_mod.PenaltyOperator(2)))
+        reduction.penalty_transform(fac, basis_mod.penalty_matrix(b, 2))
         for fac, b in zip(facs, bases)
     ]
     g_hat = reduction.compress(y, facs)

@@ -343,6 +343,14 @@ def test_non_finite_config_value_rejected(tmp_path, row, match):
         parse(mutated(*row), tmp_path)
 
 
+@pytest.mark.parametrize("order", [0, -1, 0.0])
+def test_penalty_order_below_one_is_refused_at_parse_time(order):
+    raw = full_run_config()
+    raw["penalty_orders"] = [2, order]
+    with pytest.raises(ValueError, match="'penalty_orders' is not a list of integers >= 1"):
+        parse_run_config(raw)
+
+
 def test_integral_basis_rank_is_an_integer():
     raw = full_run_config()
     raw["bases"][0]["rank"] = 6.0

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,22 @@ def test_tensor_round_trip(tmp_path):
         back = read_tensor(path)
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
+
+
+def test_tensor_payload_is_read_once_into_the_result(tmp_path):
+    # a bytes read plus a converting copy would peak at twice the payload
+    arr = np.random.default_rng(1).standard_normal((64, 64, 96))  # 3 MiB
+    path = tmp_path / "t.mpbt"
+    write_tensor(path, arr)
+    tracemalloc.start()
+    try:
+        back = read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * arr.nbytes
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert np.array_equal(back, arr)
 
 
 def test_tensor_header_layout(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpbasis import tensors as T
-from mpbasis.basis import BSplineBasis, FourierBasis, PenaltyOperator, penalty_matrix
+from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import compress, decompress, factorize
@@ -268,7 +268,7 @@ def test_laplacian_penalty_single_dimension_reduces_to_quadratic_form():
     c = rng.standard_normal((8, 3))
     model = MPBModel(bases=[basis], coefs=[c], subject_coefs=rng.standard_normal((2, 3)))
     r = model.laplacian_penalty_zeta()
-    expect = c.T @ penalty_matrix(basis, PenaltyOperator(2)) @ c
+    expect = c.T @ penalty_matrix(basis, 2) @ c
     assert np.allclose(r, expect, rtol=1e-12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpbasis import tensors as T
-from mpbasis.basis import BSplineBasis, FourierBasis, PenaltyOperator, penalty_matrix
+from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.errors import NumericalError
 from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
@@ -198,7 +198,7 @@ def test_penalty_equivalence_against_dense_quadrature():
     grid = np.linspace(0, 1, 30)
     phi = basis.evaluate(grid)
     fac = factorize(phi)
-    r = penalty_matrix(basis, PenaltyOperator(2))
+    r = penalty_matrix(basis, 2)
     t_mat = penalty_transform(fac, r)
     c = rng.standard_normal((8, 3))
     c_tilde = forward_transform(fac, c)
@@ -223,7 +223,7 @@ def test_prepare_matches_explicit_steps():
         assert np.array_equal(fac.u, ref.u) and np.array_equal(fac.s, ref.s)
         assert np.array_equal(fac.vt, ref.vt)
     for d, (b, fac) in enumerate(zip(bases, ref_facs)):
-        ref_t = penalty_transform(fac, penalty_matrix(b, PenaltyOperator(orders[d])))
+        ref_t = penalty_transform(fac, penalty_matrix(b, orders[d]))
         assert np.array_equal(t_mats[d], ref_t)
     assert np.array_equal(g_hat, compress(y, ref_facs))
 
@@ -276,6 +276,8 @@ def _marginal(y, grids, bases, orders):
 _CHECK_CASES = [
     ("modes", "data tensor has 4 modes, expected 3"),
     ("orders", "one grid and one penalty order per dimension"),
+    # an order is a plain int, refused by penalty_matrix when it builds the penalty
+    ("order-zero", "penalty order must be >= 1, got 0"),
     ("grids", "one grid and one penalty order per dimension"),
     ("length", "grid 1 has 10 points but the tensor mode has size 11"),
 ]
@@ -291,7 +293,7 @@ _ENTRIES = [
         for case, match in _CHECK_CASES
         for entry, name in _ENTRIES
         # the marginal-rank criterion takes no penalty orders
-        if not (entry is _marginal and case == "orders")
+        if not (entry is _marginal and case.startswith("order"))
     ],
 )
 def test_input_checks_shared_by_every_entry_point(case, match, entry):
@@ -302,6 +304,8 @@ def test_input_checks_shared_by_every_entry_point(case, match, entry):
         y = y[..., None]
     elif case == "orders":
         orders = [2]  # two bases, one penalty order
+    elif case == "order-zero":
+        orders = [2, 0]
     elif case == "grids":
         grids = grids[:1]
     else:

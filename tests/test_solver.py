@@ -102,6 +102,30 @@ def test_sylvester_spectral_overlap_raises():
         sylvester_solve(np.zeros((3, 3)), np.zeros((4, 4)), np.ones((4, 3)))
 
 
+def test_sylvester_overlap_names_the_block_and_its_margin():
+    # a Gram of two equal columns is singular; with beta = 0 and mu = 0 nothing shifts it
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((6, 3))
+    w[:, 2] = w[:, 0]
+    gram = w.T @ w
+    with pytest.raises(NumericalError) as err:
+        update_factor(gram, rng.standard_normal((5, 3)), np.zeros((5, 3)), np.zeros(5), 0.0, 1)
+    msg = str(err.value)
+    assert msg.startswith("factor Gram W'W + mu I of mode 1: Sylvester spectra overlap")
+    assert "proximal_mu" in msg
+    num = r"(\d\.\d{3}e[+-]\d+)"
+    found = re.search(
+        rf"smallest \|beta_i \+ alpha_k\| {num} is at or below the threshold "
+        rf"1e-14 x scale {num} = {num}", msg
+    )
+    assert found, msg
+    gap, scale, threshold = map(float, found.groups())
+    alpha = np.linalg.eigvalsh(gram)
+    assert scale == pytest.approx(np.abs(alpha).max(), rel=1e-3)
+    assert threshold == pytest.approx(1e-14 * scale, rel=1e-3)
+    assert gap <= threshold and gap <= 1e-14 * np.abs(alpha).max()
+
+
 def test_sylvester_residual_on_random_instances():
     rng = np.random.default_rng(3)
     for _ in range(50):
