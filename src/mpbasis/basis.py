@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .jsonspec import INTEGER, INTERVAL, NUMBER, check_tagged, list_of
+from .jsonspec import INTEGER, INTERVAL, NUMBER, as_int, check_tagged, list_of
 
 __all__ = [
     "BSplineBasis",
@@ -112,8 +112,8 @@ class BSplineBasis:
 
     def __init__(self, domain, rank, degree=3, knots=None):
         a, b = _check_domain(domain)
-        rank = int(rank)
-        degree = int(degree)
+        rank = as_int(rank, "rank")
+        degree = as_int(degree, "degree")
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if rank < degree + 1:
@@ -180,7 +180,7 @@ class FourierBasis:
 
     def __init__(self, domain, rank, period=None):
         a, b = _check_domain(domain)
-        rank = int(rank)
+        rank = as_int(rank, "rank")
         if rank < 1 or rank % 2 == 0:
             raise ValueError(f"fourier rank must be a positive odd integer, got {rank}")
         period = float(period) if period is not None else b - a
@@ -275,6 +275,7 @@ def gram_matrix(basis: MarginalBasis) -> np.ndarray:
 
 def penalty_matrix(basis: MarginalBasis, order: int) -> np.ndarray:
     """PSD matrix of inner products of the basis functions' ``order``-th derivatives."""
+    order = as_int(order, "penalty order")
     if order < 1:
         raise ValueError(f"penalty order must be >= 1, got {order}")
     if order > basis.max_derivative:

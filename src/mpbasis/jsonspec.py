@@ -69,6 +69,15 @@ def integer(minimum: int | None = None) -> Kind:
     return _is(what, lambda v: _integral(v) and (minimum is None or v >= minimum), int)
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an ``int`` by the rule of :func:`integer`: an integral
+    number such as ``5.0`` becomes ``5``; anything else raises ``ValueError``
+    naming the setting ``name`` and the value."""
+    if not _integral(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def number(minimum: float | None = None, maximum: float | None = None) -> Kind:
     """A number, kept as given; NaN passes only where no bound is set."""
     if minimum is None:

@@ -17,6 +17,7 @@ energy of :func:`out_of_span_sq`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from scipy.linalg import solve_triangular
 
 from . import basis as basis_mod
 from .errors import NumericalError
-from .tensors import chunked_residual_sq, khatri_rao, mode_multiply
+from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
     "MarginalFactorization",
@@ -50,6 +51,10 @@ RANK_TOL = 1e-10
 #: multiple of the largest. The Cholesky factor of the normal matrix has the
 #: same diagonal, so this is the threshold the solver's ridge step applies.
 QR_DIAG_RATIO_TOL = 1e-7
+
+#: Entries of the data that :func:`out_of_span_sq` reads at once (4 MiB of
+#: float64): a slab of whole rows of the leading grid mode, at least one row.
+SLAB_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -243,12 +248,25 @@ def out_of_span_sq(
 
     Returns ``|y_i - decompress(g_hat_i)|^2`` per subject, where ``g_hat =
     compress(y, facs)``; to center, subtract the mean from a copy of ``y``
-    and from ``g_hat`` first. The difference is formed directly over subject
-    chunks by :func:`tensors.chunked_residual_sq`, never as ``|y_i|^2 -
-    |g_hat_i|^2``, whose cancellation near an in-span subject leaves only
-    square-root-of-epsilon accuracy.
+    and from ``g_hat`` first. ``g_hat`` is decompressed once in every mode
+    but the leading one, and ``y`` is read in slabs of whole rows of that
+    mode (contiguous in C order) of at most :data:`SLAB_ENTRIES` entries.
+    Each slab's difference is formed directly, never as ``|y_i|^2 -
+    |g_hat_i|^2``, which cancels to sqrt(eps) accuracy near an in-span subject.
     """
-    return chunked_residual_sq(y, lambda s: decompress(g_hat[..., s], facs))
+    part = np.asarray(g_hat, dtype=float)
+    for d, f in enumerate(facs[1:], 1):
+        part = mode_multiply(part, f.u, d)
+    lead = part.reshape(part.shape[0], -1)
+    rows = max(1, SLAB_ENTRIES // max(1, math.prod(y.shape[1:])))
+    out = np.zeros(y.shape[-1])
+    for lo in range(0, y.shape[0], rows):
+        u = facs[0].u[lo : lo + rows]
+        r = (u @ lead).reshape(u.shape[:1] + part.shape[1:])
+        np.subtract(y[lo : lo + rows], r, out=r)
+        r = r.reshape(-1, r.shape[-1])
+        out += np.einsum("ij,ij->j", r, r)
+    return out
 
 
 def lstsq_compressed(

@@ -72,7 +72,8 @@ def marginal_rank_criterion(
     approach the grid sizes.
     """
     y, grids = reduction.check_inputs(y, grids, bases)
-    y_norm_sq = float(np.sum(y**2))
+    flat = y.ravel(order="K")  # a view unless y is a strided slice
+    y_norm_sq = float(flat @ flat)
     if y_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
     facs = [

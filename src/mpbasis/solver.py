@@ -42,8 +42,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericalError
+from .jsonspec import as_int
 from .tensors import (
-    chunked_residual_sq,
     cp_to_tensor,
     half_split,
     khatri_rao,
@@ -127,6 +127,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("rank", "max_outer_iters"):
+            setattr(self, name, as_int(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lambda_coef", "outer_tol", "proximal_mu"):
@@ -263,15 +264,16 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
     ``X`` is the CP tensor of ``factors`` (grid-mode factors, then the N x K
     subject coefficients) and the subject mode of ``y`` is last. The
-    difference is formed explicitly, over subject chunks, by
-    :func:`tensors.chunked_residual_sq`.
+    difference is formed directly, never as the expanded square ``|y|^2 -
+    2<y, X> + |X|^2``, which cancels to sqrt(eps) accuracy near an exact fit.
 
     A matrix view of a tensor with the Khatri-Rao products of its two halves
     as ``factors`` has the same total, summed per column; :func:`fit` takes
     its objective that way.
     """
-    grid_factors, b = list(factors[:-1]), factors[-1]
-    return chunked_residual_sq(y, lambda s: cp_to_tensor(grid_factors + [b[s]]))
+    r = y - cp_to_tensor(factors)
+    r = r.reshape(-1, r.shape[-1])
+    return np.einsum("ij,ij->j", r, r)
 
 
 def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:

@@ -18,7 +18,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +32,7 @@ __all__ = [
     "partial_mttkrp",
     "mttkrp",
     "cp_to_tensor",
-    "chunked_residual_sq",
 ]
-
-#: Tensor entries rebuilt at once by :func:`chunked_residual_sq` (4 MiB of
-#: float64); the subject mode is split into chunks of at most this many
-#: entries, and whole subjects are never split.
-CHUNK_ENTRIES = 1 << 19
 
 
 def _check_mode(tensor: np.ndarray, mode: int) -> None:
@@ -212,21 +206,3 @@ def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
         return (first @ khatri_rao(factors[1:]).T).reshape(shape)
     return (khatri_rao(factors[:-1]) @ last.T).reshape(shape)
 
-
-def chunked_residual_sq(y: np.ndarray, rebuild: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """Squared norm of ``y_i - X_i`` for each subject ``i`` of the last mode.
-
-    ``rebuild(s)`` returns the subjects ``s`` (a slice) of ``X``, shaped like
-    ``y[..., s]``. The difference is formed explicitly over chunks of at most
-    :data:`CHUNK_ENTRIES` entries (at least one subject), never through the
-    expanded square ``|y|^2 - 2<y, X> + |X|^2``, whose cancellation near an
-    exact fit leaves only square-root-of-epsilon accuracy.
-    """
-    n_grid = math.prod(y.shape[:-1])
-    step = max(1, CHUNK_ENTRIES // max(1, n_grid))
-    out = np.empty(y.shape[-1])
-    for lo in range(0, y.shape[-1], step):
-        r = y[..., lo : lo + step] - rebuild(slice(lo, lo + step))
-        r = r.reshape(n_grid, -1)
-        out[lo : lo + step] = np.einsum("ij,ij->j", r, r)
-    return out

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpbasis.basis import BSplineBasis, FourierBasis
+from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.config import load_sim_config, parse_run_config
 from mpbasis.sim import Gp2dSimConfig, ProductSimConfig
+from mpbasis.solver import SolverConfig
 
 KNOTS = [0.0, 0.0, 0.0, 0.3, 0.5, 1.4, 2.0, 2.0, 2.0]
 
@@ -373,6 +374,31 @@ def test_integral_numbers_become_ints():
     ]
     assert ints == [2, 5, 3, 1, 2, 4, 2, 1, 3, 3]
     assert all(type(v) is int for v in ints)
+
+
+@pytest.mark.parametrize(
+    "make, name, whole",
+    [
+        (lambda v: penalty_matrix(BSplineBasis((0.0, 1.0), 6), v), "penalty order", 2),
+        (lambda v: BSplineBasis((0.0, 1.0), v).rank, "rank", 6),
+        (lambda v: BSplineBasis((0.0, 1.0), 6, degree=v).degree, "degree", 2),
+        (lambda v: FourierBasis((0.0, 1.0), v).rank, "rank", 5),
+        (lambda v: SolverConfig(rank=v).rank, "rank", 2),
+        (lambda v: SolverConfig(rank=1, max_outer_iters=v).max_outer_iters, "max_outer_iters", 3),
+    ],
+    ids=["penalty_order", "bspline_rank", "bspline_degree", "fourier_rank", "solver_rank",
+         "solver_max_outer_iters"],
+)
+def test_integer_settings_take_integral_numbers_and_refuse_others(make, name, whole):
+    # the run config's rule, for callers of the Python API: 5.0 is 5, and a
+    # non-integral value is refused by name instead of truncated or passed on
+    got, ref = make(float(whole)), make(whole)
+    if isinstance(ref, np.ndarray):
+        assert np.array_equal(got, ref)
+    else:
+        assert got == whole and type(got) is int
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {whole + 0.5}")):
+        make(whole + 0.5)
 
 
 @pytest.mark.parametrize("base", list(BASE_CONFIGS))

@@ -4,6 +4,7 @@ projection of new data."""
 import numpy as np
 import pytest
 
+from mpbasis import reduction
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.model import MPBModel
@@ -354,9 +355,9 @@ def test_project_scales_with_out_of_span_data(scale):
 
 
 def test_project_residuals_over_subject_chunks(monkeypatch):
-    # residuals are formed a few subjects at a time; with chunks of 2, 2 and
-    # 1 subjects every subject must still get its own residual
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 12 * 10)
+    # the out-of-span energy is summed over slabs of grid rows; with slabs of
+    # 3, 3, 3 and 3 rows every subject must still get its own residual
+    monkeypatch.setattr(reduction, "SLAB_ENTRIES", 3 * 10 * 5)
     rng = np.random.default_rng(23)
     model = random_model(rng, k=3, n_subj=1)
     grids = [np.linspace(0, 1, 12), np.linspace(0, 1, 10)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mpbasis import reduction
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.errors import NumericalError
@@ -379,10 +380,10 @@ def test_fit_mpb_centers_the_compressed_tensor():
     assert np.allclose(state.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("chunk", [None, 2 * 14 * 11])
-def test_out_of_span_sq_is_the_direct_residual(monkeypatch, chunk):
-    if chunk is not None:  # chunks of 2, 2 and 1 subjects
-        monkeypatch.setattr(T, "CHUNK_ENTRIES", chunk)
+@pytest.mark.parametrize("slab", [None, 308])
+def test_out_of_span_sq_is_the_direct_residual(monkeypatch, slab):
+    if slab is not None:  # rows of 11 x 5 entries: slabs of 5, 5 and 4 of the 14 rows
+        monkeypatch.setattr(reduction, "SLAB_ENTRIES", slab)
     bases, grids, y = small_problem(np.random.default_rng(34), n_subj=5)
     facs = prepare(y, grids, bases, [2, 2]).facs
     y = y + 3.0
@@ -398,6 +399,24 @@ def test_out_of_span_sq_is_the_direct_residual(monkeypatch, chunk):
         r = y_c - decompress(compress(y_c, facs), facs)
         ref = np.sum(r**2, axis=(0, 1))
         assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_out_of_span_sq_any_slab_size_matches_explicit_difference(monkeypatch, rows):
+    # slabs of one row, of several rows with a short last slab, and of all 7
+    # rows; three grid modes, so two are decompressed before the slab loop
+    rng = np.random.default_rng(24)
+    bases = [BSplineBasis((0.0, 1.0), 4), FourierBasis((0.0, 1.0), 3), BSplineBasis((0.0, 1.0), 4)]
+    grids = [np.linspace(0.0, 1.0, n) for n in (7, 6, 5)]
+    y = rng.standard_normal((7, 6, 5, 4))
+    facs = prepare(y, grids, bases, [2, 2, 2]).facs
+    g = compress(y, facs)
+    expected = np.sum((y - decompress(g, facs)) ** 2, axis=(0, 1, 2))
+    monkeypatch.setattr(reduction, "SLAB_ENTRIES", rows * 6 * 5 * 4)
+    for data in (y, np.asfortranarray(y)):  # C order, and an order whose rows are not contiguous
+        got = out_of_span_sq(data, facs, g)
+        assert got.shape == (4,)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_out_of_span_sq_of_in_span_data_is_roundoff():

@@ -1,9 +1,11 @@
 """Hyperparameter selection criteria and the cross-validation harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mpbasis import solver
+from mpbasis import reduction, solver
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis
 from mpbasis.model import MPBModel
@@ -53,6 +55,24 @@ def test_marginal_criterion_matches_projection_oracle():
     proj = decompress(compress(y, facs), facs)
     ref = np.sum(proj**2) / np.sum(y**2)
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_marginal_criterion_makes_no_grid_sized_temporary():
+    # an 80 x 70 grid and 40 subjects (1.8 MB); squaring y for its energy
+    # would allocate as much again
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((80, 70, 40))
+    grids = [np.linspace(0, 1, 80), np.linspace(0, 1, 70)]
+    bases = [BSplineBasis((0.0, 1.0), 8), BSplineBasis((0.0, 1.0), 7)]
+    tracemalloc.start()
+    try:
+        got = marginal_rank_criterion(y, bases, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * y.nbytes
+    facs = [factorize(b.evaluate(g)) for b, g in zip(bases, grids)]
+    assert got == pytest.approx(np.sum(compress(y, facs) ** 2) / np.sum(y**2), rel=1e-12)
 
 
 def test_marginal_criterion_checks_one_grid_per_basis():
@@ -333,8 +353,6 @@ def test_cv_validates_folds():
     ids=["too_many_folds", "one_fold", "fold_labels", "empty_grid"],
 )
 def test_cv_checks_folds_before_reducing(monkeypatch, kwargs, match):
-    from mpbasis import reduction
-
     def forbidden(*args, **kw):
         raise AssertionError("the sample was reduced before the fold settings were checked")
 
@@ -366,7 +384,7 @@ def test_cv_reduces_once_and_projects_in_compressed_coordinates(monkeypatch):
     # one compression per sweep, one fit per cell, and no grid-sized
     # projection: neither MPBModel.project nor an MTTKRP runs
     from mpbasis import model as model_mod
-    from mpbasis import reduction, selection, solver, tensors
+    from mpbasis import selection, tensors
 
     calls = {"compress": 0, "fit_mpb": 0}
 
@@ -426,7 +444,7 @@ def grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center):
 @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
 @pytest.mark.parametrize("penalty", ["ridge", "lasso"])
 def test_cv_criteria_match_grid_reference(monkeypatch, penalty, center):
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 20 * 18)  # chunks of 2 subjects
+    monkeypatch.setattr(reduction, "SLAB_ENTRIES", 3 * 18 * 2)  # slabs of 2 or 3 grid rows
     rng = np.random.default_rng(15)
     grids, bases, y = cv_setup(rng, 7)
     y = y + 0.05 * rng.standard_normal(y.shape) + 3.0

@@ -650,11 +650,9 @@ def _cp_by_outer_products(factors):
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
-def test_objective_chunked_route_accurate_for_in_span_data(monkeypatch, scale):
+def test_objective_chunked_route_accurate_for_in_span_data(scale):
     # an exact fit leaves a residual of roundoff size eps |g|; the expanded
-    # square |g|^2 - 2<g, X> + |X|^2 would leave sqrt(eps) |g| of it.
-    # The limit is lowered so the route builds two subjects per chunk.
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 60)
+    # square |g|^2 - 2<g, X> + |X|^2 would leave sqrt(eps) |g| of it
     cfg = SolverConfig(rank=3)
     t_mats = [np.zeros((6, 6)), np.zeros((5, 5))]
     for seed in range(20):
@@ -666,30 +664,20 @@ def test_objective_chunked_route_accurate_for_in_span_data(monkeypatch, scale):
         assert res <= 1e-8 * np.linalg.norm(g), f"seed {seed}"
 
 
-def test_objective_chunked_route_matches_materialized(monkeypatch):
-    # chunks of 2, 2 and 1 subjects add up to the one-shot residual
+def test_objective_chunked_route_matches_materialized():
+    # the data term is each subject's residual against the materialized CP tensor
     rng = np.random.default_rng(20)
     g = rng.standard_normal((5, 4, 5))
     state = make_state(rng, (5, 4), 5, 3)
     cfg = SolverConfig(rank=3, lambda_marginal=0.2, lambda_coef=0.1)
     t_mats = [psd(rng, 5), psd(rng, 4)]
-    whole = objective(g, state, t_mats, cfg)
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", 2 * 5 * 4)
-    chunked = objective(g, state, t_mats, cfg)
-    assert abs(chunked - whole) < 1e-12 * whole
-
-
-@pytest.mark.parametrize("per_chunk", range(1, 8))
-def test_residual_sq_any_chunk_size_matches_explicit_difference(monkeypatch, per_chunk):
-    rng = np.random.default_rng(24)
-    factors = [rng.standard_normal((m, 3)) for m in (6, 4, 7)]
-    y = rng.standard_normal((6, 4, 7))
-    diff = y - T.cp_to_tensor(factors)
-    expected = [np.linalg.norm(diff[..., i]) ** 2 for i in range(7)]
-    monkeypatch.setattr(T, "CHUNK_ENTRIES", per_chunk * 6 * 4)
-    got = residual_sq(y, factors)
-    assert got.shape == (7,)
-    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    diff = g - _cp_by_outer_products(state.factors())
+    per_subject = np.sum(diff**2, axis=(0, 1))
+    assert np.allclose(residual_sq(g, state.factors()), per_subject, rtol=1e-12, atol=0.0)
+    pen = sum(0.2 * np.sum(c * (t @ c)) for c, t in zip(state.c_tilde, t_mats))
+    whole = per_subject.sum() + pen + 0.1 * np.sum(state.b**2)
+    got = objective(g, state, t_mats, cfg)
+    assert abs(got - whole) < 1e-12 * whole
 
 
 def test_update_b_ridge_message_states_ratio_and_threshold():
