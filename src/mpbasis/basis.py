@@ -149,6 +149,7 @@ class BSplineBasis:
 
     def evaluate(self, points, deriv: int = 0) -> np.ndarray:
         """Evaluation matrix with entry ``(i, j) = d^deriv phi_j / dx^deriv (x_i)``."""
+        deriv = as_int(deriv, "deriv")
         if deriv < 0:
             raise ValueError("derivative order must be >= 0")
         if deriv > self.degree:
@@ -200,6 +201,7 @@ class FourierBasis:
         return np.linspace(a, b, 4 * self.rank + 1)
 
     def evaluate(self, points, deriv: int = 0) -> np.ndarray:
+        deriv = as_int(deriv, "deriv")
         if deriv < 0:
             raise ValueError("derivative order must be >= 0")
         x = _check_points(points, self.domain)

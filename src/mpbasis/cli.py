@@ -99,7 +99,7 @@ def cmd_select(args) -> int:
     y = fileio.read_tensor(args.tensor)
     grids = cfg.build_grids(y.shape[:-1])
     out = _outdir(args)
-    if cfg.center and args.mode != "cv":  # cv centers each training fold
+    if cfg.center and args.mode == "marginal-rank":  # its denominator is the centered y energy
         y = y - y.mean(axis=-1, keepdims=True)
     sel = cfg.selection
     if args.mode == "marginal-rank":
@@ -110,8 +110,11 @@ def cmd_select(args) -> int:
         if "rank_grid" not in sel:
             raise ValueError("config is missing selection.rank_grid")
         prepared = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
+        g_hat = prepared.g_hat
+        if cfg.center:  # compression is linear: center g_hat, as fit_mpb does
+            g_hat = g_hat - g_hat.mean(axis=-1, keepdims=True)
         report = selection.sweep_global_rank(
-            prepared.g_hat,
+            g_hat,
             prepared.t_mats,
             cfg.solver,
             sel["rank_grid"],

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import reduction, solver
 from .pipeline import fit_mpb
-from .solver import SolverConfig, SolverState
+from .solver import SolverConfig
 
 __all__ = [
     "SelectionRecord",
@@ -130,11 +130,12 @@ def sweep_global_rank(
     """Fit a grid of ranks and report the normalized residual per rank.
 
     The criterion is the fit's ``SolverState.residual_sq`` over ``|g_hat|^2``,
-    as ``FitReport.residual_ratio``. Each fit at a larger rank is warm-started
-    from the previous solution padded with fresh random grid-mode columns and
-    zero coefficient columns, which makes the criterion nonincreasing along
-    the grid. The chosen rank is the smallest meeting the threshold (largest
-    otherwise). An empty grid or a zero ``g_hat`` raises ``ValueError``.
+    as ``FitReport.residual_ratio``. Each fit after the first is warm-started
+    from the previous one: :func:`solver.fit` completes it to the larger rank
+    with components that leave its tensor unchanged, so each fit starts from
+    the previous fit's residual. The chosen rank is the smallest meeting the
+    threshold (largest otherwise). An empty grid or a zero ``g_hat`` raises
+    ``ValueError``.
     """
     k_grid = [int(k) for k in k_grid]
     if not k_grid:
@@ -144,23 +145,9 @@ def sweep_global_rank(
     g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    rng = np.random.default_rng(config.seed)
-    records = []
-    prev: SolverState | None = None
+    records, state = [], None
     for k in k_grid:
-        cfg = replace(config, rank=k)
-        init = None
-        if prev is not None:
-            extra = k - prev.rank
-            c_tilde = []
-            for c in prev.c_tilde:
-                pad = rng.standard_normal((c.shape[0], extra))
-                pad /= np.linalg.norm(pad, axis=0)
-                c_tilde.append(np.hstack([c, pad]))
-            b = np.hstack([prev.b, np.zeros((prev.b.shape[0], extra))])
-            init = SolverState(c_tilde=c_tilde, b=b)
-        state = solver.fit(g_hat, t_mats, cfg, initial_state=init)
-        prev = state
+        state = solver.fit(g_hat, t_mats, replace(config, rank=k), initial_state=state)
         records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
     chosen = next((i for i, r in enumerate(records) if r.criterion <= threshold), None)
     if chosen is None:

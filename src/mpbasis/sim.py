@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BSplineBasis, FourierBasis, gram_matrix
+from .jsonspec import as_int
 from .model import MPBModel
 
 __all__ = [
@@ -32,6 +33,19 @@ __all__ = [
     "generate_gp2d_sample",
     "mise",
 ]
+
+
+def _check_ints(cfg, minimum: dict[str, int]) -> None:
+    """Store each field named in ``minimum`` as an ``int`` by the rule of
+    :func:`jsonspec.as_int` (a tuple field elementwise) and refuse, by name, a
+    value below the field's minimum."""
+    for name, low in minimum.items():
+        v = getattr(cfg, name)
+        seq = isinstance(v, (tuple, list))
+        ints = tuple(as_int(x, name) for x in (v if seq else [v]))
+        if min(ints, default=low) < low:
+            raise ValueError(f"{name} must be >= {low}, got {v!r}")
+        object.__setattr__(cfg, name, ints if seq else ints[0])
 
 
 def _check_sign(cfg, name: str, zero_ok: bool = False) -> None:
@@ -64,9 +78,8 @@ class ProductSimConfig:
     redraw_coefs: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        names = ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects")
+        _check_ints(self, {**dict.fromkeys(names, 1), "seed": 0})
         if self.marginal_rank % 2 == 0:
             raise ValueError("marginal_rank must be odd for the Fourier system")
         _check_sign(self, "coef_sd")
@@ -86,12 +99,7 @@ class Gp2dSimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if any(r < 4 for r in self.ranks):
-            raise ValueError("spline ranks must be >= 4")
-        if any(g < 2 for g in self.grid_size):
-            raise ValueError("grid sizes must be >= 2")
-        if self.n_train < 1 or self.n_test < 0:
-            raise ValueError("need n_train >= 1 and n_test >= 0")
+        _check_ints(self, {"ranks": 4, "grid_size": 2, "n_train": 1, "n_test": 0, "seed": 0})
         _check_sign(self, "decay")
 
 

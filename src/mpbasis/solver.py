@@ -126,10 +126,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rank", "max_outer_iters"):
+        for name, low in (("rank", 1), ("max_outer_iters", 1), ("seed", 0)):
             setattr(self, name, as_int(getattr(self, name), name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lambda_coef", "outer_tol", "proximal_mu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -492,25 +492,26 @@ def _b_conditional_value(gram, rhs, b, config: SolverConfig) -> float:
     return val + config.lambda_coef * float(np.sum(np.abs(b)))
 
 
-def _initialize(g_hat: np.ndarray, config: SolverConfig) -> SolverState:
+def _initialize(g_hat, config: SolverConfig, warm: SolverState | None = None) -> SolverState:
+    """Random unit columns from ``config.seed`` for every factor, in mode
+    order, overwritten by the leading columns that are known: the K0 <= K of a
+    warm start, whose extra components are zero in grid factor 0 (the first
+    block a sweep updates), so the start keeps the warm start's tensor while
+    that step's Gram keeps the other factors' random columns; or, with
+    ``init="hosvd"``, each unfolding's leading left singular vectors."""
     rng = np.random.default_rng(config.seed)
-    k = config.rank
-    shapes = g_hat.shape
-
-    def random_unit(n: int) -> np.ndarray:
-        f = rng.standard_normal((n, k))
-        return f / np.linalg.norm(f, axis=0)
-
     factors = []
-    for d, n in enumerate(shapes):
-        if config.init == "hosvd":
+    for n in g_hat.shape:
+        f = rng.standard_normal((n, config.rank))
+        factors.append(f / np.linalg.norm(f, axis=0))
+    if warm is not None:
+        for f, w in zip(factors, warm.factors()):
+            f[:, : warm.rank] = w
+        factors[0][:, warm.rank :] = 0.0
+    elif config.init == "hosvd":
+        for d, f in enumerate(factors):
             u = np.linalg.svd(unfold(g_hat, d), full_matrices=False)[0]
-            f = u[:, : min(k, u.shape[1])]
-            if f.shape[1] < k:
-                f = np.hstack([f, random_unit(n)[:, : k - f.shape[1]]])
-        else:
-            f = random_unit(n)
-        factors.append(np.ascontiguousarray(f))
+            f[:, : u.shape[1]] = u[:, : config.rank]
     return SolverState(c_tilde=factors[:-1], b=factors[-1])
 
 
@@ -575,8 +576,9 @@ def fit(
         Transported penalty matrices, one per grid mode.
     config : SolverConfig
     initial_state : SolverState, optional
-        Warm start; the number of grid factors and every factor shape must
-        match. Overrides ``config.init``.
+        Warm start of rank at most ``config.rank`` with one factor per mode,
+        each with as many rows as its mode; :func:`_initialize` completes it
+        to ``config.rank`` components. Overrides ``config.init``.
     """
     g_hat = np.ascontiguousarray(np.asarray(g_hat, dtype=float))
     n_dims = g_hat.ndim - 1
@@ -597,19 +599,18 @@ def fit(
             "the decomposition is overparameterized",
             RuntimeWarning,
         )
-    if initial_state is not None:
-        state = SolverState(c_tilde=list(initial_state.c_tilde), b=initial_state.b.copy())
-        if len(state.c_tilde) != n_dims:
-            raise ValueError(
-                f"warm start has {len(state.c_tilde)} grid factors, expected {n_dims}"
-            )
-        for d in range(n_dims):
-            if state.c_tilde[d].shape != (g_hat.shape[d], config.rank):
-                raise ValueError("warm-start factor shapes do not match the tensor and rank")
-        if state.b.shape != (g_hat.shape[-1], config.rank):
-            raise ValueError("warm-start coefficient shape does not match")
-    else:
-        state = _initialize(g_hat, config)
+    warm = initial_state
+    if warm is not None:
+        if len(warm.c_tilde) != n_dims:
+            raise ValueError(f"warm start has {len(warm.c_tilde)} grid factors, expected {n_dims}")
+        if warm.rank > config.rank:
+            raise ValueError(f"warm start has rank {warm.rank}, above the fit's rank {config.rank}")
+        for d, f in enumerate(warm.factors()):
+            if f.shape != (g_hat.shape[d], warm.rank):
+                name = "b" if d == n_dims else f"c_tilde[{d}]"
+                want = (g_hat.shape[d], warm.rank)
+                raise ValueError(f"warm-start {name} has shape {f.shape}, expected {want}")
+    state = _initialize(g_hat, config, warm)
 
     # the penalties are constant over the fit: work in their eigenbases
     eigs = [_eig_sym(lam_marg[d] * t, f"penalty matrix {d}") for d, t in enumerate(t_mats)]

@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,43 @@ def test_select_honours_center(tmp_path, rank1_tensor, mode):
         assert main(argv + ["--mode", mode]) == 0
         csv_text[center] = (out / f"selection_{mode.replace('-', '_')}.csv").read_text()
     assert csv_text[True] != csv_text[False]
+
+
+def test_select_global_rank_centers_the_compressed_tensor(tmp_path):
+    # center removes the mean from g_hat after the reduction, as fit does,
+    # instead of from a copy of the grid tensor; compression is linear, so the
+    # criteria are those of a reduction of the centered grid tensor
+    rng = np.random.default_rng(40)
+    grids = [np.linspace(0.0, 1.0, 60), np.linspace(0.0, 1.0, 50)]
+    bases = [basis_mod.FourierBasis((0.0, 1.0), 7)] * 2
+    y = MPBModel(
+        bases=bases,
+        coefs=[rng.standard_normal((7, 2)) for _ in grids],
+        subject_coefs=rng.standard_normal((120, 2)),
+    ).evaluate_subjects(grids)
+    y += 3.0 + 0.01 * rng.standard_normal(y.shape)
+    path = tmp_path / "data.mpbt"
+    fileio.write_tensor(path, y)
+    cfg = base_config(rank=1, lambda_coef=1e-10, max_outer_iters=30)
+    cfg["center"] = True
+    cfg["selection"] = {"rank_grid": [1, 2]}
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sel"
+    argv = ["select", "--config", cfg_path, "--tensor", str(path), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--mode", "global-rank"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * y.nbytes
+    with open(out / "selection_global_rank.csv") as fh:
+        got = [float(row[1]) for row in list(csv.reader(fh))[1:]]
+    prepared = reduction.prepare(y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2])
+    ref = selection.sweep_global_rank(
+        prepared.g_hat, prepared.t_mats, SolverConfig(**cfg["solver"], seed=3), [1, 2]
+    )
+    assert got == pytest.approx([r.criterion for r in ref.records], rel=1e-12)
 
 
 def test_integral_float_settings_reach_the_solver_as_ints(tmp_path, rank1_tensor):

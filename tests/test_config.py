@@ -401,6 +401,45 @@ def test_integer_settings_take_integral_numbers_and_refuse_others(make, name, wh
         make(whole + 0.5)
 
 
+@pytest.mark.parametrize(
+    "make, name, whole",
+    [
+        (lambda v: SolverConfig(rank=1, seed=v).seed, "seed", 2),
+        (lambda v: ProductSimConfig(seed=v).seed, "seed", 2),
+        (lambda v: ProductSimConfig(n_dims=v).n_dims, "n_dims", 2),
+        (lambda v: ProductSimConfig(marginal_rank=v).marginal_rank, "marginal_rank", 7),
+        (lambda v: ProductSimConfig(true_rank=v).true_rank, "true_rank", 3),
+        (lambda v: ProductSimConfig(grid_size=v).grid_size, "grid_size", 8),
+        (lambda v: ProductSimConfig(n_subjects=v).n_subjects, "n_subjects", 4),
+        (lambda v: Gp2dSimConfig(seed=v).seed, "seed", 2),
+        (lambda v: Gp2dSimConfig(ranks=(6, v)).ranks, "ranks", 5),
+        (lambda v: Gp2dSimConfig(grid_size=(v, 9)).grid_size, "grid_size", 8),
+        (lambda v: Gp2dSimConfig(n_train=v).n_train, "n_train", 4),
+        (lambda v: Gp2dSimConfig(n_test=v).n_test, "n_test", 3),
+        (lambda v: BSplineBasis((0.0, 1.0), 6).evaluate([0.3, 0.7], deriv=v), "deriv", 1),
+        (lambda v: FourierBasis((0.0, 1.0), 5).evaluate([0.3, 0.7], deriv=v), "deriv", 1),
+    ],
+    ids=["solver_seed", "product_seed", "product_n_dims", "product_marginal_rank",
+         "product_true_rank", "product_grid_size", "product_n_subjects", "gp2d_seed",
+         "gp2d_ranks", "gp2d_grid_size", "gp2d_n_train", "gp2d_n_test", "bspline_deriv",
+         "fourier_deriv"],
+)
+def test_seeds_simulation_sizes_and_derivative_orders_take_the_integer_rule(make, name, whole):
+    # 2.0 is 2; 2.5 is refused by name instead of truncated, passed on or
+    # failing later in numpy; a seed below 0 is refused by name too
+    got, ref = make(float(whole)), make(whole)
+    if isinstance(ref, np.ndarray):
+        assert np.array_equal(got, ref)
+    else:
+        assert got == ref
+        assert all(type(v) is int for v in (got if isinstance(got, tuple) else [got]))
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {whole + 0.5}")):
+        make(whole + 0.5)
+    if name == "seed":
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            make(-1)
+
+
 @pytest.mark.parametrize("base", list(BASE_CONFIGS))
 def test_unmutated_configs_parse(tmp_path, base):
     parse(BASE_CONFIGS[base](), tmp_path)

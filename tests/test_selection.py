@@ -20,6 +20,7 @@ from mpbasis.selection import (
     select_marginal_rank,
     sweep_global_rank,
 )
+from mpbasis.sim import ProductSimConfig, generate_product_sample
 from mpbasis.solver import SolverConfig
 
 
@@ -218,12 +219,35 @@ def test_sweep_global_rank_monotone_with_warm_start():
     g = rng.standard_normal((6, 5, 8))
     t_mats = [np.zeros((6, 6)), np.zeros((5, 5))]
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=60, lambda_coef=1e-10)
-    report = sweep_global_rank(g, t_mats, cfg, k_grid=[1, 2, 4, 6], threshold=0.0)
+    # threshold 0 unreachable: the largest rank is chosen with a warning
+    with pytest.warns(RuntimeWarning, match="no rank reached"):
+        report = sweep_global_rank(g, t_mats, cfg, k_grid=[1, 2, 4, 6], threshold=0.0)
     values = [r.criterion for r in report.records]
     assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
     assert report.kind == "normalized_residual"
-    # threshold 0 unreachable: the largest rank is chosen with a warning
     assert report.chosen.params["rank"] == 6
+
+
+def test_sweep_global_rank_completes_where_a_zero_padded_warm_start_failed():
+    # the product3d benchmark tensor of replication 100000 with its solver
+    # settings and 50 sweeps: warm starts padded with zero coefficient columns
+    # made the first factor Gram of the K=25 fit singular on the new
+    # components, and the Sylvester guard raised NumericalError
+    sim_cfg = ProductSimConfig(
+        n_dims=3, marginal_rank=11, true_rank=10, coef_sd=0.3, noise_var=0.5,
+        grid_size=30, n_subjects=5, seed=20_240_501,
+    )
+    sample = generate_product_sample(sim_cfg, replication=100_000)
+    bases = [FourierBasis((0.0, 1.0), 15) for _ in range(3)]
+    prepared = prepare(sample.noisy, sample.grids, bases, [2, 2, 2])
+    cfg = SolverConfig(
+        rank=25, lambda_marginal=1e-8, lambda_coef=1e-8, max_outer_iters=50, outer_tol=1e-8,
+        seed=0,
+    )
+    with pytest.warns(RuntimeWarning, match="no rank reached"):
+        report = sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [5, 10, 25])
+    values = [r.criterion for r in report.records]
+    assert values[0] >= values[1] >= values[2] > 0
 
 
 def test_fold_assignment_round_robin_after_shuffle():

@@ -812,6 +812,49 @@ def test_warm_start_with_wrong_grid_factor_count_rejected(n_grid):
         fit(g, [np.zeros((4, 4)), np.zeros((3, 3))], SolverConfig(rank=2), initial_state=start)
 
 
+@pytest.mark.parametrize(
+    "rank, edit, message",
+    [
+        (2, lambda s: None, "warm start has rank 3, above the fit's rank 2"),
+        (3, lambda s: s.c_tilde.__setitem__(1, np.ones((4, 3))),
+         "warm-start c_tilde[1] has shape (4, 3), expected (3, 3)"),
+        (3, lambda s: s.c_tilde.__setitem__(0, np.ones((4, 2))),
+         "warm-start c_tilde[0] has shape (4, 2), expected (4, 3)"),
+        (3, lambda s: setattr(s, "b", np.ones((4, 3))),
+         "warm-start b has shape (4, 3), expected (5, 3)"),
+    ],
+    ids=["rank_above", "grid_rows", "grid_columns", "subject_rows"],
+)
+def test_warm_start_of_higher_rank_or_mismatched_shape_rejected(rank, edit, message):
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal((4, 3, 5))
+    start = make_state(rng, (4, 3), 5, 3)
+    edit(start)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit(g, [np.zeros((4, 4)), np.zeros((3, 3))], SolverConfig(rank=rank), initial_state=start)
+
+
+def test_lower_rank_warm_start_starts_at_its_residual():
+    # a rank-2 fit warm-starts a rank-4 fit: the start keeps the rank-2 tensor
+    # (its two extra components are zero in grid factor 0) and the other
+    # factors' random columns, so with both penalties 0 the first objective is
+    # the warm fit's residual
+    rng = np.random.default_rng(36)
+    dims = (6, 5, 4)
+    g = rank_k_tensor(rng, dims, 7, 4) + 0.05 * rng.standard_normal(dims + (7,))
+    t_mats = [psd(rng, m) for m in dims]
+    warm = fit(g, t_mats, SolverConfig(rank=2, max_outer_iters=20, seed=1))
+    cfg = SolverConfig(rank=4, max_outer_iters=20, seed=2)
+    start = solver_mod._initialize(g, cfg, warm)
+    for f, w in zip(start.factors(), warm.factors()):
+        assert np.array_equal(f[:, :2], w)
+    assert not start.c_tilde[0][:, 2:].any() and np.all(start.b[:, 2:] != 0)
+    state = fit(g, t_mats, cfg, initial_state=warm)
+    assert state.objective_trace[0] == pytest.approx(warm.residual_sq, rel=1e-12)
+    assert np.all(np.diff(state.objective_trace) <= 1e-10 * state.objective_trace[0])
+    assert state.residual_sq < warm.residual_sq
+
+
 def test_lasso_fit_takes_gram_and_mttkrp_from_the_sweep(monkeypatch):
     # the lasso block uses the sweep's cached Grams and half-tensor partial,
     # never a Gram or MTTKRP of its own
