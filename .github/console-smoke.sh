@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the installed `mpbasis` console script on a tiny product design:
-# simulate -> fit -> fpca -> select (marginal-rank, global-rank, cv) -> verify -> info.
-# This passes a simulation config, a run config with a selection block, and
+# simulate -> fit -> fpca -> select (marginal-rank, global-rank, cv) -> verify -> info,
+# plus a gp2d simulation on a square grid given by one size and a seeded cv run.
+# This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema.
 set -euo pipefail
@@ -22,14 +23,20 @@ cat > run.json <<'JSON'
  "selection": {"marginal_rank_candidates": [[3, 4], [5, 6]], "marginal_rank_threshold": 0.2,
                "rank_grid": [1, 2, 3], "lambda_grid": [[1e-8, 1e-8], [1e-4, 1e-4]], "n_folds": 2}}
 JSON
+cat > gp2d.json <<'JSON'
+{"design": "gp2d", "ranks": [5, 4], "grid_size": 12, "n_train": 3, "n_test": 1}
+JSON
 mpbasis simulate --config sim.json --out data
+mpbasis simulate --config gp2d.json --out gp2d
+mpbasis verify gp2d/train_000.mpbt
 mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
 mpbasis fpca --model fit/model.mpbm --out fpca
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode marginal-rank
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode global-rank
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode cv
+mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel2 --mode cv --seed 2
 test -s sel/selection_marginal_rank.csv && test -s sel/selection_global_rank.csv
-test -s sel/selection_cv.csv
+test -s sel/selection_cv.csv && test -s sel2/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm
 mpbasis verify fpca/eigen.mpbe --model fit/model.mpbm

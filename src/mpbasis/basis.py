@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .jsonspec import INTEGER, INTERVAL, NUMBER, as_int, check_tagged, list_of
+from .jsonspec import INTEGER, INTERVAL, NUMBER, as_int, check_sign, check_tagged, list_of
 
 __all__ = [
     "BSplineBasis",
@@ -184,12 +184,10 @@ class FourierBasis:
         rank = as_int(rank, "rank")
         if rank < 1 or rank % 2 == 0:
             raise ValueError(f"fourier rank must be a positive odd integer, got {rank}")
-        period = float(period) if period is not None else b - a
-        if not 0 < period < np.inf:
-            raise ValueError(f"period must be finite and positive, got {period}")
         self.domain = (a, b)
         self.rank = rank
-        self.period = period
+        self.period = float(period) if period is not None else b - a
+        check_sign(self, "period")
 
     @property
     def max_derivative(self) -> int:

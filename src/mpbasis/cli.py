@@ -94,7 +94,6 @@ def _given(settings: dict, **keys) -> dict:
 def cmd_select(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
         cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
     y = fileio.read_tensor(args.tensor)
     grids = cfg.build_grids(y.shape[:-1])
@@ -127,7 +126,7 @@ def cmd_select(args) -> int:
             cfg.bases,
             cfg.penalty_orders,
             cfg.solver,
-            seed=cfg.seed,
+            seed=cfg.solver.seed,
             center=cfg.center,
             **_given(sel, lambda_grid="lambda_grid", n_folds="n_folds"),
         )

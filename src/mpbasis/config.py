@@ -79,7 +79,6 @@ class RunConfig:
     penalty_orders: list[int]
     grid_specs: list[dict] | None
     solver: SolverConfig
-    seed: int
     center: bool
     selection: dict = field(default_factory=dict)
 
@@ -141,13 +140,11 @@ def parse_run_config(raw: dict) -> RunConfig:
     grid_specs = cfg.get("grids")
     if grid_specs is not None and len(grid_specs) != n_dims:
         raise ValueError("grids needs one entry per dimension")
-    seed = cfg.get("seed", 0)
     return RunConfig(
         bases=bases,
         penalty_orders=orders,
         grid_specs=grid_specs,
-        solver=SolverConfig(**{"seed": seed, **cfg["solver"]}),
-        seed=seed,
+        solver=SolverConfig(**cfg["solver"], seed=cfg.get("seed", 0)),
         center=cfg.get("center", False),
         selection=cfg.get("selection", {}),
     )
@@ -170,15 +167,4 @@ def load_sim_config(path) -> tuple[str, int, object]:
     given = check_tagged(_load_json(path), "simulation config", "design", _SIM_KEYS)
     design, reps = given.pop("design"), given.pop("replications", 1)
     # only the keys the JSON gives: every other field keeps its dataclass default
-    grid = given.get("grid_size")
-    if design == "gp2d":
-        if isinstance(grid, int):
-            given["grid_size"] = [grid, grid]
-        return design, reps, Gp2dSimConfig(
-            **{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
-        )
-    if isinstance(grid, list):
-        if len(set(grid)) != 1:
-            raise ValueError("product design uses one shared grid size per dimension")
-        given["grid_size"] = grid[0]
-    return design, reps, ProductSimConfig(**given)
+    return design, reps, {"product": ProductSimConfig, "gp2d": Gp2dSimConfig}[design](**given)

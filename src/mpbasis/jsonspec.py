@@ -3,7 +3,9 @@ configs, basis specifications, and model and eigen headers. A key table maps
 each key an object may hold to a :class:`Kind`; :func:`check` refuses unknown
 keys, missing required keys and values of the wrong kind, naming the key, and
 turns integral numbers such as ``5.0`` into ``int``. A kind checks a range only
-where no constructor downstream does. Imports nothing from the package.
+where no constructor downstream does; the constructors check theirs, by the
+same integer rule, with :func:`as_int`, :func:`check_ints` and
+:func:`check_sign`. Imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -76,6 +78,27 @@ def as_int(value, name: str) -> int:
     if not _integral(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_ints(obj, minimum: dict[str, int], pairs=()) -> None:
+    """Store each field of ``obj`` named in ``minimum`` as an ``int`` by the
+    rule of :func:`as_int`, a field named in ``pairs`` as a tuple of exactly
+    two, and refuse, by name, a value below the field's minimum."""
+    for name, low in minimum.items():
+        v = getattr(obj, name)
+        if name in pairs and not (isinstance(v, (list, tuple)) and len(v) == 2):
+            raise ValueError(f"{name} must be a pair of integers, got {v!r}")
+        ints = tuple(as_int(x, name) for x in v) if name in pairs else (as_int(v, name),)
+        if min(ints) < low:
+            raise ValueError(f"{name} must be >= {low}, got {v!r}")
+        object.__setattr__(obj, name, ints if name in pairs else ints[0])
+
+
+def check_sign(obj, name: str, zero_ok: bool = False) -> None:
+    """The field ``name`` of ``obj`` must be finite and > 0 (>= 0 if ``zero_ok``)."""
+    v = getattr(obj, name)
+    if not (math.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
 
 
 def number(minimum: float | None = None, maximum: float | None = None) -> Kind:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BSplineBasis, FourierBasis, gram_matrix
-from .jsonspec import as_int
+from .jsonspec import check_ints, check_sign
 from .model import MPBModel
 
 __all__ = [
@@ -35,26 +35,6 @@ __all__ = [
 ]
 
 
-def _check_ints(cfg, minimum: dict[str, int]) -> None:
-    """Store each field named in ``minimum`` as an ``int`` by the rule of
-    :func:`jsonspec.as_int` (a tuple field elementwise) and refuse, by name, a
-    value below the field's minimum."""
-    for name, low in minimum.items():
-        v = getattr(cfg, name)
-        seq = isinstance(v, (tuple, list))
-        ints = tuple(as_int(x, name) for x in (v if seq else [v]))
-        if min(ints, default=low) < low:
-            raise ValueError(f"{name} must be >= {low}, got {v!r}")
-        object.__setattr__(cfg, name, ints if seq else ints[0])
-
-
-def _check_sign(cfg, name: str, zero_ok: bool = False) -> None:
-    """The field ``name`` must be finite and > 0 (>= 0 if ``zero_ok``)."""
-    v = getattr(cfg, name)
-    if not (np.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
-
-
 @dataclass(frozen=True)
 class ProductSimConfig:
     """Settings for the separable-product design on the unit cube.
@@ -63,7 +43,8 @@ class ProductSimConfig:
     has a seeded random orthogonal eigenbasis and eigenvalues
     ``exp(-decay * k)`` for ``k = 1..true_rank``. Marginal coefficient
     matrices are i.i.d. normal with standard deviation ``coef_sd`` and stay
-    fixed across replications unless ``redraw_coefs`` is set.
+    fixed across replications unless ``redraw_coefs`` is set. ``grid_size``
+    points per axis may be given as a list of equal sizes.
     """
 
     n_dims: int = 3
@@ -78,18 +59,24 @@ class ProductSimConfig:
     redraw_coefs: bool = False
 
     def __post_init__(self) -> None:
+        sizes = self.grid_size
+        if isinstance(sizes, (list, tuple)):
+            if not sizes or any(g != sizes[0] for g in sizes):
+                raise ValueError("product design uses one shared grid size per dimension")
+            object.__setattr__(self, "grid_size", sizes[0])
         names = ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects")
-        _check_ints(self, {**dict.fromkeys(names, 1), "seed": 0})
+        check_ints(self, {**dict.fromkeys(names, 1), "seed": 0})
         if self.marginal_rank % 2 == 0:
             raise ValueError("marginal_rank must be odd for the Fourier system")
-        _check_sign(self, "coef_sd")
-        _check_sign(self, "decay")
-        _check_sign(self, "noise_var", zero_ok=True)
+        check_sign(self, "coef_sd")
+        check_sign(self, "decay")
+        check_sign(self, "noise_var", zero_ok=True)
 
 
 @dataclass(frozen=True)
 class Gp2dSimConfig:
-    """Settings for the spline-eigenfunction Gaussian process on [0,1]^2."""
+    """Settings for the spline-eigenfunction Gaussian process on [0,1]^2; an
+    integer ``grid_size`` is a square grid."""
 
     ranks: tuple[int, int] = (10, 8)
     decay: float = 0.7
@@ -99,8 +86,11 @@ class Gp2dSimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_ints(self, {"ranks": 4, "grid_size": 2, "n_train": 1, "n_test": 0, "seed": 0})
-        _check_sign(self, "decay")
+        if not isinstance(self.grid_size, (list, tuple)):
+            object.__setattr__(self, "grid_size", (self.grid_size, self.grid_size))
+        minimum = {"ranks": 4, "grid_size": 2, "n_train": 1, "n_test": 0, "seed": 0}
+        check_ints(self, minimum, pairs=("ranks", "grid_size"))
+        check_sign(self, "decay")
 
 
 @dataclass

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericalError
-from .jsonspec import as_int
+from .jsonspec import check_ints, check_sign
 from .tensors import (
     cp_to_tensor,
     half_split,
@@ -126,23 +126,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("rank", 1), ("max_outer_iters", 1), ("seed", 0)):
-            setattr(self, name, as_int(getattr(self, name), name))
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("lambda_coef", "outer_tol", "proximal_mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_ints(self, {"rank": 1, "max_outer_iters": 1, "seed": 0})
+        check_sign(self, "lambda_coef", zero_ok=True)
+        check_sign(self, "outer_tol")
+        check_sign(self, "proximal_mu", zero_ok=True)
         if self.coef_penalty not in ("ridge", "lasso"):
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
         if self.init not in ("random", "hosvd"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.lambda_coef < 0:
-            raise ValueError("lambda_coef must be >= 0")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be > 0")
-        if self.proximal_mu < 0:
-            raise ValueError("proximal_mu must be >= 0")
         lam = np.asarray(self.lambda_marginal, dtype=float)
         if not np.isfinite(lam).all():
             raise ValueError(f"lambda_marginal must be finite, got {self.lambda_marginal}")
@@ -483,7 +474,6 @@ def _feature_sign(a, c, tau, x, solve, config, max_steps) -> tuple[np.ndarray, i
         t = min(ts, key=lambda t: _b_conditional_value(a_s, c[s], x[s] + t * d, config))
         x[s] += t * d
         x[s[cross == t]] = 0.0
-    return x, max_steps, False
 
 
 def _b_conditional_value(gram, rhs, b, config: SolverConfig) -> float:
@@ -591,6 +581,8 @@ def fit(
             raise ValueError(
                 f"penalty matrix {d} has shape {t.shape}, expected square of size {g_hat.shape[d]}"
             )
+    if not np.isfinite(g_hat).all():
+        raise ValueError("compressed data tensor has non-finite values (NaN or inf)")
     lam_marg = config.marginal_weights(n_dims)
     m_total = int(np.prod(g_hat.shape[:-1]))
     if config.rank > m_total:

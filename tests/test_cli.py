@@ -548,3 +548,32 @@ def test_threads_flag_is_rejected(rank1_tensor, capsys):
         main(["--threads", "2", "info", str(rank1_tensor)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_select_cv_seed_override_sets_the_folds_and_the_solver(tmp_path):
+    # --seed is applied once, to the solver's seed, which the fold shuffle reads too
+    cfg = ProductSimConfig(n_dims=2, marginal_rank=5, true_rank=2, grid_size=10, n_subjects=6)
+    tensor = tmp_path / "y.mpbt"
+    fileio.write_tensor(tensor, generate_product_sample(cfg).noisy)
+    run = {**base_config(rank=2, lambda_coef=1e-8, max_outer_iters=5), "seed": 1}
+    run["selection"] = {"lambda_grid": [[1e-8, 1e-8], [1e-3, 1e-3]], "n_folds": 3}
+    cfg_path = write_json(tmp_path / "cfg.json", run)
+    argv = ["select", "--config", cfg_path, "--tensor", str(tensor), "--mode", "cv"]
+    assert main([*argv, "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    expected = selection.cv_lambda_grid(
+        fileio.read_tensor(tensor), [np.linspace(0.0, 1.0, 10)] * 2,
+        [basis_mod.FourierBasis((0.0, 1.0), 7)] * 2, [2, 2],
+        SolverConfig(**run["solver"], seed=3), run["selection"]["lambda_grid"], n_folds=3, seed=3,
+    )
+    expected.write_csv(tmp_path / "expected.csv")
+    got = (tmp_path / "a" / "selection_cv.csv").read_text()
+    assert got == (tmp_path / "expected.csv").read_text()
+    assert got != (tmp_path / "b" / "selection_cv.csv").read_text()
+
+
+def test_select_global_rank_without_a_rank_grid_exits_2(tmp_path, rank1_tensor, capsys):
+    cfg_path = write_json(tmp_path / "cfg.json", base_config())
+    argv = ["select", "--config", cfg_path, "--tensor", str(rank1_tensor), "--mode", "global-rank"]
+    assert main([*argv, "--out", str(tmp_path / "sel")]) == 2
+    assert "config is missing selection.rank_grid" in capsys.readouterr().err

@@ -370,9 +370,9 @@ def test_integral_numbers_become_ints():
     ints = [
         cfg.solver.rank, cfg.solver.max_outer_iters, cfg.selection["n_folds"],
         *cfg.selection["rank_grid"], cfg.grid_specs[1]["equispaced"], *cfg.penalty_orders,
-        cfg.seed, cfg.solver.seed,
+        cfg.solver.seed,
     ]
-    assert ints == [2, 5, 3, 1, 2, 4, 2, 1, 3, 3]
+    assert ints == [2, 5, 3, 1, 2, 4, 2, 1, 3]
     assert all(type(v) is int for v in ints)
 
 
@@ -464,3 +464,60 @@ def test_readme_simulation_blocks_show_the_defaults(tmp_path):
 @pytest.mark.parametrize("block", README_JSON)
 def test_readme_json_blocks_parse(tmp_path, block):
     parse(json.loads(block), tmp_path)
+
+
+# a list or tuple given for a scalar integer setting used to be stored as a
+# tuple, and the generator then failed with a TypeError that named no setting
+SEQUENCE_FOR_SCALAR = [
+    (lambda: ProductSimConfig(n_dims=(2,)), "n_dims must be an integer, got (2,)"),
+    (lambda: ProductSimConfig(marginal_rank=[7]), "marginal_rank must be an integer, got [7]"),
+    (lambda: ProductSimConfig(true_rank=[3]), "true_rank must be an integer, got [3]"),
+    (lambda: ProductSimConfig(grid_size=[8, 9]), "one shared grid size"),
+    (lambda: ProductSimConfig(n_subjects=[4]), "n_subjects must be an integer, got [4]"),
+    (lambda: ProductSimConfig(seed=(1,)), "seed must be an integer, got (1,)"),
+    (lambda: Gp2dSimConfig(n_train=[3]), "n_train must be an integer, got [3]"),
+    (lambda: Gp2dSimConfig(n_test=(2,)), "n_test must be an integer, got (2,)"),
+    (lambda: Gp2dSimConfig(seed=[1]), "seed must be an integer, got [1]"),
+    (lambda: SolverConfig(rank=[2]), "rank must be an integer, got [2]"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", SEQUENCE_FOR_SCALAR,
+    ids=["product_n_dims", "product_marginal_rank", "product_true_rank", "product_grid_size",
+         "product_n_subjects", "product_seed", "gp2d_n_train", "gp2d_n_test", "gp2d_seed",
+         "solver_rank"],
+)
+def test_a_sequence_for_a_scalar_integer_setting_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"ranks": (10,), "grid_size": (20, 20), "n_train": 2, "n_test": 1}, "ranks"),
+        ({"ranks": (6, 5, 4)}, "ranks"),
+        ({"ranks": 6}, "ranks"),
+        ({"grid_size": (20,), "n_train": 2, "n_test": 1}, "grid_size"),
+        ({"grid_size": [10, 12, 14]}, "grid_size"),
+    ],
+    ids=["ranks_one", "ranks_three", "ranks_scalar", "grid_size_one", "grid_size_three"],
+)
+def test_gp2d_ranks_and_grid_size_must_be_pairs(kwargs, name):
+    # a single entry used to construct and fail in generate_gp2d_sample with
+    # "not enough values to unpack", which named no setting
+    message = f"{name} must be a pair of integers, got {kwargs[name]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Gp2dSimConfig(**kwargs)
+
+
+def test_simulation_configs_own_their_grid_shapes():
+    # an integer gp2d grid size is a square grid, and a product design's list
+    # of equal sizes is one size, in the Python API as in a JSON config
+    square = Gp2dSimConfig(grid_size=12.0)
+    assert square == Gp2dSimConfig(grid_size=[12, 12]) and square.grid_size == (12, 12)
+    assert all(type(v) is int for v in square.grid_size)
+    assert ProductSimConfig(grid_size=[8, 8.0]) == ProductSimConfig(grid_size=8)
+    with pytest.raises(ValueError, match=re.escape("grid_size must be >= 2, got (1, 1)")):
+        Gp2dSimConfig(grid_size=1)

@@ -481,3 +481,26 @@ def test_cv_criteria_match_grid_reference(monkeypatch, penalty, center):
     got = np.array([r.criterion for r in report.records])
     ref = grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center)
     assert np.max(np.abs(got - ref) / ref) <= 1e-10
+
+
+def test_select_marginal_rank_takes_the_best_when_no_candidate_reaches_the_threshold():
+    rng = np.random.default_rng(6)
+    grids = [np.linspace(0, 1, 30)] * 2
+    y = rng.standard_normal((30, 30, 3))
+    candidates = [[BSplineBasis((0.0, 1.0), r)] * 2 for r in (4, 8, 6)]
+    with pytest.warns(RuntimeWarning, match="no candidate reached"):
+        report = select_marginal_rank(y, grids, candidates, threshold=0.99)
+    criteria = [r.criterion for r in report.records]
+    assert max(criteria) < 0.99
+    assert [r.chosen for r in report.records] == [c == max(criteria) for c in criteria]
+    assert report.chosen.params == {"rank_0": 8, "rank_1": 8}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sweep_global_rank_refuses_a_non_finite_compressed_tensor_by_name(value):
+    rng = np.random.default_rng(25)
+    g = rng.standard_normal((5, 4, 6))
+    g[0, 3, 2] = value
+    t_mats = [np.zeros((m, m)) for m in (5, 4)]
+    with pytest.raises(ValueError, match="compressed data tensor has non-finite values"):
+        sweep_global_rank(g, t_mats, SolverConfig(rank=1), [1, 2])

@@ -1217,3 +1217,16 @@ def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(coef_penalty, war
         assert rel.max() <= 1e-10, case
         for a, b in zip(got.factors(), ref.factors()):
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), case
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("init", ["random", "hosvd"])
+def test_fit_refuses_a_non_finite_compressed_tensor_by_name(init, value):
+    # it used to fail as diverged factors (random start) or as numpy's "SVD
+    # did not converge" (HOSVD start), after a RuntimeWarning for an inf
+    rng = np.random.default_rng(24)
+    g = rng.standard_normal((5, 4, 6))
+    g[2, 1, 3] = value
+    t_mats = [np.zeros((m, m)) for m in (5, 4)]
+    with pytest.raises(ValueError, match=re.escape("compressed data tensor has non-finite values")):
+        fit(g, t_mats, SolverConfig(rank=2, init=init))
