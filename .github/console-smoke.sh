@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the installed `mpbasis` console script on a tiny product design:
 # simulate -> fit -> fpca -> select (marginal-rank, global-rank, cv) -> verify -> info,
-# plus a gp2d simulation on a square grid given by one size and a seeded cv run.
+# plus a gp2d simulation on a square grid given by one size, a product simulation
+# whose grid size is a list of one size per dimension, a fit whose B-spline takes
+# the constructor's default degree, and a seeded cv run.
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema.
@@ -23,13 +25,26 @@ cat > run.json <<'JSON'
  "selection": {"marginal_rank_candidates": [[3, 4], [5, 6]], "marginal_rank_threshold": 0.2,
                "rank_grid": [1, 2, 3], "lambda_grid": [[1e-8, 1e-8], [1e-4, 1e-4]], "n_folds": 2}}
 JSON
+cat > sim-list.json <<'JSON'
+{"design": "product", "replications": 1, "seed": 1, "n_dims": 2, "marginal_rank": 5,
+ "true_rank": 2, "grid_size": [12, 12], "n_subjects": 6}
+JSON
+cat > run-default-degree.json <<'JSON'
+{"domains": [[0.0, 1.0], [0.0, 1.0]],
+ "bases": [{"kind": "fourier", "rank": 5}, {"kind": "bspline", "rank": 6}],
+ "solver": {"rank": 2, "lambda_coef": 1e-8, "max_outer_iters": 30}, "seed": 1, "center": true}
+JSON
 cat > gp2d.json <<'JSON'
 {"design": "gp2d", "ranks": [5, 4], "grid_size": 12, "n_train": 3, "n_test": 1}
 JSON
 mpbasis simulate --config sim.json --out data
 mpbasis simulate --config gp2d.json --out gp2d
+mpbasis simulate --config sim-list.json --out data-list
+cmp data/noisy_000.mpbt data-list/noisy_000.mpbt  # a list of equal sizes is that one size
 mpbasis verify gp2d/train_000.mpbt
 mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
+mpbasis fit --config run-default-degree.json --tensor data/noisy_000.mpbt --out fit3 || [ $? -eq 4 ]
+cmp fit/model.mpbm fit3/model.mpbm  # degree 3 is the B-spline default
 mpbasis fpca --model fit/model.mpbm --out fpca
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode marginal-rank
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode global-rank

@@ -43,6 +43,8 @@ _DOMAIN_SLACK = 1e-12
 
 def _check_points(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"evaluation points must be a scalar or 1-d, got shape {x.shape}")
     bad = x[~np.isfinite(x)]
     if bad.size:
         raise ValueError(f"non-finite evaluation points: {np.unique(bad).tolist()}")
@@ -186,8 +188,9 @@ class FourierBasis:
             raise ValueError(f"fourier rank must be a positive odd integer, got {rank}")
         self.domain = (a, b)
         self.rank = rank
-        self.period = float(period) if period is not None else b - a
+        self.period = b - a if period is None else period
         check_sign(self, "period")
+        self.period = float(self.period)
 
     @property
     def max_derivative(self) -> int:
@@ -241,9 +244,7 @@ def basis_from_dict(spec: dict) -> MarginalBasis:
     """Rebuild a basis from its :meth:`to_dict` representation; ``ValueError``
     names a missing, unknown or mistyped key (the constructors check ranges)."""
     s = check_tagged(spec, "basis specification", "kind", _BASIS_KEYS, ("domain", "rank"))
-    if s["kind"] == "bspline":
-        return BSplineBasis(s["domain"], s["rank"], s.get("degree", 3), s.get("knots"))
-    return FourierBasis(s["domain"], s["rank"], s.get("period"))
+    return {"bspline": BSplineBasis, "fourier": FourierBasis}[s.pop("kind")](**s)
 
 
 def _gauss_nodes(basis: MarginalBasis, npoints: int) -> tuple[np.ndarray, np.ndarray]:

@@ -61,7 +61,7 @@ _SIM_KEYS = {
     "product": {
         **_SIM_COMMON, "n_dims": INTEGER, "marginal_rank": INTEGER, "true_rank": INTEGER,
         "coef_sd": NUMBER, "noise_var": NUMBER, "n_subjects": INTEGER, "redraw_coefs": BOOLEAN,
-        "grid_size": either(integer(2), list_of(integer(2), "a list of integers >= 2", 1)),
+        "grid_size": either(INTEGER, list_of(INTEGER, "a list of integers")),
     },
     "gp2d": {
         **_SIM_COMMON, "ranks": list_of(INTEGER, "a list of two integers", 2, 2),

@@ -4,8 +4,8 @@ each key an object may hold to a :class:`Kind`; :func:`check` refuses unknown
 keys, missing required keys and values of the wrong kind, naming the key, and
 turns integral numbers such as ``5.0`` into ``int``. A kind checks a range only
 where no constructor downstream does; the constructors check theirs, by the
-same integer rule, with :func:`as_int`, :func:`check_ints` and
-:func:`check_sign`. Imports nothing from the package.
+same rules for integers and numbers, with :func:`as_int`, :func:`check_ints`
+and :func:`check_sign`. Imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 BAD = object()  # what a kind's ``convert`` returns for a value not of the kind
 
@@ -94,10 +96,14 @@ def check_ints(obj, minimum: dict[str, int], pairs=()) -> None:
         object.__setattr__(obj, name, ints if name in pairs else ints[0])
 
 
-def check_sign(obj, name: str, zero_ok: bool = False) -> None:
-    """The field ``name`` of ``obj`` must be finite and > 0 (>= 0 if ``zero_ok``)."""
+def check_sign(obj, name: str, zero_ok: bool = False, many: bool = False) -> None:
+    """The field ``name`` of ``obj`` must be a finite real > 0 (>= 0 if ``zero_ok``) or, with
+    ``many``, a list, tuple or 1-d array of them; a string, ``None`` or a bool is refused."""
     v = getattr(obj, name)
-    if not (math.isfinite(v) and (v >= 0 if zero_ok else v > 0)):
+    a = np.asarray(v, dtype=object)
+    if a.ndim > (1 if many else 0) or not all(
+        _real(x) and math.isfinite(x) and (x >= 0 if zero_ok else x > 0) for x in a.flat
+    ):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
 
 

@@ -212,14 +212,8 @@ class MPBModel:
         """
         y = np.asarray(y_new, dtype=float)
         single = y.ndim == self.n_dims
-        if single:
-            y = y[..., None]
-        if len(grids) != self.n_dims:
-            raise ValueError(f"expected {self.n_dims} grids, got {len(grids)}")
-        phis = [b.evaluate(np.asarray(g, dtype=float)) for b, g in zip(self.bases, grids)]
-        expect = tuple(phi.shape[0] for phi in phis)
-        if y.shape[:-1] != expect:
-            raise ValueError(f"data shape {y.shape[:-1]} does not match grids {expect}")
+        y, grids = reduction.check_inputs(y[..., None] if single else y, grids, self.bases)
+        phis = [b.evaluate(g) for b, g in zip(self.bases, grids)]
         if self.mean_values is not None:
             y = y - self._mean_on(grids)[..., None]
         facs = [

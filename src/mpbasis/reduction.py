@@ -202,13 +202,14 @@ def check_inputs(
     if y.ndim != n_dims + 1:
         raise ValueError(f"data tensor has {y.ndim} modes, expected {n_dims + 1}")
     if len(grids) != n_dims or (penalty_orders is not None and len(penalty_orders) != n_dims):
-        raise ValueError("need one grid and one penalty order per dimension")
+        orders = "" if penalty_orders is None else " and one penalty order"
+        raise ValueError(f"need one grid{orders} per dimension")
     grids = [np.asarray(g, dtype=float) for g in grids]
-    for d, g in enumerate(grids):
-        if g.ndim != 1 or g.size != y.shape[d]:
-            raise ValueError(
-                f"grid {d} has {g.size} points but the tensor mode has size {y.shape[d]}"
-            )
+    for d, (g, n) in enumerate(zip(grids, y.shape)):
+        if g.ndim != 1:
+            raise ValueError(f"grid {d} must be 1-d, got shape {g.shape}")
+        if g.size != n:
+            raise ValueError(f"grid {d} has {g.size} points but the tensor mode has size {n}")
     return y, grids
 
 

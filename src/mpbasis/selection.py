@@ -185,18 +185,17 @@ def cv_lambda_grid(
     lambda_grid: Sequence[tuple[float, float]] = DEFAULT_LAMBDA_GRID,
     n_folds: int = 5,
     seed: int = 0,
-    fold_labels: np.ndarray | None = None,
     center: bool = False,
 ) -> SelectionReport:
     """Choose (marginal, coefficient) penalty weights by cross validation.
 
-    Subjects are partitioned into folds (seeded shuffle, round robin), or by
-    the explicit ``fold_labels`` when given. For each grid point and fold,
-    the model is fitted on the training subjects and the held-out subjects
-    are projected onto the fitted product basis; the criterion is the mean
-    squared residual per tensor entry, averaged over held-out subjects and
-    folds. Ties go to the larger weights. With ``center``, each training
-    fold's mean is removed from it and from its held-out subjects.
+    Subjects are dealt round robin into folds after a shuffle drawn from
+    ``seed``, so the seed alone fixes the folds. For each grid point and
+    fold, the model is fitted on the training subjects and the held-out
+    subjects are projected onto the fitted product basis; the criterion is
+    the mean squared residual per tensor entry, averaged over held-out
+    subjects and folds. Ties go to the larger weights. With ``center``, each
+    training fold's mean is removed from it and from its held-out subjects.
 
     The sample is reduced once, by :func:`reduction.prepare`: compression is
     linear per subject, so each fold's training problem is a slice of the
@@ -214,12 +213,7 @@ def cv_lambda_grid(
         raise ValueError(f"n_folds must lie in [2, {n_subjects}]")
     if not lambda_grid:
         raise ValueError("lambda grid is empty")
-    if fold_labels is not None:
-        labels = np.asarray(fold_labels, dtype=int)
-        if labels.shape != (n_subjects,) or set(labels) != set(range(n_folds)):
-            raise ValueError("fold_labels must assign every fold to at least one subject")
-    else:
-        labels = _fold_assignment(n_subjects, n_folds, seed)
+    labels = _fold_assignment(n_subjects, n_folds, seed)
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
     folds = []  # (training problem, held-out compressed tensor, out-of-span energies)
     for fold in range(n_folds):

@@ -44,7 +44,7 @@ class ProductSimConfig:
     ``exp(-decay * k)`` for ``k = 1..true_rank``. Marginal coefficient
     matrices are i.i.d. normal with standard deviation ``coef_sd`` and stay
     fixed across replications unless ``redraw_coefs`` is set. ``grid_size``
-    points per axis may be given as a list of equal sizes.
+    points per axis, at least 2, may be given as a list of ``n_dims`` equal sizes.
     """
 
     n_dims: int = 3
@@ -59,13 +59,17 @@ class ProductSimConfig:
     redraw_coefs: bool = False
 
     def __post_init__(self) -> None:
+        names = ("n_dims", "marginal_rank", "true_rank", "n_subjects")
+        check_ints(self, {**dict.fromkeys(names, 1), "seed": 0})
         sizes = self.grid_size
         if isinstance(sizes, (list, tuple)):
-            if not sizes or any(g != sizes[0] for g in sizes):
-                raise ValueError("product design uses one shared grid size per dimension")
+            if len(sizes) != self.n_dims or any(g != sizes[0] for g in sizes):
+                raise ValueError(
+                    f"grid_size must give one shared grid size for each of the "
+                    f"{self.n_dims} dimensions, got {sizes!r}"
+                )
             object.__setattr__(self, "grid_size", sizes[0])
-        names = ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects")
-        check_ints(self, {**dict.fromkeys(names, 1), "seed": 0})
+        check_ints(self, {"grid_size": 2})
         if self.marginal_rank % 2 == 0:
             raise ValueError("marginal_rank must be odd for the Fourier system")
         check_sign(self, "coef_sd")

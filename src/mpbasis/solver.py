@@ -127,6 +127,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         check_ints(self, {"rank": 1, "max_outer_iters": 1, "seed": 0})
+        check_sign(self, "lambda_marginal", zero_ok=True, many=True)
         check_sign(self, "lambda_coef", zero_ok=True)
         check_sign(self, "outer_tol")
         check_sign(self, "proximal_mu", zero_ok=True)
@@ -134,11 +135,6 @@ class SolverConfig:
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
         if self.init not in ("random", "hosvd"):
             raise ValueError(f"unknown init {self.init!r}")
-        lam = np.asarray(self.lambda_marginal, dtype=float)
-        if not np.isfinite(lam).all():
-            raise ValueError(f"lambda_marginal must be finite, got {self.lambda_marginal}")
-        if np.any(lam < 0):
-            raise ValueError("marginal penalty weights must be >= 0")
 
     def marginal_weights(self, n_dims: int) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(self.lambda_marginal, dtype=float))

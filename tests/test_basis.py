@@ -1,6 +1,7 @@
 """Basis systems against closed forms, finite differences and dense quadrature."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -136,6 +137,19 @@ def test_evaluate_refuses_non_finite_points():
         for bad in ([np.nan], [0.5, np.inf], [-np.inf, 0.2, np.nan]):
             with pytest.raises(ValueError, match="non-finite evaluation points"):
                 basis.evaluate(bad)
+
+
+@pytest.mark.parametrize(
+    "basis", [BSplineBasis((0.0, 1.0), 6), FourierBasis((0.0, 1.0), 5)], ids=["bspline", "fourier"]
+)
+def test_evaluate_refuses_points_that_are_not_1d_by_name(basis):
+    # a 2-d array used to fail in numpy's broadcasting, naming no input
+    for shape in ((3, 4), (12, 1)):
+        points = np.linspace(0.0, 1.0, 12).reshape(shape)
+        message = f"evaluation points must be a scalar or 1-d, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis.evaluate(points)
+    assert np.array_equal(basis.evaluate(0.25), basis.evaluate([0.25]))
 
 
 def test_evaluate_outside_domain_raises():

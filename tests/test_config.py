@@ -518,6 +518,122 @@ def test_simulation_configs_own_their_grid_shapes():
     square = Gp2dSimConfig(grid_size=12.0)
     assert square == Gp2dSimConfig(grid_size=[12, 12]) and square.grid_size == (12, 12)
     assert all(type(v) is int for v in square.grid_size)
-    assert ProductSimConfig(grid_size=[8, 8.0]) == ProductSimConfig(grid_size=8)
+    assert ProductSimConfig(n_dims=2, grid_size=[8, 8.0]) == ProductSimConfig(n_dims=2, grid_size=8)
     with pytest.raises(ValueError, match=re.escape("grid_size must be >= 2, got (1, 1)")):
         Gp2dSimConfig(grid_size=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_dims": 3, "grid_size": [6, 6]}, "for each of the 3 dimensions, got [6, 6]"),
+        ({"n_dims": 2, "grid_size": (6, 6, 6)}, "for each of the 2 dimensions, got (6, 6, 6)"),
+        ({"grid_size": 1}, "grid_size must be >= 2, got 1"),
+        ({"n_dims": 2, "grid_size": [1, 1.0]}, "grid_size must be >= 2, got 1"),
+    ],
+    ids=["list_too_short", "tuple_too_long", "one_point", "list_of_one_point"],
+)
+def test_product_grid_size_gives_one_size_of_at_least_two_per_dimension(kwargs, message):
+    # a short list used to build a design of n_dims dimensions anyway, and
+    # grid_size=1 a one-point design whose MISE is 0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProductSimConfig(**kwargs)
+
+
+def test_product_grid_size_list_is_checked_against_n_dims_in_json(tmp_path):
+    doc = {**BASE_CONFIGS["product"](), "n_dims": 3, "grid_size": [12, 12]}
+    with pytest.raises(ValueError, match=re.escape("grid_size must give one shared grid size")):
+        parse(doc, tmp_path)
+    doc["grid_size"] = [12, 12, 12.0]
+    assert parse(doc, tmp_path)[2] == ProductSimConfig(**{
+        **{k: v for k, v in doc.items() if k not in ("design", "replications")}, "grid_size": 12
+    })
+
+
+# --- the same refusals from the Python API ----------------------------------
+
+
+def api_setting(base, path):
+    """The Python API call that sets what the JSON key at ``path`` of a ``base``
+    config sets, as ``(constructor, other arguments, setting)``, or None where
+    the key sets no setting (unknown keys, the other design's keys)."""
+    if base == "run":
+        solver = full_run_config()["solver"]
+        if path == ("bases", 1, "period"):
+            return (lambda **kw: FourierBasis((-1.0, 1.0), 5, **kw)), {}, "period"
+        if path == ("seed",):  # the run config's seed is the solver's
+            return SolverConfig, solver, "seed"
+        if len(path) == 2 and path[0] == "solver" and path[1] in solver:
+            return SolverConfig, solver, path[1]
+        return None
+    cls = {"product": ProductSimConfig, "gp2d": Gp2dSimConfig}[base]
+    given = {k: v for k, v in BASE_CONFIGS[base]().items() if k not in ("design", "replications")}
+    # redraw_coefs is a flag that the dataclass takes by truth value
+    if len(path) != 1 or path[0] not in given or path[0] == "redraw_coefs":
+        return None
+    return cls, given, path[0]
+
+
+_NOT_REAL = ["x", None, True, False, -1.0, NAN, INF, [0.5]]
+_NOT_WEIGHTS = [
+    "x", None, True, -1.0, NAN, [0.1, "x"], [0.1, None], [0.1, True], [0.1, -0.2], [0.1, NAN],
+    [[0.1, 0.2]],
+]
+_NOT_INT = ["x", None, True, -1, 2.5, NAN, [2]]
+_NOT_PAIR = ["x", None, True, [6, "x"], [6, None], [6, True], [6, 5.5], [6], [6, NAN]]
+_NOT_NAME = ["x", None, True, 3]
+
+# every value-level row of the tables above for a setting of SolverConfig, a
+# simulation config or FourierBasis.period, and the rows each kind of setting
+# takes: "x", None, booleans, a sign, NaN and a list where a scalar belongs
+# (FourierBasis takes period=None as its default, one period over the domain)
+API_PARITY = list({_row_id(r): r for r in [
+    *[r for r in [*REJECTED, *NEWLY_REJECTED, *(r for r, _ in NON_FINITE_REJECTED)]
+      if r[2] is not DROP and api_setting(r[0], r[1])
+      and not (r[1][-1] == "period" and r[2] is None)],
+    *[("run", ("solver", k), v) for k in ("lambda_coef", "outer_tol", "proximal_mu")
+      for v in _NOT_REAL],
+    *rows("run", ("bases", 1, "period"), *(v for v in _NOT_REAL if v is not None)),
+    *rows("run", ("solver", "lambda_marginal"), *_NOT_WEIGHTS),
+    *[("run", ("solver", k), v) for k in ("rank", "max_outer_iters") for v in _NOT_INT],
+    *rows("run", ("seed",), *_NOT_INT),
+    *[("run", ("solver", k), v) for k in ("coef_penalty", "init") for v in _NOT_NAME],
+    *[("product", (k,), v) for k in ("coef_sd", "decay", "noise_var") for v in _NOT_REAL],
+    *[("product", (k,), v)
+      for k in ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects", "seed")
+      for v in _NOT_INT],
+    *rows("gp2d", ("decay",), *_NOT_REAL),
+    *[("gp2d", (k,), v) for k in ("n_train", "n_test", "seed") for v in _NOT_INT],
+    *[("gp2d", (k,), v) for k in ("ranks", "grid_size") for v in _NOT_PAIR],
+]}.values())
+
+
+@pytest.mark.parametrize("row", API_PARITY, ids=[_row_id(r) for r in API_PARITY])
+def test_python_api_refuses_by_name_what_json_refuses(tmp_path, row):
+    # strings, None and booleans used to pass the real-valued settings or fail
+    # with a TypeError that named none
+    base, path, value = row
+    with pytest.raises(ValueError):
+        parse(mutated(*row), tmp_path)
+    make, given, name = api_setting(base, path)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        make(**{**given, name: value})
+
+
+def test_python_api_takes_sequences_and_numpy_numbers():
+    for weights in ((0.1, 0.2), np.array([0.1, 0.2]), [np.float32(0.5), 0], np.float64(0.1)):
+        lam = SolverConfig(rank=2, lambda_marginal=weights).marginal_weights(2)
+        assert np.array_equal(lam, np.broadcast_to(np.asarray(weights, dtype=float), 2))
+    cfg = SolverConfig(
+        rank=np.int64(2), lambda_coef=np.float32(0.5), outer_tol=np.float64(1e-6),
+        proximal_mu=np.int32(0), max_outer_iters=np.int64(5),
+    )
+    assert (cfg.rank, cfg.lambda_coef, cfg.outer_tol, cfg.proximal_mu) == (2, 0.5, 1e-6, 0)
+    period = FourierBasis((0.0, 1.0), 5, period=np.float32(2.0)).period
+    assert period == 2.0 and type(period) is float
+    assert ProductSimConfig(coef_sd=np.float64(0.3), noise_var=np.int64(0)) == ProductSimConfig(
+        coef_sd=0.3, noise_var=0
+    )
+    assert Gp2dSimConfig(decay=np.float32(0.5)).decay == 0.5
+    square = ProductSimConfig(n_dims=2, grid_size=[12, 12])
+    assert square == ProductSimConfig(n_dims=2, grid_size=12)

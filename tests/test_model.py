@@ -1,6 +1,8 @@
 """Continuous model: evaluation oracles, analytic Gram/Laplacian matrices,
 projection of new data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,21 @@ def test_project_reproduces_in_span_data():
     coefs, resid = model.project(y, grids)
     assert np.abs(coefs - model.subject_coefs).max() < 1e-8
     assert resid.max() < 1e-8 * np.linalg.norm(y)
+
+
+def test_a_grid_that_is_not_1d_is_refused_by_name():
+    # a column-vector grid used to fail in numpy's broadcasting, naming no input
+    model = random_model(np.random.default_rng(16), k=2, n_subj=3)
+    grids = [np.linspace(0, 1, 12), np.linspace(0, 1, 9)]
+    y = model.evaluate_subjects(grids)
+    column = [grids[0][:, None], grids[1]]
+    for call in (model.marginal_values, model.evaluate_subjects):
+        with pytest.raises(ValueError, match=re.escape("1-d, got shape (12, 1)")):
+            call(column)
+    with pytest.raises(ValueError, match=re.escape("grid 0 must be 1-d, got shape (12, 1)")):
+        model.project(y, column)
+    with pytest.raises(ValueError, match=re.escape("grid 1 must be 1-d, got shape (3, 3)")):
+        model.project(y[..., 0], [grids[0], grids[1].reshape(3, 3)])
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e6])

@@ -274,6 +274,12 @@ def _marginal(y, grids, bases, orders):
     marginal_rank_criterion(y, bases, grids)
 
 
+def _project(y, grids, bases, orders):
+    rng = np.random.default_rng(34)
+    coefs = [rng.standard_normal((b.rank, 2)) for b in bases]
+    MPBModel(bases=bases, coefs=coefs, subject_coefs=np.ones((1, 2))).project(y, grids)
+
+
 _CHECK_CASES = [
     ("modes", "data tensor has 4 modes, expected 3"),
     ("orders", "one grid and one penalty order per dimension"),
@@ -283,7 +289,8 @@ _CHECK_CASES = [
     ("length", "grid 1 has 10 points but the tensor mode has size 11"),
 ]
 _ENTRIES = [
-    (_prepare, "prepare"), (_fit, "fit_mpb"), (_cv, "cv"), (_marginal, "marginal_rank")
+    (_prepare, "prepare"), (_fit, "fit_mpb"), (_cv, "cv"), (_marginal, "marginal_rank"),
+    (_project, "project"),
 ]
 
 
@@ -293,8 +300,8 @@ _ENTRIES = [
         pytest.param(case, match, entry, id=f"{case}-{match}-{name}")
         for case, match in _CHECK_CASES
         for entry, name in _ENTRIES
-        # the marginal-rank criterion takes no penalty orders
-        if not (entry is _marginal and case.startswith("order"))
+        # the marginal-rank criterion and the projection take no penalty orders
+        if not (entry in (_marginal, _project) and case.startswith("order"))
     ],
 )
 def test_input_checks_shared_by_every_entry_point(case, match, entry):
@@ -311,14 +318,10 @@ def test_input_checks_shared_by_every_entry_point(case, match, entry):
         grids = grids[:1]
     else:
         grids = [grids[0], grids[1][:10]]
+    if entry in (_marginal, _project):  # no penalty orders: the message names grids only
+        match = match.replace(" and one penalty order", "")
     with pytest.raises(ValueError, match=match):
         entry(y, grids, bases, orders)
-
-
-def _project(y, grids, bases, orders):
-    rng = np.random.default_rng(34)
-    coefs = [rng.standard_normal((b.rank, 2)) for b in bases]
-    MPBModel(bases=bases, coefs=coefs, subject_coefs=np.ones((1, 2))).project(y, grids)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
