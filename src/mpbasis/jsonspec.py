@@ -4,8 +4,9 @@ each key an object may hold to a :class:`Kind`; :func:`check` refuses unknown
 keys, missing required keys and values of the wrong kind, naming the key, and
 turns integral numbers such as ``5.0`` into ``int``. A kind checks a range only
 where no constructor downstream does; the constructors check theirs, by the
-same rules for integers and numbers, with :func:`as_int`, :func:`check_ints`
-and :func:`check_sign`. Imports nothing from the package.
+same rules for integers, numbers and booleans, with :func:`as_int`,
+:func:`check_ints`, :func:`check_sign` and :func:`check_bool`. Imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _boolean(v) -> bool:
+    return isinstance(v, (bool, np.bool_))
+
+
 def _integral(v) -> bool:
     return _real(v) and (isinstance(v, numbers.Integral) or float(v).is_integer())
 
@@ -107,6 +112,16 @@ def check_sign(obj, name: str, zero_ok: bool = False, many: bool = False) -> Non
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
 
 
+def check_bool(obj, name: str) -> None:
+    """Store the field ``name`` of ``obj`` as a ``bool``; a value that is not a
+    boolean by the rule of :data:`BOOLEAN` (``1``, ``"yes"``, ``None``) is
+    refused by name."""
+    v = getattr(obj, name)
+    if not _boolean(v):
+        raise ValueError(f"{name} must be a boolean, got {v!r}")
+    object.__setattr__(obj, name, bool(v))
+
+
 def number(minimum: float | None = None, maximum: float | None = None) -> Kind:
     """A number, kept as given; NaN passes only where no bound is set."""
     if minimum is None:
@@ -143,7 +158,7 @@ def obj(table: dict[str, Kind], required=()) -> Kind:
 
 
 STRING = _is("a string", lambda v: isinstance(v, str))
-BOOLEAN = _is("a boolean", lambda v: isinstance(v, bool))
+BOOLEAN = _is("a boolean", _boolean)
 NULL = _is("null", lambda v: v is None)
 OBJECT = _is("a JSON object", lambda v: isinstance(v, dict))
 INTEGER, NUMBER = integer(), number()

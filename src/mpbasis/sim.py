@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BSplineBasis, FourierBasis, gram_matrix
-from .jsonspec import check_ints, check_sign
+from .jsonspec import check_bool, check_ints, check_sign
 from .model import MPBModel
 
 __all__ = [
@@ -75,6 +75,7 @@ class ProductSimConfig:
         check_sign(self, "coef_sd")
         check_sign(self, "decay")
         check_sign(self, "noise_var", zero_ok=True)
+        check_bool(self, "redraw_coefs")
 
 
 @dataclass(frozen=True)

@@ -568,8 +568,7 @@ def api_setting(base, path):
         return None
     cls = {"product": ProductSimConfig, "gp2d": Gp2dSimConfig}[base]
     given = {k: v for k, v in BASE_CONFIGS[base]().items() if k not in ("design", "replications")}
-    # redraw_coefs is a flag that the dataclass takes by truth value
-    if len(path) != 1 or path[0] not in given or path[0] == "redraw_coefs":
+    if len(path) != 1 or path[0] not in given:
         return None
     return cls, given, path[0]
 
@@ -635,5 +634,6 @@ def test_python_api_takes_sequences_and_numpy_numbers():
         coef_sd=0.3, noise_var=0
     )
     assert Gp2dSimConfig(decay=np.float32(0.5)).decay == 0.5
+    assert ProductSimConfig(redraw_coefs=np.True_).redraw_coefs is True
     square = ProductSimConfig(n_dims=2, grid_size=[12, 12])
     assert square == ProductSimConfig(n_dims=2, grid_size=12)

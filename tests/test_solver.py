@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, solve_sylvester
+from scipy.linalg import cho_factor, cho_solve, solve_sylvester
 
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
@@ -615,6 +615,66 @@ def test_update_b_admm_step_cap_warns_and_does_not_raise_the_block(monkeypatch):
     after = block_values(w, g.T, state.b, b, cfg)
     assert np.all(after <= before)
     assert np.linalg.norm(b[:half] - ref[:half]) <= 1e-10 * np.linalg.norm(ref[:half])
+
+
+def pattern_system(rng, n_subj=40, k=20):
+    """``A = W'W + I`` at the benchmark's lasso shape (N = 40, K = 20), its
+    factor from the guarded Cholesky and N right-hand sides."""
+    w = rng.standard_normal((60, k))
+    a = w.T @ w + np.eye(k)
+    return a, solver_mod._cholesky(a.copy(), "A"), rng.standard_normal((n_subj, k))
+
+
+def test_solve_on_patterns_mixed_rows_match_independent_solves(monkeypatch):
+    rng = np.random.default_rng(44)
+    a, chol, r = pattern_system(rng)
+    act = np.ones(r.shape, dtype=bool)
+    act[[30, 31], ::3] = False  # two rows sharing one partial pattern
+    act[32, 5:] = False  # a partial pattern of its own
+    act[33] = False  # an empty active set
+    factored, cholesky = [], solver_mod._cholesky
+    monkeypatch.setattr(
+        solver_mod, "_cholesky", lambda m, what: factored.append(m.shape) or cholesky(m, what)
+    )
+    x = solver_mod._solve_on_patterns(a, chol, r, act, "A")
+    # full rows are solved off the given factor, and a shared pattern is factored once
+    assert sorted(factored) == [(5, 5), (13, 13)]
+    for i, s in enumerate(act):
+        ref = np.linalg.solve(a[np.ix_(s, s)], r[i, s]) if s.any() else np.zeros(0)
+        assert np.abs(x[i, s] - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
+        assert not x[i, ~s].any()
+
+
+def test_solve_on_patterns_all_full_rows_is_one_factor_solve():
+    rng = np.random.default_rng(45)
+    a, chol, r = pattern_system(rng)
+    x = solver_mod._solve_on_patterns(a, chol, r, np.ones(r.shape, dtype=bool), "A")
+    ref = cho_solve((chol, False), r.T).T
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert x.flags.c_contiguous
+    b = update_b_admm(a, r, np.ones_like(r), SolverConfig(rank=20, lambda_coef=0.0))[0]
+    assert b.flags.c_contiguous
+
+
+def test_update_b_admm_non_finite_sub_pattern_raises_numerical_error(monkeypatch):
+    # update_b_admm refuses a non-finite W'W + mu I before any solve, so the
+    # guard on a partial pattern's system is reached only through a corrupted
+    # copy of A: corrupt an entry that the first partial pattern keeps
+    rng = np.random.default_rng(46)
+    a, _, r = pattern_system(rng, n_subj=4, k=5)
+    b_old = rng.standard_normal(r.shape)
+    b_old[1, 3] = 0.0
+    solve = solver_mod._solve_on_patterns
+
+    def corrupt(a, chol, r, act, what):
+        a = a.copy()
+        a[0, 1] = np.nan
+        return solve(a, chol, r, act, what)
+
+    monkeypatch.setattr(solver_mod, "_solve_on_patterns", corrupt)
+    cfg = SolverConfig(rank=5, lambda_coef=0.1, coef_penalty="lasso")
+    with pytest.raises(NumericalError, match=r"^coefficient lasso block.*not finite"):
+        update_b_admm(a, r, b_old, cfg)
 
 
 # ----------------------------------------------------------------- objective
