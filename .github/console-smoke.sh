@@ -3,7 +3,8 @@
 # simulate -> fit -> fpca -> select (marginal-rank, global-rank, cv) -> verify -> info,
 # plus a gp2d simulation on a square grid given by one size, a product simulation
 # whose grid size is a list of one size per dimension, a fit whose B-spline takes
-# the constructor's default degree, and a seeded cv run.
+# the constructor's default degree, a seeded cv run, and `simulate --seed` runs of
+# both designs that must write the same tensors as configs that give that seed.
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema.
@@ -41,6 +42,17 @@ mpbasis simulate --config sim.json --out data
 mpbasis simulate --config gp2d.json --out gp2d
 mpbasis simulate --config sim-list.json --out data-list
 cmp data/noisy_000.mpbt data-list/noisy_000.mpbt  # a list of equal sizes is that one size
+sed 's/"seed": 1/"seed": 5/' sim.json > sim-seed5.json
+sed 's/"design": "gp2d"/"design": "gp2d", "seed": 5/' gp2d.json > gp2d-seed5.json
+mpbasis simulate --config sim.json --out data-flag5 --seed 5
+mpbasis simulate --config sim-seed5.json --out data-seed5
+cmp data-flag5/noisy_000.mpbt data-seed5/noisy_000.mpbt  # --seed 5 is a config seed of 5
+mpbasis simulate --config gp2d.json --out gp2d-flag5 --seed 5
+mpbasis simulate --config gp2d-seed5.json --out gp2d-seed5
+cmp gp2d-flag5/train_000.mpbt gp2d-seed5/train_000.mpbt
+if cmp -s data/noisy_000.mpbt data-seed5/noisy_000.mpbt; then
+  echo "simulate --seed changed nothing" >&2; exit 1
+fi
 mpbasis verify gp2d/train_000.mpbt
 mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
 mpbasis fit --config run-default-degree.json --tensor data/noisy_000.mpbt --out fit3 || [ $? -eq 4 ]

@@ -188,9 +188,7 @@ class FourierBasis:
             raise ValueError(f"fourier rank must be a positive odd integer, got {rank}")
         self.domain = (a, b)
         self.rank = rank
-        self.period = b - a if period is None else period
-        check_sign(self, "period")
-        self.period = float(self.period)
+        self.period = check_sign(b - a if period is None else period, "period")
 
     @property
     def max_derivative(self) -> int:

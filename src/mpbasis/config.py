@@ -30,8 +30,8 @@ def _grid(value, where: str) -> dict:
 
 
 # ranges that SolverConfig, the basis classes and the simulation configs check
-# are left to them: the tables check those keys' types, the ranges that nothing
-# else checks, and penalty orders >= 1, which penalty_matrix checks only at fit time
+# are left to them; the tables check the ranges of what no constructor reads at
+# load: penalty orders and the selection block, checked only when used or not at all
 _SOLVER_KEYS = {
     "rank": INTEGER, "max_outer_iters": INTEGER, "coef_penalty": STRING, "init": STRING,
     "lambda_coef": NUMBER, "outer_tol": NUMBER, "proximal_mu": NUMBER,
@@ -52,22 +52,19 @@ _RUN_KEYS = {
     "penalty_orders": list_of(integer(1), "a list of integers >= 1"),
     "grids": list_of(Kind("a grid", _grid), "a list of grids"),
     "solver": obj(_SOLVER_KEYS, ("rank",)), "selection": obj(_SELECTION_KEYS),
-    "seed": integer(0), "center": BOOLEAN,
+    "seed": INTEGER, "center": BOOLEAN,
 }
 
 # one key table per design: a key of the other design is refused, not dropped
-_SIM_COMMON = {"replications": integer(1), "seed": integer(0), "decay": NUMBER}
+_INTS = list_of(INTEGER, "a list of integers")
+_SIZES = either(INTEGER, _INTS)  # one size, or one per dimension
+_SIM_COMMON = {"replications": integer(1), "seed": INTEGER, "decay": NUMBER, "grid_size": _SIZES}
 _SIM_KEYS = {
     "product": {
         **_SIM_COMMON, "n_dims": INTEGER, "marginal_rank": INTEGER, "true_rank": INTEGER,
         "coef_sd": NUMBER, "noise_var": NUMBER, "n_subjects": INTEGER, "redraw_coefs": BOOLEAN,
-        "grid_size": either(INTEGER, list_of(INTEGER, "a list of integers")),
     },
-    "gp2d": {
-        **_SIM_COMMON, "ranks": list_of(INTEGER, "a list of two integers", 2, 2),
-        "n_train": INTEGER, "n_test": INTEGER,
-        "grid_size": either(integer(2), list_of(integer(2), "a list of two integers >= 2", 2, 2)),
-    },
+    "gp2d": {**_SIM_COMMON, "ranks": _INTS, "n_train": INTEGER, "n_test": INTEGER},
 }
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .errors import NumericalError
+from .jsonspec import as_int, check_sign
 from .model import MPBModel
 
 __all__ = [
@@ -100,15 +101,16 @@ def solve_fpca(
 
     ``k_keep`` fixes the number of retained components; otherwise the
     smallest number reaching ``var_threshold`` cumulative variance is kept.
+    ``lam`` must be finite and >= 0, ``var_threshold`` in (0, 1] and ``k_keep`` an integer.
     """
     j_zeta = np.asarray(j_zeta, dtype=float)
     r_zeta = np.asarray(r_zeta, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
     k = j_zeta.shape[0]
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"smoothing weight must be finite and >= 0, got {lam}")
-    if not 0 < var_threshold <= 1:
+    lam = check_sign(lam, "smoothing weight", zero_ok=True)
+    if check_sign(var_threshold, "var_threshold") > 1:
         raise ValueError(f"var_threshold must lie in (0, 1], got {var_threshold}")
+    k_keep = None if k_keep is None else as_int(k_keep, "k_keep")
     d, q = eigh(0.5 * (j_zeta + j_zeta.T))
     if d[0] < -1e-8 * max(d[-1], 1e-300):
         raise NumericalError(
@@ -164,7 +166,7 @@ def solve_fpca(
         s=s[:, :k_keep],
         nu=nu[:k_keep],
         scores=None,
-        lam=float(lam),
+        lam=lam,
         var_explained=cumfrac[:k_keep],
     )
 

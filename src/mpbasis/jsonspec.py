@@ -101,15 +101,16 @@ def check_ints(obj, minimum: dict[str, int], pairs=()) -> None:
         object.__setattr__(obj, name, ints if name in pairs else ints[0])
 
 
-def check_sign(obj, name: str, zero_ok: bool = False, many: bool = False) -> None:
-    """The field ``name`` of ``obj`` must be a finite real > 0 (>= 0 if ``zero_ok``) or, with
-    ``many``, a list, tuple or 1-d array of them; a string, ``None`` or a bool is refused."""
-    v = getattr(obj, name)
-    a = np.asarray(v, dtype=object)
+def check_sign(value, name: str, zero_ok: bool = False, many: bool = False):
+    """``value``, a finite real > 0 (>= 0 if ``zero_ok``), as a ``float``: the real twin of
+    :func:`as_int`. With ``many`` a list, tuple or 1-d array of them is also taken, as given.
+    Anything else, such as a string, ``None`` or a bool, is refused naming ``name``."""
+    a = np.asarray(value, dtype=object)
     if a.ndim > (1 if many else 0) or not all(
         _real(x) and math.isfinite(x) and (x >= 0 if zero_ok else x > 0) for x in a.flat
     ):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {v!r}")
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return float(value) if a.ndim == 0 else value
 
 
 def check_bool(obj, name: str) -> None:

@@ -26,6 +26,7 @@ from scipy.linalg import solve_triangular
 
 from . import basis as basis_mod
 from .errors import NumericalError
+from .jsonspec import as_int
 from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
@@ -176,7 +177,8 @@ class PreparedProblem:
             and all(np.array_equal(np.asarray(g, dtype=float), h) for g, h in zip(grids, self.grids))
             and len(bases) == len(self.bases)
             and all(b is c for b, c in zip(bases, self.bases))
-            and tuple(int(o) for o in penalty_orders) == self.penalty_orders
+            and tuple(as_int(o, "penalty order") for o in penalty_orders)
+            == self.penalty_orders
         )
         if not same:
             raise ValueError(
@@ -217,20 +219,23 @@ def prepare(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
     bases: Sequence,
-    penalty_orders: Sequence[int],
+    penalty_orders: Sequence[int] | None = None,
 ) -> PreparedProblem:
     """Reduce gridded data to the compressed problem the solver fits.
 
     Checks the inputs (:func:`check_inputs`), evaluates each basis on its
     grid, factorizes the evaluation matrices, transports the
     order-``penalty_orders[d]`` roughness penalty of each basis and
-    compresses ``y``.
+    compresses ``y``. Without ``penalty_orders``, ``t_mats`` is empty: the
+    reduction alone, which :func:`selection.marginal_rank_criterion` measures.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
+    orders = () if penalty_orders is None else penalty_orders
+    orders = tuple(as_int(o, "penalty order") for o in orders)
     facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     t_mats = [
         penalty_transform(fac, basis_mod.penalty_matrix(b, order))
-        for fac, b, order in zip(facs, bases, penalty_orders)
+        for fac, b, order in zip(facs, bases, orders)
     ]
     return PreparedProblem(
         facs=tuple(facs),
@@ -238,7 +243,7 @@ def prepare(
         g_hat=compress(y, facs),
         grids=tuple(grids),
         bases=tuple(bases),
-        penalty_orders=tuple(int(o) for o in penalty_orders),
+        penalty_orders=orders,
     )
 
 

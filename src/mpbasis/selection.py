@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import reduction, solver
+from .jsonspec import as_int
 from .pipeline import fit_mpb
 from .solver import SolverConfig
 
@@ -69,19 +70,15 @@ def marginal_rank_criterion(
 
     Equals the squared norm of the compressed tensor over the squared norm of
     the data, a number in [0, 1] that grows toward 1 as the basis ranks
-    approach the grid sizes.
+    approach the grid sizes. The data is reduced by :func:`reduction.prepare`,
+    as every fit reduces it, without penalty orders.
     """
-    y, grids = reduction.check_inputs(y, grids, bases)
-    flat = y.ravel(order="K")  # a view unless y is a strided slice
+    g_hat = reduction.prepare(y, grids, bases).g_hat
+    flat = np.asarray(y, dtype=float).ravel(order="K")  # a view unless y is a strided slice
     y_norm_sq = float(flat @ flat)
     if y_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    facs = [
-        reduction.factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))
-    ]
-    g_hat = reduction.compress(y, facs)
-    ratio = float(np.sum(g_hat**2)) / y_norm_sq
-    return min(ratio, 1.0)
+    return min(float(np.sum(g_hat**2)) / y_norm_sq, 1.0)
 
 
 def select_marginal_rank(
@@ -134,14 +131,12 @@ def sweep_global_rank(
     from the previous one: :func:`solver.fit` completes it to the larger rank
     with components that leave its tensor unchanged, so each fit starts from
     the previous fit's residual. The chosen rank is the smallest meeting the
-    threshold (largest otherwise). An empty grid or a zero ``g_hat`` raises
-    ``ValueError``.
+    threshold (largest otherwise). A ``k_grid`` that is not strictly increasing
+    integers >= 1, or a zero ``g_hat``, raises ``ValueError``.
     """
-    k_grid = [int(k) for k in k_grid]
-    if not k_grid:
-        raise ValueError("rank grid is empty")
-    if sorted(k_grid) != k_grid or len(set(k_grid)) != len(k_grid):
-        raise ValueError("rank grid must be strictly increasing")
+    k_grid = [as_int(k, "k_grid") for k in k_grid]
+    if not k_grid or k_grid[0] < 1 or sorted(set(k_grid)) != k_grid:
+        raise ValueError(f"k_grid must be strictly increasing integers >= 1, got {k_grid!r}")
     g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
@@ -208,11 +203,13 @@ def cv_lambda_grid(
     solve of :func:`reduction.lstsq_compressed`.
     """
     y, grids = reduction.check_inputs(y, grids, bases, penalty_orders)
-    n_subjects = y.shape[-1]
+    n_subjects, n_folds = y.shape[-1], as_int(n_folds, "n_folds")
     if not 2 <= n_folds <= n_subjects:
         raise ValueError(f"n_folds must lie in [2, {n_subjects}]")
-    if not lambda_grid:
-        raise ValueError("lambda grid is empty")
+    if not lambda_grid or any(np.shape(pair) != (2,) for pair in lambda_grid):
+        raise ValueError(f"lambda_grid must be a nonempty list of pairs, got {lambda_grid!r}")
+    # SolverConfig checks each weight by name before any fit
+    cells = [replace(config, lambda_marginal=f, lambda_coef=c) for f, c in lambda_grid]
     labels = _fold_assignment(n_subjects, n_folds, seed)
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
     folds = []  # (training problem, held-out compressed tensor, out-of-span energies)
@@ -230,8 +227,7 @@ def cv_lambda_grid(
         folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))
     records = []
-    for lam_f, lam_c in lambda_grid:
-        cfg = replace(config, lambda_marginal=float(lam_f), lambda_coef=float(lam_c))
+    for cfg, (lam_f, lam_c) in zip(cells, lambda_grid):
         errors = []
         for train, held_g, held_sq in folds:
             _, state, _ = fit_mpb(train, grids, bases, penalty_orders, cfg)

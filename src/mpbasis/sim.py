@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BSplineBasis, FourierBasis, gram_matrix
-from .jsonspec import check_bool, check_ints, check_sign
+from .jsonspec import as_int, check_bool, check_ints, check_sign
 from .model import MPBModel
 
 __all__ = [
@@ -72,9 +72,9 @@ class ProductSimConfig:
         check_ints(self, {"grid_size": 2})
         if self.marginal_rank % 2 == 0:
             raise ValueError("marginal_rank must be odd for the Fourier system")
-        check_sign(self, "coef_sd")
-        check_sign(self, "decay")
-        check_sign(self, "noise_var", zero_ok=True)
+        object.__setattr__(self, "coef_sd", check_sign(self.coef_sd, "coef_sd"))
+        object.__setattr__(self, "decay", check_sign(self.decay, "decay"))
+        object.__setattr__(self, "noise_var", check_sign(self.noise_var, "noise_var", zero_ok=True))
         check_bool(self, "redraw_coefs")
 
 
@@ -95,7 +95,7 @@ class Gp2dSimConfig:
             object.__setattr__(self, "grid_size", (self.grid_size, self.grid_size))
         minimum = {"ranks": 4, "grid_size": 2, "n_train": 1, "n_test": 0, "seed": 0}
         check_ints(self, minimum, pairs=("ranks", "grid_size"))
-        check_sign(self, "decay")
+        object.__setattr__(self, "decay", check_sign(self.decay, "decay"))
 
 
 @dataclass
@@ -120,11 +120,12 @@ class Gp2dSample:
 
 
 def _structure_rng(seed: int) -> np.ndarray:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+    return np.random.default_rng([seed, 0])
 
 
 def _replication_rng(seed: int, replication: int) -> np.ndarray:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), 1, int(replication)]))
+    check_sign(replication, "replication", zero_ok=True)
+    return np.random.default_rng([seed, 1, as_int(replication, "replication")])
 
 
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -127,10 +127,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         check_ints(self, {"rank": 1, "max_outer_iters": 1, "seed": 0})
-        check_sign(self, "lambda_marginal", zero_ok=True, many=True)
-        check_sign(self, "lambda_coef", zero_ok=True)
-        check_sign(self, "outer_tol")
-        check_sign(self, "proximal_mu", zero_ok=True)
+        check_sign(self.lambda_marginal, "lambda_marginal", zero_ok=True, many=True)
+        self.lambda_coef = check_sign(self.lambda_coef, "lambda_coef", zero_ok=True)
+        self.outer_tol = check_sign(self.outer_tol, "outer_tol")
+        self.proximal_mu = check_sign(self.proximal_mu, "proximal_mu", zero_ok=True)
         if self.coef_penalty not in ("ridge", "lasso"):
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
         if self.init not in ("random", "hosvd"):

@@ -306,6 +306,33 @@ def test_every_file_simulate_writes_verifies(tmp_path):
         assert main(["verify", str(out / name)]) == 0
 
 
+@pytest.mark.parametrize(
+    "sim_cfg",
+    [
+        {"design": "product", "replications": 2, "n_dims": 2, "marginal_rank": 5,
+         "true_rank": 2, "grid_size": 10, "n_subjects": 3},
+        {"design": "gp2d", "replications": 2, "ranks": [5, 4], "grid_size": 12,
+         "n_train": 3, "n_test": 1},
+    ],
+    ids=["product", "gp2d"],
+)
+def test_simulate_seed_override_equals_the_config_seed(tmp_path, sim_cfg):
+    given = write_json(tmp_path / "given.json", {**sim_cfg, "seed": 5})
+    default = write_json(tmp_path / "default.json", sim_cfg)
+    assert main(["simulate", "--config", given, "--out", str(tmp_path / "given")]) == 0
+    argv = ["simulate", "--config", default, "--out", str(tmp_path / "flag"), "--seed", "5"]
+    assert main(argv) == 0
+    assert main(["simulate", "--config", default, "--out", str(tmp_path / "seed0")]) == 0
+    written = sorted(p.name for p in (tmp_path / "given").glob("*.mpbt"))
+    assert written == sorted(p.name for p in (tmp_path / "flag").glob("*.mpbt"))
+    assert len(written) >= 4
+    for name in written:
+        data = (tmp_path / "given" / name).read_bytes()
+        assert (tmp_path / "flag" / name).read_bytes() == data, name
+    first = next(n for n in written if n.startswith(("noisy", "train")))
+    assert (tmp_path / "seed0" / first).read_bytes() != (tmp_path / "given" / first).read_bytes()
+
+
 def test_select_cv_defaults_live_in_selection(tmp_path):
     # a config without lambda_grid and n_folds gets cv_lambda_grid's defaults:
     # the 5 x 5 grid of powers 10^-10, 10^-8, ..., 10^-2 and 5 folds

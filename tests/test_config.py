@@ -11,6 +11,7 @@ import pytest
 
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.config import load_sim_config, parse_run_config
+from mpbasis.selection import cv_lambda_grid, sweep_global_rank
 from mpbasis.sim import Gp2dSimConfig, ProductSimConfig
 from mpbasis.solver import SolverConfig
 
@@ -553,6 +554,18 @@ def test_product_grid_size_list_is_checked_against_n_dims_in_json(tmp_path):
 # --- the same refusals from the Python API ----------------------------------
 
 
+def _selection_inputs():
+    """A small sample for the selection calls: every refusal comes before a fit."""
+    rng = np.random.default_rng(40)
+    grids = [np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 7)]
+    bases = [FourierBasis((0.0, 1.0), 5), FourierBasis((0.0, 1.0), 5)]
+    return {
+        "y": rng.standard_normal((8, 7, 4)), "grids": grids, "bases": bases,
+        "penalty_orders": [2, 2], "config": SolverConfig(rank=1), "lambda_grid": [(0.0, 0.0)],
+        "n_folds": 2,
+    }
+
+
 def api_setting(base, path):
     """The Python API call that sets what the JSON key at ``path`` of a ``base``
     config sets, as ``(constructor, other arguments, setting)``, or None where
@@ -561,6 +574,13 @@ def api_setting(base, path):
         solver = full_run_config()["solver"]
         if path == ("bases", 1, "period"):
             return (lambda **kw: FourierBasis((-1.0, 1.0), 5, **kw)), {}, "period"
+        if path == ("selection", "rank_grid"):
+            g_hat = np.random.default_rng(41).standard_normal((5, 4, 3))
+            t_mats = [np.eye(5), np.eye(4)]
+            given = {"g_hat": g_hat, "t_mats": t_mats, "config": SolverConfig(rank=1)}
+            return sweep_global_rank, given, "k_grid"
+        if path in (("selection", "n_folds"), ("selection", "lambda_grid")):
+            return cv_lambda_grid, _selection_inputs(), path[1]
         if path == ("seed",):  # the run config's seed is the solver's
             return SolverConfig, solver, "seed"
         if len(path) == 2 and path[0] == "solver" and path[1] in solver:
@@ -581,9 +601,14 @@ _NOT_WEIGHTS = [
 _NOT_INT = ["x", None, True, -1, 2.5, NAN, [2]]
 _NOT_PAIR = ["x", None, True, [6, "x"], [6, None], [6, True], [6, 5.5], [6], [6, NAN]]
 _NOT_NAME = ["x", None, True, 3]
+_NOT_WEIGHT = ["x", None, True, -1.0, NAN]
+
+# a bad weight in a CV grid is named by the SolverConfig setting it becomes
+_NAMED_BY = {"lambda_grid": "lambda_grid|lambda_marginal|lambda_coef"}
 
 # every value-level row of the tables above for a setting of SolverConfig, a
-# simulation config or FourierBasis.period, and the rows each kind of setting
+# simulation config, FourierBasis.period, sweep_global_rank's k_grid or
+# cv_lambda_grid's n_folds and lambda_grid, and the rows each kind of setting
 # takes: "x", None, booleans, a sign, NaN and a list where a scalar belongs
 # (FourierBasis takes period=None as its default, one period over the domain)
 API_PARITY = list({_row_id(r): r for r in [
@@ -604,6 +629,10 @@ API_PARITY = list({_row_id(r): r for r in [
     *rows("gp2d", ("decay",), *_NOT_REAL),
     *[("gp2d", (k,), v) for k in ("n_train", "n_test", "seed") for v in _NOT_INT],
     *[("gp2d", (k,), v) for k in ("ranks", "grid_size") for v in _NOT_PAIR],
+    *rows("run", ("selection", "n_folds"), *_NOT_INT),
+    *rows("run", ("selection", "rank_grid"), *([v] for v in _NOT_INT)),
+    *rows("run", ("selection", "lambda_grid"), *([[v, 0.0]] for v in _NOT_WEIGHT)),
+    *rows("run", ("selection", "lambda_grid"), *([[0.0, 0.0], [0.0, v]] for v in _NOT_WEIGHT)),
 ]}.values())
 
 
@@ -615,7 +644,7 @@ def test_python_api_refuses_by_name_what_json_refuses(tmp_path, row):
     with pytest.raises(ValueError):
         parse(mutated(*row), tmp_path)
     make, given, name = api_setting(base, path)
-    with pytest.raises(ValueError, match=re.escape(name)):
+    with pytest.raises(ValueError, match=_NAMED_BY.get(name, re.escape(name))):
         make(**{**given, name: value})
 
 
@@ -628,6 +657,9 @@ def test_python_api_takes_sequences_and_numpy_numbers():
         proximal_mu=np.int32(0), max_outer_iters=np.int64(5),
     )
     assert (cfg.rank, cfg.lambda_coef, cfg.outer_tol, cfg.proximal_mu) == (2, 0.5, 1e-6, 0)
+    # stored as Python floats: a np.float32 weight used to run the objective in float32
+    assert [type(v) for v in (cfg.lambda_coef, cfg.outer_tol, cfg.proximal_mu)] == [float] * 3
+    assert type(SolverConfig(rank=1, outer_tol=np.float32(1e-3)).outer_tol) is float
     period = FourierBasis((0.0, 1.0), 5, period=np.float32(2.0)).period
     assert period == 2.0 and type(period) is float
     assert ProductSimConfig(coef_sd=np.float64(0.3), noise_var=np.int64(0)) == ProductSimConfig(

@@ -134,13 +134,35 @@ def test_component_count_by_variance_threshold():
         ("var_threshold", -1.0, "var_threshold"),
         ("var_threshold", 0.0, "var_threshold"),
         ("var_threshold", 1.5, "var_threshold"),
+        ("lam", True, "smoothing weight must be finite and >= 0, got True"),
+        ("lam", "x", "smoothing weight must be finite and >= 0, got 'x'"),
+        ("var_threshold", True, "var_threshold must be finite and > 0, got True"),
+        ("var_threshold", "x", "var_threshold must be finite and > 0, got 'x'"),
+        ("k_keep", 1.5, "k_keep must be an integer, got 1.5"),
+        ("k_keep", "2", "k_keep must be an integer, got '2'"),
+        ("k_keep", True, "k_keep must be an integer, got True"),
+        ("k_keep", 0, r"number of components must lie in \[1, 3\]"),
+        ("k_keep", 4, r"number of components must lie in \[1, 3\]"),
     ],
 )
 def test_solve_fpca_refuses_an_out_of_range_setting(setting, value, match):
-    # NaN and infinity used to reach scipy, or choose a component count silently
+    # NaN and infinity used to reach scipy, or choose a component count
+    # silently; a bool ran as 1.0, and a string or fractional k_keep failed
+    # with a TypeError that named nothing
     args = {"lam": 0.0, "var_threshold": 0.99, setting: value}
     with pytest.raises(ValueError, match=match):
         solve_fpca(np.eye(3), np.zeros((3, 3)), np.eye(3), **args)
+
+
+def test_fpca_takes_integral_and_numpy_settings():
+    model = random_model(np.random.default_rng(15), k=3)
+    ref = run_fpca(model, lam=1e-3, k_keep=2)
+    got = run_fpca(model, lam=np.float64(1e-3), k_keep=2.0)
+    assert got.n_components == 2 and type(got.lam) is float
+    assert np.array_equal(got.s, ref.s) and np.array_equal(got.nu, ref.nu)
+    ref = run_fpca(model, var_threshold=float(np.float32(0.9)))
+    got = run_fpca(model, var_threshold=np.float32(0.9))
+    assert np.array_equal(got.s, ref.s) and np.array_equal(got.var_explained, ref.var_explained)
 
 
 def test_indefinite_penalized_gram_raises():

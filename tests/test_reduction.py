@@ -369,6 +369,31 @@ def test_fit_mpb_accepts_a_prepared_problem():
             fit_mpb(prepared, g, b, o, cfg)
 
 
+def test_a_prepared_problem_takes_penalty_orders_by_the_integer_rule():
+    # a fractional order used to be truncated, so [2.7, 1] passed for [2, 1]
+    bases, grids, y = small_problem(np.random.default_rng(34))
+    prepared = prepare(y, grids, bases, [2, 1])
+    assert prepared.penalty_orders == (2, 1)
+    assert prepare(y, grids, bases, [2.0, np.int64(1)]).penalty_orders == (2, 1)
+    prepared.check_source(grids, bases, [2.0, np.int64(1)])
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=2)
+    for orders, match in [([2.7, 1], "2.7"), ([2, "1"], "'1'"), ([True, 1], "True")]:
+        with pytest.raises(ValueError, match=f"penalty order must be an integer, got {match}"):
+            fit_mpb(prepared, grids, bases, orders, cfg)
+
+
+def test_prepare_without_penalty_orders_is_the_reduction_alone():
+    bases, grids, y = small_problem(np.random.default_rng(36))
+    full = prepare(y, grids, bases, [2, 1])
+    bare = prepare(y, grids, bases)
+    assert bare.t_mats == () and bare.penalty_orders == ()
+    assert np.array_equal(bare.g_hat, full.g_hat)
+    for f, h in zip(bare.facs, full.facs):
+        assert np.array_equal(f.u, h.u) and np.array_equal(f.s, h.s)
+    with pytest.raises(ValueError, match="prepared problem was made from other"):
+        fit_mpb(bare, grids, bases, [2, 1], SolverConfig(rank=2))
+
+
 def test_fit_mpb_centers_the_compressed_tensor():
     # centering the compressed tensor equals compressing the centered data
     bases, grids, y = small_problem(np.random.default_rng(33))

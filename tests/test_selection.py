@@ -76,6 +76,23 @@ def test_marginal_criterion_makes_no_grid_sized_temporary():
     assert got == pytest.approx(np.sum(compress(y, facs) ** 2) / np.sum(y**2), rel=1e-12)
 
 
+def test_marginal_criterion_reduces_through_prepare(monkeypatch):
+    # one reduction path: the criterion is prepare's compressed energy, with no
+    # penalty transported and no factorization of its own
+    bases, grids, y = small_problem(np.random.default_rng(3))
+    calls, prep = [], reduction.prepare
+
+    def recording_prepare(*args, **kwargs):
+        calls.append((args, kwargs))
+        return prep(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "prepare", recording_prepare)
+    got = marginal_rank_criterion(y, bases, grids)
+    assert len(calls) == 1 and len(calls[0][0]) == 3 and not calls[0][1]
+    g_hat = prep(y, grids, bases).g_hat
+    assert got == pytest.approx(np.sum(g_hat**2) / np.sum(y**2), rel=1e-14)
+
+
 def test_marginal_criterion_checks_one_grid_per_basis():
     grids = [np.linspace(0, 1, 15), np.linspace(0, 1, 14), np.linspace(0, 1, 13)]
     bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 7)]
@@ -210,8 +227,40 @@ def test_zero_data_is_refused_before_fitting(monkeypatch):
 def test_sweep_global_rank_refuses_an_empty_grid(monkeypatch):
     monkeypatch.setattr(solver, "fit", refuse_fits)
     g = np.random.default_rng(10).standard_normal((4, 3, 5))
-    with pytest.raises(ValueError, match="rank grid is empty"):
+    with pytest.raises(ValueError, match="k_grid must be strictly increasing integers >= 1"):
         sweep_global_rank(g, [np.eye(4), np.eye(3)], SolverConfig(rank=1), [])
+
+
+@pytest.mark.parametrize(
+    "k_grid, match",
+    [
+        ([1.7, 2.2], "k_grid must be an integer, got 1.7"),
+        (["x"], "k_grid must be an integer"),
+        ([True, 2], "k_grid must be an integer"),
+        ([0, 1], "k_grid must be strictly increasing integers >= 1"),
+        ([2, 1], "k_grid must be strictly increasing integers >= 1"),
+        ([2, 2], "k_grid must be strictly increasing integers >= 1"),
+    ],
+)
+def test_sweep_global_rank_refuses_a_bad_rank_grid_before_fitting(monkeypatch, k_grid, match):
+    # a non-integral rank used to be truncated: [1.7, 2.2] fitted ranks 1 and 2
+    monkeypatch.setattr(solver, "fit", refuse_fits)
+    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    with pytest.raises(ValueError, match=match):
+        sweep_global_rank(g, [np.eye(4), np.eye(3)], SolverConfig(rank=1), k_grid)
+
+
+def test_sweep_global_rank_takes_integral_numbers():
+    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    cfg = SolverConfig(rank=1, seed=0, max_outer_iters=5)
+    t_mats = [np.eye(4), np.eye(3)]
+    with pytest.warns(RuntimeWarning, match="no rank reached"):
+        whole = sweep_global_rank(g, t_mats, cfg, [1.0, np.int64(2)], threshold=0.0)
+    with pytest.warns(RuntimeWarning, match="no rank reached"):
+        ref = sweep_global_rank(g, t_mats, cfg, [1, 2], threshold=0.0)
+    assert [r.params for r in whole.records] == [{"rank": 1}, {"rank": 2}]
+    assert [type(r.params["rank"]) for r in whole.records] == [int, int]
+    assert [r.criterion for r in whole.records] == [r.criterion for r in ref.records]
 
 
 def test_sweep_global_rank_monotone_with_warm_start():
@@ -356,8 +405,20 @@ def test_cv_validates_folds():
         ({"n_folds": 5}, "n_folds"),
         ({"n_folds": 1}, "n_folds"),
         ({"n_folds": 2, "lambda_grid": []}, "empty"),
+        ({"n_folds": 2.5}, "n_folds must be an integer, got 2.5"),
+        ({"n_folds": "2"}, "n_folds must be an integer"),
+        ({"n_folds": 2, "lambda_grid": [(0, "x")]}, "lambda_coef must be finite and >= 0, got 'x'"),
+        ({"n_folds": 2, "lambda_grid": [(0, 0), (-1.0, 0)]}, "lambda_marginal must be finite"),
+        ({"n_folds": 2, "lambda_grid": [(0, 0), (0, np.nan)]}, "lambda_coef must be finite"),
+        ({"n_folds": 2, "lambda_grid": [(0, 0, 0)]}, "lambda_grid must be a nonempty list"),
+        ({"n_folds": 2, "lambda_grid": [1e-6, 1e-6]}, "lambda_grid must be a nonempty list"),
+        ({"n_folds": 2, "lambda_grid": "x"}, "lambda_grid must be a nonempty list"),
     ],
-    ids=["too_many_folds", "one_fold", "empty_grid"],
+    ids=[
+        "too_many_folds", "one_fold", "empty_grid", "fractional_folds", "string_folds",
+        "string_weight", "negative_weight_in_a_later_cell", "nan_weight_in_a_later_cell",
+        "triple", "flat_grid", "string_grid",
+    ],
 )
 def test_cv_checks_folds_before_reducing(monkeypatch, kwargs, match):
     def forbidden(*args, **kw):

@@ -83,6 +83,35 @@ def test_generation_is_reproducible():
     assert np.array_equal(x.test, y.test)
 
 
+@pytest.mark.parametrize(
+    "replication, match",
+    [
+        (1.5, "replication must be an integer, got 1.5"),
+        (-1, "replication must be finite and >= 0, got -1"),
+        ("1", "replication must be finite and >= 0, got '1'"),
+        (True, "replication must be finite and >= 0, got True"),
+    ],
+    ids=["fractional", "negative", "string", "bool"],
+)
+@pytest.mark.parametrize("design", ["product", "gp2d"])
+def test_replication_takes_the_integer_rule(design, replication, match):
+    # 1.5 used to draw replication 1's data, and -1 failed inside numpy with
+    # "expected non-negative integer"
+    if design == "product":
+        cfg, generate = ProductSimConfig(grid_size=6, n_subjects=3), generate_product_sample
+    else:
+        cfg, generate = Gp2dSimConfig(grid_size=(12, 12), n_train=2, n_test=1), generate_gp2d_sample
+    with pytest.raises(ValueError, match=match):
+        generate(cfg, replication=replication)
+
+
+def test_integral_replications_draw_the_same_data():
+    cfg = ProductSimConfig(grid_size=6, n_subjects=3, seed=5)
+    ref = generate_product_sample(cfg, replication=2).noisy
+    for rep in (2.0, np.int64(2), np.float32(2.0)):
+        assert np.array_equal(generate_product_sample(cfg, replication=rep).noisy, ref)
+
+
 def test_gp2d_eigenfunctions_orthonormal_on_fine_grid():
     cfg = Gp2dSimConfig(ranks=(6, 5), grid_size=(400, 400), n_train=2, n_test=1, seed=6)
     sample = generate_gp2d_sample(cfg)

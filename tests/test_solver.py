@@ -1290,3 +1290,36 @@ def test_fit_refuses_a_non_finite_compressed_tensor_by_name(init, value):
     t_mats = [np.zeros((m, m)) for m in (5, 4)]
     with pytest.raises(ValueError, match=re.escape("compressed data tensor has non-finite values")):
         fit(g, t_mats, SolverConfig(rank=2, init=init))
+
+
+@pytest.mark.parametrize(
+    "block, what",
+    [("update_factor", "mode-0 factor"), ("update_b_ridge", "subject-coefficient")],
+)
+def test_fit_refuses_a_non_finite_block_update_by_name(monkeypatch, block, what):
+    # the sweep's guard after each block update: the first non-finite block is
+    # named, mode 0 first in the sweep and the coefficients last
+    def non_finite(gram, rhs, *rest):
+        return np.full(rhs.shape, np.nan)
+
+    monkeypatch.setattr(solver_mod, block, non_finite)
+    g = np.random.default_rng(26).standard_normal((5, 4, 6))
+    t_mats = [np.eye(5), np.eye(4)]
+    with pytest.raises(NumericalError, match=f"^{what} update produced non-finite values$"):
+        fit(g, t_mats, SolverConfig(rank=2, max_outer_iters=3))
+
+
+def test_a_float32_coefficient_weight_is_applied_in_double_precision():
+    # a np.float32 weight used to turn the objective, and with it the stopping
+    # test, into float32: this fit stopped "converged" at sweep 148 instead of 331
+    g = np.random.default_rng(0).standard_normal((6, 5, 8))
+    t_mats = [np.eye(6), np.eye(5)]
+    settings = dict(rank=3, lambda_marginal=0.1, outer_tol=1e-10, max_outer_iters=2000, seed=0)
+    cfg = SolverConfig(lambda_coef=np.float32(0.1), **settings)
+    assert type(cfg.lambda_coef) is float
+    got = fit(g, t_mats, cfg)
+    ref = fit(g, t_mats, SolverConfig(lambda_coef=float(np.float32(0.1)), **settings))
+    assert got.objective_trace.dtype == np.float64
+    assert got.iters == ref.iters
+    assert np.array_equal(got.objective_trace, ref.objective_trace)
+    assert np.array_equal(got.b, ref.b)
