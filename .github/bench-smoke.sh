@@ -10,7 +10,8 @@
 # than one reduction of the sample (2 bases, 2 penalty quadratures).
 # RIDGE_STEPS=1: require the sweep's grid and ridge block steps
 # (solver.update_factor, solver.update_b_ridge) to take time, which
-# they do only when the sweep calls them
+# they do only when the sweep calls them; checked on both ridge
+# workloads
 set -euo pipefail
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
@@ -40,5 +41,6 @@ for w in product3d gp2d cv_lasso; do
   check --workload "$w" --seed 1 --seconds 4 --trace 0
 done
 RIDGE_STEPS=1 check --workload product3d --seed 1 --seconds 4 --trace 1
+RIDGE_STEPS=1 check --workload gp2d --seed 1 --seconds 4 --trace 1
 LASSO_EXACT=1 check --workload cv_lasso --seed 1 --seconds 4 --trace 1
 echo "bench smoke ok"

@@ -28,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from .jsonspec import INTEGER, INTERVAL, NUMBER, as_int, check_sign, check_tagged, list_of
+from .jsonspec import finite_real
 
 __all__ = [
     "BSplineBasis",
@@ -59,10 +60,10 @@ def _check_points(x: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
 
 
 def _check_domain(domain) -> tuple[float, float]:
-    a, b = float(domain[0]), float(domain[1])
-    if not -np.inf < a < b < np.inf:
-        raise ValueError(f"domain must satisfy a < b with finite endpoints, got [{a}, {b}]")
-    return a, b
+    a, b = domain[0], domain[1]
+    if not (finite_real(a) and finite_real(b) and a < b):
+        raise ValueError(f"domain must satisfy a < b with finite endpoints, got [{a!r}, {b!r}]")
+    return float(a), float(b)
 
 
 def _de_boor(t: np.ndarray, k: int, x: np.ndarray, nu: int) -> np.ndarray:

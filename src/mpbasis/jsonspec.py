@@ -64,6 +64,12 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def finite_real(v) -> bool:
+    """Whether ``v`` is a finite real number: not NaN or infinite, and not a
+    bool, a string or ``None``."""
+    return _real(v) and math.isfinite(v)
+
+
 def _boolean(v) -> bool:
     return isinstance(v, (bool, np.bool_))
 
@@ -107,7 +113,7 @@ def check_sign(value, name: str, zero_ok: bool = False, many: bool = False):
     Anything else, such as a string, ``None`` or a bool, is refused naming ``name``."""
     a = np.asarray(value, dtype=object)
     if a.ndim > (1 if many else 0) or not all(
-        _real(x) and math.isfinite(x) and (x >= 0 if zero_ok else x > 0) for x in a.flat
+        finite_real(x) and (x >= 0 if zero_ok else x > 0) for x in a.flat
     ):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
     return float(value) if a.ndim == 0 else value
@@ -163,6 +169,6 @@ BOOLEAN = _is("a boolean", _boolean)
 NULL = _is("null", lambda v: v is None)
 OBJECT = _is("a JSON object", lambda v: isinstance(v, dict))
 INTEGER, NUMBER = integer(), number()
-FINITE = _is("a number that is finite", lambda v: _real(v) and math.isfinite(v))
+FINITE = _is("a number that is finite", finite_real)
 COUNT = integer(0)._replace(what="a count")
 INTERVAL = list_of(NUMBER, "a list of two numbers", 2, 2)

@@ -171,6 +171,13 @@ DEFAULT_LAMBDA_GRID = tuple(
 )
 
 
+def _is_weight_pair(pair) -> bool:
+    """Whether ``pair`` is a sequence of two entries neither of which is a
+    sequence; :class:`SolverConfig` then checks each weight by name."""
+    seqs = (list, tuple, np.ndarray)
+    return isinstance(pair, seqs) and len(pair) == 2 and not any(isinstance(w, seqs) for w in pair)
+
+
 def cv_lambda_grid(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
@@ -206,7 +213,7 @@ def cv_lambda_grid(
     n_subjects, n_folds = y.shape[-1], as_int(n_folds, "n_folds")
     if not 2 <= n_folds <= n_subjects:
         raise ValueError(f"n_folds must lie in [2, {n_subjects}]")
-    if not lambda_grid or any(np.shape(pair) != (2,) for pair in lambda_grid):
+    if not lambda_grid or not all(map(_is_weight_pair, lambda_grid)):
         raise ValueError(f"lambda_grid must be a nonempty list of pairs, got {lambda_grid!r}")
     # SolverConfig checks each weight by name before any fit
     cells = [replace(config, lambda_marginal=f, lambda_coef=c) for f, c in lambda_grid]

@@ -233,7 +233,8 @@ def mise(
     """Integrated squared error between gridded evaluations, summed over subjects.
 
     Both arrays carry subjects on the last mode and share the grids; the
-    integral over the domain uses the trapezoid rule along every grid axis.
+    integral over the domain uses the trapezoid rule along every grid axis,
+    as one weighted contraction per axis of the squared difference.
     """
     truth = np.asarray(truth, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -241,7 +242,18 @@ def mise(
         raise ValueError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
     if truth.shape[:-1] != tuple(len(g) for g in grids):
         raise ValueError("grids do not match the tensor shape")
-    out = (truth - estimate) ** 2
+    out = truth - estimate
+    out *= out
     for g in grids:
-        out = np.trapezoid(out, x=np.asarray(g, dtype=float), axis=0)
+        out = _trapezoid_weights(g) @ out.reshape(len(g), -1)
     return float(out.sum())
+
+
+def _trapezoid_weights(grid) -> np.ndarray:
+    """Weights ``w`` with ``w @ f`` the trapezoid rule of ``f`` on ``grid``:
+    half of each neighbouring spacing."""
+    h = np.diff(np.asarray(grid, dtype=float)) / 2.0
+    w = np.zeros(h.size + 1)
+    w[:-1] += h
+    w[1:] += h
+    return w

@@ -13,9 +13,12 @@ least squares at ``lambda_coef = 0`` (ROADMAP item 3 adds the shift there).
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
-tensor's grid modes and the start factors are rotated by ``P_d'`` once, and
-each factor step divides by ``beta_d`` plus the eigenvalues of its Gram. The
-K x K eigendecompositions and Cholesky solves call LAPACK directly.
+tensor's grid modes and the start factors are rotated by ``P_d'`` once, so
+each factor step's penalty side is the diagonal ``diag(beta_d)``. The step
+tridiagonalizes its K x K Gram once and solves one tridiagonal system per
+row of the factor, all stacked into one LAPACK call (the Hessenberg-Schur
+method of Golub, Nash and Van Loan, 1979). These, the penalty
+eigendecompositions and the Cholesky solves call LAPACK directly.
 
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
 and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
@@ -23,11 +26,13 @@ compressed tensor are cut once, at :func:`tensors.half_split`, and the tensor
 is used only as its ``prod(left) x prod(right)`` matrix view. One matrix
 product per half and sweep contracts that view with the Khatri-Rao product of
 the other half's current factors; every block of the half takes its MTTKRP
-from that small partial through :func:`tensors.partial_mttkrp`. Each block's
-Gram is the Hadamard product of per-factor Grams, which are refreshed once,
-after their factor is updated. The sweep's three block steps,
-:func:`update_factor`, :func:`update_b_ridge` and :func:`update_b_admm`,
-each take that Gram and MTTKRP from the sweep and only solve.
+from that small partial through :func:`tensors.partial_mttkrp_core`, the
+unchecked core of :func:`tensors.partial_mttkrp`: the sweep builds every array
+it hands over. Each block's Gram is the Hadamard product of per-factor Grams,
+which are refreshed once, after their factor is updated. The sweep's three
+block steps, :func:`update_factor`, :func:`update_b_ridge` and
+:func:`update_b_admm`, each take that Gram and MTTKRP from the sweep and only
+solve.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from .jsonspec import check_ints, check_sign
 from .tensors import (
     cp_to_tensor,
     half_split,
-    khatri_rao,
+    khatri_rao_core,
     mode_multiply,
-    partial_mttkrp,
+    partial_mttkrp_core,
     unfold,
 )
 
@@ -80,10 +85,16 @@ _PDAS_PASSES = 6
 #: coefficient block in :func:`update_b_admm`.
 _LASSO_MAX_STEPS = 500
 
-#: LAPACK routines bound once: the symmetric eigensolver (QR iteration) and
-#: the Cholesky factorization and solve. The wrappers check neither finiteness
-#: nor symmetry; their callers check finiteness.
-_SYEV, _POTRF, _POTRS = lapack.dsyev, lapack.dpotrf, lapack.dpotrs
+#: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
+#: penalty rotations; the tridiagonal reduction, the tridiagonal eigenvalues
+#: (root-free QR), the orthogonal factor of stored reflectors and the
+#: tridiagonal solve of each factor step; the Cholesky factorization and
+#: solve. The wrappers check neither finiteness nor symmetry; their callers
+#: check finiteness.
+_SYEV, _SYTRD, _STERF, _ORGQR, _GTSV = (
+    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dgtsv
+)
+_POTRF, _POTRS = lapack.dpotrf, lapack.dpotrs
 
 _RIDGE_SINGULAR = (
     "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
@@ -183,11 +194,12 @@ def soft_threshold(x: np.ndarray, kappa: float) -> np.ndarray:
 def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``X m + p X = q`` for symmetric ``m`` (K x K) and ``p`` (n x n).
 
-    Both matrices are diagonalized with symmetric eigendecompositions, so the
-    solve reduces to elementwise division by sums of eigenvalue pairs. With
-    ``m`` positive definite and ``p`` positive semidefinite every denominator
-    is positive. :func:`update_factor` runs the same solve in the eigenbasis
-    of each penalty, which :func:`fit` takes once per fit.
+    ``p`` is diagonalized by a symmetric eigendecomposition, which leaves
+    the equation of :func:`_sylvester_tridiag`: one tridiagonal system per row
+    after ``m`` is tridiagonalized. With ``m`` positive definite and ``p``
+    positive semidefinite every ``beta_i + alpha_k`` is positive.
+    :func:`update_factor` runs the same solve in the eigenbasis of each
+    penalty, which :func:`fit` takes once per fit.
     """
     m = np.array(m, dtype=float)
     p = np.array(p, dtype=float)
@@ -197,13 +209,26 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"right-hand side shape {q.shape} does not match ({p.shape[0]}, {m.shape[0]})"
         )
     beta, pm = _eig_sym(p, "Sylvester matrix p")
-    return pm @ _sylvester_eig(m, beta, pm.T @ q, "Sylvester matrix m")
+    beta_max = abs(beta).max(initial=0.0)
+    return pm @ _sylvester_tridiag(m, beta, beta_max, pm.T @ q, "Sylvester matrix m")
 
 
 @lru_cache(maxsize=None)
 def _syev_lwork(n: int) -> int:
     """Workspace size of :data:`_SYEV` for a matrix of order ``n``."""
     return int(lapack.dsyev_lwork(n)[0])
+
+
+@lru_cache(maxsize=None)
+def _sytrd_lwork(n: int) -> int:
+    """Workspace size of :data:`_SYTRD` for a lower-stored matrix of order ``n``."""
+    return int(lapack.dsytrd_lwork(n, lower=1)[0])
+
+
+def _check_info(info: int, step: str, routine: str, what: str) -> None:
+    """Raise :class:`NumericalError` naming ``what`` when LAPACK's ``info`` is nonzero."""
+    if info != 0:
+        raise NumericalError(f"{step} of {what} failed (LAPACK {routine} info {info})")
 
 
 def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -213,24 +238,57 @@ def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"{what} is not finite")
     # a.T is the same symmetric matrix in Fortran order: LAPACK works in place
     w, v, info = _SYEV(a.T, lwork=_syev_lwork(a.shape[0]), overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"eigendecomposition of {what} failed (LAPACK dsyev info {info})")
+    _check_info(info, "eigendecomposition", "dsyev", what)
     return w, v
 
 
-def _sylvester_eig(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``X m + diag(beta) X = q``; ``m`` (named ``what``) is overwritten."""
-    alpha, qm = _eig_sym(m, what)
-    den = beta[:, None] + alpha[None, :]
-    scale = max(abs(alpha).max(initial=0.0), abs(beta).max(initial=0.0), 1e-300)
-    gap = np.abs(den).min()
+def _sylvester_tridiag(
+    m: np.ndarray, beta: np.ndarray, beta_max: float, q: np.ndarray, what: str
+) -> np.ndarray:
+    """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
+    ``what``), which is overwritten; ``beta_max`` is ``max |beta|``.
+
+    The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
+    Autom. Control 24(6), 1979) with its other side already diagonal: with
+    ``m = V T V'`` and ``T`` tridiagonal, row ``i`` of ``Y = X V`` solves
+    ``(T + beta_i I) y_i = (q V)_i``. The n systems are stacked into one
+    tridiagonal system of order nK, with zero couplings between the blocks,
+    and solved by one LAPACK call; ``X = Y V'``. The eigenvalues ``alpha`` of
+    ``T``, those of ``m``, serve only the spectra-overlap guard.
+    """
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{what} is not finite")
+    n, k = q.shape
+    # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
+    c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
+    _check_info(info, "tridiagonal reduction", "dsytrd", what)
+    v = np.zeros((k, k))
+    v[0, 0] = 1.0
+    if k == 1:  # T is its diagonal; dsterf refuses an empty off-diagonal
+        alpha = d
+    else:
+        alpha, info = _STERF(d, e)
+        _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
+        # V = diag(1, V1): the reflectors are stored below T's subdiagonal
+        v[1:, 1:], _, info = _ORGQR(c[1:, :-1], tau, overwrite_a=1)
+        _check_info(info, "orthogonal factor", "dorgqr", what)
+    gap = np.abs(beta[:, None] + alpha[None, :]).min()
+    scale = max(-alpha[0], alpha[-1], beta_max, 1e-300)  # alpha is ascending
     if gap <= 1e-14 * scale:
         raise NumericalError(
             f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
             f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
             "proximal_mu to shift the factor Gram away from singularity"
         )
-    return ((q @ qm) / den) @ qm.T
+    off = np.zeros((n, k))
+    off[:, :-1] = e
+    off = off.reshape(-1)[:-1]
+    y, info = _GTSV(
+        off, (beta[:, None] + d).reshape(-1), off.copy(), (q @ v).reshape(-1, 1),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )[3:]
+    _check_info(info, "tridiagonal solve", "dgtsv", what)
+    return y.reshape(n, k) @ v.T
 
 
 def _objective_value(data_sq: float, marginal: float, b: np.ndarray, config: SolverConfig) -> float:
@@ -256,9 +314,12 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
     A matrix view of a tensor with the Khatri-Rao products of its two halves
     as ``factors`` has the same total, summed per column; :func:`fit` takes
-    its objective that way.
+    its objective that way, as one matrix product.
     """
-    r = y - cp_to_tensor(factors)
+    if len(factors) == 2:  # a matrix, as in fit: no Khatri-Rao product to form
+        r = y - factors[0] @ factors[1].T
+    else:
+        r = y - cp_to_tensor(factors)
     r = r.reshape(-1, r.shape[-1])
     return np.einsum("ij,ij->j", r, r)
 
@@ -311,15 +372,24 @@ def objective(
 
 
 def update_factor(
-    gram: np.ndarray, rhs: np.ndarray, x_old: np.ndarray, beta: np.ndarray, mu: float, mode: int
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    x_old: np.ndarray,
+    beta: np.ndarray,
+    mu: float,
+    mode: int,
+    beta_max: float | None = None,
 ) -> np.ndarray:
     """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
     = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
     mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
-    factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor.
-    No argument is mutated."""
+    factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor,
+    by :func:`_sylvester_tridiag`. ``beta_max`` is ``max |beta|``, taken here
+    when not given (:func:`fit` takes it once per fit). No argument is mutated."""
+    if beta_max is None:
+        beta_max = abs(beta).max(initial=0.0)
     what = f"factor Gram W'W + mu I of mode {mode}"
-    return _sylvester_eig(_shifted(gram, mu), beta, rhs + mu * x_old, what)
+    return _sylvester_tridiag(_shifted(gram, mu), beta, beta_max, rhs + mu * x_old, what)
 
 
 def update_b_ridge(gram: np.ndarray, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -560,8 +630,8 @@ def fit(
     subject coefficients last, one half at a time: the half contracts the
     matrix view of ``g_hat`` once with the other half's Khatri-Rao product, and
     each of its blocks takes its Gram and MTTKRP from that partial. A factor
-    step is ``X = ((Q V) / (beta_d + alpha)) V'`` with ``(alpha, V)`` the
-    eigenpairs of its Gram; the subject block's ridge and lasso solves differ.
+    step is :func:`update_factor`, whose Gram is tridiagonalized once; the
+    subject block's ridge and lasso solves differ.
 
     The loop only sweeps, records the objective (the third read of ``g_hat``,
     whose data term is kept as ``state.residual_sq``) and stops when its
@@ -619,6 +689,7 @@ def fit(
     # the penalties are constant over the fit: work in their eigenbases
     eigs = [_eig_sym(lam_marg[d] * t, f"penalty matrix {d}") for d, t in enumerate(t_mats)]
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
+    beta_maxes = [abs(b).max(initial=0.0) for b in betas]
     g_rot = g_hat
     for d, p in enumerate(rots):
         g_rot = mode_multiply(g_rot, p.T, d)
@@ -626,10 +697,12 @@ def fit(
     factors = [p.T @ c for p, c in zip(rots, state.c_tilde)] + [state.b]
     split = half_split(g_hat.shape)
     halves = ((0, split), (split, n_dims + 1))
+    part_shapes = [g_hat.shape[lo:hi] + (-1,) for lo, hi in halves]
     g_mat = g_rot.reshape(math.prod(g_hat.shape[:split]), -1)
     views = (g_mat, g_mat.T)  # the rows of views[h] run over the modes of half h
     grams = [f.T @ f for f in factors]
-    krs = [khatri_rao(factors[lo:hi]) for lo, hi in halves]
+    # the sweep builds every factor list itself: the unchecked tensor kernels
+    krs = [khatri_rao_core(factors[lo:hi]) for lo, hi in halves]
 
     def sweep_objective() -> tuple[float, float]:
         data_sq = float(residual_sq(g_mat, krs).sum())
@@ -644,12 +717,13 @@ def fit(
         certified = True
         for h, (lo, hi) in enumerate(halves):
             # one contraction with the other half serves every block of this one
-            part = (views[h] @ krs[1 - h]).reshape(g_hat.shape[lo:hi] + (-1,))
+            part = (views[h] @ krs[1 - h]).reshape(part_shapes[h])
             for d in range(lo, hi):
                 gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
-                rhs = partial_mttkrp(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
+                rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
+                    mu = config.proximal_mu
+                    new = update_factor(gram, rhs, factors[d], betas[d], mu, d, beta_maxes[d])
                 elif lasso:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                     certified = certified and ok
@@ -660,7 +734,7 @@ def fit(
                     raise NumericalError(f"{what} update produced non-finite values")
                 factors[d] = new
                 grams[d] = new.T @ new
-            krs[h] = khatri_rao(factors[lo:hi])
+            krs[h] = khatri_rao_core(factors[lo:hi])
         return certified
 
     # objective changes below 1e-12 of the data energy are numerical noise,

@@ -74,22 +74,27 @@ def mode_multiply(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarr
     return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
 
 
-def _check_factor_columns(mats: Sequence[np.ndarray]) -> int:
+def _check_factor_columns(mats: Sequence[np.ndarray]) -> None:
     if len(mats) == 0:
         raise ValueError("need at least one factor matrix")
     k = mats[0].shape[1]
     for i, m in enumerate(mats):
         if m.ndim != 2 or m.shape[1] != k:
             raise ValueError(f"factor {i} has {m.shape[1]} columns, expected {k}")
-    return k
 
 
 def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Columnwise Kronecker product; the last listed factor varies fastest."""
-    k = _check_factor_columns(mats)
-    out = np.asarray(mats[0])
+    _check_factor_columns(mats)
+    return khatri_rao_core([np.asarray(m) for m in mats])
+
+
+def khatri_rao_core(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`khatri_rao` without its checks: ``mats`` is a nonempty list of
+    2-d float arrays with equal column counts (the solver's own factors)."""
+    out = mats[0]
     for m in mats[1:]:
-        out = (out[:, None, :] * np.asarray(m)[None, :, :]).reshape(-1, k)
+        out = (out[:, None, :] * m[None, :, :]).reshape(-1, out.shape[1])
     return out
 
 
@@ -147,13 +152,20 @@ def partial_mttkrp(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -
             raise ValueError(
                 f"factor for mode {d} has shape {np.shape(m)}, expected ({shape[d]}, {k})"
             )
-    p = p.reshape(math.prod(shape[:mode]), shape[mode], -1, k)
+    return partial_mttkrp_core(p, [np.asarray(m) for m in mats], mode)
+
+
+def partial_mttkrp_core(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
+    """:func:`partial_mttkrp` without its checks: ``partial`` is a float array
+    and ``mats`` float arrays whose shapes match it (the solver's own)."""
+    shape, k = partial.shape[:-1], partial.shape[-1]
+    p = partial.reshape(math.prod(shape[:mode]), shape[mode], -1, k)
     if mode < len(shape) - 1:
-        p = np.einsum("bnak,ak->bnk", p, khatri_rao(mats[mode:]))
+        p = np.einsum("bnak,ak->bnk", p, khatri_rao_core(mats[mode:]))
     else:
         p = p[:, :, 0, :]
     if mode > 0:
-        return np.einsum("bnk,bk->nk", p, khatri_rao(mats[:mode]))
+        return np.einsum("bnk,bk->nk", p, khatri_rao_core(mats[:mode]))
     return p[0]
 
 
@@ -181,13 +193,14 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
                 f"factor for mode {d} has shape {m.shape}, expected ({t.shape[d]}, K)"
             )
     _check_factor_columns(mats)
+    mats = [np.asarray(m) for m in mats]
     s = half_split(t.shape)
     t_mat = t.reshape(math.prod(t.shape[:s]), -1)
     if mode < s:
-        partial = t_mat @ khatri_rao(mats[s - 1 :])
-        return partial_mttkrp(partial.reshape(t.shape[:s] + (-1,)), mats[: s - 1], mode)
-    partial = t_mat.T @ khatri_rao(mats[:s])
-    return partial_mttkrp(partial.reshape(t.shape[s:] + (-1,)), mats[s:], mode - s)
+        partial = t_mat @ khatri_rao_core(mats[s - 1 :])
+        return partial_mttkrp_core(partial.reshape(t.shape[:s] + (-1,)), mats[: s - 1], mode)
+    partial = t_mat.T @ khatri_rao_core(mats[:s])
+    return partial_mttkrp_core(partial.reshape(t.shape[s:] + (-1,)), mats[s:], mode - s)
 
 
 def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -342,6 +342,13 @@ def test_fourier_constructor_validation():
         FourierBasis((0.0, np.inf), 3)
 
 
+@pytest.mark.parametrize("domain", [("0", "1"), (False, True), ("0", True), (None, 1.0)])
+def test_domain_endpoints_must_be_real_numbers(domain):
+    for make in (lambda: FourierBasis(domain, 5), lambda: BSplineBasis(domain, 6)):
+        with pytest.raises(ValueError, match="domain must satisfy a < b with finite endpoints"):
+            make()
+
+
 def test_custom_knots_round_trip():
     knots = np.array([0, 0, 0, 0, 0.1, 0.5, 0.9, 1, 1, 1, 1.0])
     basis = BSplineBasis((0.0, 1.0), 7, knots=knots)

@@ -413,11 +413,12 @@ def test_cv_validates_folds():
         ({"n_folds": 2, "lambda_grid": [(0, 0, 0)]}, "lambda_grid must be a nonempty list"),
         ({"n_folds": 2, "lambda_grid": [1e-6, 1e-6]}, "lambda_grid must be a nonempty list"),
         ({"n_folds": 2, "lambda_grid": "x"}, "lambda_grid must be a nonempty list"),
+        ({"n_folds": 2, "lambda_grid": [[[0.5], 0.0]]}, "lambda_grid must be a nonempty list"),
     ],
     ids=[
         "too_many_folds", "one_fold", "empty_grid", "fractional_folds", "string_folds",
         "string_weight", "negative_weight_in_a_later_cell", "nan_weight_in_a_later_cell",
-        "triple", "flat_grid", "string_grid",
+        "triple", "flat_grid", "string_grid", "list_weight",
     ],
 )
 def test_cv_checks_folds_before_reducing(monkeypatch, kwargs, match):

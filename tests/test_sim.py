@@ -207,6 +207,18 @@ def test_mise_grid_mismatch_raises():
         mise(np.zeros((5, 4, 1)), np.zeros((5, 4, 1)), grids)
 
 
+@pytest.mark.parametrize("n_dims", [1, 2, 3])
+def test_mise_matches_trapezoid_on_uneven_grids(n_dims):
+    rng = np.random.default_rng(60 + n_dims)
+    grids = [np.sort(rng.random(n)) for n in (7, 5, 6)[:n_dims]]
+    shape = tuple(len(g) for g in grids) + (4,)
+    truth, est = rng.standard_normal(shape), rng.standard_normal(shape)
+    ref = (truth - est) ** 2
+    for g in grids:
+        ref = np.trapezoid(ref, x=g, axis=0)
+    assert mise(truth, est, grids) == pytest.approx(float(ref.sum()), rel=1e-13)
+
+
 def test_product_truth_lies_in_model_class():
     # fitting the noiseless sample with the generating bases at the true rank
     # drives the relative integrated error to numerical zero

@@ -156,6 +156,71 @@ def test_sylvester_solve_matches_scipy_solve_sylvester(k, p_kind):
         assert np.array_equal(before, after)
 
 
+def kron_oracle(m, beta, q):
+    """``X`` with ``X m + diag(beta) X = q`` from the dense Kronecker system."""
+    n, k = q.shape
+    a = np.kron(np.eye(n), m.T) + np.kron(np.diag(beta), np.eye(k))
+    return np.linalg.solve(a, q.reshape(-1)).reshape(n, k)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("k", [1, 2, 25, 30])
+def test_update_factor_matches_kronecker_oracle(k, n):
+    # n below and above K; the penalty spectrum has a null space (zeros)
+    rng = np.random.default_rng(100 + k + n)
+    w = rng.standard_normal((k + 5, k))
+    gram = w.T @ w
+    beta = np.sort(np.abs(rng.standard_normal(n)))
+    beta[: min(2, n)] = 0.0
+    rhs, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    mu = 1e-3
+    inputs = [gram.copy(), rhs.copy(), x_old.copy(), beta.copy()]
+    x = update_factor(gram, rhs, x_old, beta, mu, 0)
+    ref = kron_oracle(gram + mu * np.eye(k), beta, rhs + mu * x_old)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the same step with max |beta| handed in, as fit hands it in
+    again = update_factor(gram, rhs, x_old, beta, mu, 0, np.abs(beta).max())
+    assert np.array_equal(again, x)
+    for before, after in zip(inputs, [gram, rhs, x_old, beta]):
+        assert np.array_equal(before, after)
+
+
+def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
+    rng = np.random.default_rng(7)
+    k, n = 25, 15
+    u = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    m = (u * np.logspace(-6, 6, k)) @ u.T
+    m = (m + m.T) / 2
+    beta = np.sort(rng.random(n))
+    beta[0] = 0.0
+    q = rng.standard_normal((n, k))
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, beta.max(), q, "m")
+    res = np.linalg.norm(x @ m + beta[:, None] * x - q)
+    assert res <= 1e-14 * (np.linalg.norm(q) + np.linalg.norm(x) * np.linalg.norm(m))
+
+
+@pytest.mark.parametrize(
+    "name, routine",
+    [("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_GTSV", "dgtsv")],
+)
+def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine):
+    lapack_call = getattr(solver_mod, name)
+
+    def failing(*args, **kwargs):
+        out = lapack_call(*args, **kwargs)
+        return out[:-1] + (7,)  # every wrapper returns info last
+
+    monkeypatch.setattr(solver_mod, name, failing)
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((6, 3))
+    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), 1e-8, 2)
+    with pytest.raises(NumericalError) as err:
+        update_factor(*args)
+    msg = str(err.value)
+    assert "factor Gram W'W + mu I of mode 2" in msg
+    assert f"(LAPACK {routine} info 7)" in msg
+
+
 @pytest.mark.parametrize("bad", ["m", "p"])
 def test_sylvester_solve_non_finite_matrix_raises_numerical_error(bad):
     rng = np.random.default_rng(41)
