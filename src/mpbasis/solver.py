@@ -209,8 +209,7 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"right-hand side shape {q.shape} does not match ({p.shape[0]}, {m.shape[0]})"
         )
     beta, pm = _eig_sym(p, "Sylvester matrix p")
-    beta_max = abs(beta).max(initial=0.0)
-    return pm @ _sylvester_tridiag(m, beta, beta_max, pm.T @ q, "Sylvester matrix m")
+    return pm @ _sylvester_tridiag(m, beta, pm.T @ q, "Sylvester matrix m")
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +241,9 @@ def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _sylvester_tridiag(
-    m: np.ndarray, beta: np.ndarray, beta_max: float, q: np.ndarray, what: str
-) -> np.ndarray:
+def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
     """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
-    ``what``), which is overwritten; ``beta_max`` is ``max |beta|``.
+    ``what``), which is overwritten.
 
     The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
     Autom. Control 24(6), 1979) with its other side already diagonal: with
@@ -255,6 +252,10 @@ def _sylvester_tridiag(
     tridiagonal system of order nK, with zero couplings between the blocks,
     and solved by one LAPACK call; ``X = Y V'``. The eigenvalues ``alpha`` of
     ``T``, those of ``m``, serve only the spectra-overlap guard.
+
+    It beats one eigendecomposition of ``m`` only from about K = 20 and while
+    n stays below about 1.5 K (2.5 K at K = 60); at K <= 15 its four LAPACK
+    calls cost more than ``dsyev`` whatever n is (README, solver bullets).
     """
     if not np.isfinite(m).all():
         raise NumericalError(f"{what} is not finite")
@@ -273,7 +274,8 @@ def _sylvester_tridiag(
         v[1:, 1:], _, info = _ORGQR(c[1:, :-1], tau, overwrite_a=1)
         _check_info(info, "orthogonal factor", "dorgqr", what)
     gap = np.abs(beta[:, None] + alpha[None, :]).min()
-    scale = max(-alpha[0], alpha[-1], beta_max, 1e-300)  # alpha is ascending
+    # alpha is ascending: its largest magnitude is at one of its ends
+    scale = max(-alpha[0], alpha[-1], abs(beta).max(initial=0.0), 1e-300)
     if gap <= 1e-14 * scale:
         raise NumericalError(
             f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
@@ -283,8 +285,10 @@ def _sylvester_tridiag(
     off = np.zeros((n, k))
     off[:, :-1] = e
     off = off.reshape(-1)[:-1]
+    qv = q.copy()  # q V: V's first row and column are those of the identity
+    qv[:, 1:] = q[:, 1:] @ v[1:, 1:]
     y, info = _GTSV(
-        off, (beta[:, None] + d).reshape(-1), off.copy(), (q @ v).reshape(-1, 1),
+        off, (beta[:, None] + d).reshape(-1), off.copy(), qv.reshape(-1, 1),
         overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
     )[3:]
     _check_info(info, "tridiagonal solve", "dgtsv", what)
@@ -314,12 +318,9 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 
     A matrix view of a tensor with the Khatri-Rao products of its two halves
     as ``factors`` has the same total, summed per column; :func:`fit` takes
-    its objective that way, as one matrix product.
+    its objective that way.
     """
-    if len(factors) == 2:  # a matrix, as in fit: no Khatri-Rao product to form
-        r = y - factors[0] @ factors[1].T
-    else:
-        r = y - cp_to_tensor(factors)
+    r = y - cp_to_tensor(factors)
     r = r.reshape(-1, r.shape[-1])
     return np.einsum("ij,ij->j", r, r)
 
@@ -372,24 +373,15 @@ def objective(
 
 
 def update_factor(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    x_old: np.ndarray,
-    beta: np.ndarray,
-    mu: float,
-    mode: int,
-    beta_max: float | None = None,
+    gram: np.ndarray, rhs: np.ndarray, x_old: np.ndarray, beta: np.ndarray, mu: float, mode: int
 ) -> np.ndarray:
     """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
     = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
     mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
     factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor,
-    by :func:`_sylvester_tridiag`. ``beta_max`` is ``max |beta|``, taken here
-    when not given (:func:`fit` takes it once per fit). No argument is mutated."""
-    if beta_max is None:
-        beta_max = abs(beta).max(initial=0.0)
+    by :func:`_sylvester_tridiag`. No argument is mutated."""
     what = f"factor Gram W'W + mu I of mode {mode}"
-    return _sylvester_tridiag(_shifted(gram, mu), beta, beta_max, rhs + mu * x_old, what)
+    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what)
 
 
 def update_b_ridge(gram: np.ndarray, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -689,7 +681,6 @@ def fit(
     # the penalties are constant over the fit: work in their eigenbases
     eigs = [_eig_sym(lam_marg[d] * t, f"penalty matrix {d}") for d, t in enumerate(t_mats)]
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
-    beta_maxes = [abs(b).max(initial=0.0) for b in betas]
     g_rot = g_hat
     for d, p in enumerate(rots):
         g_rot = mode_multiply(g_rot, p.T, d)
@@ -722,8 +713,7 @@ def fit(
                 gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    mu = config.proximal_mu
-                    new = update_factor(gram, rhs, factors[d], betas[d], mu, d, beta_maxes[d])
+                    new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
                 elif lasso:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                     certified = certified and ok

@@ -178,9 +178,6 @@ def test_update_factor_matches_kronecker_oracle(k, n):
     x = update_factor(gram, rhs, x_old, beta, mu, 0)
     ref = kron_oracle(gram + mu * np.eye(k), beta, rhs + mu * x_old)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the same step with max |beta| handed in, as fit hands it in
-    again = update_factor(gram, rhs, x_old, beta, mu, 0, np.abs(beta).max())
-    assert np.array_equal(again, x)
     for before, after in zip(inputs, [gram, rhs, x_old, beta]):
         assert np.array_equal(before, after)
 
@@ -194,7 +191,7 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
     beta = np.sort(rng.random(n))
     beta[0] = 0.0
     q = rng.standard_normal((n, k))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, beta.max(), q, "m")
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q, "m")
     res = np.linalg.norm(x @ m + beta[:, None] * x - q)
     assert res <= 1e-14 * (np.linalg.norm(q) + np.linalg.norm(x) * np.linalg.norm(m))
 
