@@ -7,7 +7,8 @@
 # both designs that must write the same tensors as configs that give that seed.
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
-# the CLI does not import jsonschema.
+# the CLI does not import jsonschema. The fit's report must name one of the
+# three stop reasons, and the fit must exit 4 exactly when it is the sweep cap.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -54,7 +55,15 @@ if cmp -s data/noisy_000.mpbt data-seed5/noisy_000.mpbt; then
   echo "simulate --seed changed nothing" >&2; exit 1
 fi
 mpbasis verify gp2d/train_000.mpbt
-mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || [ $? -eq 4 ]
+code=0
+mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || code=$?
+python - "$code" <<'PY'
+import json, sys
+code, reason = int(sys.argv[1]), json.load(open("fit/fit_report.json"))["stop_reason"]
+assert reason in ("tolerance", "noise level", "sweep cap"), reason
+assert code == (4 if reason == "sweep cap" else 0), (code, reason)
+print("fit stopped at the", reason, "and exited", code)
+PY
 mpbasis fit --config run-default-degree.json --tensor data/noisy_000.mpbt --out fit3 || [ $? -eq 4 ]
 cmp fit/model.mpbm fit3/model.mpbm  # degree 3 is the B-spline default
 mpbasis fpca --model fit/model.mpbm --out fpca

@@ -2,9 +2,9 @@
 
 Subcommands: ``fit``, ``fpca``, ``select``, ``simulate``, ``verify``,
 ``info``. Exit codes: 0 on success, 2 for input or configuration problems,
-3 for numerical failures, 4 when a solver finished without converging but
-outputs were still written. Set ``MPB_LOG`` to a level name (DEBUG, INFO,
-...) for progress logging.
+3 for numerical failures, 4 when a fit stopped at its sweep cap (neither the
+tolerance nor the noise level was reached) but outputs were still written.
+Set ``MPB_LOG`` to a level name (DEBUG, INFO, ...) for progress logging.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def cmd_fit(args) -> int:
         cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
     y = fileio.read_tensor(args.tensor)
     grids = cfg.build_grids(y.shape[:-1])
-    model, state, report = fit_mpb(
+    model, _, report = fit_mpb(
         y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, center=cfg.center
     )
     out = _outdir(args)
@@ -53,11 +53,15 @@ def cmd_fit(args) -> int:
     with open(out / "fit_report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
     log.info(
-        "fit finished in %d sweeps (residual ratio %.3e)", report.iters, report.residual_ratio
+        "fit stopped at the %s after %d sweeps (residual ratio %.3e)",
+        report.stop_reason, report.iters, report.residual_ratio,
     )
     print(f"model written to {out / 'model.mpbm'}")
-    if not state.converged:
-        print("warning: solver hit the sweep cap before reaching the tolerance", file=sys.stderr)
+    if report.stop_reason == "sweep cap":
+        print(
+            "warning: solver hit the sweep cap before reaching the tolerance or the noise level",
+            file=sys.stderr,
+        )
         return 4
     return 0
 
@@ -109,11 +113,10 @@ def cmd_select(args) -> int:
         if "rank_grid" not in sel:
             raise ValueError("config is missing selection.rank_grid")
         prepared = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
-        g_hat = prepared.g_hat
-        if cfg.center:  # compression is linear: center g_hat, as fit_mpb does
-            g_hat = g_hat - g_hat.mean(axis=-1, keepdims=True)
+        if cfg.center:  # as fit_mpb centers
+            prepared = prepared.centered(y.mean(axis=-1))
         report = selection.sweep_global_rank(
-            g_hat,
+            prepared.g_hat,
             prepared.t_mats,
             cfg.solver,
             sel["rank_grid"],

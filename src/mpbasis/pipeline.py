@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,8 @@ class FitReport:
     objective_trace: np.ndarray
     iters: int
     converged: bool
+    stop_reason: str  # SolverState.stop_reason: "tolerance", "noise level" or "sweep cap"
+    noise_var: float | None  # PreparedProblem.noise_var of the data fitted
     lasso_certified: bool
     residual_ratio: float  # |g_hat - X|^2 / |g_hat|^2: SolverState.residual_sq over |g_hat|^2
     elapsed_seconds: float
@@ -31,6 +33,8 @@ class FitReport:
             "objective_trace": [float(v) for v in self.objective_trace],
             "iters": int(self.iters),
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
+            "noise_var": None if self.noise_var is None else float(self.noise_var),
             "lasso_certified": bool(self.lasso_certified),
             "residual_ratio": float(self.residual_ratio),
             "elapsed_seconds": float(self.elapsed_seconds),
@@ -54,6 +58,13 @@ def fit_mpb(
     the grid tensor, it fits that problem as it is and skips the reduction,
     which lets cross validation reduce a sample once and fit slices of it.
     A compressed tensor of zero norm raises ``ValueError`` before the fit.
+    The fit stops at the noise level: after the first sweep whose residual
+    is at most ``noise_var * solver.residual_dof``, the in-span noise energy
+    a rank-K fit leaves, with ``noise_var`` the reduction's estimate
+    (:attr:`reduction.PreparedProblem.noise_var`). That rule is off, and
+    the fit runs to its tolerance or cap, for a lasso penalty (whose degrees
+    of freedom differ), without a noise estimate, or without residual
+    degrees of freedom.
 
     Parameters
     ----------
@@ -79,7 +90,7 @@ def fit_mpb(
         if center:
             raise ValueError(
                 "center needs the grid tensor to store its mean; "
-                "center the prepared problem's compressed tensor instead"
+                "fit the prepared problem's centered() instead"
             )
         y.check_source(grids, bases, penalty_orders)
         prepared = y
@@ -89,12 +100,15 @@ def fit_mpb(
         if center:
             mean_values = y.mean(axis=-1)
             mean_grids = list(prepared.grids)
-            g_hat = prepared.g_hat
-            prepared = replace(prepared, g_hat=g_hat - g_hat.mean(axis=-1, keepdims=True))
+            prepared = prepared.centered(mean_values)
     g_norm_sq = float(np.sum(prepared.g_hat**2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    state = solver.fit(prepared.g_hat, prepared.t_mats, config)
+    noise_var, target = prepared.noise_var, None
+    if noise_var is not None and config.coef_penalty != "lasso":
+        dof = solver.residual_dof(prepared.g_hat.shape, config.rank)
+        target = noise_var * dof if dof > 0 else None
+    state = solver.fit(prepared.g_hat, prepared.t_mats, config, noise_target=target)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]
     model = MPBModel(
         bases=list(bases),
@@ -107,6 +121,8 @@ def fit_mpb(
         objective_trace=state.objective_trace,
         iters=state.iters,
         converged=state.converged,
+        stop_reason=state.stop_reason,
+        noise_var=noise_var,
         lasso_certified=state.lasso_certified,
         residual_ratio=state.residual_sq / g_norm_sq,
         elapsed_seconds=time.perf_counter() - start,

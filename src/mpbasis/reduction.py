@@ -12,7 +12,8 @@ Because compression is linear per subject, a subset of subjects is a slice of
 the compressed tensor, and the residual of any fit whose grid-mode factors
 lie in the span of the ``U_d`` splits exactly into an in-span part, computed
 in compressed coordinates by :func:`lstsq_compressed`, and the out-of-span
-energy of :func:`out_of_span_sq`.
+energy of :func:`out_of_span_sq`. The same split of the data energy gives the
+noise estimate :attr:`PreparedProblem.noise_var`.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ RANK_TOL = 1e-10
 #: same diagonal, so this is the threshold the solver's ridge step applies.
 QR_DIAG_RATIO_TOL = 1e-7
 
-#: Entries of the data that :func:`out_of_span_sq` reads at once (4 MiB of
-#: float64): a slab of whole rows of the leading grid mode, at least one row.
-SLAB_ENTRIES = 1 << 19
+#: Entries of the data that :func:`out_of_span_sq` reads at once (2 MiB of
+#: float64, which with its reconstruction buffer stays in cache): a slab of
+#: whole rows of the leading grid mode, at least one row.
+SLAB_ENTRIES = 1 << 18
+
+#: :attr:`PreparedProblem.noise_var` is None when the energy outside the span
+#: of the compression is at or below this multiple of the data energy: there
+#: the difference of the two energies is rounding, not noise (noise-free data).
+NOISE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,15 +155,18 @@ class PreparedProblem:
     """A sample reduced to the compressed problem the solver fits.
 
     Holds the factorization of each evaluation matrix (``facs``), the
-    transported penalties (``t_mats``) and the compressed tensor ``g_hat``
-    with the subject mode last, together with the grids, bases and penalty
-    orders it was prepared from, so that a fit can check it is given the
-    same ones.
+    transported penalties (``t_mats``), the compressed tensor ``g_hat``
+    with the subject mode last and the data energy ``y_sq``, together with
+    the grids, bases and penalty orders it was prepared from, so that a fit
+    can check it is given the same ones. ``y_sq`` holds each subject's share
+    of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
+    :meth:`centered`, so that its sum is the energy of the data fitted.
     """
 
     facs: tuple[MarginalFactorization, ...]
     t_mats: tuple[np.ndarray, ...]
     g_hat: np.ndarray
+    y_sq: np.ndarray
     grids: tuple[np.ndarray, ...]
     bases: tuple
     penalty_orders: tuple[int, ...]
@@ -165,7 +175,37 @@ class PreparedProblem:
         """The same problem for the subjects ``index`` selects (a boolean
         mask or integer indices along the subject mode). Compression is
         linear per subject, so this equals preparing those subjects alone."""
-        return replace(self, g_hat=self.g_hat[..., index])
+        return replace(self, g_hat=self.g_hat[..., index], y_sq=self.y_sq[index])
+
+    def centered(self, grid_mean: np.ndarray) -> PreparedProblem:
+        """The same problem for the data less its subject mean ``grid_mean``
+        (the grid tensor's mean over its subjects). Compression is linear,
+        so ``g_hat`` loses its own subject mean, and the data energy becomes
+        ``sum |y_i - mean|^2 = sum |y_i|^2 - N |mean|^2``."""
+        grid_mean = np.asarray(grid_mean, dtype=float)
+        grid_shape = tuple(f.n for f in self.facs)
+        if grid_mean.shape != grid_shape:
+            raise ValueError(f"grid mean has shape {grid_mean.shape}, expected {grid_shape}")
+        flat = grid_mean.ravel()
+        g = self.g_hat
+        return replace(
+            self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=self.y_sq - float(flat @ flat)
+        )
+
+    @property
+    def noise_var(self) -> float | None:
+        """The white-noise variance estimated from the energy outside the
+        span of the compression: ``(sum |y_i|^2 - |g_hat|^2) / (N (prod n_d -
+        prod m_d))``. The difference equals :func:`out_of_span_sq`'s sum and
+        costs no pass over the data. None when ``prod n_d = prod m_d`` or
+        when that energy is at or below :data:`NOISE_FLOOR` times the data
+        energy."""
+        n_out = math.prod(f.n for f in self.facs) - math.prod(f.m for f in self.facs)
+        total = float(self.y_sq.sum())
+        outside = total - float(np.sum(self.g_hat**2))
+        if n_out == 0 or not outside > NOISE_FLOOR * total:
+            return None
+        return outside / (self.g_hat.shape[-1] * n_out)
 
     def check_source(
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]
@@ -225,9 +265,10 @@ def prepare(
 
     Checks the inputs (:func:`check_inputs`), evaluates each basis on its
     grid, factorizes the evaluation matrices, transports the
-    order-``penalty_orders[d]`` roughness penalty of each basis and
-    compresses ``y``. Without ``penalty_orders``, ``t_mats`` is empty: the
-    reduction alone, which :func:`selection.marginal_rank_criterion` measures.
+    order-``penalty_orders[d]`` roughness penalty of each basis, compresses
+    ``y`` and takes each subject's energy ``|y_i|^2`` in one pass. Without
+    ``penalty_orders``, ``t_mats`` is empty: the reduction alone, which
+    :func:`selection.marginal_rank_criterion` measures.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     orders = () if penalty_orders is None else penalty_orders
@@ -237,10 +278,12 @@ def prepare(
         penalty_transform(fac, basis_mod.penalty_matrix(b, order))
         for fac, b, order in zip(facs, bases, orders)
     ]
+    flat = y.reshape(-1, y.shape[-1])
     return PreparedProblem(
         facs=tuple(facs),
         t_mats=tuple(t_mats),
         g_hat=compress(y, facs),
+        y_sq=np.einsum("ij,ij->j", flat, flat),
         grids=tuple(grids),
         bases=tuple(bases),
         penalty_orders=orders,

@@ -71,14 +71,14 @@ def marginal_rank_criterion(
     Equals the squared norm of the compressed tensor over the squared norm of
     the data, a number in [0, 1] that grows toward 1 as the basis ranks
     approach the grid sizes. The data is reduced by :func:`reduction.prepare`,
-    as every fit reduces it, without penalty orders.
+    as every fit reduces it, without penalty orders; the data energy is the
+    one it takes.
     """
-    g_hat = reduction.prepare(y, grids, bases).g_hat
-    flat = np.asarray(y, dtype=float).ravel(order="K")  # a view unless y is a strided slice
-    y_norm_sq = float(flat @ flat)
+    prepared = reduction.prepare(y, grids, bases)
+    y_norm_sq = float(prepared.y_sq.sum())
     if y_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    return min(float(np.sum(g_hat**2)) / y_norm_sq, 1.0)
+    return min(float(np.sum(prepared.g_hat**2)) / y_norm_sq, 1.0)
 
 
 def select_marginal_rank(
@@ -226,10 +226,10 @@ def cv_lambda_grid(
         held_y = y[..., ~in_train]  # a copy, which centering changes in place
         held_g = prepared.g_hat[..., ~in_train]
         if center:
-            mean_g = train.g_hat.mean(axis=-1, keepdims=True)
-            train = replace(train, g_hat=train.g_hat - mean_g)
-            held_g -= mean_g
-            held_y -= (y @ (in_train / in_train.sum()))[..., None]
+            held_g -= train.g_hat.mean(axis=-1, keepdims=True)
+            mean_y = y @ (in_train / in_train.sum())
+            train = train.centered(mean_y)
+            held_y -= mean_y[..., None]
         held_sq = reduction.out_of_span_sq(held_y, prepared.facs, held_g)
         folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))

@@ -64,6 +64,7 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "objective",
+    "residual_dof",
     "residual_sq",
     "sylvester_solve",
     "soft_threshold",
@@ -115,8 +116,13 @@ class SolverConfig:
         Weight of the subject-coefficient penalty.
     coef_penalty : {"ridge", "lasso"}
         Squared Frobenius or elementwise l1 penalty on the coefficients.
-    max_outer_iters, outer_tol
-        Sweep cap and relative objective-change stopping rule.
+    max_outer_iters : int
+        Sweep cap: a fit that reaches it without stopping otherwise stops
+        with ``stop_reason = "sweep cap"``.
+    outer_tol : float
+        A fit stops with ``stop_reason = "tolerance"`` after the first sweep
+        whose objective changed by less than this, relative to the previous
+        objective. A fit given a noise target (:func:`fit`) may stop sooner.
     proximal_mu : float
         Strong-convexity shift added to each factor update and to the lasso
         coefficient block.
@@ -166,10 +172,16 @@ class SolverState:
     c_tilde: list[np.ndarray]
     b: np.ndarray
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    converged: bool = False
+    #: why :func:`fit` stopped: "tolerance", "noise level" or "sweep cap"
+    stop_reason: str = "sweep cap"
     iters: int = 0
     lasso_certified: bool = True
     residual_sq: float = math.nan  # from fit: |g_hat - X|^2, its last objective's data term
+
+    @property
+    def converged(self) -> bool:
+        """Whether the fit stopped before its sweep cap."""
+        return self.stop_reason != "sweep cap"
 
     @property
     def rank(self) -> int:
@@ -323,6 +335,17 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     r = y - cp_to_tensor(factors)
     r = r.reshape(-1, r.shape[-1])
     return np.einsum("ij,ij->j", r, r)
+
+
+def residual_dof(shape: Sequence[int], rank: int) -> int:
+    """Degrees of freedom of the residual of a rank-``rank`` CP fit to a
+    compressed tensor of ``shape`` (grid modes m_1, ..., m_D, then N
+    subjects): ``N prod(m_d) - K (N + sum(m_d) - D)``, the entries less the
+    free parameters of K components, each of which has D scalings that do
+    not change it. Zero or negative when the fit has as many parameters as
+    the tensor has entries."""
+    *ms, n = (int(v) for v in shape)
+    return n * math.prod(ms) - rank * (n + sum(ms) - len(ms))
 
 
 def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:
@@ -613,6 +636,7 @@ def fit(
     t_mats: Sequence[np.ndarray],
     config: SolverConfig,
     initial_state: SolverState | None = None,
+    noise_target: float | None = None,
 ) -> SolverState:
     """Run block coordinate descent to convergence.
 
@@ -626,9 +650,12 @@ def fit(
     subject block's ridge and lasso solves differ.
 
     The loop only sweeps, records the objective (the third read of ``g_hat``,
-    whose data term is kept as ``state.residual_sq``) and stops when its
-    relative change falls below ``config.outer_tol`` or after
-    ``config.max_outer_iters`` sweeps. The finish rotates the factors back and
+    whose data term is kept as ``state.residual_sq``) and stops after the
+    first sweep whose ``residual_sq`` is at or below ``noise_target`` ("noise
+    level"), whose objective changed by less than ``config.outer_tol``
+    relative to the previous one ("tolerance"), or after
+    ``config.max_outer_iters`` sweeps ("sweep cap"); ``state.stop_reason``
+    names which. The finish rotates the factors back and
     fixes the gauge (:func:`_gauge_normalize`); the objective trace refers to
     the pre-normalization iterates, whose represented tensor is identical.
 
@@ -643,6 +670,10 @@ def fit(
         Warm start of rank at most ``config.rank`` with one factor per mode,
         each with as many rows as its mode; :func:`_initialize` completes it
         to ``config.rank`` components. Overrides ``config.init``.
+    noise_target : float, optional
+        The residual at which the fit has reached the noise level, the
+        discrepancy principle's stopping point (Morozov 1966), as
+        :func:`pipeline.fit_mpb` computes it. None never stops there.
     """
     g_hat = np.ascontiguousarray(np.asarray(g_hat, dtype=float))
     n_dims = g_hat.ndim - 1
@@ -732,13 +763,16 @@ def fit(
     f_floor = 1e-12 * float(np.sum(g_hat**2))
     state.residual_sq, f = sweep_objective()
     trace = [f]
-    it = 0
+    it = 0  # the state from _initialize reads "sweep cap" until a test fires
     for it in range(1, config.max_outer_iters + 1):
         state.lasso_certified &= sweep()
         state.residual_sq, f = sweep_objective()
         trace.append(f)
+        if noise_target is not None and state.residual_sq <= noise_target:
+            state.stop_reason = "noise level"
+            break
         if abs(trace[-2] - f) / max(trace[-2], f_floor, 1e-300) < config.outer_tol:
-            state.converged = True
+            state.stop_reason = "tolerance"
             break
 
     state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]

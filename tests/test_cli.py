@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import struct
 import tracemalloc
 
@@ -100,16 +101,36 @@ def test_fit_unknown_config_key_exits_2(tmp_path, rank1_tensor, capsys):
 
 
 def test_fit_nonconvergence_exits_4_with_outputs(tmp_path):
+    # 7 periodic points per mode and Fourier rank 7: the bases span the grid,
+    # so there is no noise estimate and only the sweep cap can stop this fit
     rng = np.random.default_rng(0)
     noisy = tmp_path / "n.mpbt"
-    fileio.write_tensor(noisy, rng.standard_normal((20, 20, 4)))
-    cfg_path = write_json(
-        tmp_path / "cfg.json", base_config(rank=2, max_outer_iters=2)
-    )
+    fileio.write_tensor(noisy, rng.standard_normal((7, 7, 4)))
+    run = base_config(rank=2, max_outer_iters=2)
+    run["grids"] = [{"points": list(np.arange(7) / 7.0)}] * 2
+    cfg_path = write_json(tmp_path / "cfg.json", run)
     out = tmp_path / "out"
     code = main(["fit", "--config", cfg_path, "--tensor", str(noisy), "--out", str(out)])
     assert code == 4
     assert (out / "model.mpbm").exists()
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["stop_reason"] == "sweep cap" and report["noise_var"] is None
+
+
+def test_fit_on_pure_noise_stops_at_the_noise_level_and_exits_0(tmp_path, caplog):
+    rng = np.random.default_rng(0)
+    noisy = tmp_path / "n.mpbt"
+    fileio.write_tensor(noisy, rng.standard_normal((20, 20, 4)))
+    cfg_path = write_json(tmp_path / "cfg.json", base_config(rank=2, max_outer_iters=30))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="mpbasis"):
+        code = main(["fit", "--config", cfg_path, "--tensor", str(noisy), "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["stop_reason"] == "noise level" and report["converged"]
+    assert report["iters"] < 30
+    assert report["noise_var"] == pytest.approx(1.0, rel=0.1)  # standard normal entries
+    assert "fit stopped at the noise level" in caplog.text
 
 
 def test_fpca_and_verify_round_trip(tmp_path):
