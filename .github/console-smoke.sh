@@ -9,6 +9,7 @@
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema. The fit's report must name one of the
 # three stop reasons, and the fit must exit 4 exactly when it is the sweep cap.
+# The marginal-rank report must choose exactly one of its two candidates.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -24,7 +25,7 @@ cat > run.json <<'JSON'
  "grids": [{"equispaced": 12}, {"equispaced": 12.0}],
  "solver": {"rank": 2.0, "lambda_coef": 1e-8, "max_outer_iters": 30.0},
  "seed": 1, "center": true,
- "selection": {"marginal_rank_candidates": [[3, 4], [5, 6]], "marginal_rank_threshold": 0.2,
+ "selection": {"marginal_rank_candidates": [[3, 4], [5, 6]],
                "rank_grid": [1, 2, 3], "lambda_grid": [[1e-8, 1e-8], [1e-4, 1e-4]], "n_folds": 2}}
 JSON
 cat > sim-list.json <<'JSON'
@@ -72,6 +73,11 @@ mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode g
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode cv
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel2 --mode cv --seed 2
 test -s sel/selection_marginal_rank.csv && test -s sel/selection_global_rank.csv
+python - <<'PY'
+import csv
+rows = list(csv.DictReader(open("sel/selection_marginal_rank.csv")))
+assert len(rows) == 2 and [r["chosen"] for r in rows].count("1") == 1, rows
+PY
 test -s sel/selection_cv.csv && test -s sel2/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm

@@ -23,6 +23,7 @@ bit-identical to ``scipy.interpolate.BSpline`` without importing it.
 
 from __future__ import annotations
 
+import functools
 from typing import Union
 
 import numpy as np
@@ -246,9 +247,17 @@ def basis_from_dict(spec: dict) -> MarginalBasis:
     return {"bspline": BSplineBasis, "fourier": FourierBasis}[s.pop("kind")](**s)
 
 
+@functools.cache
+def _legendre_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule on [-1, 1], once per point count, read-only."""
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_nodes(basis: MarginalBasis, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights over the basis breakpoints."""
-    ref_x, ref_w = np.polynomial.legendre.leggauss(npoints)
+    ref_x, ref_w = _legendre_rule(npoints)
     bp = basis.breakpoints
     lo, hi = bp[:-1], bp[1:]
     half = 0.5 * (hi - lo)

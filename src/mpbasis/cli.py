@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, fpca, reduction, selection, sim
+from . import fileio, fpca, selection, sim
 from .config import load_run_config, load_sim_config
 from .errors import NumericalError
 from .pipeline import fit_mpb
@@ -102,36 +102,20 @@ def cmd_select(args) -> int:
     y = fileio.read_tensor(args.tensor)
     grids = cfg.build_grids(y.shape[:-1])
     out = _outdir(args)
-    if cfg.center and args.mode == "marginal-rank":  # its denominator is the centered y energy
-        y = y - y.mean(axis=-1, keepdims=True)
     sel = cfg.selection
     if args.mode == "marginal-rank":
-        report = selection.select_marginal_rank(
-            y, grids, cfg.candidate_bases(), **_given(sel, threshold="marginal_rank_threshold")
-        )
+        report = selection.select_marginal_rank(y, grids, cfg.candidate_bases(), center=cfg.center)
     elif args.mode == "global-rank":
         if "rank_grid" not in sel:
             raise ValueError("config is missing selection.rank_grid")
-        prepared = reduction.prepare(y, grids, cfg.bases, cfg.penalty_orders)
-        if cfg.center:  # as fit_mpb centers
-            prepared = prepared.centered(y.mean(axis=-1))
         report = selection.sweep_global_rank(
-            prepared.g_hat,
-            prepared.t_mats,
-            cfg.solver,
-            sel["rank_grid"],
-            **_given(sel, threshold="rank_threshold"),
+            y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, sel["rank_grid"],
+            center=cfg.center, **_given(sel, threshold="rank_threshold"),
         )
     else:  # cv
         report = selection.cv_lambda_grid(
-            y,
-            grids,
-            cfg.bases,
-            cfg.penalty_orders,
-            cfg.solver,
-            seed=cfg.solver.seed,
-            center=cfg.center,
-            **_given(sel, lambda_grid="lambda_grid", n_folds="n_folds"),
+            y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, seed=cfg.solver.seed,
+            center=cfg.center, **_given(sel, lambda_grid="lambda_grid", n_folds="n_folds"),
         )
     path = out / f"selection_{args.mode.replace('-', '_')}.csv"
     report.write_csv(path)

@@ -61,10 +61,10 @@ def fit_mpb(
     The fit stops at the noise level: after the first sweep whose residual
     is at most ``noise_var * solver.residual_dof``, the in-span noise energy
     a rank-K fit leaves, with ``noise_var`` the reduction's estimate
-    (:attr:`reduction.PreparedProblem.noise_var`). That rule is off, and
-    the fit runs to its tolerance or cap, for a lasso penalty (whose degrees
-    of freedom differ), without a noise estimate, or without residual
-    degrees of freedom.
+    (:attr:`reduction.PreparedProblem.noise_var`), for N - 1 subjects after
+    centering. That rule is off, and the fit runs to its tolerance or cap,
+    for a lasso penalty (whose degrees of freedom differ), without a noise
+    estimate, or without residual degrees of freedom.
 
     Parameters
     ----------
@@ -106,7 +106,8 @@ def fit_mpb(
         raise ValueError("data tensor has zero norm")
     noise_var, target = prepared.noise_var, None
     if noise_var is not None and config.coef_penalty != "lasso":
-        dof = solver.residual_dof(prepared.g_hat.shape, config.rank)
+        *ms, n = prepared.g_hat.shape  # centering takes one subject's freedom
+        dof = solver.residual_dof((*ms, n - prepared.mean_removed), config.rank)
         target = noise_var * dof if dof > 0 else None
     state = solver.fit(prepared.g_hat, prepared.t_mats, config, noise_target=target)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]

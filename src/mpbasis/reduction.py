@@ -160,7 +160,8 @@ class PreparedProblem:
     the grids, bases and penalty orders it was prepared from, so that a fit
     can check it is given the same ones. ``y_sq`` holds each subject's share
     of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
-    :meth:`centered`, so that its sum is the energy of the data fitted.
+    :meth:`centered`, so that its sum is the energy of the data fitted;
+    ``mean_removed`` says whether :meth:`centered` made it.
     """
 
     facs: tuple[MarginalFactorization, ...]
@@ -170,6 +171,14 @@ class PreparedProblem:
     grids: tuple[np.ndarray, ...]
     bases: tuple
     penalty_orders: tuple[int, ...]
+    mean_removed: bool = False
+
+    @property
+    def noise_dof(self) -> int:
+        """Degrees of freedom outside the span of the compression: ``prod n_d -
+        prod m_d`` per subject, for N subjects or N - 1 after :meth:`centered`."""
+        n_out = math.prod(f.n for f in self.facs) - math.prod(f.m for f in self.facs)
+        return (self.g_hat.shape[-1] - self.mean_removed) * n_out
 
     def subjects(self, index) -> PreparedProblem:
         """The same problem for the subjects ``index`` selects (a boolean
@@ -187,25 +196,22 @@ class PreparedProblem:
         if grid_mean.shape != grid_shape:
             raise ValueError(f"grid mean has shape {grid_mean.shape}, expected {grid_shape}")
         flat = grid_mean.ravel()
-        g = self.g_hat
-        return replace(
-            self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=self.y_sq - float(flat @ flat)
-        )
+        g, sq = self.g_hat, self.y_sq - float(flat @ flat)
+        return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean_removed=True)
 
     @property
     def noise_var(self) -> float | None:
         """The white-noise variance estimated from the energy outside the
-        span of the compression: ``(sum |y_i|^2 - |g_hat|^2) / (N (prod n_d -
-        prod m_d))``. The difference equals :func:`out_of_span_sq`'s sum and
-        costs no pass over the data. None when ``prod n_d = prod m_d`` or
-        when that energy is at or below :data:`NOISE_FLOOR` times the data
-        energy."""
-        n_out = math.prod(f.n for f in self.facs) - math.prod(f.m for f in self.facs)
+        span of the compression: ``(sum |y_i|^2 - |g_hat|^2) / noise_dof``.
+        The difference equals :func:`out_of_span_sq`'s sum and costs no pass
+        over the data. None when ``noise_dof`` is 0 or when that energy is at
+        or below :data:`NOISE_FLOOR` times the data energy."""
+        dof = self.noise_dof
         total = float(self.y_sq.sum())
         outside = total - float(np.sum(self.g_hat**2))
-        if n_out == 0 or not outside > NOISE_FLOOR * total:
+        if dof == 0 or not outside > NOISE_FLOOR * total:
             return None
-        return outside / (self.g_hat.shape[-1] * n_out)
+        return outside / dof
 
     def check_source(
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]
@@ -268,7 +274,7 @@ def prepare(
     order-``penalty_orders[d]`` roughness penalty of each basis, compresses
     ``y`` and takes each subject's energy ``|y_i|^2`` in one pass. Without
     ``penalty_orders``, ``t_mats`` is empty: the reduction alone, which
-    :func:`selection.marginal_rank_criterion` measures.
+    :func:`selection.select_marginal_rank` measures.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     orders = () if penalty_orders is None else penalty_orders

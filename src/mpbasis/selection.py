@@ -1,17 +1,19 @@
 """Data-driven hyperparameter selection: basis ranks, decomposition rank and
 penalty weights.
 
-Three criteria are provided. The marginal-rank criterion measures the share
-of data energy captured by the compression onto candidate basis systems and
-can be evaluated without running the solver. The global-rank criterion is the
-normalized residual of a fitted decomposition. Penalty weights are chosen by
-subject-held-out cross validation over a 2-d grid of (marginal, coefficient)
-weights.
+Every criterion reduces the data as :func:`fit_mpb` does, by
+:func:`reduction.prepare` and, with ``center``,
+:meth:`reduction.PreparedProblem.centered`. The marginal-rank criterion is the
+noise variance estimated outside the span of each candidate's compression, no
+solver run needed; the global-rank criterion is the normalized residual of a
+fitted decomposition. Penalty weights are chosen by subject-held-out cross
+validation over a 2-d grid of (marginal, coefficient) weights.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -26,11 +28,15 @@ from .solver import SolverConfig
 __all__ = [
     "SelectionRecord",
     "SelectionReport",
-    "marginal_rank_criterion",
     "select_marginal_rank",
     "sweep_global_rank",
     "cv_lambda_grid",
 ]
+
+#: :func:`select_marginal_rank` takes a candidate whose noise estimate is
+#: within this many sampling standard deviations, sqrt(2 / dof) relative,
+#: of the smallest estimate over the candidates.
+NOISE_TOL_SDS = 2.0
 
 
 @dataclass
@@ -42,7 +48,7 @@ class SelectionRecord:
 
 @dataclass
 class SelectionReport:
-    kind: str  # one of "marginal_variance", "normalized_residual", "cv_error"
+    kind: str  # one of "noise_var", "normalized_residual", "cv_error"
     records: list[SelectionRecord]
 
     @property
@@ -63,86 +69,79 @@ class SelectionReport:
                 )
 
 
-def marginal_rank_criterion(
-    y: np.ndarray, bases: Sequence, grids: Sequence[np.ndarray]
-) -> float:
-    """Fraction of data energy captured by compression onto the given bases.
-
-    Equals the squared norm of the compressed tensor over the squared norm of
-    the data, a number in [0, 1] that grows toward 1 as the basis ranks
-    approach the grid sizes. The data is reduced by :func:`reduction.prepare`,
-    as every fit reduces it, without penalty orders; the data energy is the
-    one it takes.
-    """
-    prepared = reduction.prepare(y, grids, bases)
-    y_norm_sq = float(prepared.y_sq.sum())
-    if y_norm_sq == 0.0:
-        raise ValueError("data tensor has zero norm")
-    return min(float(np.sum(prepared.g_hat**2)) / y_norm_sq, 1.0)
-
-
 def select_marginal_rank(
     y: np.ndarray,
     grids: Sequence[np.ndarray],
     candidates: Sequence[Sequence],
-    threshold: float = 0.90,
+    center: bool = False,
 ) -> SelectionReport:
-    """Sweep candidate basis systems; choose the first one whose captured
-    energy meets the threshold.
+    """Choose the smallest candidate basis system that holds the signal.
 
-    ``candidates`` is a list of basis lists ordered from smallest to largest;
-    if none reaches the threshold the candidate with the largest criterion is
-    chosen and a warning is issued.
+    ``candidates`` is a list of basis lists ordered from smallest to largest.
+    Each is reduced as :func:`fit_mpb` reduces data, and its criterion is
+    its noise estimate σ̂² (``PreparedProblem.noise_var``), or 0 where the
+    energy outside its span is at rounding level (noise-free data). The
+    first candidate at rounding level is chosen; otherwise the first whose
+    σ̂² is at most ``1 + NOISE_TOL_SDS * sqrt(2 / noise_dof)`` times the
+    smallest: once a candidate holds the signal, its σ̂² estimates the
+    white-noise variance. A candidate that leaves no degrees of freedom
+    (``prod m_d = prod n_d``) and data of zero norm raise ``ValueError``.
     """
     if not candidates:
         raise ValueError("need at least one candidate basis system")
-    records = []
+    mean = np.asarray(y, dtype=float).mean(axis=-1) if center else None
+    records, tols = [], []
     for bases in candidates:
-        ratio = marginal_rank_criterion(y, bases, grids)
-        records.append(
-            SelectionRecord(
-                params={f"rank_{d}": b.rank for d, b in enumerate(bases)},
-                criterion=ratio,
-            )
-        )
-    chosen = next((i for i, r in enumerate(records) if r.criterion >= threshold), None)
-    if chosen is None:
-        chosen = int(np.argmax([r.criterion for r in records]))
-        warnings.warn(
-            f"no candidate reached the threshold {threshold}; "
-            "choosing the best available",
-            RuntimeWarning,
-        )
-    records[chosen].chosen = True
-    return SelectionReport(kind="marginal_variance", records=records)
+        prepared = reduction.prepare(y, grids, bases)
+        prepared = prepared.centered(mean) if center else prepared
+        ranks, dof = [b.rank for b in bases], prepared.noise_dof
+        if dof == 0:
+            raise ValueError(f"candidate ranks {ranks} leave the noise estimate no freedom")
+        if not prepared.y_sq.sum() > 0.0:
+            raise ValueError("data tensor has zero norm")
+        tols.append(1.0 + NOISE_TOL_SDS * math.sqrt(2.0 / dof))
+        params = {f"rank_{d}": r for d, r in enumerate(ranks)}
+        records.append(SelectionRecord(params=params, criterion=prepared.noise_var or 0.0))
+    least = min(r.criterion for r in records)
+    next(r for r, tol in zip(records, tols) if r.criterion <= tol * least).chosen = True
+    return SelectionReport(kind="noise_var", records=records)
 
 
 def sweep_global_rank(
-    g_hat: np.ndarray,
-    t_mats: Sequence[np.ndarray],
+    y: np.ndarray,
+    grids: Sequence[np.ndarray],
+    bases: Sequence,
+    penalty_orders: Sequence[int],
     config: SolverConfig,
     k_grid: Sequence[int],
     threshold: float = 0.05,
+    center: bool = False,
 ) -> SelectionReport:
-    """Fit a grid of ranks and report the normalized residual per rank.
+    """Fit a grid of ranks to the data reduced as :func:`fit_mpb` reduces it,
+    and report the normalized residual per rank.
 
     The criterion is the fit's ``SolverState.residual_sq`` over ``|g_hat|^2``,
     as ``FitReport.residual_ratio``. Each fit after the first is warm-started
     from the previous one: :func:`solver.fit` completes it to the larger rank
     with components that leave its tensor unchanged, so each fit starts from
-    the previous fit's residual. The chosen rank is the smallest meeting the
-    threshold (largest otherwise). A ``k_grid`` that is not strictly increasing
-    integers >= 1, or a zero ``g_hat``, raises ``ValueError``.
+    the previous fit's residual; no fit stops at the noise level. The chosen
+    rank is the smallest meeting the threshold (largest otherwise). A
+    ``k_grid`` that is not strictly increasing integers >= 1, or a zero
+    ``g_hat``, raises ``ValueError``.
     """
     k_grid = [as_int(k, "k_grid") for k in k_grid]
     if not k_grid or k_grid[0] < 1 or sorted(set(k_grid)) != k_grid:
         raise ValueError(f"k_grid must be strictly increasing integers >= 1, got {k_grid!r}")
-    g_norm_sq = float(np.sum(np.asarray(g_hat) ** 2))
+    prepared = reduction.prepare(y, grids, bases, penalty_orders)
+    if center:
+        prepared = prepared.centered(np.asarray(y, dtype=float).mean(axis=-1))
+    g_hat = prepared.g_hat
+    g_norm_sq = float(np.sum(g_hat**2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
     records, state = [], None
     for k in k_grid:
-        state = solver.fit(g_hat, t_mats, replace(config, rank=k), initial_state=state)
+        state = solver.fit(g_hat, prepared.t_mats, replace(config, rank=k), initial_state=state)
         records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
     chosen = next((i for i, r in enumerate(records) if r.criterion <= threshold), None)
     if chosen is None:

@@ -355,3 +355,31 @@ def test_custom_knots_round_trip():
     rebuilt = BSplineBasis((0.0, 1.0), 7, knots=np.array(basis.to_dict()["knots"]))
     x = np.linspace(0, 1, 50)
     assert np.array_equal(basis.evaluate(x), rebuilt.evaluate(x))
+
+
+def test_quadrature_rule_is_computed_once_per_point_count_and_read_only(monkeypatch):
+    from mpbasis import basis as basis_mod
+
+    calls, leggauss = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n)
+    )
+    basis_mod._legendre_rule.cache_clear()
+    fourier = FourierBasis((0.0, 1.0), 15)
+    first = penalty_matrix(fourier, 2)
+    again = penalty_matrix(FourierBasis((0.0, 1.0), 15), 2)
+    assert calls == [8] and np.array_equal(first, again)
+    x, w = basis_mod._legendre_rule(8)
+    assert not (x.flags.writeable or w.flags.writeable)
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    # the cached rule gives the matrix that a fresh rule gives, bit for bit
+    basis_mod._legendre_rule.cache_clear()
+    bp = fourier.breakpoints
+    ref_x, ref_w = leggauss(8)
+    half, mid = 0.5 * (bp[1:] - bp[:-1]), 0.5 * (bp[1:] + bp[:-1])
+    nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
+    weights = (half[:, None] * ref_w[None, :]).ravel()
+    d2 = fourier.evaluate(nodes, deriv=2)
+    ref = d2.T @ (weights[:, None] * d2)
+    assert np.array_equal(first, 0.5 * (ref + ref.T))

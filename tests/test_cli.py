@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import json
 import logging
 import struct
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from mpbasis import basis as basis_mod
-from mpbasis import fileio, reduction, selection
+from mpbasis import fileio, reduction, selection, solver
 from mpbasis.cli import main
 from mpbasis.fpca import FPCAResult, run_fpca
 from mpbasis.model import MPBModel
@@ -177,10 +178,7 @@ def test_select_cv_single_point(tmp_path, rank1_tensor):
 
 def test_select_marginal_rank_row_count(tmp_path, rank1_tensor):
     cfg = base_config(rank=1)
-    cfg["selection"] = {
-        "marginal_rank_candidates": [[3, 3], [5, 5], [7, 7]],
-        "marginal_rank_threshold": 0.9,
-    }
+    cfg["selection"] = {"marginal_rank_candidates": [[3, 3], [5, 5], [7, 7]]}
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     out = tmp_path / "sel"
     code = main(
@@ -200,6 +198,7 @@ def test_select_marginal_rank_row_count(tmp_path, rank1_tensor):
     with open(out / "selection_marginal_rank.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4
+    assert [row[-1] for row in rows[1:]].count("1") == 1
 
 
 def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_tensor):
@@ -225,13 +224,14 @@ def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_
         for fac, b in zip(facs, bases)
     ]
     g_hat = reduction.compress(y, facs)
-    ref = selection.sweep_global_rank(
-        g_hat, t_mats, SolverConfig(**cfg["solver"], seed=3), [1, 2, 3], threshold=0.05
-    )
-    assert [int(r[0]) for r in rows[1:]] == [r.params["rank"] for r in ref.records]
-    for row, rec in zip(rows[1:], ref.records):
-        assert float(row[1]) == pytest.approx(rec.criterion, rel=1e-12)
-        assert int(row[2]) == int(rec.chosen)
+    config, state, ref = SolverConfig(**cfg["solver"], seed=3), None, []
+    for k in (1, 2, 3):  # each rank warm-started from the one before
+        state = solver.fit(g_hat, t_mats, dataclasses.replace(config, rank=k), initial_state=state)
+        ref.append(state.residual_sq / np.sum(g_hat**2))
+    assert [int(r[0]) for r in rows[1:]] == [1, 2, 3]
+    assert [float(r[1]) for r in rows[1:]] == pytest.approx(ref, rel=1e-12)
+    chosen = next((k for k, c in zip((1, 2, 3), ref) if c <= 0.05), 3)
+    assert [int(r[2]) for r in rows[1:]] == [int(k == chosen) for k in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("mode", ["marginal-rank", "global-rank", "cv"])
@@ -244,7 +244,6 @@ def test_select_honours_center(tmp_path, rank1_tensor, mode):
         cfg["center"] = center
         cfg["selection"] = {
             "marginal_rank_candidates": [[3, 3], [5, 5]],
-            "marginal_rank_threshold": 0.0,
             "rank_grid": [1, 2],
             "lambda_grid": [[1e-9, 1e-9]],
             "n_folds": 2,
@@ -287,9 +286,9 @@ def test_select_global_rank_centers_the_compressed_tensor(tmp_path):
     assert peak <= 1.5 * y.nbytes
     with open(out / "selection_global_rank.csv") as fh:
         got = [float(row[1]) for row in list(csv.reader(fh))[1:]]
-    prepared = reduction.prepare(y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2])
     ref = selection.sweep_global_rank(
-        prepared.g_hat, prepared.t_mats, SolverConfig(**cfg["solver"], seed=3), [1, 2]
+        y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2],
+        SolverConfig(**cfg["solver"], seed=3), [1, 2],
     )
     assert got == pytest.approx([r.criterion for r in ref.records], rel=1e-12)
 

@@ -146,7 +146,6 @@ def full_run_config():
         "center": True,
         "selection": {
             "marginal_rank_candidates": [[4, 3], [8, 7]],
-            "marginal_rank_threshold": 0.9,
             "rank_grid": [1, 2],
             "rank_threshold": 0.05,
             "lambda_grid": [[1e-6, 1e-6], [0, 1e-3]],
@@ -254,7 +253,8 @@ REJECTED = [
         "run", ("selection", "marginal_rank_candidates"),
         [], "x", [[0, 3]], [["a", 3]], [[4.5, 3]], [4, 3],
     ),
-    *rows("run", ("selection", "marginal_rank_threshold"), 1.5, -0.1, "x", None),
+    # the marginal-rank rule reads the noise estimate and takes no threshold
+    *rows("run", ("selection", "marginal_rank_threshold"), 0.9),
     *rows("run", ("selection", "rank_grid"), [], [0], "x", [1.5], [True]),
     *rows("run", ("selection", "rank_threshold"), -1.0, "x"),
     *rows(
@@ -293,7 +293,6 @@ NEWLY_REJECTED = [
     *rows("run", ("bases", 1, "knots"), KNOTS),
     *rows("run", ("bases", 0, "period"), 2.0),
     *rows("run", ("solver", "lambda_marginal"), NAN, [0.1, NAN]),
-    *rows("run", ("selection", "marginal_rank_threshold"), NAN),
     *rows("run", ("selection", "rank_threshold"), NAN),
     *rows("run", ("selection", "lambda_grid"), [[NAN, 0.0]]),
     *rows("product", ("ranks",), [6, 5]),
@@ -575,9 +574,8 @@ def api_setting(base, path):
         if path == ("bases", 1, "period"):
             return (lambda **kw: FourierBasis((-1.0, 1.0), 5, **kw)), {}, "period"
         if path == ("selection", "rank_grid"):
-            g_hat = np.random.default_rng(41).standard_normal((5, 4, 3))
-            t_mats = [np.eye(5), np.eye(4)]
-            given = {"g_hat": g_hat, "t_mats": t_mats, "config": SolverConfig(rank=1)}
+            given = _selection_inputs()
+            del given["lambda_grid"], given["n_folds"]
             return sweep_global_rank, given, "k_grid"
         if path in (("selection", "n_folds"), ("selection", "lambda_grid")):
             return cv_lambda_grid, _selection_inputs(), path[1]

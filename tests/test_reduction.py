@@ -22,7 +22,7 @@ from mpbasis.reduction import (
     penalty_transform,
     prepare,
 )
-from mpbasis.selection import cv_lambda_grid, marginal_rank_criterion
+from mpbasis.selection import cv_lambda_grid, select_marginal_rank, sweep_global_rank
 from mpbasis.solver import SolverConfig
 
 
@@ -271,7 +271,11 @@ def _cv(y, grids, bases, orders):
 
 
 def _marginal(y, grids, bases, orders):
-    marginal_rank_criterion(y, bases, grids)
+    select_marginal_rank(y, grids, [bases])
+
+
+def _sweep(y, grids, bases, orders):
+    sweep_global_rank(y, grids, bases, orders, SolverConfig(rank=1, seed=0, max_outer_iters=5), [1])
 
 
 def _project(y, grids, bases, orders):
@@ -290,7 +294,7 @@ _CHECK_CASES = [
 ]
 _ENTRIES = [
     (_prepare, "prepare"), (_fit, "fit_mpb"), (_cv, "cv"), (_marginal, "marginal_rank"),
-    (_project, "project"),
+    (_sweep, "global_rank"), (_project, "project"),
 ]
 
 
@@ -305,7 +309,6 @@ _ENTRIES = [
     ],
 )
 def test_input_checks_shared_by_every_entry_point(case, match, entry):
-    # `select --mode global-rank` calls prepare itself, so it shares them too
     bases, grids, y = small_problem(np.random.default_rng(30))
     orders = [2, 2]
     if case == "modes":
@@ -325,7 +328,7 @@ def test_input_checks_shared_by_every_entry_point(case, match, entry):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("entry", [_fit, _cv, _marginal, _project])
+@pytest.mark.parametrize("entry", [_fit, _cv, _marginal, _sweep, _project])
 def test_non_finite_data_is_refused_naming_the_data_tensor(entry, bad):
     # checked on the compressed tensor, which every NaN or inf reaches
     bases, grids, y = small_problem(np.random.default_rng(35))

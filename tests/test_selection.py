@@ -1,6 +1,7 @@
 """Hyperparameter selection criteria and the cross-validation harness."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,115 +13,116 @@ from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import compress, decompress, factorize, prepare
 from mpbasis.selection import (
+    NOISE_TOL_SDS,
     SelectionRecord,
     SelectionReport,
     _fold_assignment,
     cv_lambda_grid,
-    marginal_rank_criterion,
     select_marginal_rank,
     sweep_global_rank,
 )
-from mpbasis.sim import ProductSimConfig, generate_product_sample
+from mpbasis.sim import Gp2dSimConfig, ProductSimConfig, generate_gp2d_sample, generate_product_sample
 from mpbasis.solver import SolverConfig
 
+#: Criterion 1's simulation design: Fourier marginals of true rank 11.
+PRODUCT = ProductSimConfig(
+    n_dims=3, marginal_rank=11, true_rank=10, coef_sd=0.3, noise_var=0.5,
+    grid_size=30, n_subjects=5, seed=20_240_501,
+)
 
-def test_marginal_criterion_full_rank_is_one():
+
+def fourier_candidates(ranks):
+    return [[FourierBasis((0.0, 1.0), m) for _ in range(3)] for m in ranks]
+
+
+def test_select_marginal_rank_refuses_a_candidate_that_spans_the_grid():
     rng = np.random.default_rng(0)
     n = 12
     grids = [np.linspace(0, 1, n)]
-    bases = [BSplineBasis((0.0, 1.0), n)]  # square invertible evaluation
     y = rng.standard_normal((n, 4))
-    assert marginal_rank_criterion(y, bases, grids) == pytest.approx(1.0, abs=1e-12)
+    candidates = [[BSplineBasis((0.0, 1.0), 5)], [BSplineBasis((0.0, 1.0), n)]]
+    with pytest.raises(ValueError, match=r"candidate ranks \[12\] leave the noise estimate no freedom"):
+        select_marginal_rank(y, grids, candidates)
 
 
-def test_marginal_criterion_in_span_data():
-    rng = np.random.default_rng(1)
-    grids = [np.linspace(0, 1, 20), np.linspace(0, 1, 18)]
-    bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 5)]
-    model = MPBModel(
-        bases=bases,
-        coefs=[rng.standard_normal((6, 2)), rng.standard_normal((5, 2))],
-        subject_coefs=rng.standard_normal((3, 2)),
-    )
-    y = model.evaluate_subjects(grids)
-    assert marginal_rank_criterion(y, bases, grids) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_marginal_criterion_matches_projection_oracle():
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+def test_marginal_criterion_is_the_noise_estimate_of_the_projection(center):
+    # the out-of-span energy by the decompress oracle, over N (N - 1 when
+    # centered) subjects times prod n_d - prod m_d coordinates
     rng = np.random.default_rng(2)
     grids = [np.linspace(0, 1, 15), np.linspace(0, 1, 14)]
     bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 7)]
-    y = rng.standard_normal((15, 14, 5))
-    got = marginal_rank_criterion(y, bases, grids)
+    y = rng.standard_normal((15, 14, 5)) + 3.0
+    got = select_marginal_rank(y, grids, [bases], center=center).records[0].criterion
+    if center:
+        y = y - y.mean(axis=-1, keepdims=True)
     facs = [factorize(b.evaluate(g)) for b, g in zip(bases, grids)]
-    proj = decompress(compress(y, facs), facs)
-    ref = np.sum(proj**2) / np.sum(y**2)
-    assert got == pytest.approx(ref, rel=1e-10)
+    out = np.sum((y - decompress(compress(y, facs), facs)) ** 2)
+    assert got == pytest.approx(out / ((5 - center) * (15 * 14 - 6 * 7)), rel=1e-10)
 
 
 def test_marginal_criterion_makes_no_grid_sized_temporary():
-    # an 80 x 70 grid and 40 subjects (1.8 MB); squaring y for its energy
-    # would allocate as much again
+    # an 80 x 70 grid and 40 subjects (1.8 MB), centered: subtracting the
+    # mean from a copy of y, or squaring y for its energy, would allocate as
+    # much again
     rng = np.random.default_rng(5)
     y = rng.standard_normal((80, 70, 40))
     grids = [np.linspace(0, 1, 80), np.linspace(0, 1, 70)]
     bases = [BSplineBasis((0.0, 1.0), 8), BSplineBasis((0.0, 1.0), 7)]
     tracemalloc.start()
     try:
-        got = marginal_rank_criterion(y, bases, grids)
+        got = select_marginal_rank(y, grids, [bases], center=True).records[0].criterion
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * y.nbytes
-    facs = [factorize(b.evaluate(g)) for b, g in zip(bases, grids)]
-    assert got == pytest.approx(np.sum(compress(y, facs) ** 2) / np.sum(y**2), rel=1e-12)
+    ref = prepare(y - y.mean(axis=-1, keepdims=True), grids, bases).noise_var
+    assert got == pytest.approx(ref * 40 / 39, rel=1e-10)
 
 
-def test_marginal_criterion_reduces_through_prepare(monkeypatch):
-    # one reduction path: the criterion is prepare's compressed energy, with no
-    # penalty transported and no factorization of its own
+def test_marginal_criterion_reduces_through_prepare_and_centered(monkeypatch):
+    # one reduction path: prepare without penalty orders, then centered by
+    # the grid mean, once per candidate, with no factorization of its own
     bases, grids, y = small_problem(np.random.default_rng(3))
+    candidates = [bases, [BSplineBasis((0.0, 1.0), 7), FourierBasis((0.0, 1.0), 7)]]
     calls, prep = [], reduction.prepare
+    means, centered = [], reduction.PreparedProblem.centered
 
     def recording_prepare(*args, **kwargs):
         calls.append((args, kwargs))
         return prep(*args, **kwargs)
 
+    def recording_centered(self, grid_mean):
+        means.append(grid_mean)
+        return centered(self, grid_mean)
+
     monkeypatch.setattr(reduction, "prepare", recording_prepare)
-    got = marginal_rank_criterion(y, bases, grids)
-    assert len(calls) == 1 and len(calls[0][0]) == 3 and not calls[0][1]
-    g_hat = prep(y, grids, bases).g_hat
-    assert got == pytest.approx(np.sum(g_hat**2) / np.sum(y**2), rel=1e-14)
-
-
-def test_marginal_criterion_checks_one_grid_per_basis():
-    grids = [np.linspace(0, 1, 15), np.linspace(0, 1, 14), np.linspace(0, 1, 13)]
-    bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 7)]
-    y = np.random.default_rng(2).standard_normal((15, 14, 5))
-    with pytest.raises(ValueError, match="need one grid per dimension"):
-        marginal_rank_criterion(y, bases, grids)
+    monkeypatch.setattr(reduction.PreparedProblem, "centered", recording_centered)
+    report = select_marginal_rank(y, grids, candidates, center=True)
+    assert [len(a) for a, _ in calls] == [3, 3] and not any(kw for _, kw in calls)
+    assert len(means) == 2 and all(np.array_equal(m, y.mean(axis=-1)) for m in means)
+    for record, cand in zip(report.records, candidates):
+        assert record.criterion == centered(prep(y, grids, cand), y.mean(axis=-1)).noise_var
 
 
 def test_marginal_criterion_zero_norm_raises():
     with pytest.raises(ValueError, match="zero norm"):
-        marginal_rank_criterion(
-            np.zeros((10, 2)), [BSplineBasis((0.0, 1.0), 5)], [np.linspace(0, 1, 10)]
+        select_marginal_rank(
+            np.zeros((10, 2)), [np.linspace(0, 1, 10)], [[BSplineBasis((0.0, 1.0), 5)]]
         )
 
 
-def test_marginal_criterion_nondecreasing_along_nested_refinement():
-    # dyadic interior-knot refinement gives nested spline spaces
+def test_marginal_criterion_energy_nonincreasing_along_nested_refinement():
+    # dyadic interior-knot refinement gives nested spline spaces, so the
+    # energy outside the span, criterion times its degrees of freedom, falls
     rng = np.random.default_rng(3)
     n = 65
     grids = [np.linspace(0, 1, n)]
     y = rng.standard_normal((n, 6))
     ranks = [4 + j for j in (0, 1, 3, 7, 15)]  # interior knots 0,1,3,7,15
-    values = []
-    for m in ranks:
-        values.append(
-            marginal_rank_criterion(y, [BSplineBasis((0.0, 1.0), m)], grids)
-        )
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    report = select_marginal_rank(y, grids, [[BSplineBasis((0.0, 1.0), m)] for m in ranks])
+    energy = [r.criterion * 6 * (n - m) for r, m in zip(report.records, ranks)]
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(energy, energy[1:]))
 
 
 def test_select_marginal_rank_stops_at_containing_rank():
@@ -136,13 +138,67 @@ def test_select_marginal_rank_stops_at_containing_rank():
     candidates = [
         [BSplineBasis((0.0, 1.0), 4 + j) for _ in range(2)] for j in (0, 1, 3, 7, 15)
     ]
-    report = select_marginal_rank(y, grids, candidates, threshold=1.0 - 1e-9)
-    assert report.kind == "marginal_variance"
-    # rank 7 is the generating space, the first candidate containing the data
+    report = select_marginal_rank(y, grids, candidates)
+    assert report.kind == "noise_var"
+    # rank 7 is the generating space, the first candidate containing the
+    # data: its out-of-span energy is rounding, and its criterion reads 0
     assert report.chosen.params == {"rank_0": 7, "rank_1": 7}
+    assert report.chosen.criterion == 0.0
     assert len(report.records) == 5
-    below = [r.criterion for r in report.records[:2]]
-    assert max(below) < 1.0 - 1e-9
+    assert min(r.criterion for r in report.records[:2]) > 0.0
+
+
+def test_select_marginal_rank_takes_the_smallest_candidate_on_white_noise():
+    # no signal: every candidate's criterion estimates the same variance
+    rng = np.random.default_rng(6)
+    grids = [np.linspace(0, 1, 30)] * 2
+    y = rng.standard_normal((30, 30, 3))
+    candidates = [[BSplineBasis((0.0, 1.0), r)] * 2 for r in (4, 8, 6)]
+    report = select_marginal_rank(y, grids, candidates)
+    assert [r.chosen for r in report.records] == [True, False, False]
+    assert all(r.criterion == pytest.approx(1.0, rel=0.1) for r in report.records)
+
+
+def test_select_marginal_rank_finds_the_true_fourier_rank_of_criterion_1():
+    # replications 0-9, Fourier candidates 5-21: the criterion drops to the
+    # noise variance 0.5 at the true rank 11 and stays there
+    ranks = list(range(5, 22, 2))
+    picked = []
+    for rep in range(10):
+        sample = generate_product_sample(PRODUCT, replication=rep)
+        report = select_marginal_rank(sample.noisy, sample.grids, fourier_candidates(ranks))
+        crit = [r.criterion for r in report.records]
+        i = next(i for i, r in enumerate(report.records) if r.chosen)
+        dof = [5 * (30**3 - m**3) for m in ranks]
+        tol = [1 + NOISE_TOL_SDS * np.sqrt(2 / d) for d in dof]
+        assert crit[i] <= tol[i] * min(crit)
+        assert all(c > t * min(crit) for c, t in zip(crit[:i], tol[:i]))
+        picked.append(report.chosen.params["rank_0"])
+    assert sum(m == 11 for m in picked) >= 9, picked
+
+
+def test_select_marginal_rank_finds_the_gp2d_spline_ranks():
+    # noise-free fields in the span of (10, 8) cubic splines: that candidate
+    # alone reads at rounding level; the others are not nested in it
+    cfg = Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=0, seed=42)
+    pairs = [(6, 5), (8, 6), (10, 8), (12, 10), (16, 14)]
+    candidates = [[BSplineBasis((0.0, 1.0), a), BSplineBasis((0.0, 1.0), b)] for a, b in pairs]
+    for rep in range(5):
+        s = generate_gp2d_sample(cfg, replication=rep)
+        report = select_marginal_rank(s.train, s.grids, candidates)
+        assert report.chosen.params == {"rank_0": 10, "rank_1": 8}
+        if rep <= 2:
+            assert [r.criterion == 0.0 for r in report.records] == [p == (10, 8) for p in pairs]
+
+
+def test_select_marginal_rank_centered_choice_ignores_an_offset():
+    sample = generate_product_sample(PRODUCT, replication=0)
+    candidates = fourier_candidates([7, 9, 11, 13])
+    ref = select_marginal_rank(sample.noisy, sample.grids, candidates, center=True)
+    got = select_marginal_rank(sample.noisy + 3.0, sample.grids, candidates, center=True)
+    assert got.chosen.params == ref.chosen.params == {"rank_0": 11, "rank_1": 11, "rank_2": 11}
+    for g, r in zip(got.records, ref.records):
+        assert g.criterion == pytest.approx(r.criterion, rel=1e-9)
 
 
 def small_problem(rng):
@@ -170,6 +226,10 @@ def refuse_fits(*args, **kwargs):
     raise AssertionError("solver.fit was called")
 
 
+def refuse_prepare(*args, **kwargs):
+    raise AssertionError("the data was reduced before the settings were checked")
+
+
 def test_global_rank_criterion_cases(monkeypatch):
     # the fit keeps |g - X|^2 of the decomposition X it returns, on a cold and
     # a warm start, and the fit report and the rank sweep read it
@@ -191,7 +251,7 @@ def test_global_rank_criterion_cases(monkeypatch):
         assert report.residual_ratio == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
         del fits[:]
         with pytest.warns(RuntimeWarning, match="no rank reached"):
-            sweep = sweep_global_rank(g, prepared.t_mats, cfg, [1, 2, 3], threshold=0.0)
+            sweep = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3], threshold=0.0)
         assert len(fits) == 3  # the ranks after the first start warm
         for record, (_, state) in zip(sweep.records, fits):
             assert record.criterion == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
@@ -208,7 +268,7 @@ def test_residual_is_formed_once_per_objective(monkeypatch):
     assert len(calls) == state.iters + 1
     del calls[:]
     fits = record_fits(monkeypatch, calls)
-    sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [1, 2, 3], threshold=1.0)
+    sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3], threshold=1.0)
     starts = [start for start, _ in fits] + [len(calls)]
     assert np.diff(starts).tolist() == [state.iters + 1 for _, state in fits]
 
@@ -221,14 +281,14 @@ def test_zero_data_is_refused_before_fitting(monkeypatch):
     with pytest.raises(ValueError, match="zero norm"):
         fit_mpb(prepared, grids, bases, [2, 2], cfg)
     with pytest.raises(ValueError, match="zero norm"):
-        sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [1, 2])
+        sweep_global_rank(np.zeros_like(y), grids, bases, [2, 2], cfg, [1, 2])
 
 
 def test_sweep_global_rank_refuses_an_empty_grid(monkeypatch):
-    monkeypatch.setattr(solver, "fit", refuse_fits)
-    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    monkeypatch.setattr(reduction, "prepare", refuse_prepare)
+    bases, grids, y = small_problem(np.random.default_rng(10))
     with pytest.raises(ValueError, match="k_grid must be strictly increasing integers >= 1"):
-        sweep_global_rank(g, [np.eye(4), np.eye(3)], SolverConfig(rank=1), [])
+        sweep_global_rank(y, grids, bases, [2, 2], SolverConfig(rank=1), [])
 
 
 @pytest.mark.parametrize(
@@ -244,37 +304,59 @@ def test_sweep_global_rank_refuses_an_empty_grid(monkeypatch):
 )
 def test_sweep_global_rank_refuses_a_bad_rank_grid_before_fitting(monkeypatch, k_grid, match):
     # a non-integral rank used to be truncated: [1.7, 2.2] fitted ranks 1 and 2
+    monkeypatch.setattr(reduction, "prepare", refuse_prepare)
     monkeypatch.setattr(solver, "fit", refuse_fits)
-    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    bases, grids, y = small_problem(np.random.default_rng(10))
     with pytest.raises(ValueError, match=match):
-        sweep_global_rank(g, [np.eye(4), np.eye(3)], SolverConfig(rank=1), k_grid)
+        sweep_global_rank(y, grids, bases, [2, 2], SolverConfig(rank=1), k_grid)
 
 
 def test_sweep_global_rank_takes_integral_numbers():
-    g = np.random.default_rng(10).standard_normal((4, 3, 5))
+    bases, grids, y = small_problem(np.random.default_rng(10))
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=5)
-    t_mats = [np.eye(4), np.eye(3)]
     with pytest.warns(RuntimeWarning, match="no rank reached"):
-        whole = sweep_global_rank(g, t_mats, cfg, [1.0, np.int64(2)], threshold=0.0)
+        whole = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1.0, np.int64(2)], threshold=0.0)
     with pytest.warns(RuntimeWarning, match="no rank reached"):
-        ref = sweep_global_rank(g, t_mats, cfg, [1, 2], threshold=0.0)
+        ref = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2], threshold=0.0)
     assert [r.params for r in whole.records] == [{"rank": 1}, {"rank": 2}]
     assert [type(r.params["rank"]) for r in whole.records] == [int, int]
     assert [r.criterion for r in whole.records] == [r.criterion for r in ref.records]
 
 
 def test_sweep_global_rank_monotone_with_warm_start():
-    rng = np.random.default_rng(6)
-    g = rng.standard_normal((6, 5, 8))
-    t_mats = [np.zeros((6, 6)), np.zeros((5, 5))]
+    bases, grids, y = small_problem(np.random.default_rng(6))
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=60, lambda_coef=1e-10)
     # threshold 0 unreachable: the largest rank is chosen with a warning
     with pytest.warns(RuntimeWarning, match="no rank reached"):
-        report = sweep_global_rank(g, t_mats, cfg, k_grid=[1, 2, 4, 6], threshold=0.0)
+        report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid=[1, 2, 4, 6], threshold=0.0)
     values = [r.criterion for r in report.records]
     assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
     assert report.kind == "normalized_residual"
     assert report.chosen.params["rank"] == 6
+
+
+@pytest.mark.parametrize(
+    "center, threshold", [(False, 0.016), (True, 0.6)], ids=["raw", "centered"]
+)  # thresholds between the criteria at K = 1 and 2
+def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center, threshold):
+    # the records and the choice are bit-identical to reducing by prepare,
+    # centering by the grid mean and fitting each rank warm-started, the
+    # steps the caller used to spell out
+    bases, grids, y = small_problem(np.random.default_rng(16))
+    y = y + 3.0
+    cfg = SolverConfig(rank=1, seed=2, max_outer_iters=25, lambda_marginal=1e-6, lambda_coef=1e-6)
+    k_grid = [1, 2, 3]
+    report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid, threshold, center=center)
+    prepared = prepare(y, grids, bases, [2, 2])
+    if center:
+        prepared = prepared.centered(y.mean(axis=-1))
+    g_norm_sq, state, ref = float(np.sum(prepared.g_hat**2)), None, []
+    for k in k_grid:
+        state = solver.fit(prepared.g_hat, prepared.t_mats, replace(cfg, rank=k), initial_state=state)
+        ref.append(state.residual_sq / g_norm_sq)
+    assert [r.criterion for r in report.records] == ref
+    chosen = next(k for k, c in zip(k_grid, ref) if c <= threshold)
+    assert report.chosen.params == {"rank": chosen} and chosen > 1
 
 
 def test_sweep_global_rank_completes_where_a_zero_padded_warm_start_failed():
@@ -288,13 +370,12 @@ def test_sweep_global_rank_completes_where_a_zero_padded_warm_start_failed():
     )
     sample = generate_product_sample(sim_cfg, replication=100_000)
     bases = [FourierBasis((0.0, 1.0), 15) for _ in range(3)]
-    prepared = prepare(sample.noisy, sample.grids, bases, [2, 2, 2])
     cfg = SolverConfig(
         rank=25, lambda_marginal=1e-8, lambda_coef=1e-8, max_outer_iters=50, outer_tol=1e-8,
         seed=0,
     )
     with pytest.warns(RuntimeWarning, match="no rank reached"):
-        report = sweep_global_rank(prepared.g_hat, prepared.t_mats, cfg, [5, 10, 25])
+        report = sweep_global_rank(sample.noisy, sample.grids, bases, [2, 2, 2], cfg, [5, 10, 25])
     values = [r.criterion for r in report.records]
     assert values[0] >= values[1] >= values[2] > 0
 
@@ -526,26 +607,3 @@ def test_cv_criteria_match_grid_reference(monkeypatch, penalty, center):
     labels = _fold_assignment(7, 3, seed=2)  # the folds that seed 2 gives
     ref = grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center)
     assert np.max(np.abs(got - ref) / ref) <= 1e-10
-
-
-def test_select_marginal_rank_takes_the_best_when_no_candidate_reaches_the_threshold():
-    rng = np.random.default_rng(6)
-    grids = [np.linspace(0, 1, 30)] * 2
-    y = rng.standard_normal((30, 30, 3))
-    candidates = [[BSplineBasis((0.0, 1.0), r)] * 2 for r in (4, 8, 6)]
-    with pytest.warns(RuntimeWarning, match="no candidate reached"):
-        report = select_marginal_rank(y, grids, candidates, threshold=0.99)
-    criteria = [r.criterion for r in report.records]
-    assert max(criteria) < 0.99
-    assert [r.chosen for r in report.records] == [c == max(criteria) for c in criteria]
-    assert report.chosen.params == {"rank_0": 8, "rank_1": 8}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_sweep_global_rank_refuses_a_non_finite_compressed_tensor_by_name(value):
-    rng = np.random.default_rng(25)
-    g = rng.standard_normal((5, 4, 6))
-    g[0, 3, 2] = value
-    t_mats = [np.zeros((m, m)) for m in (5, 4)]
-    with pytest.raises(ValueError, match="compressed data tensor has non-finite values"):
-        sweep_global_rank(g, t_mats, SolverConfig(rank=1), [1, 2])

@@ -80,9 +80,35 @@ def test_slices_and_centering_carry_the_data_energy():
     ref = prepare(y[..., pick] - mean[..., None], grids, bases, [2, 2])
     assert got.y_sq.sum() == pytest.approx(ref.y_sq.sum(), rel=1e-12)
     assert np.allclose(got.g_hat, ref.g_hat, rtol=0, atol=1e-12 * np.abs(ref.g_hat).max())
-    assert got.noise_var == pytest.approx(ref.noise_var, rel=1e-10)
+    # the mean takes one of the 4 subjects' worth of freedom, which a
+    # reduction of already-centered data cannot know
+    assert not ref.mean_removed and got.mean_removed and got.noise_dof == 3 * (154 - 30)
+    assert got.noise_var == pytest.approx(ref.noise_var * 4 / 3, rel=1e-10)
     with pytest.raises(ValueError, match=r"grid mean has shape \(14,\), expected \(14, 11\)"):
         part.centered(mean[:, 0])
+
+
+@pytest.mark.parametrize("rep", [0, 1, 2])
+def test_centered_noise_var_agrees_with_the_raw_one(rep):
+    # centering takes the subject mean, one subject's worth of freedom: over
+    # N subjects the centered estimate read 4/5 of the raw one
+    y, prepared = product_problem(rep)
+    centered = prepared.centered(y.mean(axis=-1))
+    assert centered.noise_var == pytest.approx(prepared.noise_var, rel=0.01)
+    assert prepared.noise_var == pytest.approx(PRODUCT.noise_var, rel=0.01)
+
+
+def test_centered_fit_stops_at_the_noise_level_of_n_minus_1_subjects():
+    y, prepared = product_problem(100001)
+    centered = prepared.centered(y.mean(axis=-1))
+    *ms, n = centered.g_hat.shape
+    target = centered.noise_var * residual_dof((*ms, n - 1), PRODUCT_FIT.rank)
+    _, state, report = fit_mpb(y, prepared.grids, PRODUCT_BASES, [2, 2, 2], PRODUCT_FIT, center=True)
+    assert report.noise_var == centered.noise_var
+    assert state.stop_reason == "noise level" and state.residual_sq <= target
+    cfg = replace(PRODUCT_FIT, max_outer_iters=state.iters - 1)
+    plain = solver.fit(centered.g_hat, centered.t_mats, cfg)
+    assert plain.residual_sq > target
 
 
 def test_residual_dof_counts_entries_less_free_parameters():
