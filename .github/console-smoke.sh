@@ -9,7 +9,9 @@
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema. The fit's report must name one of the
 # three stop reasons, and the fit must exit 4 exactly when it is the sweep cap.
-# The marginal-rank report must choose exactly one of its two candidates.
+# The marginal-rank report must choose exactly one of its two candidates, and
+# the global-rank report exactly one of its three ranks; a run config that still
+# sets the removed `selection.rank_threshold` must exit 2.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -77,7 +79,15 @@ python - <<'PY'
 import csv
 rows = list(csv.DictReader(open("sel/selection_marginal_rank.csv")))
 assert len(rows) == 2 and [r["chosen"] for r in rows].count("1") == 1, rows
+rows = list(csv.DictReader(open("sel/selection_global_rank.csv")))
+assert len(rows) == 3 and [r["chosen"] for r in rows].count("1") == 1, rows
 PY
+sed 's/"rank_grid": \[1, 2, 3\]/&, "rank_threshold": 0.05/' run.json > run-threshold.json
+grep -q rank_threshold run-threshold.json
+code=0
+mpbasis select --config run-threshold.json --tensor data/noisy_000.mpbt --out sel3 \
+  --mode global-rank || code=$?
+[ "$code" -eq 2 ] || { echo "rank_threshold exited $code, expected 2" >&2; exit 1; }
 test -s sel/selection_cv.csv && test -s sel2/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm

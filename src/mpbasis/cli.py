@@ -109,8 +109,7 @@ def cmd_select(args) -> int:
         if "rank_grid" not in sel:
             raise ValueError("config is missing selection.rank_grid")
         report = selection.sweep_global_rank(
-            y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, sel["rank_grid"],
-            center=cfg.center, **_given(sel, threshold="rank_threshold"),
+            y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, sel["rank_grid"], center=cfg.center
         )
     else:  # cv
         report = selection.cv_lambda_grid(

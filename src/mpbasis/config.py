@@ -40,7 +40,7 @@ _SOLVER_KEYS = {
 _RANKS = list_of(integer(1), "a nonempty list of integers >= 1", 1)
 _SELECTION_KEYS = {
     "marginal_rank_candidates": list_of(_RANKS, "a nonempty list of rank lists", 1),
-    "rank_threshold": number(0), "rank_grid": _RANKS,
+    "rank_grid": _RANKS,
     "lambda_grid": list_of(
         list_of(number(0), "a pair of numbers >= 0", 2, 2), "a nonempty list of weight pairs", 1
     ),

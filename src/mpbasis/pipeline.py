@@ -59,12 +59,10 @@ def fit_mpb(
     which lets cross validation reduce a sample once and fit slices of it.
     A compressed tensor of zero norm raises ``ValueError`` before the fit.
     The fit stops at the noise level: after the first sweep whose residual
-    is at most ``noise_var * solver.residual_dof``, the in-span noise energy
-    a rank-K fit leaves, with ``noise_var`` the reduction's estimate
-    (:attr:`reduction.PreparedProblem.noise_var`), for N - 1 subjects after
-    centering. That rule is off, and the fit runs to its tolerance or cap,
-    for a lasso penalty (whose degrees of freedom differ), without a noise
-    estimate, or without residual degrees of freedom.
+    is at most :meth:`reduction.PreparedProblem.noise_target`, the in-span
+    noise energy a rank-K fit leaves. That rule is off, and the fit runs to
+    its tolerance or cap, for a lasso penalty (whose degrees of freedom
+    differ) and wherever ``noise_target`` is None.
 
     Parameters
     ----------
@@ -104,11 +102,7 @@ def fit_mpb(
     g_norm_sq = float(np.sum(prepared.g_hat**2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    noise_var, target = prepared.noise_var, None
-    if noise_var is not None and config.coef_penalty != "lasso":
-        *ms, n = prepared.g_hat.shape  # centering takes one subject's freedom
-        dof = solver.residual_dof((*ms, n - prepared.mean_removed), config.rank)
-        target = noise_var * dof if dof > 0 else None
+    target = None if config.coef_penalty == "lasso" else prepared.noise_target(config.rank)
     state = solver.fit(prepared.g_hat, prepared.t_mats, config, noise_target=target)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]
     model = MPBModel(
@@ -123,7 +117,7 @@ def fit_mpb(
         iters=state.iters,
         converged=state.converged,
         stop_reason=state.stop_reason,
-        noise_var=noise_var,
+        noise_var=prepared.noise_var,
         lasso_certified=state.lasso_certified,
         residual_ratio=state.residual_sq / g_norm_sq,
         elapsed_seconds=time.perf_counter() - start,

@@ -28,6 +28,7 @@ from scipy.linalg import solve_triangular
 from . import basis as basis_mod
 from .errors import NumericalError
 from .jsonspec import as_int
+from .solver import residual_dof
 from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
@@ -212,6 +213,14 @@ class PreparedProblem:
         if dof == 0 or not outside > NOISE_FLOOR * total:
             return None
         return outside / dof
+
+    def noise_target(self, rank: int) -> float | None:
+        """``noise_var`` times :func:`solver.residual_dof`, for N - 1 subjects after
+        :meth:`centered`: the residual a rank-``rank`` fit leaves at the noise level, the
+        discrepancy principle's target (Morozov 1966). None without an estimate or freedom."""
+        *ms, n = self.g_hat.shape
+        dof, noise_var = residual_dof((*ms, n - self.mean_removed), rank), self.noise_var
+        return None if noise_var is None or dof <= 0 else noise_var * dof
 
     def check_source(
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]

@@ -3,11 +3,11 @@ penalty weights.
 
 Every criterion reduces the data as :func:`fit_mpb` does, by
 :func:`reduction.prepare` and, with ``center``,
-:meth:`reduction.PreparedProblem.centered`. The marginal-rank criterion is the
-noise variance estimated outside the span of each candidate's compression, no
-solver run needed; the global-rank criterion is the normalized residual of a
-fitted decomposition. Penalty weights are chosen by subject-held-out cross
-validation over a 2-d grid of (marginal, coefficient) weights.
+:meth:`reduction.PreparedProblem.centered`. Both ranks are read off the noise
+level of that reduction: the marginal ranks from the noise variance outside
+the span of each candidate's compression, with no solver run; the global rank
+as the smallest whose fit reaches its noise target. Penalty weights are chosen
+by subject-held-out cross validation over a 2-d grid of (marginal, coefficient) weights.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ __all__ = [
     "cv_lambda_grid",
 ]
 
-#: :func:`select_marginal_rank` takes a candidate whose noise estimate is
-#: within this many sampling standard deviations, sqrt(2 / dof) relative,
-#: of the smallest estimate over the candidates.
+#: Sampling standard deviations, sqrt(2 / dof) relative, by which a noise
+#: estimate may exceed the smallest over the candidates in
+#: :func:`select_marginal_rank`, and a residual its noise target in :func:`sweep_global_rank`.
 NOISE_TOL_SDS = 2.0
 
 
@@ -114,20 +114,25 @@ def sweep_global_rank(
     penalty_orders: Sequence[int],
     config: SolverConfig,
     k_grid: Sequence[int],
-    threshold: float = 0.05,
     center: bool = False,
 ) -> SelectionReport:
-    """Fit a grid of ranks to the data reduced as :func:`fit_mpb` reduces it,
-    and report the normalized residual per rank.
+    """Choose the decomposition rank at the noise level of the data reduced
+    as :func:`fit_mpb` reduces it.
 
-    The criterion is the fit's ``SolverState.residual_sq`` over ``|g_hat|^2``,
-    as ``FitReport.residual_ratio``. Each fit after the first is warm-started
-    from the previous one: :func:`solver.fit` completes it to the larger rank
-    with components that leave its tensor unchanged, so each fit starts from
-    the previous fit's residual; no fit stops at the noise level. The chosen
-    rank is the smallest meeting the threshold (largest otherwise). A
-    ``k_grid`` that is not strictly increasing integers >= 1, or a zero
-    ``g_hat``, raises ``ValueError``.
+    Each fit after the first is warm-started from the previous one:
+    :func:`solver.fit` completes it to the larger rank with components that
+    leave its tensor unchanged. Each ridge fit stops at the noise level, as
+    :func:`fit_mpb`'s does, at ``target_K`` =
+    :meth:`reduction.PreparedProblem.noise_target`; a lasso fit has none.
+    The chosen rank is the smallest whose residual ``SolverState.residual_sq``
+    is at most ``(1 + NOISE_TOL_SDS * sqrt(2 / dof_K)) * target_K +
+    NOISE_FLOOR * |g_hat|^2``, ``dof_K = target_K / noise_var``: the expected
+    white-noise energy a rank-K fit leaves within sampling error, and on
+    noise-free data (no target) rounding level. With no such rank the
+    largest is chosen with a warning. The criterion recorded is the
+    normalized residual, as ``FitReport.residual_ratio``. A ``k_grid`` that
+    is not strictly increasing integers >= 1, or a zero ``g_hat``, raises
+    ``ValueError``.
     """
     k_grid = [as_int(k, "k_grid") for k in k_grid]
     if not k_grid or k_grid[0] < 1 or sorted(set(k_grid)) != k_grid:
@@ -135,21 +140,24 @@ def sweep_global_rank(
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
     if center:
         prepared = prepared.centered(np.asarray(y, dtype=float).mean(axis=-1))
-    g_hat = prepared.g_hat
+    g_hat, noise_var = prepared.g_hat, prepared.noise_var
     g_norm_sq = float(np.sum(g_hat**2))
     if g_norm_sq == 0.0:
         raise ValueError("data tensor has zero norm")
-    records, state = [], None
-    for k in k_grid:
-        state = solver.fit(g_hat, prepared.t_mats, replace(config, rank=k), initial_state=state)
+    records, state, chosen = [], None, None
+    for i, k in enumerate(k_grid):
+        target = None if config.coef_penalty == "lasso" else prepared.noise_target(k)
+        cfg = replace(config, rank=k)
+        state = solver.fit(g_hat, prepared.t_mats, cfg, initial_state=state, noise_target=target)
         records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
-    chosen = next((i for i, r in enumerate(records) if r.criterion <= threshold), None)
+        bound = reduction.NOISE_FLOOR * g_norm_sq
+        if target is not None:  # noise_var * dof_K within NOISE_TOL_SDS * noise_var * sqrt(2 dof_K)
+            bound += target + NOISE_TOL_SDS * math.sqrt(2.0 * noise_var * target)
+        if chosen is None and state.residual_sq <= bound:
+            chosen = i
     if chosen is None:
         chosen = len(records) - 1
-        warnings.warn(
-            f"no rank reached the residual threshold {threshold}; choosing the largest",
-            RuntimeWarning,
-        )
+        warnings.warn("no rank reached the noise level; choosing the largest", RuntimeWarning)
     records[chosen].chosen = True
     return SelectionReport(kind="normalized_residual", records=records)
 

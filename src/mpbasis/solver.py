@@ -673,7 +673,7 @@ def fit(
     noise_target : float, optional
         The residual at which the fit has reached the noise level, the
         discrepancy principle's stopping point (Morozov 1966), as
-        :func:`pipeline.fit_mpb` computes it. None never stops there.
+        :meth:`reduction.PreparedProblem.noise_target` gives it. None never stops there.
     """
     g_hat = np.ascontiguousarray(np.asarray(g_hat, dtype=float))
     n_dims = g_hat.ndim - 1

@@ -203,7 +203,7 @@ def test_select_marginal_rank_row_count(tmp_path, rank1_tensor):
 
 def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_tensor):
     cfg = base_config(rank=1, lambda_coef=1e-10, max_outer_iters=30)
-    cfg["selection"] = {"rank_grid": [1, 2, 3], "rank_threshold": 0.05}
+    cfg["selection"] = {"rank_grid": [1, 2, 3]}
     cfg_path = write_json(tmp_path / "cfg.json", cfg)
     out = tmp_path / "sel"
     code = main(
@@ -224,14 +224,28 @@ def test_select_global_rank_matches_sweep_on_explicit_reduction(tmp_path, rank1_
         for fac, b in zip(facs, bases)
     ]
     g_hat = reduction.compress(y, facs)
+    # noise-free data in the span of the bases: no noise level to stop at, so
+    # the rank is the first whose residual is at rounding level
+    assert np.sum(y**2) - np.sum(g_hat**2) <= reduction.NOISE_FLOOR * np.sum(y**2)
     config, state, ref = SolverConfig(**cfg["solver"], seed=3), None, []
     for k in (1, 2, 3):  # each rank warm-started from the one before
         state = solver.fit(g_hat, t_mats, dataclasses.replace(config, rank=k), initial_state=state)
         ref.append(state.residual_sq / np.sum(g_hat**2))
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 3]
     assert [float(r[1]) for r in rows[1:]] == pytest.approx(ref, rel=1e-12)
-    chosen = next((k for k, c in zip((1, 2, 3), ref) if c <= 0.05), 3)
+    chosen = next((k for k, c in zip((1, 2, 3), ref) if c <= reduction.NOISE_FLOOR), 3)
+    assert chosen == 1
     assert [int(r[2]) for r in rows[1:]] == [int(k == chosen) for k in (1, 2, 3)]
+
+
+def test_select_refuses_the_removed_rank_threshold(tmp_path, rank1_tensor, capsys):
+    # the global rank is chosen at the noise level; the old threshold key is unexpected
+    cfg = base_config()
+    cfg["selection"] = {"rank_grid": [1, 2], "rank_threshold": 0.05}
+    argv = ["select", "--config", write_json(tmp_path / "cfg.json", cfg), "--tensor",
+            str(rank1_tensor), "--out", str(tmp_path / "sel"), "--mode", "global-rank"]
+    assert main(argv) == 2
+    assert "rank_threshold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["marginal-rank", "global-rank", "cv"])

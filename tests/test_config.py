@@ -147,7 +147,6 @@ def full_run_config():
         "selection": {
             "marginal_rank_candidates": [[4, 3], [8, 7]],
             "rank_grid": [1, 2],
-            "rank_threshold": 0.05,
             "lambda_grid": [[1e-6, 1e-6], [0, 1e-3]],
             "n_folds": 3,
         },
@@ -253,10 +252,10 @@ REJECTED = [
         "run", ("selection", "marginal_rank_candidates"),
         [], "x", [[0, 3]], [["a", 3]], [[4.5, 3]], [4, 3],
     ),
-    # the marginal-rank rule reads the noise estimate and takes no threshold
+    # the marginal- and global-rank rules read the noise estimate and take no threshold
     *rows("run", ("selection", "marginal_rank_threshold"), 0.9),
     *rows("run", ("selection", "rank_grid"), [], [0], "x", [1.5], [True]),
-    *rows("run", ("selection", "rank_threshold"), -1.0, "x"),
+    *rows("run", ("selection", "rank_threshold"), 0.05, -1.0, "x"),
     *rows(
         "run", ("selection", "lambda_grid"),
         [], [[1e-6]], [[1e-6, 1e-6, 1e-6]], [[-1.0, 0.0]], [["a", 0.0]], "x", [1e-6, 1e-6],

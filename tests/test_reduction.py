@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpbasis import reduction
+from mpbasis import reduction, solver
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.errors import NumericalError
@@ -397,18 +397,52 @@ def test_prepare_without_penalty_orders_is_the_reduction_alone():
         fit_mpb(bare, grids, bases, [2, 1], SolverConfig(rank=2))
 
 
-def test_fit_mpb_centers_the_compressed_tensor():
-    # centering the compressed tensor equals compressing the centered data
+def _in_span(rng, bases, grids, n_subj=6):
+    coefs = [rng.standard_normal((b.rank, 2)) for b in bases]
+    model = MPBModel(bases=bases, coefs=coefs, subject_coefs=rng.standard_normal((n_subj, 2)))
+    return model.evaluate_subjects(grids)
+
+
+@pytest.mark.parametrize("case", ["lasso", "noise-free"])
+def test_fit_mpb_centers_the_compressed_tensor(case):
+    # centering the compressed tensor equals compressing the centered data,
+    # over whole fits: a lasso fit, and a ridge fit of data in the span of
+    # the bases (no noise estimate), have no noise target and run their sweeps
     bases, grids, y = small_problem(np.random.default_rng(33))
+    if case == "noise-free":
+        y = _in_span(np.random.default_rng(33), bases, grids)
     y = y + 3.0
-    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20)
+    penalty = "lasso" if case == "lasso" else "ridge"
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20, lambda_coef=1e-3, coef_penalty=penalty)
     model, state, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
     mean = y.mean(axis=-1)
     assert np.array_equal(model.mean_values, mean)
     _, ref, _ = fit_mpb(y - mean[..., None], grids, bases, [2, 2], cfg)
+    assert state.stop_reason == ref.stop_reason != "noise level" and state.iters == ref.iters > 10
     scale = np.abs(ref.b).max()
     assert np.abs(state.b - ref.b).max() <= 1e-9 * scale
     assert np.allclose(state.objective_trace, ref.objective_trace, rtol=1e-9, atol=0)
+
+
+def test_noise_target_of_a_centered_problem_counts_n_minus_1_subjects():
+    # the centered target is its noise estimate times the residual freedom of
+    # N - 1 subjects; a reduction of pre-centered data counts N and differs
+    bases, grids, y = small_problem(np.random.default_rng(33))
+    y = y + 3.0
+    centered = prepare(y, grids, bases, [2, 2]).centered(y.mean(axis=-1))
+    pre = prepare(y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2])
+    *ms, n = centered.g_hat.shape
+    for k in (1, 2, 3):
+        target = centered.noise_target(k)
+        assert target == centered.noise_var * solver.residual_dof((*ms, n - 1), k)
+        assert pre.noise_target(k) == pre.noise_var * solver.residual_dof((*ms, n), k)
+        assert target != pytest.approx(pre.noise_target(k), rel=1e-3)
+    # rank 11 on a 6 x 5 compressed grid: 150 entries and 154 parameters over
+    # 5 centered subjects leave no residual freedom; 180 and 165 over 6 do
+    assert centered.noise_target(11) is None and pre.noise_target(11) > 0
+    # no noise estimate: data in the span of the bases
+    y = _in_span(np.random.default_rng(35), bases, grids)
+    assert prepare(y, grids, bases, [2, 2]).noise_target(1) is None
 
 
 @pytest.mark.parametrize("slab", [None, 308])

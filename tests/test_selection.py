@@ -1,6 +1,7 @@
 """Hyperparameter selection criteria and the cross-validation harness."""
 
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis
 from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
-from mpbasis.reduction import compress, decompress, factorize, prepare
+from mpbasis.reduction import NOISE_FLOOR, compress, decompress, factorize, prepare
 from mpbasis.selection import (
     NOISE_TOL_SDS,
     SelectionRecord,
@@ -21,14 +22,23 @@ from mpbasis.selection import (
     select_marginal_rank,
     sweep_global_rank,
 )
-from mpbasis.sim import Gp2dSimConfig, ProductSimConfig, generate_gp2d_sample, generate_product_sample
-from mpbasis.solver import SolverConfig
+from mpbasis.sim import (
+    Gp2dSimConfig, ProductSimConfig, generate_gp2d_sample, generate_product_sample,
+)
+from mpbasis.sim import mise as sim_mise
+from mpbasis.solver import SolverConfig, residual_dof
 
-#: Criterion 1's simulation design: Fourier marginals of true rank 11.
+#: Criterion 1's simulation design: Fourier marginals of true rank 11, K = 10.
 PRODUCT = ProductSimConfig(
     n_dims=3, marginal_rank=11, true_rank=10, coef_sd=0.3, noise_var=0.5,
     grid_size=30, n_subjects=5, seed=20_240_501,
 )
+#: Criterion 1's solver settings, which the ``product3d`` workload fits with.
+PRODUCT_FIT = SolverConfig(
+    rank=25, lambda_marginal=1e-8, lambda_coef=1e-8, max_outer_iters=400, outer_tol=1e-8, seed=0
+)
+#: The global ranks tried on criterion 1's design.
+PRODUCT_K = [4, 6, 8, 9, 10, 11, 12, 15, 20, 25]
 
 
 def fourier_candidates(ranks):
@@ -222,6 +232,17 @@ def record_fits(monkeypatch, calls=()):
     return fits
 
 
+def signal_problem(rng):
+    """The small problem's geometry with a rank-2 signal in the span of its
+    bases, noise of sd 0.1 and an offset of 3: the offset takes one more
+    component unless the fit is centered."""
+    bases, grids, _ = small_problem(rng)
+    coefs = [rng.standard_normal((b.rank, 2)) for b in bases]
+    model = MPBModel(bases=bases, coefs=coefs, subject_coefs=rng.standard_normal((6, 2)))
+    noise = 0.1 * rng.standard_normal((14, 11, 6))
+    return bases, grids, model.evaluate_subjects(grids) + noise + 3.0
+
+
 def refuse_fits(*args, **kwargs):
     raise AssertionError("solver.fit was called")
 
@@ -250,8 +271,12 @@ def test_global_rank_criterion_cases(monkeypatch):
         _, state, report = fit_mpb(prepared, grids, bases, [2, 2], cfg)
         assert report.residual_ratio == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
         del fits[:]
-        with pytest.warns(RuntimeWarning, match="no rank reached"):
-            sweep = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3], threshold=0.0)
+        # white noise: the ridge path meets its noise level at once, and the
+        # lasso path, which has none, never reaches rounding level
+        lasso = penalty == "lasso"
+        with pytest.warns(RuntimeWarning, match="no rank reached") if lasso else nullcontext():
+            sweep = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3])
+        assert sweep.chosen.params == {"rank": 3 if lasso else 1}
         assert len(fits) == 3  # the ranks after the first start warm
         for record, (_, state) in zip(sweep.records, fits):
             assert record.criterion == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
@@ -268,7 +293,7 @@ def test_residual_is_formed_once_per_objective(monkeypatch):
     assert len(calls) == state.iters + 1
     del calls[:]
     fits = record_fits(monkeypatch, calls)
-    sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3], threshold=1.0)
+    sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3])
     starts = [start for start, _ in fits] + [len(calls)]
     assert np.diff(starts).tolist() == [state.iters + 1 for _, state in fits]
 
@@ -314,10 +339,8 @@ def test_sweep_global_rank_refuses_a_bad_rank_grid_before_fitting(monkeypatch, k
 def test_sweep_global_rank_takes_integral_numbers():
     bases, grids, y = small_problem(np.random.default_rng(10))
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=5)
-    with pytest.warns(RuntimeWarning, match="no rank reached"):
-        whole = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1.0, np.int64(2)], threshold=0.0)
-    with pytest.warns(RuntimeWarning, match="no rank reached"):
-        ref = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2], threshold=0.0)
+    whole = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1.0, np.int64(2)])
+    ref = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2])
     assert [r.params for r in whole.records] == [{"rank": 1}, {"rank": 2}]
     assert [type(r.params["rank"]) for r in whole.records] == [int, int]
     assert [r.criterion for r in whole.records] == [r.criterion for r in ref.records]
@@ -326,37 +349,40 @@ def test_sweep_global_rank_takes_integral_numbers():
 def test_sweep_global_rank_monotone_with_warm_start():
     bases, grids, y = small_problem(np.random.default_rng(6))
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=60, lambda_coef=1e-10)
-    # threshold 0 unreachable: the largest rank is chosen with a warning
-    with pytest.warns(RuntimeWarning, match="no rank reached"):
-        report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid=[1, 2, 4, 6], threshold=0.0)
+    report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid=[1, 2, 4, 6])
     values = [r.criterion for r in report.records]
     assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
     assert report.kind == "normalized_residual"
-    assert report.chosen.params["rank"] == 6
 
 
-@pytest.mark.parametrize(
-    "center, threshold", [(False, 0.016), (True, 0.6)], ids=["raw", "centered"]
-)  # thresholds between the criteria at K = 1 and 2
-def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center, threshold):
+@pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
+def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center):
     # the records and the choice are bit-identical to reducing by prepare,
-    # centering by the grid mean and fitting each rank warm-started, the
-    # steps the caller used to spell out
-    bases, grids, y = small_problem(np.random.default_rng(16))
-    y = y + 3.0
+    # centering by the grid mean and fitting each rank warm-started, each fit
+    # stopping at its rank's noise target; the rank is the first whose
+    # residual is within sampling error of that target
+    bases, grids, y = signal_problem(np.random.default_rng(16))
     cfg = SolverConfig(rank=1, seed=2, max_outer_iters=25, lambda_marginal=1e-6, lambda_coef=1e-6)
-    k_grid = [1, 2, 3]
-    report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid, threshold, center=center)
+    k_grid = [1, 2, 3, 4]
+    report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid, center=center)
     prepared = prepare(y, grids, bases, [2, 2])
     if center:
         prepared = prepared.centered(y.mean(axis=-1))
-    g_norm_sq, state, ref = float(np.sum(prepared.g_hat**2)), None, []
+    *ms, n = prepared.g_hat.shape
+    g_norm_sq, state, ref, fits = float(np.sum(prepared.g_hat**2)), None, [], []
     for k in k_grid:
-        state = solver.fit(prepared.g_hat, prepared.t_mats, replace(cfg, rank=k), initial_state=state)
+        target = prepared.noise_target(k)
+        assert target == prepared.noise_var * residual_dof((*ms, n - center), k)
+        cfg_k = replace(cfg, rank=k)
+        state = solver.fit(
+            prepared.g_hat, prepared.t_mats, cfg_k, initial_state=state, noise_target=target
+        )
         ref.append(state.residual_sq / g_norm_sq)
+        tol = 1 + NOISE_TOL_SDS * np.sqrt(2 / residual_dof((*ms, n - center), k))
+        fits.append(state.residual_sq <= tol * target + NOISE_FLOOR * g_norm_sq)
     assert [r.criterion for r in report.records] == ref
-    chosen = next(k for k, c in zip(k_grid, ref) if c <= threshold)
-    assert report.chosen.params == {"rank": chosen} and chosen > 1
+    # the rank-2 signal, and without centering the offset as one more component
+    assert report.chosen.params == {"rank": k_grid[fits.index(True)]} == {"rank": 3 - center}
 
 
 def test_sweep_global_rank_completes_where_a_zero_padded_warm_start_failed():
@@ -374,10 +400,89 @@ def test_sweep_global_rank_completes_where_a_zero_padded_warm_start_failed():
         rank=25, lambda_marginal=1e-8, lambda_coef=1e-8, max_outer_iters=50, outer_tol=1e-8,
         seed=0,
     )
-    with pytest.warns(RuntimeWarning, match="no rank reached"):
-        report = sweep_global_rank(sample.noisy, sample.grids, bases, [2, 2, 2], cfg, [5, 10, 25])
+    report = sweep_global_rank(sample.noisy, sample.grids, bases, [2, 2, 2], cfg, [5, 10, 25])
     values = [r.criterion for r in report.records]
     assert values[0] >= values[1] >= values[2] > 0
+
+
+def _mise_per_subject(sample, bases, k):
+    cfg = replace(PRODUCT_FIT, rank=k)
+    model, _, _ = fit_mpb(sample.noisy, sample.grids, bases, [2, 2, 2], cfg)
+    est = model.evaluate_subjects(sample.grids)
+    return float(sim_mise(sample.truth, est, sample.grids)) / PRODUCT.n_subjects
+
+
+@pytest.mark.parametrize("m", [15, 11])
+def test_sweep_global_rank_finds_the_true_rank_of_criterion_1(m):
+    # replications 0-9 at criterion 1's Fourier rank 15 and at the true rank
+    # 11: K = 10 on at least 9, and a chosen fit close to the K = 10 fit's
+    # MISE and well below the K = 25 fit's
+    bases = fourier_candidates([m])[0]
+    picked = []
+    for rep in range(10):
+        sample = generate_product_sample(PRODUCT, replication=rep)
+        report = sweep_global_rank(
+            sample.noisy, sample.grids, bases, [2, 2, 2], PRODUCT_FIT, PRODUCT_K
+        )
+        k = report.chosen.params["rank"]
+        picked.append(k)
+        at_10 = _mise_per_subject(sample, bases, 10)
+        chosen = at_10 if k == 10 else _mise_per_subject(sample, bases, k)
+        assert chosen <= 1.5 * at_10 and chosen < 0.5 * _mise_per_subject(sample, bases, 25)
+    assert sum(k == 10 for k in picked) >= 9, picked
+
+
+def test_sweep_global_rank_takes_the_gp2d_rank_at_rounding_level():
+    # noise-free fields: no noise estimate, so no fit stops early and the
+    # rank is the first whose residual is at most NOISE_FLOOR |g_hat|^2;
+    # K = 25 leaves 2e-8 to 4e-8 of it and K = 30, criterion 2's rank, 1e-9
+    cfg = Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=0, seed=42)
+    for rep in range(3):
+        s = generate_gp2d_sample(cfg, replication=rep)
+        fit_cfg = SolverConfig(
+            rank=30, lambda_marginal=1e-10, lambda_coef=1e-10, max_outer_iters=300,
+            outer_tol=1e-10, seed=rep,
+        )
+        k_grid = [4, 8, 12, 16, 20, 25, 30]
+        report = sweep_global_rank(s.train, s.grids, s.bases, [2, 2], fit_cfg, k_grid)
+        assert report.chosen.params == {"rank": 30}
+        assert report.records[-2].criterion > NOISE_FLOOR >= report.records[-1].criterion
+
+
+def test_sweep_global_rank_centered_choice_ignores_an_offset():
+    sample = generate_product_sample(PRODUCT, replication=0)
+    bases = fourier_candidates([11])[0]
+    k_grid = [8, 9, 10, 11]
+    ref, got = (
+        sweep_global_rank(y, sample.grids, bases, [2, 2, 2], PRODUCT_FIT, k_grid, center=True)
+        for y in (sample.noisy, sample.noisy + 3.0)
+    )
+    assert got.chosen.params == ref.chosen.params == {"rank": 10}
+
+
+def test_a_lasso_rank_path_passes_no_stop_target(monkeypatch):
+    # as in fit_mpb, a lasso fit has no noise target; with none, only a
+    # residual at rounding level qualifies, so on noisy data the largest rank
+    # is chosen with a warning
+    bases, grids, y = signal_problem(np.random.default_rng(16))
+    targets, fit = [], solver.fit
+
+    def recording_fit(*args, **kwargs):
+        targets.append(kwargs.get("noise_target", "absent"))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit", recording_fit)
+    cfg = SolverConfig(rank=1, seed=0, max_outer_iters=30, lambda_coef=1e-3, coef_penalty="lasso")
+    message = "no rank reached the noise level; choosing the largest"
+    with pytest.warns(RuntimeWarning, match=message):
+        report = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3, 4])
+    assert targets == [None] * 4
+    assert report.chosen.params == {"rank": 4}
+    del targets[:]
+    ridge_cfg = replace(cfg, coef_penalty="ridge")
+    ridge = sweep_global_rank(y, grids, bases, [2, 2], ridge_cfg, [1, 2, 3, 4])
+    assert targets == [prepare(y, grids, bases, [2, 2]).noise_target(k) for k in (1, 2, 3, 4)]
+    assert ridge.chosen.params == {"rank": 3}  # the signal and the offset
 
 
 def test_fold_assignment_round_robin_after_shuffle():
