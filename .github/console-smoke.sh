@@ -8,7 +8,8 @@
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema. The fit's report must name one of the
-# three stop reasons, and the fit must exit 4 exactly when it is the sweep cap.
+# three stop reasons and a numeric noise estimate, the fit must exit 4 exactly
+# when it is the sweep cap, and its centered model file must keep the mean.
 # The marginal-rank report must choose exactly one of its two candidates, and
 # the global-rank report exactly one of its three ranks; a run config that still
 # sets the removed `selection.rank_threshold` must exit 2.
@@ -62,8 +63,10 @@ code=0
 mpbasis fit --config run.json --tensor data/noisy_000.mpbt --out fit || code=$?
 python - "$code" <<'PY'
 import json, sys
-code, reason = int(sys.argv[1]), json.load(open("fit/fit_report.json"))["stop_reason"]
+code, report = int(sys.argv[1]), json.load(open("fit/fit_report.json"))
+reason, noise_var = report["stop_reason"], report["noise_var"]
 assert reason in ("tolerance", "noise level", "sweep cap"), reason
+assert isinstance(noise_var, float), noise_var
 assert code == (4 if reason == "sweep cap" else 0), (code, reason)
 print("fit stopped at the", reason, "and exited", code)
 PY
@@ -92,6 +95,7 @@ test -s sel/selection_cv.csv && test -s sel2/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm
 mpbasis verify fpca/eigen.mpbe --model fit/model.mpbm
-mpbasis info fit/model.mpbm
+mpbasis info fit/model.mpbm | tee info.json
+python -c 'import json; info = json.load(open("info.json")); assert info["centered"] is True, info'
 mpbasis info fpca/eigen.mpbe
 echo "console script ok"

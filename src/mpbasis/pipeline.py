@@ -57,12 +57,11 @@ def fit_mpb(
     basis coefficients. Given a :class:`reduction.PreparedProblem` instead of
     the grid tensor, it fits that problem as it is and skips the reduction,
     which lets cross validation reduce a sample once and fit slices of it.
-    A compressed tensor of zero norm raises ``ValueError`` before the fit.
-    The fit stops at the noise level: after the first sweep whose residual
-    is at most :meth:`reduction.PreparedProblem.noise_target`, the in-span
-    noise energy a rank-K fit leaves. That rule is off, and the fit runs to
-    its tolerance or cap, for a lasso penalty (whose degrees of freedom
-    differ) and wherever ``noise_target`` is None.
+    Either way the model's mean is the problem's ``mean``. The fit stops at
+    the noise level: after the first sweep whose residual is at most
+    :meth:`reduction.PreparedProblem.noise_target`, the in-span noise energy
+    a rank-K fit leaves. Where that is None, as when the lasso block runs,
+    the fit runs to its tolerance or cap.
 
     Parameters
     ----------
@@ -80,14 +79,14 @@ def fit_mpb(
         Subtract the gridded sample mean before fitting and store it on the
         model. Compression is linear, so the compressed tensor is centered
         instead of the grid tensor. Needs the grid tensor: a prepared problem
-        with ``center`` raises ``ValueError``.
+        with ``center`` raises ``ValueError``; its ``centered()`` carries the
+        mean instead.
     """
     start = time.perf_counter()
-    mean_grids = mean_values = None
     if isinstance(y, reduction.PreparedProblem):
         if center:
             raise ValueError(
-                "center needs the grid tensor to store its mean; "
+                "center needs the grid tensor to take its mean; "
                 "fit the prepared problem's centered() instead"
             )
         y.check_source(grids, bases, penalty_orders)
@@ -95,22 +94,16 @@ def fit_mpb(
     else:
         y = np.asarray(y, dtype=float)
         prepared = reduction.prepare(y, grids, bases, penalty_orders)
-        if center:
-            mean_values = y.mean(axis=-1)
-            mean_grids = list(prepared.grids)
-            prepared = prepared.centered(mean_values)
-    g_norm_sq = float(np.sum(prepared.g_hat**2))
-    if g_norm_sq == 0.0:
-        raise ValueError("data tensor has zero norm")
-    target = None if config.coef_penalty == "lasso" else prepared.noise_target(config.rank)
+        prepared = prepared.centered(y.mean(axis=-1)) if center else prepared
+    target = prepared.noise_target(config)
     state = solver.fit(prepared.g_hat, prepared.t_mats, config, noise_target=target)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]
     model = MPBModel(
         bases=list(bases),
         coefs=coefs,
         subject_coefs=state.b.copy(),
-        mean_grids=mean_grids,
-        mean_values=mean_values,
+        mean_grids=None if prepared.mean is None else list(prepared.grids),
+        mean_values=prepared.mean,
     )
     report = FitReport(
         objective_trace=state.objective_trace,
@@ -119,7 +112,7 @@ def fit_mpb(
         stop_reason=state.stop_reason,
         noise_var=prepared.noise_var,
         lasso_certified=state.lasso_certified,
-        residual_ratio=state.residual_sq / g_norm_sq,
+        residual_ratio=state.residual_sq / float(np.sum(prepared.g_hat**2)),
         elapsed_seconds=time.perf_counter() - start,
     )
     return model, state, report

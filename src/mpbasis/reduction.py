@@ -28,7 +28,7 @@ from scipy.linalg import solve_triangular
 from . import basis as basis_mod
 from .errors import NumericalError
 from .jsonspec import as_int
-from .solver import residual_dof
+from .solver import SolverConfig, residual_dof
 from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
@@ -162,7 +162,7 @@ class PreparedProblem:
     can check it is given the same ones. ``y_sq`` holds each subject's share
     of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
     :meth:`centered`, so that its sum is the energy of the data fitted;
-    ``mean_removed`` says whether :meth:`centered` made it.
+    ``mean`` is the grid mean :meth:`centered` removed, or None; an all-zero ``g_hat`` is refused.
     """
 
     facs: tuple[MarginalFactorization, ...]
@@ -172,14 +172,18 @@ class PreparedProblem:
     grids: tuple[np.ndarray, ...]
     bases: tuple
     penalty_orders: tuple[int, ...]
-    mean_removed: bool = False
+    mean: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not np.vdot(self.g_hat, self.g_hat) > 0.0:
+            raise ValueError("data tensor has zero norm")
 
     @property
     def noise_dof(self) -> int:
         """Degrees of freedom outside the span of the compression: ``prod n_d -
         prod m_d`` per subject, for N subjects or N - 1 after :meth:`centered`."""
         n_out = math.prod(f.n for f in self.facs) - math.prod(f.m for f in self.facs)
-        return (self.g_hat.shape[-1] - self.mean_removed) * n_out
+        return (self.g_hat.shape[-1] - (self.mean is not None)) * n_out
 
     def subjects(self, index) -> PreparedProblem:
         """The same problem for the subjects ``index`` selects (a boolean
@@ -188,17 +192,21 @@ class PreparedProblem:
         return replace(self, g_hat=self.g_hat[..., index], y_sq=self.y_sq[index])
 
     def centered(self, grid_mean: np.ndarray) -> PreparedProblem:
-        """The same problem for the data less its subject mean ``grid_mean``
-        (the grid tensor's mean over its subjects). Compression is linear,
-        so ``g_hat`` loses its own subject mean, and the data energy becomes
-        ``sum |y_i - mean|^2 = sum |y_i|^2 - N |mean|^2``."""
+        """The same problem for the data less its subject mean ``grid_mean`` (the grid
+        tensor's mean over its subjects), kept as ``mean``. Compression is linear, so ``g_hat``
+        loses its own subject mean, and the data energy becomes ``sum |y_i - mean|^2 =
+        sum |y_i|^2 - N |mean|^2``. Needs two or more subjects and an uncentered problem."""
+        if self.g_hat.shape[-1] < 2:
+            raise ValueError("centering needs at least two subjects")
+        if self.mean is not None:
+            raise ValueError("the problem is already centered")
         grid_mean = np.asarray(grid_mean, dtype=float)
         grid_shape = tuple(f.n for f in self.facs)
         if grid_mean.shape != grid_shape:
             raise ValueError(f"grid mean has shape {grid_mean.shape}, expected {grid_shape}")
         flat = grid_mean.ravel()
         g, sq = self.g_hat, self.y_sq - float(flat @ flat)
-        return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean_removed=True)
+        return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean=grid_mean)
 
     @property
     def noise_var(self) -> float | None:
@@ -214,13 +222,14 @@ class PreparedProblem:
             return None
         return outside / dof
 
-    def noise_target(self, rank: int) -> float | None:
-        """``noise_var`` times :func:`solver.residual_dof`, for N - 1 subjects after
-        :meth:`centered`: the residual a rank-``rank`` fit leaves at the noise level, the
-        discrepancy principle's target (Morozov 1966). None without an estimate or freedom."""
+    def noise_target(self, config: SolverConfig) -> float | None:
+        """``noise_var`` times :func:`solver.residual_dof` at ``config.rank`` (N - 1 subjects
+        after :meth:`centered`): the residual a fit leaves at the noise level, the discrepancy
+        principle's target (Morozov 1966). None without an estimate or freedom, and when
+        ``config.lasso_block``, whose degrees of freedom differ (Zou, Hastie & Tibshirani 2007)."""
         *ms, n = self.g_hat.shape
-        dof, noise_var = residual_dof((*ms, n - self.mean_removed), rank), self.noise_var
-        return None if noise_var is None or dof <= 0 else noise_var * dof
+        dof, var = residual_dof((*ms, n - (self.mean is not None)), config.rank), self.noise_var
+        return None if config.lasso_block or var is None or dof <= 0 else var * dof
 
     def check_source(
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]

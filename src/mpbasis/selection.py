@@ -85,7 +85,7 @@ def select_marginal_rank(
     σ̂² is at most ``1 + NOISE_TOL_SDS * sqrt(2 / noise_dof)`` times the
     smallest: once a candidate holds the signal, its σ̂² estimates the
     white-noise variance. A candidate that leaves no degrees of freedom
-    (``prod m_d = prod n_d``) and data of zero norm raise ``ValueError``.
+    (``prod m_d = prod n_d``) raises ``ValueError``.
     """
     if not candidates:
         raise ValueError("need at least one candidate basis system")
@@ -97,8 +97,6 @@ def select_marginal_rank(
         ranks, dof = [b.rank for b in bases], prepared.noise_dof
         if dof == 0:
             raise ValueError(f"candidate ranks {ranks} leave the noise estimate no freedom")
-        if not prepared.y_sq.sum() > 0.0:
-            raise ValueError("data tensor has zero norm")
         tols.append(1.0 + NOISE_TOL_SDS * math.sqrt(2.0 / dof))
         params = {f"rank_{d}": r for d, r in enumerate(ranks)}
         records.append(SelectionRecord(params=params, criterion=prepared.noise_var or 0.0))
@@ -121,9 +119,10 @@ def sweep_global_rank(
 
     Each fit after the first is warm-started from the previous one:
     :func:`solver.fit` completes it to the larger rank with components that
-    leave its tensor unchanged. Each ridge fit stops at the noise level, as
+    leave its tensor unchanged. Each fit stops at the noise level, as
     :func:`fit_mpb`'s does, at ``target_K`` =
-    :meth:`reduction.PreparedProblem.noise_target`; a lasso fit has none.
+    :meth:`reduction.PreparedProblem.noise_target`, which is None when the
+    lasso block runs (``SolverConfig.lasso_block``).
     The chosen rank is the smallest whose residual ``SolverState.residual_sq``
     is at most ``(1 + NOISE_TOL_SDS * sqrt(2 / dof_K)) * target_K +
     NOISE_FLOOR * |g_hat|^2``, ``dof_K = target_K / noise_var``: the expected
@@ -131,23 +130,19 @@ def sweep_global_rank(
     noise-free data (no target) rounding level. With no such rank the
     largest is chosen with a warning. The criterion recorded is the
     normalized residual, as ``FitReport.residual_ratio``. A ``k_grid`` that
-    is not strictly increasing integers >= 1, or a zero ``g_hat``, raises
-    ``ValueError``.
+    is not strictly increasing integers >= 1 raises ``ValueError``.
     """
     k_grid = [as_int(k, "k_grid") for k in k_grid]
     if not k_grid or k_grid[0] < 1 or sorted(set(k_grid)) != k_grid:
         raise ValueError(f"k_grid must be strictly increasing integers >= 1, got {k_grid!r}")
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
-    if center:
-        prepared = prepared.centered(np.asarray(y, dtype=float).mean(axis=-1))
+    prepared = prepared.centered(np.asarray(y, dtype=float).mean(axis=-1)) if center else prepared
     g_hat, noise_var = prepared.g_hat, prepared.noise_var
     g_norm_sq = float(np.sum(g_hat**2))
-    if g_norm_sq == 0.0:
-        raise ValueError("data tensor has zero norm")
     records, state, chosen = [], None, None
     for i, k in enumerate(k_grid):
-        target = None if config.coef_penalty == "lasso" else prepared.noise_target(k)
         cfg = replace(config, rank=k)
+        target = prepared.noise_target(cfg)
         state = solver.fit(g_hat, prepared.t_mats, cfg, initial_state=state, noise_target=target)
         records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
         bound = reduction.NOISE_FLOOR * g_norm_sq

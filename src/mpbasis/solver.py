@@ -153,6 +153,12 @@ class SolverConfig:
         if self.init not in ("random", "hosvd"):
             raise ValueError(f"unknown init {self.init!r}")
 
+    @property
+    def lasso_block(self) -> bool:
+        """Whether :func:`fit` runs the lasso block: the l1 penalty at a positive
+        weight. A property, not a field, so no JSON table sets it."""
+        return self.coef_penalty == "lasso" and self.lambda_coef > 0
+
     def marginal_weights(self, n_dims: int) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(self.lambda_marginal, dtype=float))
         if lam.size == 1:
@@ -310,11 +316,10 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
 def _objective_value(data_sq: float, marginal: float, b: np.ndarray, config: SolverConfig) -> float:
     """Data term ``data_sq`` plus the marginal penalties and that of ``b``."""
     val = data_sq + marginal
-    if config.lambda_coef > 0:
-        if config.coef_penalty == "ridge":
-            val += config.lambda_coef * float(np.sum(b**2))
-        else:
-            val += config.lambda_coef * float(np.sum(np.abs(b)))
+    if config.lasso_block:
+        val += config.lambda_coef * float(np.sum(np.abs(b)))
+    elif config.lambda_coef > 0:
+        val += config.lambda_coef * float(np.sum(b**2))
     if not math.isfinite(val):
         raise NumericalError("objective is not finite; factor matrices diverged")
     return val
@@ -732,8 +737,6 @@ def fit(
         pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
         return data_sq, _objective_value(data_sq, pen, factors[-1], config)
 
-    lasso = config.coef_penalty == "lasso" and config.lambda_coef != 0.0
-
     def sweep() -> bool:
         """One sweep over both halves; False when a lasso block was left uncertified."""
         certified = True
@@ -745,7 +748,7 @@ def fit(
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
                     new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
-                elif lasso:
+                elif config.lasso_block:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                     certified = certified and ok
                 else:

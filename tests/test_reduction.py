@@ -1,5 +1,7 @@
 """Data reduction: SVD guards, compression isometry, penalty transport."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,24 @@ def test_fit_mpb_accepts_a_prepared_problem():
             fit_mpb(prepared, g, b, o, cfg)
 
 
+def test_a_centered_prepared_problem_carries_its_mean_into_the_model():
+    # the refusal's advice, followed: fitting a centered() problem is the
+    # center=True fit, mean included (such a model used to have no mean)
+    bases, grids, y = small_problem(np.random.default_rng(38))
+    y = y + 3.0
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20)
+    prepared = prepare(y, grids, bases, [2, 2])
+    with pytest.raises(ValueError, match=r"fit the prepared problem's centered\(\) instead"):
+        fit_mpb(prepared, grids, bases, [2, 2], cfg, center=True)
+    model, _, _ = fit_mpb(prepared.centered(y.mean(axis=-1)), grids, bases, [2, 2], cfg)
+    ref, _, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
+    got, want = (m.coefs + [m.subject_coefs, m.mean_values] + m.mean_grids for m in (model, ref))
+    assert len(got) == len(want) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the offset of 3 over unit noise: without the mean the error is near |y|
+    assert np.linalg.norm(y - model.evaluate_subjects(grids)) <= 0.5 * np.linalg.norm(y)
+
+
 def test_a_prepared_problem_takes_penalty_orders_by_the_integer_rule():
     # a fractional order used to be truncated, so [2.7, 1] passed for [2, 1]
     bases, grids, y = small_problem(np.random.default_rng(34))
@@ -433,16 +453,22 @@ def test_noise_target_of_a_centered_problem_counts_n_minus_1_subjects():
     pre = prepare(y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2])
     *ms, n = centered.g_hat.shape
     for k in (1, 2, 3):
-        target = centered.noise_target(k)
+        cfg = SolverConfig(rank=k)
+        target = centered.noise_target(cfg)
         assert target == centered.noise_var * solver.residual_dof((*ms, n - 1), k)
-        assert pre.noise_target(k) == pre.noise_var * solver.residual_dof((*ms, n), k)
-        assert target != pytest.approx(pre.noise_target(k), rel=1e-3)
+        assert pre.noise_target(cfg) == pre.noise_var * solver.residual_dof((*ms, n), k)
+        assert target != pytest.approx(pre.noise_target(cfg), rel=1e-3)
     # rank 11 on a 6 x 5 compressed grid: 150 entries and 154 parameters over
     # 5 centered subjects leave no residual freedom; 180 and 165 over 6 do
-    assert centered.noise_target(11) is None and pre.noise_target(11) > 0
+    cfg = SolverConfig(rank=11)
+    assert centered.noise_target(cfg) is None and pre.noise_target(cfg) > 0
+    # the lasso block's degrees of freedom differ: no target, unless at zero weight
+    lasso = SolverConfig(rank=1, coef_penalty="lasso")
+    assert centered.noise_target(lasso) == centered.noise_target(SolverConfig(rank=1))
+    assert centered.noise_target(replace(lasso, lambda_coef=1e-3)) is None
     # no noise estimate: data in the span of the bases
     y = _in_span(np.random.default_rng(35), bases, grids)
-    assert prepare(y, grids, bases, [2, 2]).noise_target(1) is None
+    assert prepare(y, grids, bases, [2, 2]).noise_target(SolverConfig(rank=1)) is None
 
 
 @pytest.mark.parametrize("slab", [None, 308])
@@ -488,7 +514,7 @@ def test_out_of_span_sq_of_in_span_data_is_roundoff():
     # y - decompress(g) is formed directly: no cancellation of |y|^2 - |g|^2
     rng = np.random.default_rng(36)
     bases, grids, _ = small_problem(rng)
-    facs = prepare(np.zeros((14, 11, 1)), grids, bases, [2, 2]).facs
+    facs = [factorize(b.evaluate(g)) for b, g in zip(bases, grids)]
     y = decompress(1e6 * rng.standard_normal((6, 5, 3)), facs)
     got = out_of_span_sq(y, facs, compress(y, facs))
     assert np.sqrt(got).max() <= 1e-13 * np.linalg.norm(y)

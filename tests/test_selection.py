@@ -300,13 +300,30 @@ def test_residual_is_formed_once_per_objective(monkeypatch):
 
 def test_zero_data_is_refused_before_fitting(monkeypatch):
     bases, grids, y = small_problem(np.random.default_rng(9))
-    prepared = prepare(np.zeros_like(y), grids, bases, [2, 2])
     monkeypatch.setattr(solver, "fit", refuse_fits)
     cfg = SolverConfig(rank=2)
     with pytest.raises(ValueError, match="zero norm"):
-        fit_mpb(prepared, grids, bases, [2, 2], cfg)
+        fit_mpb(np.zeros_like(y), grids, bases, [2, 2], cfg)
     with pytest.raises(ValueError, match="zero norm"):
         sweep_global_rank(np.zeros_like(y), grids, bases, [2, 2], cfg, [1, 2])
+
+
+def test_centering_refuses_a_single_subject():
+    # the mean of one subject is that subject; each path used to fail with a
+    # message naming another cause (zero norm, no noise freedom)
+    bases, grids, y = small_problem(np.random.default_rng(11))
+    one, cfg = y[..., :1], SolverConfig(rank=1)
+    calls = [
+        lambda: prepare(one, grids, bases, [2, 2]).centered(one.mean(axis=-1)),
+        lambda: fit_mpb(one, grids, bases, [2, 2], cfg, center=True),
+        lambda: sweep_global_rank(one, grids, bases, [2, 2], cfg, [1, 2], center=True),
+        lambda: select_marginal_rank(one, grids, [bases], center=True),
+        # 2 subjects in 2 folds: one training subject per fold
+        lambda: cv_lambda_grid(y[..., :2], grids, bases, [2, 2], cfg, [(0, 0)], 2, center=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="centering needs at least two subjects"):
+            call()
 
 
 def test_sweep_global_rank_refuses_an_empty_grid(monkeypatch):
@@ -371,9 +388,9 @@ def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center):
     *ms, n = prepared.g_hat.shape
     g_norm_sq, state, ref, fits = float(np.sum(prepared.g_hat**2)), None, [], []
     for k in k_grid:
-        target = prepared.noise_target(k)
-        assert target == prepared.noise_var * residual_dof((*ms, n - center), k)
         cfg_k = replace(cfg, rank=k)
+        target = prepared.noise_target(cfg_k)
+        assert target == prepared.noise_var * residual_dof((*ms, n - center), k)
         state = solver.fit(
             prepared.g_hat, prepared.t_mats, cfg_k, initial_state=state, noise_target=target
         )
@@ -481,8 +498,23 @@ def test_a_lasso_rank_path_passes_no_stop_target(monkeypatch):
     del targets[:]
     ridge_cfg = replace(cfg, coef_penalty="ridge")
     ridge = sweep_global_rank(y, grids, bases, [2, 2], ridge_cfg, [1, 2, 3, 4])
-    assert targets == [prepare(y, grids, bases, [2, 2]).noise_target(k) for k in (1, 2, 3, 4)]
+    prepared = prepare(y, grids, bases, [2, 2])
+    assert targets == [prepared.noise_target(replace(ridge_cfg, rank=k)) for k in (1, 2, 3, 4)]
     assert ridge.chosen.params == {"rank": 3}  # the signal and the offset
+
+
+def test_a_lasso_rank_path_at_zero_weight_is_the_ridge_path():
+    # at lambda_coef = 0 the lasso block does not run, so each fit stops at
+    # the ridge fit's noise target and the path picks the ridge path's K
+    sample = generate_product_sample(PRODUCT, replication=0)
+    bases = fourier_candidates([15])[0]
+    ridge_cfg = replace(PRODUCT_FIT, lambda_coef=0.0)
+    ridge, lasso = (
+        sweep_global_rank(sample.noisy, sample.grids, bases, [2, 2, 2], cfg, PRODUCT_K)
+        for cfg in (ridge_cfg, replace(ridge_cfg, coef_penalty="lasso"))
+    )
+    assert [r.criterion for r in lasso.records] == [r.criterion for r in ridge.records]
+    assert lasso.chosen.params == ridge.chosen.params == {"rank": 10}
 
 
 def test_fold_assignment_round_robin_after_shuffle():

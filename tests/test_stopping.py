@@ -82,10 +82,13 @@ def test_slices_and_centering_carry_the_data_energy():
     assert np.allclose(got.g_hat, ref.g_hat, rtol=0, atol=1e-12 * np.abs(ref.g_hat).max())
     # the mean takes one of the 4 subjects' worth of freedom, which a
     # reduction of already-centered data cannot know
-    assert not ref.mean_removed and got.mean_removed and got.noise_dof == 3 * (154 - 30)
+    assert ref.mean is None and np.array_equal(got.mean, mean) and got.noise_dof == 3 * (154 - 30)
     assert got.noise_var == pytest.approx(ref.noise_var * 4 / 3, rel=1e-10)
     with pytest.raises(ValueError, match=r"grid mean has shape \(14,\), expected \(14, 11\)"):
         part.centered(mean[:, 0])
+    # a second centering would replace the first mean, which the model then lost
+    with pytest.raises(ValueError, match="the problem is already centered"):
+        got.centered(np.zeros_like(mean))
 
 
 @pytest.mark.parametrize("rep", [0, 1, 2])
@@ -109,6 +112,24 @@ def test_centered_fit_stops_at_the_noise_level_of_n_minus_1_subjects():
     cfg = replace(PRODUCT_FIT, max_outer_iters=state.iters - 1)
     plain = solver.fit(centered.g_hat, centered.t_mats, cfg)
     assert plain.residual_sq > target
+
+
+def test_a_lasso_fit_at_zero_weight_is_the_ridge_fit():
+    # at lambda_coef = 0 the lasso block does not run: the solver runs the
+    # ridge arithmetic, so the fit gets the ridge fit's noise target too;
+    # without it this fit ran to the 400-sweep cap at 1.5 times the MISE
+    sample = sim.generate_product_sample(PRODUCT, replication=0)
+    ridge_cfg = replace(PRODUCT_FIT, lambda_coef=0.0)
+    lasso_cfg = replace(ridge_cfg, coef_penalty="lasso")
+    assert not lasso_cfg.lasso_block and replace(lasso_cfg, lambda_coef=1e-8).lasso_block
+    (ridge, ridge_state, _), (lasso, lasso_state, _) = (
+        fit_mpb(sample.noisy, sample.grids, PRODUCT_BASES, [2, 2, 2], cfg)
+        for cfg in (ridge_cfg, lasso_cfg)
+    )
+    assert lasso_state.stop_reason == ridge_state.stop_reason == "noise level"
+    for a, b in zip(lasso.coefs + [lasso.subject_coefs], ridge.coefs + [ridge.subject_coefs]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(lasso_state.objective_trace, ridge_state.objective_trace)
 
 
 def test_residual_dof_counts_entries_less_free_parameters():
