@@ -8,11 +8,13 @@
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema. The fit's report must name one of the
-# three stop reasons and a numeric noise estimate, the fit must exit 4 exactly
-# when it is the sweep cap, and its centered model file must keep the mean.
-# The marginal-rank report must choose exactly one of its two candidates, and
-# the global-rank report exactly one of its three ranks; a run config that still
-# sets the removed `selection.rank_threshold` must exit 2.
+# three stop reasons and a numeric noise estimate and hold exactly its eight
+# keys, the fit must exit 4 exactly when it is the sweep cap, and its centered
+# model file must keep the mean. The marginal-rank report must choose exactly one
+# of its two candidates, and the global-rank report exactly one of its three
+# ranks; a lasso copy of the run config must choose the same rank without the
+# "no rank reached the noise level" warning; a run config that still sets the
+# removed `selection.rank_threshold` must exit 2.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -65,6 +67,9 @@ python - "$code" <<'PY'
 import json, sys
 code, report = int(sys.argv[1]), json.load(open("fit/fit_report.json"))
 reason, noise_var = report["stop_reason"], report["noise_var"]
+keys = {"objective_trace", "iters", "converged", "stop_reason", "noise_var", "lasso_certified",
+        "residual_ratio", "elapsed_seconds"}
+assert set(report) == keys, sorted(report)
 assert reason in ("tolerance", "noise level", "sweep cap"), reason
 assert isinstance(noise_var, float), noise_var
 assert code == (4 if reason == "sweep cap" else 0), (code, reason)
@@ -77,13 +82,24 @@ mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode m
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode global-rank
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel --mode cv
 mpbasis select --config run.json --tensor data/noisy_000.mpbt --out sel2 --mode cv --seed 2
+sed 's/"lambda_coef": 1e-8,/"coef_penalty": "lasso", "lambda_coef": 1e-3,/' run.json > run-lasso.json
+grep -q '"coef_penalty": "lasso"' run-lasso.json
+mpbasis select --config run-lasso.json --tensor data/noisy_000.mpbt --out sel-lasso \
+  --mode global-rank 2> lasso.err || { cat lasso.err >&2; exit 1; }
+if grep -q "no rank reached the noise level" lasso.err; then
+  cat lasso.err >&2; echo "the lasso rank path reached no noise level" >&2; exit 1
+fi
 test -s sel/selection_marginal_rank.csv && test -s sel/selection_global_rank.csv
 python - <<'PY'
 import csv
 rows = list(csv.DictReader(open("sel/selection_marginal_rank.csv")))
 assert len(rows) == 2 and [r["chosen"] for r in rows].count("1") == 1, rows
-rows = list(csv.DictReader(open("sel/selection_global_rank.csv")))
-assert len(rows) == 3 and [r["chosen"] for r in rows].count("1") == 1, rows
+chosen = []
+for path in ("sel/selection_global_rank.csv", "sel-lasso/selection_global_rank.csv"):
+    rows = list(csv.DictReader(open(path)))
+    assert len(rows) == 3 and [r["chosen"] for r in rows].count("1") == 1, rows
+    chosen.append(next(r["rank"] for r in rows if r["chosen"] == "1"))
+assert chosen[0] == chosen[1], chosen  # the lasso path chooses at the ridge noise level
 PY
 sed 's/"rank_grid": \[1, 2, 3\]/&, "rank_threshold": 0.05/' run.json > run-threshold.json
 grep -q rank_threshold run-threshold.json

@@ -39,12 +39,17 @@ def _outdir(args) -> Path:
     return out
 
 
-def cmd_fit(args) -> int:
+def _run_inputs(args):
+    """The run config with ``--seed`` applied, the data tensor and its grids."""
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
     y = fileio.read_tensor(args.tensor)
-    grids = cfg.build_grids(y.shape[:-1])
+    return cfg, y, cfg.build_grids(y.shape[:-1])
+
+
+def cmd_fit(args) -> int:
+    cfg, y, grids = _run_inputs(args)
     model, _, report = fit_mpb(
         y, grids, cfg.bases, cfg.penalty_orders, cfg.solver, center=cfg.center
     )
@@ -96,11 +101,7 @@ def _given(settings: dict, **keys) -> dict:
 
 
 def cmd_select(args) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
-    y = fileio.read_tensor(args.tensor)
-    grids = cfg.build_grids(y.shape[:-1])
+    cfg, y, grids = _run_inputs(args)
     out = _outdir(args)
     sel = cfg.selection
     if args.mode == "marginal-rank":

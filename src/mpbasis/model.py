@@ -141,15 +141,17 @@ class MPBModel:
             )
         return self.mean_values
 
+    def _forms(self, matrix) -> list[np.ndarray]:
+        """Each dimension's K x K form ``c_d' matrix(b_d) c_d`` of a basis matrix."""
+        return [c.T @ matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
+
     def gram_zeta(self) -> np.ndarray:
         """K x K matrix of pairwise inner products of the product functions.
 
         Entry ``(i, j)`` is the product over dimensions of the marginal
         quadratic forms through each basis Gram matrix.
         """
-        out = np.ones((self.rank, self.rank))
-        for b, c in zip(self.bases, self.coefs):
-            out *= c.T @ basis_mod.gram_matrix(b) @ c
+        out = reduce(np.multiply, self._forms(basis_mod.gram_matrix))
         return 0.5 * (out + out.T)
 
     def laplacian_penalty_zeta(self) -> np.ndarray:
@@ -162,11 +164,9 @@ class MPBModel:
         the mixed partials leaves boundary terms that need not vanish), and
         the Gram form elsewhere. The result is symmetric PSD up to roundoff.
         """
-        j_forms = [c.T @ basis_mod.gram_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
-        r_forms = [
-            c.T @ basis_mod.penalty_matrix(b, 2) @ c for b, c in zip(self.bases, self.coefs)
-        ]
-        e_forms = [c.T @ basis_mod.cross_matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
+        j_forms = self._forms(basis_mod.gram_matrix)
+        r_forms = self._forms(lambda b: basis_mod.penalty_matrix(b, 2))
+        e_forms = self._forms(basis_mod.cross_matrix)
         out = np.zeros((self.rank, self.rank))
         for d, a in itertools.product(range(self.n_dims), repeat=2):
             out += reduce(np.multiply, [

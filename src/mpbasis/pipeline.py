@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,16 +29,7 @@ class FitReport:
     elapsed_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "iters": int(self.iters),
-            "converged": bool(self.converged),
-            "stop_reason": self.stop_reason,
-            "noise_var": None if self.noise_var is None else float(self.noise_var),
-            "lasso_certified": bool(self.lasso_certified),
-            "residual_ratio": float(self.residual_ratio),
-            "elapsed_seconds": float(self.elapsed_seconds),
-        }
+        return {**asdict(self), "objective_trace": [float(v) for v in self.objective_trace]}
 
 
 def fit_mpb(
@@ -79,7 +70,7 @@ def fit_mpb(
         Subtract the gridded sample mean before fitting and store it on the
         model. Compression is linear, so the compressed tensor is centered
         instead of the grid tensor. Needs the grid tensor: a prepared problem
-        with ``center`` raises ``ValueError``; its ``centered()`` carries the
+        with ``center`` raises ``ValueError``; its ``centered(y)`` takes the
         mean instead.
     """
     start = time.perf_counter()
@@ -87,14 +78,13 @@ def fit_mpb(
         if center:
             raise ValueError(
                 "center needs the grid tensor to take its mean; "
-                "fit the prepared problem's centered() instead"
+                "fit the prepared problem's centered(y) instead"
             )
         y.check_source(grids, bases, penalty_orders)
         prepared = y
     else:
-        y = np.asarray(y, dtype=float)
         prepared = reduction.prepare(y, grids, bases, penalty_orders)
-        prepared = prepared.centered(y.mean(axis=-1)) if center else prepared
+        prepared = prepared.centered(y) if center else prepared
     target = prepared.noise_target(config)
     state = solver.fit(prepared.g_hat, prepared.t_mats, config, noise_target=target)
     coefs = [reduction.back_transform(fac, c) for fac, c in zip(prepared.facs, state.c_tilde)]

@@ -162,7 +162,8 @@ class PreparedProblem:
     can check it is given the same ones. ``y_sq`` holds each subject's share
     of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
     :meth:`centered`, so that its sum is the energy of the data fitted;
-    ``mean`` is the grid mean :meth:`centered` removed, or None; an all-zero ``g_hat`` is refused.
+    ``mean`` is the grid mean :meth:`centered` took from the data and
+    removed, or None; an all-zero ``g_hat`` is refused.
     """
 
     facs: tuple[MarginalFactorization, ...]
@@ -191,22 +192,23 @@ class PreparedProblem:
         linear per subject, so this equals preparing those subjects alone."""
         return replace(self, g_hat=self.g_hat[..., index], y_sq=self.y_sq[index])
 
-    def centered(self, grid_mean: np.ndarray) -> PreparedProblem:
-        """The same problem for the data less its subject mean ``grid_mean`` (the grid
-        tensor's mean over its subjects), kept as ``mean``. Compression is linear, so ``g_hat``
-        loses its own subject mean, and the data energy becomes ``sum |y_i - mean|^2 =
-        sum |y_i|^2 - N |mean|^2``. Needs two or more subjects and an uncentered problem."""
+    def centered(self, y: np.ndarray) -> PreparedProblem:
+        """The same problem for the data less its subject mean. ``y`` is the grid tensor of
+        this problem's subjects, shaped as the grids plus the subject count; its mean over
+        subjects is kept as ``mean``. Compression is linear, so ``g_hat`` loses its own subject
+        mean, and the data energy becomes ``sum |y_i - mean|^2 = sum |y_i|^2 - N |mean|^2``.
+        Needs two or more subjects and an uncentered problem."""
         if self.g_hat.shape[-1] < 2:
             raise ValueError("centering needs at least two subjects")
         if self.mean is not None:
             raise ValueError("the problem is already centered")
-        grid_mean = np.asarray(grid_mean, dtype=float)
-        grid_shape = tuple(f.n for f in self.facs)
-        if grid_mean.shape != grid_shape:
-            raise ValueError(f"grid mean has shape {grid_mean.shape}, expected {grid_shape}")
-        flat = grid_mean.ravel()
+        y, shape = np.asarray(y, dtype=float), (*(f.n for f in self.facs), self.g_hat.shape[-1])
+        if y.shape != shape:
+            raise ValueError(f"data tensor has shape {y.shape}, expected {shape}")
+        mean = y.mean(axis=-1)
+        flat = mean.ravel()
         g, sq = self.g_hat, self.y_sq - float(flat @ flat)
-        return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean=grid_mean)
+        return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean=mean)
 
     @property
     def noise_var(self) -> float | None:

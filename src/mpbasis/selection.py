@@ -6,8 +6,9 @@ Every criterion reduces the data as :func:`fit_mpb` does, by
 :meth:`reduction.PreparedProblem.centered`. Both ranks are read off the noise
 level of that reduction: the marginal ranks from the noise variance outside
 the span of each candidate's compression, with no solver run; the global rank
-as the smallest whose fit reaches its noise target. Penalty weights are chosen
-by subject-held-out cross validation over a 2-d grid of (marginal, coefficient) weights.
+as the smallest whose fit reaches the ridge fit's noise target. Penalty weights
+are chosen by subject-held-out cross validation over a 2-d grid of (marginal,
+coefficient) weights.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ def select_marginal_rank(
     """
     if not candidates:
         raise ValueError("need at least one candidate basis system")
-    mean = np.asarray(y, dtype=float).mean(axis=-1) if center else None
     records, tols = [], []
     for bases in candidates:
         prepared = reduction.prepare(y, grids, bases)
-        prepared = prepared.centered(mean) if center else prepared
+        prepared = prepared.centered(y) if center else prepared
         ranks, dof = [b.rank for b in bases], prepared.noise_dof
         if dof == 0:
             raise ValueError(f"candidate ranks {ranks} leave the noise estimate no freedom")
@@ -120,12 +120,12 @@ def sweep_global_rank(
     Each fit after the first is warm-started from the previous one:
     :func:`solver.fit` completes it to the larger rank with components that
     leave its tensor unchanged. Each fit stops at the noise level, as
-    :func:`fit_mpb`'s does, at ``target_K`` =
-    :meth:`reduction.PreparedProblem.noise_target`, which is None when the
-    lasso block runs (``SolverConfig.lasso_block``).
+    :func:`fit_mpb`'s does, at :meth:`reduction.PreparedProblem.noise_target`,
+    which is None when the lasso block runs (``SolverConfig.lasso_block``).
     The chosen rank is the smallest whose residual ``SolverState.residual_sq``
     is at most ``(1 + NOISE_TOL_SDS * sqrt(2 / dof_K)) * target_K +
-    NOISE_FLOOR * |g_hat|^2``, ``dof_K = target_K / noise_var``: the expected
+    NOISE_FLOOR * |g_hat|^2``, with ``target_K`` the ridge fit's noise target
+    for every penalty and ``dof_K = target_K / noise_var``: the expected
     white-noise energy a rank-K fit leaves within sampling error, and on
     noise-free data (no target) rounding level. With no such rank the
     largest is chosen with a warning. The criterion recorded is the
@@ -136,14 +136,15 @@ def sweep_global_rank(
     if not k_grid or k_grid[0] < 1 or sorted(set(k_grid)) != k_grid:
         raise ValueError(f"k_grid must be strictly increasing integers >= 1, got {k_grid!r}")
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
-    prepared = prepared.centered(np.asarray(y, dtype=float).mean(axis=-1)) if center else prepared
+    prepared = prepared.centered(y) if center else prepared
     g_hat, noise_var = prepared.g_hat, prepared.noise_var
     g_norm_sq = float(np.sum(g_hat**2))
     records, state, chosen = [], None, None
     for i, k in enumerate(k_grid):
         cfg = replace(config, rank=k)
-        target = prepared.noise_target(cfg)
-        state = solver.fit(g_hat, prepared.t_mats, cfg, initial_state=state, noise_target=target)
+        target = prepared.noise_target(replace(cfg, coef_penalty="ridge"))
+        stop = prepared.noise_target(cfg)
+        state = solver.fit(g_hat, prepared.t_mats, cfg, initial_state=state, noise_target=stop)
         records.append(SelectionRecord(params={"rank": k}, criterion=state.residual_sq / g_norm_sq))
         bound = reduction.NOISE_FLOOR * g_norm_sq
         if target is not None:  # noise_var * dof_K within NOISE_TOL_SDS * noise_var * sqrt(2 dof_K)
@@ -206,7 +207,7 @@ def cv_lambda_grid(
     compressed tensor, fitted by :func:`fit_mpb` without a second reduction.
     Each subject's residual outside the span of the compression is formed
     once (:func:`reduction.out_of_span_sq`), after a centered fold takes its
-    training mean off its copy of the held-out data, as
+    training problem's ``mean`` off its copy of the held-out data, as
     :meth:`MPBModel.project` does with its input. Every cell projects the
     held-out subjects in compressed coordinates by the QR least-squares
     solve of :func:`reduction.lstsq_compressed`.
@@ -229,9 +230,8 @@ def cv_lambda_grid(
         held_g = prepared.g_hat[..., ~in_train]
         if center:
             held_g -= train.g_hat.mean(axis=-1, keepdims=True)
-            mean_y = y @ (in_train / in_train.sum())
-            train = train.centered(mean_y)
-            held_y -= mean_y[..., None]
+            train = train.centered(y[..., in_train])
+            held_y -= train.mean[..., None]
         held_sq = reduction.out_of_span_sq(held_y, prepared.facs, held_g)
         folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))

@@ -26,10 +26,10 @@ compressed tensor are cut once, at :func:`tensors.half_split`, and the tensor
 is used only as its ``prod(left) x prod(right)`` matrix view. One matrix
 product per half and sweep contracts that view with the Khatri-Rao product of
 the other half's current factors; every block of the half takes its MTTKRP
-from that small partial through :func:`tensors.partial_mttkrp_core`, the
-unchecked core of :func:`tensors.partial_mttkrp`: the sweep builds every array
-it hands over. Each block's Gram is the Hadamard product of per-factor Grams,
-which are refreshed once, after their factor is updated. The sweep's three
+from that small partial through :func:`tensors.partial_mttkrp_core`, which
+checks nothing: the sweep builds every array it hands over. Each block's Gram
+is the Hadamard product of per-factor Grams, which are refreshed once, after
+their factor is updated. The sweep's three
 block steps, :func:`update_factor`, :func:`update_b_ridge` and
 :func:`update_b_admm`, each take that Gram and MTTKRP from the sweep and only
 solve.

@@ -29,7 +29,6 @@ __all__ = [
     "khatri_rao",
     "gram_of_khatri_rao",
     "half_split",
-    "partial_mttkrp",
     "mttkrp",
     "cp_to_tensor",
 ]
@@ -127,7 +126,7 @@ def half_split(shape: Sequence[int]) -> int:
     return 1 + sizes.index(min(sizes))
 
 
-def partial_mttkrp(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
+def partial_mttkrp_core(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
     """MTTKRP along ``mode`` of a tensor already contracted over its other half.
 
     ``partial`` has shape ``(n_0, ..., n_{m-1}, K)``: the modes of one half
@@ -138,26 +137,10 @@ def partial_mttkrp(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -
     ``partial[..., k]`` with column ``k`` of every factor in ``mats``: the
     modes after ``mode`` first, then those before it, each side with its
     Khatri-Rao product. The temporaries are at most the size of ``partial``
-    divided by the sizes of the modes after ``mode``.
+    divided by the sizes of the modes after ``mode``. Nothing is checked:
+    ``partial`` and ``mats`` are float arrays whose shapes match (built by
+    :func:`mttkrp` or the solver's sweep).
     """
-    p = np.asarray(partial)
-    shape = p.shape[:-1]
-    k = p.shape[-1]
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for a {len(shape)}-mode partial")
-    if len(mats) != len(shape) - 1:
-        raise ValueError(f"expected {len(shape) - 1} factors, got {len(mats)}")
-    for d, m in zip([d for d in range(len(shape)) if d != mode], mats):
-        if np.ndim(m) != 2 or np.shape(m) != (shape[d], k):
-            raise ValueError(
-                f"factor for mode {d} has shape {np.shape(m)}, expected ({shape[d]}, {k})"
-            )
-    return partial_mttkrp_core(p, [np.asarray(m) for m in mats], mode)
-
-
-def partial_mttkrp_core(partial: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndarray:
-    """:func:`partial_mttkrp` without its checks: ``partial`` is a float array
-    and ``mats`` float arrays whose shapes match it (the solver's own)."""
     shape, k = partial.shape[:-1], partial.shape[-1]
     p = partial.reshape(math.prod(shape[:mode]), shape[mode], -1, k)
     if mode < len(shape) - 1:
@@ -177,7 +160,7 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
     ``unfold(tensor, mode) @ khatri_rao(mats reversed)``. The modes are cut
     at :func:`half_split`; one matrix product contracts the half without
     ``mode`` with the Khatri-Rao product of its factors, and
-    :func:`partial_mttkrp` contracts the rest of the half with ``mode``. The
+    :func:`partial_mttkrp_core` contracts the rest of the half with ``mode``. The
     ``prod(left) x prod(right)`` view of a C-contiguous tensor is not a copy,
     and no Khatri-Rao product of more than one half is formed.
     """

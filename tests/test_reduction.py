@@ -375,15 +375,15 @@ def test_fit_mpb_accepts_a_prepared_problem():
 
 
 def test_a_centered_prepared_problem_carries_its_mean_into_the_model():
-    # the refusal's advice, followed: fitting a centered() problem is the
+    # the refusal's advice, followed: fitting a centered(y) problem is the
     # center=True fit, mean included (such a model used to have no mean)
     bases, grids, y = small_problem(np.random.default_rng(38))
     y = y + 3.0
     cfg = SolverConfig(rank=2, seed=0, max_outer_iters=20)
     prepared = prepare(y, grids, bases, [2, 2])
-    with pytest.raises(ValueError, match=r"fit the prepared problem's centered\(\) instead"):
+    with pytest.raises(ValueError, match=r"fit the prepared problem's centered\(y\) instead"):
         fit_mpb(prepared, grids, bases, [2, 2], cfg, center=True)
-    model, _, _ = fit_mpb(prepared.centered(y.mean(axis=-1)), grids, bases, [2, 2], cfg)
+    model, _, _ = fit_mpb(prepared.centered(y), grids, bases, [2, 2], cfg)
     ref, _, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
     got, want = (m.coefs + [m.subject_coefs, m.mean_values] + m.mean_grids for m in (model, ref))
     assert len(got) == len(want) == 6
@@ -449,7 +449,7 @@ def test_noise_target_of_a_centered_problem_counts_n_minus_1_subjects():
     # N - 1 subjects; a reduction of pre-centered data counts N and differs
     bases, grids, y = small_problem(np.random.default_rng(33))
     y = y + 3.0
-    centered = prepare(y, grids, bases, [2, 2]).centered(y.mean(axis=-1))
+    centered = prepare(y, grids, bases, [2, 2]).centered(y)
     pre = prepare(y - y.mean(axis=-1, keepdims=True), grids, bases, [2, 2])
     *ms, n = centered.g_hat.shape
     for k in (1, 2, 3):

@@ -1,7 +1,7 @@
 """Hyperparameter selection criteria and the cross-validation harness."""
 
 import tracemalloc
-from contextlib import nullcontext
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -92,27 +92,27 @@ def test_marginal_criterion_makes_no_grid_sized_temporary():
 
 def test_marginal_criterion_reduces_through_prepare_and_centered(monkeypatch):
     # one reduction path: prepare without penalty orders, then centered by
-    # the grid mean, once per candidate, with no factorization of its own
+    # the data, once per candidate, with no factorization of its own
     bases, grids, y = small_problem(np.random.default_rng(3))
     candidates = [bases, [BSplineBasis((0.0, 1.0), 7), FourierBasis((0.0, 1.0), 7)]]
     calls, prep = [], reduction.prepare
-    means, centered = [], reduction.PreparedProblem.centered
+    data, centered = [], reduction.PreparedProblem.centered
 
     def recording_prepare(*args, **kwargs):
         calls.append((args, kwargs))
         return prep(*args, **kwargs)
 
-    def recording_centered(self, grid_mean):
-        means.append(grid_mean)
-        return centered(self, grid_mean)
+    def recording_centered(self, y):
+        data.append(y)
+        return centered(self, y)
 
     monkeypatch.setattr(reduction, "prepare", recording_prepare)
     monkeypatch.setattr(reduction.PreparedProblem, "centered", recording_centered)
     report = select_marginal_rank(y, grids, candidates, center=True)
     assert [len(a) for a, _ in calls] == [3, 3] and not any(kw for _, kw in calls)
-    assert len(means) == 2 and all(np.array_equal(m, y.mean(axis=-1)) for m in means)
+    assert len(data) == 2 and all(d is y for d in data)
     for record, cand in zip(report.records, candidates):
-        assert record.criterion == centered(prep(y, grids, cand), y.mean(axis=-1)).noise_var
+        assert record.criterion == centered(prep(y, grids, cand), y).noise_var
 
 
 def test_marginal_criterion_zero_norm_raises():
@@ -271,12 +271,9 @@ def test_global_rank_criterion_cases(monkeypatch):
         _, state, report = fit_mpb(prepared, grids, bases, [2, 2], cfg)
         assert report.residual_ratio == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
         del fits[:]
-        # white noise: the ridge path meets its noise level at once, and the
-        # lasso path, which has none, never reaches rounding level
-        lasso = penalty == "lasso"
-        with pytest.warns(RuntimeWarning, match="no rank reached") if lasso else nullcontext():
-            sweep = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3])
-        assert sweep.chosen.params == {"rank": 3 if lasso else 1}
+        # white noise: both paths meet the ridge fit's noise level at once
+        sweep = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3])
+        assert sweep.chosen.params == {"rank": 1}
         assert len(fits) == 3  # the ranks after the first start warm
         for record, (_, state) in zip(sweep.records, fits):
             assert record.criterion == pytest.approx(direct_sq(state) / np.sum(g**2), rel=1e-12)
@@ -314,7 +311,7 @@ def test_centering_refuses_a_single_subject():
     bases, grids, y = small_problem(np.random.default_rng(11))
     one, cfg = y[..., :1], SolverConfig(rank=1)
     calls = [
-        lambda: prepare(one, grids, bases, [2, 2]).centered(one.mean(axis=-1)),
+        lambda: prepare(one, grids, bases, [2, 2]).centered(one),
         lambda: fit_mpb(one, grids, bases, [2, 2], cfg, center=True),
         lambda: sweep_global_rank(one, grids, bases, [2, 2], cfg, [1, 2], center=True),
         lambda: select_marginal_rank(one, grids, [bases], center=True),
@@ -375,7 +372,7 @@ def test_sweep_global_rank_monotone_with_warm_start():
 @pytest.mark.parametrize("center", [False, True], ids=["raw", "centered"])
 def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center):
     # the records and the choice are bit-identical to reducing by prepare,
-    # centering by the grid mean and fitting each rank warm-started, each fit
+    # centering by the data and fitting each rank warm-started, each fit
     # stopping at its rank's noise target; the rank is the first whose
     # residual is within sampling error of that target
     bases, grids, y = signal_problem(np.random.default_rng(16))
@@ -384,7 +381,7 @@ def test_sweep_global_rank_is_the_prepare_centered_warm_started_path(center):
     report = sweep_global_rank(y, grids, bases, [2, 2], cfg, k_grid, center=center)
     prepared = prepare(y, grids, bases, [2, 2])
     if center:
-        prepared = prepared.centered(y.mean(axis=-1))
+        prepared = prepared.centered(y)
     *ms, n = prepared.g_hat.shape
     g_norm_sq, state, ref, fits = float(np.sum(prepared.g_hat**2)), None, [], []
     for k in k_grid:
@@ -478,9 +475,9 @@ def test_sweep_global_rank_centered_choice_ignores_an_offset():
 
 
 def test_a_lasso_rank_path_passes_no_stop_target(monkeypatch):
-    # as in fit_mpb, a lasso fit has no noise target; with none, only a
-    # residual at rounding level qualifies, so on noisy data the largest rank
-    # is chosen with a warning
+    # as in fit_mpb, a lasso fit has no noise target to stop at; the choice
+    # still compares each residual with the ridge fit's noise target, so the
+    # path picks the rank of the signal and the offset, as the ridge path does
     bases, grids, y = signal_problem(np.random.default_rng(16))
     targets, fit = [], solver.fit
 
@@ -490,11 +487,9 @@ def test_a_lasso_rank_path_passes_no_stop_target(monkeypatch):
 
     monkeypatch.setattr(solver, "fit", recording_fit)
     cfg = SolverConfig(rank=1, seed=0, max_outer_iters=30, lambda_coef=1e-3, coef_penalty="lasso")
-    message = "no rank reached the noise level; choosing the largest"
-    with pytest.warns(RuntimeWarning, match=message):
-        report = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3, 4])
+    report = sweep_global_rank(y, grids, bases, [2, 2], cfg, [1, 2, 3, 4])
     assert targets == [None] * 4
-    assert report.chosen.params == {"rank": 4}
+    assert report.chosen.params == {"rank": 3}
     del targets[:]
     ridge_cfg = replace(cfg, coef_penalty="ridge")
     ridge = sweep_global_rank(y, grids, bases, [2, 2], ridge_cfg, [1, 2, 3, 4])
@@ -515,6 +510,18 @@ def test_a_lasso_rank_path_at_zero_weight_is_the_ridge_path():
     )
     assert [r.criterion for r in lasso.records] == [r.criterion for r in ridge.records]
     assert lasso.chosen.params == ridge.chosen.params == {"rank": 10}
+
+
+def test_a_lasso_rank_path_chooses_at_the_ridge_noise_level():
+    # criterion 1's replication 0: the lasso fits have no stop target, and
+    # used to reach no noise level at any K and take K = 25 with a warning
+    sample = generate_product_sample(PRODUCT, replication=0)
+    cfg = replace(PRODUCT_FIT, lambda_coef=1e-3, coef_penalty="lasso")
+    bases = fourier_candidates([15])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = sweep_global_rank(sample.noisy, sample.grids, bases, [2, 2, 2], cfg, PRODUCT_K)
+    assert report.chosen.params == {"rank": 10}
 
 
 def test_fold_assignment_round_robin_after_shuffle():

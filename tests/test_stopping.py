@@ -7,6 +7,7 @@ residual reaches ``noise_var * residual_dof`` (the discrepancy principle), and
 otherwise runs exactly as the plain solver.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_slices_and_centering_carry_the_data_energy():
     part = full.subjects(pick)
     assert np.array_equal(part.y_sq, full.y_sq[pick])
     mean = y[..., pick].mean(axis=-1)
-    got = part.centered(mean)
+    got = part.centered(y[..., pick])
     ref = prepare(y[..., pick] - mean[..., None], grids, bases, [2, 2])
     assert got.y_sq.sum() == pytest.approx(ref.y_sq.sum(), rel=1e-12)
     assert np.allclose(got.g_hat, ref.g_hat, rtol=0, atol=1e-12 * np.abs(ref.g_hat).max())
@@ -84,11 +85,21 @@ def test_slices_and_centering_carry_the_data_energy():
     # reduction of already-centered data cannot know
     assert ref.mean is None and np.array_equal(got.mean, mean) and got.noise_dof == 3 * (154 - 30)
     assert got.noise_var == pytest.approx(ref.noise_var * 4 / 3, rel=1e-10)
-    with pytest.raises(ValueError, match=r"grid mean has shape \(14,\), expected \(14, 11\)"):
-        part.centered(mean[:, 0])
     # a second centering would replace the first mean, which the model then lost
     with pytest.raises(ValueError, match="the problem is already centered"):
-        got.centered(np.zeros_like(mean))
+        got.centered(y[..., pick])
+
+
+def test_centered_refuses_anything_but_the_data_of_its_subjects():
+    # the mean is taken from the data: a mean passed in its place, or the
+    # whole tensor for a slice of its subjects, is refused by its shape
+    bases, grids, y = small_problem(np.random.default_rng(41))
+    full = prepare(y + 3.0, grids, bases, [2, 2])
+    part = full.subjects(np.array([True, False, True, True, False, True]))
+    for problem, data, n in [(full, y.mean(axis=-1), 6), (part, y, 4)]:
+        expected = f"data tensor has shape {data.shape}, expected (14, 11, {n})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            problem.centered(data)
 
 
 @pytest.mark.parametrize("rep", [0, 1, 2])
@@ -96,14 +107,14 @@ def test_centered_noise_var_agrees_with_the_raw_one(rep):
     # centering takes the subject mean, one subject's worth of freedom: over
     # N subjects the centered estimate read 4/5 of the raw one
     y, prepared = product_problem(rep)
-    centered = prepared.centered(y.mean(axis=-1))
+    centered = prepared.centered(y)
     assert centered.noise_var == pytest.approx(prepared.noise_var, rel=0.01)
     assert prepared.noise_var == pytest.approx(PRODUCT.noise_var, rel=0.01)
 
 
 def test_centered_fit_stops_at_the_noise_level_of_n_minus_1_subjects():
     y, prepared = product_problem(100001)
-    centered = prepared.centered(y.mean(axis=-1))
+    centered = prepared.centered(y)
     *ms, n = centered.g_hat.shape
     target = centered.noise_var * residual_dof((*ms, n - 1), PRODUCT_FIT.rank)
     _, state, report = fit_mpb(y, prepared.grids, PRODUCT_BASES, [2, 2, 2], PRODUCT_FIT, center=True)
