@@ -12,6 +12,9 @@
 # (solver.update_factor, solver.update_b_ridge) to take time, which
 # they do only when the sweep calls them; checked on both ridge
 # workloads
+# SHARED_SETUP=1: no more basis evaluations per op than one set-up of
+# each distinct marginal (its grid and its penalty quadrature) plus the
+# model's reconstruction: 3 on product3d, whose three marginals are equal
 set -euo pipefail
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
@@ -34,13 +37,17 @@ if os.environ.get("RIDGE_STEPS") == "1":
     factor, ridge = m["solver.update_factor_s"], m["solver.update_b_ridge_s"]
     print("update_factor_s", factor, "update_b_ridge_s", ridge)
     ok = ok and factor > 0 and ridge > 0
+if os.environ.get("SHARED_SETUP") == "1":
+    evals = m["basis.evaluate_calls"]
+    print("evaluate_calls", evals)
+    ok = ok and evals <= 3
 sys.exit(0 if ok else 1)
 ' "$@"
 }
 for w in product3d gp2d cv_lasso; do
   check --workload "$w" --seed 1 --seconds 4 --trace 0
 done
-RIDGE_STEPS=1 check --workload product3d --seed 1 --seconds 4 --trace 1
+RIDGE_STEPS=1 SHARED_SETUP=1 check --workload product3d --seed 1 --seconds 4 --trace 1
 RIDGE_STEPS=1 check --workload gp2d --seed 1 --seconds 4 --trace 1
 LASSO_EXACT=1 check --workload cv_lasso --seed 1 --seconds 4 --trace 1
 echo "bench smoke ok"

@@ -19,7 +19,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import reduction
 from .errors import NumericalError
-from .tensors import cp_to_tensor
+from .tensors import cp_to_tensor, per_distinct
 
 # not called here: perfbench/tracer.py wraps these names on this module
 from .tensors import gram_of_khatri_rao, mttkrp  # noqa: F401
@@ -99,13 +99,14 @@ class MPBModel:
         return self.subject_coefs.shape[0]
 
     def marginal_values(self, grids: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per-dimension evaluations of the K marginal functions on grids."""
+        """Per-dimension evaluations of the K marginal functions on grids; each
+        basis is evaluated once per distinct :func:`reduction.marginal_keys`."""
         if len(grids) != self.n_dims:
             raise ValueError(f"expected {self.n_dims} grids, got {len(grids)}")
-        return [
-            b.evaluate(np.asarray(g, dtype=float)) @ c
-            for b, c, g in zip(self.bases, self.coefs, grids)
-        ]
+        grids = [np.asarray(g, dtype=float) for g in grids]
+        keys = reduction.marginal_keys(self.bases, grids)
+        phis = per_distinct(keys, lambda d: self.bases[d].evaluate(grids[d]))
+        return [phi @ c for phi, c in zip(phis, self.coefs)]
 
     def evaluate_basis(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the K product basis functions at scattered points.
@@ -198,7 +199,8 @@ class MPBModel:
 
         The projection runs in compressed coordinates. With the thin SVD
         ``Phi_d = U_d S_d V_d'`` of each basis evaluated on its grid (no rank
-        guard: a grid coarser than the basis rank works), the evaluated
+        guard: a grid coarser than the basis rank works; one evaluation and
+        SVD per distinct basis and grid), the evaluated
         product functions are ``(kron U_d) khatri_rao(S_d V_d' c_d)``, with
         ``c_d`` the coefficient matrices (:func:`reduction.forward_transform`).
         The coefficients are the QR
@@ -213,13 +215,12 @@ class MPBModel:
         y = np.asarray(y_new, dtype=float)
         single = y.ndim == self.n_dims
         y, grids = reduction.check_inputs(y[..., None] if single else y, grids, self.bases)
-        phis = [b.evaluate(g) for b, g in zip(self.bases, grids)]
+        facs = per_distinct(
+            reduction.marginal_keys(self.bases, grids),
+            lambda d: reduction.MarginalFactorization.of(self.bases[d].evaluate(grids[d])),
+        )
         if self.mean_values is not None:
             y = y - self._mean_on(grids)[..., None]
-        facs = [
-            reduction.MarginalFactorization(*np.linalg.svd(phi, full_matrices=False))
-            for phi in phis
-        ]
         g = reduction.compress(y, facs)
         coefs, resid_sq = reduction.lstsq_compressed(
             g,

@@ -6,7 +6,8 @@ Least-squares fitting in the compressed coordinates is equivalent to fitting
 in the original ones, and roughness penalties transport through the same
 factorization (``penalty_transform``). ``prepare`` runs the whole reduction:
 evaluate, factorize, transport, compress, and returns it as a
-:class:`PreparedProblem`.
+:class:`PreparedProblem`. Dimensions with equal :func:`marginal_keys` share
+their set-up: it is computed once per distinct marginal.
 
 Because compression is linear per subject, a subset of subjects is a slice of
 the compressed tensor, and the residual of any fit whose grid-mode factors
@@ -29,7 +30,7 @@ from . import basis as basis_mod
 from .errors import NumericalError
 from .jsonspec import as_int
 from .solver import SolverConfig, residual_dof
-from .tensors import khatri_rao, mode_multiply
+from .tensors import khatri_rao, mode_multiply, per_distinct
 
 __all__ = [
     "MarginalFactorization",
@@ -39,8 +40,8 @@ __all__ = [
     "out_of_span_sq",
     "lstsq_compressed",
     "factorize",
+    "marginal_keys",
     "compress",
-    "decompress",
     "penalty_transform",
     "back_transform",
     "forward_transform",
@@ -74,6 +75,13 @@ class MarginalFactorization:
     s: np.ndarray
     vt: np.ndarray
 
+    @classmethod
+    def of(cls, phi: np.ndarray) -> MarginalFactorization:
+        """The thin SVD of ``phi``, with no rank guard, as read-only arrays:
+        dimensions with equal :func:`marginal_keys` share one."""
+        u, s, vt = np.linalg.svd(phi, full_matrices=False)
+        return cls(u=_read_only(u), s=_read_only(s), vt=_read_only(vt))
+
     @property
     def n(self) -> int:
         return self.u.shape[0]
@@ -96,15 +104,32 @@ def factorize(phi: np.ndarray, dim: int | None = None) -> MarginalFactorization:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < phi.shape[1]:
         raise ValueError(f"expected a tall n x m matrix, got shape {phi.shape}")
-    u, s, vt = np.linalg.svd(phi, full_matrices=False)
-    if s[-1] <= RANK_TOL * s[0]:
+    fac = MarginalFactorization.of(phi)
+    if fac.s[-1] <= RANK_TOL * fac.s[0]:
         where = f" for dimension {dim}" if dim is not None else ""
         raise NumericalError(
             f"basis evaluation matrix{where} is rank deficient: "
-            f"singular value ratio {s[-1] / s[0]:.3e} <= {RANK_TOL:.0e}; "
+            f"singular value ratio {fac.s[-1] / fac.s[0]:.3e} <= {RANK_TOL:.0e}; "
             "reduce the basis rank or refine the grid"
         )
-    return MarginalFactorization(u=u, s=s, vt=vt)
+    return fac
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def marginal_keys(
+    bases: Sequence, grids: Sequence[np.ndarray], penalty_orders: Sequence[int] = ()
+) -> list[tuple]:
+    """The key of each dimension for :func:`tensors.per_distinct`: its basis
+    specification (``to_dict()``), its grid points and, where given, its
+    penalty order. Dimensions with equal keys have the same evaluation matrix,
+    factorization and transported penalty, so :func:`prepare` and
+    :class:`model.MPBModel` compute those once per distinct key."""
+    keys = [(b.to_dict(), g) for b, g in zip(bases, grids)]
+    return [k + (o,) for k, o in zip(keys, penalty_orders)] if penalty_orders else keys
 
 
 def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:
@@ -126,14 +151,6 @@ def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray
             out = mode_multiply(out, f.u.T, d)
     if not np.isfinite(out).all():
         raise ValueError("data tensor has non-finite values (NaN or inf)")
-    return out
-
-
-def decompress(g: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:
-    """Map compressed coordinates back to the grid: contract ``U_d`` per mode."""
-    out = np.asarray(g, dtype=float)
-    for d, f in enumerate(facs):
-        out = mode_multiply(out, f.u, d)
     return out
 
 
@@ -294,16 +311,21 @@ def prepare(
     order-``penalty_orders[d]`` roughness penalty of each basis, compresses
     ``y`` and takes each subject's energy ``|y_i|^2`` in one pass. Without
     ``penalty_orders``, ``t_mats`` is empty: the reduction alone, which
-    :func:`selection.select_marginal_rank` measures.
+    :func:`selection.select_marginal_rank` measures. Each evaluation,
+    factorization and transported penalty is computed once per distinct
+    :func:`marginal_keys` and shared, read-only, by the dimensions with that key.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     orders = () if penalty_orders is None else penalty_orders
     orders = tuple(as_int(o, "penalty order") for o in orders)
-    facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
-    t_mats = [
-        penalty_transform(fac, basis_mod.penalty_matrix(b, order))
-        for fac, b, order in zip(facs, bases, orders)
-    ]
+    keys = marginal_keys(bases, grids, orders)
+    facs = per_distinct(keys, lambda d: factorize(bases[d].evaluate(grids[d]), dim=d))
+
+    def transported(d: int) -> np.ndarray:
+        t = penalty_transform(facs[d], basis_mod.penalty_matrix(bases[d], orders[d]))
+        return _read_only(t)
+
+    t_mats = per_distinct(keys, transported) if orders else []
     flat = y.reshape(-1, y.shape[-1])
     return PreparedProblem(
         facs=tuple(facs),
@@ -321,9 +343,10 @@ def out_of_span_sq(
 ) -> np.ndarray:
     """Squared norm of each subject's part outside the span of the ``U_d``.
 
-    Returns ``|y_i - decompress(g_hat_i)|^2`` per subject, where ``g_hat =
-    compress(y, facs)``; to center, subtract the mean from a copy of ``y``
-    and from ``g_hat`` first. ``g_hat`` is decompressed once in every mode
+    Returns ``|y_i - P y_i|^2`` per subject, where ``P y_i`` is ``g_hat_i =
+    compress(y, facs)_i`` mapped back to the grid by contracting ``U_d``
+    against each mode; to center, subtract the mean from a copy of ``y``
+    and from ``g_hat`` first. ``g_hat`` is mapped back once in every mode
     but the leading one, and ``y`` is read in slabs of whole rows of that
     mode (contiguous in C order) of at most :data:`SLAB_ENTRIES` entries.
     Each slab's difference is formed directly, never as ``|y_i|^2 -

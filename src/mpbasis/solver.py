@@ -54,6 +54,7 @@ from .tensors import (
     khatri_rao_core,
     mode_multiply,
     partial_mttkrp_core,
+    per_distinct,
     unfold,
 )
 
@@ -250,12 +251,14 @@ def _check_info(info: int, step: str, routine: str, what: str) -> None:
 
 def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of the symmetric float ``a`` (named ``what``),
-    which is overwritten; a non-finite ``a`` raises :class:`NumericalError`."""
+    which is overwritten, as read-only arrays; a non-finite ``a`` raises
+    :class:`NumericalError`."""
     if not np.isfinite(a).all():
         raise NumericalError(f"{what} is not finite")
     # a.T is the same symmetric matrix in Fortran order: LAPACK works in place
     w, v, info = _SYEV(a.T, lwork=_syev_lwork(a.shape[0]), overwrite_a=1)
     _check_info(info, "eigendecomposition", "dsyev", what)
+    w.flags.writeable = v.flags.writeable = False
     return w, v
 
 
@@ -291,7 +294,10 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
         # V = diag(1, V1): the reflectors are stored below T's subdiagonal
         v[1:, 1:], _, info = _ORGQR(c[1:, :-1], tau, overwrite_a=1)
         _check_info(info, "orthogonal factor", "dorgqr", what)
-    gap = np.abs(beta[:, None] + alpha[None, :]).min()
+    # rounding is monotone: when the least sum is >= 0 it is the least |sum|
+    gap = beta.min() + alpha[0]
+    if gap < 0:
+        gap = np.abs(beta[:, None] + alpha[None, :]).min()
     # alpha is ascending: its largest magnitude is at one of its ends
     scale = max(-alpha[0], alpha[-1], abs(beta).max(initial=0.0), 1e-300)
     if gap <= 1e-14 * scale:
@@ -333,9 +339,8 @@ def residual_sq(y: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     difference is formed directly, never as the expanded square ``|y|^2 -
     2<y, X> + |X|^2``, which cancels to sqrt(eps) accuracy near an exact fit.
 
-    A matrix view of a tensor with the Khatri-Rao products of its two halves
-    as ``factors`` has the same total, summed per column; :func:`fit` takes
-    its objective that way.
+    :func:`fit` takes the same sum for the matrix view of the tensor, whose CP
+    product is that of the Khatri-Rao products of its two halves.
     """
     r = y - cp_to_tensor(factors)
     r = r.reshape(-1, r.shape[-1])
@@ -714,8 +719,12 @@ def fit(
                 raise ValueError(f"warm-start {name} has shape {f.shape}, expected {want}")
     state = _initialize(g_hat, config, warm)
 
-    # the penalties are constant over the fit: work in their eigenbases
-    eigs = [_eig_sym(lam_marg[d] * t, f"penalty matrix {d}") for d, t in enumerate(t_mats)]
+    # the penalties are constant over the fit: work in their eigenbases, one
+    # per distinct weighted penalty, shared read-only by the modes that have it
+    eigs = per_distinct(
+        list(zip(t_mats, lam_marg)),
+        lambda d: _eig_sym(lam_marg[d] * t_mats[d], f"penalty matrix {d}"),
+    )
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
     g_rot = g_hat
     for d, p in enumerate(rots):
@@ -732,7 +741,8 @@ def fit(
     krs = [khatri_rao_core(factors[lo:hi]) for lo, hi in halves]
 
     def sweep_objective() -> tuple[float, float]:
-        data_sq = float(residual_sq(g_mat, krs).sum())
+        res = g_mat - krs[0] @ krs[1].T  # residual_sq without the checks of cp_to_tensor
+        data_sq = float(np.einsum("ij,ij->j", res, res).sum())
         rows_sq = (np.einsum("ik,ik->i", c, c) for c in factors[:n_dims])
         pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
         return data_sq, _objective_value(data_sq, pen, factors[-1], config)

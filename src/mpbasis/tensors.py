@@ -1,4 +1,6 @@
-"""Dense multiway-array kernels: unfoldings, mode products, Khatri-Rao algebra.
+"""Dense multiway-array kernels: unfoldings, mode products, Khatri-Rao algebra,
+and :func:`per_distinct`, which computes a per-mode quantity once for modes
+that share it.
 
 Conventions, fixed once for the whole package:
 
@@ -18,7 +20,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ __all__ = [
     "half_split",
     "mttkrp",
     "cp_to_tensor",
+    "per_distinct",
 ]
 
 
@@ -189,16 +192,34 @@ def mttkrp(tensor: np.ndarray, mats: Sequence[np.ndarray], mode: int) -> np.ndar
 def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Materialize the sum of rank-1 outer products defined by factor columns.
 
-    Computed as one matrix product of the first or the last factor with the
-    Khatri-Rao product of the others, leaving out whichever of the two has
-    more rows; both products are the C-order tensor up to a reshape.
+    Computed as one matrix product of the Khatri-Rao products of the two
+    halves of the modes cut at :func:`half_split`; that ``prod(left) x
+    prod(right)`` matrix is the C-order tensor up to a reshape. Two factors
+    give the plain product ``first @ last.T``.
     """
     _check_factor_columns(factors)
-    first, last = np.asarray(factors[0]), np.asarray(factors[-1])
     shape = tuple(np.shape(f)[0] for f in factors)
     if len(factors) == 1:
-        return first.sum(axis=1)
-    if first.shape[0] >= last.shape[0]:
-        return (first @ khatri_rao(factors[1:]).T).reshape(shape)
-    return (khatri_rao(factors[:-1]) @ last.T).reshape(shape)
+        return np.asarray(factors[0]).sum(axis=1)
+    s = half_split(shape)
+    return (khatri_rao(factors[:s]) @ khatri_rao(factors[s:]).T).reshape(shape)
 
+
+def per_distinct(keys: Sequence[tuple], make: Callable[[int], Any]) -> list:
+    """``[make(i) for i in range(len(keys))]`` with ``make`` called once per
+    distinct key: a position whose key equals an earlier one's gets that
+    position's result, the same object. Keys are tuples, equal when their
+    entries are, arrays by shape and values (:func:`numpy.array_equal`) and
+    anything else by ``==``."""
+    out: list = []
+    for i, key in enumerate(keys):
+        j = next((j for j in range(i) if _same_key(keys[j], key)), i)
+        out.append(make(i) if j == i else out[j])
+    return out
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )

@@ -22,7 +22,6 @@ from mpbasis.pipeline import fit_mpb
 from mpbasis.reduction import (
     back_transform,
     compress,
-    decompress,
     factorize,
     forward_transform,
     penalty_transform,
@@ -41,6 +40,13 @@ from mpbasis.solver import (
     sylvester_solve,
     update_b_admm,
 )
+
+
+def decompress(g, facs):
+    """Reference: compressed coordinates mapped back to the grid, ``U_d`` per mode."""
+    for d, f in enumerate(facs):
+        g = T.mode_multiply(g, f.u, d)
+    return g
 
 
 def report(num, label, ok, detail):

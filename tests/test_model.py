@@ -11,8 +11,15 @@ from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
 from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
-from mpbasis.reduction import compress, decompress, factorize
+from mpbasis.reduction import compress, factorize
 from mpbasis.solver import SolverConfig
+
+
+def decompress(g, facs):
+    """Reference: compressed coordinates mapped back to the grid, ``U_d`` per mode."""
+    for d, f in enumerate(facs):
+        g = T.mode_multiply(g, f.u, d)
+    return g
 
 
 def random_model(rng, kinds=("bspline", "bspline"), ranks=(8, 6), k=3, n_subj=5):

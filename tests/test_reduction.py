@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mpbasis import basis as basis_mod
 from mpbasis import reduction, solver
 from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis, penalty_matrix
@@ -16,7 +17,6 @@ from mpbasis.reduction import (
     MarginalFactorization,
     back_transform,
     compress,
-    decompress,
     factorize,
     forward_transform,
     lstsq_compressed,
@@ -26,6 +26,13 @@ from mpbasis.reduction import (
 )
 from mpbasis.selection import cv_lambda_grid, select_marginal_rank, sweep_global_rank
 from mpbasis.solver import SolverConfig
+
+
+def decompress(g, facs):
+    """Reference: compressed coordinates mapped back to the grid, ``U_d`` per mode."""
+    for d, f in enumerate(facs):
+        g = T.mode_multiply(g, f.u, d)
+    return g
 
 
 def test_factorize_identity():
@@ -212,14 +219,54 @@ def test_penalty_equivalence_against_dense_quadrature():
     assert abs(lhs - rhs) < 1e-6 * abs(rhs)
 
 
-def test_prepare_matches_explicit_steps():
-    # evaluate, factorize, transport each penalty at its own order, compress
+def count_calls(monkeypatch, owner, name, when=lambda *args, **kwargs: True):
+    """Wrap ``owner.name``: returns the list of the arguments of each call ``when`` accepts."""
+    calls, func = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if when(*args, **kwargs):
+            calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def count_set_up(monkeypatch):
+    """Counters of the grid evaluations (derivative order 0), the penalty
+    quadratures and the SVDs that follow."""
+    on_grid = lambda self, x, deriv=0: deriv == 0  # noqa: E731
+    evals = [count_calls(monkeypatch, c, "evaluate", on_grid) for c in (BSplineBasis, FourierBasis)]
+    quads = count_calls(monkeypatch, basis_mod, "penalty_matrix")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    return lambda: (sum(map(len, evals)), len(quads), len(svds))
+
+
+EQUAL_SPECS = (  # three equal Fourier marginals, each its own basis and grid object
+    [FourierBasis((0.0, 1.0), 7) for _ in range(3)],
+    [np.linspace(0.0, 1.0, 10) for _ in range(3)],
+    [2, 2, 2],
+)
+
+
+@pytest.mark.parametrize("bases, grids, orders, distinct", [
+    (
+        [BSplineBasis((0.0, 2.0), 7, degree=3), FourierBasis((-1.0, 1.0), 5)],
+        [np.linspace(0.0, 2.0, 15), np.linspace(-1.0, 1.0, 12)],
+        [2, 1],
+        2,
+    ),
+    (*EQUAL_SPECS, 1),
+], ids=["distinct", "equal"])
+def test_prepare_matches_explicit_steps(monkeypatch, bases, grids, orders, distinct):
+    # evaluate, factorize, transport each penalty at its own order, compress;
+    # equal marginals share one evaluation, quadrature and SVD, bit for bit
     rng = np.random.default_rng(9)
-    bases = [BSplineBasis((0.0, 2.0), 7, degree=3), FourierBasis((-1.0, 1.0), 5)]
-    grids = [np.linspace(0.0, 2.0, 15), np.linspace(-1.0, 1.0, 12)]
-    orders = [2, 1]
-    y = rng.standard_normal((15, 12, 4))
+    y = rng.standard_normal((*(g.size for g in grids), 4))
+    counts = count_set_up(monkeypatch)
     prepared = prepare(y, grids, bases, orders)
+    assert counts() == (distinct,) * 3
+    monkeypatch.undo()
     facs, t_mats, g_hat = prepared.facs, prepared.t_mats, prepared.g_hat
     ref_facs = [factorize(b.evaluate(g), dim=d) for d, (b, g) in enumerate(zip(bases, grids))]
     for fac, ref in zip(facs, ref_facs):
@@ -229,6 +276,69 @@ def test_prepare_matches_explicit_steps():
         ref_t = penalty_transform(fac, penalty_matrix(b, orders[d]))
         assert np.array_equal(t_mats[d], ref_t)
     assert np.array_equal(g_hat, compress(y, ref_facs))
+    flat = y.reshape(-1, y.shape[-1])
+    assert np.array_equal(prepared.y_sq, np.einsum("ij,ij->j", flat, flat))
+    assert len({id(f) for f in facs}) == len({id(t) for t in t_mats}) == distinct
+
+
+OTHER_MARGINAL = {  # one change from BSplineBasis((0, 1), 6) on 12 points, order 2
+    "grid points": (BSplineBasis((0.0, 1.0), 6), np.linspace(0.0, 1.0, 12) ** 2, 2),
+    "penalty order": (BSplineBasis((0.0, 1.0), 6), np.linspace(0.0, 1.0, 12), 1),
+    "rank": (BSplineBasis((0.0, 1.0), 7), np.linspace(0.0, 1.0, 12), 2),
+    "domain": (BSplineBasis((-0.1, 1.0), 6), np.linspace(0.0, 1.0, 12), 2),
+    "knots": (
+        BSplineBasis((0.0, 1.0), 6, knots=[0, 0, 0, 0, 0.25, 0.5, 1, 1, 1, 1]),
+        np.linspace(0.0, 1.0, 12),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("change", OTHER_MARGINAL)
+def test_prepare_shares_nothing_between_different_marginals(monkeypatch, change):
+    basis, grid, order = OTHER_MARGINAL[change]
+    bases, grids = [BSplineBasis((0.0, 1.0), 6), basis], [np.linspace(0.0, 1.0, 12), grid]
+    counts = count_set_up(monkeypatch)
+    prepared = prepare(np.ones((12, 12, 2)), grids, bases, [2, order])
+    assert counts() == (2, 2, 2)
+    assert prepared.facs[0] is not prepared.facs[1]
+    assert prepared.t_mats[0] is not prepared.t_mats[1]
+
+
+def test_shared_set_up_is_read_only():
+    bases, grids, orders = EQUAL_SPECS
+    prepared = prepare(np.ones((10, 10, 10, 2)), grids, bases, orders)
+    fac = prepared.facs[0]
+    for a in (fac.u, fac.s, fac.vt, prepared.t_mats[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_model_evaluates_each_distinct_marginal_once(monkeypatch):
+    # marginal_values, evaluate_subjects and project against per-dimension references
+    bases, grids, _ = EQUAL_SPECS
+    rng = np.random.default_rng(41)
+    coefs = [rng.standard_normal((7, 3)) for _ in bases]
+    model = MPBModel(bases=bases, coefs=coefs, subject_coefs=rng.standard_normal((4, 3)))
+    y = rng.standard_normal((10, 10, 10, 2))
+    counts = count_set_up(monkeypatch)
+    values = model.marginal_values(grids)
+    assert counts() == (1, 0, 0)
+    est = model.evaluate_subjects(grids)
+    assert counts() == (2, 0, 0)
+    proj, resid = model.project(y, grids)
+    assert counts() == (3, 0, 1)
+    monkeypatch.undo()
+    refs = [b.evaluate(g) @ c for b, g, c in zip(bases, grids, coefs)]
+    assert all(np.array_equal(v, r) for v, r in zip(values, refs))
+    assert np.array_equal(est, T.cp_to_tensor(refs + [model.subject_coefs]))
+    facs = [MarginalFactorization.of(b.evaluate(g)) for b, g in zip(bases, grids)]
+    g = compress(y, facs)
+    ref_proj, ref_sq = lstsq_compressed(
+        g, [forward_transform(f, c) for f, c in zip(facs, coefs)],
+        out_of_span_sq(y, facs, g), "dependent",
+    )
+    assert np.array_equal(proj, ref_proj) and np.array_equal(resid, np.sqrt(ref_sq))
 
 
 def test_prepare_names_rank_deficient_dimension():

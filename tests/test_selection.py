@@ -12,7 +12,7 @@ from mpbasis import tensors as T
 from mpbasis.basis import BSplineBasis, FourierBasis
 from mpbasis.model import MPBModel
 from mpbasis.pipeline import fit_mpb
-from mpbasis.reduction import NOISE_FLOOR, compress, decompress, factorize, prepare
+from mpbasis.reduction import NOISE_FLOOR, compress, factorize, prepare
 from mpbasis.selection import (
     NOISE_TOL_SDS,
     SelectionRecord,
@@ -27,6 +27,14 @@ from mpbasis.sim import (
 )
 from mpbasis.sim import mise as sim_mise
 from mpbasis.solver import SolverConfig, residual_dof
+
+
+def decompress(g, facs):
+    """Reference: compressed coordinates mapped back to the grid, ``U_d`` per mode."""
+    for d, f in enumerate(facs):
+        g = T.mode_multiply(g, f.u, d)
+    return g
+
 
 #: Criterion 1's simulation design: Fourier marginals of true rank 11, K = 10.
 PRODUCT = ProductSimConfig(
@@ -280,12 +288,15 @@ def test_global_rank_criterion_cases(monkeypatch):
 
 
 def test_residual_is_formed_once_per_objective(monkeypatch):
-    # one residual per sweep plus the starting objective; none after a fit
+    # one residual per sweep plus the starting objective; none after a fit. The
+    # sweep forms its residual inline, so each objective it records counts one
     bases, grids, y = small_problem(np.random.default_rng(8))
     prepared = prepare(y, grids, bases, [2, 2])
     cfg = SolverConfig(rank=2, lambda_coef=1e-6, max_outer_iters=7)
-    calls, residual_sq = [], solver.residual_sq
-    monkeypatch.setattr(solver, "residual_sq", lambda *a: calls.append(1) or residual_sq(*a))
+    calls = []
+    for name in ("residual_sq", "_objective_value"):
+        func = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda *a, f=func: calls.append(1) or f(*a))
     _, state, _ = fit_mpb(prepared, grids, bases, [2, 2], cfg)
     assert len(calls) == state.iters + 1
     del calls[:]

@@ -126,6 +126,28 @@ def test_sylvester_overlap_names_the_block_and_its_margin():
     assert gap <= threshold and gap <= 1e-14 * np.abs(alpha).max()
 
 
+def test_sylvester_overlap_reads_the_same_on_both_gap_branches():
+    # beta_min + alpha_min is 0 (the gap in O(1)) or -1 (the outer sum finds the 0)
+    msgs = []
+    for alpha, beta in (([0.0, 1.0], [0.0, 2.0]), ([1.0, 2.0], [-2.0, 0.0])):
+        with pytest.raises(NumericalError) as err:
+            solver_mod._sylvester_tridiag(np.diag(alpha), np.array(beta), np.ones((2, 2)), "m")
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1]
+    assert msgs[0].startswith(
+        "m: Sylvester spectra overlap, smallest |beta_i + alpha_k| 0.000e+00 is at or below "
+        "the threshold 1e-14 x scale 2.000e+00 = 2.000e-14"
+    )
+
+
+def test_sylvester_negative_beta_takes_the_outer_sum():
+    # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6
+    m, beta = np.diag([1.0, 2.0]), np.array([-10.0, 5.0])
+    q = np.random.default_rng(5).standard_normal((2, 2))
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q, "m")
+    assert np.abs(x - kron_oracle(m, beta, q)).max() <= 1e-15
+
+
 def test_sylvester_residual_on_random_instances():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -1029,6 +1051,35 @@ def test_fit_runs_one_library_step_per_block_and_sweep(monkeypatch, coef_penalty
     state = fit(g, [psd(rng, m) for m in dims], cfg)
     assert state.iters == 7
     assert calls == [0, 1, 2, f"update_b_{'ridge' if coef_penalty == 'ridge' else 'admm'}"] * 7
+
+
+def test_fit_takes_one_eigendecomposition_per_distinct_weighted_penalty(monkeypatch):
+    # modes 0, 1 and 3 share a penalty (1 as an equal copy), mode 3 at another
+    # weight; the shared rotations are read-only and change no bit of the fit
+    rng = np.random.default_rng(36)
+    t = psd(rng, 3)
+    t_mats = [t, t.copy(), psd(rng, 3), t]
+    g = rng.standard_normal((3, 3, 3, 3, 4))
+    cfg = SolverConfig(
+        rank=2, lambda_marginal=[0.1, 0.1, 0.1, 0.2], lambda_coef=0.1, max_outer_iters=5, seed=3
+    )
+    eigs, eig = [], solver_mod._eig_sym
+
+    def counted(a, what):
+        eigs.append((what, eig(a, what)))
+        return eigs[-1][1]
+
+    monkeypatch.setattr(solver_mod, "_eig_sym", counted)
+    shared = fit(g, t_mats, cfg)
+    assert [what for what, _ in eigs] == [f"penalty matrix {d}" for d in (0, 2, 3)]
+    assert not any(a.flags.writeable for _, pair in eigs for a in pair)
+    unshared = lambda keys, make: [make(i) for i in range(len(keys))]  # noqa: E731
+    monkeypatch.setattr(solver_mod, "per_distinct", unshared)
+    alone = fit(g, t_mats, cfg)
+    assert len(eigs) == 3 + 4
+    for a, b in zip(shared.factors(), alone.factors()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(shared.objective_trace, alone.objective_trace)
 
 
 def test_hosvd_start_is_leading_singular_vectors_and_ignores_seed():

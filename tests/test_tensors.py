@@ -332,6 +332,11 @@ def test_cp_to_tensor_matches_references(shape, k):
     got = T.cp_to_tensor(factors)
     assert got.flags.c_contiguous
     assert_rel(got, cp_by_outer_products(factors))
+    modes = "abcde"[: len(shape)]
+    einsum = np.einsum(",".join(c + "k" for c in modes) + "->" + modes, *factors)
+    assert_rel(got, einsum, tol=1e-15)
+    if len(shape) == 2:  # the plain product, bit for bit
+        assert np.array_equal(got, factors[0] @ factors[1].T)
     unfolded = factors[0] @ T.khatri_rao(factors[1:][::-1]).T if len(shape) > 1 else None
     if unfolded is not None:
         assert_rel(got, T.fold(unfolded, 0, shape))
@@ -363,3 +368,21 @@ def test_property_round_trip_and_norm():
             mat = T.unfold(t, d)
             assert np.array_equal(T.fold(mat, d, shape), t)
             assert np.isclose(np.linalg.norm(mat), np.linalg.norm(t), rtol=1e-15, atol=0)
+
+
+def test_per_distinct_makes_each_distinct_key_once():
+    grid = np.linspace(0.0, 1.0, 5)
+    keys = [
+        ({"rank": 3}, grid, 2),
+        ({"rank": 3}, grid.copy(), 2),  # equal to the first: shares its result
+        ({"rank": 5}, grid, 2),
+        ({"rank": 3}, grid[:4], 2),
+        ({"rank": 3}, grid, 1),
+        ({"rank": 5}, grid.copy(), 2),  # equal to the third
+    ]
+    made = []
+    out = T.per_distinct(keys, lambda i: made.append(i) or [i])
+    assert made == [0, 2, 3, 4]
+    assert out == [[0], [0], [2], [3], [4], [2]]
+    assert out[1] is out[0] and out[5] is out[2]
+
