@@ -59,7 +59,8 @@ def fit_mpb(
     y : ndarray or reduction.PreparedProblem
         Observations of shape ``(n_1, ..., n_D, N)`` with subjects last, or
         a problem prepared from ``grids``, ``bases`` and ``penalty_orders``
-        (the same basis objects); anything else raises ``ValueError``.
+        (equal grid points and basis specifications); anything else raises
+        ``ValueError``.
     grids : sequence of 1-d arrays
         Marginal grid points, lengths matching the leading dims of ``y``.
     bases : sequence of marginal bases

@@ -30,7 +30,7 @@ from . import basis as basis_mod
 from .errors import NumericalError
 from .jsonspec import as_int
 from .solver import SolverConfig, residual_dof
-from .tensors import khatri_rao, mode_multiply, per_distinct
+from .tensors import khatri_rao, mode_multiply, per_distinct, same_key
 
 __all__ = [
     "MarginalFactorization",
@@ -254,12 +254,15 @@ class PreparedProblem:
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]
     ) -> None:
         """Raise ``ValueError`` unless the problem was prepared from these
-        grids (equal points), bases (the same objects) and penalty orders."""
+        penalty orders and, dimension by dimension, equal
+        :func:`marginal_keys`: the same grid points and basis specifications,
+        whether or not the objects are the same."""
+        grids = [np.asarray(g, dtype=float) for g in grids]
         same = (
-            len(grids) == len(self.grids)
-            and all(np.array_equal(np.asarray(g, dtype=float), h) for g, h in zip(grids, self.grids))
-            and len(bases) == len(self.bases)
-            and all(b is c for b, c in zip(bases, self.bases))
+            len(grids) == len(bases) == len(self.bases)
+            and all(
+                map(same_key, marginal_keys(bases, grids), marginal_keys(self.bases, self.grids))
+            )
             and tuple(as_int(o, "penalty order") for o in penalty_orders)
             == self.penalty_orders
         )

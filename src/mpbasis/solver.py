@@ -17,7 +17,9 @@ tensor's grid modes and the start factors are rotated by ``P_d'`` once, so
 each factor step's penalty side is the diagonal ``diag(beta_d)``. The step
 tridiagonalizes its K x K Gram once and solves one tridiagonal system per
 row of the factor, all stacked into one LAPACK call (the Hessenberg-Schur
-method of Golub, Nash and Van Loan, 1979). These, the penalty
+method of Golub, Nash and Van Loan, 1979); the inertia of one LDL'
+factorization clears its spectra-overlap guard, whose eigenvalues are
+computed only when that certificate fails. These, the penalty
 eigendecompositions and the Cholesky solves call LAPACK directly.
 
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
@@ -80,7 +82,7 @@ __all__ = [
 CHOL_DIAG_RATIO_TOL = 1e-7
 
 #: Primal-dual active-set passes of :func:`update_b_admm` after its first
-#: solve on the warm-start pattern; rows left over run feature-sign search.
+#: pattern solve; rows left over run feature-sign search.
 _PDAS_PASSES = 6
 
 #: Cap on the active-set steps (pattern solves) of each row of the lasso
@@ -88,13 +90,13 @@ _PDAS_PASSES = 6
 _LASSO_MAX_STEPS = 500
 
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
-#: penalty rotations; the tridiagonal reduction, the tridiagonal eigenvalues
-#: (root-free QR), the orthogonal factor of stored reflectors and the
-#: tridiagonal solve of each factor step; the Cholesky factorization and
-#: solve. The wrappers check neither finiteness nor symmetry; their callers
-#: check finiteness.
-_SYEV, _SYTRD, _STERF, _ORGQR, _GTSV = (
-    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dgtsv
+#: penalty rotations; the tridiagonal reduction, the LDL' factorization of the
+#: overlap certificate, the tridiagonal eigenvalues (root-free QR) when that
+#: fails, the orthogonal factor of stored reflectors and the tridiagonal solve
+#: of each factor step; the Cholesky factorization and solve. The wrappers
+#: check neither finiteness nor symmetry; their callers check finiteness.
+_SYEV, _SYTRD, _PTTRF, _STERF, _ORGQR, _GTSV = (
+    lapack.dsyev, lapack.dsytrd, lapack.dpttrf, lapack.dsterf, lapack.dorgqr, lapack.dgtsv
 )
 _POTRF, _POTRS = lapack.dpotrf, lapack.dpotrs
 
@@ -271,12 +273,12 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
     ``m = V T V'`` and ``T`` tridiagonal, row ``i`` of ``Y = X V`` solves
     ``(T + beta_i I) y_i = (q V)_i``. The n systems are stacked into one
     tridiagonal system of order nK, with zero couplings between the blocks,
-    and solved by one LAPACK call; ``X = Y V'``. The eigenvalues ``alpha`` of
-    ``T``, those of ``m``, serve only the spectra-overlap guard.
+    and solved by one LAPACK call; ``X = Y V'``. The spectra-overlap guard
+    (:func:`_check_overlap`) reads ``T`` before ``V`` is formed.
 
     It beats one eigendecomposition of ``m`` only from about K = 20 and while
-    n stays below about 1.5 K (2.5 K at K = 60); at K <= 15 its four LAPACK
-    calls cost more than ``dsyev`` whatever n is (README, solver bullets).
+    n stays below about 2 K; at K <= 15 its fixed cost is more than
+    ``dsyev``'s whatever n is (README, solver bullets).
     """
     if not np.isfinite(m).all():
         raise NumericalError(f"{what} is not finite")
@@ -284,28 +286,13 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
     # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
     c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
     _check_info(info, "tridiagonal reduction", "dsytrd", what)
+    _check_overlap(d, e, beta, what)
     v = np.zeros((k, k))
     v[0, 0] = 1.0
-    if k == 1:  # T is its diagonal; dsterf refuses an empty off-diagonal
-        alpha = d
-    else:
-        alpha, info = _STERF(d, e)
-        _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
+    if k > 1:
         # V = diag(1, V1): the reflectors are stored below T's subdiagonal
         v[1:, 1:], _, info = _ORGQR(c[1:, :-1], tau, overwrite_a=1)
         _check_info(info, "orthogonal factor", "dorgqr", what)
-    # rounding is monotone: when the least sum is >= 0 it is the least |sum|
-    gap = beta.min() + alpha[0]
-    if gap < 0:
-        gap = np.abs(beta[:, None] + alpha[None, :]).min()
-    # alpha is ascending: its largest magnitude is at one of its ends
-    scale = max(-alpha[0], alpha[-1], abs(beta).max(initial=0.0), 1e-300)
-    if gap <= 1e-14 * scale:
-        raise NumericalError(
-            f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
-            f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
-            "proximal_mu to shift the factor Gram away from singularity"
-        )
     off = np.zeros((n, k))
     off[:, :-1] = e
     off = off.reshape(-1)[:-1]
@@ -317,6 +304,50 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
     )[3:]
     _check_info(info, "tridiagonal solve", "dgtsv", what)
     return y.reshape(n, k) @ v.T
+
+
+def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) -> None:
+    """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
+    :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
+    ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
+    ``alpha`` are the eigenvalues of the tridiagonal ``T`` with diagonal ``d``
+    and off-diagonal ``e``.
+
+    A certificate clears the common case in O(K) without ``alpha``: ``s_hat``,
+    the larger of a Gershgorin bound on ``|alpha|`` and ``max |beta|``, is at
+    least the scale, and when the LDL' factorization of ``T - sigma I`` with ``sigma =
+    2e-14 s_hat - beta_min`` (``dpttrf``) has positive pivots, every
+    eigenvalue of ``T`` exceeds ``sigma`` by Sylvester's law of inertia
+    (Demmel, Applied Numerical Linear Algebra, 1997, 5.3), so every ``beta_i +
+    alpha_k`` exceeds ``2e-14 s_hat``; the factor 2 covers the rounding of the
+    factorization and of the eigenvalues. Only when it fails are ``alpha``
+    computed (``dsterf``) and the gap measured."""
+    k = d.shape[0]
+    lo = beta.min()
+    if k > 1:
+        # Gershgorin: every alpha_k is within 2 max|e| of some d_i
+        s_hat = max(np.abs(d).max() + 2.0 * np.abs(e).max(), -lo, beta.max())
+        info = _PTTRF(d - (2e-14 * s_hat - lo), e, overwrite_d=1)[2]
+        if info < 0:
+            _check_info(info, "overlap certificate", "dpttrf", what)
+        if info == 0:
+            return
+        alpha, info = _STERF(d, e)
+        _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
+    else:  # T is its diagonal; dpttrf and dsterf refuse an empty off-diagonal
+        alpha = d
+    # rounding is monotone: when the least sum is >= 0 it is the least |sum|
+    gap = lo + alpha[0]
+    if gap < 0:
+        gap = np.abs(beta[:, None] + alpha[None, :]).min()
+    # alpha is ascending: its largest magnitude is at one of its ends
+    scale = max(-alpha[0], alpha[-1], abs(beta).max(initial=0.0), 1e-300)
+    if gap <= 1e-14 * scale:
+        raise NumericalError(
+            f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
+            f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
+            "proximal_mu to shift the factor Gram away from singularity"
+        )
 
 
 def _objective_value(data_sq: float, marginal: float, b: np.ndarray, config: SolverConfig) -> float:
@@ -450,24 +481,27 @@ def update_b_admm(
     ``g = A b - c``, ``g_j = -tau s_j`` and ``s_j b_j > 0`` where ``s_j != 0``,
     and ``|g_j| <= tau`` elsewhere.
 
-    Every row is first solved on the sign pattern of ``b_old``, rows with
-    equal active sets in one solve, and rows with a full active set off the
-    factor of ``A`` (:func:`_solve_on_patterns`). Uncertified rows get up to
-    :data:`_PDAS_PASSES` primal-dual active-set passes: the next pattern is
-    that of the soft-thresholded coordinate step ``b_j - g_j / A_jj``, except
-    that an entry whose sign flips a second time is dropped, which breaks
-    two-cycles. Rows still uncertified run feature-sign search (Lee, Battle,
+    The primal-dual active-set update (Hintermueller, Ito and Kunisch, SIAM
+    J. Optim. 13, 2002) gives each pattern: at ``x`` it is that of the
+    soft-thresholded coordinate step ``x_j - g_j / A_jj``. The first pattern is
+    the update at ``x0``, the full-pattern solve ``c A^-1`` off the factor of
+    ``A`` for rows whose warm start has no zero and the warm start itself for
+    the others; ``x0`` is not a step. Every row is solved on its pattern,
+    rows with equal active sets in one solve and rows with a full active set
+    off the factor of ``A`` (:func:`_solve_on_patterns`). Uncertified rows get
+    up to :data:`_PDAS_PASSES` more passes, each on the update at the last,
+    except that an entry whose sign flips a second time is dropped, which
+    breaks two-cycles. Rows still uncertified run feature-sign search (Lee, Battle,
     Raina and Ng, NIPS 2007) from whichever of ``b_old`` and their last
     pass has the lower value; it lowers the row objective at every step and
     ends in finitely many. :data:`_LASSO_MAX_STEPS` caps the steps (pattern
     solves) of each row; a row at the cap keeps its iterate, whose value is no
     higher than at ``b_old``, and a warning is issued.
 
-    On the first ``cv_lasso`` benchmark op (N = 40, K = 20, 45 calls) the
-    passes make 157 pattern solves with 2.8 distinct active sets each; 134
-    include the full set, which 88% of the rows solved have (none has fewer
-    than 15 of 20 entries). Rows fail KKT on a sign flip or an inactive
-    gradient, never on the equality residual (at most 0.018 of the slack).
+    On three ``cv_lasso`` benchmark ops (N = 40, K = 20, 135 calls) the most
+    steps of any row sum to 394 over the calls, against 482 when the first
+    pass solved on the warm start's signs, which are stale after the grid
+    factors move. Rows fail KKT on a sign flip or an inactive gradient.
 
     Returns ``(b, z, a_star, converged, n_iters)``: ``z = b'``, ``a_star`` is
     zero, ``converged`` says that every row was certified and ``n_iters`` is
@@ -483,8 +517,15 @@ def update_b_admm(
     solve = partial(_solve_on_patterns, a, chol, what=what)
     abs_a, diag_a = np.abs(a), np.diag(a)
     b, steps = np.zeros_like(c), np.zeros(c.shape[0], dtype=int)
+    # the first pattern is the update below at x0: the full-pattern solve where
+    # the warm start has no zero, the warm start elsewhere
+    x0, full = b_old, (b_old != 0).all(axis=1)
+    if full.any():
+        x0 = b_old.copy()
+        x0[full] = _POTRS(chol, c[full].T)[0].T
+    sign = np.sign(soft_threshold(x0 * diag_a - (x0 @ a - c), tau))
     # the rows still uncertified, with their c, |c|, sign pattern and flip record
-    todo, c_t, abs_c, sign = np.arange(c.shape[0]), c, np.abs(c), np.sign(b_old)
+    todo, c_t, abs_c = np.arange(c.shape[0]), c, np.abs(c)
     flipped = np.zeros(c.shape, dtype=bool)
     for _ in range(min(1 + _PDAS_PASSES, _LASSO_MAX_STEPS)):
         x = solve(c_t - tau * sign, sign != 0)
@@ -519,7 +560,7 @@ def update_b_admm(
 
 def _solve_on_patterns(a, chol, r, act, what: str) -> np.ndarray:
     """Rows ``x`` with ``A_SS x_S = r_S`` on each row's active set ``S`` (the
-    boolean row of ``act``) and zero elsewhere. Rows whose ``S`` is full (88%
+    boolean row of ``act``) and zero elsewhere. Rows whose ``S`` is full (93%
     of the rows :func:`update_b_admm` solves on the ``cv_lasso`` benchmark)
     share one solve off ``chol``, the Cholesky factor of ``a``, and need no
     gather; when every row is full that solve is the result. Rows sharing any

@@ -213,12 +213,13 @@ def per_distinct(keys: Sequence[tuple], make: Callable[[int], Any]) -> list:
     anything else by ``==``."""
     out: list = []
     for i, key in enumerate(keys):
-        j = next((j for j in range(i) if _same_key(keys[j], key)), i)
+        j = next((j for j in range(i) if same_key(keys[j], key)), i)
         out.append(make(i) if j == i else out[j])
     return out
 
 
-def _same_key(a: tuple, b: tuple) -> bool:
+def same_key(a: tuple, b: tuple) -> bool:
+    """Whether two keys of :func:`per_distinct` are equal."""
     return len(a) == len(b) and all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
         for x, y in zip(a, b)

@@ -473,15 +473,34 @@ def test_fit_mpb_accepts_a_prepared_problem():
     assert report.residual_ratio == ref_report.residual_ratio
     with pytest.raises(ValueError, match="center"):
         fit_mpb(prepared, grids, bases, [2, 1], cfg, center=True)
-    other_bases = [BSplineBasis((0.0, 1.0), 6), bases[1]]  # equal, but not the same object
     for g, b, o in [
         ([grids[0] * 0.5, grids[1]], bases, [2, 1]),
-        (grids, other_bases, [2, 1]),
+        (grids, [BSplineBasis((0.0, 1.0), 7), bases[1]], [2, 1]),
+        (grids, [bases[0], FourierBasis((0.0, 2.0), 5)], [2, 1]),
         (grids, bases, [2, 2]),
+        (grids, bases, [2, 1, 1]),
         (grids[:1], bases, [2, 1]),
+        (grids, bases[:1], [2, 1]),
     ]:
         with pytest.raises(ValueError, match="prepared problem was made from other"):
             fit_mpb(prepared, g, b, o, cfg)
+
+
+def test_fit_mpb_accepts_a_prepared_problem_from_equal_bases():
+    # equal specifications and grid points, other objects: the marginal_keys
+    # rule of prepare, which these bases used to fail by object identity
+    rng = np.random.default_rng(39)
+    grid = np.linspace(0.0, 1.0, 20)
+    y = rng.standard_normal((20, 20, 6))
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=10)
+    prepared = prepare(y, [grid, grid], [FourierBasis((0, 1), 5), FourierBasis((0, 1), 5)], [2, 2])
+    fresh = [FourierBasis((0, 1), 5), FourierBasis((0.0, 1.0), 5)]
+    model, state, _ = fit_mpb(prepared, [list(grid), grid.copy()], fresh, [2, 2], cfg)
+    ref_model, ref_state, _ = fit_mpb(y, [grid, grid], fresh, [2, 2], cfg)
+    assert model.bases == fresh
+    assert np.array_equal(state.objective_trace, ref_state.objective_trace)
+    got, want = (m.coefs + [m.subject_coefs] for m in (model, ref_model))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_a_centered_prepared_problem_carries_its_mean_into_the_model():

@@ -1,16 +1,19 @@
 """Solver blocks against independent oracles, then full descent behavior."""
 
 import copy
+import functools
 import itertools
 import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_sylvester
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_sylvester
 
+from mpbasis import sim
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
 from mpbasis.errors import NumericalError
+from mpbasis.reduction import prepare
 from mpbasis.solver import (
     SolverConfig,
     SolverState,
@@ -232,12 +235,101 @@ def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine
     monkeypatch.setattr(solver_mod, name, failing)
     rng = np.random.default_rng(8)
     w = rng.standard_normal((6, 3))
-    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), 1e-8, 2)
+    mu = 1e-8
+    if name == "_STERF":
+        # dsterf runs only when the overlap certificate fails: a singular Gram, unshifted
+        w[:, 2] = w[:, 0]
+        mu = 0.0
+    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), mu, 2)
     with pytest.raises(NumericalError) as err:
         update_factor(*args)
     msg = str(err.value)
     assert "factor Gram W'W + mu I of mode 2" in msg
     assert f"(LAPACK {routine} info 7)" in msg
+
+
+def overlap_guard_passes(d, e, beta):
+    """Whether the measured guard passes on ``T`` (diagonal ``d``, off-diagonal
+    ``e``): its gap and scale from ``dsterf``'s eigenvalues, as the solver
+    takes them when its certificate fails."""
+    alpha = lapack.dsterf(d, e)[0] if len(d) > 1 else d
+    gap = np.abs(beta[:, None] + alpha[None, :]).min()
+    scale = max(np.abs(alpha).max(), np.abs(beta).max(), 1e-300)
+    return gap > 1e-14 * scale
+
+
+def counting_sterf(monkeypatch):
+    """Record each ``dsterf`` call of the solver, the fallback of its certificate."""
+    calls, sterf = [], solver_mod._STERF
+    monkeypatch.setattr(solver_mod, "_STERF", lambda d, e: calls.append(1) or sterf(d, e))
+    return calls
+
+
+def test_overlap_certificate_never_clears_what_the_guard_refuses(monkeypatch):
+    # the least beta_i + alpha_k placed from 0.3 to 30 times the threshold
+    # 1e-14 x scale, on random tridiagonal T and penalty spectra
+    rng = np.random.default_rng(50)
+    calls = counting_sterf(monkeypatch)
+    outcomes = {"certified": 0, "measured pass": 0, "refused": 0}
+    for _ in range(3000):
+        k, n = int(rng.integers(2, 31)), int(rng.integers(1, 16))
+        d, e = rng.standard_normal(k) * 10 ** rng.uniform(-3, 3), rng.standard_normal(k - 1)
+        e *= np.abs(d).max() * rng.uniform(0.0, 1.0)
+        alpha = lapack.dsterf(d, e)[0]
+        s0 = np.abs(alpha).max()
+        spread = np.append(0.0, rng.uniform(0.0, s0, n - 1))
+        beta = -alpha[0] + 10 ** rng.uniform(-0.5, 1.5) * 1e-14 * s0 + spread
+        calls.clear()
+        try:
+            solver_mod._check_overlap(d.copy(), e.copy(), beta, "T")
+        except NumericalError:
+            outcomes["refused"] += 1
+            assert not overlap_guard_passes(d, e, beta)
+            continue
+        assert overlap_guard_passes(d, e, beta)
+        outcomes["measured pass" if calls else "certified"] += 1
+    # the cases straddle the threshold: every outcome occurs often
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize("info", [1, -2])
+def test_update_factor_overlap_certificate_failure(monkeypatch, info):
+    # info > 0 (a pivot not positive) falls back to the measured guard, which
+    # gives the same solution bit for bit; info < 0 (a bad argument) raises
+    rng = np.random.default_rng(51)
+    w = rng.standard_normal((40, 25))
+    beta = np.sort(rng.random(15))
+    args = (w.T @ w, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, 1e-8, 1)
+    calls = counting_sterf(monkeypatch)
+    ref = update_factor(*args)
+    assert not calls  # the certificate clears this step
+    pttrf = solver_mod._PTTRF
+    monkeypatch.setattr(solver_mod, "_PTTRF", lambda *a, **kw: pttrf(*a, **kw)[:-1] + (info,))
+    if info > 0:
+        assert np.array_equal(update_factor(*args), ref) and len(calls) == 1
+        return
+    with pytest.raises(NumericalError) as err:
+        update_factor(*args)
+    assert str(err.value) == (
+        "overlap certificate of factor Gram W'W + mu I of mode 1 failed (LAPACK dpttrf info -2)"
+    )
+
+
+def test_overlap_refusal_is_measured_and_reads_as_before(monkeypatch):
+    # a singular Gram fails the certificate; the refusal is the measured guard's
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((6, 3))
+    w[:, 2] = w[:, 0]
+    args = (w.T @ w, rng.standard_normal((5, 3)), np.zeros((5, 3)), np.zeros(5), 0.0, 1)
+    calls = counting_sterf(monkeypatch)
+    with pytest.raises(NumericalError, match="Sylvester spectra overlap") as err:
+        update_factor(*args)
+    assert len(calls) == 1
+    pttrf = solver_mod._PTTRF
+    monkeypatch.setattr(solver_mod, "_PTTRF", lambda *a, **kw: pttrf(*a, **kw)[:-1] + (1,))
+    with pytest.raises(NumericalError) as forced:
+        update_factor(*args)
+    assert str(forced.value) == str(err.value)
 
 
 @pytest.mark.parametrize("bad", ["m", "p"])
@@ -503,7 +595,11 @@ def kkt_violation(w, gmat, b_old, b, config):
     """Largest breach of the lasso KKT conditions at ``b``, relative to the
     rounding scale ``|b||A| + |c| + tau`` of the gradient ``g = b A - c``:
     ``g_j = -tau sign(b_j)`` where ``b_j != 0`` and ``|g_j| <= tau`` elsewhere."""
-    a, c, tau = lasso_block(w, gmat, b_old, config)
+    return kkt_breach(*lasso_block(w, gmat, b_old, config), b)
+
+
+def kkt_breach(a, c, tau, b):
+    """:func:`kkt_violation` of the rows ``b`` of the lasso block ``(A, C, tau)``."""
     g = b @ a - c
     breach = np.where(b != 0, np.abs(g + tau * np.sign(b)), np.maximum(np.abs(g) - tau, 0.0))
     return float(np.max(breach / (np.abs(b) @ np.abs(a) + np.abs(c) + tau)))
@@ -524,7 +620,11 @@ def enumerated_lasso(w, gmat, b_old, config):
     """Exact lasso block by enumeration of sign patterns (small K): each
     pattern's stationary point is kept when its signs agree with the pattern,
     and the kept point of lowest value is the minimizer."""
-    a, c, tau = lasso_block(w, gmat, b_old, config)
+    return enumerated_rows(*lasso_block(w, gmat, b_old, config))
+
+
+def enumerated_rows(a, c, tau):
+    """:func:`enumerated_lasso` of the lasso block ``(A, C, tau)``."""
     k = a.shape[0]
     out = np.zeros_like(c)
     for i in range(c.shape[0]):
@@ -743,11 +843,15 @@ def test_solve_on_patterns_all_full_rows_is_one_factor_solve():
 def test_update_b_admm_non_finite_sub_pattern_raises_numerical_error(monkeypatch):
     # update_b_admm refuses a non-finite W'W + mu I before any solve, so the
     # guard on a partial pattern's system is reached only through a corrupted
-    # copy of A: corrupt an entry that the first partial pattern keeps
+    # copy of A: corrupt an entry that the first partial pattern keeps. Row 1
+    # starts at zero with c_3 = 0, so its first pattern, sign(c) thresholded
+    # at tau, drops entry 3 alone
     rng = np.random.default_rng(46)
     a, _, r = pattern_system(rng, n_subj=4, k=5)
     b_old = rng.standard_normal(r.shape)
-    b_old[1, 3] = 0.0
+    b_old[1] = 0.0
+    r[1, 3] = 0.0
+    assert np.flatnonzero(np.abs(r[1]) <= 0.05).tolist() == [3]
     solve = solver_mod._solve_on_patterns
 
     def corrupt(a, chol, r, act, what):
@@ -759,6 +863,93 @@ def test_update_b_admm_non_finite_sub_pattern_raises_numerical_error(monkeypatch
     cfg = SolverConfig(rank=5, lambda_coef=0.1, coef_penalty="lasso")
     with pytest.raises(NumericalError, match=r"^coefficient lasso block.*not finite"):
         update_b_admm(a, r, b_old, cfg)
+
+
+def warm_start_rule(a, c, tau, b_old, config):
+    """``(b, steps)`` of the lasso block ``(A, C, tau)`` when the first pass
+    solves every row on the warm start's sign pattern, the rule the first
+    pattern of :func:`update_b_admm` replaced: the same passes and
+    feature-sign search after them, and no step cap."""
+    chol = solver_mod._cholesky(a.copy(), "A")
+    solve = functools.partial(solver_mod._solve_on_patterns, a, chol, what="A")
+    abs_a, diag_a = np.abs(a), np.diag(a)
+    b, steps = np.zeros_like(c), np.zeros(len(c), dtype=int)
+    todo, sign, flipped = np.arange(len(c)), np.sign(b_old), np.zeros(c.shape, dtype=bool)
+    for _ in range(1 + solver_mod._PDAS_PASSES):
+        b[todo] = x = solve(c[todo] - tau * sign, sign != 0)
+        steps[todo] += 1
+        bad, g = solver_mod._lasso_kkt(a, abs_a, c[todo], np.abs(c[todo]), tau, x, sign)
+        new = np.sign(soft_threshold(x * diag_a - g, tau))
+        flip = new * sign < 0
+        new[flip & flipped] = 0.0
+        keep = bad.any(axis=1)
+        todo, sign, flipped = todo[keep], new[keep], (flipped | flip)[keep]
+    for i in todo:
+        value = functools.partial(solver_mod._b_conditional_value, a, c[i], config=config)
+        x = b_old[i] if value(b_old[i]) <= value(b[i]) else b[i]
+        b[i], n, ok = solver_mod._feature_sign(a, abs_a, c[i], tau, x, solve, config, 10_000)
+        assert ok
+        steps[i] += n
+    return b, steps
+
+
+def recorded_lasso_calls(monkeypatch, g, t_mats, cfg):
+    """``(A, C, tau, b_old, result)`` of every lasso block of one fit."""
+    calls, step = [], solver_mod.update_b_admm
+
+    def recording(gram, rhs, b_old, config):
+        out = step(gram, rhs, b_old, config)
+        a, c = gram + config.proximal_mu * np.eye(len(gram)), rhs + config.proximal_mu * b_old
+        calls.append((a, c, config.lambda_coef / 2, b_old, out))
+        return out
+
+    monkeypatch.setattr(solver_mod, "update_b_admm", recording)
+    fit(g, t_mats, cfg)
+    return calls
+
+
+def test_update_b_admm_first_pattern_on_a_sparse_design(monkeypatch):
+    # half the true coefficients are zero; at lambda_coef = 3 about half of
+    # every block's solution is, and each block is enumerated exactly
+    rng = np.random.default_rng(0)
+    dims, n_subj, k = (9, 8), 30, 5
+    cs = [np.linalg.qr(rng.standard_normal((m, k)))[0] for m in dims]
+    b_true = 3.0 * rng.standard_normal((n_subj, k)) * (rng.random((n_subj, k)) < 0.5)
+    g = np.einsum("ik,jk,nk->ijn", cs[0], cs[1], b_true)
+    g += 0.1 * rng.standard_normal(g.shape)
+    cfg = SolverConfig(rank=k, lambda_coef=3.0, coef_penalty="lasso", max_outer_iters=4)
+    calls = recorded_lasso_calls(monkeypatch, g, [np.zeros((m, m)) for m in dims], cfg)
+    assert len(calls) == 4
+    new_steps = old_steps = 0
+    for a, c, tau, b_old, (b, _, _, ok, n_iters) in calls:
+        ref = enumerated_rows(a, c, tau)
+        assert ok and np.mean(ref == 0) >= 0.3
+        assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.array_equal(b == 0, ref == 0)
+        new_steps += n_iters
+        old_steps += warm_start_rule(a, c, tau, b_old, cfg)[1].max()
+    assert new_steps <= old_steps
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-3, 1e-2])
+def test_update_b_admm_first_pattern_on_dense_cv_lasso_blocks(monkeypatch, lam):
+    # the cv_lasso benchmark's design on a coarser grid: K = 20, 40 subjects,
+    # cond(W'W) about 1e6, five sweeps, so every block's warm start is stale
+    s = sim.generate_gp2d_sample(
+        sim.Gp2dSimConfig(ranks=(10, 8), grid_size=(40, 40), n_train=40, n_test=0, seed=7),
+        replication=3,
+    )
+    prepared = prepare(s.train, s.grids, s.bases, [2, 2])
+    cfg = SolverConfig(
+        rank=20, lambda_marginal=1e-6, lambda_coef=lam, coef_penalty="lasso", max_outer_iters=5,
+        seed=3,
+    )
+    calls = recorded_lasso_calls(monkeypatch, prepared.g_hat, prepared.t_mats, cfg)
+    assert len(calls) == 5
+    for a, c, tau, b_old, (b, _, _, ok, _) in calls:
+        assert ok and kkt_breach(a, c, tau, b) <= KKT_TOL
+        ref = warm_start_rule(a, c, tau, b_old, cfg)[0]
+        assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # ----------------------------------------------------------------- objective
