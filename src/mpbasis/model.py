@@ -4,7 +4,9 @@ An :class:`MPBModel` bundles the marginal basis systems, one coefficient
 matrix per dimension and the per-subject coefficients. Each basis function is
 a product of one smooth function per dimension, which makes inner products,
 Laplacian penalties and projections of new gridded data computable from
-marginal quantities alone.
+marginal quantities alone. Evaluation and projection on a grid read each
+marginal's evaluation matrix and thin SVD from the set-up memo of
+:mod:`reduction`, which the reduction of the training data filled.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import reduction
 from .errors import NumericalError
-from .tensors import cp_to_tensor, per_distinct
+from .tensors import cp_to_tensor
 
 # not called here: perfbench/tracer.py wraps these names on this module
 from .tensors import gram_of_khatri_rao, mttkrp  # noqa: F401
@@ -99,14 +101,11 @@ class MPBModel:
         return self.subject_coefs.shape[0]
 
     def marginal_values(self, grids: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per-dimension evaluations of the K marginal functions on grids; each
-        basis is evaluated once per distinct :func:`reduction.marginal_keys`."""
+        """Per-dimension evaluations of the K marginal functions on grids, from
+        each basis's evaluation matrix in the set-up memo (:func:`reduction.evaluation`)."""
         if len(grids) != self.n_dims:
             raise ValueError(f"expected {self.n_dims} grids, got {len(grids)}")
-        grids = [np.asarray(g, dtype=float) for g in grids]
-        keys = reduction.marginal_keys(self.bases, grids)
-        phis = per_distinct(keys, lambda d: self.bases[d].evaluate(grids[d]))
-        return [phi @ c for phi, c in zip(phis, self.coefs)]
+        return [reduction.evaluation(b, g) @ c for b, g, c in zip(self.bases, grids, self.coefs)]
 
     def evaluate_basis(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the K product basis functions at scattered points.
@@ -199,8 +198,9 @@ class MPBModel:
 
         The projection runs in compressed coordinates. With the thin SVD
         ``Phi_d = U_d S_d V_d'`` of each basis evaluated on its grid (no rank
-        guard: a grid coarser than the basis rank works; one evaluation and
-        SVD per distinct basis and grid), the evaluated
+        guard: a grid coarser than the basis rank works), the SVD that
+        :func:`reduction.prepare` guards, from the same memo
+        (:func:`reduction.factorization`), the evaluated
         product functions are ``(kron U_d) khatri_rao(S_d V_d' c_d)``, with
         ``c_d`` the coefficient matrices (:func:`reduction.forward_transform`).
         The coefficients are the QR
@@ -215,10 +215,7 @@ class MPBModel:
         y = np.asarray(y_new, dtype=float)
         single = y.ndim == self.n_dims
         y, grids = reduction.check_inputs(y[..., None] if single else y, grids, self.bases)
-        facs = per_distinct(
-            reduction.marginal_keys(self.bases, grids),
-            lambda d: reduction.MarginalFactorization.of(self.bases[d].evaluate(grids[d])),
-        )
+        facs = [reduction.factorization(b, g) for b, g in zip(self.bases, grids)]
         if self.mean_values is not None:
             y = y - self._mean_on(grids)[..., None]
         g = reduction.compress(y, facs)

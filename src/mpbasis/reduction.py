@@ -6,8 +6,14 @@ Least-squares fitting in the compressed coordinates is equivalent to fitting
 in the original ones, and roughness penalties transport through the same
 factorization (``penalty_transform``). ``prepare`` runs the whole reduction:
 evaluate, factorize, transport, compress, and returns it as a
-:class:`PreparedProblem`. Dimensions with equal :func:`marginal_keys` share
-their set-up: it is computed once per distinct marginal.
+:class:`PreparedProblem`.
+
+The set-up of a marginal, its evaluation matrix, thin SVD and transported
+penalty, depends on its basis, grid and penalty order only, never on the
+data. One memo bounded by :data:`SETUP_ENTRIES` keeps it per process, keyed
+by :func:`marginal_key`: :func:`prepare`, :meth:`model.MPBModel.project` and
+:meth:`model.MPBModel.marginal_values` read the same entries, so equal
+dimensions of one call and repeated calls on one design compute it once.
 
 Because compression is linear per subject, a subset of subjects is a slice of
 the compressed tensor, and the residual of any fit whose grid-mode factors
@@ -20,8 +26,10 @@ noise estimate :attr:`PreparedProblem.noise_var`.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -30,7 +38,7 @@ from . import basis as basis_mod
 from .errors import NumericalError
 from .jsonspec import as_int
 from .solver import SolverConfig, residual_dof
-from .tensors import khatri_rao, mode_multiply, per_distinct, same_key
+from .tensors import khatri_rao, mode_multiply
 
 __all__ = [
     "MarginalFactorization",
@@ -40,7 +48,10 @@ __all__ = [
     "out_of_span_sq",
     "lstsq_compressed",
     "factorize",
-    "marginal_keys",
+    "marginal_key",
+    "evaluation",
+    "factorization",
+    "transported_penalty",
     "compress",
     "penalty_transform",
     "back_transform",
@@ -66,6 +77,11 @@ SLAB_ENTRIES = 1 << 18
 #: the difference of the two energies is rounding, not noise (noise-free data).
 NOISE_FLOOR = 1e-8
 
+#: Array entries that the set-up memo holds at most (16 MiB of float64): the
+#: evaluation matrices, thin SVDs and transported penalties used last, the
+#: least recently used dropped first. A set-up larger than this is not kept.
+SETUP_ENTRIES = 1 << 21
+
 
 @dataclass(frozen=True)
 class MarginalFactorization:
@@ -77,8 +93,7 @@ class MarginalFactorization:
 
     @classmethod
     def of(cls, phi: np.ndarray) -> MarginalFactorization:
-        """The thin SVD of ``phi``, with no rank guard, as read-only arrays:
-        dimensions with equal :func:`marginal_keys` share one."""
+        """The thin SVD of ``phi``, with no rank guard, as read-only arrays."""
         u, s, vt = np.linalg.svd(phi, full_matrices=False)
         return cls(u=_read_only(u), s=_read_only(s), vt=_read_only(vt))
 
@@ -89,6 +104,25 @@ class MarginalFactorization:
     @property
     def m(self) -> int:
         return self.s.shape[0]
+
+    @property
+    def size(self) -> int:
+        """Array entries held, as ``ndarray.size``."""
+        return self.u.size + self.s.size + self.vt.size
+
+    def guarded(self, dim: int | None = None) -> MarginalFactorization:
+        """This factorization, after the rank guard of :func:`factorize`."""
+        shape = (self.n, self.vt.shape[1])
+        if shape[0] < shape[1]:
+            raise ValueError(f"expected a tall n x m matrix, got shape {shape}")
+        if self.s[-1] <= RANK_TOL * self.s[0]:
+            where = f" for dimension {dim}" if dim is not None else ""
+            raise NumericalError(
+                f"basis evaluation matrix{where} is rank deficient: "
+                f"singular value ratio {self.s[-1] / self.s[0]:.3e} <= {RANK_TOL:.0e}; "
+                "reduce the basis rank or refine the grid"
+            )
+        return self
 
 
 def factorize(phi: np.ndarray, dim: int | None = None) -> MarginalFactorization:
@@ -104,15 +138,7 @@ def factorize(phi: np.ndarray, dim: int | None = None) -> MarginalFactorization:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < phi.shape[1]:
         raise ValueError(f"expected a tall n x m matrix, got shape {phi.shape}")
-    fac = MarginalFactorization.of(phi)
-    if fac.s[-1] <= RANK_TOL * fac.s[0]:
-        where = f" for dimension {dim}" if dim is not None else ""
-        raise NumericalError(
-            f"basis evaluation matrix{where} is rank deficient: "
-            f"singular value ratio {fac.s[-1] / fac.s[0]:.3e} <= {RANK_TOL:.0e}; "
-            "reduce the basis rank or refine the grid"
-        )
-    return fac
+    return MarginalFactorization.of(phi).guarded(dim)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -120,16 +146,83 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def marginal_keys(
-    bases: Sequence, grids: Sequence[np.ndarray], penalty_orders: Sequence[int] = ()
-) -> list[tuple]:
-    """The key of each dimension for :func:`tensors.per_distinct`: its basis
-    specification (``to_dict()``), its grid points and, where given, its
-    penalty order. Dimensions with equal keys have the same evaluation matrix,
-    factorization and transported penalty, so :func:`prepare` and
-    :class:`model.MPBModel` compute those once per distinct key."""
-    keys = [(b.to_dict(), g) for b, g in zip(bases, grids)]
-    return [k + (o,) for k, o in zip(keys, penalty_orders)] if penalty_orders else keys
+def _frozen(spec: Any) -> Any:
+    """``spec`` with its dicts as key-sorted tuples of items and its lists as
+    tuples: hashable, and equal exactly when ``spec`` is."""
+    if isinstance(spec, dict):
+        return tuple(sorted((k, _frozen(v)) for k, v in spec.items()))
+    return tuple(map(_frozen, spec)) if isinstance(spec, (list, tuple)) else spec
+
+
+def marginal_key(basis, grid, order: int | None = None) -> tuple:
+    """The hashable key of one marginal: its basis specification (``to_dict()``),
+    its grid's shape and points as bytes and, where given, its penalty order.
+    Equal keys mean the same evaluation matrix, factorization and transported
+    penalty, which the set-up memo therefore keeps once."""
+    grid = np.asarray(grid, dtype=float) + 0.0  # -0.0 and 0.0 are the same point
+    key = (_frozen(basis.to_dict()), grid.shape, grid.tobytes())
+    return key if order is None else (*key, order)
+
+
+class _Memo:
+    """Results kept by key within :data:`SETUP_ENTRIES` array entries, the least
+    recently used dropped first. A result whose computation raises is not kept.
+    Threads share it: the lock guards the table, never a computation, so two
+    threads may both compute a missing result and the later one is kept."""
+
+    def __init__(self) -> None:
+        self.table: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+        self.entries = 0
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple, make: Callable[[], Any]) -> Any:
+        """The result kept under ``key``, else ``make()``, kept when its
+        ``size`` (array entries) allows."""
+        with self.lock:
+            hit = self.table.get(key)
+            if hit is not None:
+                self.table.move_to_end(key)
+                return hit[0]
+        value = make()
+        size = value.size
+        with self.lock:
+            self.entries -= self.table.pop(key, (None, 0))[1]
+            if size <= SETUP_ENTRIES:
+                self.table[key] = (value, size)
+                self.entries += size
+            while self.entries > SETUP_ENTRIES:
+                self.entries -= self.table.popitem(last=False)[1][1]
+        return value
+
+
+_SETUPS = _Memo()
+
+
+def evaluation(basis, grid) -> np.ndarray:
+    """The read-only evaluation matrix of ``basis`` on ``grid``, from the
+    set-up memo, keyed by :func:`marginal_key`."""
+    key = ("evaluation", marginal_key(basis, grid))
+    return _SETUPS.get(key, lambda: _read_only(basis.evaluate(grid)))
+
+
+def factorization(basis, grid) -> MarginalFactorization:
+    """The thin SVD of :func:`evaluation`, with no rank guard (a grid coarser
+    than the basis works), from the set-up memo; :func:`prepare` applies the
+    guard of :func:`factorize` to it (:meth:`MarginalFactorization.guarded`)."""
+    key = ("svd", marginal_key(basis, grid))
+    make = lambda: MarginalFactorization.of(evaluation(basis, grid))  # noqa: E731
+    return _SETUPS.get(key, make)
+
+
+def transported_penalty(basis, grid, order: int) -> np.ndarray:
+    """The read-only order-``order`` roughness penalty of ``basis`` transported
+    by :func:`penalty_transform` through :func:`factorization`, from the set-up
+    memo. Meaningful for a guarded factorization only."""
+    key = ("penalty", marginal_key(basis, grid, order))
+    make = lambda: _read_only(  # noqa: E731
+        penalty_transform(factorization(basis, grid), basis_mod.penalty_matrix(basis, order))
+    )
+    return _SETUPS.get(key, make)
 
 
 def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:
@@ -255,14 +348,12 @@ class PreparedProblem:
     ) -> None:
         """Raise ``ValueError`` unless the problem was prepared from these
         penalty orders and, dimension by dimension, equal
-        :func:`marginal_keys`: the same grid points and basis specifications,
+        :func:`marginal_key`: the same grid points and basis specifications,
         whether or not the objects are the same."""
-        grids = [np.asarray(g, dtype=float) for g in grids]
         same = (
             len(grids) == len(bases) == len(self.bases)
-            and all(
-                map(same_key, marginal_keys(bases, grids), marginal_keys(self.bases, self.grids))
-            )
+            and list(map(marginal_key, bases, grids))
+            == list(map(marginal_key, self.bases, self.grids))
             and tuple(as_int(o, "penalty order") for o in penalty_orders)
             == self.penalty_orders
         )
@@ -309,26 +400,22 @@ def prepare(
 ) -> PreparedProblem:
     """Reduce gridded data to the compressed problem the solver fits.
 
-    Checks the inputs (:func:`check_inputs`), evaluates each basis on its
-    grid, factorizes the evaluation matrices, transports the
-    order-``penalty_orders[d]`` roughness penalty of each basis, compresses
-    ``y`` and takes each subject's energy ``|y_i|^2`` in one pass. Without
+    Checks the inputs (:func:`check_inputs`), takes each basis's evaluation
+    on its grid and its factorization (:func:`factorization`) and applies
+    the rank guard of :func:`factorize` to it, naming the dimension, takes
+    the order-``penalty_orders[d]`` roughness penalty of each basis
+    transported (:func:`transported_penalty`), compresses ``y`` and takes
+    each subject's energy ``|y_i|^2`` in one pass. Without
     ``penalty_orders``, ``t_mats`` is empty: the reduction alone, which
-    :func:`selection.select_marginal_rank` measures. Each evaluation,
-    factorization and transported penalty is computed once per distinct
-    :func:`marginal_keys` and shared, read-only, by the dimensions with that key.
+    :func:`selection.select_marginal_rank` measures. The set-up comes from
+    the memo, which computes it once per distinct :func:`marginal_key` and
+    shares it, read-only, with every dimension and call that has that key.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     orders = () if penalty_orders is None else penalty_orders
     orders = tuple(as_int(o, "penalty order") for o in orders)
-    keys = marginal_keys(bases, grids, orders)
-    facs = per_distinct(keys, lambda d: factorize(bases[d].evaluate(grids[d]), dim=d))
-
-    def transported(d: int) -> np.ndarray:
-        t = penalty_transform(facs[d], basis_mod.penalty_matrix(bases[d], orders[d]))
-        return _read_only(t)
-
-    t_mats = per_distinct(keys, transported) if orders else []
+    facs = [factorization(b, g).guarded(d) for d, (b, g) in enumerate(zip(bases, grids))]
+    t_mats = [transported_penalty(b, g, o) for b, g, o in zip(bases, grids, orders)]
     flat = y.reshape(-1, y.shape[-1])
     return PreparedProblem(
         facs=tuple(facs),

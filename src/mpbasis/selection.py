@@ -205,9 +205,10 @@ def cv_lambda_grid(
     The sample is reduced once, by :func:`reduction.prepare`: compression is
     linear per subject, so each fold's training problem is a slice of the
     compressed tensor, fitted by :func:`fit_mpb` without a second reduction.
-    Each subject's residual outside the span of the compression is formed
-    once (:func:`reduction.out_of_span_sq`), after a centered fold takes its
-    training problem's ``mean`` off its copy of the held-out data, as
+    Each subject's residual outside the span of the compression
+    (:func:`reduction.out_of_span_sq`) is formed in one pass over the whole
+    sample, or, with ``center``, per fold, after the fold takes its training
+    problem's ``mean`` off its copy of the held-out data, as
     :meth:`MPBModel.project` does with its input. Every cell projects the
     held-out subjects in compressed coordinates by the QR least-squares
     solve of :func:`reduction.lstsq_compressed`.
@@ -222,17 +223,21 @@ def cv_lambda_grid(
     cells = [replace(config, lambda_marginal=f, lambda_coef=c) for f, c in lambda_grid]
     labels = _fold_assignment(n_subjects, n_folds, seed)
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
+    if not center:  # each subject's own: one pass over the sample serves every fold
+        out_sq = reduction.out_of_span_sq(y, prepared.facs, prepared.g_hat)
     folds = []  # (training problem, held-out compressed tensor, out-of-span energies)
     for fold in range(n_folds):
         in_train = labels != fold
         train = prepared.subjects(in_train)
-        held_y = y[..., ~in_train]  # a copy, which centering changes in place
         held_g = prepared.g_hat[..., ~in_train]
         if center:
+            held_y = y[..., ~in_train]  # a copy, which centering changes in place
             held_g -= train.g_hat.mean(axis=-1, keepdims=True)
             train = train.centered(y[..., in_train])
             held_y -= train.mean[..., None]
-        held_sq = reduction.out_of_span_sq(held_y, prepared.facs, held_g)
+            held_sq = reduction.out_of_span_sq(held_y, prepared.facs, held_g)
+        else:
+            held_sq = out_sq[~in_train]
         folds.append((train, held_g, held_sq))
     n_entries = int(np.prod(y.shape[:-1]))
     records = []

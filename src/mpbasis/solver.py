@@ -264,9 +264,12 @@ def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
+def _sylvester_tridiag(
+    m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str, extremes=None
+) -> np.ndarray:
     """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
-    ``what``), which is overwritten.
+    ``what``), which is overwritten. ``extremes``, ``(beta.min(), beta.max())``
+    when given, spares the overlap guard taking them.
 
     The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
     Autom. Control 24(6), 1979) with its other side already diagonal: with
@@ -286,7 +289,7 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
     # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
     c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
     _check_info(info, "tridiagonal reduction", "dsytrd", what)
-    _check_overlap(d, e, beta, what)
+    _check_overlap(d, e, beta, what, extremes)
     v = np.zeros((k, k))
     v[0, 0] = 1.0
     if k > 1:
@@ -306,7 +309,9 @@ def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str
     return y.reshape(n, k) @ v.T
 
 
-def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) -> None:
+def _check_overlap(
+    d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str, extremes=None
+) -> None:
     """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
     :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
     ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
@@ -321,12 +326,13 @@ def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) ->
     (Demmel, Applied Numerical Linear Algebra, 1997, 5.3), so every ``beta_i +
     alpha_k`` exceeds ``2e-14 s_hat``; the factor 2 covers the rounding of the
     factorization and of the eigenvalues. Only when it fails are ``alpha``
-    computed (``dsterf``) and the gap measured."""
+    computed (``dsterf``) and the gap measured. ``extremes`` is ``(beta.min(),
+    beta.max())``, taken here when None; :func:`fit` takes it once per fit."""
     k = d.shape[0]
-    lo = beta.min()
+    lo, hi = (beta.min(), beta.max()) if extremes is None else extremes
     if k > 1:
         # Gershgorin: every alpha_k is within 2 max|e| of some d_i
-        s_hat = max(np.abs(d).max() + 2.0 * np.abs(e).max(), -lo, beta.max())
+        s_hat = max(np.abs(d).max() + 2.0 * np.abs(e).max(), -lo, hi)
         info = _PTTRF(d - (2e-14 * s_hat - lo), e, overwrite_d=1)[2]
         if info < 0:
             _check_info(info, "overlap certificate", "dpttrf", what)
@@ -341,7 +347,7 @@ def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) ->
     if gap < 0:
         gap = np.abs(beta[:, None] + alpha[None, :]).min()
     # alpha is ascending: its largest magnitude is at one of its ends
-    scale = max(-alpha[0], alpha[-1], abs(beta).max(initial=0.0), 1e-300)
+    scale = max(-alpha[0], alpha[-1], -lo, hi, 1e-300)
     if gap <= 1e-14 * scale:
         raise NumericalError(
             f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
@@ -437,15 +443,22 @@ def objective(
 
 
 def update_factor(
-    gram: np.ndarray, rhs: np.ndarray, x_old: np.ndarray, beta: np.ndarray, mu: float, mode: int
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    x_old: np.ndarray,
+    beta: np.ndarray,
+    mu: float,
+    mode: int,
+    extremes=None,
 ) -> np.ndarray:
     """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
     = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
     mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
     factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor,
-    by :func:`_sylvester_tridiag`. No argument is mutated."""
+    by :func:`_sylvester_tridiag`, given ``beta``'s ``extremes`` when known.
+    No argument is mutated."""
     what = f"factor Gram W'W + mu I of mode {mode}"
-    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what)
+    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what, extremes)
 
 
 def update_b_ridge(gram: np.ndarray, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -767,6 +780,7 @@ def fit(
         lambda d: _eig_sym(lam_marg[d] * t_mats[d], f"penalty matrix {d}"),
     )
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
+    extremes = [(w.min(), w.max()) for w in betas]  # for the overlap guard
     g_rot = g_hat
     for d, p in enumerate(rots):
         g_rot = mode_multiply(g_rot, p.T, d)
@@ -798,7 +812,9 @@ def fit(
                 gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    new = update_factor(gram, rhs, factors[d], betas[d], config.proximal_mu, d)
+                    new = update_factor(
+                        gram, rhs, factors[d], betas[d], config.proximal_mu, d, extremes[d]
+                    )
                 elif config.lasso_block:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                     certified = certified and ok

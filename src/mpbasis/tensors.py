@@ -1,6 +1,8 @@
 """Dense multiway-array kernels: unfoldings, mode products, Khatri-Rao algebra,
 and :func:`per_distinct`, which computes a per-mode quantity once for modes
-that share it.
+that share it within one call (the solver's penalty eigendecompositions,
+which depend on the fit's weights; the marginal set-up that depends on the
+design alone is kept across calls by the memo of :mod:`reduction`).
 
 Conventions, fixed once for the whole package:
 
@@ -213,12 +215,12 @@ def per_distinct(keys: Sequence[tuple], make: Callable[[int], Any]) -> list:
     anything else by ``==``."""
     out: list = []
     for i, key in enumerate(keys):
-        j = next((j for j in range(i) if same_key(keys[j], key)), i)
+        j = next((j for j in range(i) if _same_key(keys[j], key)), i)
         out.append(make(i) if j == i else out[j])
     return out
 
 
-def same_key(a: tuple, b: tuple) -> bool:
+def _same_key(a: tuple, b: tuple) -> bool:
     """Whether two keys of :func:`per_distinct` are equal."""
     return len(a) == len(b) and all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y

@@ -232,6 +232,13 @@ def count_calls(monkeypatch, owner, name, when=lambda *args, **kwargs: True):
     return calls
 
 
+def fresh_memo(monkeypatch):
+    """An empty set-up memo in place of the process's, for this test."""
+    memo = reduction._Memo()
+    monkeypatch.setattr(reduction, "_SETUPS", memo)
+    return memo
+
+
 def count_set_up(monkeypatch):
     """Counters of the grid evaluations (derivative order 0), the penalty
     quadratures and the SVDs that follow."""
@@ -263,6 +270,7 @@ def test_prepare_matches_explicit_steps(monkeypatch, bases, grids, orders, disti
     # equal marginals share one evaluation, quadrature and SVD, bit for bit
     rng = np.random.default_rng(9)
     y = rng.standard_normal((*(g.size for g in grids), 4))
+    fresh_memo(monkeypatch)
     counts = count_set_up(monkeypatch)
     prepared = prepare(y, grids, bases, orders)
     assert counts() == (distinct,) * 3
@@ -298,10 +306,13 @@ OTHER_MARGINAL = {  # one change from BSplineBasis((0, 1), 6) on 12 points, orde
 def test_prepare_shares_nothing_between_different_marginals(monkeypatch, change):
     basis, grid, order = OTHER_MARGINAL[change]
     bases, grids = [BSplineBasis((0.0, 1.0), 6), basis], [np.linspace(0.0, 1.0, 12), grid]
+    fresh_memo(monkeypatch)
     counts = count_set_up(monkeypatch)
     prepared = prepare(np.ones((12, 12, 2)), grids, bases, [2, order])
-    assert counts() == (2, 2, 2)
-    assert prepared.facs[0] is not prepared.facs[1]
+    # another penalty order alone leaves the evaluation matrix and its SVD the same
+    same_matrix = change == "penalty order"
+    assert counts() == ((1, 2, 1) if same_matrix else (2, 2, 2))
+    assert (prepared.facs[0] is prepared.facs[1]) == same_matrix
     assert prepared.t_mats[0] is not prepared.t_mats[1]
 
 
@@ -309,7 +320,8 @@ def test_shared_set_up_is_read_only():
     bases, grids, orders = EQUAL_SPECS
     prepared = prepare(np.ones((10, 10, 10, 2)), grids, bases, orders)
     fac = prepared.facs[0]
-    for a in (fac.u, fac.s, fac.vt, prepared.t_mats[0]):
+    # the evaluation matrix, which marginal_values reads, is kept in the same memo
+    for a in (fac.u, fac.s, fac.vt, prepared.t_mats[0], reduction.evaluation(bases[0], grids[0])):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
@@ -322,10 +334,13 @@ def test_model_evaluates_each_distinct_marginal_once(monkeypatch):
     model = MPBModel(bases=bases, coefs=coefs, subject_coefs=rng.standard_normal((4, 3)))
     y = rng.standard_normal((10, 10, 10, 2))
     counts = count_set_up(monkeypatch)
+    fresh_memo(monkeypatch)  # each call starts from an empty memo
     values = model.marginal_values(grids)
     assert counts() == (1, 0, 0)
+    fresh_memo(monkeypatch)
     est = model.evaluate_subjects(grids)
     assert counts() == (2, 0, 0)
+    fresh_memo(monkeypatch)
     proj, resid = model.project(y, grids)
     assert counts() == (3, 0, 1)
     monkeypatch.undo()
@@ -339,6 +354,147 @@ def test_model_evaluates_each_distinct_marginal_once(monkeypatch):
         out_of_span_sq(y, facs, g), "dependent",
     )
     assert np.array_equal(proj, ref_proj) and np.array_equal(resid, np.sqrt(ref_sq))
+
+
+def equal_design():
+    """A fresh copy of EQUAL_SPECS: equal bases and grids, all of them new objects."""
+    return [FourierBasis((0, 1), 7) for _ in range(3)], [np.linspace(0, 1, 10) for _ in range(3)]
+
+
+def test_second_calls_on_an_equal_design_set_up_nothing(monkeypatch):
+    # prepare, project and marginal_values read one memo, keyed by value, not identity
+    rng = np.random.default_rng(43)
+    y = rng.standard_normal((10, 10, 10, 3))
+    fresh_memo(monkeypatch)
+    counts = count_set_up(monkeypatch)
+    bases, grids = equal_design()
+    first = prepare(y, grids, bases, [2, 2, 2])
+    assert counts() == (1, 1, 1)
+    bases, grids = equal_design()
+    second = prepare(y, [list(g) for g in grids], bases, (2.0, 2, 2))
+    assert counts() == (1, 1, 1)
+    assert all(a is b for a, b in zip(first.facs + first.t_mats, second.facs + second.t_mats))
+    coefs = [rng.standard_normal((7, 2)) for _ in range(3)]
+    model = MPBModel(bases=bases, coefs=coefs, subject_coefs=np.ones((3, 2)))
+    model.marginal_values(equal_design()[1])
+    model.project(y, equal_design()[1])
+    assert counts() == (1, 1, 1)
+
+
+@pytest.mark.parametrize("change", OTHER_MARGINAL)
+def test_another_spec_grid_or_order_misses_the_memo(monkeypatch, change):
+    basis, grid, order = OTHER_MARGINAL[change]
+    y = np.random.default_rng(44).standard_normal((12, 2))
+    fresh_memo(monkeypatch)
+    counts = count_set_up(monkeypatch)
+    first = prepare(y, [np.linspace(0.0, 1.0, 12)], [BSplineBasis((0.0, 1.0), 6)], [2])
+    assert counts() == (1, 1, 1)
+    other = prepare(y, [grid], [basis], [order])
+    # another penalty order misses only the transported penalty
+    assert counts() == ((1, 2, 1) if change == "penalty order" else (2, 2, 2))
+    assert other.t_mats[0] is not first.t_mats[0]
+    assert (other.facs[0] is first.facs[0]) == (change == "penalty order")
+
+
+def test_rank_deficient_marginal_raises_on_every_call_naming_its_dimension(monkeypatch):
+    # no grid point reaches the support of the last splines: its SVD is kept
+    # unguarded, and each prepare applies the guard and names its own dimension
+    deficient = (BSplineBasis((0.0, 1.0), 7), np.linspace(0.0, 0.2, 10))
+    fine = (FourierBasis((0.0, 1.0), 3), np.linspace(0.0, 1.0, 10))
+    fresh_memo(monkeypatch)
+    counts = count_set_up(monkeypatch)
+    for dim, pairs in [(1, [fine, deficient]), (0, [deficient, fine]), (1, [fine, deficient])]:
+        bases, grids = zip(*pairs)
+        with pytest.raises(NumericalError, match=f"for dimension {dim} is rank deficient"):
+            prepare(np.ones((10, 10, 2)), grids, bases, [2, 2])
+    assert counts()[2] == 2  # one SVD per marginal, the first time
+    # projection reads the same SVD without the guard: one K = 1 product function fits
+    coefs = [np.ones((3, 1)), np.ones((7, 1))]
+    model = MPBModel(bases=[fine[0], deficient[0]], coefs=coefs, subject_coefs=np.ones((2, 1)))
+    model.project(np.ones((10, 10, 2)), [fine[1], deficient[1]])
+    assert counts()[2] == 2
+
+
+def test_a_failed_set_up_is_not_kept(monkeypatch):
+    memo = fresh_memo(monkeypatch)
+    basis = FourierBasis((0.0, 1.0), 5)
+    with pytest.raises(ValueError, match="outside domain"):
+        reduction.factorization(basis, np.linspace(0.0, 2.0, 9))
+    assert memo.table == {} and memo.entries == 0
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    grid = np.linspace(0.0, 1.0, 9)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError):
+            reduction.factorization(basis, grid)
+    assert [k[0] for k in memo.table] == ["evaluation"]  # the evaluation succeeded
+    assert reduction.factorization(basis, grid).s.shape == (5,)
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    memo = fresh_memo(monkeypatch)
+    # each marginal's evaluation, SVD and penalty: 12*5 + (12*5 + 5 + 5*5) + 5*5 = 175 entries
+    monkeypatch.setattr(reduction, "SETUP_ENTRIES", 400)
+    y = np.random.default_rng(45).standard_normal((12, 2))
+    keys = []
+    for shift in (0.0, 1.0, 2.0):
+        basis, grid = FourierBasis((shift, shift + 1.0), 5), np.linspace(shift, shift + 1.0, 12)
+        prepare(y, [grid], [basis], [2])
+        keys.append(reduction.marginal_key(basis, grid))
+        assert memo.entries == sum(size for _, size in memo.table.values()) <= 400
+    # the least recently used went first: the first marginal keeps its penalty only
+    held = [(kind, keys.index(key[:3])) for kind, key in memo.table]
+    kinds = ("evaluation", "svd", "penalty")
+    assert held == [("penalty", 0)] + [(kind, m) for m in (1, 2) for kind in kinds]
+    # a set-up larger than the bound (12 x 41 = 492 entries) is computed, and not kept
+    big = reduction.evaluation(FourierBasis((0.0, 1.0), 41), np.linspace(0.0, 1.0, 12))
+    assert big.shape == (12, 41)
+    assert [(kind, keys.index(key[:3])) for kind, key in memo.table] == held
+
+
+def test_threads_share_the_memo(monkeypatch):
+    # more threads than cores, switching often, with evictions under way: a
+    # lost update of the table or of its count would break the invariants below
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    memo = fresh_memo(monkeypatch)
+    monkeypatch.setattr(reduction, "SETUP_ENTRIES", 600)  # room for about two marginals
+    design = [(FourierBasis((0, 1), 2 * j + 3), np.linspace(0, 1, 20)) for j in range(4)]
+    refs = [MarginalFactorization.of(b.evaluate(g)) for b, g in design]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            futures = [pool.submit(reduction.factorization, *design[i % 4]) for i in range(200)]
+            facs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, fac in enumerate(facs):
+        assert np.array_equal(fac.u, refs[i % 4].u) and np.array_equal(fac.s, refs[i % 4].s)
+    assert memo.entries == sum(size for _, size in memo.table.values()) <= 600
+
+
+def arrays(prepared):
+    return [a for f in prepared.facs for a in (f.u, f.s, f.vt)] + [
+        *prepared.t_mats, prepared.g_hat, prepared.y_sq
+    ]
+
+
+def test_warm_and_cold_prepare_give_bit_identical_problems(monkeypatch):
+    bases, grids, y = small_problem(np.random.default_rng(46))
+    fresh_memo(monkeypatch)
+    cold = prepare(y, grids, bases, [2, 1])
+    equal_bases, equal_grids, _ = small_problem(np.random.default_rng(0))
+    warm = prepare(y, equal_grids, equal_bases, [2, 1])
+    assert warm.facs[0] is cold.facs[0]
+    fresh_memo(monkeypatch)
+    again = prepare(y, grids, bases, [2, 1])  # cold once more: a new SVD, bit for bit the same
+    assert again.facs[0] is not warm.facs[0]
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(again), arrays(warm), strict=True))
 
 
 def test_prepare_names_rank_deficient_dimension():

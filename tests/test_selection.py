@@ -704,6 +704,8 @@ def test_cv_reduces_once_and_projects_in_compressed_coordinates(monkeypatch):
         raise AssertionError("grid-sized projection during cross validation")
 
     monkeypatch.setattr(reduction, "compress", counted("compress", reduction.compress))
+    spans, span_sq = [], reduction.out_of_span_sq
+    monkeypatch.setattr(reduction, "out_of_span_sq", lambda *a: spans.append(a) or span_sq(*a))
     monkeypatch.setattr(selection, "fit_mpb", counted("fit_mpb", selection.fit_mpb))
     monkeypatch.setattr(model_mod.MPBModel, "project", forbidden)
     for owner in (tensors, solver, model_mod):
@@ -714,8 +716,11 @@ def test_cv_reduces_once_and_projects_in_compressed_coordinates(monkeypatch):
     grid = [(1e-10, 1e-4), (1e-3, 1e-3)]
     for center in (False, True):
         calls.update(compress=0, fit_mpb=0)
+        spans.clear()
         cv_lambda_grid(y, grids, bases, [2, 2], cfg, grid, n_folds=3, seed=5, center=center)
         assert calls == {"compress": 1, "fit_mpb": 6}
+        # one pass over the sample serves uncentered folds; centered ones differ per fold
+        assert len(spans) == (3 if center else 1)
 
 
 def grid_reference_criteria(y, grids, bases, cfg, lam_grid, labels, center):

@@ -315,6 +315,27 @@ def test_update_factor_overlap_certificate_failure(monkeypatch, info):
     )
 
 
+def test_fit_takes_each_modes_beta_extremes_once_and_the_step_agrees(monkeypatch):
+    # the extremes fit hands each factor step are beta's own, and the step
+    # gives the same solution bit for bit with them as without
+    seen, check = [], solver_mod._check_overlap
+
+    def recording(d, e, beta, what, extremes=None):
+        seen.append((beta, extremes))
+        return check(d, e, beta, what, extremes)
+
+    monkeypatch.setattr(solver_mod, "_check_overlap", recording)
+    rng = np.random.default_rng(52)
+    t_mats = [np.diag(np.arange(5.0)), np.diag(np.arange(4.0)) + 0.5]
+    cfg = SolverConfig(rank=3, lambda_marginal=1e-3, seed=0, max_outer_iters=3)
+    fit(rng.standard_normal((5, 4, 6)), t_mats, cfg)
+    assert seen and all(x == (b.min(), b.max()) for b, x in seen)
+    w = rng.standard_normal((40, 25))
+    beta = np.sort(rng.random(15)) - 0.2
+    args = (w.T @ w, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, 1e-8, 1)
+    assert np.array_equal(update_factor(*args, (beta.min(), beta.max())), update_factor(*args))
+
+
 def test_overlap_refusal_is_measured_and_reads_as_before(monkeypatch):
     # a singular Gram fails the certificate; the refusal is the measured guard's
     rng = np.random.default_rng(4)
