@@ -5,8 +5,11 @@
 # kernel names that numpy's and scipy's OpenBLAS report having loaded (a core
 # type the CPU cannot run shows up as the kernel that loaded instead, not as a
 # skip), and criterion 3's smallest ridge Cholesky diagonal ratio per
-# replication, the quantity `solver.CHOL_DIAG_RATIO_TOL` (1e-7) guards. It ends
-# with one line per setting and exits non-zero if any setting fails.
+# replication, the quantity `solver.CHOL_DIAG_RATIO_TOL` (1e-7) guards, next to
+# the first 12 hex digits of the SHA-256 of that replication's fitted factors
+# ("-" when the fit raised), so two trees that should give bit-identical
+# iterates can be compared setting by setting. It ends with one line per
+# setting and exits non-zero if any setting fails.
 #
 # Usage, from anywhere: bash .github/blas-kernels.sh
 # The settings act only on the environment of the processes it starts.
@@ -17,6 +20,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 probe() {
   python - <<'PY'
 import ctypes
+import hashlib
 import re
 
 import numpy as np
@@ -69,12 +73,13 @@ for r in range(3):
         outer_tol=1e-10, seed=r,
     )
     try:
-        fit_mpb(sample.train, sample.grids, sample.bases, [2, 2], fit_cfg)
-        note = ""
+        _, state, _ = fit_mpb(sample.train, sample.grids, sample.bases, [2, 2], fit_cfg)
+        factors = b"".join(np.ascontiguousarray(f).tobytes() for f in state.factors())
+        note = f" factors {hashlib.sha256(factors).hexdigest()[:12]}"
     except NumericalError:
-        note = " (raised)"
+        note = " (raised) factors -"
     line.append(f"rep {r} {min(ratios):.3e}{note}")
-print("criterion 3 smallest ridge Cholesky ratio:", ", ".join(line))
+print("criterion 3 smallest ridge Cholesky ratio and factor hash:", ", ".join(line))
 PY
 }
 

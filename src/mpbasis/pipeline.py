@@ -103,7 +103,7 @@ def fit_mpb(
         stop_reason=state.stop_reason,
         noise_var=prepared.noise_var,
         lasso_certified=state.lasso_certified,
-        residual_ratio=state.residual_sq / float(np.sum(prepared.g_hat**2)),
+        residual_ratio=state.residual_sq / prepared.g_hat_sq,
         elapsed_seconds=time.perf_counter() - start,
     )
     return model, state, report

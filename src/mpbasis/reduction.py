@@ -29,6 +29,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -198,31 +199,33 @@ class _Memo:
 _SETUPS = _Memo()
 
 
-def evaluation(basis, grid) -> np.ndarray:
+def evaluation(basis, grid, key: tuple | None = None) -> np.ndarray:
     """The read-only evaluation matrix of ``basis`` on ``grid``, from the
-    set-up memo, keyed by :func:`marginal_key`."""
-    key = ("evaluation", marginal_key(basis, grid))
-    return _SETUPS.get(key, lambda: _read_only(basis.evaluate(grid)))
+    set-up memo, keyed by :func:`marginal_key`. Each memo reader takes that
+    key as ``key`` from a caller that has it, and computes it when None."""
+    key = marginal_key(basis, grid) if key is None else key
+    return _SETUPS.get(("evaluation", key), lambda: _read_only(basis.evaluate(grid)))
 
 
-def factorization(basis, grid) -> MarginalFactorization:
+def factorization(basis, grid, key: tuple | None = None) -> MarginalFactorization:
     """The thin SVD of :func:`evaluation`, with no rank guard (a grid coarser
     than the basis works), from the set-up memo; :func:`prepare` applies the
     guard of :func:`factorize` to it (:meth:`MarginalFactorization.guarded`)."""
-    key = ("svd", marginal_key(basis, grid))
-    make = lambda: MarginalFactorization.of(evaluation(basis, grid))  # noqa: E731
-    return _SETUPS.get(key, make)
+    key = marginal_key(basis, grid) if key is None else key
+    make = lambda: MarginalFactorization.of(evaluation(basis, grid, key))  # noqa: E731
+    return _SETUPS.get(("svd", key), make)
 
 
-def transported_penalty(basis, grid, order: int) -> np.ndarray:
+def transported_penalty(basis, grid, order: int, key: tuple | None = None) -> np.ndarray:
     """The read-only order-``order`` roughness penalty of ``basis`` transported
     by :func:`penalty_transform` through :func:`factorization`, from the set-up
-    memo. Meaningful for a guarded factorization only."""
-    key = ("penalty", marginal_key(basis, grid, order))
+    memo, keyed by :func:`marginal_key` with the order. Meaningful for a
+    guarded factorization only."""
+    key = marginal_key(basis, grid) if key is None else key
     make = lambda: _read_only(  # noqa: E731
-        penalty_transform(factorization(basis, grid), basis_mod.penalty_matrix(basis, order))
+        penalty_transform(factorization(basis, grid, key), basis_mod.penalty_matrix(basis, order))
     )
-    return _SETUPS.get(key, make)
+    return _SETUPS.get(("penalty", (*key, order)), make)
 
 
 def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:
@@ -268,8 +271,9 @@ class PreparedProblem:
     Holds the factorization of each evaluation matrix (``facs``), the
     transported penalties (``t_mats``), the compressed tensor ``g_hat``
     with the subject mode last and the data energy ``y_sq``, together with
-    the grids, bases and penalty orders it was prepared from, so that a fit
-    can check it is given the same ones. ``y_sq`` holds each subject's share
+    the grids, bases and penalty orders it was prepared from and each
+    dimension's :func:`marginal_key` (``keys``), so that a fit can check it
+    is given the same ones. ``y_sq`` holds each subject's share
     of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
     :meth:`centered`, so that its sum is the energy of the data fitted;
     ``mean`` is the grid mean :meth:`centered` took from the data and
@@ -283,6 +287,7 @@ class PreparedProblem:
     grids: tuple[np.ndarray, ...]
     bases: tuple
     penalty_orders: tuple[int, ...]
+    keys: tuple[tuple, ...]
     mean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -320,16 +325,23 @@ class PreparedProblem:
         g, sq = self.g_hat, self.y_sq - float(flat @ flat)
         return replace(self, g_hat=g - g.mean(axis=-1, keepdims=True), y_sq=sq, mean=mean)
 
-    @property
+    @cached_property
+    def g_hat_sq(self) -> float:
+        """``|g_hat|^2``, the data energy in the span of the compression, taken
+        once per problem."""
+        return float(np.sum(self.g_hat**2))
+
+    @cached_property
     def noise_var(self) -> float | None:
         """The white-noise variance estimated from the energy outside the
-        span of the compression: ``(sum |y_i|^2 - |g_hat|^2) / noise_dof``.
-        The difference equals :func:`out_of_span_sq`'s sum and costs no pass
-        over the data. None when ``noise_dof`` is 0 or when that energy is at
-        or below :data:`NOISE_FLOOR` times the data energy."""
+        span of the compression: ``(sum |y_i|^2 - |g_hat|^2) / noise_dof``,
+        taken once per problem. The difference equals :func:`out_of_span_sq`'s
+        sum and costs no pass over the data. None when ``noise_dof`` is 0 or
+        when that energy is at or below :data:`NOISE_FLOOR` times the data
+        energy."""
         dof = self.noise_dof
         total = float(self.y_sq.sum())
-        outside = total - float(np.sum(self.g_hat**2))
+        outside = total - self.g_hat_sq
         if dof == 0 or not outside > NOISE_FLOOR * total:
             return None
         return outside / dof
@@ -339,9 +351,11 @@ class PreparedProblem:
         after :meth:`centered`): the residual a fit leaves at the noise level, the discrepancy
         principle's target (Morozov 1966). None without an estimate or freedom, and when
         ``config.lasso_block``, whose degrees of freedom differ (Zou, Hastie & Tibshirani 2007)."""
+        if config.lasso_block:
+            return None
         *ms, n = self.g_hat.shape
         dof, var = residual_dof((*ms, n - (self.mean is not None)), config.rank), self.noise_var
-        return None if config.lasso_block or var is None or dof <= 0 else var * dof
+        return None if var is None or dof <= 0 else var * dof
 
     def check_source(
         self, grids: Sequence[np.ndarray], bases: Sequence, penalty_orders: Sequence[int]
@@ -349,11 +363,11 @@ class PreparedProblem:
         """Raise ``ValueError`` unless the problem was prepared from these
         penalty orders and, dimension by dimension, equal
         :func:`marginal_key`: the same grid points and basis specifications,
-        whether or not the objects are the same."""
+        whether or not the objects are the same. Only the caller's marginals
+        are keyed; the problem's keys are those :func:`prepare` took."""
         same = (
             len(grids) == len(bases) == len(self.bases)
-            and list(map(marginal_key, bases, grids))
-            == list(map(marginal_key, self.bases, self.grids))
+            and list(map(marginal_key, bases, grids)) == list(self.keys)
             and tuple(as_int(o, "penalty order") for o in penalty_orders)
             == self.penalty_orders
         )
@@ -409,13 +423,17 @@ def prepare(
     ``penalty_orders``, ``t_mats`` is empty: the reduction alone, which
     :func:`selection.select_marginal_rank` measures. The set-up comes from
     the memo, which computes it once per distinct :func:`marginal_key` and
-    shares it, read-only, with every dimension and call that has that key.
+    shares it, read-only, with every dimension and call that has that key;
+    each dimension's key is computed once and kept as ``keys``.
     """
     y, grids = check_inputs(y, grids, bases, penalty_orders)
     orders = () if penalty_orders is None else penalty_orders
     orders = tuple(as_int(o, "penalty order") for o in orders)
-    facs = [factorization(b, g).guarded(d) for d, (b, g) in enumerate(zip(bases, grids))]
-    t_mats = [transported_penalty(b, g, o) for b, g, o in zip(bases, grids, orders)]
+    keys, facs = [], []
+    for d, (b, g) in enumerate(zip(bases, grids)):
+        keys.append(marginal_key(b, g))
+        facs.append(factorization(b, g, keys[d]).guarded(d))
+    t_mats = [transported_penalty(*m) for m in zip(bases, grids, orders, keys)]
     flat = y.reshape(-1, y.shape[-1])
     return PreparedProblem(
         facs=tuple(facs),
@@ -425,6 +443,7 @@ def prepare(
         grids=tuple(grids),
         bases=tuple(bases),
         penalty_orders=orders,
+        keys=tuple(keys),
     )
 
 

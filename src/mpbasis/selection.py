@@ -137,8 +137,7 @@ def sweep_global_rank(
         raise ValueError(f"k_grid must be strictly increasing integers >= 1, got {k_grid!r}")
     prepared = reduction.prepare(y, grids, bases, penalty_orders)
     prepared = prepared.centered(y) if center else prepared
-    g_hat, noise_var = prepared.g_hat, prepared.noise_var
-    g_norm_sq = float(np.sum(g_hat**2))
+    g_hat, noise_var, g_norm_sq = prepared.g_hat, prepared.noise_var, prepared.g_hat_sq
     records, state, chosen = [], None, None
     for i, k in enumerate(k_grid):
         cfg = replace(config, rank=k)

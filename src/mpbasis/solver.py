@@ -54,7 +54,6 @@ from .tensors import (
     cp_to_tensor,
     half_split,
     khatri_rao_core,
-    mode_multiply,
     partial_mttkrp_core,
     per_distinct,
     unfold,
@@ -268,8 +267,9 @@ def _sylvester_tridiag(
     m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str, extremes=None
 ) -> np.ndarray:
     """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
-    ``what``), which is overwritten. ``extremes``, ``(beta.min(), beta.max())``
-    when given, spares the overlap guard taking them.
+    ``what``); ``m`` and ``q`` are overwritten, so callers pass arrays of their
+    own. ``extremes``, ``(beta.min(), beta.max())`` when given, spares the
+    overlap guard taking them.
 
     The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
     Autom. Control 24(6), 1979) with its other side already diagonal: with
@@ -299,10 +299,9 @@ def _sylvester_tridiag(
     off = np.zeros((n, k))
     off[:, :-1] = e
     off = off.reshape(-1)[:-1]
-    qv = q.copy()  # q V: V's first row and column are those of the identity
-    qv[:, 1:] = q[:, 1:] @ v[1:, 1:]
+    q[:, 1:] = q[:, 1:] @ v[1:, 1:]  # q V: V's first row and column are those of the identity
     y, info = _GTSV(
-        off, (beta[:, None] + d).reshape(-1), off.copy(), qv.reshape(-1, 1),
+        off, (beta[:, None] + d).reshape(-1), off.copy(), q.reshape(-1, 1),
         overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
     )[3:]
     _check_info(info, "tridiagonal solve", "dgtsv", what)
@@ -356,13 +355,16 @@ def _check_overlap(
         )
 
 
-def _objective_value(data_sq: float, marginal: float, b: np.ndarray, config: SolverConfig) -> float:
-    """Data term ``data_sq`` plus the marginal penalties and that of ``b``."""
+def _objective_value(
+    data_sq: float, marginal: float, b: np.ndarray, b_gram: np.ndarray, config: SolverConfig
+) -> float:
+    """Data term ``data_sq`` plus the marginal penalties and that of ``b``, whose
+    Gram ``b'b`` is ``b_gram``: the ridge penalty is its trace."""
     val = data_sq + marginal
     if config.lasso_block:
-        val += config.lambda_coef * float(np.sum(np.abs(b)))
+        val += config.lambda_coef * float(np.abs(b).sum())
     elif config.lambda_coef > 0:
-        val += config.lambda_coef * float(np.sum(b**2))
+        val += config.lambda_coef * float(b_gram.trace())
     if not math.isfinite(val):
         raise NumericalError("objective is not finite; factor matrices diverged")
     return val
@@ -396,9 +398,9 @@ def residual_dof(shape: Sequence[int], rank: int) -> int:
 
 
 def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:
-    """A copy of the square ``gram`` with ``shift`` added to its diagonal."""
-    out = np.array(gram, dtype=float)
-    out.flat[:: out.shape[0] + 1] += shift
+    """A C-ordered copy of the square ``gram`` with ``shift`` added to its diagonal."""
+    out = np.array(gram, dtype=float, order="C")
+    out.reshape(-1)[:: out.shape[0] + 1] += shift  # the diagonal, as a view
     return out
 
 
@@ -418,7 +420,7 @@ def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
             f"{what} (Cholesky factorization failed, LAPACK dpotrf info {info}: "
             "the matrix is not positive definite)"
         )
-    diag = np.diag(chol)
+    diag = chol.diagonal()
     if diag.min() <= CHOL_DIAG_RATIO_TOL * diag.max():
         raise NumericalError(
             f"{what} (Cholesky diagonal ratio {diag.min() / diag.max():.3e} "
@@ -439,7 +441,7 @@ def objective(
     data_sq = float(residual_sq(g_hat, state.factors()).sum())
     terms = zip(state.c_tilde, t_mats, lam_marg)
     pen = sum(lam * float(np.sum(c * (t @ c))) for c, t, lam in terms if lam > 0)
-    return _objective_value(data_sq, pen, state.b, config)
+    return _objective_value(data_sq, pen, state.b, state.b.T @ state.b, config)
 
 
 def update_factor(
@@ -753,7 +755,7 @@ def fit(
     if not np.isfinite(g_hat).all():
         raise ValueError("compressed data tensor has non-finite values (NaN or inf)")
     lam_marg = config.marginal_weights(n_dims)
-    m_total = int(np.prod(g_hat.shape[:-1]))
+    m_total = math.prod(g_hat.shape[:-1])
     if config.rank > m_total:
         warnings.warn(
             f"rank {config.rank} exceeds the compressed dimension {m_total}; "
@@ -782,8 +784,8 @@ def fit(
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
     extremes = [(w.min(), w.max()) for w in betas]  # for the overlap guard
     g_rot = g_hat
-    for d, p in enumerate(rots):
-        g_rot = mode_multiply(g_rot, p.T, d)
+    for d, p in enumerate(rots):  # mode_multiply without its checks
+        g_rot = np.moveaxis(np.tensordot(p.T, g_rot, axes=(1, d)), 0, d)
     g_rot = np.ascontiguousarray(g_rot)
     factors = [p.T @ c for p, c in zip(rots, state.c_tilde)] + [state.b]
     split = half_split(g_hat.shape)
@@ -794,13 +796,19 @@ def fit(
     grams = [f.T @ f for f in factors]
     # the sweep builds every factor list itself: the unchecked tensor kernels
     krs = [khatri_rao_core(factors[lo:hi]) for lo, hi in halves]
+    # per-fit constants of the sweep: each block's other modes, whose Grams'
+    # Hadamard product (left to right) is its Gram; the penalized modes; the
+    # objective's residual buffer
+    others = [[j for j in range(n_dims + 1) if j != d] for d in range(n_dims + 1)]
+    pen_modes = [d for d in range(n_dims) if lam_marg[d] > 0]
+    mu, lasso, res = config.proximal_mu, config.lasso_block, np.empty_like(g_mat)
 
     def sweep_objective() -> tuple[float, float]:
-        res = g_mat - krs[0] @ krs[1].T  # residual_sq without the checks of cp_to_tensor
-        data_sq = float(np.einsum("ij,ij->j", res, res).sum())
-        rows_sq = (np.einsum("ik,ik->i", c, c) for c in factors[:n_dims])
-        pen = sum(float(b @ r) for b, r, lam in zip(betas, rows_sq, lam_marg) if lam > 0)
-        return data_sq, _objective_value(data_sq, pen, factors[-1], config)
+        # residual_sq without the checks of cp_to_tensor, in the fit's buffer
+        np.subtract(g_mat, np.matmul(krs[0], krs[1].T, out=res), out=res)
+        data_sq = float(np.vdot(res, res))
+        pen = sum(float(np.einsum("i,ik,ik->", betas[d], factors[d], factors[d])) for d in pen_modes)
+        return data_sq, _objective_value(data_sq, pen, factors[-1], grams[-1], config)
 
     def sweep() -> bool:
         """One sweep over both halves; False when a lasso block was left uncertified."""
@@ -809,18 +817,16 @@ def fit(
             # one contraction with the other half serves every block of this one
             part = (views[h] @ krs[1 - h]).reshape(part_shapes[h])
             for d in range(lo, hi):
-                gram = reduce(np.multiply, grams[:d] + grams[d + 1 :])
+                gram = reduce(np.multiply, [grams[j] for j in others[d]])
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 if d < n_dims:
-                    new = update_factor(
-                        gram, rhs, factors[d], betas[d], config.proximal_mu, d, extremes[d]
-                    )
-                elif config.lasso_block:
+                    new = update_factor(gram, rhs, factors[d], betas[d], mu, d, extremes[d])
+                elif lasso:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
                     certified = certified and ok
                 else:
                     new = update_b_ridge(gram, rhs, config)
-                if not np.all(np.isfinite(new)):
+                if not np.isfinite(new).all():
                     what = "subject-coefficient" if d == n_dims else f"mode-{d} factor"
                     raise NumericalError(f"{what} update produced non-finite values")
                 factors[d] = new

@@ -147,7 +147,7 @@ def test_sylvester_negative_beta_takes_the_outer_sum():
     # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6
     m, beta = np.diag([1.0, 2.0]), np.array([-10.0, 5.0])
     q = np.random.default_rng(5).standard_normal((2, 2))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q, "m")
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
     assert np.abs(x - kron_oracle(m, beta, q)).max() <= 1e-15
 
 
@@ -216,7 +216,7 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
     beta = np.sort(rng.random(n))
     beta[0] = 0.0
     q = rng.standard_normal((n, k))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q, "m")
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
     res = np.linalg.norm(x @ m + beta[:, None] * x - q)
     assert res <= 1e-14 * (np.linalg.norm(q) + np.linalg.norm(x) * np.linalg.norm(m))
 
@@ -1648,3 +1648,85 @@ def test_a_float32_coefficient_weight_is_applied_in_double_precision():
     assert got.iters == ref.iters
     assert np.array_equal(got.objective_trace, ref.objective_trace)
     assert np.array_equal(got.b, ref.b)
+
+
+# ------------------------------------------- bit-identical plain reference sweep
+
+
+def plain_sweep_fit(g, t_mats, config, n_sweeps):
+    """Gauge-normalized state and objective trace of ``n_sweeps`` plain sweeps
+    with :func:`fit`'s arithmetic as first written: the penalty eigenbases by
+    ``_eig_sym`` per mode and the tensor rotated by ``mode_multiply``, the modes
+    cut at ``half_split``, each block's Gram as ``reduce(np.multiply, ...)`` of
+    the other Grams, its MTTKRP by ``partial_mttkrp_core``, the three public
+    block steps, and the objective's terms as per-column and per-row sums."""
+    n_dims = g.ndim - 1
+    lam = config.marginal_weights(n_dims)
+    state = solver_mod._initialize(g, config)
+    eigs = [solver_mod._eig_sym(lam[d] * t_mats[d], "penalty") for d in range(n_dims)]
+    betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
+    g_rot = g
+    for d, p in enumerate(rots):
+        g_rot = T.mode_multiply(g_rot, p.T, d)
+    factors = [p.T @ c for p, c in zip(rots, state.c_tilde)] + [state.b]
+    split = T.half_split(g.shape)
+    halves = ((0, split), (split, n_dims + 1))
+    g_mat = np.ascontiguousarray(g_rot).reshape(int(np.prod(g.shape[:split])), -1)
+    views = (g_mat, g_mat.T)
+
+    def value():
+        res = g_mat - T.khatri_rao(factors[:split]) @ T.khatri_rao(factors[split:]).T
+        val = float(np.einsum("ij,ij->j", res, res).sum())
+        rows = [np.einsum("ik,ik->i", c, c) for c in factors[:n_dims]]
+        val += sum(float(b @ r) for b, r, w in zip(betas, rows, lam) if w > 0)
+        b = factors[-1]
+        if config.lasso_block:
+            return val + config.lambda_coef * float(np.sum(np.abs(b)))
+        return val + config.lambda_coef * float(np.sum(b**2))
+
+    trace = [value()]
+    for _ in range(n_sweeps):
+        for h, (lo, hi) in enumerate(halves):
+            part = views[h] @ T.khatri_rao(factors[split:] if h == 0 else factors[:split])
+            part = part.reshape(g.shape[lo:hi] + (-1,))
+            for d in range(lo, hi):
+                grams = [f.T @ f for f in factors]
+                gram = functools.reduce(np.multiply, grams[:d] + grams[d + 1 :])
+                rhs = T.partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
+                if d < n_dims:
+                    mu = config.proximal_mu
+                    factors[d] = update_factor(gram, rhs, factors[d], betas[d], mu, d)
+                elif config.lasso_block:
+                    factors[d] = update_b_admm(gram, rhs, factors[d], config)[0]
+                else:
+                    factors[d] = update_b_ridge(gram, rhs, config)
+        trace.append(value())
+    state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]
+    solver_mod._gauge_normalize(state)
+    return state, np.asarray(trace)
+
+
+@pytest.mark.parametrize(
+    "dims, n_subj, k, coef_penalty",
+    [
+        ((10, 8), 100, 30, "ridge"),  # gp2d's compressed shape and rank
+        ((15, 15, 15), 5, 25, "ridge"),  # product3d's
+        ((10, 8), 40, 20, "lasso"),  # cv_lasso's
+    ],
+)
+def test_fit_is_bit_identical_to_the_plain_sweep(dims, n_subj, k, coef_penalty):
+    # the sweep's per-call trims (buffers, hoisted constants, in-place kernels)
+    # change no bit of an iterate; the objective only in rounding
+    rng = np.random.default_rng(60)
+    g = rank_k_tensor(rng, dims, n_subj, 8) + 0.05 * rng.standard_normal(dims + (n_subj,))
+    t_mats = [psd(rng, m) for m in dims]
+    cfg = SolverConfig(
+        rank=k, lambda_marginal=1e-3, lambda_coef=1e-3, coef_penalty=coef_penalty,
+        max_outer_iters=3, outer_tol=1e-300, seed=5,
+    )
+    got = fit(g, t_mats, cfg)
+    ref, trace = plain_sweep_fit(g, t_mats, cfg, 3)
+    assert got.iters == 3
+    for a, b in zip(got.factors(), ref.factors()):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(got.objective_trace - trace) / trace) <= 1e-14
