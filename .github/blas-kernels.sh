@@ -5,8 +5,10 @@
 # kernel names that numpy's and scipy's OpenBLAS report having loaded (a core
 # type the CPU cannot run shows up as the kernel that loaded instead, not as a
 # skip), and criterion 3's smallest ridge Cholesky diagonal ratio per
-# replication, the quantity `solver.CHOL_DIAG_RATIO_TOL` (1e-7) guards, next to
-# the first 12 hex digits of the SHA-256 of that replication's fitted factors
+# replication, the quantity `solver.CHOL_DIAG_RATIO_TOL` (1e-7) guards, with
+# its margin (the ratio over that threshold; the fit's relative proximal shift
+# keeps it near 1e3, where an unshifted ridge block read 0.96-1.4) and the
+# first 12 hex digits of the SHA-256 of that replication's fitted factors
 # ("-" when the fit raised), so two trees that should give bit-identical
 # iterates can be compared setting by setting. It ends with one line per
 # setting and exits non-zero if any setting fails.
@@ -78,8 +80,9 @@ for r in range(3):
         note = f" factors {hashlib.sha256(factors).hexdigest()[:12]}"
     except NumericalError:
         note = " (raised) factors -"
-    line.append(f"rep {r} {min(ratios):.3e}{note}")
-print("criterion 3 smallest ridge Cholesky ratio and factor hash:", ", ".join(line))
+    ratio = min(ratios)
+    line.append(f"rep {r} {ratio:.3e} (margin {ratio / solver.CHOL_DIAG_RATIO_TOL:.0f}){note}")
+print("criterion 3 smallest ridge Cholesky ratio, its margin and factor hash:", ", ".join(line))
 PY
 }
 

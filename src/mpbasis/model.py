@@ -5,8 +5,9 @@ matrix per dimension and the per-subject coefficients. Each basis function is
 a product of one smooth function per dimension, which makes inner products,
 Laplacian penalties and projections of new gridded data computable from
 marginal quantities alone. Evaluation and projection on a grid read each
-marginal's evaluation matrix and thin SVD from the set-up memo of
-:mod:`reduction`, which the reduction of the training data filled.
+marginal's evaluation matrix and thin SVD, and the Gram and Laplacian forms
+each basis's quadrature matrices, from the set-up memo of :mod:`reduction`,
+which the reduction of the training data filled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import reduction
 from .errors import NumericalError
 from .tensors import cp_to_tensor
@@ -141,9 +141,12 @@ class MPBModel:
             )
         return self.mean_values
 
-    def _forms(self, matrix) -> list[np.ndarray]:
-        """Each dimension's K x K form ``c_d' matrix(b_d) c_d`` of a basis matrix."""
-        return [c.T @ matrix(b) @ c for b, c in zip(self.bases, self.coefs)]
+    def _forms(self, name: str, *args) -> list[np.ndarray]:
+        """Each dimension's K x K form ``c_d' Q_d c_d`` of the quadrature matrix
+        ``Q_d`` of :mod:`basis` called ``name`` (:func:`reduction.quadrature`)."""
+        return [
+            c.T @ reduction.quadrature(b, name, *args) @ c for b, c in zip(self.bases, self.coefs)
+        ]
 
     def gram_zeta(self) -> np.ndarray:
         """K x K matrix of pairwise inner products of the product functions.
@@ -151,7 +154,7 @@ class MPBModel:
         Entry ``(i, j)`` is the product over dimensions of the marginal
         quadratic forms through each basis Gram matrix.
         """
-        out = reduce(np.multiply, self._forms(basis_mod.gram_matrix))
+        out = reduce(np.multiply, self._forms("gram_matrix"))
         return 0.5 * (out + out.T)
 
     def laplacian_penalty_zeta(self) -> np.ndarray:
@@ -164,9 +167,9 @@ class MPBModel:
         the mixed partials leaves boundary terms that need not vanish), and
         the Gram form elsewhere. The result is symmetric PSD up to roundoff.
         """
-        j_forms = self._forms(basis_mod.gram_matrix)
-        r_forms = self._forms(lambda b: basis_mod.penalty_matrix(b, 2))
-        e_forms = self._forms(basis_mod.cross_matrix)
+        j_forms = self._forms("gram_matrix")
+        r_forms = self._forms("penalty_matrix", 2)
+        e_forms = self._forms("cross_matrix")
         out = np.zeros((self.rank, self.rank))
         for d, a in itertools.product(range(self.n_dims), repeat=2):
             out += reduce(np.multiply, [

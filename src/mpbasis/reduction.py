@@ -13,7 +13,9 @@ penalty, depends on its basis, grid and penalty order only, never on the
 data. One memo bounded by :data:`SETUP_ENTRIES` keeps it per process, keyed
 by :func:`marginal_key`: :func:`prepare`, :meth:`model.MPBModel.project` and
 :meth:`model.MPBModel.marginal_values` read the same entries, so equal
-dimensions of one call and repeated calls on one design compute it once.
+dimensions of one call and repeated calls on one design compute it once. The
+same memo keeps each basis's quadrature matrices (:func:`quadrature`), which
+depend on the basis alone, for the model's Gram and Laplacian forms.
 
 Because compression is linear per subject, a subset of subjects is a slice of
 the compressed tensor, and the residual of any fit whose grid-mode factors
@@ -53,6 +55,7 @@ __all__ = [
     "evaluation",
     "factorization",
     "transported_penalty",
+    "quadrature",
     "compress",
     "penalty_transform",
     "back_transform",
@@ -226,6 +229,15 @@ def transported_penalty(basis, grid, order: int, key: tuple | None = None) -> np
         penalty_transform(factorization(basis, grid, key), basis_mod.penalty_matrix(basis, order))
     )
     return _SETUPS.get(("penalty", (*key, order)), make)
+
+
+def quadrature(basis, name: str, *args) -> np.ndarray:
+    """The read-only quadrature matrix ``basis.<name>(basis, *args)`` of
+    :mod:`basis` (``gram_matrix``, ``penalty_matrix`` with its order,
+    ``cross_matrix``), from the set-up memo, keyed by the basis
+    specification, ``name`` and ``args``: it depends on no grid."""
+    make = lambda: _read_only(getattr(basis_mod, name)(basis, *args))  # noqa: E731
+    return _SETUPS.get((name, (_frozen(basis.to_dict()), *args)), make)
 
 
 def compress(y: np.ndarray, facs: Sequence[MarginalFactorization]) -> np.ndarray:

@@ -5,22 +5,26 @@ solves a Sylvester equation (least squares plus a quadratic roughness
 penalty), and the subject-coefficient block solves either a closed-form ridge
 problem or, for the lasso penalty, N small lasso problems exactly, by an
 active-set method that certifies each row by its KKT conditions. Each step
-minimizes the objective over its block, plus ``proximal_mu`` times the squared
-step where it carries that term, so the objective trace is nonincreasing. The
-grid-mode factor steps and the lasso block carry it, which makes them strongly
-convex; the ridge block is shifted by ``lambda_coef`` only, so it is plain
-least squares at ``lambda_coef = 0`` (ROADMAP item 3 adds the shift there).
+minimizes the objective over its block plus a proximal term, the shift ``s``
+times the squared step, so the objective trace is nonincreasing and every
+block is strongly convex. :func:`fit` scales the shift to each block's Gram
+``M``: ``s = proximal_mu tr(M) / K``, the prox-linear block update of Xu and
+Yin (SIAM J. Imaging Sci. 6(3), 2013) with a weight proportional to the
+block's curvature, so the shifted Gram's smallest eigenvalue is at least
+``proximal_mu`` times its mean whatever the data's scale. The block steps
+called directly take the shift as an argument.
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
 tensor's grid modes and the start factors are rotated by ``P_d'`` once, so
 each factor step's penalty side is the diagonal ``diag(beta_d)``. The step
-tridiagonalizes its K x K Gram once and solves one tridiagonal system per
-row of the factor, all stacked into one LAPACK call (the Hessenberg-Schur
-method of Golub, Nash and Van Loan, 1979); the inertia of one LDL'
-factorization clears its spectra-overlap guard, whose eigenvalues are
-computed only when that certificate fails. These, the penalty
-eigendecompositions and the Cholesky solves call LAPACK directly.
+tridiagonalizes its K x K Gram once and solves one positive definite
+tridiagonal system per row of the factor, all stacked into one LAPACK call
+(the Hessenberg-Schur method of Golub, Nash and Van Loan, 1979); the shift
+certifies its spectra-overlap guard in O(1), whose eigenvalues are computed
+only when that certificate fails. These, the penalty eigendecompositions and
+the Cholesky factorizations call LAPACK directly, and the ridge block's two
+triangular solves BLAS.
 
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
 and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
@@ -46,7 +50,7 @@ from functools import lru_cache, partial, reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NumericalError
 from .jsonspec import check_ints, check_sign
@@ -89,15 +93,24 @@ _PDAS_PASSES = 6
 _LASSO_MAX_STEPS = 500
 
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
-#: penalty rotations; the tridiagonal reduction, the LDL' factorization of the
-#: overlap certificate, the tridiagonal eigenvalues (root-free QR) when that
-#: fails, the orthogonal factor of stored reflectors and the tridiagonal solve
-#: of each factor step; the Cholesky factorization and solve. The wrappers
-#: check neither finiteness nor symmetry; their callers check finiteness.
-_SYEV, _SYTRD, _PTTRF, _STERF, _ORGQR, _GTSV = (
-    lapack.dsyev, lapack.dsytrd, lapack.dpttrf, lapack.dsterf, lapack.dorgqr, lapack.dgtsv
+#: penalty rotations; the tridiagonal reduction, the tridiagonal eigenvalues
+#: (root-free QR) when the overlap certificate fails, the orthogonal factor of
+#: stored reflectors and the positive definite tridiagonal solve of each
+#: factor step; the Cholesky factorization and solve, and the triangular solve
+#: (BLAS) of the ridge block. The wrappers check neither finiteness nor
+#: symmetry; their callers check finiteness.
+_SYEV, _SYTRD, _STERF, _ORGQR, _PTSV = (
+    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dptsv
 )
-_POTRF, _POTRS = lapack.dpotrf, lapack.dpotrs
+_POTRF, _POTRS, _TRSM = lapack.dpotrf, lapack.dpotrs, blas.dtrsm
+
+#: The overlap certificate's allowance for the rounding of the factor step's
+#: reduction (``dsytrd``) and of the eigenvalues it would compute (``dsterf``),
+#: as a multiple of ``K^2 eps`` times the Gram's Frobenius norm
+#: (:func:`_check_overlap`).
+_REDUCTION_ROUNDING = 8.0
+
+_EPS = float(np.finfo(float).eps)
 
 _RIDGE_SINGULAR = (
     "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
@@ -126,8 +139,10 @@ class SolverConfig:
         whose objective changed by less than this, relative to the previous
         objective. A fit given a noise target (:func:`fit`) may stop sooner.
     proximal_mu : float
-        Strong-convexity shift added to each factor update and to the lasso
-        coefficient block.
+        Relative proximal weight: :func:`fit` shifts every block step's Gram
+        ``M`` (K x K) by ``proximal_mu tr(M) / K``, which keeps each step
+        strongly convex at any scale of the data; 0 runs plain block
+        coordinate descent.
     init : {"random", "hosvd"}
         Random unit-norm columns, or leading singular vectors per unfolding.
     seed : int
@@ -217,7 +232,9 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``p`` is diagonalized by a symmetric eigendecomposition, which leaves
     the equation of :func:`_sylvester_tridiag`: one tridiagonal system per row
     after ``m`` is tridiagonalized. With ``m`` positive definite and ``p``
-    positive semidefinite every ``beta_i + alpha_k`` is positive.
+    positive semidefinite every ``beta_i + alpha_k`` is positive; a ``p``
+    with an eigenvalue below ``-alpha_min`` makes a system indefinite, which
+    the stacked solve refuses with :class:`NumericalError`.
     :func:`update_factor` runs the same solve in the eigenbasis of each
     penalty, which :func:`fit` takes once per fit.
     """
@@ -264,12 +281,13 @@ def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sylvester_tridiag(
-    m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str, extremes=None
+    m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str, extremes=None, spectrum=None
 ) -> np.ndarray:
     """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
     ``what``); ``m`` and ``q`` are overwritten, so callers pass arrays of their
     own. ``extremes``, ``(beta.min(), beta.max())`` when given, spares the
-    overlap guard taking them.
+    overlap guard taking them; ``spectrum``, bounds on ``m``'s eigenvalues
+    that the caller proves, lets it certify in O(1) (:func:`_check_overlap`).
 
     The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
     Autom. Control 24(6), 1979) with its other side already diagonal: with
@@ -277,10 +295,15 @@ def _sylvester_tridiag(
     ``(T + beta_i I) y_i = (q V)_i``. The n systems are stacked into one
     tridiagonal system of order nK, with zero couplings between the blocks,
     and solved by one LAPACK call; ``X = Y V'``. The spectra-overlap guard
-    (:func:`_check_overlap`) reads ``T`` before ``V`` is formed.
+    (:func:`_check_overlap`) reads ``T`` before ``V`` is formed. Once it has
+    cleared with every ``beta_i + alpha_k`` positive, as it does for a
+    positive definite ``m`` and a PSD penalty, every block is positive
+    definite, and the stacked solve is ``dptsv``'s LDL' factorization, which
+    needs no pivoting; a block that is not (a ``beta`` entry below
+    ``-alpha_min``) makes it fail, and :class:`NumericalError` names ``what``.
 
-    It beats one eigendecomposition of ``m`` only from about K = 20 and while
-    n stays below about 2 K; at K <= 15 its fixed cost is more than
+    It beats one eigendecomposition of ``m`` only from about K = 15 and while
+    n stays below about 2 K; at K = 5 its fixed cost is more than
     ``dsyev``'s whatever n is (README, solver bullets).
     """
     if not np.isfinite(m).all():
@@ -289,7 +312,7 @@ def _sylvester_tridiag(
     # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
     c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
     _check_info(info, "tridiagonal reduction", "dsytrd", what)
-    _check_overlap(d, e, beta, what, extremes)
+    _check_overlap(d, e, beta, what, extremes, spectrum)
     v = np.zeros((k, k))
     v[0, 0] = 1.0
     if k > 1:
@@ -298,48 +321,54 @@ def _sylvester_tridiag(
         _check_info(info, "orthogonal factor", "dorgqr", what)
     off = np.zeros((n, k))
     off[:, :-1] = e
-    off = off.reshape(-1)[:-1]
     q[:, 1:] = q[:, 1:] @ v[1:, 1:]  # q V: V's first row and column are those of the identity
-    y, info = _GTSV(
-        off, (beta[:, None] + d).reshape(-1), off.copy(), q.reshape(-1, 1),
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-    )[3:]
-    _check_info(info, "tridiagonal solve", "dgtsv", what)
+    y, info = _PTSV(
+        (beta[:, None] + d).reshape(-1), off.reshape(-1)[:-1], q.reshape(-1, 1),
+        overwrite_d=1, overwrite_e=1, overwrite_b=1,
+    )[2:]
+    _check_info(info, "tridiagonal solve", "dptsv", what)
     return y.reshape(n, k) @ v.T
 
 
 def _check_overlap(
-    d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str, extremes=None
+    d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str, extremes=None, spectrum=None
 ) -> None:
     """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
     :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
     ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
     ``alpha`` are the eigenvalues of the tridiagonal ``T`` with diagonal ``d``
-    and off-diagonal ``e``.
+    and off-diagonal ``e``, as ``dsterf`` computes them.
 
-    A certificate clears the common case in O(K) without ``alpha``: ``s_hat``,
-    the larger of a Gershgorin bound on ``|alpha|`` and ``max |beta|``, is at
-    least the scale, and when the LDL' factorization of ``T - sigma I`` with ``sigma =
-    2e-14 s_hat - beta_min`` (``dpttrf``) has positive pivots, every
-    eigenvalue of ``T`` exceeds ``sigma`` by Sylvester's law of inertia
-    (Demmel, Applied Numerical Linear Algebra, 1997, 5.3), so every ``beta_i +
-    alpha_k`` exceeds ``2e-14 s_hat``; the factor 2 covers the rounding of the
-    factorization and of the eigenvalues. Only when it fails are ``alpha``
-    computed (``dsterf``) and the gap measured. ``extremes`` is ``(beta.min(),
-    beta.max())``, taken here when None; :func:`fit` takes it once per fit."""
+    ``spectrum``, when given, is ``(floor, top)``: every eigenvalue of the
+    K x K matrix ``m`` that ``dsytrd`` reduced to ``T`` is at least ``floor``,
+    and ``top`` bounds both ``m``'s largest eigenvalue and its Frobenius norm
+    (:func:`fit` proves both from a factor step's shift and trace). A
+    certificate then clears the step in O(1) without ``alpha``. ``dsytrd``'s
+    ``T`` is exactly similar to ``m + E`` and ``dsterf``'s eigenvalues are
+    exact for ``T + F``, with ``|E|_2 + |F|_2 <= delta = c K^2 eps top`` for a
+    small constant ``c`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 19.3; Demmel, Applied Numerical Linear Algebra, 1997,
+    5.2), taken here as :data:`_REDUCTION_ROUNDING`. So every computed
+    ``alpha_k`` lies in ``[floor - delta, top + delta]``: ``s_hat = max(top +
+    delta, -beta_min, beta_max)`` is at least the scale, and when ``beta_min
+    + floor - delta > 2e-14 s_hat`` every ``beta_i + alpha_k`` exceeds ``2e-14
+    s_hat``, so the gap the guard would measure exceeds its threshold; the
+    factor 2 covers the rounding of the sums. Without ``spectrum``, or when
+    the certificate does not clear (``proximal_mu = 0``, a ``beta`` entry far
+    below 0, or weights far above the Gram's trace), ``alpha`` is computed
+    and the gap measured. ``extremes`` is ``(beta.min(), beta.max())``, taken
+    here when None; :func:`fit` takes it once per fit."""
     k = d.shape[0]
     lo, hi = (beta.min(), beta.max()) if extremes is None else extremes
-    if k > 1:
-        # Gershgorin: every alpha_k is within 2 max|e| of some d_i
-        s_hat = max(np.abs(d).max() + 2.0 * np.abs(e).max(), -lo, hi)
-        info = _PTTRF(d - (2e-14 * s_hat - lo), e, overwrite_d=1)[2]
-        if info < 0:
-            _check_info(info, "overlap certificate", "dpttrf", what)
-        if info == 0:
+    if spectrum is not None:
+        floor, top = spectrum
+        delta = _REDUCTION_ROUNDING * k * k * _EPS * top
+        if lo + floor - delta > 2e-14 * max(top + delta, -lo, hi):
             return
+    if k > 1:
         alpha, info = _STERF(d, e)
         _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
-    else:  # T is its diagonal; dpttrf and dsterf refuse an empty off-diagonal
+    else:  # T is its diagonal; dsterf refuses an empty off-diagonal
         alpha = d
     # rounding is monotone: when the least sum is >= 0 it is the least |sum|
     gap = lo + alpha[0]
@@ -404,6 +433,40 @@ def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
+def _gram_rounding(rows: Sequence[int]) -> float:
+    """A bound, relative to the trace of ``M + s I``, on the Frobenius distance
+    from the computed ``fl(M) + s I`` to ``M + s I``: ``M`` is the exact Gram
+    ``W'W`` of a Khatri-Rao product ``W``, the Hadamard product of the Grams
+    ``F_j'F_j`` of factors with ``rows[j]`` rows each, and ``fl(M)`` the
+    Hadamard product of their computed Grams. This is how :func:`fit` forms
+    every factor step's Gram, and ``M + s I`` is positive definite with
+    eigenvalues at least ``s``.
+
+    Entry ``(a, b)`` of a computed Gram is within ``gamma_n |f_a| |f_b|`` of
+    the exact one, ``n`` the rows and ``gamma_n ~ n eps`` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 3.5), and the exact entry is at
+    most ``|f_a| |f_b|`` in size. So the computed product of the D entries,
+    with its D - 1 roundings, is within ``c sqrt(w_a w_b)`` of the exact
+    one, ``c = sum_j gamma_{n_j} + (D - 1) eps`` to first order and ``w`` the
+    diagonal of ``M``; the squares sum to ``(c tr(M))^2``. Adding ``s`` to the
+    diagonal rounds by at most ``eps tr(M + s I)``. The factor 2 covers the
+    second-order terms and the rounding of the traces themselves."""
+    return 2.0 * _EPS * (sum(rows) + len(rows) + 2)
+
+
+def _shifted_spectrum(tr: float, s: float, k: int, rounding: float) -> tuple[float, float]:
+    """Bounds ``(floor, top)`` for :func:`_check_overlap` on the computed K x K
+    ``W'W + s I`` of a factor step whose Gram has the trace ``tr`` and the
+    relative rounding ``rounding`` (:func:`_gram_rounding`): it is within
+    ``err = rounding t`` of ``M + s I``, ``t`` its trace and ``M`` positive
+    semidefinite, so its eigenvalues are at least ``s - err``; its largest
+    eigenvalue and Frobenius norm are at most ``tr(M + s I) + err <= t + (K +
+    1) err``, since a PSD matrix's Frobenius norm is at most its trace."""
+    t = tr + k * s
+    err = rounding * t
+    return s - err, t + (k + 1) * err
+
+
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Cholesky factor of the symmetric float ``a``, which is overwritten.
 
@@ -452,34 +515,51 @@ def update_factor(
     mu: float,
     mode: int,
     extremes=None,
+    spectrum=None,
 ) -> np.ndarray:
     """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
     = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
     mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
-    factors), ``rhs = P' G_(d) W`` and ``x_old`` the rotated current factor,
-    by :func:`_sylvester_tridiag`, given ``beta``'s ``extremes`` when known.
+    factors), ``rhs = P' G_(d) W``, ``x_old`` the rotated current factor and
+    ``mu`` the proximal shift, by :func:`_sylvester_tridiag`, given
+    ``beta``'s ``extremes`` when known and, from :func:`fit`, bounds
+    ``spectrum`` on the eigenvalues of ``W'W + mu I`` (:func:`_check_overlap`).
     No argument is mutated."""
     what = f"factor Gram W'W + mu I of mode {mode}"
-    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what, extremes)
+    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what, extremes, spectrum)
 
 
-def update_b_ridge(gram: np.ndarray, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
+def update_b_ridge(
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    config: SolverConfig,
+    b_old: np.ndarray | None = None,
+    shift: float = 0.0,
+) -> np.ndarray:
     """Ridge step of the subject coefficients: the rows ``b`` solving ``b (W'W +
-    lambda_coef I) = rhs`` for ``gram = W'W`` (``W`` the Khatri-Rao product of
-    the grid factors) and the N x K MTTKRP ``rhs = (W'G)'``, by one guarded
-    :func:`_cholesky`; a singular or non-finite system raises
-    :class:`NumericalError`. No argument is mutated."""
-    if not np.isfinite(rhs).all():
+    (lambda_coef + shift) I) = rhs + shift b_old`` for ``gram = W'W`` (``W`` the
+    Khatri-Rao product of the grid factors), the N x K MTTKRP ``rhs = (W'G)'``
+    and the proximal ``shift`` towards ``b_old`` (none by default; :func:`fit`
+    gives each step its own). The guarded :func:`_cholesky` factors the
+    system as ``U'U``, and two right-side triangular solves (``dtrsm``) on an
+    F-order copy of the right-hand side give ``b``; a singular or non-finite
+    system raises :class:`NumericalError`. No argument is mutated."""
+    r = np.array(rhs, dtype=float, order="F")  # dtrsm solves in place on F-order rows
+    if shift:
+        r += shift * b_old
+    if not np.isfinite(r).all():
         raise NumericalError(f"{_RIDGE_SINGULAR} (the right-hand side is not finite)")
-    chol = _cholesky(_shifted(gram, config.lambda_coef), _RIDGE_SINGULAR)
-    x, info = _POTRS(chol, rhs.T)
-    if info != 0:
-        raise NumericalError(f"{_RIDGE_SINGULAR} (Cholesky solve failed, LAPACK dpotrs info {info})")
-    return x.T
+    chol = _cholesky(_shifted(gram, config.lambda_coef + shift), _RIDGE_SINGULAR)
+    r = _TRSM(1.0, chol, r, side=1, overwrite_b=1)  # r U^-1 = b U'
+    return _TRSM(1.0, chol, r, side=1, trans_a=1, overwrite_b=1)
 
 
 def update_b_admm(
-    gram: np.ndarray, rhs: np.ndarray, b_old: np.ndarray, config: SolverConfig
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    b_old: np.ndarray,
+    config: SolverConfig,
+    shift: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int]:
     """Exact active-set solve of the lasso-penalized subject-coefficient block.
 
@@ -487,7 +567,8 @@ def update_b_admm(
     factors, ``rhs`` the subject-mode MTTKRP ``(W'G)'`` (N x K) and ``b_old``
     the warm start. Each row ``b`` of the block minimizes
     ``b'A b / 2 - c'b + tau |b|_1`` with ``A = W'W + mu I``,
-    ``c = W'G + mu b_old``, ``mu = proximal_mu`` and
+    ``c = W'G + mu b_old``, ``mu`` the proximal ``shift`` (``proximal_mu``
+    when None; :func:`fit` gives each step its own) and
     ``tau = lambda_coef / 2``: N lasso problems sharing one K x K matrix, which
     is factored once with the guarded :func:`_cholesky`. On a
     sign pattern ``s`` (a signed active set) a row is one Cholesky solve of its
@@ -526,9 +607,10 @@ def update_b_admm(
         if not np.isfinite(v).all():
             raise NumericalError(f"coefficient lasso block: {name} is not finite")
     what = "coefficient lasso block: Cholesky factorization of W'W + mu I"
-    a = _shifted(gram, config.proximal_mu)
+    mu = config.proximal_mu if shift is None else shift
+    a = _shifted(gram, mu)
     chol = _cholesky(a.copy(), what)
-    c, tau = rhs + config.proximal_mu * b_old, config.lambda_coef / 2.0
+    c, tau = rhs + mu * b_old, config.lambda_coef / 2.0
     solve = partial(_solve_on_patterns, a, chol, what=what)
     abs_a, diag_a = np.abs(a), np.diag(a)
     b, steps = np.zeros_like(c), np.zeros(c.shape[0], dtype=int)
@@ -782,7 +864,7 @@ def fit(
         lambda d: _eig_sym(lam_marg[d] * t_mats[d], f"penalty matrix {d}"),
     )
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
-    extremes = [(w.min(), w.max()) for w in betas]  # for the overlap guard
+    extremes = [(float(w.min()), float(w.max())) for w in betas]  # for the overlap guard
     g_rot = g_hat
     for d, p in enumerate(rots):  # mode_multiply without its checks
         g_rot = np.moveaxis(np.tensordot(p.T, g_rot, axes=(1, d)), 0, d)
@@ -797,11 +879,13 @@ def fit(
     # the sweep builds every factor list itself: the unchecked tensor kernels
     krs = [khatri_rao_core(factors[lo:hi]) for lo, hi in halves]
     # per-fit constants of the sweep: each block's other modes, whose Grams'
-    # Hadamard product (left to right) is its Gram; the penalized modes; the
-    # objective's residual buffer
+    # Hadamard product (left to right) is its Gram; the factor steps' Gram
+    # rounding relative to the shifted Gram's trace (_gram_rounding); the
+    # penalized modes; the objective's residual buffer
     others = [[j for j in range(n_dims + 1) if j != d] for d in range(n_dims + 1)]
+    rounding = [_gram_rounding([g_hat.shape[j] for j in others[d]]) for d in range(n_dims)]
     pen_modes = [d for d in range(n_dims) if lam_marg[d] > 0]
-    mu, lasso, res = config.proximal_mu, config.lasso_block, np.empty_like(g_mat)
+    mu, k, lasso, res = config.proximal_mu, config.rank, config.lasso_block, np.empty_like(g_mat)
 
     def sweep_objective() -> tuple[float, float]:
         # residual_sq without the checks of cp_to_tensor, in the fit's buffer
@@ -819,13 +903,16 @@ def fit(
             for d in range(lo, hi):
                 gram = reduce(np.multiply, [grams[j] for j in others[d]])
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
+                tr = float(gram.trace())
+                s = mu * tr / k  # the proximal shift, relative to the block's Gram
                 if d < n_dims:
-                    new = update_factor(gram, rhs, factors[d], betas[d], mu, d, extremes[d])
+                    bounds = _shifted_spectrum(tr, s, k, rounding[d])
+                    new = update_factor(gram, rhs, factors[d], betas[d], s, d, extremes[d], bounds)
                 elif lasso:
-                    new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config)
+                    new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config, s)
                     certified = certified and ok
                 else:
-                    new = update_b_ridge(gram, rhs, config)
+                    new = update_b_ridge(gram, rhs, config, factors[d], s)
                 if not np.isfinite(new).all():
                     what = "subject-coefficient" if d == n_dims else f"mode-{d} factor"
                     raise NumericalError(f"{what} update produced non-finite values")

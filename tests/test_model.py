@@ -518,16 +518,16 @@ def test_fit_with_centering_stores_and_uses_mean():
 
 def test_project_centered_model_reproduces_subject_coefs():
     # the fitted coefficients are the least-squares ones for the final
-    # factors (lambda_coef = 0), so projecting the training data gives them
-    # back once the stored mean is taken off; a +3 offset makes a missed
-    # mean obvious
+    # factors (lambda_coef = 0 and no proximal term), so projecting the
+    # training data gives them back once the stored mean is taken off; a +3
+    # offset makes a missed mean obvious
     rng = np.random.default_rng(24)
     grids = [np.linspace(0, 1, 16), np.linspace(0, 1, 13)]
     bases = [BSplineBasis((0.0, 1.0), 6), BSplineBasis((0.0, 1.0), 5)]
     truth = random_model(rng, ranks=(6, 5), k=2, n_subj=5)
     truth.bases = bases
     y = truth.evaluate_subjects(grids) + 0.05 * rng.standard_normal((16, 13, 5)) + 3.0
-    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=60)
+    cfg = SolverConfig(rank=2, seed=0, max_outer_iters=60, proximal_mu=0.0)
     model, _, _ = fit_mpb(y, grids, bases, [2, 2], cfg, center=True)
     coefs, resid = model.project(y, grids)
     scale = np.abs(model.subject_coefs).max()

@@ -356,6 +356,26 @@ def test_model_evaluates_each_distinct_marginal_once(monkeypatch):
     assert np.array_equal(proj, ref_proj) and np.array_equal(resid, np.sqrt(ref_sq))
 
 
+def test_model_forms_read_each_quadrature_once(monkeypatch):
+    # the Gram and Laplacian forms take each distinct basis's quadrature
+    # matrices from the memo: once for three equal marginals and none on a
+    # second call, bit for bit the forms of matrices computed on every call
+    bases, _, _ = EQUAL_SPECS
+    rng = np.random.default_rng(42)
+    coefs = [rng.standard_normal((7, 3)) for _ in bases]
+    model = MPBModel(bases=bases, coefs=coefs, subject_coefs=rng.standard_normal((4, 3)))
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "quadrature", lambda b, name, *a: getattr(basis_mod, name)(b, *a))
+        ref = model.gram_zeta(), model.laplacian_penalty_zeta()
+    fresh_memo(monkeypatch)
+    names = ("gram_matrix", "penalty_matrix", "cross_matrix")
+    quads = [count_calls(monkeypatch, basis_mod, name) for name in names]
+    for _ in range(2):
+        got = model.gram_zeta(), model.laplacian_penalty_zeta()
+        assert [len(q) for q in quads] == [1, 1, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
 def equal_design():
     """A fresh copy of EQUAL_SPECS: equal bases and grids, all of them new objects."""
     return [FourierBasis((0, 1), 7) for _ in range(3)], [np.linspace(0, 1, 10) for _ in range(3)]

@@ -34,23 +34,37 @@ def make_state(rng, dims, n_subj, k, zero_b=False):
     return SolverState(c_tilde=c_tilde, b=b)
 
 
-def factor_step(g, state, d, t_d, config, mttkrp=T.mttkrp):
+def sweep_shift(config, gram):
+    """The proximal shift :func:`fit` gives a block step of Gram ``gram``:
+    ``proximal_mu tr(gram) / K``."""
+    return config.proximal_mu * gram.trace() / config.rank
+
+
+def factor_step(g, state, d, t_d, config, mttkrp=T.mttkrp, relative=False):
     """Full-tensor grid step: :func:`update_factor` on mode ``d`` of ``g`` at
     ``state``, with its Gram and MTTKRP formed from the other factors on the
     whole tensor, in the eigenbasis of ``lambda_d T_d`` (decomposed again on
-    every call, by the eigensolver :func:`fit` uses once), and rotated back."""
+    every call, by the eigensolver :func:`fit` uses once), and rotated back.
+    Its shift is ``proximal_mu``, or with ``relative`` the sweep's
+    :func:`sweep_shift`."""
     lam = config.marginal_weights(g.ndim - 1)[d]
     beta, p = solver_mod._eig_sym(lam * t_d, "penalty matrix")
     others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
     gram, rhs = T.gram_of_khatri_rao(others), p.T @ mttkrp(g, others, d)
-    return p @ update_factor(gram, rhs, p.T @ state.c_tilde[d], beta, config.proximal_mu, d)
+    mu = sweep_shift(config, gram) if relative else config.proximal_mu
+    return p @ update_factor(gram, rhs, p.T @ state.c_tilde[d], beta, mu, d)
 
 
-def ridge_step(g, state, config, mttkrp=T.mttkrp):
+def ridge_step(g, state, config, mttkrp=T.mttkrp, relative=False):
     """Full-tensor ridge step: :func:`update_b_ridge` on the subject block of
-    ``g`` at ``state``, with its Gram and MTTKRP formed on the whole tensor."""
+    ``g`` at ``state``, with its Gram and MTTKRP formed on the whole tensor;
+    unshifted, or with ``relative`` shifted towards ``state.b`` by the
+    sweep's :func:`sweep_shift`."""
     gram = T.gram_of_khatri_rao(state.c_tilde)
-    return update_b_ridge(gram, mttkrp(g, state.c_tilde, g.ndim - 1), config)
+    rhs = mttkrp(g, state.c_tilde, g.ndim - 1)
+    if relative:
+        return update_b_ridge(gram, rhs, config, state.b, sweep_shift(config, gram))
+    return update_b_ridge(gram, rhs, config)
 
 
 def lasso_step(g, state, config):
@@ -144,11 +158,15 @@ def test_sylvester_overlap_reads_the_same_on_both_gap_branches():
 
 
 def test_sylvester_negative_beta_takes_the_outer_sum():
-    # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6
+    # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6,
+    # so the guard passes; but the block T - 10 I is not positive definite,
+    # and the stacked dptsv solve refuses it by name
     m, beta = np.diag([1.0, 2.0]), np.array([-10.0, 5.0])
+    solver_mod._check_overlap(np.diag(m).copy(), np.zeros(1), beta, "m")
     q = np.random.default_rng(5).standard_normal((2, 2))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
-    assert np.abs(x - kron_oracle(m, beta, q)).max() <= 1e-15
+    with pytest.raises(NumericalError) as err:
+        solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
+    assert str(err.value) == "tridiagonal solve of m failed (LAPACK dptsv info 1)"
 
 
 def test_sylvester_residual_on_random_instances():
@@ -223,7 +241,7 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
 
 @pytest.mark.parametrize(
     "name, routine",
-    [("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_GTSV", "dgtsv")],
+    [("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_PTSV", "dptsv")],
 )
 def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine):
     lapack_call = getattr(solver_mod, name)
@@ -235,12 +253,8 @@ def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine
     monkeypatch.setattr(solver_mod, name, failing)
     rng = np.random.default_rng(8)
     w = rng.standard_normal((6, 3))
-    mu = 1e-8
-    if name == "_STERF":
-        # dsterf runs only when the overlap certificate fails: a singular Gram, unshifted
-        w[:, 2] = w[:, 0]
-        mu = 0.0
-    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), mu, 2)
+    # a direct call passes no spectrum, so dsterf measures the gap on every call
+    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), 1e-8, 2)
     with pytest.raises(NumericalError) as err:
         update_factor(*args)
     msg = str(err.value)
@@ -265,54 +279,111 @@ def counting_sterf(monkeypatch):
     return calls
 
 
+def hadamard_gram(rng, k, near_singular):
+    """A Gram as :func:`fit` forms a factor step's: the Hadamard product of the
+    computed Grams of 1-3 random factors, with those factors' row counts.
+    ``near_singular`` makes two columns nearly equal in every factor and
+    spreads the column norms over six decades."""
+    rows = [int(rng.integers(3, 40)) for _ in range(int(rng.integers(1, 4)))]
+    grams = []
+    for n in rows:
+        f = rng.standard_normal((n, k))
+        if near_singular:
+            f[:, 1] = f[:, 0] + 1e-9 * rng.standard_normal(n)
+            f *= 10 ** rng.uniform(-3, 3, k)
+        grams.append(f.T @ f)
+    return functools.reduce(np.multiply, grams), rows
+
+
+def sweep_tridiagonal(gram, rows, mu):
+    """``(d, e, spectrum)``: the tridiagonal form of a factor step's ``gram +
+    s I`` at the sweep's shift ``s``, reduced as the kernel reduces it, and
+    the bounds the sweep proves on that matrix's eigenvalues."""
+    k = gram.shape[0]
+    tr = gram.trace()
+    s = mu * tr / k
+    spectrum = solver_mod._shifted_spectrum(tr, s, k, solver_mod._gram_rounding(rows))
+    m = solver_mod._shifted(gram, s)
+    d, e = solver_mod._SYTRD(m.T, lower=1, lwork=solver_mod._sytrd_lwork(k), overwrite_a=1)[1:3]
+    return d, e, spectrum
+
+
 def test_overlap_certificate_never_clears_what_the_guard_refuses(monkeypatch):
-    # the least beta_i + alpha_k placed from 0.3 to 30 times the threshold
-    # 1e-14 x scale, on random tridiagonal T and penalty spectra
+    # the sweep's shifted Grams, near singular or not, at mu = 0 and 1e-8,
+    # against penalty spectra that are PSD, have an entry placed from 0.3 to
+    # 30 times the threshold above -alpha_min, or reach far above the Gram's
+    # trace: a certified step is one the measured guard passes, and a refusal
+    # reads the same with the sweep's spectrum as without it
     rng = np.random.default_rng(50)
     calls = counting_sterf(monkeypatch)
     outcomes = {"certified": 0, "measured pass": 0, "refused": 0}
-    for _ in range(3000):
+    for trial in range(1500):
         k, n = int(rng.integers(2, 31)), int(rng.integers(1, 16))
-        d, e = rng.standard_normal(k) * 10 ** rng.uniform(-3, 3), rng.standard_normal(k - 1)
-        e *= np.abs(d).max() * rng.uniform(0.0, 1.0)
+        mu = (0.0, 1e-8)[trial % 2]
+        gram, rows = hadamard_gram(rng, k, near_singular=trial % 3 == 0)
+        d, e, spectrum = sweep_tridiagonal(gram, rows, mu)
         alpha = lapack.dsterf(d, e)[0]
         s0 = np.abs(alpha).max()
-        spread = np.append(0.0, rng.uniform(0.0, s0, n - 1))
-        beta = -alpha[0] + 10 ** rng.uniform(-0.5, 1.5) * 1e-14 * s0 + spread
+        kind = ("psd", "negative", "huge")[trial % 5 % 3]
+        beta = np.sort(np.abs(rng.standard_normal(n)))
+        beta[0] = 0.0
+        if kind == "psd":
+            beta *= s0 * 10 ** rng.uniform(-3, 1)
+        elif kind == "negative":
+            beta = beta * s0 - alpha[0] + 10 ** rng.uniform(-0.5, 1.5) * 1e-14 * s0
+            beta[0] = min(beta[0], -1e-300)
+        else:
+            beta *= gram.trace() * 10 ** rng.uniform(3, 9)
         calls.clear()
         try:
-            solver_mod._check_overlap(d.copy(), e.copy(), beta, "T")
-        except NumericalError:
+            solver_mod._check_overlap(d.copy(), e.copy(), beta, "T", None, spectrum)
+        except NumericalError as err:
             outcomes["refused"] += 1
             assert not overlap_guard_passes(d, e, beta)
+            with pytest.raises(NumericalError) as measured:
+                solver_mod._check_overlap(d.copy(), e.copy(), beta, "T")
+            assert str(err) == str(measured.value)
             continue
         assert overlap_guard_passes(d, e, beta)
         outcomes["measured pass" if calls else "certified"] += 1
-    # the cases straddle the threshold: every outcome occurs often
+    # every outcome occurs often
     assert min(outcomes.values()) >= 200, outcomes
 
 
-@pytest.mark.parametrize("info", [1, -2])
-def test_update_factor_overlap_certificate_failure(monkeypatch, info):
-    # info > 0 (a pivot not positive) falls back to the measured guard, which
-    # gives the same solution bit for bit; info < 0 (a bad argument) raises
+def test_update_factor_certificate_gives_the_measured_solution(monkeypatch):
+    # with the sweep's spectrum the guard clears without dsterf, and the step
+    # is bit for bit the one whose guard measured the gap
     rng = np.random.default_rng(51)
     w = rng.standard_normal((40, 25))
     beta = np.sort(rng.random(15))
-    args = (w.T @ w, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, 1e-8, 1)
+    gram = w.T @ w
+    s = 1e-8 * gram.trace() / 25
+    spectrum = solver_mod._shifted_spectrum(gram.trace(), s, 25, solver_mod._gram_rounding([40]))
+    args = (gram, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, s, 1)
     calls = counting_sterf(monkeypatch)
     ref = update_factor(*args)
-    assert not calls  # the certificate clears this step
-    pttrf = solver_mod._PTTRF
-    monkeypatch.setattr(solver_mod, "_PTTRF", lambda *a, **kw: pttrf(*a, **kw)[:-1] + (info,))
-    if info > 0:
-        assert np.array_equal(update_factor(*args), ref) and len(calls) == 1
-        return
-    with pytest.raises(NumericalError) as err:
-        update_factor(*args)
-    assert str(err.value) == (
-        "overlap certificate of factor Gram W'W + mu I of mode 1 failed (LAPACK dpttrf info -2)"
+    assert len(calls) == 1
+    calls.clear()
+    assert np.array_equal(update_factor(*args, None, spectrum), ref)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "dims, n_subj, k, coef_penalty",
+    [((10, 8), 100, 30, "ridge"), ((15, 15, 15), 5, 25, "ridge"), ((10, 8), 40, 20, "lasso")],
+)
+def test_fit_certifies_every_factor_step_from_the_shift(monkeypatch, dims, n_subj, k, coef_penalty):
+    # the benchmark workloads' compressed shapes and ranks: no factor step of
+    # the sweep computes the Gram's eigenvalues
+    rng = np.random.default_rng(61)
+    g = rank_k_tensor(rng, dims, n_subj, 8) + 0.05 * rng.standard_normal(dims + (n_subj,))
+    cfg = SolverConfig(
+        rank=k, lambda_marginal=1e-3, lambda_coef=1e-3, coef_penalty=coef_penalty,
+        max_outer_iters=3, outer_tol=1e-300, seed=5,
     )
+    calls = counting_sterf(monkeypatch)
+    fit(g, [psd(rng, m) for m in dims], cfg)
+    assert not calls
 
 
 def test_fit_takes_each_modes_beta_extremes_once_and_the_step_agrees(monkeypatch):
@@ -320,9 +391,9 @@ def test_fit_takes_each_modes_beta_extremes_once_and_the_step_agrees(monkeypatch
     # gives the same solution bit for bit with them as without
     seen, check = [], solver_mod._check_overlap
 
-    def recording(d, e, beta, what, extremes=None):
+    def recording(d, e, beta, what, extremes=None, spectrum=None):
         seen.append((beta, extremes))
-        return check(d, e, beta, what, extremes)
+        return check(d, e, beta, what, extremes, spectrum)
 
     monkeypatch.setattr(solver_mod, "_check_overlap", recording)
     rng = np.random.default_rng(52)
@@ -337,7 +408,8 @@ def test_fit_takes_each_modes_beta_extremes_once_and_the_step_agrees(monkeypatch
 
 
 def test_overlap_refusal_is_measured_and_reads_as_before(monkeypatch):
-    # a singular Gram fails the certificate; the refusal is the measured guard's
+    # a singular Gram, unshifted: the certificate cannot clear it, and the
+    # refusal is the measured guard's, with the sweep's spectrum or without
     rng = np.random.default_rng(4)
     w = rng.standard_normal((6, 3))
     w[:, 2] = w[:, 0]
@@ -346,11 +418,12 @@ def test_overlap_refusal_is_measured_and_reads_as_before(monkeypatch):
     with pytest.raises(NumericalError, match="Sylvester spectra overlap") as err:
         update_factor(*args)
     assert len(calls) == 1
-    pttrf = solver_mod._PTTRF
-    monkeypatch.setattr(solver_mod, "_PTTRF", lambda *a, **kw: pttrf(*a, **kw)[:-1] + (1,))
-    with pytest.raises(NumericalError) as forced:
-        update_factor(*args)
-    assert str(forced.value) == str(err.value)
+    spectrum = solver_mod._shifted_spectrum(
+        (w.T @ w).trace(), 0.0, 3, solver_mod._gram_rounding([6])
+    )
+    with pytest.raises(NumericalError) as bounded:
+        update_factor(*args, None, spectrum)
+    assert str(bounded.value) == str(err.value) and len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", ["m", "p"])
@@ -915,12 +988,14 @@ def warm_start_rule(a, c, tau, b_old, config):
 
 
 def recorded_lasso_calls(monkeypatch, g, t_mats, cfg):
-    """``(A, C, tau, b_old, result)`` of every lasso block of one fit."""
+    """``(A, C, tau, b_old, result)`` of every lasso block of one fit, with
+    ``A`` and ``C`` shifted by the proximal shift that the sweep gave it."""
     calls, step = [], solver_mod.update_b_admm
 
-    def recording(gram, rhs, b_old, config):
-        out = step(gram, rhs, b_old, config)
-        a, c = gram + config.proximal_mu * np.eye(len(gram)), rhs + config.proximal_mu * b_old
+    def recording(gram, rhs, b_old, config, shift=None):
+        out = step(gram, rhs, b_old, config, shift)
+        mu = config.proximal_mu if shift is None else shift
+        a, c = gram + mu * np.eye(len(gram)), rhs + mu * b_old
         calls.append((a, c, config.lambda_coef / 2, b_old, out))
         return out
 
@@ -1068,6 +1143,45 @@ def test_update_b_ridge_matches_numpy_solve(k, n, shift):
         assert np.array_equal(before, after)
 
 
+def test_update_b_ridge_shift_makes_a_rank_deficient_gram_solvable():
+    # W'W of rank 10 at K = 30 with lambda_coef = 1e-10, as in criterion 3's
+    # rank-60 fits: unshifted the guard refuses it; with the sweep's shift
+    # the guard clears it by a wide margin, and b solves the proximal normal
+    # equations b (W'W + (lambda_coef + s) I) = rhs + s b_old to rounding
+    rng = np.random.default_rng(70)
+    w = 10.0 * rng.standard_normal((100, 10)) @ rng.standard_normal((10, 30))
+    gram, cfg = w.T @ w, SolverConfig(rank=30, lambda_coef=1e-10)
+    rhs, b_old = rng.standard_normal((100, 30)), rng.standard_normal((100, 30))
+    with pytest.raises(NumericalError, match="Cholesky diagonal ratio .* is at or below"):
+        update_b_ridge(gram, rhs, cfg)
+    shift = sweep_shift(cfg, gram)
+    b = update_b_ridge(gram, rhs, cfg, b_old, shift)
+    a, r = gram + (cfg.lambda_coef + shift) * np.eye(30), rhs + shift * b_old
+    scale = np.linalg.norm(b) * np.linalg.norm(a) + np.linalg.norm(r)
+    assert np.linalg.norm(b @ a - r) <= 1e-12 * scale
+    diag = np.diag(solver_mod._cholesky(solver_mod._shifted(gram, cfg.lambda_coef + shift), "A"))
+    assert diag.min() / diag.max() >= 100 * solver_mod.CHOL_DIAG_RATIO_TOL
+
+
+@pytest.mark.parametrize("k", [20, 25, 30])
+@pytest.mark.parametrize("n", [5, 40, 100])
+def test_update_b_ridge_triangular_solves_match_a_dense_solve(n, k):
+    # the benchmark workloads' N and K: two right-side dtrsm calls on the
+    # Cholesky factor against one dense solve of the shifted system
+    rng = np.random.default_rng(71 + n + k)
+    w = rng.standard_normal((4 * k, k))
+    gram, cfg = w.T @ w, SolverConfig(rank=k, lambda_coef=1e-3)
+    rhs, b_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    inputs = [gram.copy(), rhs.copy(), b_old.copy()]
+    shift = sweep_shift(cfg, gram)
+    got = update_b_ridge(gram, rhs, cfg, b_old, shift)
+    a = gram + (cfg.lambda_coef + shift) * np.eye(k)
+    ref = np.linalg.solve(a, (rhs + shift * b_old).T).T
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    for before, after in zip(inputs, [gram, rhs, b_old]):
+        assert np.array_equal(before, after)
+
+
 @pytest.mark.parametrize("bad", ["gram", "rhs"])
 def test_update_b_ridge_non_finite_raises_numerical_error(bad):
     rng = np.random.default_rng(27)
@@ -1083,12 +1197,15 @@ def test_update_b_ridge_non_finite_raises_numerical_error(bad):
 
 def test_fit_factor_gram_overflow_raises_numerical_error():
     # finite factors whose Gram overflows: the represented tensor stays finite
-    # because the coefficients are tiny, so the objective does not catch it
+    # because the coefficients are tiny, so the objective does not catch it.
+    # The mode-0 step's Gram (about 1e-292) stays above the guard's 1e-300
+    # scale floor, which its shift, relative to it, cannot lift; that step
+    # solves for a factor of about 1e156, and mode 1's Gram overflows
     rng = np.random.default_rng(28)
-    g = rng.standard_normal((6, 5, 4))
+    g = 1e10 * rng.standard_normal((6, 5, 4))
     start = make_state(rng, (6, 5), 4, 2)
     start.c_tilde[0] *= 1e160
-    start.b *= 1e-160
+    start.b *= 1e-146
     cfg = SolverConfig(rank=2, max_outer_iters=3)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"), pytest.raises(
         NumericalError, match="Gram .* of mode 1 is not finite"
@@ -1328,12 +1445,31 @@ def test_hosvd_start_with_rank_above_a_mode_size():
 
 
 def test_fit_zero_tensor_gives_zero_model():
+    # each block step pulls towards its last iterate with a shift relative to
+    # its Gram, so the model is not zero after one sweep: it shrinks by about
+    # 1e-48 a sweep (the data term) until the objective underflows to 0
     cfg = SolverConfig(rank=1, seed=2, max_outer_iters=10)
     g = np.zeros((4, 3, 2))
     state = fit(g, [np.zeros((4, 4)), np.zeros((3, 3))], cfg)
-    assert np.array_equal(state.b, np.zeros((2, 1)))
-    assert np.abs(T.cp_to_tensor(state.factors())).max() == 0.0
+    assert np.abs(state.b).max() <= 1e-150
+    assert np.abs(T.cp_to_tensor(state.factors())).max() <= 1e-150
     assert state.objective_trace[-1] == 0.0
+
+
+@pytest.mark.parametrize("k", [8, 10, 30])
+def test_fit_hosvd_start_on_the_gp2d_design_does_not_overlap(k):
+    # the HOSVD start's mode-1 Gram has eigenvalues from about 3e-10 to 2.3e6;
+    # an absolute shift of 1e-8 left its smallest denominator below the guard's
+    # 1e-14 x scale, and the first sweep raised "Sylvester spectra overlap"
+    cfg = sim.Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=0, seed=42)
+    s = sim.generate_gp2d_sample(cfg, replication=0)
+    prepared = prepare(s.train, s.grids, s.bases, [2, 2])
+    fit_cfg = SolverConfig(
+        rank=k, lambda_marginal=1e-10, lambda_coef=1e-10, init="hosvd", max_outer_iters=20, seed=0
+    )
+    state = fit(prepared.g_hat, prepared.t_mats, fit_cfg)
+    assert state.iters == 20
+    assert state.objective_trace[-1] < state.objective_trace[0]
 
 
 def test_fit_objective_trace_nonincreasing_with_proximal():
@@ -1463,7 +1599,7 @@ def reference_trace(g, t_mats, config, n_sweeps, monkeypatch):
     Every block step forms its MTTKRP with einsum on the whole tensor, and
     every factor step (:func:`factor_step`) eigendecomposes ``lambda_d T_d``
     again on every call; the objective's reconstruction is the einsum one for
-    the whole run.
+    the whole run. Each block takes the sweep's shift, :func:`sweep_shift`.
     """
     monkeypatch.setattr(solver_mod, "cp_to_tensor", einsum_cp_to_tensor)
     n_dims = g.ndim - 1
@@ -1471,14 +1607,16 @@ def reference_trace(g, t_mats, config, n_sweeps, monkeypatch):
     trace = [objective(g, state, t_mats, config)]
     for _ in range(n_sweeps):
         for d in range(n_dims):
-            state.c_tilde[d] = factor_step(g, state, d, t_mats[d], config, einsum_mttkrp)
+            state.c_tilde[d] = factor_step(
+                g, state, d, t_mats[d], config, einsum_mttkrp, relative=True
+            )
         if config.coef_penalty == "ridge":
-            state.b = ridge_step(g, state, config, einsum_mttkrp)
+            state.b = ridge_step(g, state, config, einsum_mttkrp, relative=True)
         else:
             gram = T.gram_of_khatri_rao(state.c_tilde)
             rhs = einsum_mttkrp(g, state.c_tilde, n_dims)
             before = solver_mod._b_conditional_value(gram, rhs, state.b, config)
-            b_new = update_b_admm(gram, rhs, state.b, config)[0]
+            b_new = update_b_admm(gram, rhs, state.b, config, sweep_shift(config, gram))[0]
             after = solver_mod._b_conditional_value(gram, rhs, b_new, config)
             if after <= before + 1e-12 * max(1.0, abs(before)):
                 state.b = b_new
@@ -1516,8 +1654,9 @@ def per_mode_fit(g, t_mats, config, n_sweeps, initial_state=None):
     """Gauge-normalized state after a sweep with one MTTKRP per block.
 
     Every block forms its Gram with ``gram_of_khatri_rao`` and its MTTKRP
-    with :func:`kr_mttkrp` on the whole tensor and hands both to its library
-    step; each factor step runs in a penalty eigenbasis of its own.
+    with :func:`kr_mttkrp` on the whole tensor and hands both, with the
+    sweep's shift (:func:`sweep_shift`), to its library step; each factor
+    step runs in a penalty eigenbasis of its own.
     """
     n_dims = g.ndim - 1
     if initial_state is None:
@@ -1527,12 +1666,13 @@ def per_mode_fit(g, t_mats, config, n_sweeps, initial_state=None):
     trace = [objective(g, state, t_mats, config)]
     for _ in range(n_sweeps):
         for d in range(n_dims):
-            state.c_tilde[d] = factor_step(g, state, d, t_mats[d], config, kr_mttkrp)
+            state.c_tilde[d] = factor_step(g, state, d, t_mats[d], config, kr_mttkrp, relative=True)
         if config.coef_penalty == "ridge":
-            state.b = ridge_step(g, state, config, kr_mttkrp)
+            state.b = ridge_step(g, state, config, kr_mttkrp, relative=True)
         else:
             gram = T.gram_of_khatri_rao(state.c_tilde)
-            state.b = update_b_admm(gram, kr_mttkrp(g, state.c_tilde, n_dims), state.b, config)[0]
+            rhs, shift = kr_mttkrp(g, state.c_tilde, n_dims), sweep_shift(config, gram)
+            state.b = update_b_admm(gram, rhs, state.b, config, shift)[0]
         trace.append(objective(g, state, t_mats, config))
     state.objective_trace = np.asarray(trace)
     solver_mod._gauge_normalize(state)
@@ -1658,8 +1798,10 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
     with :func:`fit`'s arithmetic as first written: the penalty eigenbases by
     ``_eig_sym`` per mode and the tensor rotated by ``mode_multiply``, the modes
     cut at ``half_split``, each block's Gram as ``reduce(np.multiply, ...)`` of
-    the other Grams, its MTTKRP by ``partial_mttkrp_core``, the three public
-    block steps, and the objective's terms as per-column and per-row sums."""
+    the other Grams, its MTTKRP by ``partial_mttkrp_core``, its proximal shift
+    ``proximal_mu tr(Gram) / K``, the three public block steps (the factor
+    steps with no spectrum, so their guards measure every gap), and the
+    objective's terms as per-column and per-row sums."""
     n_dims = g.ndim - 1
     lam = config.marginal_weights(n_dims)
     state = solver_mod._initialize(g, config)
@@ -1693,13 +1835,13 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
                 grams = [f.T @ f for f in factors]
                 gram = functools.reduce(np.multiply, grams[:d] + grams[d + 1 :])
                 rhs = T.partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
+                s = config.proximal_mu * gram.trace() / config.rank
                 if d < n_dims:
-                    mu = config.proximal_mu
-                    factors[d] = update_factor(gram, rhs, factors[d], betas[d], mu, d)
+                    factors[d] = update_factor(gram, rhs, factors[d], betas[d], s, d)
                 elif config.lasso_block:
-                    factors[d] = update_b_admm(gram, rhs, factors[d], config)[0]
+                    factors[d] = update_b_admm(gram, rhs, factors[d], config, s)[0]
                 else:
-                    factors[d] = update_b_ridge(gram, rhs, config)
+                    factors[d] = update_b_ridge(gram, rhs, config, factors[d], s)
         trace.append(value())
     state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]
     solver_mod._gauge_normalize(state)
