@@ -11,8 +11,11 @@ block is strongly convex. :func:`fit` scales the shift to each block's Gram
 ``M``: ``s = proximal_mu tr(M) / K``, the prox-linear block update of Xu and
 Yin (SIAM J. Imaging Sci. 6(3), 2013) with a weight proportional to the
 block's curvature, so the shifted Gram's smallest eigenvalue is at least
-``proximal_mu`` times its mean whatever the data's scale. The block steps
-called directly take the shift as an argument.
+``proximal_mu`` times its mean whatever the data's scale. A Gram whose
+trace is zero (after a lasso block set every coefficient to zero), or so
+small that the shift is below the smallest normal float, has no scale to
+keep: its step is shifted by ``proximal_mu`` itself. The block steps called
+directly take the shift as an argument.
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
@@ -95,12 +98,13 @@ _LASSO_MAX_STEPS = 500
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
 #: penalty rotations; the tridiagonal reduction, the tridiagonal eigenvalues
 #: (root-free QR) when the overlap certificate fails, the orthogonal factor of
-#: stored reflectors and the positive definite tridiagonal solve of each
-#: factor step; the Cholesky factorization and solve, and the triangular solve
-#: (BLAS) of the ridge block. The wrappers check neither finiteness nor
+#: stored reflectors and the stacked tridiagonal solve of each factor step
+#: (positive definite, or general when a ``beta`` entry lies below
+#: ``-alpha_min``); the Cholesky factorization and solve, and the triangular
+#: solve (BLAS) of the ridge block. The wrappers check neither finiteness nor
 #: symmetry; their callers check finiteness.
-_SYEV, _SYTRD, _STERF, _ORGQR, _PTSV = (
-    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dptsv
+_SYEV, _SYTRD, _STERF, _ORGQR, _PTSV, _GTSV = (
+    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dptsv, lapack.dgtsv
 )
 _POTRF, _POTRS, _TRSM = lapack.dpotrf, lapack.dpotrs, blas.dtrsm
 
@@ -110,7 +114,7 @@ _POTRF, _POTRS, _TRSM = lapack.dpotrf, lapack.dpotrs, blas.dtrsm
 #: (:func:`_check_overlap`).
 _REDUCTION_ROUNDING = 8.0
 
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 _RIDGE_SINGULAR = (
     "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
@@ -141,8 +145,9 @@ class SolverConfig:
     proximal_mu : float
         Relative proximal weight: :func:`fit` shifts every block step's Gram
         ``M`` (K x K) by ``proximal_mu tr(M) / K``, which keeps each step
-        strongly convex at any scale of the data; 0 runs plain block
-        coordinate descent.
+        strongly convex at any scale of the data, or by ``proximal_mu``
+        when that is below the smallest normal float (a zero Gram); 0 runs
+        plain block coordinate descent.
     init : {"random", "hosvd"}
         Random unit-norm columns, or leading singular vectors per unfolding.
     seed : int
@@ -234,7 +239,7 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     after ``m`` is tridiagonalized. With ``m`` positive definite and ``p``
     positive semidefinite every ``beta_i + alpha_k`` is positive; a ``p``
     with an eigenvalue below ``-alpha_min`` makes a system indefinite, which
-    the stacked solve refuses with :class:`NumericalError`.
+    is solved with pivoting as long as the spectra do not overlap.
     :func:`update_factor` runs the same solve in the eigenbasis of each
     penalty, which :func:`fit` takes once per fit.
     """
@@ -299,8 +304,9 @@ def _sylvester_tridiag(
     cleared with every ``beta_i + alpha_k`` positive, as it does for a
     positive definite ``m`` and a PSD penalty, every block is positive
     definite, and the stacked solve is ``dptsv``'s LDL' factorization, which
-    needs no pivoting; a block that is not (a ``beta`` entry below
-    ``-alpha_min``) makes it fail, and :class:`NumericalError` names ``what``.
+    needs no pivoting; otherwise (a ``beta`` entry below ``-alpha_min``) it
+    is ``dgtsv``'s LU factorization with partial pivoting. A failed solve
+    raises :class:`NumericalError` naming ``what``.
 
     It beats one eigendecomposition of ``m`` only from about K = 15 and while
     n stays below about 2 K; at K = 5 its fixed cost is more than
@@ -312,7 +318,7 @@ def _sylvester_tridiag(
     # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
     c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
     _check_info(info, "tridiagonal reduction", "dsytrd", what)
-    _check_overlap(d, e, beta, what, extremes, spectrum)
+    definite = _check_overlap(d, e, beta, what, extremes, spectrum)
     v = np.zeros((k, k))
     v[0, 0] = 1.0
     if k > 1:
@@ -321,23 +327,31 @@ def _sylvester_tridiag(
         _check_info(info, "orthogonal factor", "dorgqr", what)
     off = np.zeros((n, k))
     off[:, :-1] = e
+    off = off.reshape(-1)[:-1]
     q[:, 1:] = q[:, 1:] @ v[1:, 1:]  # q V: V's first row and column are those of the identity
-    y, info = _PTSV(
-        (beta[:, None] + d).reshape(-1), off.reshape(-1)[:-1], q.reshape(-1, 1),
-        overwrite_d=1, overwrite_e=1, overwrite_b=1,
-    )[2:]
-    _check_info(info, "tridiagonal solve", "dptsv", what)
+    diag = (beta[:, None] + d).reshape(-1)
+    if definite:
+        y, info = _PTSV(diag, off, q.reshape(-1, 1), overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
+        _check_info(info, "tridiagonal solve", "dptsv", what)
+    else:
+        y, info = _GTSV(
+            off, diag, off.copy(), q.reshape(-1, 1),
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        )[3:]
+        _check_info(info, "tridiagonal solve", "dgtsv", what)
     return y.reshape(n, k) @ v.T
 
 
 def _check_overlap(
     d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str, extremes=None, spectrum=None
-) -> None:
+) -> bool:
     """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
     :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
     ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
     ``alpha`` are the eigenvalues of the tridiagonal ``T`` with diagonal ``d``
-    and off-diagonal ``e``, as ``dsterf`` computes them.
+    and off-diagonal ``e``, as ``dsterf`` computes them. Return whether every
+    ``beta_i + alpha_k`` is positive, so that every ``T + beta_i I`` is
+    positive definite.
 
     ``spectrum``, when given, is ``(floor, top)``: every eigenvalue of the
     K x K matrix ``m`` that ``dsytrd`` reduced to ``T`` is at least ``floor``,
@@ -364,7 +378,7 @@ def _check_overlap(
         floor, top = spectrum
         delta = _REDUCTION_ROUNDING * k * k * _EPS * top
         if lo + floor - delta > 2e-14 * max(top + delta, -lo, hi):
-            return
+            return True
     if k > 1:
         alpha, info = _STERF(d, e)
         _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
@@ -372,6 +386,7 @@ def _check_overlap(
         alpha = d
     # rounding is monotone: when the least sum is >= 0 it is the least |sum|
     gap = lo + alpha[0]
+    definite = gap > 0
     if gap < 0:
         gap = np.abs(beta[:, None] + alpha[None, :]).min()
     # alpha is ascending: its largest magnitude is at one of its ends
@@ -382,6 +397,7 @@ def _check_overlap(
             f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
             "proximal_mu to shift the factor Gram away from singularity"
         )
+    return definite
 
 
 def _objective_value(
@@ -540,12 +556,15 @@ def update_b_ridge(
     (lambda_coef + shift) I) = rhs + shift b_old`` for ``gram = W'W`` (``W`` the
     Khatri-Rao product of the grid factors), the N x K MTTKRP ``rhs = (W'G)'``
     and the proximal ``shift`` towards ``b_old`` (none by default; :func:`fit`
-    gives each step its own). The guarded :func:`_cholesky` factors the
-    system as ``U'U``, and two right-side triangular solves (``dtrsm``) on an
-    F-order copy of the right-hand side give ``b``; a singular or non-finite
-    system raises :class:`NumericalError`. No argument is mutated."""
+    gives each step its own), which a nonzero ``shift`` requires. The guarded
+    :func:`_cholesky` factors the system as ``U'U``, and two right-side
+    triangular solves (``dtrsm``) on an F-order copy of the right-hand side
+    give ``b``; a singular or non-finite system raises
+    :class:`NumericalError`. No argument is mutated."""
     r = np.array(rhs, dtype=float, order="F")  # dtrsm solves in place on F-order rows
     if shift:
+        if b_old is None:
+            raise ValueError(f"a proximal shift {shift:g} needs b_old, the iterate it pulls towards")
         r += shift * b_old
     if not np.isfinite(r).all():
         raise NumericalError(f"{_RIDGE_SINGULAR} (the right-hand side is not finite)")
@@ -905,6 +924,8 @@ def fit(
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
                 tr = float(gram.trace())
                 s = mu * tr / k  # the proximal shift, relative to the block's Gram
+                if s < _TINY:  # no Gram to scale to (a zero b): proximal_mu itself
+                    s = mu
                 if d < n_dims:
                     bounds = _shifted_spectrum(tr, s, k, rounding[d])
                     new = update_factor(gram, rhs, factors[d], betas[d], s, d, extremes[d], bounds)

@@ -36,8 +36,10 @@ def make_state(rng, dims, n_subj, k, zero_b=False):
 
 def sweep_shift(config, gram):
     """The proximal shift :func:`fit` gives a block step of Gram ``gram``:
-    ``proximal_mu tr(gram) / K``."""
-    return config.proximal_mu * gram.trace() / config.rank
+    ``proximal_mu tr(gram) / K``, or ``proximal_mu`` when that is below the
+    smallest normal float."""
+    s = config.proximal_mu * gram.trace() / config.rank
+    return s if s >= np.finfo(float).tiny else config.proximal_mu
 
 
 def factor_step(g, state, d, t_d, config, mttkrp=T.mttkrp, relative=False):
@@ -158,15 +160,50 @@ def test_sylvester_overlap_reads_the_same_on_both_gap_branches():
 
 
 def test_sylvester_negative_beta_takes_the_outer_sum():
-    # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6,
-    # so the guard passes; but the block T - 10 I is not positive definite,
-    # and the stacked dptsv solve refuses it by name
+    # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6
     m, beta = np.diag([1.0, 2.0]), np.array([-10.0, 5.0])
-    solver_mod._check_overlap(np.diag(m).copy(), np.zeros(1), beta, "m")
     q = np.random.default_rng(5).standard_normal((2, 2))
-    with pytest.raises(NumericalError) as err:
-        solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
-    assert str(err.value) == "tridiagonal solve of m failed (LAPACK dptsv info 1)"
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
+    assert np.abs(x - kron_oracle(m, beta, q)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shift, routine", [(0.0, "_PTSV"), (-1e3, "_GTSV")])
+def test_sylvester_solves_indefinite_blocks_with_pivoting(monkeypatch, shift, routine):
+    # a PSD beta gives positive definite blocks, solved without pivoting; a
+    # beta below -alpha_min gives blocks that are not, which are solved with
+    # pivoting, to the same accuracy
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((12, 6))
+    m, beta = w.T @ w, np.sort(rng.random(5)) * 3.0 + shift
+    q = rng.standard_normal((5, 6))
+    used = []
+    for name in ("_PTSV", "_GTSV"):
+        call = getattr(solver_mod, name)
+
+        def recording(*args, _call=call, _name=name, **kwargs):
+            used.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, recording)
+    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
+    assert used == [routine]
+    ref = kron_oracle(m, beta, q)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sylvester_solve_takes_an_indefinite_p():
+    # the public solver on X m + p X = q with p symmetric indefinite: its
+    # eigenvalues straddle -alpha_min, yet no beta_i + alpha_k is near zero
+    rng = np.random.default_rng(10)
+    w = rng.standard_normal((10, 4))
+    m = w.T @ w
+    alpha = np.linalg.eigvalsh(m)
+    u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    beta = np.array([-alpha[0] - 0.5 * (alpha[1] - alpha[0]), 0.0, 1.0])
+    p = u @ np.diag(beta) @ u.T
+    q = rng.standard_normal((3, 4))
+    x = solver_mod.sylvester_solve(m, p, q)
+    assert np.abs(x @ m + p @ x - q).max() <= 1e-12 * np.abs(q).max()
 
 
 def test_sylvester_residual_on_random_instances():
@@ -241,7 +278,10 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
 
 @pytest.mark.parametrize(
     "name, routine",
-    [("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_PTSV", "dptsv")],
+    [
+        ("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_PTSV", "dptsv"),
+        ("_GTSV", "dgtsv"),
+    ],
 )
 def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine):
     lapack_call = getattr(solver_mod, name)
@@ -253,8 +293,10 @@ def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine
     monkeypatch.setattr(solver_mod, name, failing)
     rng = np.random.default_rng(8)
     w = rng.standard_normal((6, 3))
-    # a direct call passes no spectrum, so dsterf measures the gap on every call
-    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), 1e-8, 2)
+    # a direct call passes no spectrum, so dsterf measures the gap on every
+    # call; a penalty far below -alpha_min takes the pivoted solve, dgtsv
+    beta = np.arange(4.0) - (1e3 if name == "_GTSV" else 0.0)
+    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), beta, 1e-8, 2)
     with pytest.raises(NumericalError) as err:
         update_factor(*args)
     msg = str(err.value)
@@ -1163,6 +1205,13 @@ def test_update_b_ridge_shift_makes_a_rank_deficient_gram_solvable():
     assert diag.min() / diag.max() >= 100 * solver_mod.CHOL_DIAG_RATIO_TOL
 
 
+def test_update_b_ridge_shift_needs_b_old():
+    rng = np.random.default_rng(72)
+    w = rng.standard_normal((8, 3))
+    with pytest.raises(ValueError, match="proximal shift 0.5 needs b_old"):
+        update_b_ridge(w.T @ w, rng.standard_normal((4, 3)), SolverConfig(rank=3), shift=0.5)
+
+
 @pytest.mark.parametrize("k", [20, 25, 30])
 @pytest.mark.parametrize("n", [5, 40, 100])
 def test_update_b_ridge_triangular_solves_match_a_dense_solve(n, k):
@@ -1197,15 +1246,12 @@ def test_update_b_ridge_non_finite_raises_numerical_error(bad):
 
 def test_fit_factor_gram_overflow_raises_numerical_error():
     # finite factors whose Gram overflows: the represented tensor stays finite
-    # because the coefficients are tiny, so the objective does not catch it.
-    # The mode-0 step's Gram (about 1e-292) stays above the guard's 1e-300
-    # scale floor, which its shift, relative to it, cannot lift; that step
-    # solves for a factor of about 1e156, and mode 1's Gram overflows
+    # because the coefficients are tiny, so the objective does not catch it
     rng = np.random.default_rng(28)
-    g = 1e10 * rng.standard_normal((6, 5, 4))
+    g = rng.standard_normal((6, 5, 4))
     start = make_state(rng, (6, 5), 4, 2)
     start.c_tilde[0] *= 1e160
-    start.b *= 1e-146
+    start.b *= 1e-160
     cfg = SolverConfig(rank=2, max_outer_iters=3)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"), pytest.raises(
         NumericalError, match="Gram .* of mode 1 is not finite"
@@ -1454,6 +1500,43 @@ def test_fit_zero_tensor_gives_zero_model():
     assert np.abs(state.b).max() <= 1e-150
     assert np.abs(T.cp_to_tensor(state.factors())).max() <= 1e-150
     assert state.objective_trace[-1] == 0.0
+
+
+def test_lasso_fit_above_lambda_max_keeps_a_zero_model():
+    # a lasso weight above lambda_max sets every coefficient to zero at the
+    # first sweep; the next sweep's factor Grams are then zero, with no trace
+    # for the shift to scale to, and take proximal_mu itself: the fit runs on
+    # and keeps b = 0, as an absolute shift did
+    rng = np.random.default_rng(73)
+    dims = (6, 5)
+    g = rank_k_tensor(rng, dims, 7, 2)
+    cfg = SolverConfig(
+        rank=2, lambda_marginal=1e-3, lambda_coef=1e6 * float(np.abs(g).max()) ** 2,
+        coef_penalty="lasso", max_outer_iters=4, outer_tol=1e-300, seed=3,
+    )
+    # penalties with a null space, where beta is 0
+    state = fit(g, [psd(rng, m, rank=m - 2) for m in dims], cfg)
+    assert state.iters == 4
+    assert np.array_equal(state.b, np.zeros((7, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e-155, 1e-158])
+def test_fit_from_a_tiny_singular_gram_stays_finite(scale):
+    # b tiny and every factor with two equal columns: mode 0's Gram is
+    # singular, with a trace so small that mu tr / K is subnormal. Shifted by
+    # that, the step divided rounding noise by it and mode 1's Gram
+    # overflowed; shifted by proximal_mu, the fit runs on
+    rng = np.random.default_rng(74)
+    g = rng.standard_normal((6, 5, 4))
+    c1, b = rng.standard_normal((5, 1)), rng.standard_normal((4, 1))
+    start = SolverState(
+        c_tilde=[rng.standard_normal((6, 2)), np.hstack([c1, c1])], b=scale * np.hstack([b, b])
+    )
+    cfg = SolverConfig(rank=2, max_outer_iters=3)
+    with np.errstate(under="ignore"):
+        state = fit(g, [np.zeros((6, 6)), np.zeros((5, 5))], cfg, initial_state=start)
+    assert state.iters == 3
+    assert all(np.isfinite(f).all() for f in state.factors())
 
 
 @pytest.mark.parametrize("k", [8, 10, 30])
