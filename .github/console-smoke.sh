@@ -13,8 +13,8 @@
 # model file must keep the mean. The marginal-rank report must choose exactly one
 # of its two candidates, and the global-rank report exactly one of its three
 # ranks; a lasso copy of the run config must choose the same rank without the
-# "no rank reached the noise level" warning; a run config that still sets the
-# removed `selection.rank_threshold` must exit 2.
+# "no rank reached the noise level" warning; run configs that still set the
+# removed `selection.rank_threshold` or `solver.init` must exit 2.
 set -euo pipefail
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -107,6 +107,11 @@ code=0
 mpbasis select --config run-threshold.json --tensor data/noisy_000.mpbt --out sel3 \
   --mode global-rank || code=$?
 [ "$code" -eq 2 ] || { echo "rank_threshold exited $code, expected 2" >&2; exit 1; }
+sed 's/"max_outer_iters": 30.0/&, "init": "hosvd"/' run.json > run-init.json
+grep -q '"init": "hosvd"' run-init.json
+code=0
+mpbasis fit --config run-init.json --tensor data/noisy_000.mpbt --out fit-init || code=$?
+[ "$code" -eq 2 ] || { echo "solver.init exited $code, expected 2" >&2; exit 1; }
 test -s sel/selection_cv.csv && test -s sel2/selection_cv.csv
 mpbasis verify data/noisy_000.mpbt
 mpbasis verify fit/model.mpbm

@@ -33,7 +33,7 @@ def _grid(value, where: str) -> dict:
 # are left to them; the tables check the ranges of what no constructor reads at
 # load: penalty orders and the selection block, checked only when used or not at all
 _SOLVER_KEYS = {
-    "rank": INTEGER, "max_outer_iters": INTEGER, "coef_penalty": STRING, "init": STRING,
+    "rank": INTEGER, "max_outer_iters": INTEGER, "coef_penalty": STRING,
     "lambda_coef": NUMBER, "outer_tol": NUMBER, "proximal_mu": NUMBER,
     "lambda_marginal": either(NUMBER, list_of(NUMBER, "a list of numbers")),
 }

@@ -283,9 +283,9 @@ class PreparedProblem:
     Holds the factorization of each evaluation matrix (``facs``), the
     transported penalties (``t_mats``), the compressed tensor ``g_hat``
     with the subject mode last and the data energy ``y_sq``, together with
-    the grids, bases and penalty orders it was prepared from and each
-    dimension's :func:`marginal_key` (``keys``), so that a fit can check it
-    is given the same ones. ``y_sq`` holds each subject's share
+    the grids and penalty orders it was prepared from and each dimension's
+    :func:`marginal_key` (``keys``, one per dimension), so that a fit can
+    check it is given the same ones. ``y_sq`` holds each subject's share
     of the data energy: ``|y_i|^2``, less ``|mean|^2`` after
     :meth:`centered`, so that its sum is the energy of the data fitted;
     ``mean`` is the grid mean :meth:`centered` took from the data and
@@ -297,7 +297,6 @@ class PreparedProblem:
     g_hat: np.ndarray
     y_sq: np.ndarray
     grids: tuple[np.ndarray, ...]
-    bases: tuple
     penalty_orders: tuple[int, ...]
     keys: tuple[tuple, ...]
     mean: np.ndarray | None = None
@@ -378,7 +377,7 @@ class PreparedProblem:
         whether or not the objects are the same. Only the caller's marginals
         are keyed; the problem's keys are those :func:`prepare` took."""
         same = (
-            len(grids) == len(bases) == len(self.bases)
+            len(grids) == len(bases) == len(self.keys)
             and list(map(marginal_key, bases, grids)) == list(self.keys)
             and tuple(as_int(o, "penalty order") for o in penalty_orders)
             == self.penalty_orders
@@ -453,7 +452,6 @@ def prepare(
         g_hat=compress(y, facs),
         y_sq=np.einsum("ij,ij->j", flat, flat),
         grids=tuple(grids),
-        bases=tuple(bases),
         penalty_orders=orders,
         keys=tuple(keys),
     )

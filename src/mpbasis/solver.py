@@ -14,8 +14,8 @@ block's curvature, so the shifted Gram's smallest eigenvalue is at least
 ``proximal_mu`` times its mean whatever the data's scale. A Gram whose
 trace is zero (after a lasso block set every coefficient to zero), or so
 small that the shift is below the smallest normal float, has no scale to
-keep: its step is shifted by ``proximal_mu`` itself. The block steps called
-directly take the shift as an argument.
+keep: its step is shifted by ``proximal_mu`` itself. Every block step takes
+its shift as an argument, which has no default.
 
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
@@ -62,8 +62,6 @@ from .tensors import (
     half_split,
     khatri_rao_core,
     partial_mttkrp_core,
-    per_distinct,
-    unfold,
 )
 
 # not called here: perfbench/tracer.py wraps these names on this module
@@ -148,10 +146,9 @@ class SolverConfig:
         strongly convex at any scale of the data, or by ``proximal_mu``
         when that is below the smallest normal float (a zero Gram); 0 runs
         plain block coordinate descent.
-    init : {"random", "hosvd"}
-        Random unit-norm columns, or leading singular vectors per unfolding.
     seed : int
-        Seed for all solver randomness.
+        Seed of the start's random unit-norm columns (:func:`fit`), the
+        solver's only randomness.
     """
 
     rank: int
@@ -161,7 +158,6 @@ class SolverConfig:
     max_outer_iters: int = 200
     outer_tol: float = 1e-8
     proximal_mu: float = 1e-8
-    init: str = "random"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -172,8 +168,6 @@ class SolverConfig:
         self.proximal_mu = check_sign(self.proximal_mu, "proximal_mu", zero_ok=True)
         if self.coef_penalty not in ("ridge", "lasso"):
             raise ValueError(f"unknown coef_penalty {self.coef_penalty!r}")
-        if self.init not in ("random", "hosvd"):
-            raise ValueError(f"unknown init {self.init!r}")
 
     @property
     def lasso_block(self) -> bool:
@@ -546,25 +540,19 @@ def update_factor(
 
 
 def update_b_ridge(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    config: SolverConfig,
-    b_old: np.ndarray | None = None,
-    shift: float = 0.0,
+    gram: np.ndarray, rhs: np.ndarray, b_old: np.ndarray, config: SolverConfig, shift: float
 ) -> np.ndarray:
     """Ridge step of the subject coefficients: the rows ``b`` solving ``b (W'W +
     (lambda_coef + shift) I) = rhs + shift b_old`` for ``gram = W'W`` (``W`` the
     Khatri-Rao product of the grid factors), the N x K MTTKRP ``rhs = (W'G)'``
-    and the proximal ``shift`` towards ``b_old`` (none by default; :func:`fit`
-    gives each step its own), which a nonzero ``shift`` requires. The guarded
-    :func:`_cholesky` factors the system as ``U'U``, and two right-side
-    triangular solves (``dtrsm``) on an F-order copy of the right-hand side
-    give ``b``; a singular or non-finite system raises
-    :class:`NumericalError`. No argument is mutated."""
+    and the proximal ``shift`` towards the current coefficients ``b_old``
+    (:func:`fit` gives each step its own; a zero ``shift`` adds nothing to the
+    right-hand side). The guarded :func:`_cholesky` factors the system as
+    ``U'U``, and two right-side triangular solves (``dtrsm``) on an F-order
+    copy of the right-hand side give ``b``; a singular or non-finite system
+    raises :class:`NumericalError`. No argument is mutated."""
     r = np.array(rhs, dtype=float, order="F")  # dtrsm solves in place on F-order rows
     if shift:
-        if b_old is None:
-            raise ValueError(f"a proximal shift {shift:g} needs b_old, the iterate it pulls towards")
         r += shift * b_old
     if not np.isfinite(r).all():
         raise NumericalError(f"{_RIDGE_SINGULAR} (the right-hand side is not finite)")
@@ -578,7 +566,7 @@ def update_b_admm(
     rhs: np.ndarray,
     b_old: np.ndarray,
     config: SolverConfig,
-    shift: float | None = None,
+    shift: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int]:
     """Exact active-set solve of the lasso-penalized subject-coefficient block.
 
@@ -586,8 +574,8 @@ def update_b_admm(
     factors, ``rhs`` the subject-mode MTTKRP ``(W'G)'`` (N x K) and ``b_old``
     the warm start. Each row ``b`` of the block minimizes
     ``b'A b / 2 - c'b + tau |b|_1`` with ``A = W'W + mu I``,
-    ``c = W'G + mu b_old``, ``mu`` the proximal ``shift`` (``proximal_mu``
-    when None; :func:`fit` gives each step its own) and
+    ``c = W'G + mu b_old``, ``mu`` the proximal ``shift`` (:func:`fit` gives
+    each step its own) and
     ``tau = lambda_coef / 2``: N lasso problems sharing one K x K matrix, which
     is factored once with the guarded :func:`_cholesky`. On a
     sign pattern ``s`` (a signed active set) a row is one Cholesky solve of its
@@ -626,10 +614,9 @@ def update_b_admm(
         if not np.isfinite(v).all():
             raise NumericalError(f"coefficient lasso block: {name} is not finite")
     what = "coefficient lasso block: Cholesky factorization of W'W + mu I"
-    mu = config.proximal_mu if shift is None else shift
-    a = _shifted(gram, mu)
+    a = _shifted(gram, shift)
     chol = _cholesky(a.copy(), what)
-    c, tau = rhs + mu * b_old, config.lambda_coef / 2.0
+    c, tau = rhs + shift * b_old, config.lambda_coef / 2.0
     solve = partial(_solve_on_patterns, a, chol, what=what)
     abs_a, diag_a = np.abs(a), np.diag(a)
     b, steps = np.zeros_like(c), np.zeros(c.shape[0], dtype=int)
@@ -747,12 +734,11 @@ def _b_conditional_value(gram, rhs, b, config: SolverConfig) -> float:
 
 
 def _initialize(g_hat, config: SolverConfig, warm: SolverState | None = None) -> SolverState:
-    """Random unit columns from ``config.seed`` for every factor, in mode
-    order, overwritten by the leading columns that are known: the K0 <= K of a
-    warm start, whose extra components are zero in grid factor 0 (the first
+    """The start of every fit: random unit columns from ``config.seed`` for
+    every factor, in mode order, whose leading K0 <= K columns a warm start
+    overwrites; its extra components are zero in grid factor 0 (the first
     block a sweep updates), so the start keeps the warm start's tensor while
-    that step's Gram keeps the other factors' random columns; or, with
-    ``init="hosvd"``, each unfolding's leading left singular vectors."""
+    that step's Gram keeps the other factors' random columns."""
     rng = np.random.default_rng(config.seed)
     factors = []
     for n in g_hat.shape:
@@ -762,10 +748,6 @@ def _initialize(g_hat, config: SolverConfig, warm: SolverState | None = None) ->
         for f, w in zip(factors, warm.factors()):
             f[:, : warm.rank] = w
         factors[0][:, warm.rank :] = 0.0
-    elif config.init == "hosvd":
-        for d, f in enumerate(factors):
-            u = np.linalg.svd(unfold(g_hat, d), full_matrices=False)[0]
-            f[:, : u.shape[1]] = u[:, : config.rank]
     return SolverState(c_tilde=factors[:-1], b=factors[-1])
 
 
@@ -836,7 +818,8 @@ def fit(
     initial_state : SolverState, optional
         Warm start of rank at most ``config.rank`` with one factor per mode,
         each with as many rows as its mode; :func:`_initialize` completes it
-        to ``config.rank`` components. Overrides ``config.init``.
+        to ``config.rank`` components; without it the start is random unit
+        columns from ``config.seed``.
     noise_target : float, optional
         The residual at which the fit has reached the noise level, the
         discrepancy principle's stopping point (Morozov 1966), as
@@ -877,11 +860,11 @@ def fit(
     state = _initialize(g_hat, config, warm)
 
     # the penalties are constant over the fit: work in their eigenbases, one
-    # per distinct weighted penalty, shared read-only by the modes that have it
-    eigs = per_distinct(
-        list(zip(t_mats, lam_marg)),
-        lambda d: _eig_sym(lam_marg[d] * t_mats[d], f"penalty matrix {d}"),
-    )
+    # per penalty array and weight, shared read-only by the modes that have both
+    eigs = []
+    for d, (t, lam) in enumerate(zip(t_mats, lam_marg)):
+        j = next(j for j in range(d + 1) if t_mats[j] is t and lam_marg[j] == lam)
+        eigs.append(_eig_sym(lam * t, f"penalty matrix {d}") if j == d else eigs[j])
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
     extremes = [(float(w.min()), float(w.max())) for w in betas]  # for the overlap guard
     g_rot = g_hat
@@ -933,7 +916,7 @@ def fit(
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config, s)
                     certified = certified and ok
                 else:
-                    new = update_b_ridge(gram, rhs, config, factors[d], s)
+                    new = update_b_ridge(gram, rhs, factors[d], config, s)
                 if not np.isfinite(new).all():
                     what = "subject-coefficient" if d == n_dims else f"mode-{d} factor"
                     raise NumericalError(f"{what} update produced non-finite values")
@@ -944,7 +927,7 @@ def fit(
 
     # objective changes below 1e-12 of the data energy are numerical noise,
     # so the relative-change denominator is floored at that scale
-    f_floor = 1e-12 * float(np.sum(g_hat**2))
+    f_floor = 1e-12 * float(np.vdot(g_hat, g_hat))
     state.residual_sq, f = sweep_objective()
     trace = [f]
     it = 0  # the state from _initialize reads "sweep cap" until a test fires

@@ -1,8 +1,5 @@
 """Dense multiway-array kernels: unfoldings, mode products, Khatri-Rao algebra,
-and :func:`per_distinct`, which computes a per-mode quantity once for modes
-that share it within one call (the solver's penalty eigendecompositions,
-which depend on the fit's weights; the marginal set-up that depends on the
-design alone is kept across calls by the memo of :mod:`reduction`).
+the matricized-tensor times Khatri-Rao product (MTTKRP) and the CP tensor.
 
 Conventions, fixed once for the whole package:
 
@@ -22,7 +19,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +32,6 @@ __all__ = [
     "half_split",
     "mttkrp",
     "cp_to_tensor",
-    "per_distinct",
 ]
 
 
@@ -206,23 +202,3 @@ def cp_to_tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     s = half_split(shape)
     return (khatri_rao(factors[:s]) @ khatri_rao(factors[s:]).T).reshape(shape)
 
-
-def per_distinct(keys: Sequence[tuple], make: Callable[[int], Any]) -> list:
-    """``[make(i) for i in range(len(keys))]`` with ``make`` called once per
-    distinct key: a position whose key equals an earlier one's gets that
-    position's result, the same object. Keys are tuples, equal when their
-    entries are, arrays by shape and values (:func:`numpy.array_equal`) and
-    anything else by ``==``."""
-    out: list = []
-    for i, key in enumerate(keys):
-        j = next((j for j in range(i) if _same_key(keys[j], key)), i)
-        out.append(make(i) if j == i else out[j])
-    return out
-
-
-def _same_key(a: tuple, b: tuple) -> bool:
-    """Whether two keys of :func:`per_distinct` are equal."""
-    return len(a) == len(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
-        for x, y in zip(a, b)
-    )

@@ -252,7 +252,7 @@ def test_criterion_07_admm_lasso_oracle():
         b0 = rng.standard_normal((n_subj, k))
         cfg = SolverConfig(rank=k, lambda_coef=lam, coef_penalty="lasso")
         gram, rhs = T.gram_of_khatri_rao(c_tilde), T.mttkrp(g, c_tilde, 2)
-        b, z, _, converged, _ = update_b_admm(gram, rhs, b0, cfg)
+        b, z, _, converged, _ = update_b_admm(gram, rhs, b0, cfg, cfg.proximal_mu)
         assert converged
         w = T.khatri_rao([c_tilde[1], c_tilde[0]])
         gmat = T.unfold(g, 2)

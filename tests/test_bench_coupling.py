@@ -53,7 +53,8 @@ def test_lasso_counter_reads_the_admm_result(tracing):
     rng = np.random.default_rng(0)
     w = rng.standard_normal((8, 3))
     cfg = solver.SolverConfig(rank=3, lambda_coef=0.1, coef_penalty="lasso")
-    result = solver.update_b_admm(w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), cfg)
+    rhs, b_old = rng.standard_normal((4, 3)), np.zeros((4, 3))
+    result = solver.update_b_admm(w.T @ w, rhs, b_old, cfg, cfg.proximal_mu)
     counts = tracing.COUNTERS["solver.update_b_admm"]((), result)
     assert counts == {"admm_iters": result[4], "admm_converged": 1, "admm_calls": 1}
     assert isinstance(counts["admm_iters"], int)
@@ -71,7 +72,8 @@ def test_worker_warning_patterns_match_the_solver_warnings(monkeypatch):
         monkeypatch.setattr(solver, "_LASSO_MAX_STEPS", 1)
         w = rng.standard_normal((8, 3))
         cfg = solver.SolverConfig(rank=3, lambda_coef=0.1, coef_penalty="lasso")
-        solver.update_b_admm(w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), cfg)
+        rhs, b_old = rng.standard_normal((4, 3)), np.zeros((4, 3))
+        solver.update_b_admm(w.T @ w, rhs, b_old, cfg, cfg.proximal_mu)
     texts = [str(w.message) for w in caught]
     for kind, pattern in kinds.items():
         assert any(pattern in t for t in texts), kind

@@ -79,10 +79,15 @@ def test_non_finite_solver_setting_rejected():
         parse_run_config(raw)
 
 
-def test_hosvd_init_reaches_solver_config():
+def test_removed_init_solver_key_rejected_by_name():
+    # every start is random unit columns from the seed: the JSON key and the
+    # SolverConfig setting are gone, and each refuses it by name
     raw = custom_config()
     raw["solver"]["init"] = "hosvd"
-    assert parse_run_config(raw).solver.init == "hosvd"
+    with pytest.raises(ValueError, match="run config solver: 'init' was unexpected"):
+        parse_run_config(raw)
+    with pytest.raises(TypeError, match="'init'"):
+        SolverConfig(rank=1, init="hosvd")
 
 
 def test_explicit_grid_points_are_used_and_checked():
@@ -140,7 +145,7 @@ def full_run_config():
         "solver": {
             "rank": 2, "lambda_marginal": [0.1, 0.2], "lambda_coef": 0.01,
             "coef_penalty": "ridge", "max_outer_iters": 5, "outer_tol": 1e-6,
-            "proximal_mu": 1e-8, "init": "random",
+            "proximal_mu": 1e-8,
         },
         "seed": 3,
         "center": True,
@@ -618,7 +623,7 @@ API_PARITY = list({_row_id(r): r for r in [
     *rows("run", ("solver", "lambda_marginal"), *_NOT_WEIGHTS),
     *[("run", ("solver", k), v) for k in ("rank", "max_outer_iters") for v in _NOT_INT],
     *rows("run", ("seed",), *_NOT_INT),
-    *[("run", ("solver", k), v) for k in ("coef_penalty", "init") for v in _NOT_NAME],
+    *rows("run", ("solver", "coef_penalty"), *_NOT_NAME),
     *[("product", (k,), v) for k in ("coef_sd", "decay", "noise_var") for v in _NOT_REAL],
     *[("product", (k,), v)
       for k in ("n_dims", "marginal_rank", "true_rank", "grid_size", "n_subjects", "seed")

@@ -64,17 +64,17 @@ def ridge_step(g, state, config, mttkrp=T.mttkrp, relative=False):
     sweep's :func:`sweep_shift`."""
     gram = T.gram_of_khatri_rao(state.c_tilde)
     rhs = mttkrp(g, state.c_tilde, g.ndim - 1)
-    if relative:
-        return update_b_ridge(gram, rhs, config, state.b, sweep_shift(config, gram))
-    return update_b_ridge(gram, rhs, config)
+    shift = sweep_shift(config, gram) if relative else 0.0
+    return update_b_ridge(gram, rhs, state.b, config, shift)
 
 
 def lasso_step(g, state, config):
     """:func:`update_b_admm` on the subject block of ``g`` at ``state``, with
-    its Gram and MTTKRP formed from the grid factors on the whole tensor."""
+    its Gram and MTTKRP formed from the grid factors on the whole tensor and
+    the shift ``proximal_mu``."""
     gram = T.gram_of_khatri_rao(state.c_tilde)
     rhs = T.mttkrp(g, state.c_tilde, g.ndim - 1)
-    return update_b_admm(gram, rhs, state.b, config)
+    return update_b_admm(gram, rhs, state.b, config, config.proximal_mu)
 
 
 def spd(rng, n, shift=1.0):
@@ -972,7 +972,8 @@ def test_solve_on_patterns_all_full_rows_is_one_factor_solve():
     ref = cho_solve((chol, False), r.T).T
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     assert x.flags.c_contiguous
-    b = update_b_admm(a, r, np.ones_like(r), SolverConfig(rank=20, lambda_coef=0.0))[0]
+    cfg = SolverConfig(rank=20, lambda_coef=0.0)
+    b = update_b_admm(a, r, np.ones_like(r), cfg, cfg.proximal_mu)[0]
     assert b.flags.c_contiguous
 
 
@@ -998,7 +999,7 @@ def test_update_b_admm_non_finite_sub_pattern_raises_numerical_error(monkeypatch
     monkeypatch.setattr(solver_mod, "_solve_on_patterns", corrupt)
     cfg = SolverConfig(rank=5, lambda_coef=0.1, coef_penalty="lasso")
     with pytest.raises(NumericalError, match=r"^coefficient lasso block.*not finite"):
-        update_b_admm(a, r, b_old, cfg)
+        update_b_admm(a, r, b_old, cfg, cfg.proximal_mu)
 
 
 def warm_start_rule(a, c, tau, b_old, config):
@@ -1034,10 +1035,9 @@ def recorded_lasso_calls(monkeypatch, g, t_mats, cfg):
     ``A`` and ``C`` shifted by the proximal shift that the sweep gave it."""
     calls, step = [], solver_mod.update_b_admm
 
-    def recording(gram, rhs, b_old, config, shift=None):
+    def recording(gram, rhs, b_old, config, shift):
         out = step(gram, rhs, b_old, config, shift)
-        mu = config.proximal_mu if shift is None else shift
-        a, c = gram + mu * np.eye(len(gram)), rhs + mu * b_old
+        a, c = gram + shift * np.eye(len(gram)), rhs + shift * b_old
         calls.append((a, c, config.lambda_coef / 2, b_old, out))
         return out
 
@@ -1161,14 +1161,15 @@ def test_update_b_ridge_message_states_ratio_and_threshold():
     diag = np.diag(cho_factor(gram)[0])
     ratio = diag.min() / diag.max()
     assert 0.0 < ratio <= solver_mod.CHOL_DIAG_RATIO_TOL
+    b_old = np.zeros((2, 3))  # unshifted steps do not read it
     with pytest.raises(NumericalError) as info:
-        update_b_ridge(gram, rng.standard_normal((2, 3)), SolverConfig(rank=3))
+        update_b_ridge(gram, rng.standard_normal((2, 3)), b_old, SolverConfig(rank=3), 0.0)
     msg = str(info.value)
     assert msg.startswith("singular normal matrix in the coefficient update")
     assert f"{ratio:.3e}" in msg and "1e-07" in msg
     # a ridge weight that restores a healthy ratio gives the shifted solve
     rhs = rng.standard_normal((2, 3))
-    got = update_b_ridge(gram, rhs, SolverConfig(rank=3, lambda_coef=1.0))
+    got = update_b_ridge(gram, rhs, b_old, SolverConfig(rank=3, lambda_coef=1.0), 0.0)
     assert np.allclose(got, np.linalg.solve(gram + np.eye(3), rhs.T).T, rtol=1e-12)
 
 
@@ -1177,8 +1178,8 @@ def test_update_b_ridge_matches_numpy_solve(k, n, shift):
     rng = np.random.default_rng(26 + k)
     w = rng.standard_normal((3 * k + 5, k))
     gram, rhs = w.T @ w, rng.standard_normal((n, k))
-    inputs = [gram.copy(), rhs.copy()]
-    got = update_b_ridge(gram, rhs, SolverConfig(rank=k, lambda_coef=shift))
+    inputs, b_old = [gram.copy(), rhs.copy()], np.zeros((n, k))
+    got = update_b_ridge(gram, rhs, b_old, SolverConfig(rank=k, lambda_coef=shift), 0.0)
     ref = np.linalg.solve(gram + shift * np.eye(k), rhs.T).T
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
     for before, after in zip(inputs, [gram, rhs]):
@@ -1195,21 +1196,14 @@ def test_update_b_ridge_shift_makes_a_rank_deficient_gram_solvable():
     gram, cfg = w.T @ w, SolverConfig(rank=30, lambda_coef=1e-10)
     rhs, b_old = rng.standard_normal((100, 30)), rng.standard_normal((100, 30))
     with pytest.raises(NumericalError, match="Cholesky diagonal ratio .* is at or below"):
-        update_b_ridge(gram, rhs, cfg)
+        update_b_ridge(gram, rhs, b_old, cfg, 0.0)
     shift = sweep_shift(cfg, gram)
-    b = update_b_ridge(gram, rhs, cfg, b_old, shift)
+    b = update_b_ridge(gram, rhs, b_old, cfg, shift)
     a, r = gram + (cfg.lambda_coef + shift) * np.eye(30), rhs + shift * b_old
     scale = np.linalg.norm(b) * np.linalg.norm(a) + np.linalg.norm(r)
     assert np.linalg.norm(b @ a - r) <= 1e-12 * scale
     diag = np.diag(solver_mod._cholesky(solver_mod._shifted(gram, cfg.lambda_coef + shift), "A"))
     assert diag.min() / diag.max() >= 100 * solver_mod.CHOL_DIAG_RATIO_TOL
-
-
-def test_update_b_ridge_shift_needs_b_old():
-    rng = np.random.default_rng(72)
-    w = rng.standard_normal((8, 3))
-    with pytest.raises(ValueError, match="proximal shift 0.5 needs b_old"):
-        update_b_ridge(w.T @ w, rng.standard_normal((4, 3)), SolverConfig(rank=3), shift=0.5)
 
 
 @pytest.mark.parametrize("k", [20, 25, 30])
@@ -1223,7 +1217,7 @@ def test_update_b_ridge_triangular_solves_match_a_dense_solve(n, k):
     rhs, b_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     inputs = [gram.copy(), rhs.copy(), b_old.copy()]
     shift = sweep_shift(cfg, gram)
-    got = update_b_ridge(gram, rhs, cfg, b_old, shift)
+    got = update_b_ridge(gram, rhs, b_old, cfg, shift)
     a = gram + (cfg.lambda_coef + shift) * np.eye(k)
     ref = np.linalg.solve(a, (rhs + shift * b_old).T).T
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -1240,7 +1234,7 @@ def test_update_b_ridge_non_finite_raises_numerical_error(bad):
     else:
         rhs[1, 2] = np.nan
     with pytest.raises(NumericalError, match="not finite") as info:
-        update_b_ridge(gram, rhs, SolverConfig(rank=3))
+        update_b_ridge(gram, rhs, np.zeros_like(rhs), SolverConfig(rank=3), 0.0)
     assert str(info.value).startswith("singular normal matrix in the coefficient update")
 
 
@@ -1429,11 +1423,11 @@ def test_fit_runs_one_library_step_per_block_and_sweep(monkeypatch, coef_penalty
 
 
 def test_fit_takes_one_eigendecomposition_per_distinct_weighted_penalty(monkeypatch):
-    # modes 0, 1 and 3 share a penalty (1 as an equal copy), mode 3 at another
-    # weight; the shared rotations are read-only and change no bit of the fit
+    # modes 0, 1 and 3 share one penalty array, mode 3 at another weight; the
+    # shared rotations are read-only and change no bit of the fit
     rng = np.random.default_rng(36)
     t = psd(rng, 3)
-    t_mats = [t, t.copy(), psd(rng, 3), t]
+    t_mats = [t, t, psd(rng, 3), t]
     g = rng.standard_normal((3, 3, 3, 3, 4))
     cfg = SolverConfig(
         rank=2, lambda_marginal=[0.1, 0.1, 0.1, 0.2], lambda_coef=0.1, max_outer_iters=5, seed=3
@@ -1448,46 +1442,12 @@ def test_fit_takes_one_eigendecomposition_per_distinct_weighted_penalty(monkeypa
     shared = fit(g, t_mats, cfg)
     assert [what for what, _ in eigs] == [f"penalty matrix {d}" for d in (0, 2, 3)]
     assert not any(a.flags.writeable for _, pair in eigs for a in pair)
-    unshared = lambda keys, make: [make(i) for i in range(len(keys))]  # noqa: E731
-    monkeypatch.setattr(solver_mod, "per_distinct", unshared)
-    alone = fit(g, t_mats, cfg)
+    # a copy per mode: equal values are not the same array, so nothing is shared
+    alone = fit(g, [m.copy() for m in t_mats], cfg)
     assert len(eigs) == 3 + 4
     for a, b in zip(shared.factors(), alone.factors()):
         assert np.array_equal(a, b)
     assert np.array_equal(shared.objective_trace, alone.objective_trace)
-
-
-def test_hosvd_start_is_leading_singular_vectors_and_ignores_seed():
-    rng = np.random.default_rng(33)
-    g = rng.standard_normal((6, 5, 4, 7))
-    t_mats = [psd(rng, m) for m in (6, 5, 4)]
-    cfg = SolverConfig(rank=3, lambda_marginal=0.01, init="hosvd", max_outer_iters=20)
-    for d, f in enumerate(solver_mod._initialize(g, cfg).factors()):
-        # oracle: the top eigenvectors of the unfolding's Gram, up to sign
-        unf = np.moveaxis(g, d, 0).reshape(g.shape[d], -1)
-        vecs = np.linalg.eigh(unf @ unf.T)[1][:, ::-1][:, :3]
-        assert f.shape == (g.shape[d], 3)
-        assert np.abs(f.T @ f - np.eye(3)).max() < 1e-12
-        assert np.abs(np.abs(f.T @ vecs) - np.eye(3)).max() < 1e-10
-    s0 = fit(g, t_mats, cfg)
-    s5 = fit(g, t_mats, SolverConfig(**{**vars(cfg), "seed": 5}))
-    for a, b in zip(s0.factors(), s5.factors()):
-        assert np.array_equal(a, b)
-    assert np.array_equal(s0.objective_trace, s5.objective_trace)
-
-
-def test_hosvd_start_with_rank_above_a_mode_size():
-    # K = 4 exceeds the first mode's size 3: that mode's start is padded with
-    # random unit columns
-    rng = np.random.default_rng(34)
-    dims, n_subj, k = (3, 6, 5), 7, 4
-    g = rng.standard_normal(dims + (n_subj,))
-    cfg = SolverConfig(
-        rank=k, lambda_marginal=0.05, lambda_coef=0.01, init="hosvd", max_outer_iters=40,
-    )
-    state = fit(g, [psd(rng, m) for m in dims], cfg)
-    assert [f.shape for f in state.factors()] == [(m, k) for m in dims + (n_subj,)]
-    assert np.all(np.diff(state.objective_trace) <= 1e-10)
 
 
 def test_fit_zero_tensor_gives_zero_model():
@@ -1543,14 +1503,24 @@ def test_fit_from_a_tiny_singular_gram_stays_finite(scale):
 def test_fit_hosvd_start_on_the_gp2d_design_does_not_overlap(k):
     # the HOSVD start's mode-1 Gram has eigenvalues from about 3e-10 to 2.3e6;
     # an absolute shift of 1e-8 left its smallest denominator below the guard's
-    # 1e-14 x scale, and the first sweep raised "Sylvester spectra overlap"
+    # 1e-14 x scale, and the first sweep raised "Sylvester spectra overlap".
+    # The start: the seed's random unit columns, overwritten by each
+    # unfolding's leading left singular vectors
     cfg = sim.Gp2dSimConfig(ranks=(10, 8), grid_size=(200, 200), n_train=100, n_test=0, seed=42)
     s = sim.generate_gp2d_sample(cfg, replication=0)
     prepared = prepare(s.train, s.grids, s.bases, [2, 2])
     fit_cfg = SolverConfig(
-        rank=k, lambda_marginal=1e-10, lambda_coef=1e-10, init="hosvd", max_outer_iters=20, seed=0
+        rank=k, lambda_marginal=1e-10, lambda_coef=1e-10, max_outer_iters=20, seed=0
     )
-    state = fit(prepared.g_hat, prepared.t_mats, fit_cfg)
+    g, rng, start = prepared.g_hat, np.random.default_rng(fit_cfg.seed), []
+    for d, n in enumerate(g.shape):
+        f = rng.standard_normal((n, k))
+        f /= np.linalg.norm(f, axis=0)
+        u = np.linalg.svd(T.unfold(g, d), full_matrices=False)[0][:, :k]
+        f[:, : u.shape[1]] = u
+        start.append(f)
+    hosvd = SolverState(c_tilde=start[:-1], b=start[-1])
+    state = fit(g, prepared.t_mats, fit_cfg, initial_state=hosvd)
     assert state.iters == 20
     assert state.objective_trace[-1] < state.objective_trace[0]
 
@@ -1828,16 +1798,14 @@ def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(coef_penalty, war
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("init", ["random", "hosvd"])
-def test_fit_refuses_a_non_finite_compressed_tensor_by_name(init, value):
-    # it used to fail as diverged factors (random start) or as numpy's "SVD
-    # did not converge" (HOSVD start), after a RuntimeWarning for an inf
+def test_fit_refuses_a_non_finite_compressed_tensor_by_name(value):
+    # it used to fail as diverged factors, after a RuntimeWarning for an inf
     rng = np.random.default_rng(24)
     g = rng.standard_normal((5, 4, 6))
     g[2, 1, 3] = value
     t_mats = [np.zeros((m, m)) for m in (5, 4)]
     with pytest.raises(ValueError, match=re.escape("compressed data tensor has non-finite values")):
-        fit(g, t_mats, SolverConfig(rank=2, init=init))
+        fit(g, t_mats, SolverConfig(rank=2))
 
 
 @pytest.mark.parametrize(
@@ -1924,7 +1892,7 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
                 elif config.lasso_block:
                     factors[d] = update_b_admm(gram, rhs, factors[d], config, s)[0]
                 else:
-                    factors[d] = update_b_ridge(gram, rhs, config, factors[d], s)
+                    factors[d] = update_b_ridge(gram, rhs, factors[d], config, s)
         trace.append(value())
     state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]
     solver_mod._gauge_normalize(state)

@@ -369,20 +369,3 @@ def test_property_round_trip_and_norm():
             assert np.array_equal(T.fold(mat, d, shape), t)
             assert np.isclose(np.linalg.norm(mat), np.linalg.norm(t), rtol=1e-15, atol=0)
 
-
-def test_per_distinct_makes_each_distinct_key_once():
-    grid = np.linspace(0.0, 1.0, 5)
-    keys = [
-        ({"rank": 3}, grid, 2),
-        ({"rank": 3}, grid.copy(), 2),  # equal to the first: shares its result
-        ({"rank": 5}, grid, 2),
-        ({"rank": 3}, grid[:4], 2),
-        ({"rank": 3}, grid, 1),
-        ({"rank": 5}, grid.copy(), 2),  # equal to the third
-    ]
-    made = []
-    out = T.per_distinct(keys, lambda i: made.append(i) or [i])
-    assert made == [0, 2, 3, 4]
-    assert out == [[0], [0], [2], [3], [4], [2]]
-    assert out[1] is out[0] and out[5] is out[2]
-
