@@ -79,15 +79,17 @@ def test_non_finite_solver_setting_rejected():
         parse_run_config(raw)
 
 
-def test_removed_init_solver_key_rejected_by_name():
+@pytest.mark.parametrize("value", ["hosvd", "random", "svd", "x", None, True, 1, 3])
+def test_removed_init_solver_key_rejected_by_name(value):
     # every start is random unit columns from the seed: the JSON key and the
-    # SolverConfig setting are gone, and each refuses it by name
+    # SolverConfig setting are gone, and each refuses it by name whatever its
+    # value, the two start names it once took included
     raw = custom_config()
-    raw["solver"]["init"] = "hosvd"
+    raw["solver"]["init"] = value
     with pytest.raises(ValueError, match="run config solver: 'init' was unexpected"):
         parse_run_config(raw)
     with pytest.raises(TypeError, match="'init'"):
-        SolverConfig(rank=1, init="hosvd")
+        SolverConfig(rank=1, init=value)
 
 
 def test_explicit_grid_points_are_used_and_checked():

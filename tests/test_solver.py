@@ -12,6 +12,7 @@ from scipy.linalg import cho_factor, cho_solve, lapack, solve_sylvester
 from mpbasis import sim
 from mpbasis import solver as solver_mod
 from mpbasis import tensors as T
+from mpbasis.basis import FourierBasis
 from mpbasis.errors import NumericalError
 from mpbasis.reduction import prepare
 from mpbasis.solver import (
@@ -1206,6 +1207,34 @@ def test_update_b_ridge_shift_makes_a_rank_deficient_gram_solvable():
     assert diag.min() / diag.max() >= 100 * solver_mod.CHOL_DIAG_RATIO_TOL
 
 
+def test_update_b_ridge_zero_shift_reads_no_b_old():
+    # a zero shift adds nothing to the right-hand side: not even a NaN b_old
+    # reaches the solve, and the step is the plain ridge solve bit for bit
+    rng = np.random.default_rng(72)
+    w = rng.standard_normal((8, 3))
+    gram, rhs, cfg = w.T @ w, rng.standard_normal((4, 3)), SolverConfig(rank=3, lambda_coef=0.1)
+    got = update_b_ridge(gram, rhs, np.full((4, 3), np.nan), cfg, 0.0)
+    assert np.array_equal(got, update_b_ridge(gram, rhs, np.zeros((4, 3)), cfg, 0.0))
+    ref = np.linalg.solve(gram + 0.1 * np.eye(3), rhs.T).T
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_update_b_admm_solves_at_the_given_shift_not_proximal_mu(shift):
+    # the lasso step takes its shift from the caller alone: the result meets
+    # the KKT conditions of the block shifted by ``shift`` and not those of
+    # the block shifted by the config's proximal_mu
+    rng = np.random.default_rng(73)
+    w = rng.standard_normal((8, 3))
+    gram, rhs, b_old = w.T @ w, rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    cfg = SolverConfig(rank=3, lambda_coef=0.4, coef_penalty="lasso", proximal_mu=1.0)
+    b = update_b_admm(gram, rhs, b_old, cfg, shift)[0]
+    tau = cfg.lambda_coef / 2
+    for mu, holds in ((shift, True), (cfg.proximal_mu, False)):
+        breach = kkt_breach(gram + mu * np.eye(3), rhs + mu * b_old, tau, b)
+        assert (breach <= KKT_TOL) == holds, mu
+
+
 @pytest.mark.parametrize("k", [20, 25, 30])
 @pytest.mark.parametrize("n", [5, 40, 100])
 def test_update_b_ridge_triangular_solves_match_a_dense_solve(n, k):
@@ -1448,6 +1477,30 @@ def test_fit_takes_one_eigendecomposition_per_distinct_weighted_penalty(monkeypa
     for a, b in zip(shared.factors(), alone.factors()):
         assert np.array_equal(a, b)
     assert np.array_equal(shared.objective_trace, alone.objective_trace)
+
+
+@pytest.mark.parametrize("problem", ["prepared", "subjects", "centered"])
+def test_fit_shares_one_eigendecomposition_between_equal_prepared_marginals(
+    monkeypatch, problem
+):
+    # fit shares a decomposition between modes whose penalty is the same
+    # array; prepare gives equal marginals one array, and the subject
+    # selection and the centered problem keep it, so three equal marginals
+    # at one weight take one decomposition
+    bases = [FourierBasis((0.0, 1.0), 7) for _ in range(3)]
+    grids = [np.linspace(0.0, 1.0, 10) for _ in range(3)]
+    y = np.random.default_rng(37).standard_normal((10, 10, 10, 5))
+    prepared = prepare(y, grids, bases, [2, 2, 2])
+    if problem == "subjects":
+        prepared = prepared.subjects([0, 2, 3])
+    elif problem == "centered":
+        prepared = prepared.centered(y)
+    t = prepared.t_mats
+    assert t[0] is t[1] is t[2]
+    eigs, eig = [], solver_mod._eig_sym
+    monkeypatch.setattr(solver_mod, "_eig_sym", lambda a, what: eigs.append(what) or eig(a, what))
+    fit(prepared.g_hat, t, SolverConfig(rank=2, lambda_marginal=0.1, max_outer_iters=3, seed=1))
+    assert eigs == ["penalty matrix 0"]
 
 
 def test_fit_zero_tensor_gives_zero_model():
@@ -1798,14 +1851,17 @@ def test_fit_matches_per_mode_sweep_with_widely_spread_penalty(coef_penalty, war
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_fit_refuses_a_non_finite_compressed_tensor_by_name(value):
-    # it used to fail as diverged factors, after a RuntimeWarning for an inf
+@pytest.mark.parametrize("start", ["random", "warm"])
+def test_fit_refuses_a_non_finite_compressed_tensor_by_name(start, value):
+    # it used to fail as diverged factors, after a RuntimeWarning for an inf;
+    # a warm start is refused the same way, before any sweep reads it
     rng = np.random.default_rng(24)
     g = rng.standard_normal((5, 4, 6))
     g[2, 1, 3] = value
     t_mats = [np.zeros((m, m)) for m in (5, 4)]
+    warm = make_state(rng, (5, 4), 6, 2) if start == "warm" else None
     with pytest.raises(ValueError, match=re.escape("compressed data tensor has non-finite values")):
-        fit(g, t_mats, SolverConfig(rank=2))
+        fit(g, t_mats, SolverConfig(rank=2), initial_state=warm)
 
 
 @pytest.mark.parametrize(
