@@ -1,16 +1,17 @@
 """Penalized CP decomposition of the compressed data tensor.
 
 Block coordinate descent over the factor matrices: each grid-mode factor
-solves a Sylvester equation (least squares plus a quadratic roughness
-penalty), and the subject-coefficient block solves either a closed-form ridge
+takes one prox-linear step on least squares plus a quadratic roughness
+penalty, and the subject-coefficient block solves either a closed-form ridge
 problem or, for the lasso penalty, N small lasso problems exactly, by an
 active-set method that certifies each row by its KKT conditions. Each step
-minimizes the objective over its block plus a proximal term, the shift ``s``
-times the squared step, so the objective trace is nonincreasing and every
-block is strongly convex. :func:`fit` scales the shift to each block's Gram
-``M``: ``s = proximal_mu tr(M) / K``, the prox-linear block update of Xu and
-Yin (SIAM J. Imaging Sci. 6(3), 2013) with a weight proportional to the
-block's curvature, so the shifted Gram's smallest eigenvalue is at least
+minimizes the objective, or a majorizer of it that is tight at the current
+iterate, over its block plus a proximal term, the shift ``s`` times the
+squared step, so the objective trace is nonincreasing and every block is
+strongly convex. :func:`fit` scales the shift to each block's Gram ``M``:
+``s = proximal_mu tr(M) / K``, the prox-linear block update of Xu and Yin
+(SIAM J. Imaging Sci. 6(3), 2013) with a weight proportional to the block's
+curvature, so the shifted Gram's smallest eigenvalue is at least
 ``proximal_mu`` times its mean whatever the data's scale. A Gram whose
 trace is zero (after a lasso block set every coefficient to zero), or so
 small that the shift is below the smallest normal float, has no scale to
@@ -20,14 +21,14 @@ its shift as an argument, which has no default.
 :func:`fit` also works in each penalty's eigenbasis (Demmler-Reinsch): with
 ``lambda_d T_d = P_d diag(beta_d) P_d'`` diagonalized once per fit, the
 tensor's grid modes and the start factors are rotated by ``P_d'`` once, so
-each factor step's penalty side is the diagonal ``diag(beta_d)``. The step
-tridiagonalizes its K x K Gram once and solves one positive definite
-tridiagonal system per row of the factor, all stacked into one LAPACK call
-(the Hessenberg-Schur method of Golub, Nash and Van Loan, 1979); the shift
-certifies its spectra-overlap guard in O(1), whose eigenvalues are computed
-only when that certificate fails. These, the penalty eigendecompositions and
-the Cholesky factorizations call LAPACK directly, and the ridge block's two
-triangular solves BLAS.
+each factor step's penalty is the row-weighted ``sum_i beta_i |x_i|^2``.
+The factor step majorizes it at the current factor with the curvature ``L =
+max(beta_max, 0)`` (:func:`update_factor`), so that every row of the factor
+shares one K x K system, the Gram shifted by ``s + L``: one Cholesky
+factorization and two triangular solves, as in the ridge block. The penalty
+eigendecompositions and the Cholesky factorizations call LAPACK directly,
+and the triangular solves BLAS. :func:`sylvester_solve` solves the exact
+block equation ``X m + p X = q``; the sweep does not call it.
 
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
 and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
@@ -94,25 +95,19 @@ _PDAS_PASSES = 6
 _LASSO_MAX_STEPS = 500
 
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
-#: penalty rotations; the tridiagonal reduction, the tridiagonal eigenvalues
-#: (root-free QR) when the overlap certificate fails, the orthogonal factor of
-#: stored reflectors and the stacked tridiagonal solve of each factor step
-#: (positive definite, or general when a ``beta`` entry lies below
-#: ``-alpha_min``); the Cholesky factorization and solve, and the triangular
-#: solve (BLAS) of the ridge block. The wrappers check neither finiteness nor
-#: symmetry; their callers check finiteness.
+#: penalty rotations and of :func:`sylvester_solve`'s ``p``; that solve's
+#: tridiagonal reduction, tridiagonal eigenvalues (root-free QR) for its
+#: overlap guard, orthogonal factor of stored reflectors and stacked
+#: tridiagonal solve (positive definite, or general when a ``beta`` entry lies
+#: below ``-alpha_min``); the Cholesky factorization and solve, and the
+#: triangular solve (BLAS) of the factor and ridge blocks. The wrappers check
+#: neither finiteness nor symmetry; their callers check finiteness.
 _SYEV, _SYTRD, _STERF, _ORGQR, _PTSV, _GTSV = (
     lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dptsv, lapack.dgtsv
 )
 _POTRF, _POTRS, _TRSM = lapack.dpotrf, lapack.dpotrs, blas.dtrsm
 
-#: The overlap certificate's allowance for the rounding of the factor step's
-#: reduction (``dsytrd``) and of the eigenvalues it would compute (``dsterf``),
-#: as a multiple of ``K^2 eps`` times the Gram's Frobenius norm
-#: (:func:`_check_overlap`).
-_REDUCTION_ROUNDING = 8.0
-
-_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+_TINY = float(np.finfo(float).tiny)
 
 _RIDGE_SINGULAR = (
     "singular normal matrix in the coefficient update; increase lambda_coef or reduce the rank"
@@ -233,9 +228,9 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     after ``m`` is tridiagonalized. With ``m`` positive definite and ``p``
     positive semidefinite every ``beta_i + alpha_k`` is positive; a ``p``
     with an eigenvalue below ``-alpha_min`` makes a system indefinite, which
-    is solved with pivoting as long as the spectra do not overlap.
-    :func:`update_factor` runs the same solve in the eigenbasis of each
-    penalty, which :func:`fit` takes once per fit.
+    is solved with pivoting as long as the spectra do not overlap. It is
+    the exact minimizer of a factor block, which :func:`update_factor`
+    approaches by majorized steps.
     """
     m = np.array(m, dtype=float)
     p = np.array(p, dtype=float)
@@ -279,14 +274,10 @@ def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _sylvester_tridiag(
-    m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str, extremes=None, spectrum=None
-) -> np.ndarray:
+def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
     """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
     ``what``); ``m`` and ``q`` are overwritten, so callers pass arrays of their
-    own. ``extremes``, ``(beta.min(), beta.max())`` when given, spares the
-    overlap guard taking them; ``spectrum``, bounds on ``m``'s eigenvalues
-    that the caller proves, lets it certify in O(1) (:func:`_check_overlap`).
+    own.
 
     The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
     Autom. Control 24(6), 1979) with its other side already diagonal: with
@@ -301,10 +292,6 @@ def _sylvester_tridiag(
     needs no pivoting; otherwise (a ``beta`` entry below ``-alpha_min``) it
     is ``dgtsv``'s LU factorization with partial pivoting. A failed solve
     raises :class:`NumericalError` naming ``what``.
-
-    It beats one eigendecomposition of ``m`` only from about K = 15 and while
-    n stays below about 2 K; at K = 5 its fixed cost is more than
-    ``dsyev``'s whatever n is (README, solver bullets).
     """
     if not np.isfinite(m).all():
         raise NumericalError(f"{what} is not finite")
@@ -312,7 +299,7 @@ def _sylvester_tridiag(
     # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
     c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
     _check_info(info, "tridiagonal reduction", "dsytrd", what)
-    definite = _check_overlap(d, e, beta, what, extremes, spectrum)
+    definite = _check_overlap(d, e, beta, what)
     v = np.zeros((k, k))
     v[0, 0] = 1.0
     if k > 1:
@@ -336,43 +323,16 @@ def _sylvester_tridiag(
     return y.reshape(n, k) @ v.T
 
 
-def _check_overlap(
-    d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str, extremes=None, spectrum=None
-) -> bool:
+def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) -> bool:
     """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
     :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
     ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
     ``alpha`` are the eigenvalues of the tridiagonal ``T`` with diagonal ``d``
     and off-diagonal ``e``, as ``dsterf`` computes them. Return whether every
     ``beta_i + alpha_k`` is positive, so that every ``T + beta_i I`` is
-    positive definite.
-
-    ``spectrum``, when given, is ``(floor, top)``: every eigenvalue of the
-    K x K matrix ``m`` that ``dsytrd`` reduced to ``T`` is at least ``floor``,
-    and ``top`` bounds both ``m``'s largest eigenvalue and its Frobenius norm
-    (:func:`fit` proves both from a factor step's shift and trace). A
-    certificate then clears the step in O(1) without ``alpha``. ``dsytrd``'s
-    ``T`` is exactly similar to ``m + E`` and ``dsterf``'s eigenvalues are
-    exact for ``T + F``, with ``|E|_2 + |F|_2 <= delta = c K^2 eps top`` for a
-    small constant ``c`` (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, 19.3; Demmel, Applied Numerical Linear Algebra, 1997,
-    5.2), taken here as :data:`_REDUCTION_ROUNDING`. So every computed
-    ``alpha_k`` lies in ``[floor - delta, top + delta]``: ``s_hat = max(top +
-    delta, -beta_min, beta_max)`` is at least the scale, and when ``beta_min
-    + floor - delta > 2e-14 s_hat`` every ``beta_i + alpha_k`` exceeds ``2e-14
-    s_hat``, so the gap the guard would measure exceeds its threshold; the
-    factor 2 covers the rounding of the sums. Without ``spectrum``, or when
-    the certificate does not clear (``proximal_mu = 0``, a ``beta`` entry far
-    below 0, or weights far above the Gram's trace), ``alpha`` is computed
-    and the gap measured. ``extremes`` is ``(beta.min(), beta.max())``, taken
-    here when None; :func:`fit` takes it once per fit."""
+    positive definite."""
     k = d.shape[0]
-    lo, hi = (beta.min(), beta.max()) if extremes is None else extremes
-    if spectrum is not None:
-        floor, top = spectrum
-        delta = _REDUCTION_ROUNDING * k * k * _EPS * top
-        if lo + floor - delta > 2e-14 * max(top + delta, -lo, hi):
-            return True
+    lo, hi = beta.min(), beta.max()
     if k > 1:
         alpha, info = _STERF(d, e)
         _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
@@ -443,40 +403,6 @@ def _shifted(gram: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
-def _gram_rounding(rows: Sequence[int]) -> float:
-    """A bound, relative to the trace of ``M + s I``, on the Frobenius distance
-    from the computed ``fl(M) + s I`` to ``M + s I``: ``M`` is the exact Gram
-    ``W'W`` of a Khatri-Rao product ``W``, the Hadamard product of the Grams
-    ``F_j'F_j`` of factors with ``rows[j]`` rows each, and ``fl(M)`` the
-    Hadamard product of their computed Grams. This is how :func:`fit` forms
-    every factor step's Gram, and ``M + s I`` is positive definite with
-    eigenvalues at least ``s``.
-
-    Entry ``(a, b)`` of a computed Gram is within ``gamma_n |f_a| |f_b|`` of
-    the exact one, ``n`` the rows and ``gamma_n ~ n eps`` (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, 3.5), and the exact entry is at
-    most ``|f_a| |f_b|`` in size. So the computed product of the D entries,
-    with its D - 1 roundings, is within ``c sqrt(w_a w_b)`` of the exact
-    one, ``c = sum_j gamma_{n_j} + (D - 1) eps`` to first order and ``w`` the
-    diagonal of ``M``; the squares sum to ``(c tr(M))^2``. Adding ``s`` to the
-    diagonal rounds by at most ``eps tr(M + s I)``. The factor 2 covers the
-    second-order terms and the rounding of the traces themselves."""
-    return 2.0 * _EPS * (sum(rows) + len(rows) + 2)
-
-
-def _shifted_spectrum(tr: float, s: float, k: int, rounding: float) -> tuple[float, float]:
-    """Bounds ``(floor, top)`` for :func:`_check_overlap` on the computed K x K
-    ``W'W + s I`` of a factor step whose Gram has the trace ``tr`` and the
-    relative rounding ``rounding`` (:func:`_gram_rounding`): it is within
-    ``err = rounding t`` of ``M + s I``, ``t`` its trace and ``M`` positive
-    semidefinite, so its eigenvalues are at least ``s - err``; its largest
-    eigenvalue and Frobenius norm are at most ``tr(M + s I) + err <= t + (K +
-    1) err``, since a PSD matrix's Frobenius norm is at most its trace."""
-    t = tr + k * s
-    err = rounding * t
-    return s - err, t + (k + 1) * err
-
-
 def _cholesky(a: np.ndarray, what: str) -> np.ndarray:
     """Cholesky factor of the symmetric float ``a``, which is overwritten.
 
@@ -518,25 +444,31 @@ def objective(
 
 
 def update_factor(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    x_old: np.ndarray,
-    beta: np.ndarray,
-    mu: float,
-    mode: int,
-    extremes=None,
-    spectrum=None,
+    gram: np.ndarray, rhs: np.ndarray, x_old: np.ndarray, beta: np.ndarray, mu: float, mode: int
 ) -> np.ndarray:
     """Grid-mode-``mode`` factor step in its penalty's eigenbasis ``lambda_d T_d
-    = P diag(beta) P'``: ``X`` solving ``X (W'W + mu I) + diag(beta) X = rhs +
-    mu x_old``, with ``gram = W'W`` (``W`` the Khatri-Rao product of the other
-    factors), ``rhs = P' G_(d) W``, ``x_old`` the rotated current factor and
-    ``mu`` the proximal shift, by :func:`_sylvester_tridiag`, given
-    ``beta``'s ``extremes`` when known and, from :func:`fit`, bounds
-    ``spectrum`` on the eigenvalues of ``W'W + mu I`` (:func:`_check_overlap`).
-    No argument is mutated."""
-    what = f"factor Gram W'W + mu I of mode {mode}"
-    return _sylvester_tridiag(_shifted(gram, mu), beta, rhs + mu * x_old, what, extremes, spectrum)
+    = P diag(beta) P'``, with ``gram = W'W`` (``W`` the Khatri-Rao product of
+    the other factors), ``rhs = P' G_(d) W``, ``x_old`` the rotated current
+    factor and ``mu`` the proximal shift.
+
+    The prox-linear step of Xu and Yin (SIAM J. Imaging Sci. 6(3), 2013):
+    the penalty ``sum_i beta_i |x_i|^2`` is majorized at ``x_old`` by its
+    linearization plus ``L |x - x_old|^2``, with ``L = max(beta_max, 0)`` at
+    least every ``beta_i``. The surrogate is tight at ``x_old`` and lies above
+    the objective, so the objective cannot rise. Its minimizer solves
+    ``X (W'W + (mu + L) I) = rhs + (mu + L - beta_i) x_old_i`` row by row: one
+    K x K system for every row, solved as in :func:`update_b_ridge`
+    (:func:`_solve_shifted`). With ``beta = 0`` the step is the exact block
+    minimizer, which :func:`sylvester_solve` gives for any ``beta``. A
+    singular or non-finite system raises :class:`NumericalError` naming the
+    mode. No argument is mutated."""
+    if not np.isfinite(gram).all():
+        raise NumericalError(f"factor Gram W'W of mode {mode} is not finite")
+    shift = mu + max(float(beta.max()), 0.0)
+    r = np.multiply((shift - beta)[:, None], x_old, order="F")
+    r += rhs
+    what = f"singular factor Gram W'W + (mu + L) I of mode {mode}; raise proximal_mu"
+    return _solve_shifted(gram, shift, r, what)
 
 
 def update_b_ridge(
@@ -547,17 +479,24 @@ def update_b_ridge(
     Khatri-Rao product of the grid factors), the N x K MTTKRP ``rhs = (W'G)'``
     and the proximal ``shift`` towards the current coefficients ``b_old``
     (:func:`fit` gives each step its own; a zero ``shift`` adds nothing to the
-    right-hand side). The guarded :func:`_cholesky` factors the system as
-    ``U'U``, and two right-side triangular solves (``dtrsm``) on an F-order
-    copy of the right-hand side give ``b``; a singular or non-finite system
-    raises :class:`NumericalError`. No argument is mutated."""
+    right-hand side), by :func:`_solve_shifted` on an F-order copy of the
+    right-hand side; a singular or non-finite system raises
+    :class:`NumericalError`. No argument is mutated."""
     r = np.array(rhs, dtype=float, order="F")  # dtrsm solves in place on F-order rows
     if shift:
         r += shift * b_old
     if not np.isfinite(r).all():
         raise NumericalError(f"{_RIDGE_SINGULAR} (the right-hand side is not finite)")
-    chol = _cholesky(_shifted(gram, config.lambda_coef + shift), _RIDGE_SINGULAR)
-    r = _TRSM(1.0, chol, r, side=1, overwrite_b=1)  # r U^-1 = b U'
+    return _solve_shifted(gram, config.lambda_coef + shift, r, _RIDGE_SINGULAR)
+
+
+def _solve_shifted(gram: np.ndarray, shift: float, r: np.ndarray, what: str) -> np.ndarray:
+    """The rows ``x`` solving ``x (gram + shift I) = r``, in place on the
+    F-order ``r``: the guarded :func:`_cholesky` (named ``what``) factors the
+    shifted Gram as ``U'U``, and two right-side triangular solves (``dtrsm``)
+    finish."""
+    chol = _cholesky(_shifted(gram, shift), what)
+    r = _TRSM(1.0, chol, r, side=1, overwrite_b=1)  # r U^-1 = x U'
     return _TRSM(1.0, chol, r, side=1, trans_a=1, overwrite_b=1)
 
 
@@ -795,7 +734,8 @@ def fit(
     subject coefficients last, one half at a time: the half contracts the
     matrix view of ``g_hat`` once with the other half's Khatri-Rao product, and
     each of its blocks takes its Gram and MTTKRP from that partial. A factor
-    step is :func:`update_factor`, whose Gram is tridiagonalized once; the
+    step is :func:`update_factor`, one Cholesky solve of the block's Gram
+    shifted by the proximal shift and the penalty's largest eigenvalue; the
     subject block's ridge and lasso solves differ.
 
     The loop only sweeps, records the objective (the third read of ``g_hat``,
@@ -866,7 +806,6 @@ def fit(
         j = next(j for j in range(d + 1) if t_mats[j] is t and lam_marg[j] == lam)
         eigs.append(_eig_sym(lam * t, f"penalty matrix {d}") if j == d else eigs[j])
     betas, rots = [w for w, _ in eigs], [v for _, v in eigs]
-    extremes = [(float(w.min()), float(w.max())) for w in betas]  # for the overlap guard
     g_rot = g_hat
     for d, p in enumerate(rots):  # mode_multiply without its checks
         g_rot = np.moveaxis(np.tensordot(p.T, g_rot, axes=(1, d)), 0, d)
@@ -881,11 +820,9 @@ def fit(
     # the sweep builds every factor list itself: the unchecked tensor kernels
     krs = [khatri_rao_core(factors[lo:hi]) for lo, hi in halves]
     # per-fit constants of the sweep: each block's other modes, whose Grams'
-    # Hadamard product (left to right) is its Gram; the factor steps' Gram
-    # rounding relative to the shifted Gram's trace (_gram_rounding); the
-    # penalized modes; the objective's residual buffer
+    # Hadamard product (left to right) is its Gram; the penalized modes; the
+    # objective's residual buffer
     others = [[j for j in range(n_dims + 1) if j != d] for d in range(n_dims + 1)]
-    rounding = [_gram_rounding([g_hat.shape[j] for j in others[d]]) for d in range(n_dims)]
     pen_modes = [d for d in range(n_dims) if lam_marg[d] > 0]
     mu, k, lasso, res = config.proximal_mu, config.rank, config.lasso_block, np.empty_like(g_mat)
 
@@ -905,13 +842,12 @@ def fit(
             for d in range(lo, hi):
                 gram = reduce(np.multiply, [grams[j] for j in others[d]])
                 rhs = partial_mttkrp_core(part, factors[lo:d] + factors[d + 1 : hi], d - lo)
-                tr = float(gram.trace())
-                s = mu * tr / k  # the proximal shift, relative to the block's Gram
+                # the proximal shift, relative to the block's Gram
+                s = mu * float(gram.trace()) / k
                 if s < _TINY:  # no Gram to scale to (a zero b): proximal_mu itself
                     s = mu
                 if d < n_dims:
-                    bounds = _shifted_spectrum(tr, s, k, rounding[d])
-                    new = update_factor(gram, rhs, factors[d], betas[d], s, d, extremes[d], bounds)
+                    new = update_factor(gram, rhs, factors[d], betas[d], s, d)
                 elif lasso:
                     new, _, _, ok, _ = update_b_admm(gram, rhs, factors[d], config, s)
                     certified = certified and ok

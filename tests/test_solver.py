@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, lapack, solve_sylvester
+from scipy.linalg import cho_factor, cho_solve, solve_sylvester
 
 from mpbasis import sim
 from mpbasis import solver as solver_mod
@@ -41,6 +41,16 @@ def sweep_shift(config, gram):
     smallest normal float."""
     s = config.proximal_mu * gram.trace() / config.rank
     return s if s >= np.finfo(float).tiny else config.proximal_mu
+
+
+def exact_factor_step(g, state, d, t_d, config):
+    """The exact minimizer of grid block ``d`` of ``g`` at ``state`` with the
+    shift ``proximal_mu``, by :func:`sylvester_solve` on the whole tensor:
+    ``X (W'W + mu I) + lambda_d T_d X = G_(d) W + mu C_d``."""
+    lam, mu = config.marginal_weights(g.ndim - 1)[d], config.proximal_mu
+    others = [c for j, c in enumerate(state.c_tilde) if j != d] + [state.b]
+    gram = T.gram_of_khatri_rao(others) + mu * np.eye(config.rank)
+    return sylvester_solve(gram, lam * t_d, T.mttkrp(g, others, d) + mu * state.c_tilde[d])
 
 
 def factor_step(g, state, d, t_d, config, mttkrp=T.mttkrp, relative=False):
@@ -123,15 +133,15 @@ def test_sylvester_spectral_overlap_raises():
 
 
 def test_sylvester_overlap_names_the_block_and_its_margin():
-    # a Gram of two equal columns is singular; with beta = 0 and mu = 0 nothing shifts it
+    # a Gram of two equal columns is singular; with p = 0 nothing shifts it
     rng = np.random.default_rng(4)
     w = rng.standard_normal((6, 3))
     w[:, 2] = w[:, 0]
     gram = w.T @ w
     with pytest.raises(NumericalError) as err:
-        update_factor(gram, rng.standard_normal((5, 3)), np.zeros((5, 3)), np.zeros(5), 0.0, 1)
+        sylvester_solve(gram, np.zeros((5, 5)), rng.standard_normal((5, 3)))
     msg = str(err.value)
-    assert msg.startswith("factor Gram W'W + mu I of mode 1: Sylvester spectra overlap")
+    assert msg.startswith("Sylvester matrix m: Sylvester spectra overlap")
     assert "proximal_mu" in msg
     num = r"(\d\.\d{3}e[+-]\d+)"
     found = re.search(
@@ -246,8 +256,9 @@ def kron_oracle(m, beta, q):
 
 @pytest.mark.parametrize("n", [3, 40])
 @pytest.mark.parametrize("k", [1, 2, 25, 30])
-def test_update_factor_matches_kronecker_oracle(k, n):
-    # n below and above K; the penalty spectrum has a null space (zeros)
+def test_sylvester_tridiag_matches_kronecker_oracle(k, n):
+    # the exact factor block at the shift mu: n below and above K; the
+    # penalty spectrum has a null space (zeros)
     rng = np.random.default_rng(100 + k + n)
     w = rng.standard_normal((k + 5, k))
     gram = w.T @ w
@@ -256,7 +267,7 @@ def test_update_factor_matches_kronecker_oracle(k, n):
     rhs, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     mu = 1e-3
     inputs = [gram.copy(), rhs.copy(), x_old.copy(), beta.copy()]
-    x = update_factor(gram, rhs, x_old, beta, mu, 0)
+    x = solver_mod._sylvester_tridiag(gram + mu * np.eye(k), beta, rhs + mu * x_old, "m")
     ref = kron_oracle(gram + mu * np.eye(k), beta, rhs + mu * x_old)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     for before, after in zip(inputs, [gram, rhs, x_old, beta]):
@@ -284,7 +295,7 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
         ("_GTSV", "dgtsv"),
     ],
 )
-def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine):
+def test_sylvester_lapack_failure_names_the_matrix(monkeypatch, name, routine):
     lapack_call = getattr(solver_mod, name)
 
     def failing(*args, **kwargs):
@@ -294,179 +305,36 @@ def test_update_factor_lapack_failure_names_the_block(monkeypatch, name, routine
     monkeypatch.setattr(solver_mod, name, failing)
     rng = np.random.default_rng(8)
     w = rng.standard_normal((6, 3))
-    # a direct call passes no spectrum, so dsterf measures the gap on every
-    # call; a penalty far below -alpha_min takes the pivoted solve, dgtsv
+    # dsterf measures the gap on every call; a p far below -alpha_min takes
+    # the pivoted solve, dgtsv
     beta = np.arange(4.0) - (1e3 if name == "_GTSV" else 0.0)
-    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), beta, 1e-8, 2)
+    args = (w.T @ w + 1e-8 * np.eye(3), np.diag(beta), rng.standard_normal((4, 3)))
     with pytest.raises(NumericalError) as err:
-        update_factor(*args)
+        sylvester_solve(*args)
     msg = str(err.value)
-    assert "factor Gram W'W + mu I of mode 2" in msg
+    assert "Sylvester matrix m" in msg
     assert f"(LAPACK {routine} info 7)" in msg
-
-
-def overlap_guard_passes(d, e, beta):
-    """Whether the measured guard passes on ``T`` (diagonal ``d``, off-diagonal
-    ``e``): its gap and scale from ``dsterf``'s eigenvalues, as the solver
-    takes them when its certificate fails."""
-    alpha = lapack.dsterf(d, e)[0] if len(d) > 1 else d
-    gap = np.abs(beta[:, None] + alpha[None, :]).min()
-    scale = max(np.abs(alpha).max(), np.abs(beta).max(), 1e-300)
-    return gap > 1e-14 * scale
-
-
-def counting_sterf(monkeypatch):
-    """Record each ``dsterf`` call of the solver, the fallback of its certificate."""
-    calls, sterf = [], solver_mod._STERF
-    monkeypatch.setattr(solver_mod, "_STERF", lambda d, e: calls.append(1) or sterf(d, e))
-    return calls
-
-
-def hadamard_gram(rng, k, near_singular):
-    """A Gram as :func:`fit` forms a factor step's: the Hadamard product of the
-    computed Grams of 1-3 random factors, with those factors' row counts.
-    ``near_singular`` makes two columns nearly equal in every factor and
-    spreads the column norms over six decades."""
-    rows = [int(rng.integers(3, 40)) for _ in range(int(rng.integers(1, 4)))]
-    grams = []
-    for n in rows:
-        f = rng.standard_normal((n, k))
-        if near_singular:
-            f[:, 1] = f[:, 0] + 1e-9 * rng.standard_normal(n)
-            f *= 10 ** rng.uniform(-3, 3, k)
-        grams.append(f.T @ f)
-    return functools.reduce(np.multiply, grams), rows
-
-
-def sweep_tridiagonal(gram, rows, mu):
-    """``(d, e, spectrum)``: the tridiagonal form of a factor step's ``gram +
-    s I`` at the sweep's shift ``s``, reduced as the kernel reduces it, and
-    the bounds the sweep proves on that matrix's eigenvalues."""
-    k = gram.shape[0]
-    tr = gram.trace()
-    s = mu * tr / k
-    spectrum = solver_mod._shifted_spectrum(tr, s, k, solver_mod._gram_rounding(rows))
-    m = solver_mod._shifted(gram, s)
-    d, e = solver_mod._SYTRD(m.T, lower=1, lwork=solver_mod._sytrd_lwork(k), overwrite_a=1)[1:3]
-    return d, e, spectrum
-
-
-def test_overlap_certificate_never_clears_what_the_guard_refuses(monkeypatch):
-    # the sweep's shifted Grams, near singular or not, at mu = 0 and 1e-8,
-    # against penalty spectra that are PSD, have an entry placed from 0.3 to
-    # 30 times the threshold above -alpha_min, or reach far above the Gram's
-    # trace: a certified step is one the measured guard passes, and a refusal
-    # reads the same with the sweep's spectrum as without it
-    rng = np.random.default_rng(50)
-    calls = counting_sterf(monkeypatch)
-    outcomes = {"certified": 0, "measured pass": 0, "refused": 0}
-    for trial in range(1500):
-        k, n = int(rng.integers(2, 31)), int(rng.integers(1, 16))
-        mu = (0.0, 1e-8)[trial % 2]
-        gram, rows = hadamard_gram(rng, k, near_singular=trial % 3 == 0)
-        d, e, spectrum = sweep_tridiagonal(gram, rows, mu)
-        alpha = lapack.dsterf(d, e)[0]
-        s0 = np.abs(alpha).max()
-        kind = ("psd", "negative", "huge")[trial % 5 % 3]
-        beta = np.sort(np.abs(rng.standard_normal(n)))
-        beta[0] = 0.0
-        if kind == "psd":
-            beta *= s0 * 10 ** rng.uniform(-3, 1)
-        elif kind == "negative":
-            beta = beta * s0 - alpha[0] + 10 ** rng.uniform(-0.5, 1.5) * 1e-14 * s0
-            beta[0] = min(beta[0], -1e-300)
-        else:
-            beta *= gram.trace() * 10 ** rng.uniform(3, 9)
-        calls.clear()
-        try:
-            solver_mod._check_overlap(d.copy(), e.copy(), beta, "T", None, spectrum)
-        except NumericalError as err:
-            outcomes["refused"] += 1
-            assert not overlap_guard_passes(d, e, beta)
-            with pytest.raises(NumericalError) as measured:
-                solver_mod._check_overlap(d.copy(), e.copy(), beta, "T")
-            assert str(err) == str(measured.value)
-            continue
-        assert overlap_guard_passes(d, e, beta)
-        outcomes["measured pass" if calls else "certified"] += 1
-    # every outcome occurs often
-    assert min(outcomes.values()) >= 200, outcomes
-
-
-def test_update_factor_certificate_gives_the_measured_solution(monkeypatch):
-    # with the sweep's spectrum the guard clears without dsterf, and the step
-    # is bit for bit the one whose guard measured the gap
-    rng = np.random.default_rng(51)
-    w = rng.standard_normal((40, 25))
-    beta = np.sort(rng.random(15))
-    gram = w.T @ w
-    s = 1e-8 * gram.trace() / 25
-    spectrum = solver_mod._shifted_spectrum(gram.trace(), s, 25, solver_mod._gram_rounding([40]))
-    args = (gram, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, s, 1)
-    calls = counting_sterf(monkeypatch)
-    ref = update_factor(*args)
-    assert len(calls) == 1
-    calls.clear()
-    assert np.array_equal(update_factor(*args, None, spectrum), ref)
-    assert not calls
 
 
 @pytest.mark.parametrize(
     "dims, n_subj, k, coef_penalty",
     [((10, 8), 100, 30, "ridge"), ((15, 15, 15), 5, 25, "ridge"), ((10, 8), 40, 20, "lasso")],
 )
-def test_fit_certifies_every_factor_step_from_the_shift(monkeypatch, dims, n_subj, k, coef_penalty):
-    # the benchmark workloads' compressed shapes and ranks: no factor step of
-    # the sweep computes the Gram's eigenvalues
+def test_fit_runs_no_sylvester_kernel(monkeypatch, dims, n_subj, k, coef_penalty):
+    # the benchmark workloads' compressed shapes and ranks: every factor step
+    # of the sweep is a Cholesky solve, and no tridiagonal kernel runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep ran a Sylvester kernel")
+
+    for name in ("_SYTRD", "_STERF", "_ORGQR", "_PTSV", "_GTSV"):
+        monkeypatch.setattr(solver_mod, name, forbidden)
     rng = np.random.default_rng(61)
     g = rank_k_tensor(rng, dims, n_subj, 8) + 0.05 * rng.standard_normal(dims + (n_subj,))
     cfg = SolverConfig(
         rank=k, lambda_marginal=1e-3, lambda_coef=1e-3, coef_penalty=coef_penalty,
         max_outer_iters=3, outer_tol=1e-300, seed=5,
     )
-    calls = counting_sterf(monkeypatch)
-    fit(g, [psd(rng, m) for m in dims], cfg)
-    assert not calls
-
-
-def test_fit_takes_each_modes_beta_extremes_once_and_the_step_agrees(monkeypatch):
-    # the extremes fit hands each factor step are beta's own, and the step
-    # gives the same solution bit for bit with them as without
-    seen, check = [], solver_mod._check_overlap
-
-    def recording(d, e, beta, what, extremes=None, spectrum=None):
-        seen.append((beta, extremes))
-        return check(d, e, beta, what, extremes, spectrum)
-
-    monkeypatch.setattr(solver_mod, "_check_overlap", recording)
-    rng = np.random.default_rng(52)
-    t_mats = [np.diag(np.arange(5.0)), np.diag(np.arange(4.0)) + 0.5]
-    cfg = SolverConfig(rank=3, lambda_marginal=1e-3, seed=0, max_outer_iters=3)
-    fit(rng.standard_normal((5, 4, 6)), t_mats, cfg)
-    assert seen and all(x == (b.min(), b.max()) for b, x in seen)
-    w = rng.standard_normal((40, 25))
-    beta = np.sort(rng.random(15)) - 0.2
-    args = (w.T @ w, rng.standard_normal((15, 25)), rng.standard_normal((15, 25)), beta, 1e-8, 1)
-    assert np.array_equal(update_factor(*args, (beta.min(), beta.max())), update_factor(*args))
-
-
-def test_overlap_refusal_is_measured_and_reads_as_before(monkeypatch):
-    # a singular Gram, unshifted: the certificate cannot clear it, and the
-    # refusal is the measured guard's, with the sweep's spectrum or without
-    rng = np.random.default_rng(4)
-    w = rng.standard_normal((6, 3))
-    w[:, 2] = w[:, 0]
-    args = (w.T @ w, rng.standard_normal((5, 3)), np.zeros((5, 3)), np.zeros(5), 0.0, 1)
-    calls = counting_sterf(monkeypatch)
-    with pytest.raises(NumericalError, match="Sylvester spectra overlap") as err:
-        update_factor(*args)
-    assert len(calls) == 1
-    spectrum = solver_mod._shifted_spectrum(
-        (w.T @ w).trace(), 0.0, 3, solver_mod._gram_rounding([6])
-    )
-    with pytest.raises(NumericalError) as bounded:
-        update_factor(*args, None, spectrum)
-    assert str(bounded.value) == str(err.value) and len(calls) == 2
+    assert fit(g, [psd(rng, m) for m in dims], cfg).iters == 3
 
 
 @pytest.mark.parametrize("bad", ["m", "p"])
@@ -535,14 +403,14 @@ def test_update_factor_unpenalized_matches_least_squares():
     assert np.abs(got - ref).max() < 1e-9
 
 
-def test_update_factor_penalty_dominated_limit():
+def test_factor_block_minimizer_penalty_dominated_limit():
     rng = np.random.default_rng(6)
     dims, n_subj, k = (5, 4), 6, 2
     g = rng.standard_normal((*dims, n_subj))
     state = make_state(rng, dims, n_subj, k)
     cfg = SolverConfig(rank=k, lambda_marginal=1e12, proximal_mu=0.0)
     t_d = spd(rng, 5)
-    got = factor_step(g, state, 0, t_d, cfg)
+    got = exact_factor_step(g, state, 0, t_d, cfg)
     assert np.linalg.norm(got) < 1e-6
 
 
@@ -565,9 +433,9 @@ def test_update_factor_never_increases_conditional_objective():
 
 
 @pytest.mark.parametrize("mu", [1e-8, 0.5])
-def test_update_factor_satisfies_gradient_equation(mu):
+def test_factor_block_minimizer_satisfies_gradient_equation(mu):
     # at mu = 0.5 the proximal pull towards the old factor is far above the
-    # tolerance, so a step that drops it fails
+    # tolerance, so a solve that drops it fails
     rng = np.random.default_rng(8)
     dims, n_subj, k = (6, 4), 5, 3
     g = rng.standard_normal((*dims, n_subj))
@@ -576,7 +444,7 @@ def test_update_factor_satisfies_gradient_equation(mu):
     cfg = SolverConfig(rank=k, lambda_marginal=lam, proximal_mu=mu)
     t_d = psd(rng, 6)
     old = state.c_tilde[0].copy()
-    x = factor_step(g, state, 0, t_d, cfg)
+    x = exact_factor_step(g, state, 0, t_d, cfg)
     others = [state.c_tilde[1], state.b]
     gram = T.gram_of_khatri_rao(others)
     rhs = T.mttkrp(g, others, 0) + mu * old
@@ -585,20 +453,124 @@ def test_update_factor_satisfies_gradient_equation(mu):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_update_factor_matches_kronecker_oracle_in_eigenbasis(k):
+def test_sylvester_tridiag_matches_kronecker_oracle_in_eigenbasis(k):
     # X (M + mu I) + diag(beta) X = Q + mu X_old, vectorized row-major
     rng = np.random.default_rng(44 + k)
     n, mu = 7, 0.25
     gram, beta = psd(rng, k), np.abs(rng.standard_normal(n))
     q, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     inputs = [gram.copy(), q.copy(), x_old.copy(), beta.copy()]
-    x = update_factor(gram, q, x_old, beta, mu, 2)
+    x = solver_mod._sylvester_tridiag(gram + mu * np.eye(k), beta, q + mu * x_old, "m")
     a = np.kron(np.eye(n), (gram + mu * np.eye(k)).T) + np.kron(np.diag(beta), np.eye(k))
     ref = np.linalg.solve(a, (q + mu * x_old).reshape(-1)).reshape(n, k)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    # the Gram may be one of the sweep's cached per-factor Grams: never mutated
     for before, after in zip(inputs, [gram, q, x_old, beta]):
         assert np.array_equal(before, after)
+
+
+def block_value(gram, rhs, beta, x):
+    """A factor block's objective in its penalty's eigenbasis, less the
+    constant ``|G|^2``: ``tr(X M X') - 2 tr(X Q') + sum_i beta_i |x_i|^2`` for
+    the Gram ``M`` and the MTTKRP ``Q``; and the sum of its terms' magnitudes,
+    the scale of its rounding."""
+    terms = [np.sum(x * (x @ gram)), -2.0 * np.sum(x * rhs), beta @ np.sum(x * x, axis=1)]
+    return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+
+def test_update_factor_never_raises_the_block_objective():
+    # random Grams, shifts and penalty spectra, some of whose smallest
+    # entries are negative at rounding level, as dsyev can return them for a
+    # PSD penalty: the majorized step lowers the block objective or keeps it
+    rng = np.random.default_rng(70)
+    negatives = 0
+    for trial in range(300):
+        k, n = int(rng.integers(1, 31)), int(rng.integers(1, 41))
+        w = rng.standard_normal((k + int(rng.integers(1, 20)), k))
+        gram = w.T @ w
+        scale = gram.trace() / k
+        beta = np.sort(rng.random(n)) * scale * 10 ** rng.uniform(-6, 3)
+        m = int(rng.integers(0, n + 1))
+        beta[:m] = -1e-16 * scale * rng.random(m)
+        negatives += m > 0
+        mu = (0.0, 1e-8 * scale, 0.5 * scale)[trial % 3]
+        rhs, x_old = scale * rng.standard_normal((n, k)), rng.standard_normal((n, k))
+        x = update_factor(gram, rhs, x_old, beta, mu, 0)
+        before, size_before = block_value(gram, rhs, beta, x_old)
+        after, size_after = block_value(gram, rhs, beta, x)
+        assert after <= before + 1e-13 * max(size_before, size_after)
+    assert negatives >= 200
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (5, 40), (25, 15), (30, 10)])
+@pytest.mark.parametrize("mu", [0.0, 1e-3])
+def test_update_factor_without_penalty_is_the_exact_block_minimizer(k, n, mu):
+    # beta = 0: the majorizer is the objective itself, and the step solves
+    # the block exactly
+    rng = np.random.default_rng(200 + k + n)
+    w = rng.standard_normal((2 * k + 10, k))
+    gram, beta = w.T @ w, np.zeros(n)
+    rhs, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    inputs = [gram.copy(), rhs.copy(), x_old.copy(), beta.copy()]
+    x = update_factor(gram, rhs, x_old, beta, mu, 0)
+    ref = sylvester_solve(gram + mu * np.eye(k), np.zeros((n, n)), rhs + mu * x_old)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # the Gram may be one of the sweep's cached per-factor Grams: never mutated
+    for before, after in zip(inputs, [gram, rhs, x_old, beta]):
+        assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (3, 8), (8, 3), (25, 10)])
+@pytest.mark.parametrize("mu", [0.0, 1e-2])
+def test_update_factor_fixed_point_is_the_exact_block_minimizer(k, n, mu):
+    # at its fixed point the step's shift and linearization cancel: the
+    # factor solves X M + diag(beta) X = Q, the block's exact minimizer
+    rng = np.random.default_rng(300 + k + n)
+    w = rng.standard_normal((2 * k + 10, k))
+    gram = w.T @ w
+    beta = np.sort(rng.random(n)) * gram.trace() / k
+    beta[0] = 0.0
+    rhs = rng.standard_normal((n, k))
+    x = np.zeros((n, k))
+    for _ in range(1000):
+        x = update_factor(gram, rhs, x, beta, mu, 0)
+    ref = sylvester_solve(gram, np.diag(beta), rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_update_factor_refuses_an_unshifted_singular_gram_by_mode():
+    # a Gram of two equal columns with no penalty and proximal_mu = 0: nothing
+    # shifts it, and the Cholesky guard refuses it where the Sylvester
+    # overlap guard did, naming the mode
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((6, 3))
+    w[:, 2] = w[:, 0]
+    with pytest.raises(NumericalError) as err:
+        update_factor(w.T @ w, rng.standard_normal((5, 3)), np.zeros((5, 3)), np.zeros(5), 0.0, 1)
+    assert str(err.value).startswith(
+        "singular factor Gram W'W + (mu + L) I of mode 1; raise proximal_mu (Cholesky"
+    )
+    # in a fit: a start whose two components are equal in every factor gives
+    # the first factor step, mode 0, a singular Gram
+    g = rng.standard_normal((6, 5, 4))
+    start = make_state(rng, (6, 5), 4, 1)
+    start = SolverState([np.hstack([c, c]) for c in start.c_tilde], np.hstack([start.b, start.b]))
+    cfg = SolverConfig(rank=2, proximal_mu=0.0, max_outer_iters=3)
+    lead = re.escape("singular factor Gram W'W + (mu + L) I of mode 0;")
+    with pytest.raises(NumericalError, match=f"^{lead}"):
+        fit(g, [np.zeros((6, 6)), np.zeros((5, 5))], cfg, initial_state=start)
+
+
+def test_update_factor_lapack_failure_names_the_mode(monkeypatch):
+    potrf = solver_mod._POTRF
+    monkeypatch.setattr(solver_mod, "_POTRF", lambda *a, **kw: potrf(*a, **kw)[:-1] + (7,))
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((6, 3))
+    args = (w.T @ w, rng.standard_normal((4, 3)), np.zeros((4, 3)), np.arange(4.0), 1e-8, 2)
+    with pytest.raises(NumericalError) as err:
+        update_factor(*args)
+    msg = str(err.value)
+    assert "factor Gram W'W + (mu + L) I of mode 2" in msg
+    assert "LAPACK dpotrf info 7" in msg
 
 
 # ------------------------------------------------------------- subject update
@@ -1906,8 +1878,7 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
     ``_eig_sym`` per mode and the tensor rotated by ``mode_multiply``, the modes
     cut at ``half_split``, each block's Gram as ``reduce(np.multiply, ...)`` of
     the other Grams, its MTTKRP by ``partial_mttkrp_core``, its proximal shift
-    ``proximal_mu tr(Gram) / K``, the three public block steps (the factor
-    steps with no spectrum, so their guards measure every gap), and the
+    ``proximal_mu tr(Gram) / K``, the three public block steps, and the
     objective's terms as per-column and per-row sums."""
     n_dims = g.ndim - 1
     lam = config.marginal_weights(n_dims)
