@@ -28,7 +28,8 @@ shares one K x K system, the Gram shifted by ``s + L``: one Cholesky
 factorization and two triangular solves, as in the ridge block. The penalty
 eigendecompositions and the Cholesky factorizations call LAPACK directly,
 and the triangular solves BLAS. :func:`sylvester_solve` solves the exact
-block equation ``X m + p X = q``; the sweep does not call it.
+block equation ``X m + p X = q`` by diagonalizing both sides; the sweep does
+not call it.
 
 :func:`fit` runs the sweep on a dimension tree of depth one (Phan, Tichavsky
 and Cichocki, IEEE Trans. Signal Process. 61(19), 2013): the modes of the
@@ -95,17 +96,11 @@ _PDAS_PASSES = 6
 _LASSO_MAX_STEPS = 500
 
 #: LAPACK routines bound once: the symmetric eigensolver (QR iteration) of the
-#: penalty rotations and of :func:`sylvester_solve`'s ``p``; that solve's
-#: tridiagonal reduction, tridiagonal eigenvalues (root-free QR) for its
-#: overlap guard, orthogonal factor of stored reflectors and stacked
-#: tridiagonal solve (positive definite, or general when a ``beta`` entry lies
-#: below ``-alpha_min``); the Cholesky factorization and solve, and the
-#: triangular solve (BLAS) of the factor and ridge blocks. The wrappers check
-#: neither finiteness nor symmetry; their callers check finiteness.
-_SYEV, _SYTRD, _STERF, _ORGQR, _PTSV, _GTSV = (
-    lapack.dsyev, lapack.dsytrd, lapack.dsterf, lapack.dorgqr, lapack.dptsv, lapack.dgtsv
-)
-_POTRF, _POTRS, _TRSM = lapack.dpotrf, lapack.dpotrs, blas.dtrsm
+#: penalty rotations and of both sides of :func:`sylvester_solve`; the
+#: Cholesky factorization and solve, and the triangular solve (BLAS) of the
+#: factor and ridge blocks. The wrappers check neither finiteness nor
+#: symmetry; their callers check finiteness.
+_SYEV, _POTRF, _POTRS, _TRSM = lapack.dsyev, lapack.dpotrf, lapack.dpotrs, blas.dtrsm
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -223,14 +218,15 @@ def soft_threshold(x: np.ndarray, kappa: float) -> np.ndarray:
 def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve ``X m + p X = q`` for symmetric ``m`` (K x K) and ``p`` (n x n).
 
-    ``p`` is diagonalized by a symmetric eigendecomposition, which leaves
-    the equation of :func:`_sylvester_tridiag`: one tridiagonal system per row
-    after ``m`` is tridiagonalized. With ``m`` positive definite and ``p``
-    positive semidefinite every ``beta_i + alpha_k`` is positive; a ``p``
-    with an eigenvalue below ``-alpha_min`` makes a system indefinite, which
-    is solved with pivoting as long as the spectra do not overlap. It is
-    the exact minimizer of a factor block, which :func:`update_factor`
-    approaches by majorized steps.
+    Both sides are diagonalized by symmetric eigendecompositions, ``m = V
+    diag(alpha) V'`` and ``p = P diag(beta) P'``, which leave one division:
+    ``X = P ((P' q V) / (beta_i + alpha_k)) V'`` (the symmetric case of
+    Bartels and Stewart, Commun. ACM 15(9), 1972). Nothing is pivoted, so an
+    indefinite ``p`` is solved as a definite one is, as long as the spectra
+    do not overlap: a least ``|beta_i + alpha_k|`` at or below ``1e-14``
+    times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, raises
+    :class:`NumericalError`. It is the exact minimizer of a factor block,
+    which :func:`update_factor` approaches by majorized steps.
     """
     m = np.array(m, dtype=float)
     p = np.array(p, dtype=float)
@@ -239,8 +235,20 @@ def sylvester_solve(m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"right-hand side shape {q.shape} does not match ({p.shape[0]}, {m.shape[0]})"
         )
+    alpha, v = _eig_sym(m, "Sylvester matrix m")
     beta, pm = _eig_sym(p, "Sylvester matrix p")
-    return pm @ _sylvester_tridiag(m, beta, pm.T @ q, "Sylvester matrix m")
+    denom = beta[:, None] + alpha
+    gap = np.abs(denom).min()
+    # both spectra are ascending: their largest magnitudes are at their ends
+    scale = max(-alpha[0], alpha[-1], -beta[0], beta[-1], 1e-300)
+    if gap <= 1e-14 * scale:
+        raise NumericalError(
+            f"Sylvester matrix m: Sylvester spectra overlap, smallest |beta_i + alpha_k| "
+            f"{gap:.3e} is at or below the threshold 1e-14 x scale {scale:.3e} = "
+            f"{1e-14 * scale:.3e}; raise proximal_mu to shift the factor Gram away from "
+            "singularity"
+        )
+    return pm @ ((pm.T @ q @ v) / denom) @ v.T
 
 
 @lru_cache(maxsize=None)
@@ -249,109 +257,18 @@ def _syev_lwork(n: int) -> int:
     return int(lapack.dsyev_lwork(n)[0])
 
 
-@lru_cache(maxsize=None)
-def _sytrd_lwork(n: int) -> int:
-    """Workspace size of :data:`_SYTRD` for a lower-stored matrix of order ``n``."""
-    return int(lapack.dsytrd_lwork(n, lower=1)[0])
-
-
-def _check_info(info: int, step: str, routine: str, what: str) -> None:
-    """Raise :class:`NumericalError` naming ``what`` when LAPACK's ``info`` is nonzero."""
-    if info != 0:
-        raise NumericalError(f"{step} of {what} failed (LAPACK {routine} info {info})")
-
-
 def _eig_sym(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of the symmetric float ``a`` (named ``what``),
-    which is overwritten, as read-only arrays; a non-finite ``a`` raises
-    :class:`NumericalError`."""
+    which is overwritten, as read-only arrays; a non-finite ``a``, or a
+    nonzero LAPACK ``info``, raises :class:`NumericalError`."""
     if not np.isfinite(a).all():
         raise NumericalError(f"{what} is not finite")
     # a.T is the same symmetric matrix in Fortran order: LAPACK works in place
     w, v, info = _SYEV(a.T, lwork=_syev_lwork(a.shape[0]), overwrite_a=1)
-    _check_info(info, "eigendecomposition", "dsyev", what)
+    if info != 0:
+        raise NumericalError(f"eigendecomposition of {what} failed (LAPACK dsyev info {info})")
     w.flags.writeable = v.flags.writeable = False
     return w, v
-
-
-def _sylvester_tridiag(m: np.ndarray, beta: np.ndarray, q: np.ndarray, what: str) -> np.ndarray:
-    """Solve ``X m + diag(beta) X = q`` for the symmetric K x K ``m`` (named
-    ``what``); ``m`` and ``q`` are overwritten, so callers pass arrays of their
-    own.
-
-    The Hessenberg-Schur method of Golub, Nash and Van Loan (IEEE Trans.
-    Autom. Control 24(6), 1979) with its other side already diagonal: with
-    ``m = V T V'`` and ``T`` tridiagonal, row ``i`` of ``Y = X V`` solves
-    ``(T + beta_i I) y_i = (q V)_i``. The n systems are stacked into one
-    tridiagonal system of order nK, with zero couplings between the blocks,
-    and solved by one LAPACK call; ``X = Y V'``. The spectra-overlap guard
-    (:func:`_check_overlap`) reads ``T`` before ``V`` is formed. Once it has
-    cleared with every ``beta_i + alpha_k`` positive, as it does for a
-    positive definite ``m`` and a PSD penalty, every block is positive
-    definite, and the stacked solve is ``dptsv``'s LDL' factorization, which
-    needs no pivoting; otherwise (a ``beta`` entry below ``-alpha_min``) it
-    is ``dgtsv``'s LU factorization with partial pivoting. A failed solve
-    raises :class:`NumericalError` naming ``what``.
-    """
-    if not np.isfinite(m).all():
-        raise NumericalError(f"{what} is not finite")
-    n, k = q.shape
-    # m.T is the same symmetric matrix in Fortran order: LAPACK works in place
-    c, d, e, tau, info = _SYTRD(m.T, lower=1, lwork=_sytrd_lwork(k), overwrite_a=1)
-    _check_info(info, "tridiagonal reduction", "dsytrd", what)
-    definite = _check_overlap(d, e, beta, what)
-    v = np.zeros((k, k))
-    v[0, 0] = 1.0
-    if k > 1:
-        # V = diag(1, V1): the reflectors are stored below T's subdiagonal
-        v[1:, 1:], _, info = _ORGQR(c[1:, :-1], tau, overwrite_a=1)
-        _check_info(info, "orthogonal factor", "dorgqr", what)
-    off = np.zeros((n, k))
-    off[:, :-1] = e
-    off = off.reshape(-1)[:-1]
-    q[:, 1:] = q[:, 1:] @ v[1:, 1:]  # q V: V's first row and column are those of the identity
-    diag = (beta[:, None] + d).reshape(-1)
-    if definite:
-        y, info = _PTSV(diag, off, q.reshape(-1, 1), overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
-        _check_info(info, "tridiagonal solve", "dptsv", what)
-    else:
-        y, info = _GTSV(
-            off, diag, off.copy(), q.reshape(-1, 1),
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
-        )[3:]
-        _check_info(info, "tridiagonal solve", "dgtsv", what)
-    return y.reshape(n, k) @ v.T
-
-
-def _check_overlap(d: np.ndarray, e: np.ndarray, beta: np.ndarray, what: str) -> bool:
-    """The spectra-overlap guard of :func:`_sylvester_tridiag`: raise
-    :class:`NumericalError` when the least ``|beta_i + alpha_k|`` is at or below
-    ``1e-14`` times the scale, the largest ``|alpha_k|`` or ``|beta_i|``, where
-    ``alpha`` are the eigenvalues of the tridiagonal ``T`` with diagonal ``d``
-    and off-diagonal ``e``, as ``dsterf`` computes them. Return whether every
-    ``beta_i + alpha_k`` is positive, so that every ``T + beta_i I`` is
-    positive definite."""
-    k = d.shape[0]
-    lo, hi = beta.min(), beta.max()
-    if k > 1:
-        alpha, info = _STERF(d, e)
-        _check_info(info, "tridiagonal eigenvalues", "dsterf", what)
-    else:  # T is its diagonal; dsterf refuses an empty off-diagonal
-        alpha = d
-    # rounding is monotone: when the least sum is >= 0 it is the least |sum|
-    gap = lo + alpha[0]
-    definite = gap > 0
-    if gap < 0:
-        gap = np.abs(beta[:, None] + alpha[None, :]).min()
-    # alpha is ascending: its largest magnitude is at one of its ends
-    scale = max(-alpha[0], alpha[-1], -lo, hi, 1e-300)
-    if gap <= 1e-14 * scale:
-        raise NumericalError(
-            f"{what}: Sylvester spectra overlap, smallest |beta_i + alpha_k| {gap:.3e} is at or "
-            f"below the threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e}; raise "
-            "proximal_mu to shift the factor Gram away from singularity"
-        )
-    return definite
 
 
 def _objective_value(

@@ -157,47 +157,48 @@ def test_sylvester_overlap_names_the_block_and_its_margin():
 
 
 def test_sylvester_overlap_reads_the_same_on_both_gap_branches():
-    # beta_min + alpha_min is 0 (the gap in O(1)) or -1 (the outer sum finds the 0)
+    # beta_min + alpha_min is 0, or it is -1 and beta_0 + alpha_1 is the 0
     msgs = []
     for alpha, beta in (([0.0, 1.0], [0.0, 2.0]), ([1.0, 2.0], [-2.0, 0.0])):
         with pytest.raises(NumericalError) as err:
-            solver_mod._sylvester_tridiag(np.diag(alpha), np.array(beta), np.ones((2, 2)), "m")
+            sylvester_solve(np.diag(alpha), np.diag(beta), np.ones((2, 2)))
         msgs.append(str(err.value))
     assert msgs[0] == msgs[1]
     assert msgs[0].startswith(
-        "m: Sylvester spectra overlap, smallest |beta_i + alpha_k| 0.000e+00 is at or below "
-        "the threshold 1e-14 x scale 2.000e+00 = 2.000e-14"
+        "Sylvester matrix m: Sylvester spectra overlap, smallest |beta_i + alpha_k| 0.000e+00 "
+        "is at or below the threshold 1e-14 x scale 2.000e+00 = 2.000e-14"
     )
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, scale",
+    [([0.0, 1.0], [-5.0, 0.0], 5.0), ([-4.0, 0.0], [0.0, 1.0], 4.0), ([0.0], [0.0], 1e-300)],
+)
+def test_sylvester_overlap_scale_is_the_largest_magnitude_at_either_end(alpha, beta, scale):
+    # the largest |alpha_k| or |beta_i| may be a most negative eigenvalue; with
+    # both spectra at zero the scale is its floor
+    with pytest.raises(NumericalError) as err:
+        sylvester_solve(np.diag(alpha), np.diag(beta), np.ones((len(beta), len(alpha))))
+    assert f"threshold 1e-14 x scale {scale:.3e} = {1e-14 * scale:.3e};" in str(err.value)
 
 
 def test_sylvester_negative_beta_takes_the_outer_sum():
     # beta_min + alpha_min = -9 is no gap: every |beta_i + alpha_k| is at least 6
     m, beta = np.diag([1.0, 2.0]), np.array([-10.0, 5.0])
     q = np.random.default_rng(5).standard_normal((2, 2))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
+    x = sylvester_solve(m, np.diag(beta), q)
     assert np.abs(x - kron_oracle(m, beta, q)).max() <= 1e-15
 
 
-@pytest.mark.parametrize("shift, routine", [(0.0, "_PTSV"), (-1e3, "_GTSV")])
-def test_sylvester_solves_indefinite_blocks_with_pivoting(monkeypatch, shift, routine):
-    # a PSD beta gives positive definite blocks, solved without pivoting; a
-    # beta below -alpha_min gives blocks that are not, which are solved with
-    # pivoting, to the same accuracy
+@pytest.mark.parametrize("shift", [0.0, -1e3])
+def test_sylvester_solves_indefinite_blocks_with_pivoting(shift):
+    # a PSD beta gives positive definite blocks; a beta below -alpha_min
+    # gives blocks that are not, which are solved to the same accuracy
     rng = np.random.default_rng(9)
     w = rng.standard_normal((12, 6))
     m, beta = w.T @ w, np.sort(rng.random(5)) * 3.0 + shift
     q = rng.standard_normal((5, 6))
-    used = []
-    for name in ("_PTSV", "_GTSV"):
-        call = getattr(solver_mod, name)
-
-        def recording(*args, _call=call, _name=name, **kwargs):
-            used.append(_name)
-            return _call(*args, **kwargs)
-
-        monkeypatch.setattr(solver_mod, name, recording)
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
-    assert used == [routine]
+    x = sylvester_solve(m, np.diag(beta), q)
     ref = kron_oracle(m, beta, q)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -256,7 +257,7 @@ def kron_oracle(m, beta, q):
 
 @pytest.mark.parametrize("n", [3, 40])
 @pytest.mark.parametrize("k", [1, 2, 25, 30])
-def test_sylvester_tridiag_matches_kronecker_oracle(k, n):
+def test_sylvester_solve_matches_kronecker_oracle(k, n):
     # the exact factor block at the shift mu: n below and above K; the
     # penalty spectrum has a null space (zeros)
     rng = np.random.default_rng(100 + k + n)
@@ -267,14 +268,14 @@ def test_sylvester_tridiag_matches_kronecker_oracle(k, n):
     rhs, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     mu = 1e-3
     inputs = [gram.copy(), rhs.copy(), x_old.copy(), beta.copy()]
-    x = solver_mod._sylvester_tridiag(gram + mu * np.eye(k), beta, rhs + mu * x_old, "m")
+    x = sylvester_solve(gram + mu * np.eye(k), np.diag(beta), rhs + mu * x_old)
     ref = kron_oracle(gram + mu * np.eye(k), beta, rhs + mu * x_old)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     for before, after in zip(inputs, [gram, rhs, x_old, beta]):
         assert np.array_equal(before, after)
 
 
-def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
+def test_sylvester_solve_is_backward_stable_on_an_ill_conditioned_gram():
     rng = np.random.default_rng(7)
     k, n = 25, 15
     u = np.linalg.qr(rng.standard_normal((k, k)))[0]
@@ -283,37 +284,37 @@ def test_sylvester_tridiag_is_backward_stable_on_an_ill_conditioned_gram():
     beta = np.sort(rng.random(n))
     beta[0] = 0.0
     q = rng.standard_normal((n, k))
-    x = solver_mod._sylvester_tridiag(m.copy(), beta, q.copy(), "m")
+    x = sylvester_solve(m, np.diag(beta), q)
     res = np.linalg.norm(x @ m + beta[:, None] * x - q)
     assert res <= 1e-14 * (np.linalg.norm(q) + np.linalg.norm(x) * np.linalg.norm(m))
 
 
 @pytest.mark.parametrize(
-    "name, routine",
+    "call, what",
     [
-        ("_SYTRD", "dsytrd"), ("_STERF", "dsterf"), ("_ORGQR", "dorgqr"), ("_PTSV", "dptsv"),
-        ("_GTSV", "dgtsv"),
+        (0, "Sylvester matrix m"), (1, "Sylvester matrix p"), (0, "penalty matrix 0"),
+        (1, "penalty matrix 1"),
     ],
 )
-def test_sylvester_lapack_failure_names_the_matrix(monkeypatch, name, routine):
-    lapack_call = getattr(solver_mod, name)
+def test_eigendecomposition_failure_names_the_matrix(monkeypatch, call, what):
+    # dsyev returns info 7 on its call-th call: on m or p of sylvester_solve,
+    # or on the first or second penalty rotation of fit
+    syev, calls = solver_mod._SYEV, itertools.count()
 
     def failing(*args, **kwargs):
-        out = lapack_call(*args, **kwargs)
-        return out[:-1] + (7,)  # every wrapper returns info last
+        out = syev(*args, **kwargs)
+        return out[:-1] + (7,) if next(calls) == call else out
 
-    monkeypatch.setattr(solver_mod, name, failing)
+    monkeypatch.setattr(solver_mod, "_SYEV", failing)
     rng = np.random.default_rng(8)
-    w = rng.standard_normal((6, 3))
-    # dsterf measures the gap on every call; a p far below -alpha_min takes
-    # the pivoted solve, dgtsv
-    beta = np.arange(4.0) - (1e3 if name == "_GTSV" else 0.0)
-    args = (w.T @ w + 1e-8 * np.eye(3), np.diag(beta), rng.standard_normal((4, 3)))
     with pytest.raises(NumericalError) as err:
-        sylvester_solve(*args)
-    msg = str(err.value)
-    assert "Sylvester matrix m" in msg
-    assert f"(LAPACK {routine} info 7)" in msg
+        if what.startswith("Sylvester"):
+            w = rng.standard_normal((6, 3))
+            sylvester_solve(w.T @ w + 1e-8 * np.eye(3), psd(rng, 4), rng.standard_normal((4, 3)))
+        else:
+            cfg = SolverConfig(rank=2, lambda_marginal=0.1, max_outer_iters=2, seed=1)
+            fit(rng.standard_normal((4, 3, 5)), [psd(rng, 4), psd(rng, 3)], cfg)
+    assert str(err.value) == f"eigendecomposition of {what} failed (LAPACK dsyev info 7)"
 
 
 @pytest.mark.parametrize(
@@ -322,12 +323,14 @@ def test_sylvester_lapack_failure_names_the_matrix(monkeypatch, name, routine):
 )
 def test_fit_runs_no_sylvester_kernel(monkeypatch, dims, n_subj, k, coef_penalty):
     # the benchmark workloads' compressed shapes and ranks: every factor step
-    # of the sweep is a Cholesky solve, and no tridiagonal kernel runs
+    # of the sweep is a Cholesky solve, and the only eigendecompositions are
+    # the penalty rotations
     def forbidden(*args, **kwargs):
-        raise AssertionError("the sweep ran a Sylvester kernel")
+        raise AssertionError("the sweep ran a Sylvester solve")
 
-    for name in ("_SYTRD", "_STERF", "_ORGQR", "_PTSV", "_GTSV"):
-        monkeypatch.setattr(solver_mod, name, forbidden)
+    eigs, eig = [], solver_mod._eig_sym
+    monkeypatch.setattr(solver_mod, "_eig_sym", lambda a, what: eigs.append(what) or eig(a, what))
+    monkeypatch.setattr(solver_mod, "sylvester_solve", forbidden)
     rng = np.random.default_rng(61)
     g = rank_k_tensor(rng, dims, n_subj, 8) + 0.05 * rng.standard_normal(dims + (n_subj,))
     cfg = SolverConfig(
@@ -335,6 +338,7 @@ def test_fit_runs_no_sylvester_kernel(monkeypatch, dims, n_subj, k, coef_penalty
         max_outer_iters=3, outer_tol=1e-300, seed=5,
     )
     assert fit(g, [psd(rng, m) for m in dims], cfg).iters == 3
+    assert eigs and all(what.startswith("penalty matrix") for what in eigs)
 
 
 @pytest.mark.parametrize("bad", ["m", "p"])
@@ -453,14 +457,14 @@ def test_factor_block_minimizer_satisfies_gradient_equation(mu):
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_sylvester_tridiag_matches_kronecker_oracle_in_eigenbasis(k):
+def test_sylvester_solve_matches_kronecker_oracle_in_eigenbasis(k):
     # X (M + mu I) + diag(beta) X = Q + mu X_old, vectorized row-major
     rng = np.random.default_rng(44 + k)
     n, mu = 7, 0.25
     gram, beta = psd(rng, k), np.abs(rng.standard_normal(n))
     q, x_old = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     inputs = [gram.copy(), q.copy(), x_old.copy(), beta.copy()]
-    x = solver_mod._sylvester_tridiag(gram + mu * np.eye(k), beta, q + mu * x_old, "m")
+    x = sylvester_solve(gram + mu * np.eye(k), np.diag(beta), q + mu * x_old)
     a = np.kron(np.eye(n), (gram + mu * np.eye(k)).T) + np.kron(np.diag(beta), np.eye(k))
     ref = np.linalg.solve(a, (q + mu * x_old).reshape(-1)).reshape(n, k)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
