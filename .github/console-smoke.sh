@@ -8,7 +8,7 @@
 # This passes both simulation designs, a run config with a selection block, and
 # model and eigen headers through the entry point, and checks that importing
 # the CLI does not import jsonschema. The fit's report must name one of the
-# three stop reasons and a numeric noise estimate and hold exactly its eight
+# three stop reasons and a numeric noise estimate and hold exactly its nine
 # keys, the fit must exit 4 exactly when it is the sweep cap, and its centered
 # model file must keep the mean. The marginal-rank report must choose exactly one
 # of its two candidates, and the global-rank report exactly one of its three
@@ -68,7 +68,7 @@ import json, sys
 code, report = int(sys.argv[1]), json.load(open("fit/fit_report.json"))
 reason, noise_var = report["stop_reason"], report["noise_var"]
 keys = {"objective_trace", "iters", "converged", "stop_reason", "noise_var", "lasso_certified",
-        "residual_ratio", "elapsed_seconds"}
+        "extrapolated", "residual_ratio", "elapsed_seconds"}
 assert set(report) == keys, sorted(report)
 assert reason in ("tolerance", "noise level", "sweep cap"), reason
 assert isinstance(noise_var, float), noise_var

@@ -25,6 +25,7 @@ class FitReport:
     stop_reason: str  # SolverState.stop_reason: "tolerance", "noise level" or "sweep cap"
     noise_var: float | None  # PreparedProblem.noise_var of the data fitted
     lasso_certified: bool
+    extrapolated: int  # SolverState.extrapolated: extrapolated points the fit kept
     residual_ratio: float  # |g_hat - X|^2 / |g_hat|^2: SolverState.residual_sq over |g_hat|^2
     elapsed_seconds: float
 
@@ -103,6 +104,7 @@ def fit_mpb(
         stop_reason=state.stop_reason,
         noise_var=prepared.noise_var,
         lasso_certified=state.lasso_certified,
+        extrapolated=state.extrapolated,
         residual_ratio=state.residual_sq / prepared.g_hat_sq,
         elapsed_seconds=time.perf_counter() - start,
     )

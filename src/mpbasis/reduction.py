@@ -467,9 +467,10 @@ def out_of_span_sq(
     against each mode; to center, subtract the mean from a copy of ``y``
     and from ``g_hat`` first. ``g_hat`` is mapped back once in every mode
     but the leading one, and ``y`` is read in slabs of whole rows of that
-    mode (contiguous in C order) of at most :data:`SLAB_ENTRIES` entries.
-    Each slab's difference is formed directly, never as ``|y_i|^2 -
-    |g_hat_i|^2``, which cancels to sqrt(eps) accuracy near an in-span subject.
+    mode (contiguous in C order) of at most :data:`SLAB_ENTRIES` entries,
+    whose in-span parts take turns in one buffer per call. Each slab's
+    difference is formed directly, never as ``|y_i|^2 - |g_hat_i|^2``,
+    which cancels to sqrt(eps) accuracy near an in-span subject.
     """
     part = np.asarray(g_hat, dtype=float)
     for d, f in enumerate(facs[1:], 1):
@@ -477,9 +478,10 @@ def out_of_span_sq(
     lead = part.reshape(part.shape[0], -1)
     rows = max(1, SLAB_ENTRIES // max(1, math.prod(y.shape[1:])))
     out = np.zeros(y.shape[-1])
+    buf = np.empty((min(rows, y.shape[0]), lead.shape[1]))  # every slab's in-span part
     for lo in range(0, y.shape[0], rows):
         u = facs[0].u[lo : lo + rows]
-        r = (u @ lead).reshape(u.shape[:1] + part.shape[1:])
+        r = np.matmul(u, lead, out=buf[: u.shape[0]]).reshape(u.shape[:1] + part.shape[1:])
         np.subtract(y[lo : lo + rows], r, out=r)
         r = r.reshape(-1, r.shape[-1])
         out += np.einsum("ij,ij->j", r, r)

@@ -7,9 +7,10 @@ count once, when numpy loads it). Threaded BLAS may sum in another order, so
 the outputs agree to tolerances stated here, not bit for bit; the product
 fit, which stops at the noise level, stops at the same sweep. Measured on an
 x86-64 host with OpenBLAS 0.3.31: 4.5e-15 on the product estimate after 5
-sweeps (7.3e-14 when that fit ran to its 400-sweep cap), 2.8e-8 on the gp2d
-residuals and 1.8e-7 on its subject coefficients, each relative to the largest
-entry.
+sweeps (7.3e-14 when that fit ran to its 400-sweep cap), 8.8e-8 on the gp2d
+residuals and 3.5e-7 on its subject coefficients, each relative to the largest
+entry. The gp2d fit's extrapolated sweeps amplify the rounding: without them
+the gp2d figures read 2.2e-8 and 5.0e-8.
 """
 
 import os

@@ -13,8 +13,10 @@ import pytest
 from mpbasis import basis as basis_mod
 from mpbasis import fileio, reduction, selection, solver
 from mpbasis.cli import main
+from mpbasis.config import load_run_config
 from mpbasis.fpca import FPCAResult, run_fpca
 from mpbasis.model import MPBModel
+from mpbasis.pipeline import fit_mpb
 from mpbasis.sim import ProductSimConfig, generate_product_sample
 from mpbasis.solver import SolverConfig
 
@@ -116,6 +118,25 @@ def test_fit_nonconvergence_exits_4_with_outputs(tmp_path):
     assert (out / "model.mpbm").exists()
     report = json.loads((out / "fit_report.json").read_text())
     assert report["stop_reason"] == "sweep cap" and report["noise_var"] is None
+    assert report["extrapolated"] == 0  # no trial before sweep 45
+
+
+def test_fit_report_counts_the_extrapolated_points(tmp_path):
+    # the grid of test_fit_nonconvergence_exits_4_with_outputs, run past sweep 45
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((7, 7, 4))
+    noisy = tmp_path / "n.mpbt"
+    fileio.write_tensor(noisy, y)
+    run = base_config(rank=2, max_outer_iters=60, outer_tol=1e-300)
+    run["grids"] = [{"points": list(np.arange(7) / 7.0)}] * 2
+    cfg_path = write_json(tmp_path / "cfg.json", run)
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg_path, "--tensor", str(noisy), "--out", str(out)]) == 4
+    report = json.loads((out / "fit_report.json").read_text())
+    cfg = load_run_config(cfg_path)
+    grids = cfg.build_grids(y.shape[:-1])
+    _, state, _ = fit_mpb(y, grids, cfg.bases, cfg.penalty_orders, cfg.solver)
+    assert report["extrapolated"] == state.extrapolated > 0
 
 
 def test_fit_on_pure_noise_stops_at_the_noise_level_and_exits_0(tmp_path, caplog):

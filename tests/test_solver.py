@@ -1,6 +1,7 @@
 """Solver blocks against independent oracles, then full descent behavior."""
 
 import copy
+from dataclasses import replace
 import functools
 import itertools
 import re
@@ -348,6 +349,17 @@ def test_sylvester_solve_non_finite_matrix_raises_numerical_error(bad):
     (m if bad == "m" else p)[0, 1] = np.inf
     with pytest.raises(NumericalError, match=f"Sylvester matrix {bad} is not finite"):
         sylvester_solve(m, p, q)
+
+
+@pytest.mark.parametrize("n, k", [(0, 2), (3, 0), (0, 0)])
+def test_sylvester_solve_with_an_empty_side_returns_the_empty_solution(n, k):
+    x = sylvester_solve(np.eye(k), np.eye(n), np.zeros((n, k)))
+    assert x.shape == (n, k)
+
+
+def test_sylvester_solve_with_an_empty_side_still_checks_the_other():
+    with pytest.raises(NumericalError, match="Sylvester matrix m is not finite"):
+        sylvester_solve(np.full((2, 2), np.nan), np.zeros((0, 0)), np.zeros((0, 2)))
 
 
 # ------------------------------------------------------------- soft threshold
@@ -1876,14 +1888,20 @@ def test_a_float32_coefficient_weight_is_applied_in_double_precision():
 # ------------------------------------------- bit-identical plain reference sweep
 
 
-def plain_sweep_fit(g, t_mats, config, n_sweeps):
+def plain_sweep_fit(g, t_mats, config, n_sweeps, trials=True):
     """Gauge-normalized state and objective trace of ``n_sweeps`` plain sweeps
     with :func:`fit`'s arithmetic as first written: the penalty eigenbases by
     ``_eig_sym`` per mode and the tensor rotated by ``mode_multiply``, the modes
     cut at ``half_split``, each block's Gram as ``reduce(np.multiply, ...)`` of
     the other Grams, its MTTKRP by ``partial_mttkrp_core``, its proximal shift
     ``proximal_mu tr(Gram) / K``, the three public block steps, and the
-    objective's terms as per-column and per-row sums."""
+    objective's terms as per-column and per-row sums.
+
+    With ``trials`` (and no lasso block), sweep ``it`` tries the point ``X_old
+    + it**_EXTRAP_POWER (X_new - X_old)`` over all factors when ``it >=
+    _EXTRAP_START`` is a multiple of ``_EXTRAP_EVERY``, and keeps it when its
+    objective is below the previous sweep's; ``state.extrapolated`` counts
+    the points kept. Without ``trials`` every sweep keeps its own point."""
     n_dims = g.ndim - 1
     lam = config.marginal_weights(n_dims)
     state = solver_mod._initialize(g, config)
@@ -1909,7 +1927,8 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
         return val + config.lambda_coef * float(np.sum(b**2))
 
     trace = [value()]
-    for _ in range(n_sweeps):
+    for it in range(1, n_sweeps + 1):
+        old = list(factors)
         for h, (lo, hi) in enumerate(halves):
             part = views[h] @ T.khatri_rao(factors[split:] if h == 0 else factors[:split])
             part = part.reshape(g.shape[lo:hi] + (-1,))
@@ -1924,7 +1943,19 @@ def plain_sweep_fit(g, t_mats, config, n_sweeps):
                     factors[d] = update_b_admm(gram, rhs, factors[d], config, s)[0]
                 else:
                     factors[d] = update_b_ridge(gram, rhs, factors[d], config, s)
-        trace.append(value())
+        f = value()
+        if (
+            trials and not config.lasso_block and it >= solver_mod._EXTRAP_START
+            and it % solver_mod._EXTRAP_EVERY == 0
+        ):
+            step = it**solver_mod._EXTRAP_POWER
+            new, factors[:] = list(factors), [o + step * (x - o) for o, x in zip(old, factors)]
+            f_ext = value()
+            if f_ext < trace[-1]:
+                f, state.extrapolated = f_ext, state.extrapolated + 1
+            else:
+                factors[:] = new
+        trace.append(f)
     state.c_tilde, state.b = [p @ c for p, c in zip(rots, factors)], factors[-1]
     solver_mod._gauge_normalize(state)
     return state, np.asarray(trace)
@@ -1954,3 +1985,88 @@ def test_fit_is_bit_identical_to_the_plain_sweep(dims, n_subj, k, coef_penalty):
     for a, b in zip(got.factors(), ref.factors()):
         assert np.array_equal(a, b)
     assert np.max(np.abs(got.objective_trace - trace) / trace) <= 1e-14
+
+
+# --------------------------------------------------------- extrapolated sweeps
+
+
+def trial_problem(dims, n_subj, true_rank, noise):
+    rng = np.random.default_rng(60)
+    g = rank_k_tensor(rng, dims, n_subj, true_rank) + noise * rng.standard_normal(dims + (n_subj,))
+    return g, [psd(rng, m) for m in dims]
+
+
+@pytest.mark.parametrize(
+    "dims, n_subj, k, true_rank, noise, lam, kept",
+    [
+        ((10, 8), 100, 30, 8, 0.05, 1e-3, 17),  # gp2d's compressed shape and rank
+        ((10, 8), 100, 8, 8, 0.0, 0.0, 7),  # exact fits: trials are also rejected
+        ((6, 5, 4), 7, 5, 8, 0.05, 1e-3, 17),
+        ((6, 5, 4), 7, 8, 8, 0.0, 0.0, 8),
+    ],
+)
+def test_fit_extrapolates_as_the_reference_trial(dims, n_subj, k, true_rank, noise, lam, kept):
+    # 93 sweeps hold the 17 trials of sweeps 45, 48, ..., 93
+    g, t_mats = trial_problem(dims, n_subj, true_rank, noise)
+    cfg = SolverConfig(
+        rank=k, lambda_marginal=lam, lambda_coef=lam, max_outer_iters=93, outer_tol=1e-300, seed=5
+    )
+    got = fit(g, t_mats, cfg)
+    ref, trace = plain_sweep_fit(g, t_mats, cfg, 93)
+    assert got.iters == 93 and got.extrapolated == ref.extrapolated == kept
+    for a, b in zip(got.factors(), ref.factors()):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(got.objective_trace - trace) / trace) <= 1e-12
+    # nonincreasing up to rounding: the exact fits end at objectives near 1e-30
+    assert np.all(np.diff(got.objective_trace) <= 1e-14 * trace[0])
+
+
+@pytest.mark.parametrize("power", [12.0, 200.0])  # a far jump; one that overflows
+def test_a_rejected_trial_keeps_the_sweeps_own_point(monkeypatch, power):
+    # trials from sweep 3 whose step it**power overshoots: every one is rejected,
+    # and the fit is the plain sweep's, bit for bit
+    monkeypatch.setattr(solver_mod, "_EXTRAP_START", 3)
+    g, t_mats = trial_problem((10, 8), 100, 8, 0.05)
+    cfg = SolverConfig(
+        rank=30, lambda_marginal=1e-3, lambda_coef=1e-3, max_outer_iters=12, outer_tol=1e-300,
+        seed=5,
+    )
+    assert fit(g, t_mats, cfg).extrapolated == 4  # the trials of sweeps 3, 6, 9 and 12
+    monkeypatch.setattr(solver_mod, "_EXTRAP_POWER", power)
+    got = fit(g, t_mats, cfg)
+    ref, trace = plain_sweep_fit(g, t_mats, cfg, 12, trials=False)
+    assert got.iters == 12 and got.extrapolated == 0
+    for a, b in zip(got.factors(), ref.factors()):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(got.objective_trace - trace) / trace) <= 1e-14
+
+
+def test_a_noise_target_stops_the_fit_without_changing_its_trials():
+    # the target decides only when the fit stops: stopped past sweep 45, the fit
+    # is the untargeted fit capped at the same sweep, bit for bit
+    g, t_mats = trial_problem((10, 8), 100, 8, 0.05)
+    cfg = SolverConfig(
+        rank=30, lambda_marginal=1e-3, lambda_coef=1e-3, max_outer_iters=60, outer_tol=1e-300,
+        seed=5,
+    )
+    target = fit(g, t_mats, cfg).residual_sq
+    stopped = fit(g, t_mats, replace(cfg, max_outer_iters=300), noise_target=target)
+    assert stopped.stop_reason == "noise level" and 45 < stopped.iters <= 60
+    plain = fit(g, t_mats, replace(cfg, max_outer_iters=stopped.iters))
+    assert plain.stop_reason == "sweep cap" and plain.extrapolated == stopped.extrapolated > 0
+    assert plain.residual_sq == stopped.residual_sq
+    for a, b in zip(plain.factors(), stopped.factors()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(plain.objective_trace, stopped.objective_trace)
+
+
+def test_lasso_and_short_fits_take_no_trial():
+    g, t_mats = trial_problem((6, 5, 4), 7, 8, 0.05)
+    cfg = SolverConfig(
+        rank=5, lambda_marginal=1e-3, lambda_coef=1e-3, coef_penalty="lasso", max_outer_iters=60,
+        outer_tol=1e-300, seed=5,
+    )
+    lasso = fit(g, t_mats, cfg)
+    assert lasso.iters == 60 and lasso.extrapolated == 0
+    short = fit(g, t_mats, replace(cfg, coef_penalty="ridge", max_outer_iters=44))
+    assert short.iters == 44 and short.extrapolated == 0
